@@ -1,10 +1,11 @@
-//! The batched adaptive Monte-Carlo kernel against its two ablations: a
-//! fixed sampling budget on the same tight-window config (what the adaptive
-//! stopping rule saves), and the scalar row-by-row Gaussian path (what the
-//! structure-of-arrays `NormalSource::fill` kernel saves). A counting
-//! global allocator reports the steady-state allocations per sampling call,
-//! pinning the scratch-reuse contract: chunk buffers live on the engine's
-//! worker threads, not in the inner loop.
+//! The adaptive uniform-window Monte-Carlo kernel against its two
+//! ablations: a fixed sampling budget on the same tight-window config (what
+//! the adaptive stopping rule saves), and the Box–Muller Gaussian on the
+//! general row-by-row path (what accepting regions in uniform space saves:
+//! one draw and one compare per cell instead of a normal deviate). A
+//! counting global allocator reports the steady-state allocations per
+//! sampling call, pinning that the kernel allocates per chunk, never per
+//! sample or cell.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,10 +40,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// A Gaussian disturbance that deliberately does **not** override
-/// [`DisturbanceModel::sample_matrix`]: every deviation goes through the
-/// provided row-by-row loop, so benching it against [`GaussianDisturbance`]
-/// isolates the batched `NormalSource::fill` kernel from everything else.
+/// The Box–Muller reference: a Gaussian disturbance that implements only
+/// [`DisturbanceModel::sample_regions`], so it has no acceptance range and
+/// the engine samples it on the general path. Benching it against
+/// [`GaussianDisturbance`] isolates the uniform-window kernel from
+/// everything else.
 #[derive(Debug)]
 struct ScalarGaussian;
 
@@ -74,12 +76,12 @@ const KERNEL_SAMPLES: usize = 8_000;
 const TARGET_HALF_WIDTH: f64 = 0.05;
 
 /// Steady-state allocations per sampling call: one warmup call, then the
-/// counter delta across `calls` further calls. With engine-owned scratch
-/// the deviation matrices cost nothing per chunk; what remains is chunk
-/// bookkeeping (one small per-chunk counts vector — the engine's
-/// chunk-ordered reduction protocol) plus the outcome itself, so the
-/// figure grows with the *chunk count*, never with `samples × nanowires ×
-/// regions` the way the pre-SoA kernel did.
+/// counter delta across `calls` further calls. The window kernel draws no
+/// deviations at all; what remains is chunk bookkeeping (one small
+/// per-chunk counts vector — the engine's chunk-ordered reduction
+/// protocol), the per-estimate acceptance table and the outcome itself, so
+/// the figure grows with the *chunk count*, never with `samples ×
+/// nanowires × regions`.
 fn allocations_per_call(
     engine: &ExecutionEngine,
     config: &SimConfig,
@@ -109,10 +111,10 @@ fn bench_mc_kernel(c: &mut Criterion) {
     let model = config.variability_model().expect("model");
     let window = config.decision_window().expect("window");
 
-    // Scratch-reuse evidence, printed ahead of the timing rows: doubling
-    // the budget must not double the allocation count by anything close
-    // to the per-sample deviation volume (each sample fills a
-    // nanowires × regions matrix — reused scratch, zero allocations).
+    // Allocation evidence, printed ahead of the timing rows: doubling the
+    // budget must not double the allocation count by anything close to the
+    // per-sample cell volume (each sample decides nanowires × regions
+    // cells — zero allocations).
     let allocs_1x = allocations_per_call(&engine, &config, KERNEL_SAMPLES, 8);
     let allocs_2x = allocations_per_call(&engine, &config, 2 * KERNEL_SAMPLES, 8);
     eprintln!(
@@ -153,10 +155,10 @@ fn bench_mc_kernel(c: &mut Criterion) {
         });
     });
 
-    // The structure-of-arrays fill kernel vs the scalar row loop, same
-    // fixed budget, no stage cache in the way: both go straight through
+    // The uniform-window kernel vs the Box–Muller row loop, same fixed
+    // budget, no stage cache in the way: both go straight through
     // `monte_carlo_with_disturbance`.
-    group.bench_function("batched_fill_8k", |b| {
+    group.bench_function("uniform_window_8k", |b| {
         b.iter(|| {
             engine
                 .monte_carlo_with_disturbance(
@@ -166,7 +168,7 @@ fn bench_mc_kernel(c: &mut Criterion) {
                     MonteCarloConfig::fixed(KERNEL_SAMPLES, 17),
                     &GaussianDisturbance,
                 )
-                .expect("batched outcome")
+                .expect("window outcome")
         });
     });
     group.bench_function("scalar_rows_8k", |b| {

@@ -440,8 +440,10 @@ fn accept_loop(
             Ok((stream, _)) => {
                 stream.set_nodelay(true).ok();
                 if let Err(rejected) = queue.try_push(stream) {
-                    shed_connection(rejected, shed_policy);
+                    // Counted before the reply is written, so a client that
+                    // has read its shed reply always finds it counted.
                     counters.shed.fetch_add(1, Ordering::Relaxed);
+                    shed_connection(rejected, shed_policy);
                 }
                 // Incremented after the queue/shed decision so observers
                 // that wait on this counter know the dispatch outcome of

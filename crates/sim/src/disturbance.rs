@@ -6,36 +6,64 @@
 //! generator is a trait, [`DisturbanceModel`], with three stock
 //! implementations:
 //!
-//! * [`GaussianDisturbance`] — the paper's model, and the default. Draws one
-//!   standard normal per region; **bit-identical** to the pre-trait sampler
-//!   (the fixed-seed regression in `tests/engine_equivalence.rs` pins this).
+//! * [`GaussianDisturbance`] — the paper's model, and the default.
 //! * [`LaplaceDisturbance`] — heavy-tailed dose noise via the inverse CDF,
 //!   scaled to the same per-region variance `σ²` as the Gaussian so the two
-//!   differ only in tail shape. One uniform per region.
+//!   differ only in tail shape.
 //! * [`CorrelatedDisturbance`] — a shared per-nanowire offset plus
 //!   independent per-region noise (systematic dose drift on top of local
 //!   randomness). `1 + M` normals per nanowire of `M` regions.
+//!
+//! # Two sampling paths
+//!
+//! A region passes when its deviation lies inside the decision window. For a
+//! model whose deviation is a monotone function of one uniform draw, that is
+//! the same as the draw lying in a fixed range, so the sampler never needs
+//! the deviation itself. Such a model returns the range from
+//! [`DisturbanceModel::accepted_draws`], and the sampler spends **one draw
+//! and one compare per region** (the *window path*):
+//!
+//! * Gaussian: `|σZ| ≤ w` exactly when `u ∈ [Φ(−w/σ), Φ(w/σ)]`, with `Φ(−c)`
+//!   from the tail-accurate [`erfc`]. This path does **not**
+//!   replay the Box–Muller stream the general path draws, so Gaussian
+//!   estimates differ from those of earlier releases for the same seed (in
+//!   distribution they agree; the analytic-vs-Monte-Carlo gate checks both).
+//! * Laplace: the range is found by bisection on the inverse-CDF predicate
+//!   [`LaplaceDisturbance::sample_regions`] evaluates, so both paths accept
+//!   exactly the same draws and Laplace estimates are bit-identical either
+//!   way.
+//!
+//! Correlated and custom models keep the default `None` and take the
+//! *general path*: [`DisturbanceModel::sample_regions`] fills each
+//! nanowire's deviations and the sampler checks them against the window.
+//! Box–Muller Gaussian sampling stays available there, through
+//! [`GaussianDisturbance::sample_regions`], as the independent reference
+//! the window path is checked against.
 //!
 //! # Fixed-consumption contract
 //!
 //! Whatever the distribution, a model must draw a **fixed number** of values
 //! from the source per nanowire, depending only on the region count — never
-//! on the sampled values, the window, or the acceptance outcome. This is the
-//! same common-random-numbers discipline the Gaussian sampler documents in
-//! [`crate::monte_carlo`]: it keeps chunked sampling bit-identical for any
-//! thread count and makes same-seed comparisons across windows exact.
+//! on the sampled values, the window, or the acceptance outcome. The window
+//! path draws exactly one 53-bit uniform per region; on the general path the
+//! model's own discipline applies. This is the common-random-numbers
+//! discipline documented in [`crate::monte_carlo`]: it keeps chunked
+//! sampling bit-identical for any thread count and makes same-seed
+//! comparisons across windows exact.
 //!
 //! [`DisturbanceKind`] is the serializable, config-friendly enumeration of
 //! the stock models; custom models plug in through
 //! [`ExecutionEngine::monte_carlo_with_disturbance`](crate::ExecutionEngine::monte_carlo_with_disturbance).
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, SimError};
-use crate::monte_carlo::NormalSource;
+use crate::monte_carlo::{unit_interval, NormalSource, UNIFORM_DRAWS};
+use crate::stats::erfc;
 
 /// A distribution of per-region threshold-voltage disturbances, sampled one
 /// nanowire at a time.
@@ -77,6 +105,8 @@ use crate::monte_carlo::NormalSource;
 ///     .iter()
 ///     .zip(&sigmas)
 ///     .all(|(d, s)| d.abs() <= s * 3f64.sqrt()));
+/// // No acceptance range: the sampler takes the general path.
+/// assert_eq!(UniformDisturbance.accepted_draws(0.1, 0.05), None);
 /// ```
 pub trait DisturbanceModel: fmt::Debug + Send + Sync {
     /// Fills `out` with one sampled disturbance per doping region of one
@@ -84,39 +114,32 @@ pub trait DisturbanceModel: fmt::Debug + Send + Sync {
     /// assigns to region `j` (`out.len() == sigmas.len()`).
     fn sample_regions(&self, sigmas: &[f64], draws: &mut NormalSource<StdRng>, out: &mut [f64]);
 
-    /// Fills a whole `nanowires × regions` deviation matrix in one call —
-    /// the structure-of-arrays entry point of the batched sampling kernel.
-    /// `sigmas` and `out` are flat row-major matrices of equal length whose
-    /// rows are `regions` wide.
+    /// The 53-bit draws `k < 2⁵³` (the top bits of the generator's next
+    /// `u64`, the integer behind [`NormalSource::uniform`]`() = k / 2⁵³`)
+    /// for which a region of standard deviation `sigma`, sampled from that
+    /// single uniform, lands inside a decision window of half-width
+    /// `half_width` — or `None` when the model has no such range and the
+    /// sampler must go through [`sample_regions`](Self::sample_regions).
     ///
-    /// The provided body loops [`sample_regions`](Self::sample_regions) over
-    /// the rows in order, so every implementation consumes the draw stream
-    /// exactly as the scalar path did; implementations may override it with
-    /// a batched draw **only** when the batch consumes the identical stream
-    /// (see [`GaussianDisturbance`], whose override leans on
-    /// [`NormalSource::fill`] replaying the scalar stream bit-exactly).
-    fn sample_matrix(
-        &self,
-        sigmas: &[f64],
-        regions: usize,
-        draws: &mut NormalSource<StdRng>,
-        out: &mut [f64],
-    ) {
-        if regions == 0 {
-            return;
-        }
-        for (row_sigmas, row_out) in sigmas
-            .chunks_exact(regions)
-            .zip(out.chunks_exact_mut(regions))
-        {
-            self.sample_regions(row_sigmas, draws, row_out);
-        }
+    /// The sampler calls this once per distinct `sigma` of an estimate and
+    /// takes the window path only when every cell has a range; it then
+    /// draws one uniform per region in row-major order, accepting a region
+    /// when its draw lies in the (possibly empty) range. `half_width` is
+    /// non-negative and may be `+∞`. The provided body returns `None`.
+    fn accepted_draws(&self, sigma: f64, half_width: f64) -> Option<RangeInclusive<u64>> {
+        let _ = (sigma, half_width);
+        None
     }
 }
 
 /// The paper's Gaussian disturbance: region `j` deviates by `σ_j · Z` with
-/// `Z` standard normal. Draws exactly one normal per region, in region
-/// order — the identical stream the pre-trait sampler consumed.
+/// `Z` standard normal.
+///
+/// The sampler accepts Gaussian regions in uniform space
+/// ([`accepted_draws`](DisturbanceModel::accepted_draws)).
+/// [`sample_regions`](DisturbanceModel::sample_regions) still draws one
+/// Box–Muller normal per region, in region order — the reference sampler
+/// the window path is validated against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GaussianDisturbance;
 
@@ -127,21 +150,21 @@ impl DisturbanceModel for GaussianDisturbance {
         }
     }
 
-    /// Batched draw: one [`NormalSource::fill`] over the whole matrix, then
-    /// an elementwise scale the compiler can autovectorize. Bit-identical to
-    /// the row loop because the Gaussian consumes exactly one normal per
-    /// cell in row-major order — the flat order *is* the scalar order.
-    fn sample_matrix(
-        &self,
-        sigmas: &[f64],
-        _regions: usize,
-        draws: &mut NormalSource<StdRng>,
-        out: &mut [f64],
-    ) {
-        draws.fill(out);
-        for (slot, &sigma) in out.iter_mut().zip(sigmas) {
-            *slot *= sigma;
+    /// `|σZ| ≤ w` holds exactly when `Z ∈ [−c, c]` with `c = w/|σ|`, i.e.
+    /// when the uniform lies in `[Φ(−c), Φ(c)] = [Φ(−c), 1 − Φ(−c)]`: the
+    /// draws `⌈Φ(−c)·2⁵³⌉ ..= 2⁵³ − ⌈Φ(−c)·2⁵³⌉`. An undoped region
+    /// (`σ = 0`) and an infinite window accept every draw.
+    fn accepted_draws(&self, sigma: f64, half_width: f64) -> Option<RangeInclusive<u64>> {
+        if sigma.is_nan() {
+            return None;
         }
+        if sigma == 0.0 || half_width == f64::INFINITY {
+            return Some(0..=UNIFORM_DRAWS);
+        }
+        let tail = 0.5 * erfc(half_width / sigma.abs() * std::f64::consts::FRAC_1_SQRT_2);
+        // `tail ≤ ½`, so the product is at most 2⁵² and the cast is exact.
+        let low = (tail * UNIFORM_DRAWS as f64).ceil() as u64;
+        Some(low..=UNIFORM_DRAWS - low)
     }
 }
 
@@ -152,16 +175,54 @@ impl DisturbanceModel for GaussianDisturbance {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaplaceDisturbance;
 
+impl LaplaceDisturbance {
+    /// The deviation of a region of standard deviation `sigma` sampled from
+    /// the uniform `u ∈ [0, 1)` — the one predicate both sampling paths
+    /// evaluate.
+    fn deviation(sigma: f64, u: f64) -> f64 {
+        // Inverse CDF of the centred Laplace with scale b:
+        // x = -b·sgn(t)·ln(1 − 2|t|), t = u − ½ ∈ [−½, ½).
+        let t = u - 0.5;
+        let scale = sigma / std::f64::consts::SQRT_2;
+        let arg = (1.0 - 2.0 * t.abs()).max(f64::MIN_POSITIVE);
+        -scale * t.signum() * arg.ln()
+    }
+}
+
 impl DisturbanceModel for LaplaceDisturbance {
     fn sample_regions(&self, sigmas: &[f64], draws: &mut NormalSource<StdRng>, out: &mut [f64]) {
         for (slot, &sigma) in out.iter_mut().zip(sigmas) {
-            // Inverse CDF of the centred Laplace with scale b:
-            // x = -b·sgn(t)·ln(1 − 2|t|), t = u − ½ ∈ [−½, ½).
-            let t = draws.uniform() - 0.5;
-            let scale = sigma / std::f64::consts::SQRT_2;
-            let arg = (1.0 - 2.0 * t.abs()).max(f64::MIN_POSITIVE);
-            *slot = -scale * t.signum() * arg.ln();
+            *slot = Self::deviation(sigma, draws.uniform());
         }
+    }
+
+    /// For a draw `k`, `t = k/2⁵³ − ½` and `1 − 2|t| = m/2⁵²` are exact,
+    /// with `m = 2⁵² − |k − 2⁵²|`; the deviation's magnitude depends on `k`
+    /// only through `m` and never grows with it. So the passing draws are
+    /// exactly those with `m ≥ m*`, i.e. `m* ..= 2⁵³ − m*`, where `m*` — the
+    /// smallest passing `m` — is found by bisection on
+    /// [`sample_regions`](DisturbanceModel::sample_regions)' own arithmetic.
+    fn accepted_draws(&self, sigma: f64, half_width: f64) -> Option<RangeInclusive<u64>> {
+        let passes = |m: u64| Self::deviation(sigma, unit_interval(m)).abs() <= half_width;
+        let centre = UNIFORM_DRAWS / 2;
+        if !passes(centre) {
+            // Only a non-finite σ fails the zero deviation at u = ½; its
+            // predicate is not monotone, so leave it to the general path.
+            return None;
+        }
+        if passes(0) {
+            return Some(0..=UNIFORM_DRAWS);
+        }
+        let (mut failing, mut passing) = (0, centre);
+        while passing - failing > 1 {
+            let middle = failing + (passing - failing) / 2;
+            if passes(middle) {
+                passing = middle;
+            } else {
+                failing = middle;
+            }
+        }
+        Some(passing..=UNIFORM_DRAWS - passing)
     }
 }
 
@@ -373,38 +434,87 @@ mod tests {
     }
 
     #[test]
-    fn sample_matrix_matches_the_row_by_row_scalar_path() {
-        // The batched entry point (including the Gaussian's fill-based
-        // override) must produce the exact deviations of looping
-        // sample_regions over the rows — same stream, same values.
-        for kind in [
-            DisturbanceKind::Gaussian,
-            DisturbanceKind::Laplace,
-            DisturbanceKind::Correlated {
-                shared_fraction: 0.4,
-            },
-        ] {
-            let model = kind.model().unwrap();
-            let regions = 3;
-            let sigmas = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2];
-            let mut batched = NormalSource::from_seed(55);
-            let mut scalar = NormalSource::from_seed(55);
-            let mut batched_out = [0.0f64; 12];
-            let mut scalar_out = [0.0f64; 12];
-            // Two consecutive matrices: the cached Box–Muller half must
-            // carry across batch calls exactly as it does across rows.
-            for _ in 0..2 {
-                model.sample_matrix(&sigmas, regions, &mut batched, &mut batched_out);
-                for (row_sigmas, row_out) in sigmas
-                    .chunks_exact(regions)
-                    .zip(scalar_out.chunks_exact_mut(regions))
-                {
-                    model.sample_regions(row_sigmas, &mut scalar, row_out);
+    fn laplace_draw_ranges_are_exactly_the_inverse_cdf_predicate() {
+        // The range must hold every draw the general path accepts and no
+        // other: check both edges, their outside neighbours, the extreme
+        // draws and a spread of draws in between.
+        let passes = |sigma: f64, half_width: f64, k: u64| {
+            LaplaceDisturbance::deviation(sigma, unit_interval(k)).abs() <= half_width
+        };
+        let last = UNIFORM_DRAWS - 1;
+        for sigma in [0.0, 1e-9, 0.013, 0.05, 0.2, 3.0] {
+            for half_width in [0.0, 1e-12, 0.01, 0.1, 0.25, 1.0, 100.0, f64::INFINITY] {
+                let range = LaplaceDisturbance
+                    .accepted_draws(sigma, half_width)
+                    .expect("Laplace always has a range");
+                let mut probes = vec![0, 1, last - 1, last, UNIFORM_DRAWS / 2];
+                if !range.is_empty() {
+                    let (start, end) = (*range.start(), (*range.end()).min(last));
+                    probes.extend([start, end, start.saturating_sub(1), (end + 1).min(last)]);
                 }
-                assert_eq!(batched_out, scalar_out, "{kind}: batched path diverged");
+                probes.extend((1..64u64).map(|i| i * (UNIFORM_DRAWS / 64) + i));
+                for k in probes {
+                    assert_eq!(
+                        range.contains(&k),
+                        passes(sigma, half_width, k),
+                        "σ {sigma}, w {half_width}, draw {k}, range {range:?}"
+                    );
+                }
             }
-            assert_eq!(batched.sample(), scalar.sample(), "{kind}: stream desync");
         }
+    }
+
+    #[test]
+    fn gaussian_draw_ranges_carry_the_normal_mass() {
+        // 1 − 2Φ(−c) from Python's `math.erf(c/√2)`.
+        for (c, mass) in [
+            (0.5, 0.382_924_922_548_026_2),
+            (1.0, 0.682_689_492_137_085_9),
+            (2.0, 0.954_499_736_103_641_6),
+            (3.0, 0.997_300_203_936_739_8),
+            (5.0, 0.999_999_426_696_856_3),
+        ] {
+            let range = GaussianDisturbance.accepted_draws(0.04, c * 0.04).unwrap();
+            let accepted = (range.end() - range.start() + 1) as f64 / UNIFORM_DRAWS as f64;
+            assert!(
+                (accepted - mass).abs() < 1e-15,
+                "c = {c}: {accepted} vs {mass}"
+            );
+            // Symmetric about the median draw.
+            assert_eq!(range.start() + range.end(), UNIFORM_DRAWS);
+        }
+        // Undoped regions and infinite windows accept every draw; a zero
+        // window accepts only the median draw, where Z = 0.
+        let all = 0..=UNIFORM_DRAWS;
+        assert_eq!(
+            GaussianDisturbance.accepted_draws(0.0, 0.0),
+            Some(all.clone())
+        );
+        assert_eq!(
+            GaussianDisturbance.accepted_draws(0.0, 0.3),
+            Some(all.clone())
+        );
+        assert_eq!(
+            GaussianDisturbance.accepted_draws(0.1, f64::INFINITY),
+            Some(all)
+        );
+        let median = UNIFORM_DRAWS / 2;
+        assert_eq!(
+            GaussianDisturbance.accepted_draws(0.1, 0.0),
+            Some(median..=median)
+        );
+        // A wider window's range contains the narrower one's.
+        let narrow = GaussianDisturbance.accepted_draws(0.05, 0.1).unwrap();
+        let wide = GaussianDisturbance.accepted_draws(0.05, 0.11).unwrap();
+        assert!(wide.start() < narrow.start() && narrow.end() < wide.end());
+    }
+
+    #[test]
+    fn only_gaussian_and_laplace_have_draw_ranges() {
+        let correlated = CorrelatedDisturbance::new(0.5).unwrap();
+        assert_eq!(correlated.accepted_draws(0.1, 0.2), None);
+        assert!(GaussianDisturbance.accepted_draws(0.1, 0.2).is_some());
+        assert!(LaplaceDisturbance.accepted_draws(0.1, 0.2).is_some());
     }
 
     #[test]

@@ -54,8 +54,8 @@ use crate::defect::DefectKind;
 use crate::disturbance::{DisturbanceModel, GaussianDisturbance};
 use crate::error::{Result, SimError};
 use crate::monte_carlo::{
-    chunk_seed, sample_chunk, validate_monte_carlo, McScratch, MonteCarloConfig, MonteCarloOutcome,
-    SigmaMatrix,
+    chunk_seed, sample_chunk, validate_monte_carlo, AcceptanceTable, MonteCarloConfig,
+    MonteCarloOutcome, SigmaMatrix,
 };
 use crate::platform::{PlatformReport, SimulationPlatform};
 use crate::stage::{StageCache, StageStats};
@@ -337,45 +337,26 @@ impl ExecutionEngine {
         T: Send,
         F: Fn(usize) -> Result<T> + Sync,
     {
-        self.run_indexed_with(count, || (), |(): &mut (), index| job(index))
-    }
-
-    /// [`ExecutionEngine::run_indexed`] with per-worker scratch state:
-    /// `init` builds one scratch value per participating thread (one total
-    /// on the serial path), and every job a worker claims reuses that
-    /// worker's scratch — the allocation-reuse substrate of the batched
-    /// Monte-Carlo kernel. Determinism is unaffected: scratch never crosses
-    /// jobs' visible outputs, it only recycles buffers.
-    fn run_indexed_with<S, T, I, F>(&self, count: usize, init: I, job: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> Result<T> + Sync,
-    {
         if count == 0 {
             return Ok(Vec::new());
         }
         let threads = self.config.threads.min(count);
         if threads <= 1 {
-            let mut scratch = init();
-            return (0..count).map(|index| job(&mut scratch, index)).collect();
+            return (0..count).map(job).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<T>>>> = (0..count).map(|_| Mutex::new(None)).collect();
         thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= count {
-                            break;
-                        }
-                        let result = job(&mut scratch, index);
-                        // Each slot is written exactly once; poison recovery
-                        // cannot observe a half-written result.
-                        *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+                scope.spawn(|| loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= count {
+                        break;
                     }
+                    let result = job(index);
+                    // Each slot is written exactly once; poison recovery
+                    // cannot observe a half-written result.
+                    *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
                 });
             }
         });
@@ -419,14 +400,22 @@ impl ExecutionEngine {
     /// the model's fixed per-nanowire consumption keeps outcomes
     /// bit-identical for any thread count.
     ///
+    /// The sampling path follows from the model: when it has an
+    /// [`accepted_draws`](DisturbanceModel::accepted_draws) range for every
+    /// cell, the ranges are tabulated once for the whole estimate and every
+    /// chunk runs the one-draw-one-compare window kernel; otherwise every
+    /// chunk samples deviations through
+    /// [`sample_regions`](DisturbanceModel::sample_regions) and checks them
+    /// against the window.
+    ///
     /// Deprecated entry point: prefer [`Evaluation`](crate::Evaluation) with
     /// [`SimConfig::with_disturbance`](crate::SimConfig::with_disturbance),
     /// which memoizes through the engine's stage cache.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero samples or a negative
-    /// window, or propagates lower-layer errors.
+    /// Returns [`SimError::InvalidConfig`] for zero samples or a negative or
+    /// NaN window, or propagates lower-layer errors.
     pub fn monte_carlo_with_disturbance(
         &self,
         variability: &VariabilityMatrix,
@@ -438,19 +427,18 @@ impl ExecutionEngine {
         validate_monte_carlo(&config, window)?;
         let sigmas = SigmaMatrix::from_variability(variability, model)?;
         let window_half_width = window.value();
+        let table = AcceptanceTable::build(&sigmas, window_half_width, disturbance);
         let chunk_size = self.config.chunk_size;
         let cap = config.sample_cap();
         let chunk_count = cap.div_ceil(chunk_size);
         let chunk_samples = |chunk: usize| chunk_size.min(cap - chunk * chunk_size);
-        let run_chunk = |scratch: &mut McScratch, chunk: usize| {
-            Ok(sample_chunk(
-                &sigmas,
-                window_half_width,
-                chunk_seed(config.seed, chunk as u64),
-                chunk_samples(chunk),
-                disturbance,
-                scratch,
-            ))
+        let run_chunk = |chunk: usize| {
+            let seed = chunk_seed(config.seed, chunk as u64);
+            let samples = chunk_samples(chunk);
+            Ok(match &table {
+                Some(table) => table.sample_chunk(seed, samples),
+                None => sample_chunk(&sigmas, window_half_width, seed, samples, disturbance),
+            })
         };
         let z = z_for_confidence(config.confidence);
         let mut totals = vec![0usize; sigmas.nanowires()];
@@ -467,10 +455,7 @@ impl ExecutionEngine {
             'waves: while next_chunk < chunk_count {
                 let batch = wave.min(chunk_count - next_chunk);
                 let first = next_chunk;
-                let wave_counts =
-                    self.run_indexed_with(batch, McScratch::new, |scratch, offset| {
-                        run_chunk(scratch, first + offset)
-                    })?;
+                let wave_counts = self.run_indexed(batch, |offset| run_chunk(first + offset))?;
                 for (offset, counts) in wave_counts.iter().enumerate() {
                     for (total, &count) in totals.iter_mut().zip(counts) {
                         *total += count;
@@ -486,7 +471,7 @@ impl ExecutionEngine {
                 next_chunk += batch;
             }
         } else {
-            let per_chunk_counts = self.run_indexed_with(chunk_count, McScratch::new, run_chunk)?;
+            let per_chunk_counts = self.run_indexed(chunk_count, run_chunk)?;
             for counts in per_chunk_counts {
                 for (total, count) in totals.iter_mut().zip(counts) {
                     *total += count;
@@ -867,40 +852,6 @@ mod tests {
                 reason: "job 3".to_string()
             }
         );
-    }
-
-    #[test]
-    fn run_indexed_with_reuses_one_scratch_per_worker() {
-        // Serial path: a single scratch walks every index in order.
-        let serial = engine(1);
-        let counts = serial
-            .run_indexed_with(
-                5,
-                || 0usize,
-                |seen: &mut usize, _| {
-                    *seen += 1;
-                    Ok(*seen)
-                },
-            )
-            .unwrap();
-        assert_eq!(counts, vec![1, 2, 3, 4, 5]);
-
-        // Parallel path: 4 workers claim 64 jobs, so by pigeonhole some
-        // worker's scratch sees at least 16 of them — proof the scratch is
-        // per worker, not per job.
-        let parallel = engine(4);
-        let counts = parallel
-            .run_indexed_with(
-                64,
-                || 0usize,
-                |seen: &mut usize, _| {
-                    *seen += 1;
-                    Ok(*seen)
-                },
-            )
-            .unwrap();
-        assert_eq!(counts.len(), 64);
-        assert!(*counts.iter().max().unwrap() >= 16);
     }
 
     #[test]

@@ -19,15 +19,36 @@
 //! ([`AddressabilityProfile::from_variability`]) uses the identical
 //! convention, so the two estimates are directly comparable.
 //!
+//! # Sampling paths
+//!
+//! An estimate samples in one of two ways, chosen from the
+//! [`DisturbanceModel`] itself (see [`crate::disturbance`]):
+//!
+//! * **Window path** — when the model returns a range of accepted uniform
+//!   draws for every (nanowire, region) cell
+//!   ([`DisturbanceModel::accepted_draws`]; Gaussian and Laplace do), the
+//!   ranges are computed once per distinct σ of the estimate, and each cell
+//!   then costs one 53-bit draw and one integer compare. No deviation is
+//!   ever materialised. The Gaussian model therefore no longer replays the
+//!   Box–Muller stream: same distribution, different samples for a seed.
+//! * **General path** — otherwise (correlated and custom models), each
+//!   nanowire's deviations are filled by
+//!   [`DisturbanceModel::sample_regions`] and checked against the window.
+//!   A Gaussian model that only implements `sample_regions` samples
+//!   Box–Muller normals here: the reference the window path is checked
+//!   against.
+//!
 //! # Sampling discipline (common random numbers)
 //!
-//! Every region's deviation is drawn **unconditionally**: a sample consumes
-//! exactly `M` normals per nanowire whether or not an early region already
-//! fell outside the window. RNG consumption therefore never depends on the
-//! window or the acceptance outcome, so two runs with the same seed see the
-//! *same* deviations and differ only in the accept/reject decision. That
-//! makes common-random-number comparisons (wider window ⇒ supersets of
-//! accepted samples, per nanowire) exact instead of statistical.
+//! Every region is drawn **unconditionally**: a sample consumes the same
+//! number of draws per nanowire whether or not an early region already
+//! fell outside the window — one uniform per region on the window path, the
+//! model's fixed count on the general path. RNG consumption therefore never
+//! depends on the window or the acceptance outcome, so two runs with the
+//! same seed see the *same* draws and differ only in the accept/reject
+//! decision. That makes common-random-number comparisons (wider window ⇒
+//! supersets of accepted samples, per nanowire) exact instead of
+//! statistical.
 //!
 //! # Adaptive stopping
 //!
@@ -295,7 +316,9 @@ pub(crate) fn validate_monte_carlo(config: &MonteCarloConfig, window: Volts) -> 
             reason: "Monte-Carlo estimation needs at least one sample".to_string(),
         });
     }
-    if window.value() < 0.0 {
+    // `NaN < 0.0` is false, and a NaN window would reject every region
+    // silently: an all-zero profile instead of an error.
+    if window.value().is_nan() || window.value() < 0.0 {
         return Err(SimError::InvalidConfig {
             reason: format!("decision window must be non-negative, got {window}"),
         });
@@ -379,59 +402,33 @@ impl SigmaMatrix {
     }
 }
 
-/// Per-thread scratch space for [`sample_chunk`]: the deviation buffer is
-/// engine-owned and reused across every chunk a worker thread claims, so the
-/// inner loop allocates nothing proportional to the matrix size per chunk.
-#[derive(Debug, Default)]
-pub(crate) struct McScratch {
-    /// Flat `nanowires × regions` deviation buffer, (re)sized on first use.
-    deviations: Vec<f64>,
-}
-
-impl McScratch {
-    /// An empty scratch; buffers grow on first [`sample_chunk`] call.
-    pub(crate) fn new() -> McScratch {
-        McScratch::default()
-    }
-}
-
-/// Runs one deterministic chunk of `samples` array instances and returns the
-/// per-nanowire counts of fully-in-window samples.
+/// Runs one deterministic chunk of `samples` array instances on the general
+/// path and returns the per-nanowire counts of fully-in-window samples.
 ///
-/// Every region deviation is drawn unconditionally (no early exit), so the
-/// chunk consumes exactly the disturbance model's fixed per-nanowire draw
+/// Every nanowire's deviations are drawn in full through
+/// [`DisturbanceModel::sample_regions`] before the window check (no early
+/// exit), so the chunk consumes exactly the model's fixed per-nanowire draw
 /// count regardless of the window — the fixed-consumption discipline the
-/// module docs describe. Under [`GaussianDisturbance`] the consumed stream
-/// is bit-identical to the pre-trait sampler: one normal per region, in
-/// region order (the whole-matrix batch draw consumes the identical
-/// sequence, because row-major order *is* the sequential order).
-///
-/// [`GaussianDisturbance`]: crate::disturbance::GaussianDisturbance
+/// module docs describe.
 pub(crate) fn sample_chunk(
     sigmas: &SigmaMatrix,
     window_half_width: f64,
     seed: u64,
     samples: usize,
     disturbance: &dyn DisturbanceModel,
-    scratch: &mut McScratch,
 ) -> Vec<usize> {
-    let mut normals = NormalSource::from_seed(seed);
     let regions = sigmas.regions();
-    scratch.deviations.clear();
-    scratch.deviations.resize(sigmas.values().len(), 0.0);
-    let deviations = scratch.deviations.as_mut_slice();
+    if regions == 0 {
+        // No doping regions: every nanowire is vacuously in-window.
+        return vec![samples; sigmas.nanowires()];
+    }
+    let mut draws = NormalSource::from_seed(seed);
+    let mut deviations = vec![0.0f64; regions];
     let mut counts = vec![0usize; sigmas.nanowires()];
     for _ in 0..samples {
-        if regions == 0 {
-            // No doping regions: every nanowire is vacuously in-window.
-            for count in &mut counts {
-                *count += 1;
-            }
-            continue;
-        }
-        disturbance.sample_matrix(sigmas.values(), regions, &mut normals, deviations);
-        for (count, row) in counts.iter_mut().zip(deviations.chunks_exact(regions)) {
-            if row
+        for (count, row) in counts.iter_mut().zip(sigmas.values().chunks_exact(regions)) {
+            disturbance.sample_regions(row, &mut draws, &mut deviations);
+            if deviations
                 .iter()
                 .all(|deviation| deviation.abs() <= window_half_width)
             {
@@ -440,6 +437,88 @@ pub(crate) fn sample_chunk(
         }
     }
     counts
+}
+
+/// The window path's per-estimate table: for every (nanowire, region) cell,
+/// the range of 53-bit draws that land inside the window, stored as
+/// `(start, end − start)` so that one wrapping subtraction and one compare
+/// decide a cell (`k.wrapping_sub(start) <= span` holds exactly when
+/// `start ≤ k ≤ end`).
+#[derive(Debug)]
+pub(crate) struct AcceptanceTable {
+    /// Row-major `(start, span)` pairs, laid out like [`SigmaMatrix`].
+    cells: Vec<(u64, u64)>,
+    nanowires: usize,
+    regions: usize,
+}
+
+impl AcceptanceTable {
+    /// Builds the table from the model's
+    /// [`accepted_draws`](DisturbanceModel::accepted_draws), asking once per
+    /// distinct σ; `None` as soon as the model has no range for one of them,
+    /// and the estimate then takes the general path.
+    pub(crate) fn build(
+        sigmas: &SigmaMatrix,
+        window_half_width: f64,
+        disturbance: &dyn DisturbanceModel,
+    ) -> Option<AcceptanceTable> {
+        let mut distinct: Vec<(u64, (u64, u64))> = Vec::new();
+        let mut cells = Vec::with_capacity(sigmas.values().len());
+        for &sigma in sigmas.values() {
+            let key = sigma.to_bits();
+            let cell = match distinct.iter().find(|(seen, _)| *seen == key) {
+                Some(&(_, cell)) => cell,
+                None => {
+                    let range = disturbance.accepted_draws(sigma, window_half_width)?;
+                    // An empty range starts past every 53-bit draw.
+                    let cell = if range.is_empty() {
+                        (u64::MAX, 0)
+                    } else {
+                        (*range.start(), range.end() - range.start())
+                    };
+                    distinct.push((key, cell));
+                    cell
+                }
+            };
+            cells.push(cell);
+        }
+        Some(AcceptanceTable {
+            cells,
+            nanowires: sigmas.nanowires(),
+            regions: sigmas.regions(),
+        })
+    }
+
+    /// Runs one deterministic chunk of `samples` array instances and returns
+    /// the per-nanowire counts of fully-in-window samples: one draw and one
+    /// compare per cell, every cell drawn whether or not its nanowire has
+    /// already failed.
+    pub(crate) fn sample_chunk(&self, seed: u64, samples: usize) -> Vec<usize> {
+        if self.regions == 0 {
+            return vec![samples; self.nanowires];
+        }
+        let mut draws = NormalSource::from_seed(seed);
+        let mut counts = vec![0usize; self.nanowires];
+        for _ in 0..samples {
+            for (count, row) in counts.iter_mut().zip(self.cells.chunks_exact(self.regions)) {
+                let mut inside = true;
+                for &(start, span) in row {
+                    inside &= draws.uniform_bits().wrapping_sub(start) <= span;
+                }
+                *count += usize::from(inside);
+            }
+        }
+        counts
+    }
+}
+
+/// The number of distinct 53-bit draws: [`NormalSource::uniform_bits`]
+/// returns values below it.
+pub(crate) const UNIFORM_DRAWS: u64 = 1 << 53;
+
+/// The uniform in `[0, 1)` a 53-bit draw stands for: `bits / 2⁵³`, exact.
+pub(crate) fn unit_interval(bits: u64) -> f64 {
+    bits as f64 * (1.0 / UNIFORM_DRAWS as f64)
 }
 
 /// A standard-normal sampler over any uniform generator, via the Box–Muller
@@ -471,29 +550,24 @@ impl<R: Rng> NormalSource<R> {
         NormalSource { rng, cached: None }
     }
 
-    /// Draws one uniform value in `[0, 1)` straight from the underlying
-    /// generator — the primitive inverse-CDF disturbance models build on.
+    /// Draws one 53-bit uniform integer `k < 2⁵³` (the top bits of the
+    /// generator's next `u64`) — the draw the window path compares against
+    /// a model's [`accepted_draws`](DisturbanceModel::accepted_draws).
+    ///
+    /// Like [`NormalSource::uniform`], bypasses the cached Box–Muller half.
+    pub(crate) fn uniform_bits(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
+    }
+
+    /// Draws one uniform value in `[0, 1)`: the top 53 bits of the
+    /// generator's next `u64`, divided by `2⁵³` exactly — the primitive
+    /// inverse-CDF disturbance models build on.
     ///
     /// Bypasses (and leaves untouched) the cached Box–Muller half, so a
     /// model mixing [`NormalSource::sample`] and [`NormalSource::uniform`]
     /// calls still consumes the underlying stream deterministically.
     pub fn uniform(&mut self) -> f64 {
-        self.rng.gen::<f64>()
-    }
-
-    /// One full Box–Muller transform: the `(cos, sin)` pair of independent
-    /// standard normals from the next two accepted uniforms, bypassing the
-    /// cache entirely.
-    fn pair(&mut self) -> (f64, f64) {
-        loop {
-            let u1: f64 = self.rng.gen::<f64>();
-            let u2: f64 = self.rng.gen::<f64>();
-            if u1 > f64::MIN_POSITIVE {
-                let radius = (-2.0 * u1.ln()).sqrt();
-                let angle = 2.0 * std::f64::consts::PI * u2;
-                return (radius * angle.cos(), radius * angle.sin());
-            }
-        }
+        unit_interval(self.uniform_bits())
     }
 
     /// Draws one standard-normal value (zero mean, unit variance).
@@ -501,35 +575,15 @@ impl<R: Rng> NormalSource<R> {
         if let Some(z) = self.cached.take() {
             return z;
         }
-        let (cos, sin) = self.pair();
-        self.cached = Some(sin);
-        cos
-    }
-
-    /// Fills `out` with standard normals, consuming the underlying stream
-    /// **exactly** as `out.len()` successive [`NormalSource::sample`] calls
-    /// would: any cached half is served first, whole transforms fill the
-    /// interior pairwise, and a trailing odd slot caches its sine half for
-    /// the next draw. Batch callers (the structure-of-arrays sampling loop)
-    /// and scalar callers therefore see bit-identical streams.
-    pub fn fill(&mut self, out: &mut [f64]) {
-        let mut index = 0;
-        if index < out.len() {
-            if let Some(z) = self.cached.take() {
-                out[index] = z;
-                index += 1;
+        loop {
+            let u1: f64 = self.rng.gen::<f64>();
+            let u2: f64 = self.rng.gen::<f64>();
+            if u1 > f64::MIN_POSITIVE {
+                let radius = (-2.0 * u1.ln()).sqrt();
+                let angle = 2.0 * std::f64::consts::PI * u2;
+                self.cached = Some(radius * angle.sin());
+                return radius * angle.cos();
             }
-        }
-        while out.len() - index >= 2 {
-            let (cos, sin) = self.pair();
-            out[index] = cos;
-            out[index + 1] = sin;
-            index += 2;
-        }
-        if index < out.len() {
-            let (cos, sin) = self.pair();
-            out[index] = cos;
-            self.cached = Some(sin);
         }
     }
 }
@@ -553,6 +607,9 @@ pub fn max_profile_difference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::RangeInclusive;
+
+    use crate::disturbance::{GaussianDisturbance, LaplaceDisturbance};
     use device_physics::{DopingLadder, ThresholdModel};
     use mspt_fabrication::PatternMatrix;
     use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -578,24 +635,162 @@ mod tests {
         .unwrap()
     }
 
+    /// Box–Muller Gaussian sampling with every σ scaled by `self.0`: only
+    /// `sample_regions`, so the engine samples it on the general path. At
+    /// scale 1 it is the reference sampler of the analytic gate.
+    #[derive(Debug)]
+    struct BoxMuller(f64);
+
+    impl DisturbanceModel for BoxMuller {
+        fn sample_regions(
+            &self,
+            sigmas: &[f64],
+            draws: &mut NormalSource<StdRng>,
+            out: &mut [f64],
+        ) {
+            for (slot, &sigma) in out.iter_mut().zip(sigmas) {
+                *slot = self.0 * sigma * draws.sample();
+            }
+        }
+    }
+
+    /// The Gaussian window sampler with every σ scaled by `self.0`.
+    #[derive(Debug)]
+    struct ScaledWindow(f64);
+
+    impl DisturbanceModel for ScaledWindow {
+        fn sample_regions(
+            &self,
+            sigmas: &[f64],
+            draws: &mut NormalSource<StdRng>,
+            out: &mut [f64],
+        ) {
+            BoxMuller(self.0).sample_regions(sigmas, draws, out);
+        }
+
+        fn accepted_draws(&self, sigma: f64, half_width: f64) -> Option<RangeInclusive<u64>> {
+            GaussianDisturbance.accepted_draws(self.0 * sigma, half_width)
+        }
+    }
+
+    /// `(P(X ≤ k), P(X ≥ k))` for `X ~ Binomial(n, p)`, summed exactly from
+    /// log-space terms.
+    fn binomial_tails(n: usize, k: usize, p: f64) -> (f64, f64) {
+        if p <= 0.0 {
+            return (1.0, if k == 0 { 1.0 } else { 0.0 });
+        }
+        if p >= 1.0 {
+            return (if k == n { 1.0 } else { 0.0 }, 1.0);
+        }
+        let mut ln_factorial = vec![0.0f64; n + 1];
+        for i in 1..=n {
+            ln_factorial[i] = ln_factorial[i - 1] + (i as f64).ln();
+        }
+        let (ln_p, ln_q) = (p.ln(), (-p).ln_1p());
+        let pmf = |i: usize| {
+            (ln_factorial[n] - ln_factorial[i] - ln_factorial[n - i]
+                + i as f64 * ln_p
+                + (n - i) as f64 * ln_q)
+                .exp()
+        };
+        ((0..=k).map(pmf).sum(), (k..=n).map(pmf).sum())
+    }
+
+    /// The 15 Fig. 7/8 points: tree, Gray and balanced Gray codes at
+    /// M = 6, 8, 10 and hot and arranged-hot codes at M = 4, 6, 8, binary,
+    /// paper defaults. Each comes with its analytic profile.
+    fn figure_points() -> Vec<(String, VariabilityMatrix, VariabilityModel, Volts, Vec<f64>)> {
+        let mut points = Vec::new();
+        for (kinds, lengths) in [
+            (
+                &[CodeKind::Tree, CodeKind::Gray, CodeKind::BalancedGray][..],
+                [6, 8, 10],
+            ),
+            (&[CodeKind::Hot, CodeKind::ArrangedHot][..], [4, 6, 8]),
+        ] {
+            for &kind in kinds {
+                for length in lengths {
+                    let code = CodeSpec::new(kind, LogicLevel::BINARY, length).unwrap();
+                    let config = crate::SimConfig::paper_defaults(code).unwrap();
+                    let platform = crate::SimulationPlatform::new(config.clone());
+                    points.push((
+                        format!("{kind:?} M={length}"),
+                        platform.variability().unwrap(),
+                        config.variability_model().unwrap(),
+                        config.decision_window().unwrap(),
+                        platform.addressability().unwrap().probabilities().to_vec(),
+                    ));
+                }
+            }
+        }
+        points
+    }
+
+    /// The analytic-vs-Monte-Carlo gate: every (point, nanowire) count must
+    /// pass an exact two-sided binomial test against the analytic
+    /// probability, at a Bonferroni share of the family-wise `alpha`.
+    /// Returns the failing pairs.
+    fn analytic_gate_failures(
+        points: &[(String, VariabilityMatrix, VariabilityModel, Volts, Vec<f64>)],
+        disturbance: &dyn DisturbanceModel,
+        samples: usize,
+        alpha: f64,
+    ) -> Vec<String> {
+        let pairs: usize = points.iter().map(|point| point.4.len()).sum();
+        let level = alpha / pairs as f64 / 2.0;
+        let mut failures = Vec::new();
+        for (seed, (name, variability, model, window, analytic)) in points.iter().enumerate() {
+            let outcome = monte_carlo_with_disturbance(
+                variability,
+                model,
+                *window,
+                MonteCarloConfig::fixed(samples, 0x6a7e + seed as u64),
+                disturbance,
+            )
+            .unwrap();
+            for (wire, (&p_hat, &p)) in outcome
+                .profile
+                .probabilities()
+                .iter()
+                .zip(analytic)
+                .enumerate()
+            {
+                let successes = (p_hat * samples as f64).round() as usize;
+                let (lower, upper) = binomial_tails(samples, successes, p);
+                if lower < level || upper < level {
+                    failures.push(format!(
+                        "{name} wire {wire}: {successes}/{samples} vs p {p}"
+                    ));
+                }
+            }
+        }
+        failures
+    }
+
     #[test]
     fn monte_carlo_matches_the_analytic_model() {
-        let variability = variability(CodeKind::Gray, 8, 20);
-        let model = VariabilityModel::paper_default();
-        let window = Volts::new(0.25);
-        let analytic =
-            AddressabilityProfile::from_variability(&variability, &model, window).unwrap();
-        let sampled = monte_carlo_addressability(
-            &variability,
-            &model,
-            window,
-            MonteCarloConfig::fixed(4_000, 7),
-        )
-        .unwrap();
-        assert_eq!(sampled.samples, 4_000);
-        assert_eq!(sampled.samples_used, 4_000);
-        let diff = max_profile_difference(&analytic, &sampled.profile);
-        assert!(diff < 0.05, "analytic vs Monte-Carlo difference {diff}");
+        // Family-wise α = 1e-3 over 15 points × 20 nanowires; an exact
+        // binomial test rather than a Wilson interval, which under-covers at
+        // the corrected level where n·p(1−p) ≪ 1 (wires with p ≈ 1).
+        const SAMPLES: usize = 3_000;
+        const ALPHA: f64 = 1e-3;
+        let points = figure_points();
+        assert_eq!(points.len(), 15);
+        for (name, sampler) in [
+            ("window", &GaussianDisturbance as &dyn DisturbanceModel),
+            ("Box–Muller reference", &BoxMuller(1.0)),
+        ] {
+            let failures = analytic_gate_failures(&points, sampler, SAMPLES, ALPHA);
+            assert!(failures.is_empty(), "{name} sampler: {failures:#?}");
+        }
+        // The gate has power: a sampler whose σ is 5 % too wide fails it.
+        for (name, sampler) in [
+            ("window", &ScaledWindow(1.05) as &dyn DisturbanceModel),
+            ("Box–Muller", &BoxMuller(1.05)),
+        ] {
+            let failures = analytic_gate_failures(&points, sampler, SAMPLES, ALPHA);
+            assert!(!failures.is_empty(), "σ × 1.05 {name} sampler passed");
+        }
     }
 
     #[test]
@@ -620,13 +815,17 @@ mod tests {
             MonteCarloConfig::fixed(0, 1),
         )
         .is_err());
-        assert!(monte_carlo_addressability(
-            &variability,
-            &model,
-            Volts::new(-0.1),
-            MonteCarloConfig::default(),
-        )
-        .is_err());
+        for window in [-0.1, f64::NAN] {
+            assert!(matches!(
+                monte_carlo_addressability(
+                    &variability,
+                    &model,
+                    Volts::new(window),
+                    MonteCarloConfig::default(),
+                ),
+                Err(SimError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -720,32 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_replays_the_scalar_sample_stream_exactly() {
-        // Odd lengths, even lengths, and a pre-primed cache: the batch API
-        // must consume the stream bit-identically to scalar sampling.
-        for (prime, lengths) in [
-            (false, vec![5usize, 4, 1, 6]),
-            (true, vec![2usize, 7, 3]),
-            (false, vec![0usize, 1, 0, 2]),
-        ] {
-            let mut batch = NormalSource::from_seed(2_024);
-            let mut scalar = NormalSource::from_seed(2_024);
-            if prime {
-                assert_eq!(batch.sample(), scalar.sample());
-            }
-            for &len in &lengths {
-                let mut out = vec![0.0f64; len];
-                batch.fill(&mut out);
-                for (i, &value) in out.iter().enumerate() {
-                    assert_eq!(value, scalar.sample(), "slot {i} of fill({len})");
-                }
-            }
-            // The caches end in the same state: the next draws agree too.
-            assert_eq!(batch.sample(), scalar.sample());
-        }
-    }
-
-    #[test]
     fn chunk_seeds_are_distinct_and_stable() {
         assert_eq!(chunk_seed(42, 0), chunk_seed(42, 0));
         assert_ne!(chunk_seed(42, 0), chunk_seed(42, 1));
@@ -755,39 +928,69 @@ mod tests {
     #[test]
     fn wider_windows_never_reduce_addressability() {
         // Common random numbers: the fixed-consumption sampling discipline
-        // draws the same deviations for both runs (same seed, same sigmas),
-        // so the wide-window run accepts a superset of the narrow-window
-        // run's samples — the comparison is exact per nanowire, with no
-        // statistical slack.
+        // draws the same values for both runs (same seed, same sigmas), so
+        // the wide-window run accepts a superset of the narrow-window run's
+        // samples — the comparison is exact per nanowire, with no
+        // statistical slack. Gaussian and Laplace take the window path,
+        // the Box–Muller reference the general path.
         let variability = variability(CodeKind::Hot, 6, 12);
         let model = VariabilityModel::paper_default();
-        let narrow = monte_carlo_addressability(
-            &variability,
-            &model,
-            Volts::new(0.1),
-            MonteCarloConfig::fixed(1_000, 9),
-        )
-        .unwrap();
-        let wide = monte_carlo_addressability(
-            &variability,
-            &model,
-            Volts::new(0.4),
-            MonteCarloConfig::fixed(1_000, 9),
-        )
-        .unwrap();
-        for (n, (narrow_p, wide_p)) in narrow
-            .profile
-            .probabilities()
-            .iter()
-            .zip(wide.profile.probabilities())
-            .enumerate()
-        {
-            assert!(
-                wide_p >= narrow_p,
-                "nanowire {n}: wide {wide_p} < narrow {narrow_p}"
-            );
+        for disturbance in [
+            &GaussianDisturbance as &dyn DisturbanceModel,
+            &LaplaceDisturbance,
+            &BoxMuller(1.0),
+        ] {
+            let run = |window: f64| {
+                monte_carlo_with_disturbance(
+                    &variability,
+                    &model,
+                    Volts::new(window),
+                    MonteCarloConfig::fixed(1_000, 9),
+                    disturbance,
+                )
+                .unwrap()
+            };
+            let (narrow, wide) = (run(0.1), run(0.4));
+            for (n, (narrow_p, wide_p)) in narrow
+                .profile
+                .probabilities()
+                .iter()
+                .zip(wide.profile.probabilities())
+                .enumerate()
+            {
+                assert!(
+                    wide_p >= narrow_p,
+                    "{disturbance:?} nanowire {n}: wide {wide_p} < narrow {narrow_p}"
+                );
+            }
+            assert!(wide.profile.mean() > narrow.profile.mean());
         }
-        assert!(wide.profile.mean() >= narrow.profile.mean());
+    }
+
+    #[test]
+    fn undoped_regions_pass_any_window_on_both_paths() {
+        // Nanowire 0 is undoped everywhere (σ = 0): 0·Z = 0 lies inside
+        // every window, even w = 0. Nanowire 1's doped region puts a second
+        // σ into the acceptance table.
+        let sigmas = SigmaMatrix {
+            values: vec![0.0, 0.0, 0.0, 0.0, 0.05, 0.0],
+            nanowires: 2,
+            regions: 3,
+        };
+        for disturbance in [
+            &GaussianDisturbance as &dyn DisturbanceModel,
+            &LaplaceDisturbance,
+            &BoxMuller(1.0),
+        ] {
+            for window in [0.0, 0.1, f64::INFINITY] {
+                let general = sample_chunk(&sigmas, window, 5, 300, disturbance);
+                assert_eq!(general[0], 300, "{disturbance:?} general path, w {window}");
+                if let Some(table) = AcceptanceTable::build(&sigmas, window, disturbance) {
+                    let counts = table.sample_chunk(5, 300);
+                    assert_eq!(counts[0], 300, "{disturbance:?} window path, w {window}");
+                }
+            }
+        }
     }
 
     #[test]

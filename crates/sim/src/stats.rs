@@ -1,6 +1,8 @@
 //! Sequential-stopping statistics for the adaptive Monte-Carlo kernel: the
 //! Wilson score interval for a binomial proportion, and the inverse normal
-//! CDF that turns a confidence level into its z quantile.
+//! CDF that turns a confidence level into its z quantile. Also the
+//! tail-accurate complementary error function behind the Gaussian sampler's
+//! acceptance ranges, `Φ(−c) = erfc(c/√2)/2`.
 //!
 //! The adaptive sampler stops the moment every nanowire's estimated
 //! addressability carries a Wilson half-width at or below the configured
@@ -74,6 +76,80 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     }
+}
+
+/// The complementary error function `erfc(x) = 1 − erf(x)`, with a relative
+/// error below `1e-14` wherever the result is a normal `f64` (`x` up to
+/// ≈ 26.5, so `Φ(−c) = erfc(c/√2)/2` stays accurate out to `c` ≈ 37.5).
+///
+/// The Monte-Carlo sampler turns a region's window into a range of uniform
+/// draws through this function, so it must not inherit the tail error of
+/// the closed-form analytic model's erf approximation (Abramowitz & Stegun
+/// 7.1.26, whose relative error in `Φ(−c)` is already `5e-5` at `c = 3`).
+///
+/// * `x² < 1.5`: the Maclaurin series of `erf`, then `1 − erf` (the result
+///   is at least 0.08 there, so the subtraction loses under four bits).
+/// * `x² ≥ 1.5`: `Γ(½, x²)/√π` by its continued fraction (modified Lentz),
+///   with `exp(−x²)` split so that the large part of the exponent is exact.
+/// * `x < 0` beyond the series: `erfc(x) = 2 − erfc(−x)`.
+#[must_use]
+pub(crate) fn erfc(x: f64) -> f64 {
+    if x.is_nan() {
+        return x;
+    }
+    let square = x * x;
+    if square < 1.5 {
+        // erf(x) = 2/√π · Σ (−1)ⁿ x²ⁿ⁺¹ / (n! (2n + 1)).
+        let mut power = x;
+        let mut sum = x;
+        for n in 1..64 {
+            power *= -square / f64::from(n);
+            let term = power / f64::from(2 * n + 1);
+            sum += term;
+            if term.abs() <= sum.abs() * 1e-17 {
+                break;
+            }
+        }
+        return 1.0 - std::f64::consts::FRAC_2_SQRT_PI * sum;
+    }
+    if x < 0.0 {
+        return 2.0 - erfc(-x);
+    }
+    if square > 750.0 {
+        // exp(−x²) underflows: erfc(x) < 1e-327.
+        return 0.0;
+    }
+    // Γ(a, y) = e^(−y) y^a · 1/(y+1−a− 1(1−a)/(y+3−a− 2(2−a)/(y+5−a− …)))
+    // at a = ½, y = x².
+    const TINY: f64 = 1e-300;
+    let mut b = square + 0.5;
+    let mut c = 1.0 / TINY;
+    let mut d = 1.0 / b;
+    let mut fraction = d;
+    for i in 1..500 {
+        let i = f64::from(i);
+        let a = -i * (i - 0.5);
+        b += 2.0;
+        d = a * d + b;
+        if d.abs() < TINY {
+            d = TINY;
+        }
+        c = b + a / c;
+        if c.abs() < TINY {
+            c = TINY;
+        }
+        d = 1.0 / d;
+        let step = d * c;
+        fraction *= step;
+        if (step - 1.0).abs() <= 1e-16 {
+            break;
+        }
+    }
+    // exp(−x²) = exp(−s²)·exp((s − x)(s + x)) with s = x truncated to 21
+    // significant bits, so s² and therefore the big exponent are exact.
+    let s = f64::from_bits(x.to_bits() & 0xffff_ffff_0000_0000);
+    let gauss = (-s * s).exp() * ((s - x) * (s + x)).exp();
+    gauss * x * (0.5 * std::f64::consts::FRAC_2_SQRT_PI) * fraction
 }
 
 /// The two-sided z quantile for a confidence level: `Φ⁻¹((1 + confidence)/2)`.
@@ -151,6 +227,73 @@ mod tests {
         assert!(inverse_normal_cdf(0.0).is_nan());
         assert!(inverse_normal_cdf(1.0).is_nan());
         assert!(z_for_confidence(1.5).is_nan());
+    }
+
+    #[test]
+    fn erfc_matches_reference_values_deep_into_the_tail() {
+        // Python's `math.erfc`, printed with `repr`: both series branches,
+        // the switch at x² = 1.5, and the tail down to the last normal f64.
+        let cases = [
+            (-3.0, 1.999_977_909_503_001_5),
+            (-1.0, 1.842_700_792_949_715),
+            (-0.5, 1.520_499_877_813_046_5),
+            (0.0, 1.0),
+            (0.1, 0.887_537_083_981_715_2),
+            (0.5, 0.479_500_122_186_953_5),
+            (1.0, 0.157_299_207_050_285_13),
+            (1.2, 0.089_686_021_770_364_65),
+            (1.22, 0.084_466_118_973_353_17),
+            (1.23, 0.081_949_895_873_238_66),
+            (1.3, 0.065_992_055_059_347_55),
+            (1.5, 0.033_894_853_524_689_274),
+            (2.0, 0.004_677_734_981_047_265),
+            (2.5, 0.000_406_952_017_444_958_9),
+            (3.0, 2.209_049_699_858_543_8e-5),
+            (4.0, 1.541_725_790_028_002e-8),
+            (5.0, 1.537_459_794_428_035_1e-12),
+            (6.0, 2.151_973_671_249_891_6e-17),
+            (8.0, 1.122_429_717_298_292_8e-29),
+            (10.0, 2.088_487_583_762_545e-45),
+            (13.0, 1.739_557_315_466_724_6e-75),
+            (15.0, 7.212_994_172_451_206e-100),
+            (20.0, 5.395_865_611_607_900_5e-176),
+            (25.0, 8.300_172_571_196_522e-274),
+            (26.0, 5.663_192_408_856_143e-296),
+            (26.5, 2.210_907_664_263_734_3e-307),
+        ];
+        for (x, expected) in cases {
+            let relative = ((erfc(x) - expected) / expected).abs();
+            assert!(
+                relative <= 1e-13,
+                "erfc({x}) = {:e}, expected {expected:e}",
+                erfc(x)
+            );
+        }
+        // Φ(−c) = erfc(c/√2)/2 at c = 37.5, near the last normal value
+        // (Python: `math.erfc(37.5 / math.sqrt(2)) / 2`).
+        let tail = 0.5 * erfc(37.5 / std::f64::consts::SQRT_2);
+        assert!(((tail - 4.605_353_009_582_584e-308) / tail).abs() <= 1e-13);
+        assert_eq!(erfc(f64::INFINITY), 0.0);
+        assert_eq!(erfc(40.0), 0.0);
+        assert_eq!(erfc(f64::NEG_INFINITY), 2.0);
+        assert!(erfc(f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn erfc_is_monotone_across_its_branches() {
+        // The acceptance ranges of a wider window must contain those of a
+        // narrower one, so Φ(−c) may never rise with c — in particular not
+        // where the series hands over to the continued fraction.
+        let mut previous = erfc(-6.0);
+        for step in -6_000..27_000 {
+            let value = erfc(f64::from(step) * 1e-3);
+            assert!(
+                value <= previous,
+                "erfc rises at {}",
+                f64::from(step) * 1e-3
+            );
+            previous = value;
+        }
     }
 
     /// The standard normal CDF via `erf`-free numeric integration — a slow,

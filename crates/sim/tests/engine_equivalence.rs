@@ -7,12 +7,14 @@
 use crossbar_array::DefectModel;
 use decoder_sim::{
     full_sweep, monte_carlo_addressability, monte_carlo_with_disturbance, DefectKind,
-    DisturbanceKind, EngineConfig, ExecutionEngine, GaussianDisturbance, MonteCarloConfig,
-    SimConfig, DEFAULT_CHUNK_SIZE,
+    DisturbanceKind, DisturbanceModel, EngineConfig, ExecutionEngine, GaussianDisturbance,
+    LaplaceDisturbance, MonteCarloConfig, MonteCarloOutcome, NormalSource, SimConfig,
+    DEFAULT_CHUNK_SIZE,
 };
 use device_physics::{DopingLadder, ThresholdModel, VariabilityModel, Volts};
 use mspt_fabrication::{PatternMatrix, VariabilityMatrix};
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
+use rand::rngs::StdRng;
 
 fn variability(kind: CodeKind, length: usize, nanowires: usize) -> VariabilityMatrix {
     let seq = CodeSpec::new(kind, LogicLevel::BINARY, length)
@@ -49,7 +51,7 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
     let window = Volts::new(0.25);
     let config = MonteCarloConfig::fixed(1_000, 42);
     let serial = monte_carlo_addressability(&variability, &model, window, config).unwrap();
-    for threads in [1usize, 2, 4] {
+    for threads in [1usize, 2, 4, 8] {
         let parallel = engine(threads)
             .monte_carlo_addressability(&variability, &model, window, config)
             .unwrap();
@@ -107,39 +109,127 @@ fn full_sweep_is_element_identical_across_thread_counts() {
     }
 }
 
-/// Pins the exact per-nanowire acceptance counts for a fixed seed. Any change
-/// to the RNG discipline — chunk seeding, Box–Muller pair handling, draw
-/// order, chunk size — shows up here as a loud, exact failure rather than a
-/// silent statistical drift.
+/// A stock model forced onto the general path: it implements only
+/// `sample_regions`, so it has no acceptance range. Around the Gaussian it
+/// is the Box–Muller reference sampler.
+#[derive(Debug)]
+struct GeneralPath<M>(M);
+
+impl<M: DisturbanceModel> DisturbanceModel for GeneralPath<M> {
+    fn sample_regions(&self, sigmas: &[f64], draws: &mut NormalSource<StdRng>, out: &mut [f64]) {
+        self.0.sample_regions(sigmas, draws, out);
+    }
+}
+
+fn counts(outcome: &MonteCarloOutcome) -> Vec<usize> {
+    outcome
+        .profile
+        .probabilities()
+        .iter()
+        .map(|p| (p * outcome.samples_used as f64).round() as usize)
+        .collect()
+}
+
+/// Pins the exact per-nanowire acceptance counts for a fixed seed, on both
+/// Gaussian sampling paths. Any change to the RNG discipline — chunk
+/// seeding, Box–Muller pair handling, draw order, chunk size, the acceptance
+/// ranges — shows up here as a loud, exact failure rather than a silent
+/// statistical drift.
 #[test]
 fn fixed_seed_outcome_is_pinned() {
     let variability = variability(CodeKind::Tree, 8, 10);
     let model = VariabilityModel::paper_default();
+    let window = Volts::new(0.25);
     let config = MonteCarloConfig::fixed(500, 42);
-    let outcome =
-        monte_carlo_addressability(&variability, &model, Volts::new(0.25), config).unwrap();
-    assert_eq!(outcome.samples, 500);
-    let counts: Vec<usize> = outcome
-        .profile
-        .probabilities()
-        .iter()
-        .map(|p| (p * 500.0).round() as usize)
-        .collect();
-    let pinned: Vec<usize> = vec![373, 394, 405, 421, 453, 476, 487, 494, 500, 500];
-    assert_eq!(counts, pinned, "probabilities: {:?}", outcome.profile);
 
-    // The trait-based Gaussian path is the *same* path: explicitly threading
-    // GaussianDisturbance must reproduce the pre-refactor RNG stream (and
-    // therefore the pinned counts above) bit-for-bit.
-    let via_trait = monte_carlo_with_disturbance(
+    // The Box–Muller reference, on the general path.
+    let reference = monte_carlo_with_disturbance(
+        &variability,
+        &model,
+        window,
+        config,
+        &GeneralPath(GaussianDisturbance),
+    )
+    .unwrap();
+    assert_eq!(reference.samples, 500);
+    assert_eq!(
+        counts(&reference),
+        vec![373, 394, 405, 421, 453, 476, 487, 494, 500, 500],
+        "probabilities: {:?}",
+        reference.profile
+    );
+
+    // The Gaussian window path: one uniform per region, compared against
+    // the tabulated [Φ(−w/σ), Φ(w/σ)] range.
+    let outcome = monte_carlo_addressability(&variability, &model, window, config).unwrap();
+    assert_eq!(
+        counts(&outcome),
+        vec![367, 380, 412, 433, 461, 478, 483, 497, 499, 500],
+        "probabilities: {:?}",
+        outcome.profile
+    );
+    // The default entry point is the explicit Gaussian model.
+    let via_trait =
+        monte_carlo_with_disturbance(&variability, &model, window, config, &GaussianDisturbance)
+            .unwrap();
+    assert_eq!(outcome, via_trait);
+}
+
+/// The Laplace window path accepts exactly the draws the inverse-CDF
+/// predicate accepts, so it must equal the general path bit for bit: fixed
+/// and adaptive, across configurations, windows from 0 to +∞ and seeds.
+#[test]
+fn laplace_window_path_matches_the_general_path_bit_for_bit() {
+    let model = VariabilityModel::paper_default();
+    let general = GeneralPath(LaplaceDisturbance);
+    for (kind, length, nanowires) in [
+        (CodeKind::Tree, 8, 10),
+        (CodeKind::Gray, 6, 12),
+        (CodeKind::Hot, 6, 8),
+    ] {
+        let variability = variability(kind, length, nanowires);
+        for window in [0.0, 1e-3, 0.05, 0.1, 0.25, 1.0, f64::INFINITY] {
+            for seed in 0..20 {
+                let config = if seed % 4 == 0 {
+                    MonteCarloConfig::fixed(2_000, seed).with_target_half_width(0.05)
+                } else {
+                    MonteCarloConfig::fixed(300, seed)
+                };
+                let window = Volts::new(window);
+                let run = |disturbance: &dyn DisturbanceModel| {
+                    monte_carlo_with_disturbance(&variability, &model, window, config, disturbance)
+                        .unwrap()
+                };
+                assert_eq!(
+                    run(&LaplaceDisturbance),
+                    run(&general),
+                    "{kind:?} M={length}, window {window}, seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+/// Pins a fixed-seed Laplace outcome: the counts the inverse-CDF sampler
+/// draws, which the window path must reproduce exactly.
+#[test]
+fn laplace_fixed_seed_outcome_is_pinned() {
+    let variability = variability(CodeKind::Tree, 8, 10);
+    let model = VariabilityModel::paper_default();
+    let outcome = monte_carlo_with_disturbance(
         &variability,
         &model,
         Volts::new(0.25),
-        config,
-        &GaussianDisturbance,
+        MonteCarloConfig::fixed(500, 42),
+        &LaplaceDisturbance,
     )
     .unwrap();
-    assert_eq!(outcome, via_trait);
+    assert_eq!(
+        counts(&outcome),
+        vec![350, 360, 384, 386, 427, 435, 447, 474, 488, 500],
+        "probabilities: {:?}",
+        outcome.profile
+    );
 }
 
 #[test]
