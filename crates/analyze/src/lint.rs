@@ -37,7 +37,6 @@ pub fn default_lints() -> Vec<Box<dyn Lint>> {
         Box::new(crate::lints::unsafe_calls::UnsafeCalls),
         Box::new(crate::lints::locks::LockDiscipline),
         Box::new(crate::lints::codec_symmetry::CodecSymmetry),
-        Box::new(crate::lints::stage_fingerprint::StageFingerprint::default()),
     ]
 }
 

@@ -31,7 +31,6 @@ impl Default for DomainTag {
     fn default() -> DomainTag {
         DomainTag {
             registry: vec![
-                ("CACHE_KEY_DOMAIN", 0xcac4_e4e7_5e12_7a03),
                 ("DEFECT_SEED_DOMAIN", 0xdefe_c7ed_0000_0001),
                 ("STAGE_KEY_DOMAIN", 0x57a6_e1fd_9b3c_5a21),
                 ("STRESS_SEED_DOMAIN", 0x5e12_7e57_ae5d_0004),

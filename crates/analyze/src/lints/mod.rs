@@ -1,4 +1,4 @@
-//! The six repo-contract lints.
+//! The five repo-contract lints.
 //!
 //! Each module ships one [`crate::lint::Lint`] implementation:
 //!
@@ -9,13 +9,11 @@
 //! | [`unsafe_calls`] | no wall clocks or hash-order iteration in evaluation paths |
 //! | [`locks`] | lock ordering, condvar predicates, poison policy, no blocking under a lock |
 //! | [`codec_symmetry`] | every `*_to_json` key round-trips through `*_from_json` |
-//! | [`stage_fingerprint`] | every `*_stage_key` fn reads exactly its declared config fields |
 
 pub mod codec_symmetry;
 pub mod domain_tag;
 pub mod locks;
 pub mod raw_seed;
-pub mod stage_fingerprint;
 pub mod unsafe_calls;
 
 use crate::lexer::{Token, TokenKind};

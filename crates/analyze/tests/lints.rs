@@ -6,7 +6,6 @@ use std::path::{Path, PathBuf};
 
 use mspt_analyze::lint::{run_lints, Lint};
 use mspt_analyze::lints::domain_tag::DomainTag;
-use mspt_analyze::lints::stage_fingerprint::StageFingerprint;
 use mspt_analyze::{default_lints, Finding, SourceFile, Workspace};
 
 fn fixture(name: &str) -> String {
@@ -166,53 +165,6 @@ fn codec_symmetry_fixture() {
     assert_eq!(fired.len(), 3, "{findings:?}");
     assert_eq!(
         suppressed(&findings, "codec-symmetry").len(),
-        1,
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn stage_fingerprint_fixture() {
-    let lints: Vec<Box<dyn Lint>> = vec![Box::new(StageFingerprint::with_registry(vec![
-        ("good_stage_key", &["code", "layout"]),
-        ("drifted_stage_key", &["code", "layout"]),
-        ("vanished_stage_key", &["code"]),
-    ]))];
-    let findings = run_fixture("stage_fingerprint.rs", "sim", lints);
-    let fired = active(&findings, "stage-fingerprint");
-    assert!(
-        fired
-            .iter()
-            .any(|f| f.message.contains("`drifted_stage_key`")
-                && f.message.contains("config.defects()")
-                && f.message.contains("does not declare")),
-        "{findings:?}"
-    );
-    assert!(
-        fired
-            .iter()
-            .any(|f| f.message.contains("`drifted_stage_key`")
-                && f.message.contains("config.layout()")
-                && f.message.contains("never reads")),
-        "{findings:?}"
-    );
-    assert!(
-        fired.iter().any(|f| f.message.contains("`rogue_stage_key`")
-            && f.message.contains("not in the registry")),
-        "{findings:?}"
-    );
-    assert!(
-        fired
-            .iter()
-            .any(|f| f.message.contains("`vanished_stage_key`")
-                && f.message.contains("no longer exists")),
-        "{findings:?}"
-    );
-    // The matching pair, the allowed scratch key and the in-test key are
-    // quiet; exactly the four families above fire.
-    assert_eq!(fired.len(), 4, "{findings:?}");
-    assert_eq!(
-        suppressed(&findings, "stage-fingerprint").len(),
         1,
         "{findings:?}"
     );

@@ -4,6 +4,11 @@
 //! layer's latency budget rests on — a cache hit should be orders of
 //! magnitude cheaper than an evaluation, and the wire codec should cost far
 //! less than a miss.
+//!
+//! There is one report memo: the `ReportCache` is the stage graph's
+//! `Composite` slot, keyed by that stage's key. `cache_hit` times a
+//! standalone one; `warm_full_sweep` times the engine's, where each point
+//! is one slot lookup and no other stage is consulted.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use decoder_sim::codec::{config_from_json, config_to_json};
@@ -51,7 +56,8 @@ fn bench_report_cache(c: &mut Criterion) {
         });
     });
 
-    // The engine batch path over a warm cache: 16 sweep points, all hits.
+    // The engine batch path over a warm report slot: every sweep point is
+    // one composite lookup, all hits.
     let engine = ExecutionEngine::new(EngineConfig {
         threads: 2,
         chunk_size: 256,

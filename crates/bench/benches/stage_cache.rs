@@ -1,10 +1,12 @@
 //! Incremental recomputation through the stage graph: a cold staged
-//! evaluation vs the composite-stage hit floor, and the two partial
-//! re-evaluation shapes the stage cache exists for — a defect-rate sweep
-//! point (new defect seed, Monte-Carlo-grade upstream stages all hit) and a
-//! disturbance change (every report stage hits, only the sampling stage
-//! re-runs). Cold sits around the full-pipeline cost; the hit floor and the
-//! disturbance re-evaluation should be orders of magnitude below it.
+//! evaluation vs the composite-stage hit floor, and the re-evaluation
+//! shapes the stage cache exists for — a defect-rate sweep point (new
+//! defect seed: the report slot misses, the upstream stages all hit) and a
+//! disturbance change (no report stage reads it, so the report slot hits).
+//! The `Composite` slot is the engine's one report memo, so the hit floor
+//! here is the same lookup `report_for` serves hits with. Cold sits around
+//! the full-pipeline cost; the hit floor and the disturbance change should
+//! be orders of magnitude below it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use decoder_sim::{
@@ -74,17 +76,16 @@ fn bench_stage_cache(c: &mut Criterion) {
     });
 
     // A disturbance change through the unified entry point: no report stage
-    // reads the disturbance, so a warm engine serves the re-evaluation
-    // entirely from stage hits — this should sit near the hit floor, far
-    // below the cold pipeline.
+    // reads the disturbance, so the varied configuration shares the warm
+    // report entry and is served by one report-slot hit — this should sit
+    // at the hit floor, far below the cold pipeline.
     group.bench_function("disturbance_change_partial_reeval", |b| {
         let engine = warm_engine(&base);
         let mut step = 0u64;
         b.iter(|| {
             step += 1;
-            // A fresh shared fraction each iteration keeps every sample a
-            // genuine re-evaluation (a report-cache miss) instead of
-            // converging to an all-hit loop.
+            // A fresh shared fraction each iteration: a new configuration
+            // every sample, yet the same report key.
             #[allow(clippy::cast_precision_loss)]
             let kind = DisturbanceKind::Correlated {
                 shared_fraction: (step % 97) as f64 / 97.0,

@@ -40,7 +40,6 @@
 //! | `MSPT_ENGINE_THREADS` | engine worker threads | available parallelism |
 //! | `MSPT_CACHE_CAPACITY` | report-cache bound | 4096 |
 //! | `MSPT_CACHE_PATH` | warm-cache snapshot to load/save | unset |
-//! | `MSPT_CACHE_FORMAT` | snapshot encoding saved: `binary` or `json` | binary |
 //! | `MSPT_CACHE_MAX_AGE_SECS` | drop binary snapshot rows older than this at load (0 = unlimited) | 0 |
 
 use std::path::Path;
@@ -48,8 +47,8 @@ use std::sync::Arc;
 
 use decoder_sim::codec::JsonValue;
 use decoder_sim::{
-    CacheConfig, CacheStats, DisturbanceKind, EngineConfig, ExecutionEngine, MonteCarloConfig,
-    ReportCache, SamplingStats, SimulationPlatform, StageStats, CACHE_PATH_ENV,
+    CacheConfig, CacheStats, EngineConfig, ExecutionEngine, MonteCarloConfig, ReportCache,
+    SamplingStats, SimulationPlatform, StageStats, CACHE_PATH_ENV,
 };
 use mspt_serve::{
     probe_shed, run_net_stress_codec, run_stress, NetServer, NetStressOutcome, ReportRequest,
@@ -206,20 +205,16 @@ impl SnapshotSizes {
 
 /// Fills a dedicated cache with [`SNAPSHOT_ENTRIES`] distinct
 /// configurations (one evaluated report, re-keyed under a sweep of
-/// correlated-disturbance fractions — the snapshot encodes the full
-/// config/report pair per row either way) and renders it in both snapshot
-/// formats.
+/// decision-window overrides — a field every report reads, so each is its
+/// own entry; the snapshot encodes the full config/report pair per row
+/// either way) and renders it in both snapshot formats.
 fn snapshot_sizes(mix: &[ReportRequest]) -> Result<SnapshotSizes, Box<dyn std::error::Error>> {
     let base = &mix[0];
     let report = SimulationPlatform::new(base.effective_config()).evaluate()?;
     let cache = ReportCache::new(CacheConfig::unsharded(SNAPSHOT_ENTRIES));
     for index in 0..SNAPSHOT_ENTRIES {
-        let config = base
-            .config
-            .clone()
-            .with_disturbance(DisturbanceKind::Correlated {
-                shared_fraction: index as f64 / (2 * SNAPSHOT_ENTRIES) as f64,
-            });
+        let window = 0.1 + index as f64 / (4 * SNAPSHOT_ENTRIES) as f64;
+        let config = base.config.clone().with_window(window.into());
         let row = report.clone();
         cache.get_or_compute(&config, || Ok(row))?;
     }

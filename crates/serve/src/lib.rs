@@ -9,8 +9,9 @@
 //! both travel as JSON through the std-only codec in `decoder_sim::codec`
 //! (the vendored serde stand-in has no serializers, and crates.io is
 //! unreachable in this build environment). Every server clone shares one
-//! [`ExecutionEngine`], so every client shares one warm
-//! [`ReportCache`](decoder_sim::ReportCache):
+//! [`ExecutionEngine`], so every client shares one warm report memo — the
+//! [`ReportCache`](decoder_sim::ReportCache) in the engine stage graph's
+//! `Composite` slot, keyed by the fields a report reads:
 //!
 //! * repeated configurations are cache **hits** — the figure-sweep workload
 //!   (and spectrum-style parameter sweeps over the same points) evaluates
@@ -753,9 +754,23 @@ mod tests {
         let base = request(CodeKind::BalancedGray, 10);
         let laplace =
             ReportRequest::with_disturbance(base.config.clone(), DisturbanceKind::Laplace);
-        server.serve(&base).unwrap();
-        server.serve(&laplace).unwrap();
-        // Two distinct cache entries: the disturbance kind is part of the key.
+        let gaussian_report = server.serve(&base).unwrap();
+        let laplace_report = server.serve(&laplace).unwrap();
+        // No report stage reads the disturbance kind, so the override shares
+        // the one entry: one miss, and the report served for it is the
+        // right one.
+        assert_eq!(server.engine().cached_report_count(), 1);
+        assert_eq!(server.stats().misses, 1);
+        assert_eq!(laplace_report, gaussian_report);
+        assert_eq!(
+            laplace_report,
+            decoder_sim::SimulationPlatform::new(laplace.effective_config())
+                .evaluate()
+                .unwrap()
+        );
+        // A field the report reads still keys an entry of its own.
+        let windowed = ReportRequest::new(base.config.clone().with_window(0.2.into()));
+        server.serve(&windowed).unwrap();
         assert_eq!(server.engine().cached_report_count(), 2);
         assert_eq!(server.stats().misses, 2);
     }

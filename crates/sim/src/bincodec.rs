@@ -61,6 +61,7 @@ use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
 use crate::monte_carlo::MonteCarloConfig;
 use crate::platform::PlatformReport;
+use crate::stage::ConfigField;
 
 /// The four magic bytes that open every binary document. The first byte,
 /// `0xB1`, is not a valid UTF-8 lead byte, so the first byte of a framed
@@ -402,13 +403,18 @@ fn code_kind_from_tag(tag: u8) -> Result<CodeKind> {
         .ok_or_else(|| err(format!("unknown code kind tag {tag}")))
 }
 
+/// Writes a [`CodeSpec`] body: `kind:u8  radix:u8  length:u64 LE`.
+pub(crate) fn put_code_spec(writer: &mut BinWriter, code: CodeSpec) {
+    writer.put_u8(code_kind_tag(code.kind()));
+    writer.put_u8(code.radix().radix());
+    writer.put_usize(code.code_length());
+}
+
 /// Encodes a [`CodeSpec`] body: `kind:u8  radix:u8  length:u64 LE`.
 #[must_use]
 pub fn code_spec_to_bin(code: CodeSpec) -> Vec<u8> {
     let mut writer = BinWriter::new();
-    writer.put_u8(code_kind_tag(code.kind()));
-    writer.put_u8(code.radix().radix());
-    writer.put_usize(code.code_length());
+    put_code_spec(&mut writer, code);
     writer.into_bytes()
 }
 
@@ -427,11 +433,9 @@ pub fn code_spec_from_bin(bytes: &[u8]) -> Result<CodeSpec> {
     Ok(CodeSpec::new(kind, radix, length)?)
 }
 
-/// Encodes a [`DisturbanceKind`] body: `kind:u8` plus, for the correlated
+/// Writes a [`DisturbanceKind`] body: `kind:u8` plus, for the correlated
 /// kind, `shared_fraction:f64`.
-#[must_use]
-pub fn disturbance_to_bin(kind: DisturbanceKind) -> Vec<u8> {
-    let mut writer = BinWriter::new();
+pub(crate) fn put_disturbance(writer: &mut BinWriter, kind: DisturbanceKind) {
     match kind {
         DisturbanceKind::Gaussian => writer.put_u8(0),
         DisturbanceKind::Laplace => writer.put_u8(1),
@@ -440,6 +444,14 @@ pub fn disturbance_to_bin(kind: DisturbanceKind) -> Vec<u8> {
             writer.put_f64(shared_fraction);
         }
     }
+}
+
+/// Encodes a [`DisturbanceKind`] body: `kind:u8` plus, for the correlated
+/// kind, `shared_fraction:f64`.
+#[must_use]
+pub fn disturbance_to_bin(kind: DisturbanceKind) -> Vec<u8> {
+    let mut writer = BinWriter::new();
+    put_disturbance(&mut writer, kind);
     writer.into_bytes()
 }
 
@@ -463,11 +475,9 @@ pub fn disturbance_from_bin(bytes: &[u8]) -> Result<DisturbanceKind> {
     Ok(kind)
 }
 
-/// Encodes a [`DefectKind`] body: `kind:u8` plus, for the sampled kind,
+/// Writes a [`DefectKind`] body: `kind:u8` plus, for the sampled kind,
 /// `nanowire_breakage:f64  crosspoint_defect:f64  seed:u64`.
-#[must_use]
-pub fn defect_to_bin(kind: DefectKind) -> Vec<u8> {
-    let mut writer = BinWriter::new();
+pub(crate) fn put_defects(writer: &mut BinWriter, kind: DefectKind) {
     match kind {
         DefectKind::None => writer.put_u8(0),
         DefectKind::Sampled(config) => {
@@ -477,7 +487,38 @@ pub fn defect_to_bin(kind: DefectKind) -> Vec<u8> {
             writer.put_u64(config.seed());
         }
     }
+}
+
+/// Encodes a [`DefectKind`] body: `kind:u8` plus, for the sampled kind,
+/// `nanowire_breakage:f64  crosspoint_defect:f64  seed:u64`.
+#[must_use]
+pub fn defect_to_bin(kind: DefectKind) -> Vec<u8> {
+    let mut writer = BinWriter::new();
+    put_defects(&mut writer, kind);
     writer.into_bytes()
+}
+
+/// Writes a [`MonteCarloConfig`] body: `samples:u64  seed:u64`, the target
+/// half-width behind a presence byte, `confidence:f64`, then the sample
+/// ceiling behind a presence byte.
+pub(crate) fn put_monte_carlo(writer: &mut BinWriter, mc: MonteCarloConfig) {
+    writer.put_usize(mc.samples);
+    writer.put_u64(mc.seed);
+    match mc.target_half_width {
+        Some(target) => {
+            writer.put_u8(1);
+            writer.put_f64(target);
+        }
+        None => writer.put_u8(0),
+    }
+    writer.put_f64(mc.confidence);
+    match mc.max_samples {
+        Some(max) => {
+            writer.put_u8(1);
+            writer.put_usize(max);
+        }
+        None => writer.put_u8(0),
+    }
 }
 
 /// Decodes a [`DefectKind`] body, re-validating the rates through
@@ -572,70 +613,48 @@ fn store<T>(slot: &mut Option<T>, value: T, tag: u8) -> Result<()> {
 /// Encodes a full [`SimConfig`] as a [`DOC_CONFIG`] document — every field,
 /// including the disturbance kind and the defect selection, so two
 /// configurations differing in either never serialize identically.
+///
+/// Section bodies are the [`ConfigField`] identity encoders — the bytes the
+/// stage keys are folded from — so the document and the memo keys cannot
+/// disagree on a field's layout. The window override is the one exception:
+/// its section is written only when the override is set, and then holds
+/// the bare value.
 #[must_use]
 pub fn config_to_bin(config: &SimConfig) -> Vec<u8> {
-    let layout = config.layout();
-    let threshold = config.threshold_model();
-    let budgets = config.code_budgets();
-    let (supply_low, supply_high) = config.supply_range();
+    let section = |fields: &[ConfigField]| {
+        let mut body = BinWriter::new();
+        for &field in fields {
+            field.encode(config, &mut body);
+        }
+        body.into_bytes()
+    };
     let mut payload = BinWriter::new();
-    payload.section(TAG_CONFIG_CODE, &code_spec_to_bin(config.code()));
-    let mut geometry = BinWriter::new();
-    geometry.put_usize(config.nanowires_per_half_cave());
-    geometry.put_u64(config.raw_bits());
-    payload.section(TAG_CONFIG_GEOMETRY, &geometry.into_bytes());
-    let mut layout_body = BinWriter::new();
-    layout_body.put_f64(layout.litho_pitch().value());
-    layout_body.put_f64(layout.nanowire_pitch().value());
-    layout_body.put_f64(layout.min_contact_width_factor());
-    layout_body.put_f64(layout.contact_alignment_tolerance().value());
-    payload.section(TAG_CONFIG_LAYOUT, &layout_body.into_bytes());
-    let mut threshold_body = BinWriter::new();
-    threshold_body.put_f64(threshold.oxide_thickness().value());
-    threshold_body.put_f64(threshold.flat_band_voltage().value());
-    payload.section(TAG_CONFIG_THRESHOLD, &threshold_body.into_bytes());
-    let mut noise = BinWriter::new();
-    noise.put_f64(config.sigma_per_dose().value());
-    noise.put_f64(supply_low.value());
-    noise.put_f64(supply_high.value());
-    payload.section(TAG_CONFIG_NOISE, &noise.into_bytes());
+    payload.section(TAG_CONFIG_CODE, &section(&[ConfigField::Code]));
+    payload.section(
+        TAG_CONFIG_GEOMETRY,
+        &section(&[ConfigField::NanowiresPerHalfCave, ConfigField::RawBits]),
+    );
+    payload.section(TAG_CONFIG_LAYOUT, &section(&[ConfigField::Layout]));
+    payload.section(
+        TAG_CONFIG_THRESHOLD,
+        &section(&[ConfigField::ThresholdModel]),
+    );
+    payload.section(
+        TAG_CONFIG_NOISE,
+        &section(&[ConfigField::SigmaPerDose, ConfigField::SupplyRange]),
+    );
     if let Some(window) = config.window_override() {
         payload.section(TAG_CONFIG_WINDOW, &window.value().to_le_bytes());
     }
-    let mut budgets_body = BinWriter::new();
-    budgets_body.put_u64(budgets.balance.max_nodes_per_limit);
-    budgets_body.put_usize(budgets.balance.max_limit_slack);
-    budgets_body.put_u64(budgets.arranged_hot.max_nodes);
-    budgets_body.put_u64(budgets.arranged_hot.fallback.max_nodes);
-    budgets_body.put_u32(budgets.arranged_hot.fallback.max_two_opt_sweeps);
-    payload.section(TAG_CONFIG_BUDGETS, &budgets_body.into_bytes());
+    payload.section(TAG_CONFIG_BUDGETS, &section(&[ConfigField::CodeBudgets]));
     payload.section(
         TAG_CONFIG_DISTURBANCE,
-        &disturbance_to_bin(config.disturbance()),
+        &section(&[ConfigField::Disturbance]),
     );
-    payload.section(TAG_CONFIG_DEFECTS, &defect_to_bin(config.defects()));
+    payload.section(TAG_CONFIG_DEFECTS, &section(&[ConfigField::Defects]));
     // Appended last so documents written by this version still parse in
     // readers that predate the sampling knobs (they skip unknown tags).
-    let mc = config.monte_carlo();
-    let mut monte_carlo = BinWriter::new();
-    monte_carlo.put_usize(mc.samples);
-    monte_carlo.put_u64(mc.seed);
-    match mc.target_half_width {
-        Some(target) => {
-            monte_carlo.put_u8(1);
-            monte_carlo.put_f64(target);
-        }
-        None => monte_carlo.put_u8(0),
-    }
-    monte_carlo.put_f64(mc.confidence);
-    match mc.max_samples {
-        Some(max) => {
-            monte_carlo.put_u8(1);
-            monte_carlo.put_usize(max);
-        }
-        None => monte_carlo.put_u8(0),
-    }
-    payload.section(TAG_CONFIG_MONTE_CARLO, &monte_carlo.into_bytes());
+    payload.section(TAG_CONFIG_MONTE_CARLO, &section(&[ConfigField::MonteCarlo]));
     document(DOC_CONFIG, &payload.into_bytes())
 }
 
@@ -921,10 +940,7 @@ mod tests {
         let decoded = config_from_bin(&bytes).unwrap();
         assert_eq!(config_to_bin(&decoded), bytes);
         assert_eq!(decoded.monte_carlo(), config.monte_carlo());
-        assert_eq!(
-            crate::codec::canonical_config_string(&decoded),
-            crate::codec::canonical_config_string(&config)
-        );
+        assert_eq!(decoded, config);
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! The sharded, bounded, single-flight report cache behind the execution
+//! The sharded, bounded, single-flight report memo behind the execution
 //! engine and the serve layer.
 //!
 //! The sharding / LRU / single-flight machinery lives in the generic
-//! [`MemoCache`]; [`ReportCache`] is the (`SimConfig` → `PlatformReport`)
-//! instantiation that adds config fingerprinting and snapshot persistence,
-//! and the per-stage memo slots of [`crate::stage::StageCache`] are further
-//! instantiations of the same table — one set of counters, bounds and
-//! single-flight semantics for every memoized quantity in the workspace.
+//! [`MemoCache`], instantiated once per stage by
+//! [`crate::stage::StageCache`]. [`ReportCache`] is the
+//! (`SimConfig` → `PlatformReport`) instantiation that fills the stage
+//! graph's `Composite` slot — keyed by [`Stage::Composite`]'s key — and
+//! adds snapshot persistence: one set of counters, bounds and single-flight
+//! semantics for every memoized quantity in the workspace, and one memo for
+//! reports.
 //!
 //! # Design
 //!
 //! * **Sharding.** Entries are spread over [`CacheConfig::shards`] independent
-//!   `Mutex`-guarded shards, selected by a fingerprint of the configuration's
-//!   canonical serialized form, so concurrent clients touching different
-//!   configurations rarely contend on one lock.
+//!   `Mutex`-guarded shards, selected by a fingerprint of the entry's key, so
+//!   concurrent clients touching different configurations rarely contend on
+//!   one lock.
 //! * **Bounded LRU.** Each shard holds at most `ceil(capacity / shards)`
 //!   entries and evicts its least-recently-used entry beyond that (recency is
 //!   a global atomic tick, so LRU order is exact within a shard; with one
@@ -29,7 +31,7 @@
 //! * **Counters.** Hits, misses and evictions are atomic counters readable at
 //!   any time through [`ReportCache::stats`]; the serve stress gate derives
 //!   its hit-rate assertions from them.
-//! * **Persistence.** [`ReportCache::save_to_path`] writes a versioned
+//! * **Persistence.** [`ReportCache::save_to_path`] writes a versioned binary
 //!   snapshot (`schema_version` [`CACHE_SCHEMA_VERSION`]) that
 //!   [`ReportCache::load_from_path`] restores bit-identically; a mismatched
 //!   schema version is rejected, never reinterpreted. Snapshots are bounded
@@ -39,37 +41,36 @@
 //!
 //! # Snapshot formats
 //!
-//! Two snapshot encodings share the schema version and the loader:
-//!
-//! * **Binary** (the default): a [`crate::bincodec`] document
-//!   ([`bincodec::DOC_SNAPSHOT`]) holding a header section and one section
-//!   per row — a write timestamp, the configuration fingerprint, and the
-//!   nested binary config/report documents. Saving over an existing binary
-//!   snapshot **appends** only the rows whose fingerprint the file does not
-//!   already hold (an O(new) write instead of a full rewrite), falling back
-//!   to a compacting rewrite when the combined row count would exceed the
-//!   capacity bound or the existing file is unreadable.
-//! * **JSON** (set `MSPT_CACHE_FORMAT=json`): the PR 5/6-era text format,
-//!   kept for inspectability; always a full rewrite.
+//! Saves write a [`crate::bincodec`] document ([`bincodec::DOC_SNAPSHOT`])
+//! holding a header section and one section per row — a write timestamp,
+//! the entry's fingerprint, and the nested binary config/report documents.
+//! Saving over an existing binary snapshot **appends** only the rows whose
+//! key the file does not already hold (an O(new) write instead of a full
+//! rewrite), falling back to a compacting rewrite when the file's row count
+//! plus the new rows would exceed the capacity bound or the existing file
+//! is unreadable. The file's keys are recomputed from each row's config
+//! document, never trusted from the stored fingerprint.
 //!
 //! [`ReportCache::load_from_path`] auto-detects the format from the first
 //! byte (binary documents open with `0xB1`, JSON with `{`), so JSON-era
-//! snapshot files keep loading unchanged. Binary rows carry the time they
-//! were written; a positive `MSPT_CACHE_MAX_AGE_SECS` drops rows older than
-//! that bound at load, so a long-lived warm file cannot resurrect reports
-//! from arbitrarily far in the past.
+//! snapshot files keep loading unchanged; [`ReportCache::snapshot_json`]
+//! still renders that text format. Binary rows carry the time they were
+//! written; a positive `MSPT_CACHE_MAX_AGE_SECS` drops rows older than that
+//! bound at load, so a long-lived warm file cannot resurrect reports from
+//! arbitrarily far in the past.
 //!
 //! # Cache-key identity
 //!
-//! Keys fingerprint the **canonical serialized configuration** — every field
-//! of [`SimConfig`], including its [`DisturbanceKind`](crate::DisturbanceKind)
-//! and its [`DefectKind`](crate::DefectKind) — mixed with a cache-domain tag
-//! through the workspace-wide [`chunk_seed`] stream-splitting primitive. A
-//! Gaussian and a Laplace run (or a defect-free and a defective run) with
-//! the same platform parameters therefore never alias, in memory or on
-//! disk; equality of the full `SimConfig` is re-checked on every lookup, so a
-//! fingerprint collision can cost a duplicate evaluation but never serve the
-//! wrong report.
+//! A report's key is [`Stage::Composite`]'s key: the encodings of exactly
+//! the [`SimConfig`] fields a report reads (see [`Stage::reads`]). Two
+//! configurations that differ only in fields no report stage reads — the
+//! disturbance kind, the Monte-Carlo knobs — share one entry, in memory and
+//! on disk, because their reports are identical; configurations differing
+//! in any field a report reads (the defect selection included) never alias.
+//! Keys are re-checked in full on every lookup, so a fingerprint collision
+//! can cost a duplicate evaluation but never serve the wrong report.
+//! Snapshot rows carry full config documents and loads recompute keys, so
+//! a file written under an earlier key scheme keeps loading.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
@@ -78,16 +79,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crossbar_array::chunk_seed;
-
 use crate::bincodec::{self, BinReader, BinWriter};
-use crate::codec::{
-    canonical_config_string, config_from_json, config_to_json, report_from_json, report_to_json,
-    JsonValue,
-};
+use crate::codec::{config_from_json, config_to_json, report_from_json, report_to_json, JsonValue};
 use crate::config::SimConfig;
 use crate::error::{Result, SimError};
 use crate::platform::PlatformReport;
+use crate::stage::Stage;
 
 /// Environment variable overriding the default report-cache capacity.
 pub const CACHE_CAPACITY_ENV: &str = "MSPT_CACHE_CAPACITY";
@@ -95,12 +92,6 @@ pub const CACHE_CAPACITY_ENV: &str = "MSPT_CACHE_CAPACITY";
 /// Environment variable naming the warm-cache persistence file `run_all` and
 /// the serve stress bin load on start and save on exit.
 pub const CACHE_PATH_ENV: &str = "MSPT_CACHE_PATH";
-
-/// Environment variable selecting the snapshot encoding `save_to_path`
-/// writes: `binary` (the default — compact, append-friendly) or `json`
-/// (the PR 5/6-era text format, kept for inspectability). Loading
-/// auto-detects the format, so this knob never affects reads.
-pub const CACHE_FORMAT_ENV: &str = "MSPT_CACHE_FORMAT";
 
 /// Environment variable bounding the age, in seconds, of binary snapshot
 /// rows at load: rows written longer ago than this are skipped. Unset or
@@ -118,12 +109,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Default shard count of the cache.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
-/// Domain-separation tag mixed into cache-key fingerprints before the
-/// [`chunk_seed`] finalizer. Keeps the cache's key stream decorrelated from
-/// the Monte-Carlo and defect-map seed domains, exactly like the defect
-/// layer's own domain tag.
-const CACHE_KEY_DOMAIN: u64 = 0xcac4_e4e7_5e12_7a03;
 
 /// Binary snapshot section carrying the cache schema version (`u64` body).
 /// Must precede every row section.
@@ -183,30 +168,6 @@ fn default_capacity() -> usize {
     DEFAULT_CACHE_CAPACITY
 }
 
-/// The encoding [`ReportCache::save_to_path`] writes. Loading always
-/// auto-detects, so the choice only affects new snapshot files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// Compact [`crate::bincodec`] document; saves append new rows to an
-    /// existing binary file instead of rewriting it.
-    #[default]
-    Binary,
-    /// The PR 5/6-era JSON text format; always a full rewrite.
-    Json,
-}
-
-impl SnapshotFormat {
-    /// Reads [`CACHE_FORMAT_ENV`]: `json` (any case) selects JSON,
-    /// everything else — including unset — selects binary.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(CACHE_FORMAT_ENV) {
-            Ok(value) if value.trim().eq_ignore_ascii_case("json") => SnapshotFormat::Json,
-            _ => SnapshotFormat::Binary,
-        }
-    }
-}
-
 /// Seconds since the Unix epoch, stamped on binary snapshot rows at save so
 /// the age bound at load has something to measure against. Clock failure
 /// degrades to `0`, which the bound treats as "arbitrarily old".
@@ -250,13 +211,17 @@ fn snapshot_row_section(
 }
 
 /// A complete binary snapshot document: header section first, then one row
-/// section per entry, all stamped `written_at`.
-fn encode_snapshot_bin(rows: &[(u64, SimConfig, PlatformReport)], written_at: u64) -> Vec<u8> {
+/// section per `(key, fingerprint, config, report)` entry, all stamped
+/// `written_at`.
+fn encode_snapshot_bin(
+    rows: &[(Vec<u8>, u64, SimConfig, PlatformReport)],
+    written_at: u64,
+) -> Vec<u8> {
     let mut payload = BinWriter::new();
     let mut header = BinWriter::new();
     header.put_u64(CACHE_SCHEMA_VERSION);
     payload.section(TAG_SNAPSHOT_HEADER, &header.into_bytes());
-    for (fingerprint, config, report) in rows {
+    for (_, fingerprint, config, report) in rows {
         payload.put_bytes(&snapshot_row_section(
             written_at,
             *fingerprint,
@@ -267,16 +232,18 @@ fn encode_snapshot_bin(rows: &[(u64, SimConfig, PlatformReport)], written_at: u6
     bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes())
 }
 
-/// Fingerprints already persisted in a binary snapshot file, read from the
-/// row headers without decoding config/report bodies. `None` when the file
-/// is missing, not a current-version binary snapshot, or damaged — the
-/// appending save then falls back to a full rewrite.
-fn existing_binary_fingerprints(path: &Path) -> Option<BTreeSet<u64>> {
+/// The key of every row persisted in a binary snapshot file, one per row
+/// in file order, recomputed from each row's config document — the stored
+/// fingerprint is never trusted, since a file written under another key
+/// scheme carries stale ones. `None` when the file is missing, not a
+/// current-version binary snapshot, or damaged — the appending save then
+/// falls back to a full rewrite.
+fn binary_snapshot_row_keys(path: &Path) -> Option<Vec<Vec<u8>>> {
     let bytes = std::fs::read(path).ok()?;
     let payload = bincodec::document_payload(&bytes, bincodec::DOC_SNAPSHOT).ok()?;
     let mut reader = BinReader::new(payload);
     let mut header_seen = false;
-    let mut fingerprints = BTreeSet::new();
+    let mut keys = Vec::new();
     loop {
         match reader.next_section() {
             Ok(Some((TAG_SNAPSHOT_HEADER, body))) => {
@@ -289,14 +256,18 @@ fn existing_binary_fingerprints(path: &Path) -> Option<BTreeSet<u64>> {
             Ok(Some((TAG_SNAPSHOT_ROW, body))) => {
                 let mut section = BinReader::new(body);
                 section.take_u64().ok()?; // written_at
-                fingerprints.insert(section.take_u64().ok()?);
+                section.take_u64().ok()?; // stored fingerprint
+                let config_length = section.take_u32().ok()? as usize;
+                let config =
+                    bincodec::config_from_bin(section.take_bytes(config_length).ok()?).ok()?;
+                keys.push(Stage::Composite.key(&config));
             }
             Ok(Some(_)) => {} // Unknown section: skippable, not ours to judge.
             Ok(None) => break,
             Err(_) => return None,
         }
     }
-    header_seen.then_some(fingerprints)
+    header_seen.then_some(keys)
 }
 
 /// A point-in-time view of the cache counters.
@@ -326,25 +297,12 @@ impl CacheStats {
     }
 }
 
-/// FNV-1a over `key`, finalized through [`chunk_seed`] under `domain` at
-/// stream index `index` — the common fingerprint primitive of the report
-/// cache (`CACHE_KEY_DOMAIN`, index 0) and the per-stage caches
-/// (`STAGE_KEY_DOMAIN`, indexed by stage).
-pub(crate) fn key_fingerprint(domain: u64, index: u64, key: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in key.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    chunk_seed(hash ^ domain, index)
-}
-
 /// One stored entry of a [`MemoCache`]: the shard-selecting fingerprint, the
-/// full canonical key it was derived from, the memoized value and the
-/// recency tick.
+/// full key bytes it was derived from, the memoized value and the recency
+/// tick.
 struct Entry<V> {
     fingerprint: u64,
-    key: String,
+    key: Vec<u8>,
     value: V,
     last_used: u64,
 }
@@ -425,16 +383,16 @@ impl<V> Default for Shard<V> {
     }
 }
 
-/// The generic fingerprint-sharded, bounded-LRU, single-flight memo table —
-/// the machinery [`ReportCache`] runs on, factored out so the per-stage
-/// memo slots of [`crate::stage::StageCache`] reuse it unchanged: sharding,
-/// exact per-shard LRU, `Mutex` + `Condvar` single-flight and
-/// hit/miss/eviction counters, generic over the memoized value.
+/// The generic fingerprint-sharded, bounded-LRU, single-flight memo table
+/// behind every stage slot of [`crate::stage::StageCache`] (the `Composite`
+/// slot through [`ReportCache`]): sharding, exact per-shard LRU,
+/// `Mutex` + `Condvar` single-flight and hit/miss/eviction counters,
+/// generic over the memoized value.
 ///
-/// A key is a `(fingerprint, canonical key string)` pair: the fingerprint
-/// selects the shard and prefilters lookups, and the full key string is
-/// re-checked on every match, so a fingerprint collision can cost a
-/// duplicate computation but never serve the wrong value.
+/// A key is a `(fingerprint, key bytes)` pair: the fingerprint selects the
+/// shard and prefilters lookups, and the full key is re-checked on every
+/// match, so a fingerprint collision can cost a duplicate computation but
+/// never serve the wrong value.
 pub struct MemoCache<V: Clone> {
     config: CacheConfig,
     shards: Vec<Mutex<Shard<V>>>,
@@ -518,7 +476,7 @@ impl<V: Clone> MemoCache<V> {
     /// recency or touch the counters — a pure probe for tests and
     /// diagnostics.
     #[must_use]
-    pub fn contains_key(&self, fingerprint: u64, key: &str) -> bool {
+    pub fn contains_key(&self, fingerprint: u64, key: &[u8]) -> bool {
         let shard = self
             .shard_for(fingerprint)
             .lock()
@@ -542,7 +500,7 @@ impl<V: Clone> MemoCache<V> {
 
     /// Inserts an entry under its shard lock — see
     /// [`MemoCache::insert_locked`]. Returns whether the entry was stored.
-    pub fn insert(&self, fingerprint: u64, key: &str, value: &V) -> bool {
+    pub fn insert(&self, fingerprint: u64, key: &[u8], value: &V) -> bool {
         let mut shard = self
             .shard_for(fingerprint)
             .lock()
@@ -554,7 +512,7 @@ impl<V: Clone> MemoCache<V> {
     /// least-recently-used entries beyond the shard bound. Returns whether
     /// the entry was stored — `false` for an already-present key or a
     /// disabled table.
-    fn insert_locked(&self, shard: &mut Shard<V>, fingerprint: u64, key: &str, value: &V) -> bool {
+    fn insert_locked(&self, shard: &mut Shard<V>, fingerprint: u64, key: &[u8], value: &V) -> bool {
         let capacity = self.shard_capacity();
         if capacity == 0 {
             return false;
@@ -568,7 +526,7 @@ impl<V: Clone> MemoCache<V> {
         }
         shard.entries.push(Entry {
             fingerprint,
-            key: key.to_string(),
+            key: key.to_vec(),
             value: value.clone(),
             last_used: self.next_tick(),
         });
@@ -599,7 +557,7 @@ impl<V: Clone> MemoCache<V> {
     /// # Errors
     ///
     /// Propagates `compute`'s error (the table never stores failures).
-    pub fn get_or_compute<F>(&self, fingerprint: u64, key: &str, compute: F) -> Result<V>
+    pub fn get_or_compute<F>(&self, fingerprint: u64, key: &[u8], compute: F) -> Result<V>
     where
         F: FnOnce() -> Result<V>,
     {
@@ -663,7 +621,7 @@ impl<V: Clone> MemoCache<V> {
     /// `(fingerprint, key, value, last_used)` rows, one shard at a time —
     /// what snapshot persistence builds its bounded, sorted row set from.
     #[must_use]
-    pub fn entries(&self) -> Vec<(u64, String, V, u64)> {
+    pub fn entries(&self) -> Vec<(u64, Vec<u8>, V, u64)> {
         let mut rows = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
@@ -680,9 +638,9 @@ impl<V: Clone> MemoCache<V> {
     }
 }
 
-/// The value [`ReportCache`] memoizes per configuration: the decoded
-/// configuration rides along with the report so snapshot persistence can
-/// re-encode both without reparsing the canonical key string.
+/// The value [`ReportCache`] memoizes per key: the configuration that
+/// computed the report rides along so snapshot persistence can write a
+/// full config document per row.
 #[derive(Clone)]
 struct CachedReport {
     config: SimConfig,
@@ -691,9 +649,10 @@ struct CachedReport {
 
 /// The sharded, bounded, single-flight LRU cache of
 /// ([`SimConfig`] → [`PlatformReport`]) evaluations — a `MemoCache` keyed
-/// by the canonical serialized configuration, plus versioned snapshot
-/// persistence. See the module docs for the design; see
-/// [`ExecutionEngine`](crate::ExecutionEngine) for the primary consumer.
+/// by [`Stage::Composite`]'s key, plus versioned snapshot persistence. It
+/// is the stage graph's `Composite` slot, so the
+/// [`ExecutionEngine`](crate::ExecutionEngine) keeps exactly one report
+/// memo. See the module docs for the design.
 pub struct ReportCache {
     memo: MemoCache<CachedReport>,
 }
@@ -729,13 +688,27 @@ impl ReportCache {
         self.memo.config()
     }
 
-    /// The fingerprint of a configuration: an FNV-1a hash of its canonical
-    /// serialized form, finalized through [`chunk_seed`] under the cache's
-    /// domain tag. Includes every field of the configuration — notably the
-    /// disturbance kind.
+    /// The fingerprint of a configuration's report entry: the
+    /// [`Stage::Composite`] fingerprint of its composite key, so it covers
+    /// exactly the fields a report reads.
     #[must_use]
     pub fn fingerprint(config: &SimConfig) -> u64 {
-        key_fingerprint(CACHE_KEY_DOMAIN, 0, &canonical_config_string(config))
+        ReportCache::keyed(config).1
+    }
+
+    /// The memo key and fingerprint of a configuration's report entry.
+    fn keyed(config: &SimConfig) -> (Vec<u8>, u64) {
+        let key = Stage::Composite.key(config);
+        let fingerprint = Stage::Composite.fingerprint(&key);
+        (key, fingerprint)
+    }
+
+    /// Stores a decoded snapshot row under its recomputed key. Returns
+    /// whether the row was stored.
+    fn insert_row(&self, config: SimConfig, report: PlatformReport) -> bool {
+        let (key, fingerprint) = ReportCache::keyed(&config);
+        self.memo
+            .insert(fingerprint, &key, &CachedReport { config, report })
     }
 
     /// Number of stored entries.
@@ -755,9 +728,8 @@ impl ReportCache {
     /// diagnostics.
     #[must_use]
     pub fn contains(&self, config: &SimConfig) -> bool {
-        let key = canonical_config_string(config);
-        self.memo
-            .contains_key(key_fingerprint(CACHE_KEY_DOMAIN, 0, &key), &key)
+        let (key, fingerprint) = ReportCache::keyed(config);
+        self.memo.contains_key(fingerprint, &key)
     }
 
     /// The current counter values.
@@ -777,8 +749,7 @@ impl ReportCache {
     where
         F: FnOnce() -> Result<PlatformReport>,
     {
-        let key = canonical_config_string(config);
-        let fingerprint = key_fingerprint(CACHE_KEY_DOMAIN, 0, &key);
+        let (key, fingerprint) = ReportCache::keyed(config);
         self.memo
             .get_or_compute(fingerprint, &key, || {
                 compute().map(|report| CachedReport {
@@ -795,23 +766,41 @@ impl ReportCache {
     /// divide it, so the snapshot keeps only the `capacity` most recently
     /// used entries — the persisted file can never grow past the configured
     /// bound across warm restarts. Which entries survive therefore follows
-    /// access recency; the surviving set itself is sorted by canonical
-    /// configuration string, so two caches persisting the same surviving
-    /// entries render byte-identical files regardless of insertion order.
+    /// access recency; the surviving set itself is sorted by key, so two
+    /// caches persisting the same surviving entries render byte-identical
+    /// files regardless of insertion order.
     #[must_use]
     pub fn snapshot_json(&self) -> String {
-        self.snapshot_with_count().0
+        JsonValue::Object(vec![
+            (
+                "schema_version".to_string(),
+                JsonValue::from_u64(CACHE_SCHEMA_VERSION),
+            ),
+            (
+                "entries".to_string(),
+                JsonValue::Array(
+                    self.snapshot_rows()
+                        .iter()
+                        .map(|(_, _, config, report)| {
+                            JsonValue::Object(vec![
+                                ("config".to_string(), config_to_json(config)),
+                                ("report".to_string(), report_to_json(report)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
+        .render()
     }
 
     /// The rows a snapshot persists, in persisted order: every stored
     /// entry, most-recently-used entries winning the truncation to the
-    /// capacity bound, the surviving set sorted by canonical configuration
-    /// string so both snapshot encodings are deterministic for a given
-    /// surviving set.
-    fn snapshot_rows(&self) -> Vec<(u64, SimConfig, PlatformReport)> {
-        // The memo key *is* the canonical configuration string, so the
-        // deterministic snapshot order comes straight from the entries.
-        let mut rows: Vec<(u64, String, u64, SimConfig, PlatformReport)> = self
+    /// capacity bound, the surviving set sorted by key so both snapshot
+    /// encodings are deterministic for a given surviving set. Each row
+    /// carries its key for the appending save.
+    fn snapshot_rows(&self) -> Vec<(Vec<u8>, u64, SimConfig, PlatformReport)> {
+        let mut rows: Vec<(u64, Vec<u8>, u64, SimConfig, PlatformReport)> = self
             .memo
             .entries()
             .into_iter()
@@ -824,38 +813,8 @@ impl ReportCache {
         rows.truncate(self.memo.config().capacity);
         rows.sort_by(|a, b| a.1.cmp(&b.1));
         rows.into_iter()
-            .map(|(_, _, fingerprint, config, report)| (fingerprint, config, report))
+            .map(|(_, key, fingerprint, config, report)| (key, fingerprint, config, report))
             .collect()
-    }
-
-    /// [`ReportCache::snapshot_json`] plus the number of persisted rows,
-    /// counted from the snapshot itself — the shards are re-locked here, so
-    /// only this count is guaranteed to match the rendered document under
-    /// concurrent inserts.
-    fn snapshot_with_count(&self) -> (String, usize) {
-        let rows = self.snapshot_rows();
-        let count = rows.len();
-        let snapshot = JsonValue::Object(vec![
-            (
-                "schema_version".to_string(),
-                JsonValue::from_u64(CACHE_SCHEMA_VERSION),
-            ),
-            (
-                "entries".to_string(),
-                JsonValue::Array(
-                    rows.iter()
-                        .map(|(_, config, report)| {
-                            JsonValue::Object(vec![
-                                ("config".to_string(), config_to_json(config)),
-                                ("report".to_string(), report_to_json(report)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .render();
-        (snapshot, count)
     }
 
     /// Renders the cache as a binary snapshot document — the same rows as
@@ -928,9 +887,9 @@ impl ReportCache {
                     }
                     let mut section = BinReader::new(body);
                     let written_at = section.take_u64()?;
-                    // The stored fingerprint serves the append-time scan;
-                    // loading recomputes it from the decoded configuration
-                    // so a corrupted value can never misfile an entry.
+                    // Loading recomputes the key from the decoded
+                    // configuration, so a stale or corrupted stored
+                    // fingerprint can never misfile an entry.
                     let _stored_fingerprint = section.take_u64()?;
                     let config_length = section.take_u32()? as usize;
                     let config = bincodec::config_from_bin(section.take_bytes(config_length)?)?;
@@ -940,12 +899,7 @@ impl ReportCache {
                     if now_unix.saturating_sub(written_at) > max_age_secs {
                         continue;
                     }
-                    let key = canonical_config_string(&config);
-                    let fingerprint = key_fingerprint(CACHE_KEY_DOMAIN, 0, &key);
-                    if self
-                        .memo
-                        .insert(fingerprint, &key, &CachedReport { config, report })
-                    {
+                    if self.insert_row(config, report) {
                         loaded += 1;
                     }
                 }
@@ -988,56 +942,37 @@ impl ReportCache {
         for row in entries {
             let config = config_from_json(row.get("config")?)?;
             let report = report_from_json(row.get("report")?)?;
-            let key = canonical_config_string(&config);
-            let fingerprint = key_fingerprint(CACHE_KEY_DOMAIN, 0, &key);
-            if self
-                .memo
-                .insert(fingerprint, &key, &CachedReport { config, report })
-            {
+            if self.insert_row(config, report) {
                 loaded += 1;
             }
         }
         Ok(loaded)
     }
 
-    /// Writes the snapshot to a file in the format selected by
-    /// [`SnapshotFormat::from_env`] (binary by default). A binary save onto
-    /// an existing current-version binary file appends only the rows whose
-    /// fingerprints the file lacks instead of rewriting everything; any
-    /// other target — missing file, JSON file, older or damaged binary, or
-    /// an append that would exceed the capacity bound — is a full rewrite.
-    /// Returns the number of rows the file holds after the save (at most
-    /// the configured capacity on a rewrite).
+    /// Writes the snapshot to a file as a binary document. A save onto an
+    /// existing current-version binary file appends only the rows whose
+    /// keys the file lacks instead of rewriting everything; any other
+    /// target — missing file, JSON file, older or damaged binary, or an
+    /// append that would take the file's row count past the capacity
+    /// bound — is a full rewrite. Returns the number of rows the file holds
+    /// after the save (at most the configured capacity on a rewrite).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on I/O failure.
     pub fn save_to_path(&self, path: &Path) -> Result<usize> {
-        match SnapshotFormat::from_env() {
-            SnapshotFormat::Json => {
-                let (snapshot, entries) = self.snapshot_with_count();
-                std::fs::write(path, snapshot)
-                    .map_err(|io| persistence_io("writing", path, &io))?;
-                Ok(entries)
-            }
-            SnapshotFormat::Binary => self.save_binary(path),
-        }
-    }
-
-    /// The binary save path: append fresh rows when the target is already a
-    /// healthy current-version binary snapshot with room for them, full
-    /// rewrite otherwise.
-    fn save_binary(&self, path: &Path) -> Result<usize> {
         let written_at = now_unix();
         let rows = self.snapshot_rows();
-        if let Some(existing) = existing_binary_fingerprints(path) {
-            let fresh: Vec<&(u64, SimConfig, PlatformReport)> = rows
+        if let Some(persisted) = binary_snapshot_row_keys(path) {
+            let existing: BTreeSet<&[u8]> = persisted.iter().map(Vec::as_slice).collect();
+            let fresh: Vec<&(Vec<u8>, u64, SimConfig, PlatformReport)> = rows
                 .iter()
-                .filter(|(fingerprint, _, _)| !existing.contains(fingerprint))
+                .filter(|(key, _, _, _)| !existing.contains(key.as_slice()))
                 .collect();
-            if existing.len() + fresh.len() <= self.memo.config().capacity {
+            let total = persisted.len() + fresh.len();
+            if total <= self.memo.config().capacity {
                 let mut appended = Vec::new();
-                for (fingerprint, config, report) in fresh.iter().copied() {
+                for (_, fingerprint, config, report) in fresh {
                     appended.extend_from_slice(&snapshot_row_section(
                         written_at,
                         *fingerprint,
@@ -1051,7 +986,7 @@ impl ReportCache {
                     .map_err(|io| persistence_io("appending to", path, &io))?;
                 file.write_all(&appended)
                     .map_err(|io| persistence_io("appending to", path, &io))?;
-                return Ok(existing.len() + fresh.len());
+                return Ok(total);
             }
         }
         std::fs::write(path, encode_snapshot_bin(&rows, written_at))
@@ -1059,8 +994,9 @@ impl ReportCache {
         Ok(rows.len())
     }
 
-    /// Loads a snapshot file saved by [`ReportCache::save_to_path`] in either
-    /// format, auto-detected from the first byte. Binary snapshots honour the
+    /// Loads a snapshot file — binary, as [`ReportCache::save_to_path`]
+    /// writes it, or a JSON-era text file — auto-detected from the first
+    /// byte. Binary snapshots honour the
     /// [`CACHE_MAX_AGE_ENV`] age bound; JSON snapshots carry no timestamps
     /// and load in full. Returns the number of entries loaded.
     ///
@@ -1119,10 +1055,31 @@ mod tests {
 
     #[test]
     fn fingerprints_differ_across_disturbance_kinds() {
+        // The disturbance kind is part of the Monte-Carlo stage's identity…
         let gaussian = config(8);
         let laplace = config(8).with_disturbance(crate::DisturbanceKind::Laplace);
-        assert_ne!(
+        let mc = |config: &SimConfig| Stage::MonteCarlo.fingerprint(&Stage::MonteCarlo.key(config));
+        assert_ne!(mc(&gaussian), mc(&laplace));
+        // …but no report stage reads it: both share one report entry, one
+        // miss, one report.
+        assert_eq!(
             ReportCache::fingerprint(&gaussian),
+            ReportCache::fingerprint(&laplace)
+        );
+        let cache = ReportCache::new(CacheConfig::unsharded(8));
+        let first = cache
+            .get_or_compute(&gaussian, || evaluate(&gaussian))
+            .unwrap();
+        let second = cache
+            .get_or_compute(&laplace, || unreachable!("shared entry"))
+            .unwrap();
+        assert_eq!(first, second);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        // A field the report reads still separates entries.
+        let windowed = gaussian.with_window(device_physics::Volts::new(0.2));
+        assert_ne!(
+            ReportCache::fingerprint(&windowed),
             ReportCache::fingerprint(&laplace)
         );
     }
@@ -1206,17 +1163,17 @@ mod tests {
         let cache = ReportCache::new(CacheConfig::unsharded(8));
         let a = config(6);
         cache.get_or_compute(&a, || evaluate(&a)).unwrap();
-        assert_eq!(cache.save_binary(&path).unwrap(), 1);
+        assert_eq!(cache.save_to_path(&path).unwrap(), 1);
         let first_size = std::fs::metadata(&path).unwrap().len();
 
         // Saving again with no new entries appends nothing.
-        assert_eq!(cache.save_binary(&path).unwrap(), 1);
+        assert_eq!(cache.save_to_path(&path).unwrap(), 1);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), first_size);
 
         // A new entry appends one row; the old bytes stay in place.
         let b = config(8);
         cache.get_or_compute(&b, || evaluate(&b)).unwrap();
-        assert_eq!(cache.save_binary(&path).unwrap(), 2);
+        assert_eq!(cache.save_to_path(&path).unwrap(), 2);
         assert!(std::fs::metadata(&path).unwrap().len() > first_size);
 
         let restored = ReportCache::new(CacheConfig::unsharded(8));
@@ -1235,7 +1192,7 @@ mod tests {
             let config = config(length);
             small.get_or_compute(&config, || evaluate(&config)).unwrap();
         }
-        assert_eq!(small.save_binary(&path).unwrap(), 2);
+        assert_eq!(small.save_to_path(&path).unwrap(), 2);
         // Touch `a` so it survives eviction, then push a third entry out of
         // capacity: the file now holds a fingerprint the cache evicted, so
         // an append would exceed the bound and a rewrite happens instead.
@@ -1243,10 +1200,81 @@ mod tests {
         small.get_or_compute(&a, || evaluate(&a)).unwrap();
         let c = config(10);
         small.get_or_compute(&c, || evaluate(&c)).unwrap();
-        assert_eq!(small.save_binary(&path).unwrap(), 2);
+        assert_eq!(small.save_to_path(&path).unwrap(), 2);
         let restored = ReportCache::new(CacheConfig::unsharded(8));
         assert_eq!(restored.load_from_path(&path).unwrap(), 2);
         assert_eq!(restored.snapshot_json(), small.snapshot_json());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The keys of every row the file at `path` holds, in file order.
+    fn persisted_keys(path: &Path) -> Vec<Vec<u8>> {
+        binary_snapshot_row_keys(path).expect("a healthy binary snapshot")
+    }
+
+    #[test]
+    fn appending_saves_key_rows_by_their_config_not_the_stored_fingerprint() {
+        let path =
+            std::env::temp_dir().join(format!("mspt-cache-foreign-{}.bin", std::process::id()));
+        let cache = ReportCache::new(CacheConfig::unsharded(8));
+        for length in [6, 8] {
+            let config = config(length);
+            cache.get_or_compute(&config, || evaluate(&config)).unwrap();
+        }
+        // The same rows as a writer with another key scheme leaves them:
+        // every stored fingerprint foreign to this one.
+        let foreign: Vec<_> = cache
+            .snapshot_rows()
+            .into_iter()
+            .map(|(key, fingerprint, config, report)| (key, !fingerprint, config, report))
+            .collect();
+        std::fs::write(&path, encode_snapshot_bin(&foreign, now_unix())).unwrap();
+        let size = std::fs::metadata(&path).unwrap().len();
+        for _ in 0..2 {
+            assert_eq!(cache.save_to_path(&path).unwrap(), 2);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), size);
+        }
+        let keys = persisted_keys(&path);
+        assert_eq!(keys.len(), 2);
+        assert_ne!(keys[0], keys[1]);
+        let restored = ReportCache::new(CacheConfig::unsharded(8));
+        assert_eq!(restored.load_from_path(&path).unwrap(), 2);
+        assert_eq!(restored.snapshot_json(), cache.snapshot_json());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn appending_saves_count_rows_not_keys_against_capacity() {
+        let path =
+            std::env::temp_dir().join(format!("mspt-cache-aliased-{}.bin", std::process::id()));
+        let cache = ReportCache::new(CacheConfig::unsharded(3));
+        let [a, b, c] = [config(6), config(8), config(10)];
+        for config in [&a, &b] {
+            cache.get_or_compute(config, || evaluate(config)).unwrap();
+        }
+        // Three rows holding two keys: a Gaussian and a Laplace row of `a`
+        // share one report key under this scheme.
+        let mut rows = cache.snapshot_rows();
+        let aliased = rows[0].clone();
+        rows.push((
+            aliased.0,
+            aliased.1,
+            aliased.2.with_disturbance(crate::DisturbanceKind::Laplace),
+            aliased.3,
+        ));
+        std::fs::write(&path, encode_snapshot_bin(&rows, now_unix())).unwrap();
+        // One new entry fits three distinct keys but not four rows: the
+        // save rewrites instead of appending past the bound.
+        cache.get_or_compute(&c, || evaluate(&c)).unwrap();
+        for _ in 0..2 {
+            assert_eq!(cache.save_to_path(&path).unwrap(), 3);
+            let keys = persisted_keys(&path);
+            assert_eq!(keys.len(), 3);
+            assert_eq!(keys.iter().collect::<BTreeSet<_>>().len(), 3);
+        }
+        let restored = ReportCache::new(CacheConfig::unsharded(8));
+        assert_eq!(restored.load_from_path(&path).unwrap(), 3);
+        assert_eq!(restored.snapshot_json(), cache.snapshot_json());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1261,6 +1289,9 @@ mod tests {
         let restored = ReportCache::new(CacheConfig::unsharded(8));
         assert_eq!(restored.load_from_path(&path).unwrap(), 1);
         assert_eq!(restored.snapshot_json(), cache.snapshot_json());
+        // Saving onto a JSON-era file rewrites it as binary.
+        assert_eq!(restored.save_to_path(&path).unwrap(), 1);
+        assert!(bincodec::is_binary(&std::fs::read(&path).unwrap()));
         let _ = std::fs::remove_file(&path);
     }
 

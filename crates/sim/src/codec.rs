@@ -1081,18 +1081,6 @@ pub fn wire_error_kind_from_json(value: &JsonValue) -> Result<WireErrorKind> {
     WireErrorKind::from_wire_str(value.as_str()?)
 }
 
-/// The canonical serialized form of a configuration: the deterministic
-/// rendering of [`config_to_json`]. Equal configurations produce identical
-/// strings; configurations differing in **any** field — including the
-/// disturbance kind and the defect selection — produce different strings.
-/// The report cache fingerprints this string, which is what guarantees a
-/// Gaussian and a Laplace run (or a defect-free and a defective run) with
-/// the same platform parameters never alias.
-#[must_use]
-pub fn canonical_config_string(config: &SimConfig) -> String {
-    config_to_json(config).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1101,6 +1089,11 @@ mod tests {
     fn base_config() -> SimConfig {
         let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
         SimConfig::paper_defaults(code).unwrap()
+    }
+
+    /// The deterministic JSON text of a configuration.
+    fn rendered(config: &SimConfig) -> String {
+        config_to_json(config).render()
     }
 
     #[test]
@@ -1239,10 +1232,7 @@ mod tests {
         let fixed = base_config();
         let adaptive = base_config()
             .with_monte_carlo(MonteCarloConfig::default().with_target_half_width(0.05));
-        assert_ne!(
-            canonical_config_string(&fixed),
-            canonical_config_string(&adaptive)
-        );
+        assert_ne!(rendered(&fixed), rendered(&adaptive));
     }
 
     #[test]
@@ -1280,31 +1270,19 @@ mod tests {
     fn canonical_strings_separate_defect_kinds() {
         let clean = base_config();
         let defective = base_config().with_defects(DefectKind::sampled(0.02, 0.01, 1).unwrap());
-        assert_ne!(
-            canonical_config_string(&clean),
-            canonical_config_string(&defective)
-        );
+        assert_ne!(rendered(&clean), rendered(&defective));
         // Same rates, different seed: still distinct identities.
         let reseeded = base_config().with_defects(DefectKind::sampled(0.02, 0.01, 2).unwrap());
-        assert_ne!(
-            canonical_config_string(&defective),
-            canonical_config_string(&reseeded)
-        );
+        assert_ne!(rendered(&defective), rendered(&reseeded));
     }
 
     #[test]
     fn canonical_strings_separate_disturbance_kinds() {
         let gaussian = base_config();
         let laplace = base_config().with_disturbance(DisturbanceKind::Laplace);
-        assert_ne!(
-            canonical_config_string(&gaussian),
-            canonical_config_string(&laplace)
-        );
+        assert_ne!(rendered(&gaussian), rendered(&laplace));
         // And equal configurations render identically (determinism).
-        assert_eq!(
-            canonical_config_string(&gaussian),
-            canonical_config_string(&base_config())
-        );
+        assert_eq!(rendered(&gaussian), rendered(&base_config()));
     }
 
     #[test]

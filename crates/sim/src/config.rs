@@ -203,8 +203,8 @@ impl SimConfig {
 
     /// Selects the fabrication-defect model the evaluation composes with
     /// the decoder yield (defaults to [`DefectKind::None`], the paper's
-    /// defect-free assumption). Like the disturbance kind, the selection is
-    /// part of the configuration's identity: defect-free and defective runs
+    /// defect-free assumption). The selection is part of the configuration's
+    /// identity and every report reads it: defect-free and defective runs
     /// never alias in the report cache or on disk.
     #[must_use]
     pub fn with_defects(mut self, defects: DefectKind) -> Self {
@@ -216,8 +216,9 @@ impl SimConfig {
     /// seed, and the adaptive-stopping knobs (defaults to
     /// [`MonteCarloConfig::default`], a fixed-sample run). Like the
     /// disturbance kind, the selection is part of the configuration's
-    /// identity: runs with different sampling budgets never alias in the
-    /// report cache or on disk.
+    /// identity and keys the Monte-Carlo stage; no report stage reads it, so
+    /// variants differing only here share one report-cache entry (their
+    /// reports are identical).
     #[must_use]
     pub fn with_monte_carlo(mut self, monte_carlo: MonteCarloConfig) -> Self {
         self.monte_carlo = monte_carlo;
@@ -432,7 +433,7 @@ mod tests {
         let heavy = config.with_disturbance(DisturbanceKind::Laplace);
         assert_eq!(heavy.disturbance(), DisturbanceKind::Laplace);
         // The disturbance choice is part of the configuration's identity
-        // (the engine's report cache keys on SimConfig equality).
+        // (it keys the engine's Monte-Carlo stage; no report reads it).
         assert_ne!(
             heavy,
             heavy.clone().with_disturbance(DisturbanceKind::Gaussian)
@@ -447,8 +448,8 @@ mod tests {
             .clone()
             .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
         assert_eq!(defective.defects().nanowire_breakage(), 0.02);
-        // The defect selection is part of the configuration's identity (the
-        // engine's report cache keys on SimConfig equality).
+        // The defect selection is part of the configuration's identity (it
+        // keys the engine's defect-map stage and report cache).
         assert_ne!(config, defective);
     }
 
@@ -461,8 +462,8 @@ mod tests {
             .with_monte_carlo(MonteCarloConfig::fixed(4_096, 7).with_target_half_width(0.05));
         assert_eq!(tuned.monte_carlo().samples, 4_096);
         assert!(tuned.monte_carlo().is_adaptive());
-        // The sampling knobs are part of the configuration's identity (the
-        // engine's report cache keys on SimConfig equality).
+        // The sampling knobs are part of the configuration's identity (they
+        // key the engine's Monte-Carlo stage; no report reads them).
         assert_ne!(config, tuned);
     }
 

@@ -26,14 +26,16 @@
 //!
 //! # Memoization
 //!
-//! The engine carries a sharded, bounded, single-flight LRU
-//! [`ReportCache`] of [`PlatformReport`]s: repeated (kind, radix, length)
-//! points across `yield_sweep`, `bit_area_sweep` and `full_sweep` calls on
-//! the same engine are evaluated once and served from the cache afterwards,
-//! and concurrent identical requests (the serve layer's workload) block on
-//! one in-flight evaluation instead of duplicating it. The cache persists to
-//! a versioned JSON snapshot ([`ExecutionEngine::save_cache`] /
-//! [`ExecutionEngine::load_cache`]) so repeated runs restart warm.
+//! The engine carries one [`StageCache`]: a sharded, bounded, single-flight
+//! LRU slot per pipeline stage, whose `Composite` slot is the engine's one
+//! report memo ([`ReportCache`](crate::ReportCache)). Repeated (kind, radix,
+//! length) points across `yield_sweep`, `bit_area_sweep` and `full_sweep`
+//! calls on the same engine are evaluated once and served from that slot
+//! afterwards, and concurrent identical requests (the serve layer's
+//! workload) block on one in-flight evaluation instead of duplicating it.
+//! The report memo persists to a versioned binary snapshot
+//! ([`ExecutionEngine::save_cache`] / [`ExecutionEngine::load_cache`]) so
+//! repeated runs restart warm.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
@@ -48,7 +50,7 @@ use device_physics::{VariabilityModel, Volts};
 use mspt_fabrication::VariabilityMatrix;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
-use crate::cache::{CacheConfig, CacheStats, ReportCache};
+use crate::cache::{CacheConfig, CacheStats};
 use crate::config::SimConfig;
 use crate::defect::DefectKind;
 use crate::disturbance::{DisturbanceModel, GaussianDisturbance};
@@ -121,7 +123,7 @@ fn default_thread_count() -> usize {
 
 /// The work-sharded execution engine: runs Monte-Carlo estimations and
 /// parameter sweeps across a fixed pool of scoped threads, with a memoized
-/// per-[`SimConfig`] report cache.
+/// stage graph whose `Composite` slot is the report cache.
 ///
 /// # Examples
 ///
@@ -149,7 +151,6 @@ fn default_thread_count() -> usize {
 #[derive(Debug)]
 pub struct ExecutionEngine {
     config: EngineConfig,
-    cache: ReportCache,
     stages: StageCache,
     sampling: SamplingCounters,
 }
@@ -194,10 +195,11 @@ impl ExecutionEngine {
         ExecutionEngine::with_cache(config, CacheConfig::default())
     }
 
-    /// Creates an engine with an explicit report-cache configuration — the
+    /// Creates an engine with an explicit cache configuration — the
     /// constructor behind cache-bound experiments and the serve layer's
-    /// capacity knob. The per-stage memo table ([`ExecutionEngine::stage_cache`])
-    /// shares the same capacity/shard configuration.
+    /// capacity knob. Every slot of the per-stage memo table
+    /// ([`ExecutionEngine::stage_cache`]), the report slot included, uses
+    /// it.
     #[must_use]
     pub fn with_cache(config: EngineConfig, cache: CacheConfig) -> Self {
         ExecutionEngine {
@@ -205,7 +207,6 @@ impl ExecutionEngine {
                 threads: config.threads.max(1),
                 chunk_size: config.chunk_size.max(1),
             },
-            cache: ReportCache::new(cache),
             stages: StageCache::new(cache),
             sampling: SamplingCounters::default(),
         }
@@ -224,23 +225,24 @@ impl ExecutionEngine {
         &self.config
     }
 
-    /// Number of distinct [`SimConfig`]s whose reports are memoized.
+    /// Number of memoized reports — distinct report keys, so
+    /// configurations differing only in fields no report reads count once.
     #[must_use]
     pub fn cached_report_count(&self) -> usize {
-        self.cache.len()
+        self.stages.reports().len()
     }
 
-    /// The cache's hit/miss/eviction counters — what the serve stress gate
-    /// asserts its hit rates on.
+    /// The report slot's hit/miss/eviction counters — what the serve stress
+    /// gate asserts its hit rates on.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.stages.reports().stats()
     }
 
-    /// The (clamped) configuration of the report cache.
+    /// The (clamped) configuration of the report slot.
     #[must_use]
     pub fn cache_config(&self) -> &CacheConfig {
-        self.cache.config()
+        self.stages.reports().config()
     }
 
     /// The engine's per-stage memo table — the stage-graph substrate every
@@ -262,57 +264,54 @@ impl ExecutionEngine {
         self.stages.stats()
     }
 
-    /// Evaluates one configuration through the report cache: a repeated
-    /// configuration is a cache hit, concurrent identical requests
-    /// single-flight onto one evaluation. This is the serve layer's
-    /// per-request entry point.
+    /// Evaluates one configuration through the report cache — one lookup
+    /// of the stage graph's `Composite` slot: a repeated configuration is a
+    /// hit, concurrent identical requests single-flight onto one
+    /// evaluation. This is the serve layer's per-request entry point.
     ///
-    /// A defect-configured evaluation samples its [`DefectMap`] through the
-    /// engine's sharded [`ExecutionEngine::sample_defect_map`] and composes
-    /// it with the decoder yield on the platform — bit-identical to the
-    /// serial [`SimulationPlatform::evaluate`] at any thread count, because
-    /// both assemble the same independently seeded chunks.
-    ///
-    /// A report-cache miss still runs through the engine's
-    /// [`StageCache`]: the defect map and every pipeline stage memoize
-    /// independently, so a configuration that differs from a cached one in
-    /// only some fields (a sweep point) recomputes only the stages whose
-    /// read set changed.
+    /// On a miss the lookup's leader samples the configured [`DefectMap`]
+    /// through the `DefectMap` slot, drawing it with the engine's sharded
+    /// [`ExecutionEngine::sample_defect_map`], and runs the pipeline through
+    /// the inner stage slots, so a configuration that differs from a cached
+    /// one in only some fields (a sweep point) recomputes only the stages
+    /// whose read set changed. The result is bit-identical to the serial
+    /// [`SimulationPlatform::evaluate`] at any thread count, because both
+    /// assemble the same independently seeded chunks.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors (never cached).
     pub fn report_for(&self, config: &SimConfig) -> Result<PlatformReport> {
-        self.cache.get_or_compute(config, || {
+        self.stages.reports().get_or_compute(config, || {
             let platform = SimulationPlatform::new(config.clone());
             let map = self.stages.defect_map(config, || {
                 platform.sample_defect_map_with(|model, rows, columns, seed| {
                     self.sample_defect_map(model, rows, columns, seed)
                 })
             })?;
-            platform.evaluate_with_stage_cache(&self.stages, map.as_ref())
+            platform.staged_report(&self.stages, map.as_ref())
         })
     }
 
-    /// Persists the warm report cache to a versioned JSON snapshot file.
-    /// Returns the number of persisted entries.
+    /// Persists the report memo to a versioned binary snapshot file.
+    /// Returns the number of rows the file holds.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on I/O failure.
     pub fn save_cache(&self, path: &Path) -> Result<usize> {
-        self.cache.save_to_path(path)
+        self.stages.reports().save_to_path(path)
     }
 
-    /// Restores a warm report cache saved by [`ExecutionEngine::save_cache`].
-    /// Returns the number of entries loaded.
+    /// Restores a warm report memo saved by [`ExecutionEngine::save_cache`]
+    /// (or a JSON-era snapshot). Returns the number of entries loaded.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Persistence`] on I/O failure, malformed JSON or a
-    /// mismatched snapshot schema version.
+    /// Returns [`SimError::Persistence`] on I/O failure, a malformed
+    /// snapshot or a mismatched snapshot schema version.
     pub fn load_cache(&self, path: &Path) -> Result<usize> {
-        self.cache.load_from_path(path)
+        self.stages.reports().load_from_path(path)
     }
 
     /// Cumulative Monte-Carlo sampling counters (runs, requested ceiling,

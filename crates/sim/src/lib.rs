@@ -67,9 +67,8 @@ pub use ablation::{
     SensitivityPoint, SensitivitySweep,
 };
 pub use cache::{
-    CacheConfig, CacheStats, ReportCache, SnapshotFormat, CACHE_CAPACITY_ENV, CACHE_FORMAT_ENV,
-    CACHE_MAX_AGE_ENV, CACHE_PATH_ENV, CACHE_SCHEMA_VERSION, DEFAULT_CACHE_CAPACITY,
-    DEFAULT_CACHE_SHARDS,
+    CacheConfig, CacheStats, ReportCache, CACHE_CAPACITY_ENV, CACHE_MAX_AGE_ENV, CACHE_PATH_ENV,
+    CACHE_SCHEMA_VERSION, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
 };
 pub use codec::WireErrorKind;
 pub use config::SimConfig;

@@ -287,13 +287,12 @@ impl SimulationPlatform {
     }
 
     /// [`SimulationPlatform::evaluate_with_defect_map`] through an explicit
-    /// per-stage memo table — the stage-graph entry point the
-    /// [`ExecutionEngine`](crate::ExecutionEngine) routes every cached
-    /// evaluation through. Each pipeline stage (variability, contact layout,
-    /// addressability, cave yield, crossbar area, defect composition) looks
-    /// up its own fingerprint in `stages` first, so a configuration change
-    /// recomputes only the stages whose declared read set it touches (see
-    /// [`Stage::reads`](crate::Stage::reads)).
+    /// per-stage memo table — the stage-graph entry point. The report is one
+    /// lookup of the table's `Composite` slot (the report memo); on a miss,
+    /// each pipeline stage (variability, contact layout, addressability,
+    /// cave yield, crossbar area) looks up its own fingerprint in `stages`
+    /// first, so a configuration change recomputes only the stages whose
+    /// declared read set it touches (see [`Stage::reads`](crate::Stage::reads)).
     ///
     /// With a [`StageCache::disabled`] cache every stage is a leader-path
     /// miss and the evaluation is bit-identical to the pre-stage monolith —
@@ -302,71 +301,82 @@ impl SimulationPlatform {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the map's presence or
-    /// dimensions do not match the configuration (checked **before** any
-    /// memo lookup, so a warm cache never masks a mismatched map), or
+    /// dimensions do not match the configuration (checked **before** the
+    /// report lookup, so a warm cache never masks a mismatched map), or
     /// propagates pipeline errors.
     pub fn evaluate_with_stage_cache(
         &self,
         stages: &StageCache,
         map: Option<&DefectMap>,
     ) -> Result<PlatformReport> {
-        let spec = self.config.crossbar_spec()?;
-        let edge = spec.nanowires_per_layer();
+        let edge = self.config.crossbar_spec()?.nanowires_per_layer();
         check_defect_map(self.config.defects(), map, edge)?;
-        stages.composite(&self.config, || {
-            let code = self.config.code();
-            let staged = self.variability_stage(stages)?;
-            let layout = stages.contact_layout(&self.config, || self.contact_layout())?;
-            let profile = stages.addressability(&self.config, || {
-                Ok(AddressabilityProfile::from_variability(
-                    &staged.variability,
-                    &self.config.variability_model()?,
-                    self.config.decision_window()?,
-                )?)
-            })?;
-            let yield_ =
-                stages.cave_yield(&self.config, || Ok(CaveYield::compute(&profile, &layout)?))?;
-            let area = stages.crossbar_area(&self.config, || {
-                Ok(CrossbarArea::compute(&spec, code.code_length(), &layout)?)
-            })?;
-            let effective_bit_area = area.effective_bit_area(&spec, &yield_)?;
-            let effective_bits = yield_.effective_bits(spec.raw_crosspoints());
+        stages
+            .reports()
+            .get_or_compute(&self.config, || self.staged_report(stages, map))
+    }
 
-            let (defect_survival, composite_yield, composite_effective_bits) =
-                compose_defect_quantities(
-                    self.config.defects(),
-                    map,
-                    edge,
-                    &yield_,
-                    effective_bits,
-                    spec.raw_crosspoints(),
-                )?;
+    /// The report pipeline below the `Composite` slot: every stage looked up
+    /// in `stages`, then composed with `map`. Runs as the report lookup's
+    /// leader, so it never consults the `Composite` slot itself.
+    pub(crate) fn staged_report(
+        &self,
+        stages: &StageCache,
+        map: Option<&DefectMap>,
+    ) -> Result<PlatformReport> {
+        let spec = self.config.crossbar_spec()?;
+        let code = self.config.code();
+        let staged = self.variability_stage(stages)?;
+        let layout = stages.contact_layout(&self.config, || self.contact_layout())?;
+        let profile = stages.addressability(&self.config, || {
+            Ok(AddressabilityProfile::from_variability(
+                &staged.variability,
+                &self.config.variability_model()?,
+                self.config.decision_window()?,
+            )?)
+        })?;
+        let yield_ =
+            stages.cave_yield(&self.config, || Ok(CaveYield::compute(&profile, &layout)?))?;
+        let area = stages.crossbar_area(&self.config, || {
+            Ok(CrossbarArea::compute(&spec, code.code_length(), &layout)?)
+        })?;
+        let effective_bit_area = area.effective_bit_area(&spec, &yield_)?;
+        let effective_bits = yield_.effective_bits(spec.raw_crosspoints());
 
-            Ok(PlatformReport {
-                code,
-                nanowires_per_half_cave: self.config.nanowires_per_half_cave(),
-                fabrication_steps: staged.cost.total(),
-                mean_variability: staged.variability.mean_in_sigma_units(),
-                max_normalized_sigma: staged.variability.normalized_map().max(),
-                cave_yield: yield_.nanowire_yield(),
-                crossbar_yield: yield_.crossbar_yield(),
+        let (defect_survival, composite_yield, composite_effective_bits) =
+            compose_defect_quantities(
+                self.config.defects(),
+                map,
+                spec.nanowires_per_layer(),
+                &yield_,
                 effective_bits,
-                raw_bit_area: area.raw_bit_area(&spec).value(),
-                effective_bit_area: effective_bit_area.value(),
-                contact_groups: layout.group_count(),
-                defects: self.config.defects(),
-                defect_survival,
-                composite_yield,
-                composite_effective_bits,
-            })
+                spec.raw_crosspoints(),
+            )?;
+
+        Ok(PlatformReport {
+            code,
+            nanowires_per_half_cave: self.config.nanowires_per_half_cave(),
+            fabrication_steps: staged.cost.total(),
+            mean_variability: staged.variability.mean_in_sigma_units(),
+            max_normalized_sigma: staged.variability.normalized_map().max(),
+            cave_yield: yield_.nanowire_yield(),
+            crossbar_yield: yield_.crossbar_yield(),
+            effective_bits,
+            raw_bit_area: area.raw_bit_area(&spec).value(),
+            effective_bit_area: effective_bit_area.value(),
+            contact_groups: layout.group_count(),
+            defects: self.config.defects(),
+            defect_survival,
+            composite_yield,
+            composite_effective_bits,
         })
     }
 }
 
 /// Presence and dimension checks of an externally supplied defect map — the
 /// three error cases of [`SimulationPlatform::evaluate_with_defect_map`],
-/// factored out so the staged path rejects a mismatched map *before* any
-/// memo lookup (a composite cache hit must never mask one).
+/// factored out so the staged path rejects a mismatched map *before* the
+/// report lookup (a report hit must never mask one).
 fn check_defect_map(defects: DefectKind, map: Option<&DefectMap>, edge: usize) -> Result<()> {
     match (defects, map) {
         (DefectKind::None, None) => Ok(()),

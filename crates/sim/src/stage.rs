@@ -21,39 +21,42 @@
 //! `MonteCarlo` stage — every other stage is a cache hit, with its own
 //! hit/miss/eviction counters.
 //!
-//! # Fingerprint rules
+//! # Keys by construction
 //!
-//! Every stage has a hand-written `*_stage_key` function that formats
-//! **exactly** the accessors its [`Stage::reads`] entry declares (the
-//! `stage-fingerprint` lint in `mspt-analyze` machine-checks this), and a
-//! fingerprint `key_fingerprint(STAGE_KEY_DOMAIN, stage_index, key)` — the
-//! same FNV-1a + [`chunk_seed`](crossbar_array::chunk_seed) discipline as
-//! the report cache, under its own domain tag so stage keys never collide
-//! with report keys or sampling seeds.
+//! Every [`ConfigField`] has one canonical, self-delimiting byte encoder
+//! (fixed-width little-endian integers, floats as their bits, a leading
+//! tag or presence byte on the variable-width fields), and a stage's key is
+//! its [`Stage::reads`] list folded over those encoders — so a key covers
+//! exactly the declared read set. The binary codec writes its config
+//! sections with the same encoders. A key's fingerprint is FNV-1a
+//! finalized through [`chunk_seed`] under `STAGE_KEY_DOMAIN` at the
+//! stage's index, so stage keys never collide across stages or with any
+//! sampling seed stream.
 //!
-//! [`StageCache`] holds one [`MemoCache`] slot per stage, so every stage
-//! keeps the report cache's per-shard LRU bounds, single-flight semantics
-//! and counters.
+//! [`StageCache`] holds one memo slot per stage, so every stage keeps the
+//! same per-shard LRU bounds, single-flight semantics and counters. The
+//! `Composite` slot is the [`ReportCache`] — the engine's one report memo,
+//! which also owns snapshot persistence.
 
 use crossbar_array::{
-    AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectMap,
+    chunk_seed, AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectMap,
 };
 use mspt_fabrication::{FabricationCost, VariabilityMatrix};
 
-use crate::cache::{key_fingerprint, CacheConfig, CacheStats, MemoCache};
+use crate::bincodec::{self, BinWriter};
+use crate::cache::{CacheConfig, CacheStats, MemoCache, ReportCache};
 use crate::config::SimConfig;
 use crate::error::Result;
 use crate::monte_carlo::{MonteCarloConfig, MonteCarloOutcome};
-use crate::platform::PlatformReport;
 
 /// Domain-separation tag mixed into stage-key fingerprints before the
-/// [`chunk_seed`](crossbar_array::chunk_seed) finalizer. Keeps the stage
-/// memo keys decorrelated from the report-cache key stream and from every
-/// sampling seed domain.
+/// [`chunk_seed`] finalizer. Keeps the stage memo keys decorrelated from
+/// every sampling seed domain.
 const STAGE_KEY_DOMAIN: u64 = 0x57a6_e1fd_9b3c_5a21;
 
 /// The [`SimConfig`] fields a stage can declare in its read set — one
-/// variant per public accessor that is part of a configuration's identity.
+/// variant per public accessor that is part of a configuration's identity,
+/// each with one canonical byte encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfigField {
     /// [`SimConfig::code`].
@@ -100,24 +103,55 @@ impl ConfigField {
         ConfigField::MonteCarlo,
     ];
 
-    /// The name of the [`SimConfig`] accessor the field corresponds to —
-    /// the method name the `stage-fingerprint` lint matches key functions
-    /// against.
-    #[must_use]
-    pub fn accessor(self) -> &'static str {
+    /// Appends the field's canonical encoding for `config` — the one byte
+    /// layout every identity is built from: stage keys (and through the
+    /// `Composite` key, the report key) and the binary config document's
+    /// sections. Fixed-width fields are little-endian with floats as their
+    /// bits; the window override, disturbance, defects and the optional
+    /// Monte-Carlo knobs carry a leading tag or presence byte, so every
+    /// encoding is self-delimiting and concatenating any fixed list of
+    /// fields is injective.
+    pub(crate) fn encode(self, config: &SimConfig, out: &mut BinWriter) {
         match self {
-            ConfigField::Code => "code",
-            ConfigField::NanowiresPerHalfCave => "nanowires_per_half_cave",
-            ConfigField::RawBits => "raw_bits",
-            ConfigField::Layout => "layout",
-            ConfigField::ThresholdModel => "threshold_model",
-            ConfigField::SigmaPerDose => "sigma_per_dose",
-            ConfigField::SupplyRange => "supply_range",
-            ConfigField::WindowOverride => "window_override",
-            ConfigField::CodeBudgets => "code_budgets",
-            ConfigField::Disturbance => "disturbance",
-            ConfigField::Defects => "defects",
-            ConfigField::MonteCarlo => "monte_carlo",
+            ConfigField::Code => bincodec::put_code_spec(out, config.code()),
+            ConfigField::NanowiresPerHalfCave => out.put_usize(config.nanowires_per_half_cave()),
+            ConfigField::RawBits => out.put_u64(config.raw_bits()),
+            ConfigField::Layout => {
+                let layout = config.layout();
+                out.put_f64(layout.litho_pitch().value());
+                out.put_f64(layout.nanowire_pitch().value());
+                out.put_f64(layout.min_contact_width_factor());
+                out.put_f64(layout.contact_alignment_tolerance().value());
+            }
+            ConfigField::ThresholdModel => {
+                let threshold = config.threshold_model();
+                out.put_f64(threshold.oxide_thickness().value());
+                out.put_f64(threshold.flat_band_voltage().value());
+            }
+            ConfigField::SigmaPerDose => out.put_f64(config.sigma_per_dose().value()),
+            ConfigField::SupplyRange => {
+                let (low, high) = config.supply_range();
+                out.put_f64(low.value());
+                out.put_f64(high.value());
+            }
+            ConfigField::WindowOverride => match config.window_override() {
+                Some(window) => {
+                    out.put_u8(1);
+                    out.put_f64(window.value());
+                }
+                None => out.put_u8(0),
+            },
+            ConfigField::CodeBudgets => {
+                let budgets = config.code_budgets();
+                out.put_u64(budgets.balance.max_nodes_per_limit);
+                out.put_usize(budgets.balance.max_limit_slack);
+                out.put_u64(budgets.arranged_hot.max_nodes);
+                out.put_u64(budgets.arranged_hot.fallback.max_nodes);
+                out.put_u32(budgets.arranged_hot.fallback.max_two_opt_sweeps);
+            }
+            ConfigField::Disturbance => bincodec::put_disturbance(out, config.disturbance()),
+            ConfigField::Defects => bincodec::put_defects(out, config.defects()),
+            ConfigField::MonteCarlo => bincodec::put_monte_carlo(out, config.monte_carlo()),
         }
     }
 }
@@ -141,11 +175,13 @@ pub enum Stage {
     /// The sampled fabrication-defect map (`None` for a defect-free
     /// configuration).
     DefectMap,
-    /// The fully composed [`PlatformReport`] — everything the report
-    /// carries except Monte-Carlo results.
+    /// The fully composed [`PlatformReport`](crate::PlatformReport) —
+    /// everything the report carries except Monte-Carlo results. Its slot
+    /// is the [`ReportCache`].
     Composite,
     /// The Monte-Carlo addressability estimation under the configured
-    /// disturbance (keyed additionally by samples, seed and chunk size).
+    /// disturbance (keyed additionally by the explicit sampling
+    /// configuration and the chunk size).
     MonteCarlo,
 }
 
@@ -200,8 +236,8 @@ impl Stage {
     }
 
     /// The [`SimConfig`] fields the stage (transitively) reads — exactly
-    /// the fields its `*_stage_key` function formats, so a configuration
-    /// change re-runs the stage iff it touches one of these.
+    /// the fields its [`Stage::key`] encodes, so a configuration change
+    /// re-runs the stage iff it touches one of these.
     #[must_use]
     pub fn reads(self) -> &'static [ConfigField] {
         match self {
@@ -276,7 +312,7 @@ impl Stage {
     }
 
     /// The position of the stage in [`Stage::ALL`] — the fingerprint stream
-    /// index, so two stages with an identical key string still fingerprint
+    /// index, so two stages with identical key bytes still fingerprint
     /// differently.
     fn index(self) -> u64 {
         Stage::ALL
@@ -286,136 +322,28 @@ impl Stage {
     }
 
     /// The canonical memo key of the stage for a configuration: the
-    /// stage's `*_stage_key` rendering of exactly its declared read set.
+    /// [`Stage::reads`] fields' encodings, concatenated in `reads()` order.
     /// ([`Stage::MonteCarlo`] keys carry additional sampling parameters —
-    /// see [`StageCache`]'s Monte-Carlo slot — appended by the cache, not
-    /// by the key function.)
+    /// see [`StageCache`]'s Monte-Carlo slot — appended by the cache.)
     #[must_use]
-    pub fn key(self, config: &SimConfig) -> String {
-        match self {
-            Stage::Variability => variability_stage_key(config),
-            Stage::Addressability => addressability_stage_key(config),
-            Stage::ContactLayout => contact_layout_stage_key(config),
-            Stage::CaveYield => cave_yield_stage_key(config),
-            Stage::CrossbarArea => crossbar_area_stage_key(config),
-            Stage::DefectMap => defect_map_stage_key(config),
-            Stage::Composite => composite_stage_key(config),
-            Stage::MonteCarlo => monte_carlo_stage_key(config),
+    pub fn key(self, config: &SimConfig) -> Vec<u8> {
+        let mut key = BinWriter::new();
+        for &field in self.reads() {
+            field.encode(config, &mut key);
         }
+        key.into_bytes()
     }
 
-    /// The memo fingerprint of a canonical stage key: FNV-1a over the key,
+    /// The memo fingerprint of a stage key: FNV-1a over the key bytes,
     /// finalized through the workspace-wide `chunk_seed` under
     /// `STAGE_KEY_DOMAIN` at the stage's index.
     #[must_use]
-    pub fn fingerprint(self, key: &str) -> u64 {
-        key_fingerprint(STAGE_KEY_DOMAIN, self.index(), key)
+    pub fn fingerprint(self, key: &[u8]) -> u64 {
+        let hash = key.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+        });
+        chunk_seed(hash ^ STAGE_KEY_DOMAIN, self.index())
     }
-}
-
-// The `*_stage_key` functions below are the machine-checked half of the
-// stage graph: each formats exactly the accessors its `Stage::reads` entry
-// declares, via `Debug` (injective for every field type — f64 renders
-// shortest-roundtrip). The `stage-fingerprint` lint in mspt-analyze keeps
-// the calls and the declared read sets from drifting apart.
-
-pub(crate) fn variability_stage_key(config: &SimConfig) -> String {
-    format!(
-        "variability;code={:?};nanowires={:?};threshold={:?};sigma={:?};supply={:?};budgets={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.code_budgets(),
-    )
-}
-
-pub(crate) fn addressability_stage_key(config: &SimConfig) -> String {
-    format!(
-        "addressability;code={:?};nanowires={:?};threshold={:?};sigma={:?};supply={:?};budgets={:?};window={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.code_budgets(),
-        config.window_override(),
-    )
-}
-
-pub(crate) fn contact_layout_stage_key(config: &SimConfig) -> String {
-    format!(
-        "contact-layout;code={:?};nanowires={:?};layout={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.layout(),
-    )
-}
-
-pub(crate) fn cave_yield_stage_key(config: &SimConfig) -> String {
-    format!(
-        "cave-yield;code={:?};nanowires={:?};layout={:?};threshold={:?};sigma={:?};supply={:?};budgets={:?};window={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.layout(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.code_budgets(),
-        config.window_override(),
-    )
-}
-
-pub(crate) fn crossbar_area_stage_key(config: &SimConfig) -> String {
-    format!(
-        "crossbar-area;code={:?};nanowires={:?};raw={:?};layout={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.raw_bits(),
-        config.layout(),
-    )
-}
-
-pub(crate) fn defect_map_stage_key(config: &SimConfig) -> String {
-    format!(
-        "defect-map;nanowires={:?};raw={:?};layout={:?};defects={:?}",
-        config.nanowires_per_half_cave(),
-        config.raw_bits(),
-        config.layout(),
-        config.defects(),
-    )
-}
-
-pub(crate) fn composite_stage_key(config: &SimConfig) -> String {
-    format!(
-        "composite;code={:?};nanowires={:?};raw={:?};layout={:?};threshold={:?};sigma={:?};supply={:?};window={:?};budgets={:?};defects={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.raw_bits(),
-        config.layout(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.window_override(),
-        config.code_budgets(),
-        config.defects(),
-    )
-}
-
-pub(crate) fn monte_carlo_stage_key(config: &SimConfig) -> String {
-    format!(
-        "monte-carlo;code={:?};nanowires={:?};threshold={:?};sigma={:?};supply={:?};budgets={:?};window={:?};disturbance={:?};mc={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.code_budgets(),
-        config.window_override(),
-        config.disturbance(),
-        config.monte_carlo(),
-    )
 }
 
 /// The memoized product of the [`Stage::Variability`] stage: the
@@ -440,10 +368,10 @@ pub struct StageStats {
 }
 
 /// The per-stage memo table of the evaluation pipeline: one
-/// `MemoCache` slot per [`Stage`], each with the report cache's
-/// fingerprint sharding, bounded LRU, single-flight semantics and
-/// hit/miss/eviction counters — the generalisation of
-/// [`ReportCache`](crate::ReportCache) the stage graph runs on.
+/// `MemoCache` slot per [`Stage`], each with fingerprint sharding, bounded
+/// LRU, single-flight semantics and hit/miss/eviction counters. The
+/// `Composite` slot is a [`ReportCache`]: the one report memo, which also
+/// persists snapshots.
 ///
 /// The [`ExecutionEngine`](crate::ExecutionEngine) owns one; the serial
 /// entry points route through a [`StageCache::disabled`] instance, so
@@ -457,7 +385,7 @@ pub struct StageCache {
     cave_yield: MemoCache<CaveYield>,
     crossbar_area: MemoCache<CrossbarArea>,
     defect_map: MemoCache<Option<DefectMap>>,
-    composite: MemoCache<PlatformReport>,
+    composite: ReportCache,
     monte_carlo: MemoCache<MonteCarloOutcome>,
 }
 
@@ -467,10 +395,20 @@ impl Default for StageCache {
     }
 }
 
+/// One stage-slot lookup: the stage's key for `config`, its fingerprint,
+/// and the slot's single-flight get-or-compute.
+fn keyed<V, F>(slot: &MemoCache<V>, stage: Stage, config: &SimConfig, compute: F) -> Result<V>
+where
+    V: Clone,
+    F: FnOnce() -> Result<V>,
+{
+    let key = stage.key(config);
+    slot.get_or_compute(stage.fingerprint(&key), &key, compute)
+}
+
 impl StageCache {
     /// Creates a stage cache where every stage's memo slot uses `config`
-    /// (the same clamping rules as [`ReportCache`](crate::ReportCache):
-    /// shards clamped to `1..=capacity`, capacity `0` disables storage).
+    /// (shards clamped to `1..=capacity`, capacity `0` disables storage).
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         StageCache {
@@ -480,7 +418,7 @@ impl StageCache {
             cave_yield: MemoCache::new(config),
             crossbar_area: MemoCache::new(config),
             defect_map: MemoCache::new(config),
-            composite: MemoCache::new(config),
+            composite: ReportCache::new(config),
             monte_carlo: MemoCache::new(config),
         }
     }
@@ -532,13 +470,17 @@ impl StageCache {
         self.len() == 0
     }
 
+    /// The `Composite` slot: the report memo, keyed by
+    /// [`Stage::Composite`]'s key.
+    pub(crate) fn reports(&self) -> &ReportCache {
+        &self.composite
+    }
+
     pub(crate) fn variability<F>(&self, config: &SimConfig, compute: F) -> Result<VariabilityStage>
     where
         F: FnOnce() -> Result<VariabilityStage>,
     {
-        let key = variability_stage_key(config);
-        self.variability
-            .get_or_compute(Stage::Variability.fingerprint(&key), &key, compute)
+        keyed(&self.variability, Stage::Variability, config, compute)
     }
 
     pub(crate) fn addressability<F>(
@@ -549,9 +491,7 @@ impl StageCache {
     where
         F: FnOnce() -> Result<AddressabilityProfile>,
     {
-        let key = addressability_stage_key(config);
-        self.addressability
-            .get_or_compute(Stage::Addressability.fingerprint(&key), &key, compute)
+        keyed(&self.addressability, Stage::Addressability, config, compute)
     }
 
     pub(crate) fn contact_layout<F>(
@@ -562,52 +502,35 @@ impl StageCache {
     where
         F: FnOnce() -> Result<ContactGroupLayout>,
     {
-        let key = contact_layout_stage_key(config);
-        self.contact_layout
-            .get_or_compute(Stage::ContactLayout.fingerprint(&key), &key, compute)
+        keyed(&self.contact_layout, Stage::ContactLayout, config, compute)
     }
 
     pub(crate) fn cave_yield<F>(&self, config: &SimConfig, compute: F) -> Result<CaveYield>
     where
         F: FnOnce() -> Result<CaveYield>,
     {
-        let key = cave_yield_stage_key(config);
-        self.cave_yield
-            .get_or_compute(Stage::CaveYield.fingerprint(&key), &key, compute)
+        keyed(&self.cave_yield, Stage::CaveYield, config, compute)
     }
 
     pub(crate) fn crossbar_area<F>(&self, config: &SimConfig, compute: F) -> Result<CrossbarArea>
     where
         F: FnOnce() -> Result<CrossbarArea>,
     {
-        let key = crossbar_area_stage_key(config);
-        self.crossbar_area
-            .get_or_compute(Stage::CrossbarArea.fingerprint(&key), &key, compute)
+        keyed(&self.crossbar_area, Stage::CrossbarArea, config, compute)
     }
 
     pub(crate) fn defect_map<F>(&self, config: &SimConfig, compute: F) -> Result<Option<DefectMap>>
     where
         F: FnOnce() -> Result<Option<DefectMap>>,
     {
-        let key = defect_map_stage_key(config);
-        self.defect_map
-            .get_or_compute(Stage::DefectMap.fingerprint(&key), &key, compute)
+        keyed(&self.defect_map, Stage::DefectMap, config, compute)
     }
 
-    pub(crate) fn composite<F>(&self, config: &SimConfig, compute: F) -> Result<PlatformReport>
-    where
-        F: FnOnce() -> Result<PlatformReport>,
-    {
-        let key = composite_stage_key(config);
-        self.composite
-            .get_or_compute(Stage::Composite.fingerprint(&key), &key, compute)
-    }
-
-    /// The Monte-Carlo slot keys on the stage key **plus** the sampling
-    /// parameters that are part of an outcome's identity: sample count,
-    /// run seed, the adaptive-stopping knobs (target half-width,
-    /// confidence, sample cap), and the engine chunk size (outcomes are
-    /// bit-identical across thread counts but depend on the chunk size).
+    /// The Monte-Carlo slot keys on the stage key **plus** the explicit
+    /// sampling configuration (sample count, run seed and the
+    /// adaptive-stopping knobs, through the `MonteCarlo` field encoder) and
+    /// the engine chunk size (outcomes are bit-identical across thread
+    /// counts but depend on the chunk size).
     pub(crate) fn monte_carlo<F>(
         &self,
         config: &SimConfig,
@@ -618,16 +541,11 @@ impl StageCache {
     where
         F: FnOnce() -> Result<MonteCarloOutcome>,
     {
-        let key = format!(
-            "{};samples={};seed={};chunk={};target={:?};confidence={:?};max={:?}",
-            monte_carlo_stage_key(config),
-            mc.samples,
-            mc.seed,
-            chunk_size,
-            mc.target_half_width,
-            mc.confidence,
-            mc.max_samples,
-        );
+        let mut key = BinWriter::new();
+        key.put_bytes(&Stage::MonteCarlo.key(config));
+        bincodec::put_monte_carlo(&mut key, mc);
+        key.put_usize(chunk_size);
+        let key = key.into_bytes();
         self.monte_carlo
             .get_or_compute(Stage::MonteCarlo.fingerprint(&key), &key, compute)
     }
@@ -745,8 +663,8 @@ mod tests {
     #[test]
     fn stage_fingerprints_are_domain_and_index_separated() {
         let config = base();
-        // Identical key strings under different stages never collide.
-        let key = "same-key";
+        // Identical key bytes under different stages never collide.
+        let key = b"same-key";
         let mut fingerprints: Vec<u64> = Stage::ALL
             .iter()
             .map(|stage| stage.fingerprint(key))
@@ -754,12 +672,10 @@ mod tests {
         fingerprints.sort_unstable();
         fingerprints.dedup();
         assert_eq!(fingerprints.len(), Stage::ALL.len());
-        // And a stage fingerprint never equals the report-cache fingerprint
-        // of the same configuration (different domain tags).
-        let report = crate::cache::ReportCache::fingerprint(&config);
-        for stage in Stage::ALL {
-            assert_ne!(stage.fingerprint(&stage.key(&config)), report);
-        }
+        // The report fingerprint *is* the composite stage's: one report
+        // memo, one identity.
+        let composite = Stage::Composite.fingerprint(&Stage::Composite.key(&config));
+        assert_eq!(crate::cache::ReportCache::fingerprint(&config), composite);
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! binary bytes, same float bits — and the cache fingerprint of a
 //! configuration must be invariant under which codec carried it.
 //!
-//! The generators stay inside each constructor's validation envelope
-//! (positive pitches, nanowire pitch ≤ litho pitch, defect rates in
-//! `[0, 1]`, family-legal code lengths) so every generated value is one a
-//! real process could hold; within that envelope the floats are arbitrary
-//! finite values, negative zero and subnormals included.
+//! The configuration generators live in `common` (shared with the
+//! stage-key battery); the report generator here draws arbitrary finite
+//! floats, negative zero and subnormals included.
+
+mod common;
 
 use proptest::prelude::*;
 
-use crossbar_array::LayoutRules;
+use common::{code_spec_strategy, config_strategy, defect_strategy, disturbance_strategy};
 use decoder_sim::bincodec::{
     code_spec_from_bin, code_spec_to_bin, config_from_bin, config_to_bin, defect_from_bin,
     defect_to_bin, disturbance_from_bin, disturbance_to_bin, report_from_bin, report_to_bin,
@@ -23,13 +23,7 @@ use decoder_sim::codec::{
     defect_to_json, disturbance_from_json, disturbance_to_json, report_from_json, report_to_json,
     wire_error_kind_from_json, wire_error_kind_to_json, JsonValue,
 };
-use decoder_sim::{
-    DefectKind, DisturbanceKind, PlatformReport, ReportCache, SimConfig, WireErrorKind,
-};
-use device_physics::{Nanometers, ThresholdModel, Volts};
-use nanowire_codes::{
-    ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
-};
+use decoder_sim::{PlatformReport, ReportCache, SimConfig, WireErrorKind};
 
 /// Arbitrary finite floats across the full bit domain — negative zero and
 /// subnormals included. Non-finite draws (all-ones exponents) collapse to
@@ -44,129 +38,6 @@ fn finite_f64() -> impl Strategy<Value = f64> {
             0.0
         }
     })
-}
-
-fn code_spec_strategy() -> impl Strategy<Value = CodeSpec> {
-    (0usize..CodeKind::ALL.len(), 2u8..=4, 1usize..5).prop_map(|(kind_index, radix, blocks)| {
-        let kind = CodeKind::ALL[kind_index];
-        let radix = LogicLevel::new(radix).unwrap();
-        // Tree-family lengths must be even; hot-family lengths must be a
-        // multiple of the radix.
-        let length = if kind.is_tree_family() {
-            2 * blocks
-        } else {
-            usize::from(radix.radix()) * blocks
-        };
-        CodeSpec::new(kind, radix, length).unwrap()
-    })
-}
-
-fn disturbance_strategy() -> impl Strategy<Value = DisturbanceKind> {
-    prop_oneof![
-        Just(DisturbanceKind::Gaussian),
-        Just(DisturbanceKind::Laplace),
-        (0.0f64..1.0).prop_map(|shared_fraction| DisturbanceKind::Correlated { shared_fraction }),
-    ]
-}
-
-fn defect_strategy() -> impl Strategy<Value = DefectKind> {
-    prop_oneof![
-        Just(DefectKind::None),
-        (0.0f64..0.5, 0.0f64..0.5, any::<u64>()).prop_map(|(breakage, crosspoint, seed)| {
-            DefectKind::sampled(breakage, crosspoint, seed).unwrap()
-        }),
-    ]
-}
-
-fn layout_strategy() -> impl Strategy<Value = LayoutRules> {
-    (10.0f64..100.0, 0.1f64..1.0, 1.0f64..3.0, 0.0f64..10.0).prop_map(
-        |(litho, nanowire_fraction, width_factor, tolerance)| {
-            // The nanowire pitch may not exceed the litho pitch.
-            LayoutRules::new(
-                Nanometers::new(litho),
-                Nanometers::new(litho * nanowire_fraction),
-                width_factor,
-                Nanometers::new(tolerance),
-            )
-            .unwrap()
-        },
-    )
-}
-
-fn threshold_strategy() -> impl Strategy<Value = ThresholdModel> {
-    (0.5f64..10.0, -1.0f64..1.0).prop_map(|(oxide, flat_band)| {
-        ThresholdModel::new(Nanometers::new(oxide), Volts::new(flat_band)).unwrap()
-    })
-}
-
-fn budgets_strategy() -> impl Strategy<Value = CodeBudgets> {
-    (
-        (1u64..1_000_000, 0usize..16),
-        (1u64..1_000_000, 1u64..1_000_000, 0u32..64),
-    )
-        .prop_map(
-            |((balance_nodes, balance_slack), (arranged_nodes, fallback_nodes, sweeps))| {
-                CodeBudgets {
-                    balance: BalanceBudget {
-                        max_nodes_per_limit: balance_nodes,
-                        max_limit_slack: balance_slack,
-                    },
-                    arranged_hot: ArrangedHotBudget {
-                        max_nodes: arranged_nodes,
-                        fallback: SearchBudget {
-                            max_nodes: fallback_nodes,
-                            max_two_opt_sweeps: sweeps,
-                        },
-                    },
-                }
-            },
-        )
-}
-
-fn window_strategy() -> impl Strategy<Value = Option<Volts>> {
-    prop_oneof![
-        Just(None),
-        (0.01f64..1.0).prop_map(|window| Some(Volts::new(window))),
-    ]
-}
-
-fn config_strategy() -> impl Strategy<Value = SimConfig> {
-    (
-        (code_spec_strategy(), 1usize..64, 1u64..(1 << 40)),
-        (layout_strategy(), threshold_strategy(), 0.0f64..0.2),
-        (-0.5f64..0.5, 0.1f64..2.0, window_strategy()),
-        (
-            budgets_strategy(),
-            disturbance_strategy(),
-            defect_strategy(),
-        ),
-    )
-        .prop_map(
-            |(
-                (code, nanowires, raw_bits),
-                (layout, threshold, sigma),
-                (supply_low, supply_span, window),
-                (budgets, disturbance, defects),
-            )| {
-                let mut config = SimConfig::new(
-                    code,
-                    nanowires,
-                    raw_bits,
-                    layout,
-                    threshold,
-                    Volts::new(sigma),
-                    (Volts::new(supply_low), Volts::new(supply_low + supply_span)),
-                )
-                .unwrap()
-                .with_code_budgets(budgets)
-                .with_disturbance(disturbance)
-                .with_defects(defects);
-                if let Some(window) = window {
-                    config = config.with_window(window);
-                }
-                config
-            },
-        )
 }
 
 fn report_strategy() -> impl Strategy<Value = PlatformReport> {

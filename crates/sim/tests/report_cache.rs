@@ -1,7 +1,8 @@
 //! Edge-case coverage for the sharded, bounded, single-flight report cache:
 //! degenerate capacities, LRU eviction order under interleaved hits,
 //! single-flight under contention, persistence round-trips and schema
-//! versioning (in both snapshot codecs), and disturbance-kind keying.
+//! versioning (in both snapshot codecs), and report keying (a disturbance
+//! variant shares its report entry; a window variant does not).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -11,6 +12,7 @@ use std::time::Duration;
 use decoder_sim::{
     CacheConfig, DisturbanceKind, ReportCache, SimConfig, SimulationPlatform, CACHE_SCHEMA_VERSION,
 };
+use device_physics::Volts;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn config(kind: CodeKind, length: usize) -> SimConfig {
@@ -164,18 +166,22 @@ fn persistence_round_trips_bit_identically() {
     let cache = ReportCache::new(CacheConfig::default());
     let gaussian = config(CodeKind::Tree, 8);
     let laplace = config(CodeKind::Tree, 8).with_disturbance(DisturbanceKind::Laplace);
+    let windowed = config(CodeKind::Tree, 8).with_window(Volts::new(0.2));
     let gray = config(CodeKind::Gray, 10);
-    for entry in [&gaussian, &laplace, &gray] {
+    for entry in [&gaussian, &laplace, &windowed, &gray] {
         cache.get_or_compute(entry, || evaluate(entry)).unwrap();
     }
+    // No report stage reads the disturbance kind: the Laplace variant
+    // shared the Gaussian entry (one miss, identical report), while the
+    // window variant — a field the report reads — is an entry of its own.
+    assert_eq!(cache.len(), 3);
+    assert_eq!(cache.stats().misses, 3);
     let snapshot = cache.snapshot_json();
 
     let restored = ReportCache::new(CacheConfig::default());
     assert_eq!(restored.load_snapshot(&snapshot).unwrap(), 3);
-    // Same-config/different-disturbance entries never alias: all three
-    // survive the round trip as distinct entries.
     assert_eq!(restored.len(), 3);
-    for entry in [&gaussian, &laplace, &gray] {
+    for entry in [&gaussian, &laplace, &windowed, &gray] {
         assert!(restored.contains(entry));
         let original = cache
             .get_or_compute(entry, || unreachable!("warm"))
@@ -184,6 +190,7 @@ fn persistence_round_trips_bit_identically() {
             .get_or_compute(entry, || unreachable!("warm"))
             .unwrap();
         assert_eq!(reloaded, original);
+        assert_eq!(reloaded, evaluate(entry).unwrap());
         assert_eq!(
             reloaded.crossbar_yield.to_bits(),
             original.crossbar_yield.to_bits()
@@ -199,10 +206,13 @@ fn binary_snapshots_round_trip_and_agree_with_json() {
     let cache = ReportCache::new(CacheConfig::default());
     let gaussian = config(CodeKind::Tree, 8);
     let laplace = config(CodeKind::Tree, 8).with_disturbance(DisturbanceKind::Laplace);
+    let windowed = config(CodeKind::Tree, 8).with_window(Volts::new(0.2));
     let gray = config(CodeKind::Gray, 10);
-    for entry in [&gaussian, &laplace, &gray] {
+    for entry in [&gaussian, &laplace, &windowed, &gray] {
         cache.get_or_compute(entry, || evaluate(entry)).unwrap();
     }
+    // The disturbance variant shares one entry; the window variant does not.
+    assert_eq!((cache.len(), cache.stats().misses), (3, 3));
 
     let restored_bin = ReportCache::new(CacheConfig::default());
     assert_eq!(
@@ -220,7 +230,7 @@ fn binary_snapshots_round_trip_and_agree_with_json() {
     // Whichever codec carried the rows, the restored caches are
     // indistinguishable: same canonical JSON snapshot, bit for bit.
     assert_eq!(restored_bin.snapshot_json(), restored_json.snapshot_json());
-    for entry in [&gaussian, &laplace, &gray] {
+    for entry in [&gaussian, &laplace, &windowed, &gray] {
         let original = cache
             .get_or_compute(entry, || unreachable!("warm"))
             .unwrap();
@@ -238,15 +248,15 @@ fn binary_snapshots_round_trip_and_agree_with_json() {
 #[test]
 fn binary_snapshots_are_at_least_40_percent_smaller_at_64_entries() {
     // One evaluated report re-keyed under 64 distinct configurations (the
-    // correlated shared fraction is part of the cache identity), so the
-    // size comparison does not need 64 evaluations.
+    // window override is a field every report reads, so each one is its own
+    // entry), so the size comparison does not need 64 evaluations.
     let cache = ReportCache::new(CacheConfig::unsharded(64));
     let base = config(CodeKind::Tree, 8);
     let report = evaluate(&base).unwrap();
     for index in 0..64u32 {
-        let entry = base.clone().with_disturbance(DisturbanceKind::Correlated {
-            shared_fraction: f64::from(index) / 128.0,
-        });
+        let entry = base
+            .clone()
+            .with_window(Volts::new(0.1 + f64::from(index) / 256.0));
         cache.get_or_compute(&entry, || Ok(report.clone())).unwrap();
     }
     assert_eq!(cache.len(), 64);

@@ -121,9 +121,9 @@ fn expected_delta(stage: Stage, field: ConfigField) -> (u64, u64) {
     let composite_missed = reads(Stage::Composite, field);
     let monte_carlo_missed = reads(Stage::MonteCarlo, field);
     match stage {
-        // Consulted once per evaluation (the defect-map slot before the
-        // composite lookup, Monte-Carlo in its own pass).
-        Stage::DefectMap | Stage::Composite | Stage::MonteCarlo => (1 - miss, miss),
+        // Consulted once per evaluation: the report is one composite lookup,
+        // Monte-Carlo runs in its own pass.
+        Stage::Composite | Stage::MonteCarlo => (1 - miss, miss),
         // The variability slot is consulted by the composite closure (when
         // the composite missed) and again by the Monte-Carlo closure (when
         // the sampling stage missed); the second lookup always hits because
@@ -133,9 +133,13 @@ fn expected_delta(stage: Stage, field: ConfigField) -> (u64, u64) {
             let mc_lookups = u64::from(monte_carlo_missed);
             (report_lookups + mc_lookups - miss, miss)
         }
-        // The remaining pipeline stages are consulted only while the
-        // composite closure runs.
-        Stage::Addressability | Stage::ContactLayout | Stage::CaveYield | Stage::CrossbarArea => {
+        // The remaining pipeline stages — the defect-map slot included —
+        // are consulted only while the composite closure runs.
+        Stage::Addressability
+        | Stage::ContactLayout
+        | Stage::CaveYield
+        | Stage::CrossbarArea
+        | Stage::DefectMap => {
             if composite_missed {
                 (1 - miss, miss)
             } else {
