@@ -4,7 +4,10 @@
 //! wall-clock changes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use decoder_sim::{EngineConfig, ExecutionEngine, MonteCarloConfig, SimConfig, DEFAULT_CHUNK_SIZE};
+use decoder_sim::{
+    EngineConfig, ExecutionEngine, GaussianDisturbance, MonteCarloConfig, SimConfig,
+    DEFAULT_CHUNK_SIZE,
+};
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn engine(threads: usize) -> ExecutionEngine {
@@ -29,11 +32,12 @@ fn bench_engine(c: &mut Criterion) {
         group.bench_function(format!("{threads}_threads"), |b| {
             b.iter(|| {
                 engine
-                    .monte_carlo_addressability(
+                    .monte_carlo_with_disturbance(
                         &variability,
                         &model,
                         window,
                         MonteCarloConfig::fixed(8_000, 17),
+                        &GaussianDisturbance,
                     )
                     .expect("monte carlo outcome")
             })

@@ -1,8 +1,9 @@
 //! Bench for Fig. 5: regenerating the fabrication-complexity sweep (tree vs
-//! Gray codes, binary/ternary/quaternary logic, N = 10).
+//! Gray codes, binary/ternary/quaternary logic, N = 10) on a fresh serial
+//! engine per iteration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use decoder_sim::complexity_sweep;
+use decoder_sim::ExecutionEngine;
 use mspt_bench::bench_base_config;
 use nanowire_codes::{CodeKind, LogicLevel};
 
@@ -13,18 +14,19 @@ fn bench_fig5(c: &mut Criterion) {
 
     group.bench_function("tc_gc_binary_to_quaternary_n10", |b| {
         b.iter(|| {
-            complexity_sweep(
-                &base,
-                &[CodeKind::Tree, CodeKind::Gray],
-                &[
-                    LogicLevel::BINARY,
-                    LogicLevel::TERNARY,
-                    LogicLevel::QUATERNARY,
-                ],
-                8,
-                10,
-            )
-            .expect("fig5 sweep")
+            ExecutionEngine::serial()
+                .complexity_sweep(
+                    &base,
+                    &[CodeKind::Tree, CodeKind::Gray],
+                    &[
+                        LogicLevel::BINARY,
+                        LogicLevel::TERNARY,
+                        LogicLevel::QUATERNARY,
+                    ],
+                    8,
+                    10,
+                )
+                .expect("fig5 sweep")
         })
     });
 
@@ -35,7 +37,9 @@ fn bench_fig5(c: &mut Criterion) {
     ] {
         group.bench_function(format!("single_point_gc_{radix}"), |b| {
             b.iter(|| {
-                complexity_sweep(&base, &[CodeKind::Gray], &[radix], 8, 10).expect("fig5 point")
+                ExecutionEngine::serial()
+                    .complexity_sweep(&base, &[CodeKind::Gray], &[radix], 8, 10)
+                    .expect("fig5 point")
             })
         });
     }

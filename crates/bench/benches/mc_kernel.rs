@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use decoder_sim::{
-    DisturbanceModel, EngineConfig, ExecutionEngine, GaussianDisturbance, MonteCarloConfig,
-    NormalSource, SimConfig, SimulationPlatform, DEFAULT_CHUNK_SIZE,
+    DisturbanceModel, ExecutionEngine, GaussianDisturbance, MonteCarloConfig, NormalSource,
+    SimConfig, SimulationPlatform,
 };
 use device_physics::Volts;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -64,13 +64,6 @@ fn tight_window_config() -> SimConfig {
         .with_window(Volts::new(0.1))
 }
 
-fn engine() -> ExecutionEngine {
-    ExecutionEngine::new(EngineConfig {
-        threads: 1,
-        chunk_size: DEFAULT_CHUNK_SIZE,
-    })
-}
-
 const FIXED_SAMPLES: usize = 20_000;
 const KERNEL_SAMPLES: usize = 8_000;
 const TARGET_HALF_WIDTH: f64 = 0.05;
@@ -105,7 +98,7 @@ fn allocations_per_call(
 
 fn bench_mc_kernel(c: &mut Criterion) {
     let config = tight_window_config();
-    let engine = engine();
+    let engine = ExecutionEngine::serial();
     let platform = SimulationPlatform::new(config.clone());
     let variability = platform.variability().expect("variability");
     let model = config.variability_model().expect("model");
@@ -157,7 +150,7 @@ fn bench_mc_kernel(c: &mut Criterion) {
 
     // The uniform-window kernel vs the Box–Muller row loop, same fixed
     // budget, no stage cache in the way: both go straight through
-    // `monte_carlo_with_disturbance`.
+    // `ExecutionEngine::monte_carlo_with_disturbance`.
     group.bench_function("uniform_window_8k", |b| {
         b.iter(|| {
             engine

@@ -1,9 +1,12 @@
 //! Ablation bench: analytic (closed-form Gaussian) vs Monte-Carlo yield
-//! estimation for the same decoder design.
+//! estimation for the same decoder design, the latter on a fresh serial
+//! engine per iteration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use crossbar_array::AddressabilityProfile;
-use decoder_sim::{monte_carlo_addressability, MonteCarloConfig, SimConfig, SimulationPlatform};
+use decoder_sim::{
+    ExecutionEngine, GaussianDisturbance, MonteCarloConfig, SimConfig, SimulationPlatform,
+};
 use device_physics::Volts;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
@@ -26,13 +29,15 @@ fn bench_monte_carlo(c: &mut Criterion) {
     for samples in [500usize, 2_000] {
         group.bench_function(format!("monte_carlo_{samples}_samples"), |b| {
             b.iter(|| {
-                monte_carlo_addressability(
-                    &variability,
-                    &model,
-                    Volts::new(window.value()),
-                    MonteCarloConfig::fixed(samples, 17),
-                )
-                .expect("monte carlo profile")
+                ExecutionEngine::serial()
+                    .monte_carlo_with_disturbance(
+                        &variability,
+                        &model,
+                        Volts::new(window.value()),
+                        MonteCarloConfig::fixed(samples, 17),
+                        &GaussianDisturbance,
+                    )
+                    .expect("monte carlo profile")
             })
         });
     }

@@ -10,8 +10,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use decoder_sim::{
-    CacheConfig, DefectKind, DisturbanceKind, EngineConfig, Evaluation, ExecutionEngine,
-    MonteCarloConfig, SimConfig, SimulationPlatform, StageCache,
+    CacheConfig, DefectKind, DisturbanceKind, Evaluation, ExecutionEngine, MonteCarloConfig,
+    SimConfig, SimulationPlatform, StageCache,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
@@ -21,10 +21,7 @@ fn paper_config() -> SimConfig {
 }
 
 fn warm_engine(base: &SimConfig) -> ExecutionEngine {
-    let engine = ExecutionEngine::new(EngineConfig {
-        threads: 1,
-        chunk_size: 256,
-    });
+    let engine = ExecutionEngine::serial();
     engine.report_for(base).unwrap();
     engine
 }
@@ -90,8 +87,7 @@ fn bench_stage_cache(c: &mut Criterion) {
             let kind = DisturbanceKind::Correlated {
                 shared_fraction: (step % 97) as f64 / 97.0,
             };
-            Evaluation::builder(black_box(&base).clone())
-                .disturbance(kind)
+            Evaluation::builder(black_box(&base).clone().with_disturbance(kind))
                 .run(&engine)
                 .unwrap()
         });

@@ -4,7 +4,7 @@
 //! analytic model cannot integrate in closed form.
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let report = mspt_experiments::disturbance_report()?;
+    let report = mspt_experiments::disturbance_report(&mspt_experiments::paper_engine())?;
     print!("{report}");
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! ternary and quaternary logic, N = 10 nanowires per half cave.
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let report = mspt_experiments::fig5_report()?;
+    let report = mspt_experiments::fig5_report(&mspt_experiments::paper_engine())?;
     print!("{report}");
     Ok(())
 }

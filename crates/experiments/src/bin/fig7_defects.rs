@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|value| value.trim().parse().ok())
         .unwrap_or(mspt_experiments::FIG7_DEFECT_SEED);
     let engine = mspt_experiments::paper_engine();
-    let report = mspt_experiments::fig7_defects_report_with(&engine, seed)?;
+    let report = mspt_experiments::fig7_defects_report(&engine, seed)?;
     print!("{report}");
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! 16 kB crossbar platform.
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let report = mspt_experiments::fig7_report()?;
+    let report = mspt_experiments::fig7_report(&mspt_experiments::paper_engine())?;
     print!("{report}");
     Ok(())
 }

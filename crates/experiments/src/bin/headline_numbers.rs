@@ -3,7 +3,7 @@
 //! from the same sweeps that regenerate the figures.
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let headline = mspt_experiments::headline_numbers()?;
+    let headline = mspt_experiments::headline_numbers(&mspt_experiments::paper_engine())?;
     print!("{headline}");
     Ok(())
 }

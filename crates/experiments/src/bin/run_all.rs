@@ -30,22 +30,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         None => println!(),
     }
-    print!("{}", mspt_experiments::fig5_report_with(&engine)?);
+    print!("{}", mspt_experiments::fig5_report(&engine)?);
     println!();
     print!("{}", mspt_experiments::fig6_report()?);
     println!();
-    print!("{}", mspt_experiments::fig7_report_with(&engine)?);
+    print!("{}", mspt_experiments::fig7_report(&engine)?);
     println!();
     print!(
         "{}",
-        mspt_experiments::fig7_defects_report_with(&engine, mspt_experiments::FIG7_DEFECT_SEED)?
+        mspt_experiments::fig7_defects_report(&engine, mspt_experiments::FIG7_DEFECT_SEED)?
     );
     println!();
-    print!("{}", mspt_experiments::fig8_report_with(&engine)?);
+    print!("{}", mspt_experiments::fig8_report(&engine)?);
     println!();
-    print!("{}", mspt_experiments::headline_numbers_with(&engine)?);
+    print!("{}", mspt_experiments::headline_numbers(&engine)?);
     println!();
-    print!("{}", mspt_experiments::disturbance_report_with(&engine)?);
+    print!("{}", mspt_experiments::disturbance_report(&engine)?);
     if let Some(path) = &cache_path {
         let saved = engine.save_cache(Path::new(path))?;
         println!("\nwarm cache: saved {saved} report(s) to {path}");

@@ -51,7 +51,7 @@ use decoder_sim::{
     SamplingStats, SimulationPlatform, StageStats, CACHE_PATH_ENV,
 };
 use mspt_serve::{
-    probe_shed, run_net_stress_codec, run_stress, NetServer, NetStressOutcome, ReportRequest,
+    probe_shed, run_net_stress, run_stress, NetServer, NetStressOutcome, ReportRequest,
     ReportServer, ServeConfig, StressConfig, WireCodec, STRESS_CODEC_ENV,
 };
 
@@ -504,7 +504,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for (run, codec) in codecs.iter().enumerate() {
                 let name = codec.as_str();
                 let before = engine.cache_stats();
-                let first = run_net_stress_codec(handle.local_addr(), &mix, &stress, *codec)?;
+                let first = run_net_stress(handle.local_addr(), &mix, &stress, *codec)?;
                 let mid = engine.cache_stats();
                 // Only the very first pass of the very first codec runs
                 // cold; later codec runs reuse the warm cache, which is the
@@ -515,7 +515,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     &first,
                     &delta(&before, &mid),
                 );
-                let second = run_net_stress_codec(handle.local_addr(), &mix, &stress, *codec)?;
+                let second = run_net_stress(handle.local_addr(), &mix, &stress, *codec)?;
                 let after = engine.cache_stats();
                 let warm = delta(&mid, &after);
                 print_pass(&format!("{name} pass 2 (warm)"), &second, &warm);

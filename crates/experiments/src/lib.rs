@@ -4,7 +4,10 @@
 //! MSPT-decoder paper, plus the headline numbers quoted in its abstract and
 //! conclusions. The binaries in `src/bin/` are thin wrappers that print the
 //! reports produced here; integration tests and the benchmark harness call
-//! the same functions so every consumer sees identical rows.
+//! the same functions so every consumer sees identical rows. Every report
+//! except Fig. 6 runs on an [`ExecutionEngine`] the caller passes —
+//! [`paper_engine`] for the experiments' default — so several reports can
+//! share one engine and its report cache.
 //!
 //! | Experiment | Paper artefact | Function |
 //! |---|---|---|
@@ -71,17 +74,7 @@ pub const HOT_FAMILY_LENGTHS: [usize; 3] = [4, 6, 8];
 /// # Errors
 ///
 /// Propagates sweep errors.
-pub fn fig5_report() -> Result<Fig5Report> {
-    fig5_report_with(&paper_engine())
-}
-
-/// [`fig5_report`] on an explicit engine, so callers can share one engine
-/// (and its report cache) across several figures.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-pub fn fig5_report_with(engine: &ExecutionEngine) -> Result<Fig5Report> {
+pub fn fig5_report(engine: &ExecutionEngine) -> Result<Fig5Report> {
     let base = paper_base_config()?;
     let points = engine.complexity_sweep(
         &base,
@@ -126,17 +119,7 @@ pub fn fig6_report() -> Result<Fig6Report> {
 /// # Errors
 ///
 /// Propagates sweep errors.
-pub fn fig7_report() -> Result<Fig7Report> {
-    fig7_report_with(&paper_engine())
-}
-
-/// [`fig7_report`] on an explicit engine, so callers can share one engine
-/// (and its report cache) across several figures.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-pub fn fig7_report_with(engine: &ExecutionEngine) -> Result<Fig7Report> {
+pub fn fig7_report(engine: &ExecutionEngine) -> Result<Fig7Report> {
     let base = paper_base_config()?;
     let mut series = Vec::new();
     for kind in [CodeKind::Tree, CodeKind::BalancedGray] {
@@ -197,23 +180,13 @@ pub fn defect_axis(seed: u64) -> Result<Vec<DefectKind>> {
 
 /// Beyond the paper — Fig. 7's defect axis: composite crossbar yield against
 /// the fabrication-defect rate for the best code of each family, with
-/// deterministic seed-sampled defect maps composed onto the decoder yield.
+/// deterministic defect maps sampled from `seed` (the experiment's default
+/// is [`FIG7_DEFECT_SEED`]) composed onto the decoder yield.
 ///
 /// # Errors
 ///
 /// Propagates sweep errors.
-pub fn fig7_defects_report() -> Result<Fig7Report> {
-    fig7_defects_report_with(&paper_engine(), FIG7_DEFECT_SEED)
-}
-
-/// [`fig7_defects_report`] on an explicit engine and defect-map seed, so
-/// callers can share one engine (and its report cache) across several
-/// figures and pin or vary the sampled maps.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-pub fn fig7_defects_report_with(engine: &ExecutionEngine, seed: u64) -> Result<Fig7Report> {
+pub fn fig7_defects_report(engine: &ExecutionEngine, seed: u64) -> Result<Fig7Report> {
     let base = paper_base_config()?;
     let axis = defect_axis(seed)?;
     let mut defect_series = Vec::with_capacity(FIG7_DEFECT_CODES.len());
@@ -236,17 +209,7 @@ pub fn fig7_defects_report_with(engine: &ExecutionEngine, seed: u64) -> Result<F
 /// # Errors
 ///
 /// Propagates sweep errors.
-pub fn fig8_report() -> Result<Fig8Report> {
-    fig8_report_with(&paper_engine())
-}
-
-/// [`fig8_report`] on an explicit engine, so callers can share one engine
-/// (and its report cache) across several figures.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-pub fn fig8_report_with(engine: &ExecutionEngine) -> Result<Fig8Report> {
+pub fn fig8_report(engine: &ExecutionEngine) -> Result<Fig8Report> {
     let base = paper_base_config()?;
     let mut series = Vec::new();
     for kind in [CodeKind::Tree, CodeKind::Gray, CodeKind::BalancedGray] {
@@ -346,17 +309,7 @@ impl fmt::Display for DisturbanceReport {
 /// # Errors
 ///
 /// Propagates configuration and sampling errors.
-pub fn disturbance_report() -> Result<DisturbanceReport> {
-    disturbance_report_with(&paper_engine())
-}
-
-/// [`disturbance_report`] on an explicit engine, so callers can reuse a
-/// shared engine's thread pool.
-///
-/// # Errors
-///
-/// Propagates configuration and sampling errors.
-pub fn disturbance_report_with(engine: &ExecutionEngine) -> Result<DisturbanceReport> {
+pub fn disturbance_report(engine: &ExecutionEngine) -> Result<DisturbanceReport> {
     let code_kind = CodeKind::BalancedGray;
     let code = CodeSpec::new(code_kind, LogicLevel::BINARY, DISTURBANCE_CODE_LENGTH)?;
     let base = paper_base_config()?.with_code(code);
@@ -377,8 +330,7 @@ pub fn disturbance_report_with(engine: &ExecutionEngine) -> Result<DisturbanceRe
         // derives the variability matrix once and serves the second and
         // third models from the memo slot — only the sampling pass re-runs
         // per row.
-        let outcome = Evaluation::builder(base.clone())
-            .disturbance(kind)
+        let outcome = Evaluation::builder(base.clone().with_disturbance(kind))
             .stages(&[Stage::MonteCarlo])
             .monte_carlo(mc)
             .run(engine)?
@@ -403,9 +355,10 @@ pub fn disturbance_report_with(engine: &ExecutionEngine) -> Result<DisturbanceRe
 
 /// The serving-layer stress mix: every Fig. 7/8 sweep configuration (the
 /// four code families at their valid lengths) plus one Laplace-disturbance
-/// variant and one sampled-defect variant, so a stress run also exercises
-/// disturbance-kind and defect-kind cache keying (including the engine's
-/// sharded defect-map sampling under concurrent load). This is the
+/// variant and one sampled-defect variant. The Laplace override hits the
+/// Gaussian BGC entry (no report stage reads the disturbance kind); the
+/// defect override keys its own entry and exercises the engine's sharded
+/// defect-map sampling under concurrent load. This is the
 /// repeated-`SimConfig` workload the shared warm cache is built for — the
 /// request population of the `serve_stress` binary and the CI serving gate.
 ///
@@ -548,24 +501,16 @@ impl fmt::Display for HeadlineNumbers {
     }
 }
 
-/// Computes every headline number from the figure sweeps.
+/// Computes every headline number from the figure sweeps. The headline
+/// numbers revisit the Fig. 7 and Fig. 8 sweep points, so the engine's
+/// memoized report cache (and any cache warmed by earlier figure reports on
+/// the same engine) evaluates each distinct (kind, length) configuration
+/// once.
 ///
 /// # Errors
 ///
 /// Propagates sweep errors.
-pub fn headline_numbers() -> Result<HeadlineNumbers> {
-    headline_numbers_with(&paper_engine())
-}
-
-/// [`headline_numbers`] on an explicit engine. The headline numbers revisit
-/// the Fig. 7 and Fig. 8 sweep points, so the engine's memoized report cache
-/// (and any cache warmed by earlier figure reports on the same engine)
-/// evaluates each distinct (kind, length) configuration once.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-pub fn headline_numbers_with(engine: &ExecutionEngine) -> Result<HeadlineNumbers> {
+pub fn headline_numbers(engine: &ExecutionEngine) -> Result<HeadlineNumbers> {
     let base = paper_base_config()?;
 
     // Fig. 5 inputs: complexity of TC vs GC at higher radices.
@@ -703,7 +648,7 @@ mod tests {
 
     #[test]
     fn fig5_has_six_points_with_the_expected_ordering() {
-        let report = fig5_report().unwrap();
+        let report = fig5_report(&paper_engine()).unwrap();
         assert_eq!(report.points.len(), 6);
         let phi = |kind: CodeKind, radix: LogicLevel| {
             report
@@ -728,7 +673,7 @@ mod tests {
 
     #[test]
     fn fig7_series_cover_four_families() {
-        let report = fig7_report().unwrap();
+        let report = fig7_report(&paper_engine()).unwrap();
         assert_eq!(report.series.len(), 4);
         for (_, points) in &report.series {
             assert_eq!(points.len(), 3);
@@ -737,7 +682,7 @@ mod tests {
 
     #[test]
     fn fig7_defects_covers_the_rate_axis_and_degrades_monotonically() {
-        let report = fig7_defects_report().unwrap();
+        let report = fig7_defects_report(&paper_engine(), FIG7_DEFECT_SEED).unwrap();
         assert!(report.series.is_empty());
         assert_eq!(report.defect_series.len(), FIG7_DEFECT_CODES.len());
         for (kind, points) in &report.defect_series {
@@ -777,7 +722,7 @@ mod tests {
 
     #[test]
     fn fig8_best_is_an_optimised_code() {
-        let report = fig8_report().unwrap();
+        let report = fig8_report(&paper_engine()).unwrap();
         let (kind, _, area) = report.best().unwrap();
         assert!(kind.is_optimised(), "best code {kind:?}");
         assert!(area > 100.0 && area < 300.0, "best bit area {area}");
@@ -785,7 +730,7 @@ mod tests {
 
     #[test]
     fn disturbance_report_compares_the_three_stock_models() {
-        let report = disturbance_report().unwrap();
+        let report = disturbance_report(&paper_engine()).unwrap();
         assert_eq!(report.points.len(), 3);
         assert_eq!(report.points[0].kind, DisturbanceKind::Gaussian);
         for point in &report.points {
@@ -812,7 +757,7 @@ mod tests {
 
     #[test]
     fn headline_numbers_have_the_papers_signs_and_orders() {
-        let headline = headline_numbers().unwrap();
+        let headline = headline_numbers(&paper_engine()).unwrap();
         // Savings and gains must all be positive (the optimised codes win).
         assert!(headline.gray_complexity_saving_ternary > 0.05);
         assert!(headline.gray_complexity_saving_quaternary > 0.05);

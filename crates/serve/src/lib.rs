@@ -112,7 +112,7 @@ pub use binwire::{
     reply_from_bin, reply_to_bin, request_from_bin, request_to_bin,
 };
 pub use latency::LatencyHistogram;
-pub use loadgen::{probe_shed, run_net_stress, run_net_stress_codec, NetStressOutcome};
+pub use loadgen::{probe_shed, run_net_stress, NetStressOutcome};
 pub use net::{
     read_frame, write_frame, NetClient, NetServer, NetServerHandle, ServeConfig, ShedPolicy,
 };
@@ -192,10 +192,12 @@ pub(crate) fn env_usize(name: &str, default: usize) -> usize {
 ///
 /// The overrides exist for clients that sweep disturbance models or defect
 /// rates over one platform configuration; they are applied onto the
-/// configuration **before** the engine sees the request, so the cache key
-/// always carries the effective disturbance and defect kinds — a Gaussian
-/// and a Laplace request (or a defect-free and a defective request) with
-/// the same platform parameters never alias in the cache or on disk.
+/// configuration **before** the engine sees the request
+/// ([`ReportRequest::effective_config`]). The report cache keys a request by
+/// the fields its report reads: a defect override keys an entry of its own,
+/// while a Gaussian and a Laplace request with the same platform parameters
+/// share one entry — no report stage reads the disturbance kind, so their
+/// reports are identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportRequest {
     /// The configuration to evaluate.
@@ -207,9 +209,8 @@ pub struct ReportRequest {
 }
 
 impl ReportRequest {
-    /// Starts building a request for a configuration. The builder is the
-    /// canonical constructor; [`ReportRequest::new`] and the
-    /// `with_*` constructors are thin shims over it.
+    /// Starts building a request for a configuration, with the overrides
+    /// set fluently; [`ReportRequest::new`] is the request without any.
     ///
     /// ```
     /// use decoder_sim::{DisturbanceKind, SimConfig};
@@ -238,21 +239,6 @@ impl ReportRequest {
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
         ReportRequest::builder(config).build()
-    }
-
-    /// A request overriding the configuration's disturbance kind.
-    #[must_use]
-    pub fn with_disturbance(config: SimConfig, disturbance: DisturbanceKind) -> Self {
-        ReportRequest::builder(config)
-            .disturbance(disturbance)
-            .build()
-    }
-
-    /// A request overriding the configuration's fabrication-defect
-    /// selection.
-    #[must_use]
-    pub fn with_defects(config: SimConfig, defects: DefectKind) -> Self {
-        ReportRequest::builder(config).defects(defects).build()
     }
 
     /// The configuration the engine actually evaluates: the request's
@@ -690,10 +676,9 @@ mod tests {
 
     #[test]
     fn requests_round_trip_the_wire_format() {
-        let typed = ReportRequest::with_disturbance(
-            request(CodeKind::Gray, 8).config,
-            DisturbanceKind::Laplace,
-        );
+        let typed = ReportRequest::builder(request(CodeKind::Gray, 8).config)
+            .disturbance(DisturbanceKind::Laplace)
+            .build();
         let decoded = ReportRequest::from_json_str(&typed.to_json_string()).unwrap();
         assert_eq!(decoded, typed);
         assert_eq!(
@@ -701,10 +686,9 @@ mod tests {
             DisturbanceKind::Laplace
         );
 
-        let defective = ReportRequest::with_defects(
-            request(CodeKind::Gray, 8).config,
-            DefectKind::sampled(0.02, 0.01, 7).unwrap(),
-        );
+        let defective = ReportRequest::builder(request(CodeKind::Gray, 8).config)
+            .defects(DefectKind::sampled(0.02, 0.01, 7).unwrap())
+            .build();
         let decoded = ReportRequest::from_json_str(&defective.to_json_string()).unwrap();
         assert_eq!(decoded, defective);
         assert_eq!(
@@ -752,8 +736,9 @@ mod tests {
     fn disturbance_override_never_aliases_in_the_cache() {
         let server = server(2);
         let base = request(CodeKind::BalancedGray, 10);
-        let laplace =
-            ReportRequest::with_disturbance(base.config.clone(), DisturbanceKind::Laplace);
+        let laplace = ReportRequest::builder(base.config.clone())
+            .disturbance(DisturbanceKind::Laplace)
+            .build();
         let gaussian_report = server.serve(&base).unwrap();
         let laplace_report = server.serve(&laplace).unwrap();
         // No report stage reads the disturbance kind, so the override shares
@@ -779,10 +764,9 @@ mod tests {
     fn defect_override_never_aliases_in_the_cache() {
         let server = server(2);
         let base = request(CodeKind::BalancedGray, 10);
-        let defective = ReportRequest::with_defects(
-            base.config.clone(),
-            DefectKind::sampled(0.05, 0.02, 2_009).unwrap(),
-        );
+        let defective = ReportRequest::builder(base.config.clone())
+            .defects(DefectKind::sampled(0.05, 0.02, 2_009).unwrap())
+            .build();
         let clean = server.serve(&base).unwrap();
         let composed = server.serve(&defective).unwrap();
         // Two distinct cache entries: the defect selection is part of the key.

@@ -81,6 +81,11 @@ struct ClientTally {
 /// of configurations — verifying every report **bit-for-bit** against a
 /// serial reference computed outside the timed phase.
 ///
+/// Requests are encoded in `codec` and every reply is decoded through the
+/// first-byte dispatcher ([`parse_reply_any`]), so accept-time JSON sheds
+/// are understood on binary connections too. The verification contract is
+/// identical in both codecs.
+///
 /// A typed `overloaded` reply marks the whole connection as shed (the
 /// server refuses at accept time): the client stops sending and its
 /// remaining budgeted requests are counted in
@@ -98,27 +103,6 @@ struct ClientTally {
 ///
 /// Panics when the mix is empty or the client/request counts are zero.
 pub fn run_net_stress(
-    addr: SocketAddr,
-    mix: &[ReportRequest],
-    stress: &StressConfig,
-) -> Result<NetStressOutcome> {
-    run_net_stress_codec(addr, mix, stress, WireCodec::Json)
-}
-
-/// [`run_net_stress`] with an explicit wire codec: requests are encoded in
-/// `codec` and every reply is decoded through the first-byte dispatcher
-/// ([`parse_reply_any`]), so accept-time JSON sheds are understood on
-/// binary connections too. The verification contract is identical in both
-/// codecs — same seeded streams, same bit-for-bit reference check.
-///
-/// # Errors
-///
-/// As [`run_net_stress`].
-///
-/// # Panics
-///
-/// As [`run_net_stress`].
-pub fn run_net_stress_codec(
     addr: SocketAddr,
     mix: &[ReportRequest],
     stress: &StressConfig,

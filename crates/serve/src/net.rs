@@ -177,87 +177,92 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Reads one length-prefixed frame. `Ok(None)` is a clean end of stream
 /// (the peer closed between frames); an EOF mid-frame is an error.
 ///
+/// For a blocking reader. A read timeout surfaces as the reader's error and
+/// loses the frame's bytes read so far; the server's workers instead keep
+/// a partly read frame across their poll timeouts.
+///
 /// # Errors
 ///
 /// Propagates I/O failures; a length prefix above [`MAX_FRAME_BYTES`] is an
 /// [`io::ErrorKind::InvalidData`] error.
 pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    match read_full(reader, &mut header)? {
-        0 => return Ok(None),
-        4 => {}
-        _ => {
+    let mut frame = FrameReader::default();
+    loop {
+        match frame.read_once(reader) {
+            Ok(Progress::Frame(payload)) => return Ok(Some(payload)),
+            Ok(Progress::Eof) => return Ok(None),
+            Ok(Progress::Partial) => {}
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+            Err(error) => return Err(error),
+        }
+    }
+}
+
+/// A frame read in pieces: the header and payload bytes received so far.
+/// The server keeps one per connection, so a read that times out mid-frame
+/// resumes where it stopped on the next poll.
+#[derive(Debug, Default)]
+struct FrameReader {
+    header: [u8; 4],
+    /// Sized from the header once it is complete.
+    payload: Vec<u8>,
+    /// Bytes of the current frame received, header included.
+    received: usize,
+}
+
+/// What one read toward a frame produced.
+enum Progress {
+    /// The frame is complete.
+    Frame(Vec<u8>),
+    /// Bytes arrived, but not the whole frame yet.
+    Partial,
+    /// The peer closed cleanly between frames.
+    Eof,
+}
+
+impl FrameReader {
+    /// Makes one read toward the current frame: into the header until it is
+    /// complete, then into the payload. A frame that arrives whole takes
+    /// two reads, one per part.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the read's error — a timeout keeps every byte received so
+    /// far. An EOF mid-frame is [`io::ErrorKind::UnexpectedEof`]; a length
+    /// prefix above [`MAX_FRAME_BYTES`] is [`io::ErrorKind::InvalidData`].
+    fn read_once(&mut self, reader: &mut impl Read) -> io::Result<Progress> {
+        let header = self.header.len();
+        let buffer = if self.received < header {
+            &mut self.header[self.received..]
+        } else {
+            &mut self.payload[self.received - header..]
+        };
+        let read = reader.read(buffer)?;
+        if read == 0 {
+            if self.received == 0 {
+                return Ok(Progress::Eof);
+            }
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                "connection closed mid-frame-header",
-            ))
+                "connection closed mid-frame",
+            ));
         }
-    }
-    let length = u32::from_be_bytes(header);
-    if length > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {length} exceeds MAX_FRAME_BYTES"),
-        ));
-    }
-    let mut payload = vec![0u8; length as usize];
-    reader.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// Reads until `buffer` is full or EOF; returns the bytes read. Unlike
-/// `read_exact`, a clean EOF at offset 0 is distinguishable.
-fn read_full(reader: &mut impl Read, buffer: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buffer.len() {
-        match reader.read(&mut buffer[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-            Err(error) => {
-                // A timeout before the first byte is "no frame yet", which
-                // the caller must see as such; a timeout mid-read is a
-                // stalled peer.
-                if filled == 0 {
-                    return Err(error);
-                }
-                if matches!(
-                    error.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "peer stalled mid-frame",
-                    ));
-                }
-                return Err(error);
+        self.received += read;
+        if self.received == header {
+            let length = u32::from_be_bytes(self.header);
+            if length > MAX_FRAME_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("frame length {length} exceeds MAX_FRAME_BYTES"),
+                ));
             }
+            self.payload = vec![0u8; length as usize];
         }
-    }
-    Ok(filled)
-}
-
-/// One read attempt on a connection with a timeout armed.
-enum ReadStep {
-    Frame(Vec<u8>),
-    Eof,
-    Idle,
-    Failed,
-}
-
-fn read_frame_step(stream: &mut TcpStream) -> ReadStep {
-    match read_frame(stream) {
-        Ok(Some(frame)) => ReadStep::Frame(frame),
-        Ok(None) => ReadStep::Eof,
-        Err(error)
-            if matches!(
-                error.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            ReadStep::Idle
+        if self.received == header + self.payload.len() {
+            self.received = 0;
+            return Ok(Progress::Frame(std::mem::take(&mut self.payload)));
         }
-        Err(_) => ReadStep::Failed,
+        Ok(Progress::Partial)
     }
 }
 
@@ -491,6 +496,9 @@ fn worker_loop(
 }
 
 /// Serves one connection until EOF, an I/O failure, or a draining shutdown.
+/// A request frame may arrive in pieces across poll timeouts: the worker
+/// keeps what it has read, so a client that pauses mid-frame holds the
+/// worker like an idle client does.
 fn serve_connection(
     mut stream: TcpStream,
     handler: &dyn Handler,
@@ -506,6 +514,7 @@ fn serve_connection(
         return;
     }
     let mut drain_deadline: Option<Instant> = None;
+    let mut frame = FrameReader::default();
     loop {
         if drain_deadline.is_none() && shutdown.load(Ordering::Acquire) {
             // Shutdown started: this connection gets one grace window to
@@ -525,16 +534,16 @@ fn serve_connection(
                 return;
             }
         }
-        match read_frame_step(&mut stream) {
-            ReadStep::Frame(frame) => {
+        match frame.read_once(&mut stream) {
+            Ok(Progress::Frame(request)) => {
                 // Per-frame codec negotiation: a binary request frame gets a
                 // binary reply, anything else goes down the JSON path (whose
                 // typed bad_request covers non-UTF-8 garbage too), so a
                 // JSON-era client never sees a byte it cannot parse.
-                let response = if decoder_sim::bincodec::is_binary(&frame) {
-                    handle_bin(handler, &frame)
+                let response = if decoder_sim::bincodec::is_binary(&request) {
+                    handle_bin(handler, &request)
                 } else {
-                    match std::str::from_utf8(&frame) {
+                    match std::str::from_utf8(&request) {
                         Ok(request_json) => handle_json(handler, request_json).into_bytes(),
                         Err(_) => error_response(&WireError::new(
                             WireErrorKind::BadRequest,
@@ -551,14 +560,22 @@ fn serve_connection(
                     return;
                 }
             }
-            ReadStep::Eof | ReadStep::Failed => return,
-            ReadStep::Idle => {
-                // In drain mode an idle window the size of the remaining
-                // grace means the client has nothing more in flight.
+            Ok(Progress::Partial) => {}
+            Err(error)
+                if matches!(
+                    error.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                // A poll timeout, with or without part of a frame read. In
+                // drain mode a timeout the size of the remaining grace means
+                // the client has nothing more in flight.
                 if drain_deadline.is_some() {
                     return;
                 }
             }
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+            Ok(Progress::Eof) | Err(_) => return,
         }
     }
 }

@@ -18,9 +18,10 @@ use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn paper_mix() -> Vec<ReportRequest> {
     // The Fig. 7/8 sweep points: four families at their valid lengths, plus
-    // one non-Gaussian variant and one sampled-defect variant so the mix
-    // exercises disturbance and defect keying (and the engine's sharded
-    // defect-map sampling) under concurrent load.
+    // one non-Gaussian variant (it shares the Gaussian point's report entry:
+    // no report stage reads the disturbance kind) and one sampled-defect
+    // variant, which keys its own entry and exercises the engine's sharded
+    // defect-map sampling under concurrent load.
     let mut mix = Vec::new();
     for (kind, lengths) in [
         (CodeKind::Tree, &[6usize, 8, 10][..]),
@@ -34,15 +35,17 @@ fn paper_mix() -> Vec<ReportRequest> {
         }
     }
     let laplace_code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
-    mix.push(ReportRequest::with_disturbance(
-        SimConfig::paper_defaults(laplace_code).unwrap(),
-        DisturbanceKind::Laplace,
-    ));
+    mix.push(
+        ReportRequest::builder(SimConfig::paper_defaults(laplace_code).unwrap())
+            .disturbance(DisturbanceKind::Laplace)
+            .build(),
+    );
     let defect_code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
-    mix.push(ReportRequest::with_defects(
-        SimConfig::paper_defaults(defect_code).unwrap(),
-        DefectKind::sampled(0.02, 0.01, 2_009).unwrap(),
-    ));
+    mix.push(
+        ReportRequest::builder(SimConfig::paper_defaults(defect_code).unwrap())
+            .defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap())
+            .build(),
+    );
     mix
 }
 

@@ -6,24 +6,31 @@
 //! * a full bounded dispatch queue sheds with the framed, typed
 //!   `overloaded` error — never a hang, never a silent drop;
 //! * a graceful shutdown drains in-flight requests: everything a client
-//!   sent before shutdown gets a response before its connection closes.
+//!   sent before shutdown gets a response before its connection closes;
+//! * a request frame that arrives in pieces, with pauses longer than the
+//!   workers' poll interval, is answered, and a client stalled mid-frame
+//!   does not hold a shutdown much past the drain grace.
 
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use decoder_sim::{
     DisturbanceKind, EngineConfig, ExecutionEngine, SimConfig, SimulationPlatform, WireErrorKind,
 };
 use mspt_serve::{
-    parse_reply, parse_reply_any, probe_shed, request_to_bin, run_net_stress, run_net_stress_codec,
-    NetClient, NetServer, ReportRequest, ReportServer, ServeConfig, ShedPolicy, StressConfig,
-    WireCodec, WireReply,
+    parse_reply, parse_reply_any, probe_shed, read_frame, request_to_bin, run_net_stress,
+    write_frame, NetClient, NetServer, ReportRequest, ReportServer, ServeConfig, ShedPolicy,
+    StressConfig, WireCodec, WireReply,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn mix() -> Vec<ReportRequest> {
     // Small but representative: two code families plus a disturbance
-    // override, so the socket path also exercises cache keying.
+    // override, so an override also crosses the socket. The override
+    // shares the plain tree request's report entry: no report stage reads
+    // the disturbance kind.
     let tree = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 6).unwrap();
     let hot = CodeSpec::new(CodeKind::Hot, LogicLevel::BINARY, 4).unwrap();
     vec![
@@ -64,7 +71,7 @@ fn loopback_clients_get_bit_identical_reports_and_a_warm_second_pass() {
     };
 
     let before = server.stats();
-    let first = run_net_stress(handle.local_addr(), &mix, &stress).unwrap();
+    let first = run_net_stress(handle.local_addr(), &mix, &stress, WireCodec::Json).unwrap();
     assert_eq!(first.requests, 4 * 16);
     assert_eq!(
         first.mismatches, 0,
@@ -78,7 +85,7 @@ fn loopback_clients_get_bit_identical_reports_and_a_warm_second_pass() {
     // Same seed ⇒ same request multiset ⇒ the whole second pass is warm.
     let after_first = server.stats();
     assert!(after_first.misses - before.misses <= mix.len() as u64);
-    let second = run_net_stress(handle.local_addr(), &mix, &stress).unwrap();
+    let second = run_net_stress(handle.local_addr(), &mix, &stress, WireCodec::Json).unwrap();
     assert_eq!(second.mismatches, 0);
     assert_eq!(second.sheds, 0);
     let after_second = server.stats();
@@ -157,8 +164,7 @@ fn binary_loadgen_matches_the_serial_reference_with_less_wire_traffic() {
         seed: 2_009,
     };
 
-    let binary =
-        run_net_stress_codec(handle.local_addr(), &mix, &stress, WireCodec::Binary).unwrap();
+    let binary = run_net_stress(handle.local_addr(), &mix, &stress, WireCodec::Binary).unwrap();
     assert_eq!(binary.mismatches, 0, "binary responses diverged");
     assert_eq!(binary.sheds, 0);
     assert_eq!(binary.wire_failures, 0);
@@ -167,7 +173,7 @@ fn binary_loadgen_matches_the_serial_reference_with_less_wire_traffic() {
     // Same seed ⇒ same request multiset ⇒ the JSON pass is fully warm and
     // answers bit-identically, but costs more bytes in both directions.
     let before = server.stats();
-    let json = run_net_stress_codec(handle.local_addr(), &mix, &stress, WireCodec::Json).unwrap();
+    let json = run_net_stress(handle.local_addr(), &mix, &stress, WireCodec::Json).unwrap();
     assert_eq!(json.mismatches, 0);
     assert_eq!(
         server.stats().misses,
@@ -302,4 +308,88 @@ fn graceful_shutdown_drains_in_flight_requests() {
         }
         assert_eq!(eof, None, "connection did not close cleanly after drain");
     }
+}
+
+/// Writes `frame` in two pieces split at `cut`, pausing between them for
+/// longer than a worker's read poll interval.
+fn send_split(stream: &mut TcpStream, frame: &[u8], cut: usize) {
+    stream.write_all(&frame[..cut]).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    stream.write_all(&frame[cut..]).unwrap();
+}
+
+fn expect_report(reply: Option<Vec<u8>>, what: &str) -> decoder_sim::PlatformReport {
+    let reply = reply.unwrap_or_else(|| panic!("{what}: connection closed without a reply"));
+    match parse_reply_any(&reply).unwrap() {
+        WireReply::Report(report) => report,
+        WireReply::Error(error) => panic!("{what}: {error}"),
+    }
+}
+
+#[test]
+fn request_frames_split_across_poll_timeouts_are_answered() {
+    let server = report_server(2);
+    let handle = NetServer::bind(config(2, 4), Arc::new(server)).unwrap();
+    let addr = handle.local_addr();
+    let request = mix().remove(2);
+    let reference = SimulationPlatform::new(request.effective_config())
+        .evaluate()
+        .unwrap();
+
+    // One connection: each codec's frame split inside the length prefix,
+    // right after it, and mid-payload.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut frame = Vec::new();
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        frame.clear();
+        write_frame(&mut frame, &codec.encode_request(&request)).unwrap();
+        for cut in [2, 4, 4 + (frame.len() - 4) / 2] {
+            send_split(&mut stream, &frame, cut);
+            let what = format!("{codec:?} frame split at byte {cut}");
+            assert_eq!(
+                expect_report(read_frame(&mut stream).unwrap(), &what),
+                reference,
+                "{what}"
+            );
+        }
+    }
+    // The connection stayed in sync: a whole frame is answered too, and
+    // every frame was counted once.
+    stream.write_all(&frame).unwrap();
+    assert_eq!(
+        expect_report(read_frame(&mut stream).unwrap(), "whole frame"),
+        reference
+    );
+    assert_eq!(handle.served(), 7);
+
+    // An EOF mid-frame still closes the connection, unanswered.
+    let mut truncated = TcpStream::connect(addr).unwrap();
+    truncated.write_all(&frame[..6]).unwrap();
+    truncated.shutdown(Shutdown::Write).unwrap();
+    assert!(!matches!(read_frame(&mut truncated), Ok(Some(_))));
+    assert_eq!(handle.served(), 7);
+
+    // A client stalled mid-frame holds its worker, but a draining shutdown
+    // closes it once the grace window has passed.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(&frame[..6]).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.accepted() < 3 {
+        assert!(
+            Instant::now() < deadline,
+            "acceptor never saw the stalled connection"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    let grace = handle.config().drain_grace;
+    let started = Instant::now();
+    handle.shutdown();
+    let waited = started.elapsed();
+    assert!(
+        waited < grace + Duration::from_millis(500),
+        "shutdown waited {waited:?} on a connection stalled mid-frame (grace {grace:?})"
+    );
+    assert!(!matches!(read_frame(&mut stalled), Ok(Some(_))));
 }

@@ -53,7 +53,7 @@ use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 use crate::cache::{CacheConfig, CacheStats};
 use crate::config::SimConfig;
 use crate::defect::DefectKind;
-use crate::disturbance::{DisturbanceModel, GaussianDisturbance};
+use crate::disturbance::DisturbanceModel;
 use crate::error::{Result, SimError};
 use crate::monte_carlo::{
     chunk_seed, sample_chunk, validate_monte_carlo, AcceptanceTable, MonteCarloConfig,
@@ -62,7 +62,7 @@ use crate::monte_carlo::{
 use crate::platform::{PlatformReport, SimulationPlatform};
 use crate::stage::{StageCache, StageStats};
 use crate::stats::{wilson_bounds, wilson_half_width, z_for_confidence};
-use crate::sweep::{BitAreaPoint, ComplexityPoint, YieldPoint};
+use crate::sweep::{BitAreaPoint, ComplexityPoint, DefectYieldPoint, YieldPoint};
 
 /// Environment variable overriding the default engine thread count
 /// (CI uses it as a cheap cross-thread determinism gate).
@@ -212,8 +212,8 @@ impl ExecutionEngine {
         }
     }
 
-    /// A single-threaded engine with the default chunk size — the engine
-    /// behind the serial free functions.
+    /// A single-threaded engine with the default chunk size — the serial
+    /// path every result is bit-identical to.
     #[must_use]
     pub fn serial() -> Self {
         ExecutionEngine::new(EngineConfig::serial())
@@ -370,34 +370,18 @@ impl ExecutionEngine {
         Ok(results)
     }
 
-    /// Estimates the per-nanowire addressability by Monte-Carlo sampling,
-    /// sharded into deterministically seeded chunks (see the module-level
-    /// determinism contract).
+    /// Estimates the per-nanowire addressability of a half cave by sampling
+    /// the `disturbance` of every doping region, sharded into
+    /// deterministically seeded chunks (see the module-level determinism
+    /// contract): chunk `c` draws from `chunk_seed(seed, c)` and the model's
+    /// fixed per-nanowire consumption keeps outcomes bit-identical for any
+    /// thread count. Pass [`GaussianDisturbance`](crate::GaussianDisturbance)
+    /// for the paper's model.
     ///
-    /// Deprecated entry point: prefer [`Evaluation`](crate::Evaluation),
-    /// which derives the inputs from a [`SimConfig`] and memoizes through
-    /// the engine's stage cache; this raw-matrix form is kept as a thin
-    /// delegate for callers that construct their own variability matrices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for zero samples or a negative
-    /// window, or propagates lower-layer errors.
-    pub fn monte_carlo_addressability(
-        &self,
-        variability: &VariabilityMatrix,
-        model: &VariabilityModel,
-        window: Volts,
-        config: MonteCarloConfig,
-    ) -> Result<MonteCarloOutcome> {
-        self.monte_carlo_with_disturbance(variability, model, window, config, &GaussianDisturbance)
-    }
-
-    /// [`ExecutionEngine::monte_carlo_addressability`] under an explicit
-    /// [`DisturbanceModel`] instead of the default Gaussian. The determinism
-    /// contract is unchanged: chunk `c` draws from `chunk_seed(seed, c)` and
-    /// the model's fixed per-nanowire consumption keeps outcomes
-    /// bit-identical for any thread count.
+    /// This is the raw-matrix entry point, for callers that construct their
+    /// own variability matrices; [`ExecutionEngine::monte_carlo_for_config`]
+    /// derives the inputs from a [`SimConfig`] and memoizes through the
+    /// engine's stage cache.
     ///
     /// The sampling path follows from the model: when it has an
     /// [`accepted_draws`](DisturbanceModel::accepted_draws) range for every
@@ -406,10 +390,6 @@ impl ExecutionEngine {
     /// chunk samples deviations through
     /// [`sample_regions`](DisturbanceModel::sample_regions) and checks them
     /// against the window.
-    ///
-    /// Deprecated entry point: prefer [`Evaluation`](crate::Evaluation) with
-    /// [`SimConfig::with_disturbance`](crate::SimConfig::with_disturbance),
-    /// which memoizes through the engine's stage cache.
     ///
     /// # Errors
     ///
@@ -598,8 +578,9 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::complexity_sweep`] (Fig. 5): element-identical
-    /// to the serial path.
+    /// Sweeps the fabrication complexity `Φ` over code families and logic
+    /// radices at a fixed half-cave size (Fig. 5 uses `N = 10`), fanning the
+    /// points across the engine's threads.
     ///
     /// # Errors
     ///
@@ -641,8 +622,10 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::yield_sweep`] (Fig. 7): element-identical to
-    /// the serial path; invalid lengths for the family are skipped.
+    /// Sweeps the crossbar yield over code lengths for one code family (one
+    /// series of Fig. 7), batched through the report cache. Lengths that are
+    /// invalid for the family/radix are skipped silently, so hot-code sweeps
+    /// can share length lists with tree-code sweeps.
     ///
     /// # Errors
     ///
@@ -672,12 +655,11 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::defect_yield_sweep`] (the defect axis of the
-    /// Fig. 7 extension): evaluates one code under every fabrication-defect
-    /// selection through the report cache, element-identical to the serial
-    /// path. Defect maps are engine-sharded via
-    /// [`ExecutionEngine::report_for`], so points stay bit-identical for any
-    /// thread count.
+    /// Sweeps the composite crossbar yield of one code over a set of
+    /// fabrication-defect selections (the defect axis of the Fig. 7
+    /// extension), batched through the report cache. Defect maps are
+    /// engine-sharded via [`ExecutionEngine::report_for`], so points stay
+    /// bit-identical for any thread count.
     ///
     /// # Errors
     ///
@@ -690,7 +672,7 @@ impl ExecutionEngine {
         radix: LogicLevel,
         code_length: usize,
         defects: &[DefectKind],
-    ) -> Result<Vec<crate::sweep::DefectYieldPoint>> {
+    ) -> Result<Vec<DefectYieldPoint>> {
         if defects.is_empty() {
             return Err(SimError::EmptySweep);
         }
@@ -703,7 +685,7 @@ impl ExecutionEngine {
         Ok(defects
             .iter()
             .zip(reports)
-            .map(|(&defect, report)| crate::sweep::DefectYieldPoint {
+            .map(|(&defect, report)| DefectYieldPoint {
                 kind,
                 code_length,
                 defects: defect,
@@ -714,8 +696,9 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::bit_area_sweep`] (Fig. 8): element-identical
-    /// to the serial path; invalid lengths for the family are skipped.
+    /// Sweeps the effective bit area over code lengths for one code family
+    /// (one bar group of Fig. 8), batched through the report cache; invalid
+    /// lengths for the family are skipped.
     ///
     /// # Errors
     ///
@@ -745,8 +728,9 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::full_sweep`]: element-identical to the serial
-    /// path; invalid (kind, length) pairs are skipped.
+    /// Evaluates the full platform report for every (kind, length) pair,
+    /// batched through the report cache — for callers that need several
+    /// figures at once; invalid (kind, length) pairs are skipped.
     ///
     /// # Errors
     ///
@@ -796,7 +780,6 @@ fn valid_length_configs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep;
 
     fn base() -> SimConfig {
         let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
@@ -876,31 +859,40 @@ mod tests {
         let radices = [LogicLevel::BINARY, LogicLevel::TERNARY];
         let lengths = [4usize, 5, 6, 8];
         let engine = engine(4);
+        // A fresh serial engine per sweep, so no comparison is a cache hit.
+        let serial = ExecutionEngine::serial;
 
         assert_eq!(
             engine
                 .complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
                 .unwrap(),
-            sweep::complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
+            serial()
+                .complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
                 .unwrap()
         );
         assert_eq!(
             engine
                 .yield_sweep(&base, CodeKind::Hot, LogicLevel::BINARY, &lengths)
                 .unwrap(),
-            sweep::yield_sweep(&base, CodeKind::Hot, LogicLevel::BINARY, &lengths).unwrap()
+            serial()
+                .yield_sweep(&base, CodeKind::Hot, LogicLevel::BINARY, &lengths)
+                .unwrap()
         );
         assert_eq!(
             engine
                 .bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &[6, 8])
                 .unwrap(),
-            sweep::bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &[6, 8]).unwrap()
+            serial()
+                .bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &[6, 8])
+                .unwrap()
         );
         assert_eq!(
             engine
                 .full_sweep(&base, &kinds, LogicLevel::BINARY, &[6, 8])
                 .unwrap(),
-            sweep::full_sweep(&base, &kinds, LogicLevel::BINARY, &[6, 8]).unwrap()
+            serial()
+                .full_sweep(&base, &kinds, LogicLevel::BINARY, &[6, 8])
+                .unwrap()
         );
         let defects = [
             DefectKind::None,
@@ -910,7 +902,8 @@ mod tests {
             engine
                 .defect_yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
                 .unwrap(),
-            sweep::defect_yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
+            serial()
+                .defect_yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
                 .unwrap()
         );
     }

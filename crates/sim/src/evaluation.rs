@@ -1,15 +1,10 @@
-//! One front door for the evaluation entry-point zoo: a builder that names
+//! One front door for evaluating a configuration: a builder that names
 //! *what* to evaluate (a configuration, optionally narrowed to a stage set,
 //! optionally with a Monte-Carlo validation pass) and *where* to run it (an
 //! [`ExecutionEngine`]), mirroring the serve layer's `ReportRequest::builder`
-//! idiom.
-//!
-//! Before this module the crate had grown parallel entry points per
-//! concern — `evaluate` vs `evaluate_with_defect_map` on the platform,
-//! `monte_carlo_addressability` / `monte_carlo_with_disturbance` /
-//! `monte_carlo_for_config` on the engine plus serial free-function twins.
-//! They all still exist as thin delegates (nothing breaks), but new callers
-//! should write:
+//! idiom. Everything else about the evaluation — disturbance model, defect
+//! selection, sampling knobs — is part of the [`SimConfig`] and set through
+//! its `with_*` methods:
 //!
 //! ```
 //! use decoder_sim::{Evaluation, ExecutionEngine, SimConfig};
@@ -29,17 +24,15 @@
 //! set) hits the per-stage memo slots instead of recomputing the pipeline.
 
 use crate::config::SimConfig;
-use crate::defect::DefectKind;
-use crate::disturbance::DisturbanceKind;
 use crate::engine::ExecutionEngine;
 use crate::error::Result;
 use crate::monte_carlo::{MonteCarloConfig, MonteCarloOutcome};
 use crate::platform::PlatformReport;
 use crate::stage::Stage;
 
-/// Namespace of the unified evaluation API: [`Evaluation::builder`] is the
-/// one entry point that subsumes the platform's `evaluate*` family and the
-/// engine's `monte_carlo_*` family.
+/// Namespace of the evaluation API: [`Evaluation::builder`] is the one
+/// entry point that runs a configuration's report and its Monte-Carlo
+/// validation on an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evaluation;
 
@@ -58,9 +51,9 @@ impl Evaluation {
     }
 }
 
-/// Builder of one evaluation: configuration tweaks, an optional stage
-/// narrowing, and an optional Monte-Carlo validation pass. Constructed by
-/// [`Evaluation::builder`]; consumed by [`EvaluationBuilder::run`].
+/// Builder of one evaluation: an optional stage narrowing and an optional
+/// Monte-Carlo validation pass. Constructed by [`Evaluation::builder`];
+/// consumed by [`EvaluationBuilder::run`].
 #[derive(Debug, Clone)]
 pub struct EvaluationBuilder {
     config: SimConfig,
@@ -69,22 +62,6 @@ pub struct EvaluationBuilder {
 }
 
 impl EvaluationBuilder {
-    /// Replaces the configuration's disturbance model (shorthand for
-    /// [`SimConfig::with_disturbance`] at the call site of the builder).
-    #[must_use]
-    pub fn disturbance(mut self, kind: DisturbanceKind) -> Self {
-        self.config = self.config.with_disturbance(kind);
-        self
-    }
-
-    /// Replaces the configuration's fabrication-defect selection (shorthand
-    /// for [`SimConfig::with_defects`]).
-    #[must_use]
-    pub fn defects(mut self, kind: DefectKind) -> Self {
-        self.config = self.config.with_defects(kind);
-        self
-    }
-
     /// Narrows the evaluation to the listed stages (cumulative across
     /// calls). An empty stage list — the default — means the full report
     /// pipeline. Listing only [`Stage::MonteCarlo`] skips the report and
@@ -106,13 +83,6 @@ impl EvaluationBuilder {
     pub fn monte_carlo(mut self, config: MonteCarloConfig) -> Self {
         self.monte_carlo = Some(config);
         self
-    }
-
-    /// The configuration the evaluation will run, with every builder tweak
-    /// applied.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Runs the evaluation on `engine`. The report half goes through the
@@ -231,16 +201,6 @@ mod tests {
             .unwrap();
         assert!(outcome.report.is_some());
         assert!(outcome.monte_carlo.is_some());
-    }
-
-    #[test]
-    fn builder_tweaks_forward_to_the_config() {
-        let defects = DefectKind::sampled(0.05, 0.02, 7).unwrap();
-        let builder = Evaluation::builder(base())
-            .disturbance(DisturbanceKind::Laplace)
-            .defects(defects);
-        assert_eq!(builder.config().disturbance(), DisturbanceKind::Laplace);
-        assert_eq!(builder.config().defects(), defects);
     }
 
     #[test]

@@ -12,18 +12,20 @@
 //!
 //! Both the Monte-Carlo validator and the sweeps run on a work-sharded
 //! parallel [`ExecutionEngine`] whose results are bit-identical for any
-//! thread count; the engine also shards crossbar defect-map generation
+//! thread count, [`ExecutionEngine::serial`] included; the engine also
+//! shards crossbar defect-map generation
 //! ([`ExecutionEngine::sample_defect_map`]) under the same per-chunk seeding
 //! contract, and composes sampled defect maps into every report when a
 //! configuration selects them ([`SimConfig::with_defects`] /
-//! [`DefectKind`]) — the defect axis of the Fig. 7 extension. The serial
-//! free functions are thin wrappers over a single-threaded engine.
+//! [`DefectKind`]) — the defect axis of the Fig. 7 extension.
+//! [`Evaluation::builder`] runs one configuration on an engine.
 //!
 //! Repeated evaluations are served from the engine's sharded, bounded,
-//! single-flight [`ReportCache`], which persists to a versioned snapshot —
-//! compact binary through the std-only [`bincodec`] module by default, JSON
-//! through [`codec`] for inspectability, with the format auto-detected on
-//! load — the substrate of the `mspt-serve` concurrent serving layer.
+//! single-flight [`ReportCache`], which persists to a versioned snapshot.
+//! Saves are always compact binary through the std-only [`bincodec`]
+//! module; snapshots from the JSON era (the [`codec`] module) still load,
+//! with the format detected on load. It is the substrate of the
+//! `mspt-serve` concurrent serving layer.
 //!
 //! # Examples
 //!
@@ -83,8 +85,8 @@ pub use engine::{
 pub use error::{Result, SimError};
 pub use evaluation::{Evaluation, EvaluationBuilder, EvaluationOutcome};
 pub use monte_carlo::{
-    max_profile_difference, monte_carlo_addressability, monte_carlo_with_disturbance,
-    MonteCarloConfig, MonteCarloOutcome, NormalSource, DEFAULT_MC_CONFIDENCE,
+    max_profile_difference, MonteCarloConfig, MonteCarloOutcome, NormalSource,
+    DEFAULT_MC_CONFIDENCE,
 };
 pub use stats::{inverse_normal_cdf, wilson_bounds, wilson_half_width, z_for_confidence};
 
@@ -97,8 +99,7 @@ pub use platform::{PlatformReport, SimulationPlatform};
 pub use report::{Fig5Report, Fig6Report, Fig7Report, Fig8Report};
 pub use stage::{ConfigField, Stage, StageCache, StageStats};
 pub use sweep::{
-    bit_area_sweep, complexity_sweep, defect_yield_sweep, full_sweep, variability_map, yield_sweep,
-    BitAreaPoint, ComplexityPoint, DefectYieldPoint, VariabilityMap, YieldPoint,
+    variability_map, BitAreaPoint, ComplexityPoint, DefectYieldPoint, VariabilityMap, YieldPoint,
 };
 
 #[cfg(test)]

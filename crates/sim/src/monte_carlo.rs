@@ -73,7 +73,6 @@ use mspt_fabrication::VariabilityMatrix;
 pub(crate) use crossbar_array::chunk_seed;
 
 use crate::disturbance::DisturbanceModel;
-use crate::engine::ExecutionEngine;
 use crate::error::{Result, SimError};
 
 /// The confidence level a [`MonteCarloConfig`] uses when none is specified:
@@ -253,60 +252,6 @@ pub struct MonteCarloOutcome {
     pub ci_lower: Vec<f64>,
     /// Per-nanowire Wilson upper confidence bounds.
     pub ci_upper: Vec<f64>,
-}
-
-/// Estimates the per-nanowire addressability of a half cave by sampling the
-/// Gaussian disturbance of every doping region `samples` times.
-///
-/// Thin wrapper over a single-threaded [`ExecutionEngine`]; results are
-/// bit-identical to the engine at any thread count.
-///
-/// Deprecated entry point: prefer [`Evaluation`](crate::Evaluation), which
-/// derives the inputs from a [`SimConfig`](crate::SimConfig) and memoizes
-/// through the engine's stage cache.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] when `samples` is zero, or propagates
-/// lower-layer errors.
-pub fn monte_carlo_addressability(
-    variability: &VariabilityMatrix,
-    model: &VariabilityModel,
-    window: Volts,
-    config: MonteCarloConfig,
-) -> Result<MonteCarloOutcome> {
-    ExecutionEngine::serial().monte_carlo_addressability(variability, model, window, config)
-}
-
-/// [`monte_carlo_addressability`] under an explicit [`DisturbanceModel`]
-/// instead of the default Gaussian — the serial entry point for heavy-tailed
-/// or correlated dose-noise studies.
-///
-/// Thin wrapper over a single-threaded
-/// [`ExecutionEngine::monte_carlo_with_disturbance`]; results are
-/// bit-identical to the engine at any thread count.
-///
-/// Deprecated entry point: prefer [`Evaluation`](crate::Evaluation) with
-/// [`SimConfig::with_disturbance`](crate::SimConfig::with_disturbance).
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] when `samples` is zero, or propagates
-/// lower-layer errors.
-pub fn monte_carlo_with_disturbance(
-    variability: &VariabilityMatrix,
-    model: &VariabilityModel,
-    window: Volts,
-    config: MonteCarloConfig,
-    disturbance: &dyn DisturbanceModel,
-) -> Result<MonteCarloOutcome> {
-    ExecutionEngine::serial().monte_carlo_with_disturbance(
-        variability,
-        model,
-        window,
-        config,
-        disturbance,
-    )
 }
 
 /// Validates a Monte-Carlo configuration and decision window.
@@ -610,6 +555,7 @@ mod tests {
     use std::ops::RangeInclusive;
 
     use crate::disturbance::{GaussianDisturbance, LaplaceDisturbance};
+    use crate::engine::ExecutionEngine;
     use device_physics::{DopingLadder, ThresholdModel};
     use mspt_fabrication::PatternMatrix;
     use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -633,6 +579,22 @@ mod tests {
             &VariabilityModel::paper_default(),
         )
         .unwrap()
+    }
+
+    /// A serial estimate under the default Gaussian disturbance.
+    fn serial_gaussian(
+        variability: &VariabilityMatrix,
+        model: &VariabilityModel,
+        window: Volts,
+        config: MonteCarloConfig,
+    ) -> Result<MonteCarloOutcome> {
+        ExecutionEngine::serial().monte_carlo_with_disturbance(
+            variability,
+            model,
+            window,
+            config,
+            &GaussianDisturbance,
+        )
     }
 
     /// Box–Muller Gaussian sampling with every σ scaled by `self.0`: only
@@ -740,14 +702,15 @@ mod tests {
         let level = alpha / pairs as f64 / 2.0;
         let mut failures = Vec::new();
         for (seed, (name, variability, model, window, analytic)) in points.iter().enumerate() {
-            let outcome = monte_carlo_with_disturbance(
-                variability,
-                model,
-                *window,
-                MonteCarloConfig::fixed(samples, 0x6a7e + seed as u64),
-                disturbance,
-            )
-            .unwrap();
+            let outcome = ExecutionEngine::serial()
+                .monte_carlo_with_disturbance(
+                    variability,
+                    model,
+                    *window,
+                    MonteCarloConfig::fixed(samples, 0x6a7e + seed as u64),
+                    disturbance,
+                )
+                .unwrap();
             for (wire, (&p_hat, &p)) in outcome
                 .profile
                 .probabilities()
@@ -799,8 +762,8 @@ mod tests {
         let model = VariabilityModel::paper_default();
         let window = Volts::new(0.25);
         let config = MonteCarloConfig::fixed(500, 42);
-        let a = monte_carlo_addressability(&variability, &model, window, config).unwrap();
-        let b = monte_carlo_addressability(&variability, &model, window, config).unwrap();
+        let a = serial_gaussian(&variability, &model, window, config).unwrap();
+        let b = serial_gaussian(&variability, &model, window, config).unwrap();
         assert_eq!(a, b);
     }
 
@@ -808,7 +771,7 @@ mod tests {
     fn zero_samples_and_negative_windows_are_rejected() {
         let variability = variability(CodeKind::Tree, 6, 8);
         let model = VariabilityModel::paper_default();
-        assert!(monte_carlo_addressability(
+        assert!(serial_gaussian(
             &variability,
             &model,
             Volts::new(0.25),
@@ -817,7 +780,7 @@ mod tests {
         .is_err());
         for window in [-0.1, f64::NAN] {
             assert!(matches!(
-                monte_carlo_addressability(
+                serial_gaussian(
                     &variability,
                     &model,
                     Volts::new(window),
@@ -846,7 +809,7 @@ mod tests {
                 .with_max_samples(0),
         ] {
             assert!(
-                monte_carlo_addressability(&variability, &model, window, bad).is_err(),
+                serial_gaussian(&variability, &model, window, bad).is_err(),
                 "{bad:?} was accepted"
             );
         }
@@ -941,14 +904,15 @@ mod tests {
             &BoxMuller(1.0),
         ] {
             let run = |window: f64| {
-                monte_carlo_with_disturbance(
-                    &variability,
-                    &model,
-                    Volts::new(window),
-                    MonteCarloConfig::fixed(1_000, 9),
-                    disturbance,
-                )
-                .unwrap()
+                ExecutionEngine::serial()
+                    .monte_carlo_with_disturbance(
+                        &variability,
+                        &model,
+                        Volts::new(window),
+                        MonteCarloConfig::fixed(1_000, 9),
+                        disturbance,
+                    )
+                    .unwrap()
             };
             let (narrow, wide) = (run(0.1), run(0.4));
             for (n, (narrow_p, wide_p)) in narrow
@@ -998,7 +962,7 @@ mod tests {
         let variability = variability(CodeKind::Gray, 8, 20);
         let model = VariabilityModel::paper_default();
         let window = Volts::new(0.25);
-        let adaptive = monte_carlo_addressability(
+        let adaptive = serial_gaussian(
             &variability,
             &model,
             window,
@@ -1017,7 +981,7 @@ mod tests {
         assert_eq!(adaptive.samples_used % 256, 0);
         // Determinism contract: the adaptive result is exactly the fixed
         // run over the prefix it kept — same seed, same chunk order.
-        let prefix = monte_carlo_addressability(
+        let prefix = serial_gaussian(
             &variability,
             &model,
             window,
@@ -1047,7 +1011,7 @@ mod tests {
         let variability = variability(CodeKind::Tree, 6, 8);
         let model = VariabilityModel::paper_default();
         let window = Volts::new(0.25);
-        let outcome = monte_carlo_addressability(
+        let outcome = serial_gaussian(
             &variability,
             &model,
             window,
@@ -1059,7 +1023,7 @@ mod tests {
         assert_eq!(outcome.samples, 700);
         assert_eq!(outcome.samples_used, 700);
         // The capped adaptive run equals the fixed run of the same length.
-        let fixed = monte_carlo_addressability(
+        let fixed = serial_gaussian(
             &variability,
             &model,
             window,

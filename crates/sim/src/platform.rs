@@ -244,24 +244,7 @@ impl SimulationPlatform {
     ///
     /// Propagates errors from every stage of the pipeline.
     pub fn evaluate(&self) -> Result<PlatformReport> {
-        self.evaluate_with_defect_map(self.sample_defect_map()?.as_ref())
-    }
-
-    /// [`SimulationPlatform::evaluate`] with an externally sampled defect
-    /// map — the entry point the execution engine uses to shard map
-    /// generation across its threads while keeping the composition here.
-    ///
-    /// The map must correspond to the configured [`DefectKind`]: `Some` of
-    /// the right dimensions for [`DefectKind::Sampled`], `None` for
-    /// [`DefectKind::None`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the map's presence or
-    /// dimensions do not match the configuration, or propagates pipeline
-    /// errors.
-    pub fn evaluate_with_defect_map(&self, map: Option<&DefectMap>) -> Result<PlatformReport> {
-        self.evaluate_with_stage_cache(&StageCache::disabled(), map)
+        self.evaluate_with_stage_cache(&StageCache::disabled(), self.sample_defect_map()?.as_ref())
     }
 
     /// The memoized variability stage: the variability matrix and the
@@ -286,13 +269,18 @@ impl SimulationPlatform {
         })
     }
 
-    /// [`SimulationPlatform::evaluate_with_defect_map`] through an explicit
-    /// per-stage memo table — the stage-graph entry point. The report is one
-    /// lookup of the table's `Composite` slot (the report memo); on a miss,
-    /// each pipeline stage (variability, contact layout, addressability,
-    /// cave yield, crossbar area) looks up its own fingerprint in `stages`
-    /// first, so a configuration change recomputes only the stages whose
-    /// declared read set it touches (see [`Stage::reads`](crate::Stage::reads)).
+    /// [`SimulationPlatform::evaluate`] with an externally sampled defect
+    /// map, through an explicit per-stage memo table — the stage-graph entry
+    /// point. The report is one lookup of the table's `Composite` slot (the
+    /// report memo); on a miss, each pipeline stage (variability, contact
+    /// layout, addressability, cave yield, crossbar area) looks up its own
+    /// fingerprint in `stages` first, so a configuration change recomputes
+    /// only the stages whose declared read set it touches (see
+    /// [`Stage::reads`](crate::Stage::reads)).
+    ///
+    /// The map must correspond to the configured [`DefectKind`]: `Some` of
+    /// the right dimensions for [`DefectKind::Sampled`], `None` for
+    /// [`DefectKind::None`].
     ///
     /// With a [`StageCache::disabled`] cache every stage is a leader-path
     /// miss and the evaluation is bit-identical to the pre-stage monolith —
@@ -374,9 +362,9 @@ impl SimulationPlatform {
 }
 
 /// Presence and dimension checks of an externally supplied defect map — the
-/// three error cases of [`SimulationPlatform::evaluate_with_defect_map`],
-/// factored out so the staged path rejects a mismatched map *before* the
-/// report lookup (a report hit must never mask one).
+/// three error cases of [`SimulationPlatform::evaluate_with_stage_cache`],
+/// factored out so it rejects a mismatched map *before* the report lookup
+/// (a report hit must never mask one).
 fn check_defect_map(defects: DefectKind, map: Option<&DefectMap>, edge: usize) -> Result<()> {
     match (defects, map) {
         (DefectKind::None, None) => Ok(()),
@@ -498,17 +486,22 @@ mod tests {
             .clone()
             .with_defects(DefectKind::sampled(0.05, 0.02, 1).unwrap());
         let defective = SimulationPlatform::new(defective);
+        let stages = StageCache::disabled();
         // A defect-configured evaluation without a map is an error...
-        assert!(defective.evaluate_with_defect_map(None).is_err());
+        assert!(defective.evaluate_with_stage_cache(&stages, None).is_err());
         // ...as is a map of the wrong dimensions...
         let small = crossbar_array::DefectModel::new(0.05, 0.02)
             .unwrap()
             .sample_map(4, 4, 1)
             .unwrap();
-        assert!(defective.evaluate_with_defect_map(Some(&small)).is_err());
+        assert!(defective
+            .evaluate_with_stage_cache(&stages, Some(&small))
+            .is_err());
         // ...and a map supplied to a defect-free configuration.
         let clean = platform(CodeKind::Tree, 8);
-        assert!(clean.evaluate_with_defect_map(Some(&small)).is_err());
+        assert!(clean
+            .evaluate_with_stage_cache(&stages, Some(&small))
+            .is_err());
         assert!(clean.sample_defect_map().unwrap().is_none());
     }
 

@@ -202,7 +202,8 @@ impl fmt::Display for Fig8Report {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::sweep::{bit_area_sweep, complexity_sweep, variability_map, yield_sweep};
+    use crate::engine::ExecutionEngine;
+    use crate::sweep::variability_map;
     use nanowire_codes::{CodeSpec, LogicLevel};
 
     fn base() -> SimConfig {
@@ -212,14 +213,15 @@ mod tests {
 
     #[test]
     fn fig5_report_renders_every_point() {
-        let points = complexity_sweep(
-            &base(),
-            &[CodeKind::Tree, CodeKind::Gray],
-            &[LogicLevel::BINARY, LogicLevel::TERNARY],
-            8,
-            10,
-        )
-        .unwrap();
+        let points = ExecutionEngine::serial()
+            .complexity_sweep(
+                &base(),
+                &[CodeKind::Tree, CodeKind::Gray],
+                &[LogicLevel::BINARY, LogicLevel::TERNARY],
+                8,
+                10,
+            )
+            .unwrap();
         let report = Fig5Report { points };
         let text = report.to_string();
         assert!(text.contains("Fig. 5"));
@@ -242,20 +244,24 @@ mod tests {
 
     #[test]
     fn fig7_report_renders_series() {
+        let engine = ExecutionEngine::serial();
         let series = vec![
             (
                 CodeKind::Tree,
-                yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[6, 8, 10]).unwrap(),
+                engine
+                    .yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[6, 8, 10])
+                    .unwrap(),
             ),
             (
                 CodeKind::BalancedGray,
-                yield_sweep(
-                    &base(),
-                    CodeKind::BalancedGray,
-                    LogicLevel::BINARY,
-                    &[6, 8, 10],
-                )
-                .unwrap(),
+                engine
+                    .yield_sweep(
+                        &base(),
+                        CodeKind::BalancedGray,
+                        LogicLevel::BINARY,
+                        &[6, 8, 10],
+                    )
+                    .unwrap(),
             ),
         ];
         let report = Fig7Report {
@@ -272,13 +278,13 @@ mod tests {
     #[test]
     fn fig7_report_renders_the_defect_axis() {
         use crate::defect::DefectKind;
-        use crate::sweep::defect_yield_sweep;
         let defects = [
             DefectKind::None,
             DefectKind::sampled(0.05, 0.02, 2_009).unwrap(),
         ];
-        let points =
-            defect_yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, 8, &defects).unwrap();
+        let points = ExecutionEngine::serial()
+            .defect_yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
+            .unwrap();
         let report = Fig7Report {
             series: vec![],
             defect_series: vec![(CodeKind::Tree, points)],
@@ -297,20 +303,24 @@ mod tests {
 
     #[test]
     fn fig8_report_finds_the_best_bit_area() {
+        let engine = ExecutionEngine::serial();
         let series = vec![
             (
                 CodeKind::Tree,
-                bit_area_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[6, 10]).unwrap(),
+                engine
+                    .bit_area_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[6, 10])
+                    .unwrap(),
             ),
             (
                 CodeKind::BalancedGray,
-                bit_area_sweep(
-                    &base(),
-                    CodeKind::BalancedGray,
-                    LogicLevel::BINARY,
-                    &[6, 10],
-                )
-                .unwrap(),
+                engine
+                    .bit_area_sweep(
+                        &base(),
+                        CodeKind::BalancedGray,
+                        LogicLevel::BINARY,
+                        &[6, 10],
+                    )
+                    .unwrap(),
             ),
         ];
         let report = Fig8Report { series };

@@ -1,9 +1,9 @@
 //! The stage graph of the evaluation pipeline: incremental,
 //! dependency-aware recomputation.
 //!
-//! [`SimulationPlatform::evaluate_with_defect_map`] used to be a monolith —
-//! any one-field configuration change re-ran everything. This module splits
-//! it into explicit stages, each memoized under a **canonical per-stage
+//! A platform evaluation used to be a monolith — any one-field
+//! configuration change re-ran everything. This module splits it into
+//! explicit stages, each memoized under a **canonical per-stage
 //! fingerprint** derived from only the [`SimConfig`] fields the stage
 //! actually reads:
 //!

@@ -1,5 +1,9 @@
-//! Parameter sweeps over code type, logic radix and code length — the loops
-//! behind Figs. 5–8 of the paper.
+//! The points of the parameter sweeps over code type, logic radix and code
+//! length behind Figs. 5–8 of the paper — the [`ExecutionEngine`] sweep
+//! methods produce them — and the Fig. 6 variability map, which has no
+//! engine form.
+//!
+//! [`ExecutionEngine`]: crate::ExecutionEngine
 
 use serde::{Deserialize, Serialize};
 
@@ -8,9 +12,8 @@ use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 use crate::config::SimConfig;
 use crate::defect::DefectKind;
-use crate::engine::ExecutionEngine;
 use crate::error::Result;
-use crate::platform::{PlatformReport, SimulationPlatform};
+use crate::platform::SimulationPlatform;
 
 /// One point of the fabrication-complexity sweep (Fig. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,26 +92,6 @@ pub struct BitAreaPoint {
     pub crossbar_yield: f64,
 }
 
-/// Sweeps the fabrication complexity `Φ` over code families and logic
-/// radices at a fixed half-cave size (Fig. 5 uses `N = 10`).
-///
-/// Thin wrapper over a single-threaded [`ExecutionEngine`]; use the engine
-/// directly to batch the points across threads.
-///
-/// # Errors
-///
-/// Returns [`SimError::EmptySweep`](crate::SimError::EmptySweep) for empty parameter sets, or propagates
-/// evaluation errors.
-pub fn complexity_sweep(
-    base: &SimConfig,
-    kinds: &[CodeKind],
-    radices: &[LogicLevel],
-    code_length: usize,
-    nanowires: usize,
-) -> Result<Vec<ComplexityPoint>> {
-    ExecutionEngine::serial().complexity_sweep(base, kinds, radices, code_length, nanowires)
-}
-
 /// Computes the variability map of one code family and length (one panel of
 /// Fig. 6; the paper uses `N = 20` nanowires).
 ///
@@ -137,90 +120,10 @@ pub fn variability_map(
     })
 }
 
-/// Sweeps the crossbar yield over code lengths for one code family (one
-/// series of Fig. 7).
-///
-/// Thin wrapper over a single-threaded [`ExecutionEngine`]; use the engine
-/// directly to batch and memoize the points across threads.
-///
-/// # Errors
-///
-/// Returns [`SimError::EmptySweep`](crate::SimError::EmptySweep) for an empty length set, or propagates
-/// evaluation errors. Lengths that are invalid for the family/radix are
-/// skipped silently so hot-code sweeps can share length lists with
-/// tree-code sweeps.
-pub fn yield_sweep(
-    base: &SimConfig,
-    kind: CodeKind,
-    radix: LogicLevel,
-    code_lengths: &[usize],
-) -> Result<Vec<YieldPoint>> {
-    ExecutionEngine::serial().yield_sweep(base, kind, radix, code_lengths)
-}
-
-/// Sweeps the effective bit area over code lengths for one code family (one
-/// bar group of Fig. 8).
-///
-/// Thin wrapper over a single-threaded [`ExecutionEngine`]; use the engine
-/// directly to batch and memoize the points across threads.
-///
-/// # Errors
-///
-/// Returns [`SimError::EmptySweep`](crate::SimError::EmptySweep) for an empty length set, or propagates
-/// evaluation errors. Invalid lengths for the family are skipped.
-pub fn bit_area_sweep(
-    base: &SimConfig,
-    kind: CodeKind,
-    radix: LogicLevel,
-    code_lengths: &[usize],
-) -> Result<Vec<BitAreaPoint>> {
-    ExecutionEngine::serial().bit_area_sweep(base, kind, radix, code_lengths)
-}
-
-/// Sweeps the composite crossbar yield of one code over a set of
-/// fabrication-defect selections (the defect axis of the Fig. 7 extension).
-///
-/// Thin wrapper over a single-threaded [`ExecutionEngine`]; use the engine
-/// directly to batch and memoize the points across threads.
-///
-/// # Errors
-///
-/// Returns [`SimError::EmptySweep`](crate::SimError::EmptySweep) for an
-/// empty defect set, or propagates evaluation errors.
-pub fn defect_yield_sweep(
-    base: &SimConfig,
-    kind: CodeKind,
-    radix: LogicLevel,
-    code_length: usize,
-    defects: &[DefectKind],
-) -> Result<Vec<DefectYieldPoint>> {
-    ExecutionEngine::serial().defect_yield_sweep(base, kind, radix, code_length, defects)
-}
-
-/// Evaluates the full platform report for every (kind, length) pair —
-/// convenience for the experiments and benches that need several figures at
-/// once.
-///
-/// Thin wrapper over a single-threaded [`ExecutionEngine`]; use the engine
-/// directly to batch and memoize the points across threads.
-///
-/// # Errors
-///
-/// Returns [`SimError::EmptySweep`](crate::SimError::EmptySweep) for empty parameter sets, or propagates
-/// evaluation errors. Invalid (kind, length) pairs are skipped.
-pub fn full_sweep(
-    base: &SimConfig,
-    kinds: &[CodeKind],
-    radix: LogicLevel,
-    code_lengths: &[usize],
-) -> Result<Vec<PlatformReport>> {
-    ExecutionEngine::serial().full_sweep(base, kinds, radix, code_lengths)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::SimError;
+    use crate::engine::ExecutionEngine;
 
     fn base() -> SimConfig {
         let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
@@ -229,18 +132,19 @@ mod tests {
 
     #[test]
     fn complexity_sweep_reproduces_fig5_shape() {
-        let points = complexity_sweep(
-            &base(),
-            &[CodeKind::Tree, CodeKind::Gray],
-            &[
-                LogicLevel::BINARY,
-                LogicLevel::TERNARY,
-                LogicLevel::QUATERNARY,
-            ],
-            8,
-            10,
-        )
-        .unwrap();
+        let points = ExecutionEngine::serial()
+            .complexity_sweep(
+                &base(),
+                &[CodeKind::Tree, CodeKind::Gray],
+                &[
+                    LogicLevel::BINARY,
+                    LogicLevel::TERNARY,
+                    LogicLevel::QUATERNARY,
+                ],
+                8,
+                10,
+            )
+            .unwrap();
         assert_eq!(points.len(), 6);
         let phi = |kind: CodeKind, radix: LogicLevel| {
             points
@@ -282,8 +186,9 @@ mod tests {
 
     #[test]
     fn yield_sweep_skips_invalid_lengths_and_stays_in_bounds() {
-        let points =
-            yield_sweep(&base(), CodeKind::Hot, LogicLevel::BINARY, &[4, 5, 6, 8]).unwrap();
+        let points = ExecutionEngine::serial()
+            .yield_sweep(&base(), CodeKind::Hot, LogicLevel::BINARY, &[4, 5, 6, 8])
+            .unwrap();
         // Length 5 is invalid for a binary hot code and must be skipped.
         assert_eq!(points.len(), 3);
         for p in &points {
@@ -294,13 +199,14 @@ mod tests {
 
     #[test]
     fn bit_area_sweep_produces_positive_areas() {
-        let points = bit_area_sweep(
-            &base(),
-            CodeKind::BalancedGray,
-            LogicLevel::BINARY,
-            &[6, 8, 10],
-        )
-        .unwrap();
+        let points = ExecutionEngine::serial()
+            .bit_area_sweep(
+                &base(),
+                CodeKind::BalancedGray,
+                LogicLevel::BINARY,
+                &[6, 8, 10],
+            )
+            .unwrap();
         assert_eq!(points.len(), 3);
         for p in &points {
             assert!(p.bit_area > 100.0);
@@ -310,34 +216,15 @@ mod tests {
     }
 
     #[test]
-    fn empty_sweeps_are_rejected() {
-        assert!(matches!(
-            complexity_sweep(&base(), &[], &[LogicLevel::BINARY], 8, 10),
-            Err(SimError::EmptySweep)
-        ));
-        assert!(matches!(
-            yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[]),
-            Err(SimError::EmptySweep)
-        ));
-        assert!(matches!(
-            bit_area_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[]),
-            Err(SimError::EmptySweep)
-        ));
-        assert!(matches!(
-            full_sweep(&base(), &[], LogicLevel::BINARY, &[8]),
-            Err(SimError::EmptySweep)
-        ));
-    }
-
-    #[test]
     fn full_sweep_covers_valid_combinations() {
-        let reports = full_sweep(
-            &base(),
-            &[CodeKind::Tree, CodeKind::Hot],
-            LogicLevel::BINARY,
-            &[6, 8],
-        )
-        .unwrap();
+        let reports = ExecutionEngine::serial()
+            .full_sweep(
+                &base(),
+                &[CodeKind::Tree, CodeKind::Hot],
+                LogicLevel::BINARY,
+                &[6, 8],
+            )
+            .unwrap();
         assert_eq!(reports.len(), 4);
     }
 }

@@ -6,10 +6,9 @@
 
 use crossbar_array::DefectModel;
 use decoder_sim::{
-    full_sweep, monte_carlo_addressability, monte_carlo_with_disturbance, DefectKind,
-    DisturbanceKind, DisturbanceModel, EngineConfig, ExecutionEngine, GaussianDisturbance,
-    LaplaceDisturbance, MonteCarloConfig, MonteCarloOutcome, NormalSource, SimConfig,
-    DEFAULT_CHUNK_SIZE,
+    DefectKind, DisturbanceKind, DisturbanceModel, EngineConfig, ExecutionEngine,
+    GaussianDisturbance, LaplaceDisturbance, MonteCarloConfig, MonteCarloOutcome, NormalSource,
+    SimConfig, DEFAULT_CHUNK_SIZE,
 };
 use device_physics::{DopingLadder, ThresholdModel, VariabilityModel, Volts};
 use mspt_fabrication::{PatternMatrix, VariabilityMatrix};
@@ -44,17 +43,33 @@ fn engine(threads: usize) -> ExecutionEngine {
     })
 }
 
+/// A Monte-Carlo estimate on `engine` under the paper's Gaussian
+/// disturbance model.
+fn gaussian(
+    engine: &ExecutionEngine,
+    variability: &VariabilityMatrix,
+    window: Volts,
+    config: MonteCarloConfig,
+) -> MonteCarloOutcome {
+    engine
+        .monte_carlo_with_disturbance(
+            variability,
+            &VariabilityModel::paper_default(),
+            window,
+            config,
+            &GaussianDisturbance,
+        )
+        .unwrap()
+}
+
 #[test]
 fn monte_carlo_is_bit_identical_across_thread_counts() {
     let variability = variability(CodeKind::Tree, 8, 10);
-    let model = VariabilityModel::paper_default();
     let window = Volts::new(0.25);
     let config = MonteCarloConfig::fixed(1_000, 42);
-    let serial = monte_carlo_addressability(&variability, &model, window, config).unwrap();
+    let serial = gaussian(&ExecutionEngine::serial(), &variability, window, config);
     for threads in [1usize, 2, 4, 8] {
-        let parallel = engine(threads)
-            .monte_carlo_addressability(&variability, &model, window, config)
-            .unwrap();
+        let parallel = gaussian(&engine(threads), &variability, window, config);
         assert_eq!(
             serial, parallel,
             "outcome diverged at {threads} engine threads"
@@ -69,20 +84,15 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
 #[test]
 fn adaptive_stopping_is_bit_identical_across_thread_counts() {
     let variability = variability(CodeKind::Gray, 8, 16);
-    let model = VariabilityModel::paper_default();
     let window = Volts::new(0.25);
     let config = MonteCarloConfig::fixed(20_000, 42).with_target_half_width(0.05);
-    let reference = engine(1)
-        .monte_carlo_addressability(&variability, &model, window, config)
-        .unwrap();
+    let reference = gaussian(&engine(1), &variability, window, config);
     assert!(
         reference.samples_used < reference.samples,
         "the target must stop sampling before the cap for this gate to bite"
     );
     for threads in [4usize, 8] {
-        let parallel = engine(threads)
-            .monte_carlo_addressability(&variability, &model, window, config)
-            .unwrap();
+        let parallel = gaussian(&engine(threads), &variability, window, config);
         assert_eq!(
             reference.samples_used, parallel.samples_used,
             "adaptive stopping point diverged at {threads} engine threads"
@@ -100,7 +110,9 @@ fn full_sweep_is_element_identical_across_thread_counts() {
     let base = SimConfig::paper_defaults(code).unwrap();
     let kinds = [CodeKind::Tree, CodeKind::Gray, CodeKind::Hot];
     let lengths = [4usize, 6, 8];
-    let serial = full_sweep(&base, &kinds, LogicLevel::BINARY, &lengths).unwrap();
+    let serial = ExecutionEngine::serial()
+        .full_sweep(&base, &kinds, LogicLevel::BINARY, &lengths)
+        .unwrap();
     for threads in [2usize, 4] {
         let parallel = engine(threads)
             .full_sweep(&base, &kinds, LogicLevel::BINARY, &lengths)
@@ -142,15 +154,18 @@ fn fixed_seed_outcome_is_pinned() {
     let window = Volts::new(0.25);
     let config = MonteCarloConfig::fixed(500, 42);
 
+    let serial = ExecutionEngine::serial();
+
     // The Box–Muller reference, on the general path.
-    let reference = monte_carlo_with_disturbance(
-        &variability,
-        &model,
-        window,
-        config,
-        &GeneralPath(GaussianDisturbance),
-    )
-    .unwrap();
+    let reference = serial
+        .monte_carlo_with_disturbance(
+            &variability,
+            &model,
+            window,
+            config,
+            &GeneralPath(GaussianDisturbance),
+        )
+        .unwrap();
     assert_eq!(reference.samples, 500);
     assert_eq!(
         counts(&reference),
@@ -161,18 +176,13 @@ fn fixed_seed_outcome_is_pinned() {
 
     // The Gaussian window path: one uniform per region, compared against
     // the tabulated [Φ(−w/σ), Φ(w/σ)] range.
-    let outcome = monte_carlo_addressability(&variability, &model, window, config).unwrap();
+    let outcome = gaussian(&serial, &variability, window, config);
     assert_eq!(
         counts(&outcome),
         vec![367, 380, 412, 433, 461, 478, 483, 497, 499, 500],
         "probabilities: {:?}",
         outcome.profile
     );
-    // The default entry point is the explicit Gaussian model.
-    let via_trait =
-        monte_carlo_with_disturbance(&variability, &model, window, config, &GaussianDisturbance)
-            .unwrap();
-    assert_eq!(outcome, via_trait);
 }
 
 /// The Laplace window path accepts exactly the draws the inverse-CDF
@@ -182,6 +192,7 @@ fn fixed_seed_outcome_is_pinned() {
 fn laplace_window_path_matches_the_general_path_bit_for_bit() {
     let model = VariabilityModel::paper_default();
     let general = GeneralPath(LaplaceDisturbance);
+    let serial = ExecutionEngine::serial();
     for (kind, length, nanowires) in [
         (CodeKind::Tree, 8, 10),
         (CodeKind::Gray, 6, 12),
@@ -197,7 +208,14 @@ fn laplace_window_path_matches_the_general_path_bit_for_bit() {
                 };
                 let window = Volts::new(window);
                 let run = |disturbance: &dyn DisturbanceModel| {
-                    monte_carlo_with_disturbance(&variability, &model, window, config, disturbance)
+                    serial
+                        .monte_carlo_with_disturbance(
+                            &variability,
+                            &model,
+                            window,
+                            config,
+                            disturbance,
+                        )
                         .unwrap()
                 };
                 assert_eq!(
@@ -216,14 +234,15 @@ fn laplace_window_path_matches_the_general_path_bit_for_bit() {
 fn laplace_fixed_seed_outcome_is_pinned() {
     let variability = variability(CodeKind::Tree, 8, 10);
     let model = VariabilityModel::paper_default();
-    let outcome = monte_carlo_with_disturbance(
-        &variability,
-        &model,
-        Volts::new(0.25),
-        MonteCarloConfig::fixed(500, 42),
-        &LaplaceDisturbance,
-    )
-    .unwrap();
+    let outcome = ExecutionEngine::serial()
+        .monte_carlo_with_disturbance(
+            &variability,
+            &model,
+            Volts::new(0.25),
+            MonteCarloConfig::fixed(500, 42),
+            &LaplaceDisturbance,
+        )
+        .unwrap();
     assert_eq!(
         counts(&outcome),
         vec![350, 360, 384, 386, 427, 435, 447, 474, 488, 500],
@@ -245,14 +264,15 @@ fn non_gaussian_disturbances_are_bit_identical_across_thread_counts() {
         },
     ] {
         let disturbance = kind.model().unwrap();
-        let serial = monte_carlo_with_disturbance(
-            &variability,
-            &model,
-            window,
-            config,
-            disturbance.as_ref(),
-        )
-        .unwrap();
+        let serial = ExecutionEngine::serial()
+            .monte_carlo_with_disturbance(
+                &variability,
+                &model,
+                window,
+                config,
+                disturbance.as_ref(),
+            )
+            .unwrap();
         for threads in [2usize, 4] {
             let parallel = engine(threads)
                 .monte_carlo_with_disturbance(
@@ -278,14 +298,15 @@ fn config_carried_disturbance_reaches_the_sampler() {
     let config = MonteCarloConfig::fixed(500, 3);
     let engine = engine(2);
     // A Gaussian-configured SimConfig goes through the identical stream as
-    // the plain entry point...
+    // the raw-matrix entry point under the Gaussian model...
     let platform = decoder_sim::SimulationPlatform::new(base.clone());
     let direct = engine
-        .monte_carlo_addressability(
+        .monte_carlo_with_disturbance(
             &platform.variability().unwrap(),
             &base.variability_model().unwrap(),
             base.decision_window().unwrap(),
             config,
+            &GaussianDisturbance,
         )
         .unwrap();
     assert_eq!(

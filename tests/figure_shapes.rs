@@ -2,12 +2,14 @@
 //! (Section 6, Figs. 5–8) hold on the reproduction platform — orderings,
 //! trends and crossover locations rather than absolute numbers.
 
-use mspt_experiments::{fig5_report, fig6_report, fig7_report, fig8_report, headline_numbers};
+use mspt_experiments::{
+    fig5_report, fig6_report, fig7_report, fig8_report, headline_numbers, paper_engine,
+};
 use nanowire_codes::{CodeKind, LogicLevel};
 
 #[test]
 fn fig5_binary_complexity_is_flat_and_gray_cancels_the_higher_radix_overhead() {
-    let report = fig5_report().unwrap();
+    let report = fig5_report(&paper_engine()).unwrap();
     let phi = |kind: CodeKind, radix: LogicLevel| {
         report
             .points
@@ -60,7 +62,7 @@ fn fig6_gray_codes_reduce_and_balance_the_variability() {
 
 #[test]
 fn fig7_yield_grows_with_code_length_and_optimised_codes_win() {
-    let report = fig7_report().unwrap();
+    let report = fig7_report(&paper_engine()).unwrap();
     let series = |kind: CodeKind| &report.series.iter().find(|(k, _)| *k == kind).unwrap().1;
     let yield_at = |kind: CodeKind, length: usize| {
         series(kind)
@@ -91,7 +93,7 @@ fn fig7_yield_grows_with_code_length_and_optimised_codes_win() {
 
 #[test]
 fn fig8_bit_area_shrinks_with_length_and_the_best_code_is_an_optimised_one() {
-    let report = fig8_report().unwrap();
+    let report = fig8_report(&paper_engine()).unwrap();
     let series = |kind: CodeKind| &report.series.iter().find(|(k, _)| *k == kind).unwrap().1;
     let area_at = |kind: CodeKind, length: usize| {
         series(kind)
@@ -120,7 +122,7 @@ fn fig8_bit_area_shrinks_with_length_and_the_best_code_is_an_optimised_one() {
 
 #[test]
 fn headline_numbers_are_in_the_papers_direction_and_ballpark() {
-    let headline = headline_numbers().unwrap();
+    let headline = headline_numbers(&paper_engine()).unwrap();
     // Directions: every optimisation the paper reports as a gain is a gain.
     assert!(headline.gray_complexity_saving_ternary > 0.0);
     assert!(headline.bgc_variability_reduction > 0.0);
