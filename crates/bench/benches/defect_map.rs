@@ -1,8 +1,10 @@
 //! Serial vs engine-sharded defect-map generation: the same independently
 //! seeded band layout assembled by one thread or many — bit-identical maps
-//! at every thread count, only the wall-clock changes. Plus the end-to-end
-//! cost of a defect-composed report: map sampling + composition on top of
-//! the decoder evaluation.
+//! at every thread count, only the wall-clock changes. Beside it, the
+//! streamed usable-crosspoint count the report path draws instead of the
+//! map, serial and engine-sharded. Plus the end-to-end cost of a
+//! defect-composed report: the count and the composition on top of the
+//! decoder evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use crossbar_array::DefectModel;
@@ -20,6 +22,9 @@ fn bench_defect_map(c: &mut Criterion) {
     group.bench_function("serial_sample_map", |b| {
         b.iter(|| model.sample_map(EDGE, EDGE, 42).expect("map"))
     });
+    group.bench_function("serial_count", |b| {
+        b.iter(|| model.count_usable(EDGE, EDGE, 42).expect("count"))
+    });
     for threads in [1usize, 2, 4, 8] {
         let engine = ExecutionEngine::new(EngineConfig {
             threads,
@@ -32,13 +37,16 @@ fn bench_defect_map(c: &mut Criterion) {
                     .expect("map")
             })
         });
+        group.bench_function(format!("engine_count_{threads}_threads"), |b| {
+            b.iter(|| engine.count_usable(&model, EDGE, EDGE, 42).expect("count"))
+        });
     }
     group.finish();
 }
 
 /// The report-path cost of the defect dimension: evaluating the paper's
 /// best balanced-Gray configuration defect-free vs with a sampled defect
-/// map composed in (363 × 363 crosspoints sampled + composed per cold
+/// instance composed in (363 × 363 crosspoints drawn and counted per cold
 /// evaluation). Caching is disabled so every iteration pays the full cost.
 fn bench_defect_report(c: &mut Criterion) {
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).expect("code");

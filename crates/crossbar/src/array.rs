@@ -42,11 +42,22 @@ impl CrossbarSpec {
     /// # Errors
     ///
     /// Returns [`CrossbarError::InvalidSpec`] when the capacity or the
-    /// nanowires per half cave are zero.
+    /// nanowires per half cave are zero, or when the square array's
+    /// crosspoint count ([`CrossbarSpec::raw_crosspoints`]) does not fit a
+    /// `u64`.
     pub fn new(raw_bits: u64, nanowires_per_half_cave: usize, rules: LayoutRules) -> Result<Self> {
         if raw_bits == 0 {
             return Err(CrossbarError::InvalidSpec {
                 reason: "raw capacity must be at least one bit".to_string(),
+            });
+        }
+        let edge = square_edge(raw_bits) as u64;
+        if edge.checked_mul(edge).is_none() {
+            return Err(CrossbarError::InvalidSpec {
+                reason: format!(
+                    "raw capacity {raw_bits} needs {edge} nanowires per layer, \
+                     whose square overflows"
+                ),
             });
         }
         if nanowires_per_half_cave == 0 {
@@ -93,7 +104,7 @@ impl CrossbarSpec {
     /// `ceil(sqrt(raw_bits))`.
     #[must_use]
     pub fn nanowires_per_layer(&self) -> usize {
-        (self.raw_bits as f64).sqrt().ceil() as usize
+        square_edge(self.raw_bits)
     }
 
     /// The number of caves per layer (each cave holds two half caves).
@@ -125,6 +136,12 @@ impl CrossbarSpec {
     }
 }
 
+/// The edge of the smallest square array holding `raw_bits` crosspoints:
+/// `ceil(sqrt(raw_bits))`.
+fn square_edge(raw_bits: u64) -> usize {
+    (raw_bits as f64).sqrt().ceil() as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +151,20 @@ mod tests {
         assert!(CrossbarSpec::new(0, 40, LayoutRules::paper_default()).is_err());
         assert!(CrossbarSpec::new(1024, 0, LayoutRules::paper_default()).is_err());
         assert!(CrossbarSpec::new(1024, 40, LayoutRules::paper_default()).is_ok());
+    }
+
+    #[test]
+    fn capacities_whose_square_overflows_are_rejected() {
+        let rules = LayoutRules::paper_default();
+        // u64::MAX needs a 2^32 edge, whose square wraps.
+        assert!(matches!(
+            CrossbarSpec::new(u64::MAX, 40, rules),
+            Err(CrossbarError::InvalidSpec { .. })
+        ));
+        // The largest square that fits still builds and squares exactly.
+        let edge = u64::from(u32::MAX);
+        let spec = CrossbarSpec::new(edge * edge, 40, rules).unwrap();
+        assert_eq!(spec.raw_crosspoints(), edge * edge);
     }
 
     #[test]

@@ -35,9 +35,32 @@
 //! crosspoint it covers), so the map depends only on `(rates, rows, columns,
 //! seed)` — never on which thread samples which chunk, and never on the
 //! defect rates steering RNG consumption.
+//!
+//! # Streamed counts
+//!
+//! A report reads one number from a sampled instance: the fraction of usable
+//! crosspoints. [`DefectModel::count_usable`] computes it without building
+//! the map. It draws the two breakage chunks, then walks the band chunks one
+//! at a time through a [`UsableCounter`], consuming every chunk exactly as
+//! [`DefectModel::sample_map`] does (a broken row's uniforms are drawn and
+//! thrown away), and adds up the crosspoints with an intact row, an intact
+//! column and a working switch. The count therefore equals the map's count
+//! for every `(rates, rows, columns, seed)`, and [`survival_fraction`] turns
+//! either into the same bits. Band counts are integers, so a sharded count
+//! (`decoder_sim::ExecutionEngine::count_usable`) adds them in any order and
+//! still matches.
+//!
+//! # Size bound
+//!
+//! Every sampler, map or count, checks its dimensions with
+//! [`check_defect_dimensions`] before it draws or allocates anything: both
+//! positive, and `rows × columns` (a checked multiplication) at most
+//! [`MAX_DEFECT_CROSSPOINTS`].
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CrossbarError, Result};
@@ -77,6 +100,68 @@ pub const DEFECT_BAND_ROWS: usize = 64;
 #[must_use]
 pub fn defect_band_count(rows: usize) -> usize {
     rows.div_ceil(DEFECT_BAND_ROWS)
+}
+
+/// The largest crosspoint count (`rows × columns`) a defect map or a
+/// usable-crosspoint count is drawn for: 2²⁴, a 4096 × 4096 crossbar, 128×
+/// the paper's 363² array. Larger requests fail before any draw or
+/// allocation, so one oversized crossbar cannot exhaust memory or hold a
+/// thread for minutes.
+pub const MAX_DEFECT_CROSSPOINTS: usize = 1 << 24;
+
+/// Checks the dimensions of a defect map or count before anything is drawn
+/// or allocated, and returns its crosspoint count.
+///
+/// # Errors
+///
+/// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero, or
+/// when `rows × columns` overflows or exceeds [`MAX_DEFECT_CROSSPOINTS`].
+pub fn check_defect_dimensions(rows: usize, columns: usize) -> Result<usize> {
+    if rows == 0 || columns == 0 {
+        return Err(CrossbarError::InvalidSpec {
+            reason: format!("defect map dimensions {rows}x{columns} must be positive"),
+        });
+    }
+    match rows.checked_mul(columns) {
+        Some(crosspoints) if crosspoints <= MAX_DEFECT_CROSSPOINTS => Ok(crosspoints),
+        _ => Err(CrossbarError::InvalidSpec {
+            reason: format!(
+                "defect map dimensions {rows}x{columns} exceed {MAX_DEFECT_CROSSPOINTS} crosspoints"
+            ),
+        }),
+    }
+}
+
+/// The rows of band `band` of a `rows`-row map (empty past the end).
+fn band_rows(band: usize, rows: usize) -> Range<usize> {
+    let start = band.saturating_mul(DEFECT_BAND_ROWS).min(rows);
+    start..rows.min(start.saturating_add(DEFECT_BAND_ROWS))
+}
+
+/// The fraction of usable crosspoints of a `rows × columns` instance with
+/// `usable` of them usable — the one survival expression, shared by
+/// [`DefectMap::usable_fraction`] and the streamed count.
+#[must_use]
+pub fn survival_fraction(usable: usize, rows: usize, columns: usize) -> f64 {
+    usable as f64 / (rows * columns) as f64
+}
+
+/// The integer form of the Bernoulli draw `gen::<f64>() < rate`: for every
+/// draw `bits = next_u64()`, `gen::<f64>() < rate` holds exactly when
+/// `(bits >> 11) < uniform_threshold(rate)`.
+///
+/// Why the two tests agree on every draw:
+///
+/// * the vendored `rand` builds `gen::<f64>()` as `(bits >> 11) · 2⁻⁵³`, and
+///   rand 0.8's `Standard` distribution does the same;
+/// * `k = bits >> 11` is an integer below 2⁵³, and both scalings by a power
+///   of two (`k · 2⁻⁵³` and `rate · 2⁵³`) are exact, so
+///   `k · 2⁻⁵³ < rate ⟺ k < rate · 2⁵³`;
+/// * for an integer `k` and a real `y`, `k < y ⟺ k < ⌈y⌉`.
+///
+/// A rate in `[0, 1]` gives a threshold in `[0, 2⁵³]`, exact as a `u64`.
+fn uniform_threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Domain-separation tag mixed into the run seed before defect-map chunk
@@ -155,12 +240,7 @@ impl DefectModel {
     /// (defects).
     #[must_use]
     pub fn compose_with(&self, decoder_yield: &CaveYield) -> CompositeYield {
-        let crossbar_yield = decoder_yield.crossbar_yield() * self.crosspoint_survival();
-        CompositeYield {
-            decoder_yield: decoder_yield.crossbar_yield(),
-            defect_survival: self.crosspoint_survival(),
-            crossbar_yield,
-        }
+        CompositeYield::new(decoder_yield, self.crosspoint_survival())
     }
 
     /// Samples a defect map for a `rows × columns` crossbar with a
@@ -174,9 +254,10 @@ impl DefectModel {
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero.
+    /// Returns [`CrossbarError::InvalidSpec`] when the dimensions fail
+    /// [`check_defect_dimensions`].
     pub fn sample_map(&self, rows: usize, columns: usize, seed: u64) -> Result<DefectMap> {
-        let mut defective = Vec::with_capacity(rows.saturating_mul(columns));
+        let mut defective = Vec::with_capacity(check_defect_dimensions(rows, columns)?);
         for band in 0..defect_band_count(rows) {
             defective.extend(self.sample_defective_band(band, rows, columns, seed));
         }
@@ -187,6 +268,44 @@ impl DefectModel {
             self.sample_column_breakage(columns, seed),
             defective,
         )
+    }
+
+    /// Counts the usable crosspoints of the instance [`DefectModel::sample_map`]
+    /// would draw for the same arguments, without building it: the serial sum
+    /// of the [`UsableCounter`] band counts (see the module-level "Streamed
+    /// counts").
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrossbarError::InvalidSpec`] when the dimensions fail
+    /// [`check_defect_dimensions`].
+    pub fn count_usable(&self, rows: usize, columns: usize, seed: u64) -> Result<usize> {
+        let counter = self.usable_counter(rows, columns, seed)?;
+        Ok((0..counter.bands())
+            .map(|band| counter.count_band(band))
+            .sum())
+    }
+
+    /// The per-band counter of usable crosspoints of a `rows × columns`
+    /// instance: checks the dimensions, draws the breakage chunks `0` and `1`
+    /// and computes the switch-defect threshold, once for every band.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrossbarError::InvalidSpec`] when the dimensions fail
+    /// [`check_defect_dimensions`].
+    pub fn usable_counter(&self, rows: usize, columns: usize, seed: u64) -> Result<UsableCounter> {
+        check_defect_dimensions(rows, columns)?;
+        Ok(UsableCounter {
+            broken_rows: self.sample_row_breakage(rows, seed),
+            intact_columns: self
+                .sample_column_breakage(columns, seed)
+                .into_iter()
+                .map(|broken| !broken)
+                .collect(),
+            defect_threshold: uniform_threshold(self.crosspoint_defect),
+            seed,
+        })
     }
 
     /// Samples chunk `0` of the map layout: the row-breakage vector (`rows`
@@ -219,10 +338,8 @@ impl DefectModel {
         columns: usize,
         seed: u64,
     ) -> Vec<bool> {
-        let start = band.saturating_mul(DEFECT_BAND_ROWS);
-        let band_rows = rows.saturating_sub(start).min(DEFECT_BAND_ROWS);
         self.sample_bools(
-            band_rows * columns,
+            band_rows(band, rows).len() * columns,
             self.crosspoint_defect,
             defect_chunk_seed(seed, 2 + band as u64),
         )
@@ -241,6 +358,52 @@ impl Default for DefectModel {
     }
 }
 
+/// The per-band counter of usable crosspoints behind
+/// [`DefectModel::count_usable`]: the breakage chunks of one
+/// `(rates, rows, columns, seed)` instance, drawn once, and the
+/// switch-defect threshold, computed once. Each band is drawn and counted on
+/// its own, so bands can be counted on any thread in any order.
+#[derive(Debug)]
+pub struct UsableCounter {
+    broken_rows: Vec<bool>,
+    intact_columns: Vec<bool>,
+    defect_threshold: u64,
+    seed: u64,
+}
+
+impl UsableCounter {
+    /// Number of bands of the instance ([`defect_band_count`] of its rows).
+    #[must_use]
+    pub fn bands(&self) -> usize {
+        defect_band_count(self.broken_rows.len())
+    }
+
+    /// The usable crosspoints of band `band`: chunk `2 + band` drawn exactly
+    /// as [`DefectModel::sample_defective_band`] draws it, one uniform per
+    /// crosspoint in row-major order, and counted where the row and the
+    /// column are intact and the switch works. Bands past the end count
+    /// zero.
+    #[must_use]
+    pub fn count_band(&self, band: usize) -> usize {
+        let mut rng = StdRng::seed_from_u64(defect_chunk_seed(self.seed, 2 + band as u64));
+        let mut usable = 0;
+        for &broken in &self.broken_rows[band_rows(band, self.broken_rows.len())] {
+            if broken {
+                // Drawn and thrown away, so the next row sees the map's stream.
+                for _ in 0..self.intact_columns.len() {
+                    rng.next_u64();
+                }
+                continue;
+            }
+            for &intact in &self.intact_columns {
+                let working = rng.next_u64() >> 11 >= self.defect_threshold;
+                usable += usize::from(intact & working);
+            }
+        }
+        usable
+    }
+}
+
 /// The decoder yield combined with the defect survival.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompositeYield {
@@ -253,6 +416,19 @@ pub struct CompositeYield {
 }
 
 impl CompositeYield {
+    /// Composes the decoder yield with a defect survival: the composite
+    /// crossbar yield is their product. The one place a composite is formed,
+    /// for the expected survival ([`DefectModel::compose_with`]), a sampled
+    /// map's ([`DefectMap::compose_with`]) and a streamed count's.
+    #[must_use]
+    pub fn new(decoder_yield: &CaveYield, defect_survival: f64) -> Self {
+        CompositeYield {
+            decoder_yield: decoder_yield.crossbar_yield(),
+            defect_survival,
+            crossbar_yield: decoder_yield.crossbar_yield() * defect_survival,
+        }
+    }
+
     /// The effective number of usable bits of a crossbar with `raw_bits`
     /// crosspoints.
     #[must_use]
@@ -294,7 +470,7 @@ impl DefectMap {
         }
         if broken_rows.len() != rows
             || broken_columns.len() != columns
-            || defective.len() != rows * columns
+            || rows.checked_mul(columns) != Some(defective.len())
         {
             return Err(CrossbarError::InvalidSpec {
                 reason: format!(
@@ -363,7 +539,7 @@ impl DefectMap {
             .flat_map(|r| (0..self.columns).map(move |c| (r, c)))
             .filter(|&(r, c)| self.crosspoint_usable(r, c))
             .count();
-        usable as f64 / (self.rows * self.columns) as f64
+        survival_fraction(usable, self.rows, self.columns)
     }
 
     /// Composes this sampled instance with the decoder yield: the sampled
@@ -373,12 +549,7 @@ impl DefectMap {
     /// deliver rather than the ensemble average.
     #[must_use]
     pub fn compose_with(&self, decoder_yield: &CaveYield) -> CompositeYield {
-        let defect_survival = self.usable_fraction();
-        CompositeYield {
-            decoder_yield: decoder_yield.crossbar_yield(),
-            defect_survival,
-            crossbar_yield: decoder_yield.crossbar_yield() * defect_survival,
-        }
+        CompositeYield::new(decoder_yield, self.usable_fraction())
     }
 }
 
@@ -513,6 +684,93 @@ mod tests {
         )
         .unwrap();
         assert_eq!(assembled, model.sample_map(rows, columns, seed).unwrap());
+    }
+
+    /// The usable crosspoints of a map, counted cell by cell.
+    fn map_count(map: &DefectMap) -> usize {
+        (0..map.rows())
+            .flat_map(|r| (0..map.columns()).map(move |c| (r, c)))
+            .filter(|&(r, c)| map.crosspoint_usable(r, c))
+            .count()
+    }
+
+    #[test]
+    fn streamed_counts_equal_the_map_count() {
+        let tiny = 2f64.powi(-53);
+        // 0.3 · 2⁵³ is not an integer, so its threshold is a true ceiling.
+        assert_ne!((0.3 * 2f64.powi(53)).fract(), 0.0);
+        let mut rates = vec![(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (tiny, tiny)];
+        for stuck in [tiny, 0.5, 0.3] {
+            rates.extend([(0.0, stuck), (0.1, stuck)]);
+        }
+        // The Fig. 7 defect axis: breakage r, stuck crosspoints r / 2.
+        rates.extend([0.01, 0.02, 0.05, 0.1].map(|rate| (rate, rate / 2.0)));
+        // Maps smaller than one band, exactly one band, partial last bands.
+        let dimensions = [(1, 1), (63, 7), (64, 64), (65, 3), (300, 70), (363, 363)];
+        for (breakage, stuck) in rates {
+            let model = DefectModel::new(breakage, stuck).unwrap();
+            for (rows, columns) in dimensions {
+                for seed in [1u64, 42, 2_009] {
+                    let map = model.sample_map(rows, columns, seed).unwrap();
+                    let count = model.count_usable(rows, columns, seed).unwrap();
+                    let case = format!("({breakage}, {stuck}) {rows}x{columns} seed {seed}");
+                    assert_eq!(count, map_count(&map), "{case}");
+                    assert_eq!(
+                        survival_fraction(count, rows, columns).to_bits(),
+                        map.usable_fraction().to_bits(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_counts_sum_to_the_count_in_any_order() {
+        let model = DefectModel::new(0.05, 0.02).unwrap();
+        let (rows, columns, seed) = (300usize, 70usize, 42u64);
+        let counter = model.usable_counter(rows, columns, seed).unwrap();
+        assert_eq!(counter.bands(), defect_band_count(rows));
+        let reversed: usize = (0..counter.bands())
+            .rev()
+            .map(|band| counter.count_band(band))
+            .sum();
+        assert_eq!(reversed, model.count_usable(rows, columns, seed).unwrap());
+        assert_eq!(counter.count_band(counter.bands()), 0);
+    }
+
+    #[test]
+    fn oversized_and_overflowing_dimensions_fail_fast() {
+        let edge = 1usize << 12;
+        assert_eq!(MAX_DEFECT_CROSSPOINTS, edge * edge);
+        assert_eq!(check_defect_dimensions(edge, edge).unwrap(), edge * edge);
+        assert_eq!(
+            check_defect_dimensions(MAX_DEFECT_CROSSPOINTS, 1).unwrap(),
+            MAX_DEFECT_CROSSPOINTS
+        );
+        let model = DefectModel::new(0.02, 0.01).unwrap();
+        // Over the bound, a 10¹² crossbar, an overflowing product, and zero.
+        for (rows, columns) in [
+            (edge + 1, edge),
+            (MAX_DEFECT_CROSSPOINTS + 1, 1),
+            (1_000_000, 1_000_000),
+            (usize::MAX, 2),
+            (0, 4),
+            (4, 0),
+        ] {
+            let is_spec_error =
+                |result: Result<()>| matches!(result, Err(CrossbarError::InvalidSpec { .. }));
+            assert!(is_spec_error(
+                check_defect_dimensions(rows, columns).map(drop)
+            ));
+            assert!(is_spec_error(model.sample_map(rows, columns, 7).map(drop)));
+            assert!(is_spec_error(
+                model.count_usable(rows, columns, 7).map(drop)
+            ));
+            assert!(is_spec_error(
+                model.usable_counter(rows, columns, 7).map(drop)
+            ));
+        }
     }
 
     #[test]

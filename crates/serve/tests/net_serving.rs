@@ -9,7 +9,9 @@
 //!   sent before shutdown gets a response before its connection closes;
 //! * a request frame that arrives in pieces, with pauses longer than the
 //!   workers' poll interval, is answered, and a client stalled mid-frame
-//!   does not hold a shutdown much past the drain grace.
+//!   does not hold a shutdown much past the drain grace;
+//! * a defect-configured request for an oversized crossbar gets a typed
+//!   error at once, in both codecs, and its connection keeps serving.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -17,7 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use decoder_sim::{
-    DisturbanceKind, EngineConfig, ExecutionEngine, SimConfig, SimulationPlatform, WireErrorKind,
+    DefectKind, DisturbanceKind, EngineConfig, ExecutionEngine, SimConfig, SimulationPlatform,
+    WireErrorKind,
 };
 use mspt_serve::{
     parse_reply, parse_reply_any, probe_shed, read_frame, request_to_bin, run_net_stress,
@@ -392,4 +395,70 @@ fn request_frames_split_across_poll_timeouts_are_answered() {
         "shutdown waited {waited:?} on a connection stalled mid-frame (grace {grace:?})"
     );
     assert!(!matches!(read_frame(&mut stalled), Ok(Some(_))));
+}
+
+/// `raw_bits` comes from the wire unbounded, and a defect-configured
+/// request draws over a `⌈√raw_bits⌉²` crossbar. A 10¹²-bit crossbar is over
+/// the defect layer's size bound, and `u64::MAX` bits need an edge whose
+/// square overflows: both must be typed errors at once, never an
+/// allocation that aborts the server or a count that holds a worker.
+#[test]
+fn oversized_defect_crossbars_get_typed_errors_and_the_connection_keeps_serving() {
+    let server = report_server(2);
+    let handle = NetServer::bind(config(2, 4), Arc::new(server)).unwrap();
+    let well_formed = mix().remove(0);
+    let base = well_formed.effective_config();
+    let reference = SimulationPlatform::new(base.clone()).evaluate().unwrap();
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    // A server that starts drawing would never answer; fail instead of
+    // waiting for it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = 0;
+    for raw_bits in [1_000_000_000_000u64, u64::MAX] {
+        let hostile = SimConfig::new(
+            base.code(),
+            base.nanowires_per_half_cave(),
+            raw_bits,
+            *base.layout(),
+            *base.threshold_model(),
+            base.sigma_per_dose(),
+            base.supply_range(),
+        )
+        .unwrap()
+        .with_defects(DefectKind::sampled(0.02, 0.01, 1).unwrap());
+        let hostile = ReportRequest::new(hostile);
+        for codec in [WireCodec::Json, WireCodec::Binary] {
+            let what = format!("{codec:?} request with raw_bits {raw_bits}");
+            let started = Instant::now();
+            write_frame(&mut stream, &codec.encode_request(&hostile)).unwrap();
+            let reply = read_frame(&mut stream)
+                .unwrap_or_else(|error| panic!("{what}: no reply ({error})"))
+                .unwrap_or_else(|| panic!("{what}: connection closed without a reply"));
+            let waited = started.elapsed();
+            match parse_reply_any(&reply).unwrap() {
+                WireReply::Error(error) => {
+                    assert_eq!(error.kind, WireErrorKind::Internal, "{what}: {error}");
+                }
+                WireReply::Report(_) => panic!("{what}: evaluated an oversized crossbar"),
+            }
+            assert!(
+                waited < Duration::from_secs(1),
+                "{what}: the typed error took {waited:?}"
+            );
+            // The same connection still serves a well-formed request.
+            write_frame(&mut stream, &codec.encode_request(&well_formed)).unwrap();
+            assert_eq!(
+                expect_report(read_frame(&mut stream).unwrap(), &what),
+                reference,
+                "{what}: the next request"
+            );
+            frames += 2;
+        }
+    }
+    assert_eq!(handle.served(), frames);
+    handle.shutdown();
 }

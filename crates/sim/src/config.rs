@@ -295,8 +295,9 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Propagates crossbar-specification errors (cannot occur for a validated
-    /// configuration).
+    /// Propagates crossbar-specification errors. For a validated
+    /// configuration only a `raw_bits` whose square array's crosspoint count
+    /// overflows a `u64` fails.
     pub fn crossbar_spec(&self) -> Result<CrossbarSpec> {
         Ok(CrossbarSpec::new(
             self.raw_bits,

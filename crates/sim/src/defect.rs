@@ -6,10 +6,14 @@
 //! crossbar layer's [`DefectModel`] models the two first-order defect
 //! mechanisms beyond that assumption. This module is the `SimConfig`-side
 //! selector: [`DefectKind::None`] reproduces the paper exactly, while
-//! [`DefectKind::Sampled`] draws one deterministic [`DefectMap`] per
+//! [`DefectKind::Sampled`] draws one deterministic defect instance per
 //! evaluation (seeded independently of the Monte-Carlo streams through the
 //! defect layer's domain tag) and composes its survival with the decoder
-//! yield into the report's composite quantities.
+//! yield into the report's composite quantities. A report counts the
+//! instance's usable crosspoints as the bands stream
+//! ([`DefectModel::count_usable`]) and never builds its [`DefectMap`]; the
+//! survival is bit-identical to the sampled map's
+//! [`usable_fraction`](crossbar_array::DefectMap::usable_fraction).
 //!
 //! [`DefectMap`]: crossbar_array::DefectMap
 
@@ -107,8 +111,8 @@ pub enum DefectKind {
     /// before this field existed.
     #[default]
     None,
-    /// Sample one deterministic defect map per evaluation and compose its
-    /// survival with the decoder yield.
+    /// Sample one deterministic defect instance per evaluation and compose
+    /// its survival with the decoder yield.
     Sampled(DefectConfig),
 }
 

@@ -45,7 +45,9 @@ use std::thread;
 
 use serde::{Deserialize, Serialize};
 
-use crossbar_array::{defect_band_count, AddressabilityProfile, DefectMap, DefectModel};
+use crossbar_array::{
+    check_defect_dimensions, defect_band_count, AddressabilityProfile, DefectMap, DefectModel,
+};
 use device_physics::{VariabilityModel, Volts};
 use mspt_fabrication::VariabilityMatrix;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -269,27 +271,30 @@ impl ExecutionEngine {
     /// hit, concurrent identical requests single-flight onto one
     /// evaluation. This is the serve layer's per-request entry point.
     ///
-    /// On a miss the lookup's leader samples the configured [`DefectMap`]
-    /// through the `DefectMap` slot, drawing it with the engine's sharded
-    /// [`ExecutionEngine::sample_defect_map`], and runs the pipeline through
-    /// the inner stage slots, so a configuration that differs from a cached
-    /// one in only some fields (a sweep point) recomputes only the stages
-    /// whose read set changed. The result is bit-identical to the serial
-    /// [`SimulationPlatform::evaluate`] at any thread count, because both
-    /// assemble the same independently seeded chunks.
+    /// On a miss the lookup's leader looks up the configured defect survival
+    /// in the `DefectMap` slot, counting the usable crosspoints with the
+    /// engine's sharded [`ExecutionEngine::count_usable`] (no map is built),
+    /// and runs the pipeline through the inner stage slots, so a
+    /// configuration that differs from a cached one in only some fields (a
+    /// sweep point) recomputes only the stages whose read set changed. The
+    /// result is bit-identical to the serial [`SimulationPlatform::evaluate`]
+    /// at any thread count, because both count the same independently seeded
+    /// chunks and add the counts as integers.
     ///
     /// # Errors
     ///
-    /// Propagates evaluation errors (never cached).
+    /// Propagates evaluation errors (never cached), including a crossbar over
+    /// the defect layer's size bound
+    /// ([`MAX_DEFECT_CROSSPOINTS`](crossbar_array::MAX_DEFECT_CROSSPOINTS)).
     pub fn report_for(&self, config: &SimConfig) -> Result<PlatformReport> {
         self.stages.reports().get_or_compute(config, || {
             let platform = SimulationPlatform::new(config.clone());
-            let map = self.stages.defect_map(config, || {
-                platform.sample_defect_map_with(|model, rows, columns, seed| {
-                    self.sample_defect_map(model, rows, columns, seed)
+            let survival = self.stages.defect_survival(config, || {
+                platform.defect_survival_with(|model, rows, columns, seed| {
+                    self.count_usable(model, rows, columns, seed)
                 })
             })?;
-            platform.staged_report(&self.stages, map.as_ref())
+            platform.staged_report(&self.stages, survival)
         })
     }
 
@@ -526,12 +531,14 @@ impl ExecutionEngine {
     /// the same independently seeded chunks (see the layout documented on
     /// `crossbar_array::defects`): the breakage vectors are cheap and drawn
     /// inline, the `O(rows · columns)` crosspoint bands fan out through the
-    /// engine and are concatenated in band order.
+    /// engine and are concatenated in band order. For callers that want the
+    /// instance; reports use [`ExecutionEngine::count_usable`].
     ///
     /// # Errors
     ///
-    /// Returns the crossbar layer's `InvalidSpec` when either dimension is
-    /// zero.
+    /// Returns the crossbar layer's `InvalidSpec`, before anything is drawn,
+    /// when the dimensions fail
+    /// [`check_defect_dimensions`](crossbar_array::check_defect_dimensions).
     pub fn sample_defect_map(
         &self,
         model: &DefectModel,
@@ -539,6 +546,7 @@ impl ExecutionEngine {
         columns: usize,
         seed: u64,
     ) -> Result<DefectMap> {
+        check_defect_dimensions(rows, columns)?;
         let bands = self.run_indexed(defect_band_count(rows), |band| {
             Ok(model.sample_defective_band(band, rows, columns, seed))
         })?;
@@ -550,6 +558,30 @@ impl ExecutionEngine {
             model.sample_column_breakage(columns, seed),
             defective,
         )?)
+    }
+
+    /// Counts the usable crosspoints of the instance
+    /// [`ExecutionEngine::sample_defect_map`] would draw, without building
+    /// it: the bands of a [`UsableCounter`](crossbar_array::UsableCounter)
+    /// fan out through the engine and their counts are added as integers, so
+    /// the result equals the serial [`DefectModel::count_usable`] at any
+    /// thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns the crossbar layer's `InvalidSpec`, before anything is drawn,
+    /// when the dimensions fail
+    /// [`check_defect_dimensions`](crossbar_array::check_defect_dimensions).
+    pub fn count_usable(
+        &self,
+        model: &DefectModel,
+        rows: usize,
+        columns: usize,
+        seed: u64,
+    ) -> Result<usize> {
+        let counter = model.usable_counter(rows, columns, seed)?;
+        let counts = self.run_indexed(counter.bands(), |band| Ok(counter.count_band(band)))?;
+        Ok(counts.into_iter().sum())
     }
 
     /// Evaluates every configuration through the report cache, fanning the
@@ -657,7 +689,7 @@ impl ExecutionEngine {
 
     /// Sweeps the composite crossbar yield of one code over a set of
     /// fabrication-defect selections (the defect axis of the Fig. 7
-    /// extension), batched through the report cache. Defect maps are
+    /// extension), batched through the report cache. Defect counts are
     /// engine-sharded via [`ExecutionEngine::report_for`], so points stay
     /// bit-identical for any thread count.
     ///
@@ -945,6 +977,42 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0], reports[1]);
         assert_eq!(engine.cached_report_count(), 1);
+    }
+
+    #[test]
+    fn oversized_defect_instances_fail_before_any_draw() {
+        use crossbar_array::CrossbarError;
+        let is_spec_error = |error: SimError| {
+            matches!(error, SimError::Crossbar(CrossbarError::InvalidSpec { .. }))
+        };
+        let model = DefectModel::new(0.02, 0.01).unwrap();
+        let engine = engine(2);
+        for (rows, columns) in [(4_097, 4_096), (1_000_000, 1_000_000), (usize::MAX, 2)] {
+            let map = engine.sample_defect_map(&model, rows, columns, 1);
+            assert!(is_spec_error(map.unwrap_err()));
+            let count = engine.count_usable(&model, rows, columns, 1);
+            assert!(is_spec_error(count.unwrap_err()));
+        }
+        // A defect-configured report on a 10¹²-bit crossbar (a 10⁶ edge) and
+        // on one whose crosspoint count overflows fails the same way.
+        let base = base();
+        for raw_bits in [1_000_000_000_000, u64::MAX] {
+            let config = SimConfig::new(
+                base.code(),
+                base.nanowires_per_half_cave(),
+                raw_bits,
+                *base.layout(),
+                *base.threshold_model(),
+                base.sigma_per_dose(),
+                base.supply_range(),
+            )
+            .unwrap()
+            .with_defects(DefectKind::sampled(0.02, 0.01, 1).unwrap());
+            assert!(is_spec_error(engine.report_for(&config).unwrap_err()));
+            let platform = SimulationPlatform::new(config);
+            assert!(is_spec_error(platform.evaluate().unwrap_err()));
+            assert!(is_spec_error(platform.sample_defect_map().unwrap_err()));
+        }
     }
 
     #[test]

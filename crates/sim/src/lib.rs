@@ -13,11 +13,14 @@
 //! Both the Monte-Carlo validator and the sweeps run on a work-sharded
 //! parallel [`ExecutionEngine`] whose results are bit-identical for any
 //! thread count, [`ExecutionEngine::serial`] included; the engine also
-//! shards crossbar defect-map generation
-//! ([`ExecutionEngine::sample_defect_map`]) under the same per-chunk seeding
-//! contract, and composes sampled defect maps into every report when a
-//! configuration selects them ([`SimConfig::with_defects`] /
-//! [`DefectKind`]) — the defect axis of the Fig. 7 extension.
+//! shards crossbar defect sampling under the same per-chunk seeding
+//! contract. When a configuration selects defects
+//! ([`SimConfig::with_defects`] / [`DefectKind`]), every report composes
+//! the sampled instance's survival with the decoder yield — the defect axis
+//! of the Fig. 7 extension. Reports count the usable crosspoints band by
+//! band ([`ExecutionEngine::count_usable`]) without building the map;
+//! [`ExecutionEngine::sample_defect_map`] draws the identical instance as a
+//! map for callers that want it.
 //! [`Evaluation::builder`] runs one configuration on an engine.
 //!
 //! Repeated evaluations are served from the engine's sharded, bounded,

@@ -5,7 +5,8 @@
 use serde::{Deserialize, Serialize};
 
 use crossbar_array::{
-    AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectMap, HalfCave,
+    survival_fraction, AddressabilityProfile, CaveYield, CompositeYield, ContactGroupLayout,
+    CrossbarArea, DefectMap, DefectModel, HalfCave,
 };
 use mspt_fabrication::{FabricationCost, PatternMatrix, VariabilityMatrix};
 use nanowire_codes::{CodeSequence, CodeSpec};
@@ -195,34 +196,41 @@ impl SimulationPlatform {
     }
 
     /// Samples the defect map of the configured [`DefectKind`] serially —
-    /// `None` for a defect-free configuration. Bit-identical to the
-    /// engine-sharded
+    /// `None` for a defect-free configuration — for callers that want the
+    /// instance; reports read only its usable-crosspoint count, which they
+    /// stream without building the map. Bit-identical to the engine-sharded
     /// [`ExecutionEngine::sample_defect_map`](crate::ExecutionEngine::sample_defect_map)
     /// of the same model and seed, because both assemble the same
     /// independently seeded chunks.
     ///
     /// # Errors
     ///
-    /// Propagates crossbar-specification errors.
+    /// Propagates crossbar-specification errors, including a crossbar over
+    /// the defect layer's size bound
+    /// ([`MAX_DEFECT_CROSSPOINTS`](crossbar_array::MAX_DEFECT_CROSSPOINTS)).
     pub fn sample_defect_map(&self) -> Result<Option<DefectMap>> {
         self.sample_defect_map_with(|model, rows, columns, seed| {
             Ok(model.sample_map(rows, columns, seed)?)
         })
     }
 
-    /// [`SimulationPlatform::sample_defect_map`] with an explicit map
-    /// sampler — the single place that decides *whether* a map is drawn and
-    /// *which* dimensions and seed it gets, so the serial path and the
-    /// engine-sharded path (which passes
-    /// [`ExecutionEngine::sample_defect_map`](crate::ExecutionEngine::sample_defect_map)
-    /// here) can never diverge in dispatch.
+    /// Draws the configured defect instance with an explicit sampler — the
+    /// single place that decides *whether* defects are drawn and *which*
+    /// dimensions and seed they get, for the map
+    /// ([`SimulationPlatform::sample_defect_map`],
+    /// [`ExecutionEngine::sample_defect_map`](crate::ExecutionEngine::sample_defect_map))
+    /// and for the usable-crosspoint count the report path draws
+    /// ([`DefectModel::count_usable`],
+    /// [`ExecutionEngine::count_usable`](crate::ExecutionEngine::count_usable)),
+    /// so no two of them can diverge in dispatch. `None` for a defect-free
+    /// configuration.
     ///
     /// # Errors
     ///
     /// Propagates crossbar-specification and sampler errors.
-    pub fn sample_defect_map_with<F>(&self, sampler: F) -> Result<Option<DefectMap>>
+    pub fn sample_defect_map_with<T, F>(&self, sampler: F) -> Result<Option<T>>
     where
-        F: FnOnce(&crossbar_array::DefectModel, usize, usize, u64) -> Result<DefectMap>,
+        F: FnOnce(&DefectModel, usize, usize, u64) -> Result<T>,
     {
         match self.config.defects() {
             DefectKind::None => Ok(None),
@@ -233,8 +241,27 @@ impl SimulationPlatform {
         }
     }
 
-    /// Runs the full evaluation and collects every reported quantity,
-    /// sampling the configured defect map serially.
+    /// The defect survival of the configured instance from a usable-crosspoint
+    /// counter — `None` for a defect-free configuration. The survival is
+    /// [`survival_fraction`], the expression
+    /// [`DefectMap::usable_fraction`] uses, so it is bit-identical to the
+    /// survival of the sampled map.
+    pub(crate) fn defect_survival_with<F>(&self, count: F) -> Result<Option<f64>>
+    where
+        F: FnOnce(&DefectModel, usize, usize, u64) -> Result<usize>,
+    {
+        self.sample_defect_map_with(|model, rows, columns, seed| {
+            Ok(survival_fraction(
+                count(model, rows, columns, seed)?,
+                rows,
+                columns,
+            ))
+        })
+    }
+
+    /// Runs the full evaluation and collects every reported quantity. A
+    /// defect-configured evaluation counts the usable crosspoints serially,
+    /// band by band, without building the map.
     ///
     /// Callers holding an [`ExecutionEngine`](crate::ExecutionEngine) should
     /// prefer [`Evaluation`](crate::Evaluation), which runs the same
@@ -242,9 +269,13 @@ impl SimulationPlatform {
     ///
     /// # Errors
     ///
-    /// Propagates errors from every stage of the pipeline.
+    /// Propagates errors from every stage of the pipeline, including a
+    /// crossbar over the defect layer's size bound.
     pub fn evaluate(&self) -> Result<PlatformReport> {
-        self.evaluate_with_stage_cache(&StageCache::disabled(), self.sample_defect_map()?.as_ref())
+        let survival = self.defect_survival_with(|model, rows, columns, seed| {
+            Ok(model.count_usable(rows, columns, seed)?)
+        })?;
+        self.staged_report(&StageCache::disabled(), survival)
     }
 
     /// The memoized variability stage: the variability matrix and the
@@ -299,18 +330,19 @@ impl SimulationPlatform {
     ) -> Result<PlatformReport> {
         let edge = self.config.crossbar_spec()?.nanowires_per_layer();
         check_defect_map(self.config.defects(), map, edge)?;
-        stages
-            .reports()
-            .get_or_compute(&self.config, || self.staged_report(stages, map))
+        stages.reports().get_or_compute(&self.config, || {
+            self.staged_report(stages, map.map(DefectMap::usable_fraction))
+        })
     }
 
     /// The report pipeline below the `Composite` slot: every stage looked up
-    /// in `stages`, then composed with `map`. Runs as the report lookup's
-    /// leader, so it never consults the `Composite` slot itself.
+    /// in `stages`, then composed with the defect `survival` (`None` for a
+    /// defect-free configuration). Runs as the report lookup's leader, so it
+    /// never consults the `Composite` slot itself.
     pub(crate) fn staged_report(
         &self,
         stages: &StageCache,
-        map: Option<&DefectMap>,
+        survival: Option<f64>,
     ) -> Result<PlatformReport> {
         let spec = self.config.crossbar_spec()?;
         let code = self.config.code();
@@ -331,15 +363,19 @@ impl SimulationPlatform {
         let effective_bit_area = area.effective_bit_area(&spec, &yield_)?;
         let effective_bits = yield_.effective_bits(spec.raw_crosspoints());
 
-        let (defect_survival, composite_yield, composite_effective_bits) =
-            compose_defect_quantities(
-                self.config.defects(),
-                map,
-                spec.nanowires_per_layer(),
-                &yield_,
-                effective_bits,
-                spec.raw_crosspoints(),
-            )?;
+        let (defect_survival, composite_yield, composite_effective_bits) = match survival {
+            // A defect-free evaluation reports the decoder quantities
+            // bit-for-bit (no multiplication by `1.0` that could perturb them).
+            None => (1.0, yield_.crossbar_yield(), effective_bits),
+            Some(survival) => {
+                let composite = CompositeYield::new(&yield_, survival);
+                (
+                    composite.defect_survival,
+                    composite.crossbar_yield,
+                    composite.effective_bits(spec.raw_crosspoints()),
+                )
+            }
+        };
 
         Ok(PlatformReport {
             code,
@@ -387,32 +423,6 @@ fn check_defect_map(defects: DefectKind, map: Option<&DefectMap>, edge: usize) -
             reason: "defect-configured evaluation needs a sampled defect map".to_string(),
         }),
     }
-}
-
-/// The defect-composition quantities of a report:
-/// `(defect_survival, composite_yield, composite_effective_bits)`. A
-/// defect-free evaluation returns the decoder quantities bit-for-bit (no
-/// multiplication by `1.0` that could perturb them).
-fn compose_defect_quantities(
-    defects: DefectKind,
-    map: Option<&DefectMap>,
-    edge: usize,
-    yield_: &CaveYield,
-    effective_bits: f64,
-    raw_crosspoints: u64,
-) -> Result<(f64, f64, f64)> {
-    check_defect_map(defects, map, edge)?;
-    Ok(match map {
-        None => (1.0, yield_.crossbar_yield(), effective_bits),
-        Some(map) => {
-            let composite = map.compose_with(yield_);
-            (
-                composite.defect_survival,
-                composite.crossbar_yield,
-                composite.effective_bits(raw_crosspoints),
-            )
-        }
-    })
 }
 
 #[cfg(test)]

@@ -17,9 +17,10 @@
 //! ```
 //!
 //! Changing only the defect seed therefore re-runs only the `DefectMap` and
-//! `Composite` stages; changing only the disturbance kind re-runs only the
-//! `MonteCarlo` stage — every other stage is a cache hit, with its own
-//! hit/miss/eviction counters.
+//! `Composite` stages (the `DefectMap` slot memoizes the instance's
+//! survival, one `f64`, counted without building the map); changing only
+//! the disturbance kind re-runs only the `MonteCarlo` stage — every other
+//! stage is a cache hit, with its own hit/miss/eviction counters.
 //!
 //! # Keys by construction
 //!
@@ -39,7 +40,7 @@
 //! which also owns snapshot persistence.
 
 use crossbar_array::{
-    chunk_seed, AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectMap,
+    chunk_seed, AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea,
 };
 use mspt_fabrication::{FabricationCost, VariabilityMatrix};
 
@@ -172,7 +173,9 @@ pub enum Stage {
     CaveYield,
     /// The crossbar area model (raw and effective bit area inputs).
     CrossbarArea,
-    /// The sampled fabrication-defect map (`None` for a defect-free
+    /// The sampled fabrication-defect instance, memoized as its survival:
+    /// the usable-crosspoint count, streamed band by band without building
+    /// the map, over the crosspoint count (`None` for a defect-free
     /// configuration).
     DefectMap,
     /// The fully composed [`PlatformReport`](crate::PlatformReport) —
@@ -371,7 +374,8 @@ pub struct StageStats {
 /// `MemoCache` slot per [`Stage`], each with fingerprint sharding, bounded
 /// LRU, single-flight semantics and hit/miss/eviction counters. The
 /// `Composite` slot is a [`ReportCache`]: the one report memo, which also
-/// persists snapshots.
+/// persists snapshots. The `DefectMap` slot holds the defect survival
+/// (`Option<f64>`), never a `rows × columns` map.
 ///
 /// The [`ExecutionEngine`](crate::ExecutionEngine) owns one; the serial
 /// entry points route through a [`StageCache::disabled`] instance, so
@@ -384,7 +388,7 @@ pub struct StageCache {
     contact_layout: MemoCache<ContactGroupLayout>,
     cave_yield: MemoCache<CaveYield>,
     crossbar_area: MemoCache<CrossbarArea>,
-    defect_map: MemoCache<Option<DefectMap>>,
+    defect_map: MemoCache<Option<f64>>,
     composite: ReportCache,
     monte_carlo: MemoCache<MonteCarloOutcome>,
 }
@@ -519,9 +523,11 @@ impl StageCache {
         keyed(&self.crossbar_area, Stage::CrossbarArea, config, compute)
     }
 
-    pub(crate) fn defect_map<F>(&self, config: &SimConfig, compute: F) -> Result<Option<DefectMap>>
+    /// The `DefectMap` slot: the defect survival of the configured instance
+    /// (`None` for a defect-free configuration), one `f64` per entry.
+    pub(crate) fn defect_survival<F>(&self, config: &SimConfig, compute: F) -> Result<Option<f64>>
     where
-        F: FnOnce() -> Result<Option<DefectMap>>,
+        F: FnOnce() -> Result<Option<f64>>,
     {
         keyed(&self.defect_map, Stage::DefectMap, config, compute)
     }

@@ -5,10 +5,11 @@
 //! changes to the sampling discipline are loud.
 
 use crossbar_array::DefectModel;
+use decoder_sim::bincodec::report_to_bin;
 use decoder_sim::{
     DefectKind, DisturbanceKind, DisturbanceModel, EngineConfig, ExecutionEngine,
     GaussianDisturbance, LaplaceDisturbance, MonteCarloConfig, MonteCarloOutcome, NormalSource,
-    SimConfig, DEFAULT_CHUNK_SIZE,
+    SimConfig, StageCache, DEFAULT_CHUNK_SIZE,
 };
 use device_physics::{DopingLadder, ThresholdModel, VariabilityModel, Volts};
 use mspt_fabrication::{PatternMatrix, VariabilityMatrix};
@@ -336,8 +337,69 @@ fn defect_maps_are_bit_identical_across_thread_counts() {
     assert!(engine(2).sample_defect_map(&model, 0, 4, seed).is_err());
 }
 
+/// The streamed usable-crosspoint count behind every defect-composed report:
+/// the engine adds per-band counts as integers, so any thread count gives
+/// the serial count, and both equal the count of the sampled map.
+#[test]
+fn defect_counts_are_identical_across_thread_counts() {
+    for (breakage, stuck) in [(0.05, 0.02), (0.1, 0.05)] {
+        let model = DefectModel::new(breakage, stuck).unwrap();
+        // Five bands with a partial last one, and the paper's 363² crossbar.
+        for (rows, columns) in [(300usize, 70usize), (363, 363)] {
+            let seed = 2_009;
+            let serial = model.count_usable(rows, columns, seed).unwrap();
+            let map = model.sample_map(rows, columns, seed).unwrap();
+            assert_eq!(
+                crossbar_array::survival_fraction(serial, rows, columns).to_bits(),
+                map.usable_fraction().to_bits()
+            );
+            for threads in [1usize, 2, 4] {
+                assert_eq!(
+                    engine(threads)
+                        .count_usable(&model, rows, columns, seed)
+                        .unwrap(),
+                    serial,
+                    "count diverged at {threads} engine threads ({rows}x{columns})"
+                );
+            }
+        }
+    }
+    assert!(engine(2)
+        .count_usable(&DefectModel::ideal(), 0, 4, 1)
+        .is_err());
+}
+
+/// The report path streams the defect count; the map path (an externally
+/// sampled instance through `evaluate_with_stage_cache`) still builds the
+/// map. Both must give the same report, bit for bit.
+#[test]
+fn streamed_reports_match_the_map_path_bit_for_bit() {
+    let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
+    let base = SimConfig::paper_defaults(code).unwrap();
+    for defects in [
+        DefectKind::None,
+        DefectKind::sampled(0.05, 0.02, 2_009).unwrap(),
+        DefectKind::sampled(0.1, 0.05, 7).unwrap(),
+    ] {
+        let platform = decoder_sim::SimulationPlatform::new(base.clone().with_defects(defects));
+        let streamed = platform.evaluate().unwrap();
+        let mapped = platform
+            .evaluate_with_stage_cache(
+                &StageCache::disabled(),
+                platform.sample_defect_map().unwrap().as_ref(),
+            )
+            .unwrap();
+        // The binary codec writes every float as its bits.
+        assert_eq!(
+            report_to_bin(&streamed),
+            report_to_bin(&mapped),
+            "streamed report diverged from the map path ({defects:?})"
+        );
+    }
+}
+
 /// The whole-report determinism gate for the defect pipeline: a
-/// defect-composed `PlatformReport` — engine-sharded map sampling composed
+/// defect-composed `PlatformReport` — an engine-sharded defect count composed
 /// with the decoder yield through the report cache — must be bit-identical
 /// to the serial platform evaluation at every thread count, and across the
 /// defect axis the decoder quantities must stay pinned to the defect-free
