@@ -1,41 +1,37 @@
 //! Hammers the `mspt-serve` layer with a Zipf-ish mix of Fig. 5–8
-//! configurations and **gates** on the serving layer's contracts, so CI can
-//! run this binary as-is:
+//! configurations over a framed-TCP loopback server and **gates** on the
+//! serving layer's contracts, so CI can run this binary as-is:
 //!
 //! * every response must be bit-identical to a serial evaluation of the
 //!   same configuration;
 //! * a second pass over the same mix must be served entirely from the warm
 //!   cache (100 % hit rate, zero misses);
-//! * over TCP, a zero-shed configuration must produce **zero** sheds, and
-//!   the bounded dispatch queue must shed an over-quota connection with the
-//!   framed, typed `overloaded` error — never a hang or a silent drop.
+//! * a zero-shed configuration must produce **zero** sheds and zero wire
+//!   failures, and the bounded dispatch queue must shed an over-quota
+//!   connection with the framed, typed `overloaded` error — never a hang
+//!   or a silent drop.
 //!
-//! With `MSPT_STRESS_TRANSPORT=tcp` the harness drives N real loopback
-//! connections through the framed-TCP front end and reports sustained RPS
-//! plus p50/p99/p999 round-trip latency from an HDR-style histogram;
-//! `MSPT_STRESS_JSON=<path>` writes the numbers as a CI artifact whose
-//! `benchmarks` rows feed `scripts/bench_compare.sh`.
-//! `MSPT_STRESS_CODEC` picks the wire codec: `json` (rows keep the PR 6-era
-//! `serve_tcp/*` ids, so trajectories stay comparable), `binary` (rows under
-//! `serve_tcp_bin/*`), or `both` (one loadgen run per codec, both row sets
-//! in one artifact). Every run also measures a 64-entry cache snapshot in
-//! both persistence formats and **gates** on the binary one being ≥ 40 %
-//! smaller than the JSON one.
+//! The harness binds one [`NetServer`] and drives N real loopback
+//! connections through it, once per wire codec — JSON, then binary — and
+//! reports sustained RPS plus p50/p99/p999 round-trip latency from an
+//! HDR-style histogram. `MSPT_STRESS_JSON=<path>` writes the numbers as a
+//! CI artifact whose `benchmarks` rows feed `scripts/bench_compare.sh`:
+//! JSON rows keep the PR 6-era `serve_tcp/*` ids, so trajectories stay
+//! comparable, and binary rows land under `serve_tcp_bin/*`. Every run also
+//! measures a 64-entry cache snapshot in both persistence formats and
+//! **gates** on the binary one being ≥ 40 % smaller than the JSON one.
 //!
 //! Knobs (all environment variables):
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
-//! | `MSPT_STRESS_TRANSPORT` | `inproc` or `tcp` | inproc |
-//! | `MSPT_STRESS_CLIENTS` | concurrent client threads / connections | 8 |
-//! | `MSPT_STRESS_REQUESTS` | wire requests per client per pass | 64 |
+//! | `MSPT_STRESS_CLIENTS` | concurrent client connections | 8 |
+//! | `MSPT_STRESS_REQUESTS` | requests per client per pass | 64 |
 //! | `MSPT_STRESS_SEED` | run seed of the Zipf request streams | 2009 |
-//! | `MSPT_STRESS_CODEC` | TCP wire codec: `json`, `binary` or `both` | json |
 //! | `MSPT_STRESS_JSON` | path of the JSON results artifact | unset |
 //! | `MSPT_NET_WORKERS` | TCP worker pool size | available parallelism |
 //! | `MSPT_NET_QUEUE` | TCP dispatch-queue bound | 64 |
 //! | `MSPT_NET_ADDR` | TCP bind address | 127.0.0.1:0 |
-//! | `MSPT_NET_SHED` | shed policy (`reply` / `close`) | reply |
 //! | `MSPT_NET_DRAIN_MS` | shutdown drain grace (ms) | 250 |
 //! | `MSPT_ENGINE_THREADS` | engine worker threads | available parallelism |
 //! | `MSPT_CACHE_CAPACITY` | report-cache bound | 4096 |
@@ -51,12 +47,10 @@ use decoder_sim::{
     SamplingStats, SimulationPlatform, StageStats, CACHE_PATH_ENV,
 };
 use mspt_serve::{
-    probe_shed, run_net_stress, run_stress, NetServer, NetStressOutcome, ReportRequest,
-    ReportServer, ServeConfig, StressConfig, WireCodec, STRESS_CODEC_ENV,
+    probe_shed, run_net_stress, NetServer, NetStressOutcome, ReportRequest, ReportServer,
+    ServeConfig, StressConfig, WireCodec,
 };
 
-/// Environment variable selecting the transport (`inproc` or `tcp`).
-const STRESS_TRANSPORT_ENV: &str = "MSPT_STRESS_TRANSPORT";
 /// Environment variable naming the JSON results artifact path.
 const STRESS_JSON_ENV: &str = "MSPT_STRESS_JSON";
 
@@ -131,44 +125,19 @@ struct SamplingDemo {
     stats: SamplingStats,
 }
 
-/// The sampling demo's own defaults: a 4 096-sample budget under the
-/// canonical 2009 seed, stopping at a 0.05 Wilson half-width. Any
-/// `MSPT_MC_*` environment knob ([`MonteCarloConfig::from_env`]) overrides
-/// the corresponding field for both arms of the comparison.
-fn demo_sampling_config() -> MonteCarloConfig {
-    let tuned = MonteCarloConfig::from_env();
-    let defaults = MonteCarloConfig::default();
-    let mut demo = MonteCarloConfig::fixed(
-        if tuned.samples == defaults.samples {
-            4_096
-        } else {
-            tuned.samples
-        },
-        if tuned.seed == defaults.seed {
-            2_009
-        } else {
-            tuned.seed
-        },
-    )
-    .with_target_half_width(tuned.target_half_width.unwrap_or(0.05))
-    .with_confidence(tuned.confidence);
-    if let Some(max_samples) = tuned.max_samples {
-        demo = demo.with_max_samples(max_samples);
-    }
-    demo
-}
-
 /// Runs the fixed-vs-adaptive Monte-Carlo comparison on `engine` and
 /// gates on the adaptive run never drawing more samples than the fixed one.
 fn sampling_demo(
     engine: &ExecutionEngine,
     mix: &[ReportRequest],
 ) -> Result<SamplingDemo, Box<dyn std::error::Error>> {
-    let config = mix[0].effective_config();
-    let adaptive_config = demo_sampling_config();
+    let config = &mix[0].config;
+    // A 4 096-sample budget under the canonical 2009 seed; the adaptive arm
+    // stops at a 0.05 Wilson half-width at the default 95 % confidence.
+    let adaptive_config = MonteCarloConfig::fixed(4_096, 2_009).with_target_half_width(0.05);
     let fixed_config = MonteCarloConfig::fixed(adaptive_config.sample_cap(), adaptive_config.seed);
-    let fixed = engine.monte_carlo_for_config(&config, fixed_config)?;
-    let adaptive = engine.monte_carlo_for_config(&config, adaptive_config)?;
+    let fixed = engine.monte_carlo_for_config(config, fixed_config)?;
+    let adaptive = engine.monte_carlo_for_config(config, adaptive_config)?;
     if adaptive.samples_used > fixed.samples_used {
         return Err(format!(
             "adaptive sampling drew {} samples, more than the fixed budget of {}",
@@ -210,7 +179,7 @@ impl SnapshotSizes {
 /// either way) and renders it in both snapshot formats.
 fn snapshot_sizes(mix: &[ReportRequest]) -> Result<SnapshotSizes, Box<dyn std::error::Error>> {
     let base = &mix[0];
-    let report = SimulationPlatform::new(base.effective_config()).evaluate()?;
+    let report = SimulationPlatform::new(base.config.clone()).evaluate()?;
     let cache = ReportCache::new(CacheConfig::unsharded(SNAPSHOT_ENTRIES));
     for index in 0..SNAPSHOT_ENTRIES {
         let window = 0.1 + index as f64 / (4 * SNAPSHOT_ENTRIES) as f64;
@@ -235,11 +204,10 @@ fn snapshot_sizes(mix: &[ReportRequest]) -> Result<SnapshotSizes, Box<dyn std::e
 /// `BENCH_results.json`, so `scripts/bench_compare.sh` can diff two runs'
 /// latency trajectories unchanged. `labeled` holds one `(row prefix,
 /// outcome)` pair per codec run; the first is the primary outcome the
-/// top-level scalars describe.
+/// top-level scalars describe. `transport` and `shed_path_exercised` keep
+/// their places in the artifact for its consumers.
 fn results_json(
-    transport: &str,
-    labeled: &[(String, NetStressOutcome)],
-    sheds_exercised: bool,
+    labeled: &[(&str, NetStressOutcome)],
     snapshot: &SnapshotSizes,
     stage_rows: &[StageStats],
     sampling: &SamplingDemo,
@@ -302,7 +270,7 @@ fn results_json(
         ("schema_version".to_string(), JsonValue::from_u64(1)),
         (
             "transport".to_string(),
-            JsonValue::String(transport.to_string()),
+            JsonValue::String("tcp".to_string()),
         ),
         (
             "requests".to_string(),
@@ -317,10 +285,7 @@ fn results_json(
             "wire_failures".to_string(),
             JsonValue::from_u64(outcome.wire_failures),
         ),
-        (
-            "shed_path_exercised".to_string(),
-            JsonValue::Bool(sheds_exercised),
-        ),
+        ("shed_path_exercised".to_string(), JsonValue::Bool(true)),
         (
             "rps".to_string(),
             JsonValue::from_f64(outcome.throughput_rps()),
@@ -437,7 +402,7 @@ fn gate(outcome: &NetStressOutcome, label: &str) -> Result<(), String> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every knob is read exactly once, here, through the typed configs.
     let stress = StressConfig::from_env();
-    let transport = std::env::var(STRESS_TRANSPORT_ENV).unwrap_or_else(|_| "inproc".to_string());
+    let serve_config = ServeConfig::from_env();
     let artifact = std::env::var(STRESS_JSON_ENV)
         .ok()
         .filter(|p| !p.is_empty());
@@ -454,7 +419,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mix = mspt_experiments::stress_mix()?;
 
     println!("==========================================================");
-    println!(" serve_stress — {transport} serving over the shared cache");
+    println!(" serve_stress — tcp serving over the shared cache");
     println!("==========================================================");
     println!(
         " engine: {} thread(s); cache capacity {} in {} shard(s)",
@@ -469,146 +434,78 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stress.requests_per_client,
         stress.seed
     );
+    println!(
+        " tcp: {} worker(s), queue bound {}, drain {:?}",
+        serve_config.workers, serve_config.queue_bound, serve_config.drain_grace,
+    );
+    let handle = NetServer::bind(serve_config, Arc::new(server.clone()))?;
+    println!(" tcp: listening on {}", handle.local_addr());
 
-    let (labeled, shed_exercised) = match transport.trim() {
-        "tcp" => {
-            let serve_config = ServeConfig::from_env();
-            let codecs: Vec<WireCodec> = match std::env::var(STRESS_CODEC_ENV)
-                .unwrap_or_default()
-                .trim()
-                .to_ascii_lowercase()
-                .as_str()
-            {
-                "" | "json" => vec![WireCodec::Json],
-                "binary" => vec![WireCodec::Binary],
-                "both" => vec![WireCodec::Json, WireCodec::Binary],
-                other => {
-                    return Err(format!(
-                        "unknown {STRESS_CODEC_ENV} value {other:?} (expected json, binary or both)"
-                    )
-                    .into());
-                }
-            };
-            println!(
-                " tcp: {} worker(s), queue bound {}, shed {:?}, drain {:?}, codec(s) {:?}",
-                serve_config.workers,
-                serve_config.queue_bound,
-                serve_config.shed_policy,
-                serve_config.drain_grace,
-                codecs,
-            );
-            let handle = NetServer::bind(serve_config, Arc::new(server.clone()))?;
-            println!(" tcp: listening on {}", handle.local_addr());
-
-            let mut labeled: Vec<(String, NetStressOutcome)> = Vec::new();
-            for (run, codec) in codecs.iter().enumerate() {
-                let name = codec.as_str();
-                let before = engine.cache_stats();
-                let first = run_net_stress(handle.local_addr(), &mix, &stress, *codec)?;
-                let mid = engine.cache_stats();
-                // Only the very first pass of the very first codec runs
-                // cold; later codec runs reuse the warm cache, which is the
-                // point — the codec delta is pure wire cost.
-                let cold = if run == 0 { "cold" } else { "warm" };
-                print_pass(
-                    &format!("{name} pass 1 ({cold})"),
-                    &first,
-                    &delta(&before, &mid),
-                );
-                let second = run_net_stress(handle.local_addr(), &mix, &stress, *codec)?;
-                let after = engine.cache_stats();
-                let warm = delta(&mid, &after);
-                print_pass(&format!("{name} pass 2 (warm)"), &second, &warm);
-                if warm.misses != 0 {
-                    return Err(format!(
-                        "{name} second pass was not served entirely from the warm cache ({} misses)",
-                        warm.misses
-                    )
-                    .into());
-                }
-                gate(&first, &format!("{name} pass 1")).map_err(std::io::Error::other)?;
-                gate(&second, &format!("{name} pass 2")).map_err(std::io::Error::other)?;
-                // JSON keeps the PR 6-era row ids so bench trajectories stay
-                // comparable; binary rows ride alongside under their own ids.
-                let prefix = match codec {
-                    WireCodec::Json => "serve_tcp".to_string(),
-                    WireCodec::Binary => "serve_tcp_bin".to_string(),
-                };
-                println!(
-                    "{name} wire cost: {:.0} bytes/request ({} sent + {} received over {} requests)",
-                    (second.bytes_sent + second.bytes_received) as f64 / second.requests as f64,
-                    second.bytes_sent,
-                    second.bytes_received,
-                    second.requests,
-                );
-                labeled.push((prefix, second));
-            }
-
-            // Exercise the backpressure path against a deliberately tiny
-            // dedicated server: 1 worker, queue bound 1 — the third
-            // connection must receive the framed, typed overloaded error.
-            let tiny = NetServer::bind(
-                ServeConfig {
-                    workers: 1,
-                    queue_bound: 1,
-                    ..ServeConfig::default()
-                },
-                Arc::new(server.clone()),
-            )?;
-            let shed = probe_shed(&tiny, &mix[0].to_json_string())?;
-            println!("shed probe: over-quota connection refused with typed {shed}");
-            tiny.shutdown();
-
-            let served = handle.served();
-            handle.shutdown();
-            println!("tcp: {served} frame(s) served, graceful shutdown drained");
-            (labeled, true)
-        }
-        "inproc" => {
-            let first = run_stress(&server, &mix, &stress)?;
-            let second = run_stress(&server, &mix, &stress)?;
-            for (label, pass) in [("pass 1 (cold)", &first), ("pass 2 (warm)", &second)] {
-                println!(
-                    "{label}: {:8.0} req/s  hit rate {:5.1}%  ({} hits / {} misses, {} mismatches)",
-                    pass.throughput_rps(),
-                    pass.hit_rate() * 100.0,
-                    pass.hits,
-                    pass.misses,
-                    pass.mismatches
-                );
-            }
-            // Adapt to the common gate/report shape (no sheds in-process;
-            // per-request latency and wire bytes are not measured on this
-            // transport).
-            let adapt = |pass: &mspt_serve::StressOutcome| NetStressOutcome {
-                requests: pass.requests,
-                mismatches: pass.mismatches,
-                sheds: 0,
-                wire_failures: 0,
-                elapsed: pass.elapsed,
-                latency: mspt_serve::LatencyHistogram::new(),
-                bytes_sent: 0,
-                bytes_received: 0,
-            };
-            if second.misses != 0 {
-                return Err(format!(
-                    "second pass was not served entirely from the warm cache ({} misses)",
-                    second.misses
-                )
-                .into());
-            }
-            gate(&adapt(&first), "pass 1").map_err(std::io::Error::other)?;
-            let outcome = adapt(&second);
-            gate(&outcome, "pass 2").map_err(std::io::Error::other)?;
-            (vec![("serve_inproc".to_string(), outcome)], false)
-        }
-        other => {
+    // JSON keeps the PR 6-era row ids so bench trajectories stay
+    // comparable; binary rows ride alongside under their own ids.
+    let mut labeled = Vec::new();
+    for (codec, prefix) in [
+        (WireCodec::Json, "serve_tcp"),
+        (WireCodec::Binary, "serve_tcp_bin"),
+    ] {
+        let name = codec.as_str();
+        let before = engine.cache_stats();
+        let first = run_net_stress(handle.local_addr(), &mix, &stress, codec)?;
+        let mid = engine.cache_stats();
+        // Only the JSON run's first pass runs cold; the binary run reuses
+        // the warm cache, which is the point — the codec delta is pure wire
+        // cost.
+        let cold = if codec == WireCodec::Json {
+            "cold"
+        } else {
+            "warm"
+        };
+        print_pass(
+            &format!("{name} pass 1 ({cold})"),
+            &first,
+            &delta(&before, &mid),
+        );
+        let second = run_net_stress(handle.local_addr(), &mix, &stress, codec)?;
+        let after = engine.cache_stats();
+        let warm = delta(&mid, &after);
+        print_pass(&format!("{name} pass 2 (warm)"), &second, &warm);
+        if warm.misses != 0 {
             return Err(format!(
-                "unknown {STRESS_TRANSPORT_ENV} value {other:?} (expected inproc or tcp)"
+                "{name} second pass was not served entirely from the warm cache ({} misses)",
+                warm.misses
             )
             .into());
         }
-    };
+        gate(&first, &format!("{name} pass 1")).map_err(std::io::Error::other)?;
+        gate(&second, &format!("{name} pass 2")).map_err(std::io::Error::other)?;
+        println!(
+            "{name} wire cost: {:.0} bytes/request ({} sent + {} received over {} requests)",
+            (second.bytes_sent + second.bytes_received) as f64 / second.requests as f64,
+            second.bytes_sent,
+            second.bytes_received,
+            second.requests,
+        );
+        labeled.push((prefix, second));
+    }
+
+    // Exercise the backpressure path against a deliberately tiny dedicated
+    // server: 1 worker, queue bound 1 — the third connection must receive
+    // the framed, typed overloaded error.
+    let tiny = NetServer::bind(
+        ServeConfig {
+            workers: 1,
+            queue_bound: 1,
+            ..ServeConfig::default()
+        },
+        Arc::new(server.clone()),
+    )?;
+    let shed = probe_shed(&tiny, mix[0].to_json_string().as_bytes())?;
+    println!("shed probe: over-quota connection refused with typed {shed}");
+    tiny.shutdown();
+
+    let served = handle.served();
+    handle.shutdown();
+    println!("tcp: {served} frame(s) served, graceful shutdown drained");
 
     // The snapshot-size gate: the binary persistence format must stay at
     // least 40 % smaller than JSON for a 64-entry cache.
@@ -644,14 +541,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     if let Some(path) = &artifact {
-        let rendered = results_json(
-            transport.trim(),
-            &labeled,
-            shed_exercised,
-            &snapshot,
-            &server.stage_stats(),
-            &sampling,
-        );
+        let rendered = results_json(&labeled, &snapshot, &server.stage_stats(), &sampling);
         std::fs::write(path, rendered.as_bytes())?;
         println!("results artifact: wrote {path}");
     }

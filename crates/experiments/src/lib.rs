@@ -355,9 +355,9 @@ pub fn disturbance_report(engine: &ExecutionEngine) -> Result<DisturbanceReport>
 
 /// The serving-layer stress mix: every Fig. 7/8 sweep configuration (the
 /// four code families at their valid lengths) plus one Laplace-disturbance
-/// variant and one sampled-defect variant. The Laplace override hits the
+/// variant and one sampled-defect variant. The Laplace variant hits the
 /// Gaussian BGC entry (no report stage reads the disturbance kind); the
-/// defect override keys its own entry and exercises the engine's sharded
+/// defect variant keys its own entry and exercises the engine's sharded
 /// defect-map sampling under concurrent load. This is the
 /// repeated-`SimConfig` workload the shared warm cache is built for — the
 /// request population of the `serve_stress` binary and the CI serving gate.
@@ -382,16 +382,14 @@ pub fn stress_mix() -> Result<Vec<mspt_serve::ReportRequest>> {
         }
     }
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10)?;
-    mix.push(
-        ReportRequest::builder(base.clone().with_code(code))
-            .disturbance(DisturbanceKind::Laplace)
-            .build(),
-    );
-    mix.push(
-        ReportRequest::builder(base.with_code(code))
-            .defects(DefectKind::sampled(0.02, 0.01, FIG7_DEFECT_SEED)?)
-            .build(),
-    );
+    mix.push(ReportRequest::new(
+        base.clone()
+            .with_code(code)
+            .with_disturbance(DisturbanceKind::Laplace),
+    ));
+    mix.push(ReportRequest::new(base.with_code(code).with_defects(
+        DefectKind::sampled(0.02, 0.01, FIG7_DEFECT_SEED)?,
+    )));
     Ok(mix)
 }
 
@@ -716,8 +714,12 @@ mod tests {
     #[test]
     fn stress_mix_exercises_disturbance_and_defect_keying() {
         let mix = stress_mix().unwrap();
-        assert!(mix.iter().any(|request| request.disturbance.is_some()));
-        assert!(mix.iter().any(|request| request.defects.is_some()));
+        assert!(mix
+            .iter()
+            .any(|request| request.config.disturbance() != DisturbanceKind::Gaussian));
+        assert!(mix
+            .iter()
+            .any(|request| request.config.defects() != DefectKind::None));
     }
 
     #[test]

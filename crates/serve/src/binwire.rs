@@ -17,18 +17,22 @@
 //!
 //! ```text
 //! request  = document(DOC_REQUEST,
-//!              section(0x01, config document)
-//!              [section(0x02, disturbance body)]
-//!              [section(0x03, defect body)])
+//!              section(0x01, config document))
 //! reply    = document(DOC_REPLY,
 //!              section(0x01, report document)      -- status: ok
 //!            | section(0x02, kind:u8 reason:str))  -- status: error
 //! ```
+//!
+//! Earlier clients could follow a request's config section with a
+//! disturbance-override section (`0x02`, a disturbance body) and a
+//! defect-override section (`0x03`, a defect body). Those legacy sections
+//! are read, never written: [`request_from_bin`] applies them onto the
+//! decoded configuration, so such a request decodes to the configuration
+//! those clients were served.
 
 use decoder_sim::bincodec::{
-    self, config_from_bin, config_to_bin, defect_from_bin, defect_to_bin, disturbance_from_bin,
-    disturbance_to_bin, report_from_bin, report_to_bin, wire_error_kind_from_bin,
-    wire_error_kind_to_bin, BinReader, BinWriter,
+    self, config_from_bin, config_to_bin, defect_from_bin, disturbance_from_bin, report_from_bin,
+    report_to_bin, wire_error_kind_from_bin, wire_error_kind_to_bin, BinReader, BinWriter,
 };
 use decoder_sim::{PlatformReport, Result, WireErrorKind};
 
@@ -38,11 +42,11 @@ use crate::{Handler, ReportRequest};
 /// Request section holding the nested [`SimConfig`](decoder_sim::SimConfig)
 /// document. Required.
 const TAG_REQUEST_CONFIG: u8 = 0x01;
-/// Request section holding a disturbance-override body. Optional: absent
-/// means "no override", mirroring JSON `null`.
+/// Legacy request section holding a disturbance-override body. Read, never
+/// written; absent means "no override".
 const TAG_REQUEST_DISTURBANCE: u8 = 0x02;
-/// Request section holding a defect-override body. Optional, like the
-/// disturbance override.
+/// Legacy request section holding a defect-override body. Read, never
+/// written, like the disturbance override.
 const TAG_REQUEST_DEFECTS: u8 = 0x03;
 
 /// Reply section holding the nested report document (`status: ok`).
@@ -51,23 +55,18 @@ const TAG_REPLY_REPORT: u8 = 0x01;
 /// (`status: error`).
 const TAG_REPLY_ERROR: u8 = 0x02;
 
-/// Encodes a request as a binary wire document.
+/// Encodes a request as a binary wire document: its config section.
 #[must_use]
+// mspt-analyze: allow(codec-symmetry) the legacy override sections are read (applied onto the decoded config) and never written
 pub fn request_to_bin(request: &ReportRequest) -> Vec<u8> {
     let mut payload = BinWriter::new();
     payload.section(TAG_REQUEST_CONFIG, &config_to_bin(&request.config));
-    if let Some(kind) = request.disturbance {
-        payload.section(TAG_REQUEST_DISTURBANCE, &disturbance_to_bin(kind));
-    }
-    if let Some(kind) = request.defects {
-        payload.section(TAG_REQUEST_DEFECTS, &defect_to_bin(kind));
-    }
     bincodec::document(bincodec::DOC_REQUEST, &payload.into_bytes())
 }
 
-/// Decodes a binary wire request. The override sections are optional
-/// (absent means "no override"); unknown sections are skipped for forward
-/// compatibility.
+/// Decodes a binary wire request. Legacy override sections are applied
+/// onto the decoded configuration; unknown sections are skipped for
+/// forward compatibility.
 ///
 /// # Errors
 ///
@@ -98,11 +97,15 @@ pub fn request_from_bin(bytes: &[u8]) -> Result<ReportRequest> {
             _ => {} // Forward compatibility: skip sections a later writer added.
         }
     }
-    Ok(ReportRequest {
-        config: config.ok_or_else(|| wire_err("binary request is missing its config section"))?,
-        disturbance,
-        defects,
-    })
+    let mut config =
+        config.ok_or_else(|| wire_err("binary request is missing its config section"))?;
+    if let Some(kind) = disturbance {
+        config = config.with_disturbance(kind);
+    }
+    if let Some(kind) = defects {
+        config = config.with_defects(kind);
+    }
+    Ok(ReportRequest::new(config))
 }
 
 /// Encodes a typed reply as a binary wire document.
@@ -207,45 +210,81 @@ pub fn parse_reply_any(bytes: &[u8]) -> Result<WireReply> {
     parse_reply(text)
 }
 
-/// [`parse_reply_any`] collapsed to a report, turning a typed server
-/// failure into an error — the counterpart of [`crate::parse_response`].
-///
-/// # Errors
-///
-/// Returns [`decoder_sim::SimError::Persistence`] on malformed bytes or an
-/// error reply (the server-side reason is quoted in the error).
-pub fn parse_response_any(bytes: &[u8]) -> Result<PlatformReport> {
-    match parse_reply_any(bytes)? {
-        WireReply::Report(report) => Ok(report),
-        WireReply::Error(error) => Err(wire_err(format!("server error: {}", error.reason))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoder_sim::{DisturbanceKind, SimConfig};
+    use decoder_sim::bincodec::{defect_to_bin, disturbance_to_bin};
+    use decoder_sim::{
+        DefectKind, DisturbanceKind, EngineConfig, ExecutionEngine, SimConfig, SimulationPlatform,
+    };
     use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
-    fn request() -> ReportRequest {
+    fn config() -> SimConfig {
         let code = CodeSpec::new(CodeKind::Gray, LogicLevel::BINARY, 8).unwrap();
-        ReportRequest::builder(SimConfig::paper_defaults(code).unwrap())
-            .disturbance(DisturbanceKind::Laplace)
-            .build()
+        SimConfig::paper_defaults(code).unwrap()
+    }
+
+    /// A request document as earlier clients wrote it: the config section,
+    /// then any override sections, in `sections` order.
+    fn legacy_request(config: &SimConfig, sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
+        let mut payload = BinWriter::new();
+        payload.section(TAG_REQUEST_CONFIG, &config_to_bin(config));
+        for (tag, body) in sections {
+            payload.section(*tag, body);
+        }
+        bincodec::document(bincodec::DOC_REQUEST, &payload.into_bytes())
     }
 
     #[test]
     fn requests_round_trip_through_binary() {
-        let typed = request();
+        let typed = ReportRequest::new(config().with_disturbance(DisturbanceKind::Laplace));
         let bytes = request_to_bin(&typed);
         assert!(bincodec::is_binary(&bytes));
         assert_eq!(request_from_bin(&bytes).unwrap(), typed);
+        // A request is its config section and nothing else.
+        assert_eq!(bytes, legacy_request(&typed.config, &[]));
+    }
 
-        // Overrides are genuinely optional sections, not nulls.
-        let bare = ReportRequest::new(typed.config.clone());
-        let bare_bytes = request_to_bin(&bare);
-        assert!(bare_bytes.len() < bytes.len());
-        assert_eq!(request_from_bin(&bare_bytes).unwrap(), bare);
+    #[test]
+    fn legacy_override_sections_fold_into_the_config() {
+        let base = config();
+        let defects = DefectKind::sampled(0.02, 0.01, 7).unwrap();
+        let disturbance = (
+            TAG_REQUEST_DISTURBANCE,
+            disturbance_to_bin(DisturbanceKind::Laplace),
+        );
+        let defect = (TAG_REQUEST_DEFECTS, defect_to_bin(defects));
+        let unknown = (0x7F, vec![1, 2, 3]);
+        let server =
+            crate::ReportServer::new(std::sync::Arc::new(ExecutionEngine::new(EngineConfig {
+                threads: 1,
+                chunk_size: 256,
+            })));
+        for (sections, expected) in [
+            (
+                vec![disturbance.clone()],
+                base.clone().with_disturbance(DisturbanceKind::Laplace),
+            ),
+            (vec![defect.clone()], base.clone().with_defects(defects)),
+            (
+                vec![disturbance.clone(), unknown, defect.clone()],
+                base.clone()
+                    .with_disturbance(DisturbanceKind::Laplace)
+                    .with_defects(defects),
+            ),
+        ] {
+            let bytes = legacy_request(&base, &sections);
+            assert_eq!(request_from_bin(&bytes).unwrap().config, expected);
+            // Served the report of the folded configuration.
+            let reference = SimulationPlatform::new(expected).evaluate().unwrap();
+            assert_eq!(
+                reply_from_bin(&handle_bin(&server, &bytes)).unwrap(),
+                WireReply::Report(reference)
+            );
+        }
+        // A duplicated legacy section is still an error.
+        let twice = legacy_request(&base, &[defect.clone(), defect]);
+        assert!(request_from_bin(&twice).is_err());
     }
 
     #[test]
@@ -272,15 +311,24 @@ mod tests {
 
     #[test]
     fn truncated_requests_fail_except_at_the_one_section_boundary() {
-        let typed = request();
-        let bytes = request_to_bin(&typed);
+        // No proper prefix of a request decodes.
+        let bytes = request_to_bin(&ReportRequest::new(config()));
+        assert!((0..bytes.len()).all(|take| request_from_bin(&bytes[..take]).is_err()));
+
+        // A legacy request with a disturbance override decodes at exactly
+        // one proper prefix, the one ending between its two sections, and
+        // as the override-free request — never as a corrupted one.
+        let legacy = legacy_request(
+            &config(),
+            &[(
+                TAG_REQUEST_DISTURBANCE,
+                disturbance_to_bin(DisturbanceKind::Laplace),
+            )],
+        );
         let mut boundary_decodes = 0;
-        for take in 0..bytes.len() {
-            if let Ok(decoded) = request_from_bin(&bytes[..take]) {
-                // The only decodable proper prefix ends exactly between the
-                // config and disturbance sections, and decodes as the
-                // override-free request — never as a corrupted one.
-                assert_eq!(decoded, ReportRequest::new(typed.config.clone()));
+        for take in 0..legacy.len() {
+            if let Ok(decoded) = request_from_bin(&legacy[..take]) {
+                assert_eq!(decoded, ReportRequest::new(config()));
                 boundary_decodes += 1;
             }
         }

@@ -3,9 +3,8 @@
 //! The concurrent serving layer over the execution engine's shared report
 //! cache — the first step toward the workspace's heavy-traffic north star.
 //!
-//! A **request** is a serialized [`SimConfig`] (plus optional
-//! [`DisturbanceKind`] and [`DefectKind`] overrides), a **response** is a
-//! [`PlatformReport`];
+//! A **request** is a [`SimConfig`] ([`ReportRequest`]), a **response** is
+//! a [`PlatformReport`];
 //! both travel as JSON through the std-only codec in `decoder_sim::codec`
 //! (the vendored serde stand-in has no serializers, and crates.io is
 //! unreachable in this build environment). Every server clone shares one
@@ -32,7 +31,6 @@
 //! * [`handle_json`] — the JSON front end: any `Handler` becomes a
 //!   string-in/string-out endpoint with **typed** error responses
 //!   ([`wire`]: `bad_request` / `overloaded` / `internal`).
-//!   [`ReportServer::handle`] is this adapter applied to itself.
 //! * [`binwire`] / [`handle_bin`] — the binary front end: the same request
 //!   and reply documents in the compact `decoder_sim::bincodec` encoding.
 //! * [`net`] — the framed-TCP front end: a [`NetServer`] worker pool with a
@@ -41,12 +39,12 @@
 //!   either wire codec — each request frame's first byte picks the codec
 //!   its response comes back in, so JSON and binary clients share a server.
 //!
-//! [`run_stress`] is the in-process load harness behind the `serve_stress`
-//! experiment binary and the CI serving gate: N client threads hammer one
-//! server with a Zipf-ish mix of figure configurations and every response is
-//! checked bit-for-bit against an independently computed serial reference.
-//! [`loadgen`] is the same harness over real sockets, with an HDR-style
-//! p50/p99/p999 latency histogram ([`latency`]).
+//! [`loadgen`] is the load harness behind the `serve_stress` experiment
+//! binary and the CI serving gates: N client connections hammer a
+//! [`NetServer`] with a Zipf-ish mix of figure configurations, every
+//! response is checked bit-for-bit against an independently computed
+//! serial reference, and per-request latency lands in an HDR-style
+//! p50/p99/p999 histogram ([`latency`]).
 //!
 //! # Examples
 //!
@@ -54,7 +52,7 @@
 //! use std::sync::Arc;
 //!
 //! use decoder_sim::{EngineConfig, ExecutionEngine, SimConfig};
-//! use mspt_serve::{ReportRequest, ReportServer};
+//! use mspt_serve::{handle_json, parse_reply, ReportRequest, ReportServer, WireReply};
 //! use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,9 +67,9 @@
 //! let report = server.serve(&request)?;
 //! assert!(report.crossbar_yield > 0.0);
 //!
-//! // Wire path: JSON in, JSON out, errors become error responses.
-//! let response = server.handle(&request.to_json_string());
-//! assert_eq!(mspt_serve::parse_response(&response)?, report);
+//! // Wire path: JSON in, JSON out, errors become typed error responses.
+//! let response = handle_json(&server, &request.to_json_string());
+//! assert_eq!(parse_reply(&response)?, WireReply::Report(report));
 //!
 //! // The repeat is a cache hit.
 //! server.serve(&request)?;
@@ -86,19 +84,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use decoder_sim::codec::{
-    config_from_json, config_to_json, defect_from_json, defect_to_json, disturbance_from_json,
-    disturbance_to_json, JsonValue,
+    config_from_json, config_to_json, defect_from_json, disturbance_from_json, JsonValue,
 };
 use decoder_sim::{
-    chunk_seed, CacheStats, DefectKind, DisturbanceKind, ExecutionEngine, PlatformReport, Result,
-    SamplingStats, SimConfig, SimulationPlatform, StageStats, WireErrorKind,
+    CacheStats, ExecutionEngine, PlatformReport, Result, SamplingStats, SimConfig, StageStats,
+    WireErrorKind,
 };
 
 pub mod binwire;
@@ -108,8 +103,8 @@ pub mod net;
 pub mod wire;
 
 pub use binwire::{
-    error_response_bin, handle_bin, ok_response_bin, parse_reply_any, parse_response_any,
-    reply_from_bin, reply_to_bin, request_from_bin, request_to_bin,
+    error_response_bin, handle_bin, ok_response_bin, parse_reply_any, reply_from_bin, reply_to_bin,
+    request_from_bin, request_to_bin,
 };
 pub use latency::LatencyHistogram;
 pub use loadgen::{probe_shed, run_net_stress, NetStressOutcome};
@@ -117,16 +112,15 @@ pub use net::{
     read_frame, write_frame, NetClient, NetServer, NetServerHandle, ServeConfig, ShedPolicy,
 };
 pub use wire::{
-    error_response, ok_response, parse_reply, parse_response, WireError, WireReply,
-    WIRE_SCHEMA_VERSION,
+    error_response, ok_response, parse_reply, WireError, WireReply, WIRE_SCHEMA_VERSION,
 };
 
 use wire::wire_err;
 
 /// Domain-separation tag mixed into the stress harness's per-client seeds
-/// (through the workspace-wide [`chunk_seed`] primitive), so a load test
-/// sharing a run seed with a Monte-Carlo estimation or a defect map draws a
-/// decorrelated stream instead of replaying theirs.
+/// (through the workspace-wide [`decoder_sim::chunk_seed`] primitive), so a
+/// load test sharing a run seed with a Monte-Carlo estimation or a defect
+/// map draws a decorrelated stream instead of replaying theirs.
 pub const STRESS_SEED_DOMAIN: u64 = 0x5e12_7e57_ae5d_0004;
 
 /// Environment variable naming the stress harness's client-thread count.
@@ -135,11 +129,6 @@ pub const STRESS_CLIENTS_ENV: &str = "MSPT_STRESS_CLIENTS";
 pub const STRESS_REQUESTS_ENV: &str = "MSPT_STRESS_REQUESTS";
 /// Environment variable naming the stress harness's run seed.
 pub const STRESS_SEED_ENV: &str = "MSPT_STRESS_SEED";
-/// Environment variable selecting the wire codec the TCP loadgen speaks:
-/// `json` (the default), `binary`, or — understood by the `serve_stress`
-/// binary only — `both`, which runs the loadgen once per codec and emits
-/// both sets of benchmark rows.
-pub const STRESS_CODEC_ENV: &str = "MSPT_STRESS_CODEC";
 
 /// Which wire codec a loadgen connection encodes its requests in. Replies
 /// always come back in the request's codec (accept-time sheds excepted —
@@ -187,76 +176,45 @@ pub(crate) fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// One serving request: a full simulation configuration plus optional
-/// disturbance and defect overrides.
+/// One serving request: the simulation configuration to evaluate.
 ///
-/// The overrides exist for clients that sweep disturbance models or defect
-/// rates over one platform configuration; they are applied onto the
-/// configuration **before** the engine sees the request
-/// ([`ReportRequest::effective_config`]). The report cache keys a request by
-/// the fields its report reads: a defect override keys an entry of its own,
-/// while a Gaussian and a Laplace request with the same platform parameters
-/// share one entry — no report stage reads the disturbance kind, so their
-/// reports are identical.
+/// Disturbance and defect selections are fields of the configuration
+/// ([`SimConfig::with_disturbance`], [`SimConfig::with_defects`]). The
+/// report cache keys a request by the fields its report reads: a defect
+/// selection keys an entry of its own, while a Gaussian and a Laplace
+/// request with the same platform parameters share one entry — no report
+/// stage reads the disturbance kind, so their reports are identical.
+///
+/// ```
+/// use decoder_sim::{DisturbanceKind, SimConfig};
+/// use mspt_serve::ReportRequest;
+/// use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8)?;
+/// let config = SimConfig::paper_defaults(code)?.with_disturbance(DisturbanceKind::Laplace);
+/// let request = ReportRequest::new(config);
+/// let wire = request.to_json_string();
+/// assert!(wire.starts_with("{\"schema_version\":1,\"config\":{"));
+/// assert_eq!(ReportRequest::from_json_str(&wire)?, request);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportRequest {
     /// The configuration to evaluate.
     pub config: SimConfig,
-    /// When set, replaces the configuration's disturbance kind.
-    pub disturbance: Option<DisturbanceKind>,
-    /// When set, replaces the configuration's fabrication-defect selection.
-    pub defects: Option<DefectKind>,
 }
 
 impl ReportRequest {
-    /// Starts building a request for a configuration, with the overrides
-    /// set fluently; [`ReportRequest::new`] is the request without any.
-    ///
-    /// ```
-    /// use decoder_sim::{DisturbanceKind, SimConfig};
-    /// use mspt_serve::ReportRequest;
-    /// use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8)?;
-    /// let request = ReportRequest::builder(SimConfig::paper_defaults(code)?)
-    ///     .disturbance(DisturbanceKind::Laplace)
-    ///     .build();
-    /// assert_eq!(request.disturbance, Some(DisturbanceKind::Laplace));
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn builder(config: SimConfig) -> ReportRequestBuilder {
-        ReportRequestBuilder {
-            config,
-            disturbance: None,
-            defects: None,
-        }
-    }
-
-    /// A request for a configuration as-is.
+    /// A request for a configuration.
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
-        ReportRequest::builder(config).build()
+        ReportRequest { config }
     }
 
-    /// The configuration the engine actually evaluates: the request's
-    /// configuration with the disturbance and defect overrides (if any)
-    /// applied.
-    #[must_use]
-    pub fn effective_config(&self) -> SimConfig {
-        let mut config = self.config.clone();
-        if let Some(kind) = self.disturbance {
-            config = config.with_disturbance(kind);
-        }
-        if let Some(defects) = self.defects {
-            config = config.with_defects(defects);
-        }
-        config
-    }
-
-    /// Encodes the request as a wire JSON document.
+    /// Encodes the request as a wire JSON document:
+    /// `{"schema_version":1,"config":{…}}`.
     #[must_use]
     pub fn to_json_string(&self) -> String {
         JsonValue::Object(vec![
@@ -265,22 +223,17 @@ impl ReportRequest {
                 JsonValue::from_u64(WIRE_SCHEMA_VERSION),
             ),
             ("config".to_string(), config_to_json(&self.config)),
-            (
-                "disturbance".to_string(),
-                self.disturbance
-                    .map_or(JsonValue::Null, disturbance_to_json),
-            ),
-            (
-                "defects".to_string(),
-                self.defects.map_or(JsonValue::Null, defect_to_json),
-            ),
         ])
         .render()
     }
 
-    /// Decodes a wire JSON request. The `defects` override is optional on
-    /// the wire (absent and `null` both mean "no override"), so requests
-    /// from clients built before the defect dimension existed still parse.
+    /// Decodes a wire JSON request.
+    ///
+    /// Earlier clients sent `disturbance` and `defects` override keys next
+    /// to the configuration. Both are optional: absent or `null` means no
+    /// override, and an override object is applied onto the decoded
+    /// configuration, so such a request decodes to the configuration those
+    /// clients were served.
     ///
     /// # Errors
     ///
@@ -294,54 +247,16 @@ impl ReportRequest {
                 "request schema version {version} does not match supported version {WIRE_SCHEMA_VERSION}"
             )));
         }
-        let config = config_from_json(value.get("config")?)?;
-        let disturbance = match value.get("disturbance")? {
-            JsonValue::Null => None,
-            kind => Some(disturbance_from_json(kind)?),
-        };
-        let defects = match value.get_opt("defects")? {
-            None | Some(JsonValue::Null) => None,
-            Some(kind) => Some(defect_from_json(kind)?),
-        };
-        Ok(ReportRequest {
-            config,
-            disturbance,
-            defects,
-        })
-    }
-}
-
-/// Builder for [`ReportRequest`]: configuration first, overrides fluently.
-#[derive(Debug, Clone)]
-pub struct ReportRequestBuilder {
-    config: SimConfig,
-    disturbance: Option<DisturbanceKind>,
-    defects: Option<DefectKind>,
-}
-
-impl ReportRequestBuilder {
-    /// Overrides the configuration's disturbance kind.
-    #[must_use]
-    pub fn disturbance(mut self, kind: DisturbanceKind) -> Self {
-        self.disturbance = Some(kind);
-        self
-    }
-
-    /// Overrides the configuration's fabrication-defect selection.
-    #[must_use]
-    pub fn defects(mut self, kind: DefectKind) -> Self {
-        self.defects = Some(kind);
-        self
-    }
-
-    /// Finishes the request.
-    #[must_use]
-    pub fn build(self) -> ReportRequest {
-        ReportRequest {
-            config: self.config,
-            disturbance: self.disturbance,
-            defects: self.defects,
+        let mut config = config_from_json(value.get("config")?)?;
+        match value.get_opt("disturbance")? {
+            None | Some(JsonValue::Null) => {}
+            Some(kind) => config = config.with_disturbance(disturbance_from_json(kind)?),
         }
+        match value.get_opt("defects")? {
+            None | Some(JsonValue::Null) => {}
+            Some(kind) => config = config.with_defects(defect_from_json(kind)?),
+        }
+        Ok(ReportRequest { config })
     }
 }
 
@@ -436,25 +351,15 @@ impl ReportServer {
         self.engine.sampling_stats()
     }
 
-    /// Serves a typed request: applies the disturbance override, then
-    /// evaluates through the engine's single-flight cache.
+    /// Serves a typed request: evaluates its configuration through the
+    /// engine's single-flight cache.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn serve(&self, request: &ReportRequest) -> Result<PlatformReport> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.engine.report_for(&request.effective_config())
-    }
-
-    /// Serves a wire request: JSON in, JSON out — the [`handle_json`]
-    /// adapter applied to this server. Never panics and never returns `Err`
-    /// — malformed requests become typed `bad_request` responses and
-    /// evaluation failures become typed `internal` responses, so one bad
-    /// client cannot take the server down.
-    #[must_use]
-    pub fn handle(&self, request_json: &str) -> String {
-        handle_json(self, request_json)
+        self.engine.report_for(&request.config)
     }
 }
 
@@ -464,12 +369,12 @@ impl Handler for ReportServer {
     }
 }
 
-/// Knobs of the stress harness.
+/// Knobs of the TCP load harness ([`run_net_stress`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StressConfig {
-    /// Number of client threads hammering the server concurrently.
+    /// Number of concurrent client connections, one thread each.
     pub clients: usize,
-    /// Wire requests each client sends.
+    /// Request frames each client sends per pass.
     pub requests_per_client: usize,
     /// Run seed. Client `c` draws its request indices from
     /// `chunk_seed(seed ^ STRESS_SEED_DOMAIN, c)`, so the whole request
@@ -504,47 +409,6 @@ impl StressConfig {
     }
 }
 
-/// The outcome of one stress pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StressOutcome {
-    /// Wire requests sent across all clients.
-    pub requests: u64,
-    /// Responses that were **not** bit-identical to the serial reference
-    /// (zero on a healthy run — asserted by the CI gate).
-    pub mismatches: u64,
-    /// Cache hits observed during this pass (delta over the pass).
-    pub hits: u64,
-    /// Cache misses observed during this pass (delta over the pass).
-    pub misses: u64,
-    /// Wall-clock duration of the hammering phase (excludes the serial
-    /// reference computation).
-    pub elapsed: Duration,
-}
-
-impl StressOutcome {
-    /// Fraction of this pass's lookups served from the cache.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Requests per second of the hammering phase.
-    #[must_use]
-    pub fn throughput_rps(&self) -> f64 {
-        let seconds = self.elapsed.as_secs_f64();
-        if seconds <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.requests as f64 / seconds
-        }
-    }
-}
-
 /// Draws one mix index from a Zipf-ish popularity law: request `mix[i]` with
 /// probability proportional to `1 / (i + 1)` — a few hot configurations and
 /// a long cold tail, the shape a shared warm cache is built for.
@@ -567,100 +431,13 @@ pub(crate) fn zipf_index(rng: &mut StdRng, cumulative: &[f64]) -> usize {
         .unwrap_or(cumulative.len() - 1)
 }
 
-/// Hammers a server from [`StressConfig::clients`] threads with a Zipf-ish
-/// mix of requests, verifying every response **bit-for-bit** against a
-/// serial reference ([`SimulationPlatform::evaluate`], computed outside the
-/// timed phase and without touching the server's cache).
-///
-/// Each client sends wire JSON through [`ReportServer::handle`] — the full
-/// serialize → serve → deserialize loop, not a shortcut through the typed
-/// API. Hit/miss figures are deltas over the pass, so running two passes and
-/// asserting `hit_rate() == 1.0` on the second is exactly the CI gate's
-/// warm-cache check.
-///
-/// # Errors
-///
-/// Propagates reference-evaluation errors and response-decoding failures.
-/// Responses that decode but differ from the reference are *counted* in
-/// [`StressOutcome::mismatches`] rather than short-circuiting, so a
-/// determinism regression reports its blast radius.
-///
-/// # Panics
-///
-/// Panics when the mix is empty or the client/request counts are zero.
-pub fn run_stress(
-    server: &ReportServer,
-    mix: &[ReportRequest],
-    stress: &StressConfig,
-) -> Result<StressOutcome> {
-    assert!(!mix.is_empty(), "stress mix must not be empty");
-    assert!(stress.clients > 0, "stress needs at least one client");
-    assert!(
-        stress.requests_per_client > 0,
-        "stress needs at least one request per client"
-    );
-
-    // Serial references, computed independently of the engine and its cache.
-    let references: Vec<PlatformReport> = mix
-        .iter()
-        .map(|request| SimulationPlatform::new(request.effective_config()).evaluate())
-        .collect::<Result<_>>()?;
-    let encoded: Vec<String> = mix.iter().map(ReportRequest::to_json_string).collect();
-
-    let cumulative = zipf_cumulative(mix.len());
-
-    let before = server.stats();
-    let start = Instant::now();
-    let mut per_client: Vec<Result<u64>> = Vec::with_capacity(stress.clients);
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..stress.clients)
-            .map(|client| {
-                let encoded = &encoded;
-                let references = &references;
-                let cumulative = &cumulative;
-                scope.spawn(move || -> Result<u64> {
-                    let mut rng = StdRng::seed_from_u64(chunk_seed(
-                        stress.seed ^ STRESS_SEED_DOMAIN,
-                        client as u64,
-                    ));
-                    let mut mismatches = 0u64;
-                    for _ in 0..stress.requests_per_client {
-                        let index = zipf_index(&mut rng, cumulative);
-                        let response = server.handle(&encoded[index]);
-                        let report = parse_response(&response)?;
-                        if report != references[index] {
-                            mismatches += 1;
-                        }
-                    }
-                    Ok(mismatches)
-                })
-            })
-            .collect();
-        for handle in handles {
-            per_client.push(handle.join().expect("stress client panicked"));
-        }
-    });
-    let elapsed = start.elapsed();
-    let after = server.stats();
-
-    let mut mismatches = 0u64;
-    for outcome in per_client {
-        mismatches += outcome?;
-    }
-    Ok(StressOutcome {
-        requests: (stress.clients * stress.requests_per_client) as u64,
-        mismatches,
-        hits: after.hits - before.hits,
-        misses: after.misses - before.misses,
-        elapsed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoder_sim::EngineConfig;
+    use decoder_sim::codec::{defect_to_json, disturbance_to_json};
+    use decoder_sim::{DefectKind, DisturbanceKind, EngineConfig, SimulationPlatform};
     use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
+    use rand::SeedableRng;
 
     fn request(kind: CodeKind, length: usize) -> ReportRequest {
         let code = CodeSpec::new(kind, LogicLevel::BINARY, length).unwrap();
@@ -676,38 +453,74 @@ mod tests {
 
     #[test]
     fn requests_round_trip_the_wire_format() {
-        let typed = ReportRequest::builder(request(CodeKind::Gray, 8).config)
-            .disturbance(DisturbanceKind::Laplace)
-            .build();
-        let decoded = ReportRequest::from_json_str(&typed.to_json_string()).unwrap();
+        let typed = ReportRequest::new(
+            request(CodeKind::Gray, 8)
+                .config
+                .with_disturbance(DisturbanceKind::Laplace)
+                .with_defects(DefectKind::sampled(0.02, 0.01, 7).unwrap()),
+        );
+        // A request is its configuration: the document carries nothing else.
+        let wire = typed.to_json_string();
+        assert_eq!(
+            wire,
+            format!(
+                "{{\"schema_version\":1,\"config\":{}}}",
+                config_to_json(&typed.config).render()
+            )
+        );
+        let decoded = ReportRequest::from_json_str(&wire).unwrap();
         assert_eq!(decoded, typed);
-        assert_eq!(
-            decoded.effective_config().disturbance(),
-            DisturbanceKind::Laplace
-        );
-
-        let defective = ReportRequest::builder(request(CodeKind::Gray, 8).config)
-            .defects(DefectKind::sampled(0.02, 0.01, 7).unwrap())
-            .build();
-        let decoded = ReportRequest::from_json_str(&defective.to_json_string()).unwrap();
-        assert_eq!(decoded, defective);
-        assert_eq!(
-            decoded.effective_config().defects().nanowire_breakage(),
-            0.02
-        );
+        assert_eq!(decoded.config.disturbance(), DisturbanceKind::Laplace);
+        assert_eq!(decoded.config.defects().nanowire_breakage(), 0.02);
     }
 
     #[test]
     fn requests_without_a_defects_field_still_parse() {
-        // A wire request from a client built before the defect dimension
-        // existed has no "defects" key at all; it must decode as "no
-        // override", not be rejected.
-        let wire = request(CodeKind::Tree, 8).to_json_string();
-        let legacy = wire.replacen(",\"defects\":null", "", 1);
-        assert_ne!(legacy, wire, "defects field not found on the wire");
-        let decoded = ReportRequest::from_json_str(&legacy).unwrap();
-        assert_eq!(decoded.defects, None);
-        assert_eq!(decoded, ReportRequest::from_json_str(&wire).unwrap());
+        // Earlier clients wrote disturbance and defect override keys next to
+        // the configuration, and the oldest no defects key at all. Absent
+        // and null mean no override; an object is applied onto the decoded
+        // configuration, and the request is served that configuration's
+        // report.
+        let base = request(CodeKind::Tree, 8).config;
+        let defects = DefectKind::sampled(0.02, 0.01, 7).unwrap();
+        let config = config_to_json(&base).render();
+        let laplace = disturbance_to_json(DisturbanceKind::Laplace).render();
+        let sampled = defect_to_json(defects).render();
+        let both = base
+            .clone()
+            .with_disturbance(DisturbanceKind::Laplace)
+            .with_defects(defects);
+        let server = server(1);
+        for (overrides, expected) in [
+            (String::new(), base.clone()),
+            (",\"disturbance\":null".to_string(), base.clone()),
+            (
+                ",\"disturbance\":null,\"defects\":null".to_string(),
+                base.clone(),
+            ),
+            (
+                format!(",\"disturbance\":{laplace}"),
+                base.clone().with_disturbance(DisturbanceKind::Laplace),
+            ),
+            (
+                format!(",\"disturbance\":null,\"defects\":{sampled}"),
+                base.clone().with_defects(defects),
+            ),
+            (
+                format!(",\"disturbance\":{laplace},\"defects\":{sampled}"),
+                both,
+            ),
+        ] {
+            let wire = format!("{{\"schema_version\":1,\"config\":{config}{overrides}}}");
+            let decoded = ReportRequest::from_json_str(&wire).unwrap();
+            assert_eq!(decoded.config, expected, "{wire}");
+            let reference = SimulationPlatform::new(expected).evaluate().unwrap();
+            assert_eq!(
+                parse_reply(&handle_json(&server, &wire)).unwrap(),
+                WireReply::Report(reference),
+                "{wire}"
+            );
+        }
     }
 
     #[test]
@@ -716,42 +529,43 @@ mod tests {
         let bad = good.replacen("\"schema_version\":1", "\"schema_version\":99", 1);
         assert!(ReportRequest::from_json_str(&bad).is_err());
 
-        let response = server(1).handle(&good);
+        let response = handle_json(&server(1), &good);
         let bad = response.replacen("\"schema_version\":1", "\"schema_version\":99", 1);
-        assert!(parse_response(&bad).is_err());
+        assert!(parse_reply(&bad).is_err());
     }
 
     #[test]
     fn malformed_requests_become_error_responses() {
         let server = server(1);
-        let response = server.handle("this is not json");
-        let error = parse_response(&response).unwrap_err();
-        assert!(error.to_string().contains("server error"));
+        match parse_reply(&handle_json(&server, "this is not json")).unwrap() {
+            WireReply::Error(error) => assert_eq!(error.kind, WireErrorKind::BadRequest),
+            WireReply::Report(_) => panic!("a malformed request was served a report"),
+        }
         // And a valid follow-up request still works.
-        let ok = server.handle(&request(CodeKind::Tree, 8).to_json_string());
-        assert!(parse_response(&ok).is_ok());
+        let ok = handle_json(&server, &request(CodeKind::Tree, 8).to_json_string());
+        assert!(matches!(parse_reply(&ok).unwrap(), WireReply::Report(_)));
     }
 
     #[test]
     fn disturbance_override_never_aliases_in_the_cache() {
         let server = server(2);
         let base = request(CodeKind::BalancedGray, 10);
-        let laplace = ReportRequest::builder(base.config.clone())
-            .disturbance(DisturbanceKind::Laplace)
-            .build();
+        let laplace = ReportRequest::new(
+            base.config
+                .clone()
+                .with_disturbance(DisturbanceKind::Laplace),
+        );
         let gaussian_report = server.serve(&base).unwrap();
         let laplace_report = server.serve(&laplace).unwrap();
-        // No report stage reads the disturbance kind, so the override shares
-        // the one entry: one miss, and the report served for it is the
-        // right one.
+        // No report stage reads the disturbance kind, so the Laplace request
+        // shares the one entry: one miss, and the report served for it is
+        // the right one.
         assert_eq!(server.engine().cached_report_count(), 1);
         assert_eq!(server.stats().misses, 1);
         assert_eq!(laplace_report, gaussian_report);
         assert_eq!(
             laplace_report,
-            decoder_sim::SimulationPlatform::new(laplace.effective_config())
-                .evaluate()
-                .unwrap()
+            SimulationPlatform::new(laplace.config).evaluate().unwrap()
         );
         // A field the report reads still keys an entry of its own.
         let windowed = ReportRequest::new(base.config.clone().with_window(0.2.into()));
@@ -764,9 +578,11 @@ mod tests {
     fn defect_override_never_aliases_in_the_cache() {
         let server = server(2);
         let base = request(CodeKind::BalancedGray, 10);
-        let defective = ReportRequest::builder(base.config.clone())
-            .defects(DefectKind::sampled(0.05, 0.02, 2_009).unwrap())
-            .build();
+        let defective = ReportRequest::new(
+            base.config
+                .clone()
+                .with_defects(DefectKind::sampled(0.05, 0.02, 2_009).unwrap()),
+        );
         let clean = server.serve(&base).unwrap();
         let composed = server.serve(&defective).unwrap();
         // Two distinct cache entries: the defect selection is part of the key.

@@ -1,11 +1,13 @@
-//! The TCP loadgen: the stress harness of [`run_stress`](crate::run_stress)
-//! driven over real sockets, with per-request latency recorded into an
-//! HDR-style histogram ([`LatencyHistogram`]) so a run reports sustained
+//! The TCP loadgen: N client connections replay seeded Zipf request
+//! streams against a framed server, with per-request latency recorded into
+//! an HDR-style histogram ([`LatencyHistogram`]) so a run reports sustained
 //! RPS **and** p50/p99/p999 tail latency, not just a throughput average.
+//! [`run_net_stress`] drives one pass in one wire codec; [`probe_shed`]
+//! drives a server into its load-shed path.
 //!
-//! Every response is still bit-checked against a serial reference — the
-//! network transport inherits the determinism contract: framing, worker
-//! pools and queues may reorder *requests*, never change *answers*.
+//! Every response is bit-checked against a serial reference — the network
+//! transport inherits the determinism contract: framing, worker pools and
+//! queues may reorder *requests*, never change *answers*.
 
 use std::net::SocketAddr;
 use std::thread;
@@ -18,8 +20,8 @@ use decoder_sim::{chunk_seed, PlatformReport, Result, SimulationPlatform, WireEr
 
 use crate::binwire::parse_reply_any;
 use crate::latency::LatencyHistogram;
-use crate::net::{NetClient, NetServerHandle, ShedPolicy};
-use crate::wire::{parse_reply, wire_err, WireError, WireReply};
+use crate::net::{NetClient, NetServerHandle};
+use crate::wire::{wire_err, WireError, WireReply};
 use crate::{
     zipf_cumulative, zipf_index, ReportRequest, StressConfig, WireCodec, STRESS_SEED_DOMAIN,
 };
@@ -76,10 +78,11 @@ struct ClientTally {
 }
 
 /// Drives [`StressConfig::clients`] concurrent TCP connections against a
-/// framed server at `addr` with the same seeded Zipf request streams as the
-/// in-process [`run_stress`](crate::run_stress) — same seed, same multiset
-/// of configurations — verifying every report **bit-for-bit** against a
-/// serial reference computed outside the timed phase.
+/// framed server at `addr`, each replaying its seeded Zipf request stream —
+/// same seed, same multiset of configurations, so a second same-seed pass
+/// over a warm server is all cache hits — and verifies every report
+/// **bit-for-bit** against a serial reference computed outside the timed
+/// phase.
 ///
 /// Requests are encoded in `codec` and every reply is decoded through the
 /// first-byte dispatcher ([`parse_reply_any`]), so accept-time JSON sheds
@@ -118,7 +121,7 @@ pub fn run_net_stress(
     // Serial references, computed independently of the server and its cache.
     let references: Vec<PlatformReport> = mix
         .iter()
-        .map(|request| SimulationPlatform::new(request.effective_config()).evaluate())
+        .map(|request| SimulationPlatform::new(request.config.clone()).evaluate())
         .collect::<Result<_>>()?;
     let encoded: Vec<Vec<u8>> = mix
         .iter()
@@ -216,20 +219,13 @@ pub fn run_net_stress(
 /// 3. opens one more connection, whose first read **must** be the framed,
 ///    typed `overloaded` error followed by an orderly close.
 ///
-/// Requires [`ShedPolicy::Reply`] — with `Close` there is no response to
-/// observe.
+/// `request` is the pinning request's frame payload, in either codec.
 ///
 /// # Errors
 ///
-/// Returns an error when the server runs a non-`Reply` shed policy, when a
-/// pinning request fails, or when the over-quota connection receives
-/// anything other than a typed `overloaded` reply.
-pub fn probe_shed(handle: &NetServerHandle, request_json: &str) -> Result<WireError> {
-    if handle.config().shed_policy != ShedPolicy::Reply {
-        return Err(wire_err(
-            "probe_shed requires ShedPolicy::Reply (a Close shed has no observable response)",
-        ));
-    }
+/// Returns an error when a pinning request fails, or when the over-quota
+/// connection receives anything other than a typed `overloaded` reply.
+pub fn probe_shed(handle: &NetServerHandle, request: &[u8]) -> Result<WireError> {
     let addr = handle.local_addr();
     let accepted_before = handle.accepted();
     let workers = handle.config().workers as u64;
@@ -240,7 +236,7 @@ pub fn probe_shed(handle: &NetServerHandle, request_json: &str) -> Result<WireEr
     let mut pinned = Vec::with_capacity(workers as usize);
     for _ in 0..workers {
         let mut client = NetClient::connect(addr)?;
-        match parse_reply(&client.call(request_json)?)? {
+        match parse_reply_any(&client.call_bytes(request)?)? {
             WireReply::Report(_) => pinned.push(client),
             WireReply::Error(error) => {
                 return Err(wire_err(format!(
@@ -262,9 +258,9 @@ pub fn probe_shed(handle: &NetServerHandle, request_json: &str) -> Result<WireEr
     // response.
     let mut over_quota = NetClient::connect(addr)?;
     let response = over_quota
-        .recv()?
+        .recv_bytes()?
         .ok_or_else(|| wire_err("shed connection closed without the typed overloaded response"))?;
-    let error = match parse_reply(&response)? {
+    let error = match parse_reply_any(&response)? {
         WireReply::Error(error) if error.kind == WireErrorKind::Overloaded => error,
         WireReply::Error(error) => {
             return Err(wire_err(format!(
@@ -278,7 +274,7 @@ pub fn probe_shed(handle: &NetServerHandle, request_json: &str) -> Result<WireEr
         }
     };
     // …followed by an orderly EOF, never a hang or a reset.
-    if over_quota.recv()?.is_some() {
+    if over_quota.recv_bytes()?.is_some() {
         return Err(wire_err("shed connection received a second frame"));
     }
     drop(filler);

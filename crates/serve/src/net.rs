@@ -8,12 +8,13 @@
 //! ([`crate::binwire`]), told apart by the payload's first byte. Each
 //! request frame produces exactly one response frame on the same
 //! connection, in order, **in the codec the request arrived in** — codec
-//! choice is per frame, so JSON-era clients keep working unchanged. Frames
-//! above [`MAX_FRAME_BYTES`] are rejected with a typed `bad_request`
-//! response. Accept-time `overloaded` sheds are written before the client
-//! has revealed a codec and are therefore always JSON; binary clients
-//! handle them by routing received frames through
-//! [`crate::binwire::parse_reply_any`].
+//! choice is per frame, so JSON-era clients keep working unchanged. A length
+//! prefix above [`MAX_FRAME_BYTES`] is answered with one typed `bad_request`
+//! response before anything is allocated for its payload, and the
+//! connection then closes. That reply, like an accept-time `overloaded`
+//! shed, is written before any payload byte has revealed a codec and is
+//! therefore always JSON; binary clients handle both by routing received
+//! frames through [`crate::binwire::parse_reply_any`].
 //!
 //! # Pool, backpressure, shed
 //!
@@ -55,8 +56,6 @@ pub const NET_ADDR_ENV: &str = "MSPT_NET_ADDR";
 pub const NET_WORKERS_ENV: &str = "MSPT_NET_WORKERS";
 /// Environment variable naming the bounded dispatch-queue length.
 pub const NET_QUEUE_ENV: &str = "MSPT_NET_QUEUE";
-/// Environment variable naming the shed policy (`reply` or `close`).
-pub const NET_SHED_ENV: &str = "MSPT_NET_SHED";
 /// Environment variable naming the graceful-shutdown drain grace in
 /// milliseconds.
 pub const NET_DRAIN_MS_ENV: &str = "MSPT_NET_DRAIN_MS";
@@ -74,22 +73,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(1);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShedPolicy {
     /// Write one framed, typed `overloaded` error response, then close —
-    /// the client sees *why* it was refused. The default.
+    /// the client sees *why* it was refused. The only policy.
     #[default]
     Reply,
-    /// Close immediately without a response (for clients that cannot parse
-    /// a response before their first request anyway).
-    Close,
-}
-
-impl ShedPolicy {
-    fn from_env_str(value: &str) -> Option<ShedPolicy> {
-        match value.trim() {
-            "reply" => Some(ShedPolicy::Reply),
-            "close" => Some(ShedPolicy::Close),
-            _ => None,
-        }
-    }
 }
 
 /// Typed transport configuration, parsed **once** from the `MSPT_NET_*`
@@ -106,7 +92,8 @@ pub struct ServeConfig {
     /// Bound of the accept/dispatch queue: connections that may wait for a
     /// worker before the acceptor starts shedding. Default 64.
     pub queue_bound: usize,
-    /// What to do with a connection when the queue is full.
+    /// What to do with a connection when the queue is full
+    /// ([`ShedPolicy::Reply`]).
     pub shed_policy: ShedPolicy,
     /// How long a draining shutdown waits for in-flight frames per
     /// connection. Default 250 ms.
@@ -128,8 +115,8 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Reads the transport knobs from the environment once —
     /// [`NET_ADDR_ENV`], [`NET_WORKERS_ENV`], [`NET_QUEUE_ENV`],
-    /// [`NET_SHED_ENV`], [`NET_DRAIN_MS_ENV`] — falling back to the
-    /// defaults for unset or unparsable values.
+    /// [`NET_DRAIN_MS_ENV`] — falling back to the defaults for unset or
+    /// unparsable values.
     #[must_use]
     pub fn from_env() -> Self {
         let default = ServeConfig::default();
@@ -140,10 +127,7 @@ impl ServeConfig {
                 .unwrap_or(default.bind_addr),
             workers: crate::env_usize(NET_WORKERS_ENV, default.workers).max(1),
             queue_bound: crate::env_usize(NET_QUEUE_ENV, default.queue_bound),
-            shed_policy: std::env::var(NET_SHED_ENV)
-                .ok()
-                .and_then(|value| ShedPolicy::from_env_str(&value))
-                .unwrap_or(default.shed_policy),
+            shed_policy: default.shed_policy,
             drain_grace: Duration::from_millis(env_ms(NET_DRAIN_MS_ENV, 250)),
         }
     }
@@ -415,10 +399,7 @@ impl NetServer {
             let queue = Arc::clone(&queue);
             let shutdown = Arc::clone(&shutdown);
             let counters = Arc::clone(&counters);
-            let shed_policy = config.shed_policy;
-            thread::spawn(move || {
-                accept_loop(&listener, &queue, &shutdown, &counters, shed_policy);
-            })
+            thread::spawn(move || accept_loop(&listener, &queue, &shutdown, &counters))
         };
 
         Ok(NetServerHandle {
@@ -438,7 +419,6 @@ fn accept_loop(
     queue: &BoundedQueue<TcpStream>,
     shutdown: &AtomicBool,
     counters: &NetCounters,
-    shed_policy: ShedPolicy,
 ) {
     while !shutdown.load(Ordering::Acquire) {
         match listener.accept() {
@@ -448,7 +428,7 @@ fn accept_loop(
                     // Counted before the reply is written, so a client that
                     // has read its shed reply always finds it counted.
                     counters.shed.fetch_add(1, Ordering::Relaxed);
-                    shed_connection(rejected, shed_policy);
+                    shed_connection(rejected);
                 }
                 // Incremented after the queue/shed decision so observers
                 // that wait on this counter know the dispatch outcome of
@@ -463,18 +443,23 @@ fn accept_loop(
     }
 }
 
-fn shed_connection(mut stream: TcpStream, policy: ShedPolicy) {
-    if policy == ShedPolicy::Reply {
-        stream.set_nonblocking(false).ok();
-        let response = error_response(&WireError::new(
-            WireErrorKind::Overloaded,
-            "server overloaded: dispatch queue full, retry later",
-        ));
-        write_frame(&mut stream, response.as_bytes()).ok();
-        stream.shutdown(std::net::Shutdown::Write).ok();
-    }
-    // Dropping the stream closes it; with `Reply` the response frame is
-    // already flushed, so the client reads the typed shed, then EOF.
+fn shed_connection(mut stream: TcpStream) {
+    stream.set_nonblocking(false).ok();
+    refuse(
+        &mut stream,
+        WireErrorKind::Overloaded,
+        "server overloaded: dispatch queue full, retry later",
+    );
+}
+
+/// Writes one typed JSON error frame and shuts the write half, so the
+/// client reads the error, then EOF, once the caller drops the stream. JSON
+/// because the refusal comes before any payload byte has revealed the
+/// client's codec.
+fn refuse(stream: &mut TcpStream, kind: WireErrorKind, reason: &str) {
+    let response = error_response(&WireError::new(kind, reason));
+    write_frame(stream, response.as_bytes()).ok();
+    stream.shutdown(std::net::Shutdown::Write).ok();
 }
 
 fn worker_loop(
@@ -495,10 +480,10 @@ fn worker_loop(
     }
 }
 
-/// Serves one connection until EOF, an I/O failure, or a draining shutdown.
-/// A request frame may arrive in pieces across poll timeouts: the worker
-/// keeps what it has read, so a client that pauses mid-frame holds the
-/// worker like an idle client does.
+/// Serves one connection until EOF, an I/O failure, an oversized frame, or
+/// a draining shutdown. A request frame may arrive in pieces across poll
+/// timeouts: the worker keeps what it has read, so a client that pauses
+/// mid-frame holds the worker like an idle client does.
 fn serve_connection(
     mut stream: TcpStream,
     handler: &dyn Handler,
@@ -573,6 +558,14 @@ fn serve_connection(
                 if drain_deadline.is_some() {
                     return;
                 }
+            }
+            Err(error) if error.kind() == io::ErrorKind::InvalidData => {
+                // A length prefix above MAX_FRAME_BYTES: nothing was
+                // allocated for the payload, and the stream cannot be
+                // resynchronised past it, so answer once and close.
+                counters.served.fetch_add(1, Ordering::Relaxed);
+                refuse(&mut stream, WireErrorKind::BadRequest, &error.to_string());
+                return;
             }
             Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
             Ok(Progress::Eof) | Err(_) => return,
@@ -682,47 +675,8 @@ impl NetClient {
         Ok(NetClient { stream })
     }
 
-    /// Sends one request frame without waiting for the response.
-    ///
-    /// # Errors
-    ///
-    /// Returns a persistence error on I/O failure.
-    pub fn send(&mut self, request_json: &str) -> Result<()> {
-        write_frame(&mut self.stream, request_json.as_bytes())
-            .map_err(|error| wire_err(format!("send frame: {error}")))
-    }
-
-    /// Receives one response frame; `Ok(None)` is a clean server-side
-    /// close.
-    ///
-    /// # Errors
-    ///
-    /// Returns a persistence error on I/O failure or a non-UTF-8 frame.
-    pub fn recv(&mut self) -> Result<Option<String>> {
-        match read_frame(&mut self.stream) {
-            Ok(None) => Ok(None),
-            Ok(Some(frame)) => String::from_utf8(frame)
-                .map(Some)
-                .map_err(|_| wire_err("response frame is not valid UTF-8")),
-            Err(error) => Err(wire_err(format!("recv frame: {error}"))),
-        }
-    }
-
-    /// One full round trip: send a request frame, block for the response
-    /// frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a persistence error on I/O failure or when the server closes
-    /// without responding.
-    pub fn call(&mut self, request_json: &str) -> Result<String> {
-        self.send(request_json)?;
-        self.recv()?
-            .ok_or_else(|| wire_err("server closed the connection without a response"))
-    }
-
-    /// Sends one raw request frame — the binary-codec counterpart of
-    /// [`NetClient::send`].
+    /// Sends one request frame, a wire document in either codec, without
+    /// waiting for the response.
     ///
     /// # Errors
     ///
@@ -732,7 +686,7 @@ impl NetClient {
             .map_err(|error| wire_err(format!("send frame: {error}")))
     }
 
-    /// Receives one raw response frame; `Ok(None)` is a clean server-side
+    /// Receives one response frame; `Ok(None)` is a clean server-side
     /// close. The frame may be in either codec (an accept-time shed is
     /// always JSON) — decode it with [`crate::binwire::parse_reply_any`].
     ///
@@ -743,8 +697,8 @@ impl NetClient {
         read_frame(&mut self.stream).map_err(|error| wire_err(format!("recv frame: {error}")))
     }
 
-    /// One full raw round trip: send a request frame, block for the
-    /// response frame.
+    /// One full round trip: send a request frame, block for the response
+    /// frame.
     ///
     /// # Errors
     ///
@@ -828,11 +782,8 @@ mod tests {
         // these variables run in this one process, and no other test reads
         // them.)
         std::env::set_var(NET_WORKERS_ENV, "not-a-number");
-        std::env::set_var(NET_SHED_ENV, "panic");
         let config = ServeConfig::from_env();
         std::env::remove_var(NET_WORKERS_ENV);
-        std::env::remove_var(NET_SHED_ENV);
         assert_eq!(config.workers, ServeConfig::default().workers);
-        assert_eq!(config.shed_policy, ShedPolicy::Reply);
     }
 }

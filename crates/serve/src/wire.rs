@@ -120,8 +120,8 @@ pub fn error_response(error: &WireError) -> String {
 }
 
 /// Decodes a wire response into the typed reply — the client half of the
-/// protocol for callers that need to branch on the failure class (the TCP
-/// loadgen counts `overloaded` sheds separately from mismatches).
+/// protocol (the TCP loadgen counts `overloaded` sheds separately from
+/// mismatches).
 ///
 /// Responses from servers that predate the typed `error` object (legacy
 /// top-level `reason` only) decode as [`WireErrorKind::Internal`].
@@ -151,22 +151,6 @@ pub fn parse_reply(response_json: &str) -> Result<WireReply> {
             ))),
         },
         other => Err(wire_err(format!("unknown response status {other:?}"))),
-    }
-}
-
-/// Parses a wire response back into a report, collapsing any server-side
-/// failure into an error — the convenient client half for callers that do
-/// not branch on the failure class.
-///
-/// # Errors
-///
-/// Returns [`SimError::Persistence`] on malformed JSON, a mismatched
-/// `schema_version`, or an error response (the server-side reason is quoted
-/// in the error).
-pub fn parse_response(response_json: &str) -> Result<PlatformReport> {
-    match parse_reply(response_json)? {
-        WireReply::Report(report) => Ok(report),
-        WireReply::Error(error) => Err(wire_err(format!("server error: {}", error.reason))),
     }
 }
 
@@ -215,8 +199,5 @@ mod tests {
             }
             WireReply::Report(_) => panic!("a legacy error response decoded as a report"),
         }
-        // And the collapsing client path still quotes the reason.
-        let collapsed = parse_response(&legacy).unwrap_err();
-        assert!(collapsed.to_string().contains("server error: boom"));
     }
 }

@@ -10,28 +10,39 @@
 //! * a request frame that arrives in pieces, with pauses longer than the
 //!   workers' poll interval, is answered, and a client stalled mid-frame
 //!   does not hold a shutdown much past the drain grace;
-//! * a defect-configured request for an oversized crossbar gets a typed
-//!   error at once, in both codecs, and its connection keeps serving.
+//! * a defect-configured request for an oversized crossbar, or a request
+//!   for an oversized half cave, gets a typed error at once, in both
+//!   codecs, and its connection keeps serving;
+//! * a length prefix above the frame bound gets a typed `bad_request`, then
+//!   an orderly close;
+//! * every truncation of a request document, in both codecs and in the
+//!   shape earlier clients wrote, gets a typed error from a live server
+//!   whose connection keeps serving bit-identical reports.
+
+mod common;
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::loopback_config;
+use decoder_sim::bincodec;
+use decoder_sim::codec::config_to_json;
 use decoder_sim::{
-    DefectKind, DisturbanceKind, EngineConfig, ExecutionEngine, SimConfig, SimulationPlatform,
-    WireErrorKind,
+    DefectKind, DisturbanceKind, EngineConfig, ExecutionEngine, PlatformReport, SimConfig,
+    SimulationPlatform, WireErrorKind,
 };
+use mspt_serve::net::MAX_FRAME_BYTES;
 use mspt_serve::{
-    parse_reply, parse_reply_any, probe_shed, read_frame, request_to_bin, run_net_stress,
-    write_frame, NetClient, NetServer, ReportRequest, ReportServer, ServeConfig, ShedPolicy,
-    StressConfig, WireCodec, WireReply,
+    parse_reply_any, probe_shed, read_frame, request_to_bin, run_net_stress, write_frame,
+    NetClient, NetServer, ReportRequest, ReportServer, StressConfig, WireCodec, WireReply,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn mix() -> Vec<ReportRequest> {
-    // Small but representative: two code families plus a disturbance
-    // override, so an override also crosses the socket. The override
+    // Small but representative: two code families plus a Laplace variant,
+    // so a non-default disturbance also crosses the socket. The variant
     // shares the plain tree request's report entry: no report stage reads
     // the disturbance kind.
     let tree = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 6).unwrap();
@@ -39,10 +50,16 @@ fn mix() -> Vec<ReportRequest> {
     vec![
         ReportRequest::new(SimConfig::paper_defaults(tree).unwrap()),
         ReportRequest::new(SimConfig::paper_defaults(hot).unwrap()),
-        ReportRequest::builder(SimConfig::paper_defaults(tree).unwrap())
-            .disturbance(DisturbanceKind::Laplace)
-            .build(),
+        ReportRequest::new(
+            SimConfig::paper_defaults(tree)
+                .unwrap()
+                .with_disturbance(DisturbanceKind::Laplace),
+        ),
     ]
+}
+
+fn reference(config: &SimConfig) -> PlatformReport {
+    SimulationPlatform::new(config.clone()).evaluate().unwrap()
 }
 
 fn report_server(threads: usize) -> ReportServer {
@@ -52,64 +69,18 @@ fn report_server(threads: usize) -> ReportServer {
     })))
 }
 
-fn config(workers: usize, queue_bound: usize) -> ServeConfig {
-    ServeConfig {
-        bind_addr: "127.0.0.1:0".to_string(),
-        workers,
-        queue_bound,
-        shed_policy: ShedPolicy::Reply,
-        drain_grace: Duration::from_millis(150),
-    }
-}
-
 #[test]
 fn loopback_clients_get_bit_identical_reports_and_a_warm_second_pass() {
-    let server = report_server(2);
-    let handle = NetServer::bind(config(4, 8), Arc::new(server.clone())).unwrap();
-    let mix = mix();
-    let stress = StressConfig {
-        clients: 4,
-        requests_per_client: 16,
-        seed: 2_009,
-    };
-
-    let before = server.stats();
-    let first = run_net_stress(handle.local_addr(), &mix, &stress, WireCodec::Json).unwrap();
-    assert_eq!(first.requests, 4 * 16);
-    assert_eq!(
-        first.mismatches, 0,
-        "TCP responses diverged from the serial reference"
-    );
-    assert_eq!(first.sheds, 0, "a zero-shed configuration shed");
-    assert_eq!(first.wire_failures, 0);
-    assert_eq!(first.latency.count(), first.requests);
-    assert!(first.latency.quantile(0.5) <= first.latency.quantile(0.999));
-
-    // Same seed ⇒ same request multiset ⇒ the whole second pass is warm.
-    let after_first = server.stats();
-    assert!(after_first.misses - before.misses <= mix.len() as u64);
-    let second = run_net_stress(handle.local_addr(), &mix, &stress, WireCodec::Json).unwrap();
-    assert_eq!(second.mismatches, 0);
-    assert_eq!(second.sheds, 0);
-    let after_second = server.stats();
-    assert_eq!(
-        after_second.misses, after_first.misses,
-        "second TCP pass was not served entirely from the warm cache"
-    );
-
-    assert_eq!(handle.served(), 2 * 4 * 16);
-    handle.shutdown();
+    common::assert_bit_identical_with_a_warm_second_pass(&mix(), 2, 4, 16);
 }
 
 #[test]
 fn a_mixed_codec_fleet_gets_bit_identical_reports() {
     let server = report_server(2);
-    let handle = NetServer::bind(config(4, 8), Arc::new(server)).unwrap();
+    let handle = NetServer::bind(loopback_config(4, 8), Arc::new(server)).unwrap();
     let addr = handle.local_addr();
-    let request = mix().remove(2); // the disturbance-override request
-    let reference = SimulationPlatform::new(request.effective_config())
-        .evaluate()
-        .unwrap();
+    let request = mix().remove(2); // the Laplace request
+    let reference = reference(&request.config);
 
     // One JSON client and one binary client, against the same server.
     let mut json_client = NetClient::connect(addr).unwrap();
@@ -159,7 +130,7 @@ fn a_mixed_codec_fleet_gets_bit_identical_reports() {
 #[test]
 fn binary_loadgen_matches_the_serial_reference_with_less_wire_traffic() {
     let server = report_server(2);
-    let handle = NetServer::bind(config(4, 8), Arc::new(server.clone())).unwrap();
+    let handle = NetServer::bind(loopback_config(4, 8), Arc::new(server.clone())).unwrap();
     let mix = mix();
     let stress = StressConfig {
         clients: 4,
@@ -198,7 +169,7 @@ fn binary_loadgen_matches_the_serial_reference_with_less_wire_traffic() {
 fn accept_time_sheds_are_typed_for_both_codec_fleets() {
     let server = report_server(1);
     // One worker, queue bound 1: the third connection must shed.
-    let handle = NetServer::bind(config(1, 1), Arc::new(server)).unwrap();
+    let handle = NetServer::bind(loopback_config(1, 1), Arc::new(server)).unwrap();
     let addr = handle.local_addr();
     let request = mix().remove(0);
 
@@ -245,10 +216,10 @@ fn accept_time_sheds_are_typed_for_both_codec_fleets() {
 fn a_full_dispatch_queue_sheds_with_the_typed_overloaded_error() {
     let server = report_server(1);
     // One worker, queue bound 1: the third connection must shed.
-    let handle = NetServer::bind(config(1, 1), Arc::new(server)).unwrap();
+    let handle = NetServer::bind(loopback_config(1, 1), Arc::new(server)).unwrap();
     let request = mix().remove(0).to_json_string();
 
-    let shed = probe_shed(&handle, &request).unwrap();
+    let shed = probe_shed(&handle, request.as_bytes()).unwrap();
     assert_eq!(shed.kind, WireErrorKind::Overloaded);
     assert!(shed.is_retryable());
     assert_eq!(handle.shed(), 1);
@@ -261,21 +232,16 @@ fn graceful_shutdown_drains_in_flight_requests() {
     // Two workers, so with three clients one connection is still queued
     // (never picked up by a worker) when shutdown starts — the drain must
     // answer it anyway.
-    let handle = NetServer::bind(config(2, 4), Arc::new(server)).unwrap();
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
     let addr = handle.local_addr();
-    let request = mix().remove(0).to_json_string();
-    let reference = SimulationPlatform::new(
-        ReportRequest::from_json_str(&request)
-            .unwrap()
-            .effective_config(),
-    )
-    .evaluate()
-    .unwrap();
+    let request = mix().remove(0);
+    let reference = reference(&request.config);
+    let frame = request.to_json_string().into_bytes();
 
     // Every client writes its request *before* shutdown is called…
     let mut clients: Vec<NetClient> = (0..3).map(|_| NetClient::connect(addr).unwrap()).collect();
     for client in &mut clients {
-        client.send(&request).unwrap();
+        client.send_bytes(&frame).unwrap();
     }
     // …and is known to the acceptor (queued or already at a worker).
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -293,10 +259,10 @@ fn graceful_shutdown_drains_in_flight_requests() {
         .map(|mut client| {
             std::thread::spawn(move || {
                 let response = client
-                    .recv()
+                    .recv_bytes()
                     .unwrap()
                     .expect("drained request got no response");
-                let eof = client.recv().unwrap();
+                let eof = client.recv_bytes().unwrap();
                 (response, eof)
             })
         })
@@ -305,7 +271,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
     for reader in readers {
         let (response, eof) = reader.join().unwrap();
-        match parse_reply(&response).unwrap() {
+        match parse_reply_any(&response).unwrap() {
             WireReply::Report(report) => assert_eq!(report, reference),
             WireReply::Error(error) => panic!("in-flight request failed during drain: {error}"),
         }
@@ -332,12 +298,10 @@ fn expect_report(reply: Option<Vec<u8>>, what: &str) -> decoder_sim::PlatformRep
 #[test]
 fn request_frames_split_across_poll_timeouts_are_answered() {
     let server = report_server(2);
-    let handle = NetServer::bind(config(2, 4), Arc::new(server)).unwrap();
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
     let addr = handle.local_addr();
     let request = mix().remove(2);
-    let reference = SimulationPlatform::new(request.effective_config())
-        .evaluate()
-        .unwrap();
+    let reference = reference(&request.config);
 
     // One connection: each codec's frame split inside the length prefix,
     // right after it, and mid-payload.
@@ -405,10 +369,10 @@ fn request_frames_split_across_poll_timeouts_are_answered() {
 #[test]
 fn oversized_defect_crossbars_get_typed_errors_and_the_connection_keeps_serving() {
     let server = report_server(2);
-    let handle = NetServer::bind(config(2, 4), Arc::new(server)).unwrap();
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
     let well_formed = mix().remove(0);
-    let base = well_formed.effective_config();
-    let reference = SimulationPlatform::new(base.clone()).evaluate().unwrap();
+    let base = &well_formed.config;
+    let reference = reference(base);
 
     let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -461,4 +425,224 @@ fn oversized_defect_crossbars_get_typed_errors_and_the_connection_keeps_serving(
     }
     assert_eq!(handle.served(), frames);
     handle.shutdown();
+}
+
+/// Sends `payload` as one frame and decodes the one reply frame.
+fn round_trip(stream: &mut TcpStream, payload: &[u8], what: &str) -> WireReply {
+    write_frame(stream, payload).unwrap();
+    let reply = read_frame(stream)
+        .unwrap_or_else(|error| panic!("{what}: no reply ({error})"))
+        .unwrap_or_else(|| panic!("{what}: connection closed without a reply"));
+    parse_reply_any(&reply).unwrap()
+}
+
+fn expect_bad_request(reply: WireReply, what: &str) {
+    match reply {
+        WireReply::Error(error) => {
+            assert_eq!(error.kind, WireErrorKind::BadRequest, "{what}: {error}");
+        }
+        WireReply::Report(_) => panic!("{what}: served a report"),
+    }
+}
+
+/// A length prefix above `MAX_FRAME_BYTES` cannot be read past: the server
+/// answers it once with a typed `bad_request` — in JSON, since no payload
+/// byte has revealed a codec — and closes the connection, allocating
+/// nothing for the payload.
+#[test]
+fn oversized_frames_get_a_typed_bad_request_then_eof() {
+    let server = report_server(2);
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
+    let request = mix().remove(0);
+    let reference = reference(&request.config);
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    stream
+        .write_all(&(MAX_FRAME_BYTES + 1).to_be_bytes())
+        .unwrap();
+    let reply = read_frame(&mut stream)
+        .unwrap_or_else(|error| panic!("no reply within 1 s ({error})"))
+        .expect("connection closed without a reply");
+    assert!(!bincodec::is_binary(&reply));
+    expect_bad_request(parse_reply_any(&reply).unwrap(), "oversized frame");
+    assert_eq!(
+        read_frame(&mut stream).unwrap(),
+        None,
+        "no EOF after the reply"
+    );
+
+    // The server goes on serving new connections.
+    let mut client = NetClient::connect(handle.local_addr()).unwrap();
+    let reply = client.call_bytes(&request_to_bin(&request)).unwrap();
+    assert_eq!(expect_report(Some(reply), "next connection"), reference);
+    assert_eq!(handle.served(), 2);
+    handle.shutdown();
+}
+
+/// `request` with its half cave set to `nanowires`, in `codec`: a document
+/// no `SimConfig` can produce above the half-cave bound, so it is patched
+/// in place.
+fn with_half_cave(request: &ReportRequest, codec: WireCodec, nanowires: u64) -> Vec<u8> {
+    let wire = codec.encode_request(request);
+    let current = request.config.nanowires_per_half_cave();
+    match codec {
+        WireCodec::Json => {
+            let field = format!("\"nanowires_per_half_cave\":{current}");
+            let text = String::from_utf8(wire).unwrap();
+            assert_eq!(text.matches(&field).count(), 1);
+            text.replacen(
+                &field,
+                &format!("\"nanowires_per_half_cave\":{nanowires}"),
+                1,
+            )
+            .into_bytes()
+        }
+        WireCodec::Binary => {
+            // The field is a little-endian u64: encoding one more nanowire
+            // changes exactly its first byte.
+            let next = request
+                .config
+                .clone()
+                .with_nanowires_per_half_cave(current + 1)
+                .unwrap();
+            let other = codec.encode_request(&ReportRequest::new(next));
+            let differing: Vec<usize> = (0..wire.len()).filter(|&i| wire[i] != other[i]).collect();
+            assert_eq!(differing.len(), 1);
+            let mut patched = wire;
+            let at = differing[0];
+            patched[at..at + 8].copy_from_slice(&nanowires.to_le_bytes());
+            patched
+        }
+    }
+}
+
+/// `nanowires_per_half_cave` comes from the wire, and a half cave of N
+/// nanowires takes N code words: at N = 10⁴ one evaluation holds a worker
+/// for seconds, and at N = 10¹² its allocation aborts the server. Both
+/// codecs must answer such a request with a typed `bad_request` at once,
+/// and the connection keeps serving.
+#[test]
+fn oversized_half_caves_get_typed_errors_and_the_connection_keeps_serving() {
+    let server = report_server(2);
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
+    let well_formed = mix().remove(0);
+    let reference = reference(&well_formed.config);
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    // A server that starts evaluating would not answer in time; fail
+    // instead of waiting for it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut frames = 0;
+    for nanowires in [10_000, 1_000_000_000_000] {
+        for codec in [WireCodec::Json, WireCodec::Binary] {
+            let what = format!("{codec:?} request for {nanowires} nanowires per half cave");
+            let hostile = with_half_cave(&well_formed, codec, nanowires);
+            expect_bad_request(round_trip(&mut stream, &hostile, &what), &what);
+            // The same connection still serves a well-formed request.
+            match round_trip(&mut stream, &codec.encode_request(&well_formed), &what) {
+                WireReply::Report(report) => assert_eq!(report, reference, "{what}: next"),
+                WireReply::Error(error) => panic!("{what}: next request failed: {error}"),
+            }
+            frames += 2;
+        }
+    }
+    assert_eq!(handle.served(), frames);
+    handle.shutdown();
+}
+
+/// Every proper prefix of a request document, sent whole as one frame,
+/// gets a typed `bad_request` from a live server, in both codecs and in
+/// both request shapes — the current one and the override-carrying one
+/// earlier clients wrote. The one exception is a legacy binary request cut
+/// at a section boundary: that is a shorter legacy request, and it is
+/// served its configuration's report. A well-formed request after every
+/// 64th frame is answered bit-identically, and the connection never closes.
+#[test]
+fn every_request_truncation_gets_a_typed_error_at_a_live_server() {
+    let server = report_server(2);
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
+    let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
+    let base = SimConfig::paper_defaults(code).unwrap();
+    let laplace = DisturbanceKind::Laplace;
+    let defects = DefectKind::sampled(0.02, 0.01, 2_009).unwrap();
+    let request = ReportRequest::new(base.clone().with_disturbance(laplace).with_defects(defects));
+    let full_reference = reference(&request.config);
+    // The current JSON shape, spelled out: the configuration, no override
+    // keys.
+    let json = format!(
+        "{{\"schema_version\":1,\"config\":{}}}",
+        config_to_json(&request.config).render()
+    );
+
+    // A legacy binary request decodes wherever a section ends: after the
+    // config, and after the disturbance override.
+    let boundaries = [
+        (
+            common::legacy_request_bin(&base, None, None).len(),
+            reference(&base),
+        ),
+        (
+            common::legacy_request_bin(&base, Some(laplace), None).len(),
+            reference(&base.clone().with_disturbance(laplace)),
+        ),
+    ];
+    let documents = [
+        ("json", json.clone().into_bytes(), &[][..]),
+        (
+            "legacy json",
+            common::legacy_request_json(&base, Some(laplace), Some(defects)).into_bytes(),
+            &[][..],
+        ),
+        ("binary", request_to_bin(&request), &[][..]),
+        (
+            "legacy binary",
+            common::legacy_request_bin(&base, Some(laplace), Some(defects)),
+            &boundaries[..],
+        ),
+    ];
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = 0u64;
+    for (name, document, decodable) in &documents {
+        let whole = round_trip(&mut stream, document, name);
+        assert_eq!(
+            whole,
+            WireReply::Report(full_reference.clone()),
+            "whole {name}"
+        );
+        frames += 1;
+        for take in 0..document.len() {
+            let what = format!("{name} request cut to {take}/{} bytes", document.len());
+            let reply = round_trip(&mut stream, &document[..take], &what);
+            match decodable.iter().find(|(boundary, _)| *boundary == take) {
+                Some((_, expected)) => {
+                    assert_eq!(reply, WireReply::Report(expected.clone()), "{what}");
+                }
+                None => expect_bad_request(reply, &what),
+            }
+            frames += 1;
+            if frames.is_multiple_of(64) {
+                let well_formed = round_trip(&mut stream, document, &what);
+                assert_eq!(
+                    well_formed,
+                    WireReply::Report(full_reference.clone()),
+                    "{what}: the next well-formed request"
+                );
+                frames += 1;
+            }
+        }
+    }
+    assert_eq!(handle.served(), frames);
+    handle.shutdown();
+    assert_eq!(request.to_json_string(), json);
 }

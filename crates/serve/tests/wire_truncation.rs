@@ -3,19 +3,29 @@
 //! [`SimError::Persistence`] — never decode, never panic. The config and
 //! report documents inside them have their own battery in `decoder-sim`.
 
+mod common;
+
+use common::legacy_request_json;
 use decoder_sim::{
     DefectKind, DisturbanceKind, SimConfig, SimError, SimulationPlatform, WireErrorKind,
 };
 use mspt_serve::{error_response, ok_response, parse_reply, ReportRequest, WireError};
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
-/// A request carrying both overrides.
-fn request() -> ReportRequest {
+fn base() -> SimConfig {
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
-    ReportRequest::builder(SimConfig::paper_defaults(code).unwrap())
-        .disturbance(DisturbanceKind::Laplace)
-        .defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap())
-        .build()
+    SimConfig::paper_defaults(code).unwrap()
+}
+
+const DISTURBANCE: DisturbanceKind = DisturbanceKind::Laplace;
+
+fn defects() -> DefectKind {
+    DefectKind::sampled(0.02, 0.01, 2_009).unwrap()
+}
+
+/// A request whose configuration sets both the disturbance and the defects.
+fn request() -> ReportRequest {
+    ReportRequest::new(base().with_disturbance(DISTURBANCE).with_defects(defects()))
 }
 
 /// Decodes every proper prefix of `json` that ends on a character boundary
@@ -46,11 +56,16 @@ fn every_proper_prefix_of_a_wire_request_fails() {
         ReportRequest::from_json_str,
         "request",
     );
+    // The same request as earlier clients wrote it, with both override
+    // keys set, decodes to the same configuration — and only whole.
+    let legacy = legacy_request_json(&base(), Some(DISTURBANCE), Some(defects()));
+    assert_eq!(ReportRequest::from_json_str(&legacy).unwrap(), request());
+    assert_every_prefix_fails(&legacy, ReportRequest::from_json_str, "legacy request");
 }
 
 #[test]
 fn every_proper_prefix_of_an_ok_reply_fails() {
-    let report = SimulationPlatform::new(request().effective_config())
+    let report = SimulationPlatform::new(request().config)
         .evaluate()
         .unwrap();
     assert_every_prefix_fails(&ok_response(&report), parse_reply, "ok reply");

@@ -12,6 +12,25 @@ use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
 use crate::monte_carlo::MonteCarloConfig;
 
+/// The largest [`SimConfig::nanowires_per_half_cave`] a configuration
+/// accepts. A half cave of `N` nanowires takes `N` code words and an
+/// `N`-row variability matrix, so the bound keeps one configuration from a
+/// client from allocating or computing without limit; the paper's figures
+/// use at most 40.
+pub const MAX_NANOWIRES_PER_HALF_CAVE: usize = 1_024;
+
+/// Checks a half-cave size against `1..=MAX_NANOWIRES_PER_HALF_CAVE`.
+fn check_nanowires_per_half_cave(nanowires: usize) -> Result<()> {
+    if nanowires == 0 || nanowires > MAX_NANOWIRES_PER_HALF_CAVE {
+        return Err(SimError::InvalidConfig {
+            reason: format!(
+                "nanowires per half cave must be in 1..={MAX_NANOWIRES_PER_HALF_CAVE}, got {nanowires}"
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Full configuration of one decoder/crossbar simulation.
 ///
 /// # Examples
@@ -82,8 +101,9 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when the nanowire count or raw
-    /// capacity is zero, the supply range is degenerate, or σ_T is negative.
+    /// Returns [`SimError::InvalidConfig`] when the nanowire count is zero or
+    /// above [`MAX_NANOWIRES_PER_HALF_CAVE`], the raw capacity is zero, the
+    /// supply range is degenerate, or σ_T is negative.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         code: CodeSpec,
@@ -94,11 +114,7 @@ impl SimConfig {
         sigma_per_dose: Volts,
         supply_range: (Volts, Volts),
     ) -> Result<Self> {
-        if nanowires_per_half_cave == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "nanowires per half cave must be positive".to_string(),
-            });
-        }
+        check_nanowires_per_half_cave(nanowires_per_half_cave)?;
         if raw_bits == 0 {
             return Err(SimError::InvalidConfig {
                 reason: "raw capacity must be positive".to_string(),
@@ -149,13 +165,10 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when the count is zero.
+    /// Returns [`SimError::InvalidConfig`] when the count is zero or above
+    /// [`MAX_NANOWIRES_PER_HALF_CAVE`].
     pub fn with_nanowires_per_half_cave(mut self, nanowires: usize) -> Result<Self> {
-        if nanowires == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "nanowires per half cave must be positive".to_string(),
-            });
-        }
+        check_nanowires_per_half_cave(nanowires)?;
         self.nanowires_per_half_cave = nanowires;
         Ok(self)
     }
@@ -377,6 +390,41 @@ mod tests {
         // Binary levels at 0.25/0.75 V -> window half-width 0.25 V.
         assert!((config.decision_window().unwrap().value() - 0.25).abs() < 1e-9);
         assert_eq!(config.code(), code());
+    }
+
+    #[test]
+    fn half_cave_sizes_are_bounded() {
+        let base = SimConfig::paper_defaults(code()).unwrap();
+        let explicit = |nanowires| {
+            SimConfig::new(
+                code(),
+                nanowires,
+                PAPER_RAW_BITS,
+                LayoutRules::paper_default(),
+                ThresholdModel::default_mspt(),
+                Volts::from_millivolts(50.0),
+                (Volts::new(0.0), Volts::new(1.0)),
+            )
+        };
+        let at_bound = base
+            .clone()
+            .with_nanowires_per_half_cave(MAX_NANOWIRES_PER_HALF_CAVE)
+            .unwrap();
+        assert_eq!(
+            at_bound.nanowires_per_half_cave(),
+            MAX_NANOWIRES_PER_HALF_CAVE
+        );
+        assert_eq!(explicit(MAX_NANOWIRES_PER_HALF_CAVE).unwrap(), at_bound);
+        for nanowires in [MAX_NANOWIRES_PER_HALF_CAVE + 1, usize::MAX] {
+            assert!(matches!(
+                base.clone().with_nanowires_per_half_cave(nanowires),
+                Err(SimError::InvalidConfig { .. })
+            ));
+            assert!(matches!(
+                explicit(nanowires),
+                Err(SimError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! One front door for evaluating a configuration: a builder that names
 //! *what* to evaluate (a configuration, optionally narrowed to a stage set,
 //! optionally with a Monte-Carlo validation pass) and *where* to run it (an
-//! [`ExecutionEngine`]), mirroring the serve layer's `ReportRequest::builder`
-//! idiom. Everything else about the evaluation — disturbance model, defect
-//! selection, sampling knobs — is part of the [`SimConfig`] and set through
-//! its `with_*` methods:
+//! [`ExecutionEngine`]). Everything else about the evaluation — disturbance
+//! model, defect selection, sampling knobs — is part of the [`SimConfig`]
+//! and set through its `with_*` methods:
 //!
 //! ```
 //! use decoder_sim::{Evaluation, ExecutionEngine, SimConfig};

@@ -76,7 +76,7 @@ pub use cache::{
     CACHE_SCHEMA_VERSION, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
 };
 pub use codec::WireErrorKind;
-pub use config::SimConfig;
+pub use config::{SimConfig, MAX_NANOWIRES_PER_HALF_CAVE};
 pub use defect::{DefectConfig, DefectKind};
 pub use disturbance::{
     CorrelatedDisturbance, DisturbanceKind, DisturbanceModel, GaussianDisturbance,

@@ -93,7 +93,9 @@ pub const DEFAULT_MC_CONFIDENCE: f64 = 0.95;
 ///   is given).
 ///
 /// Construct fixed-mode values with [`MonteCarloConfig::fixed`]; layer the
-/// adaptive knobs on with the `with_*` builders.
+/// adaptive knobs on with the `with_*` builders. A configuration carries its
+/// sampling knobs in [`SimConfig::monte_carlo`](crate::SimConfig::monte_carlo);
+/// no environment variable overrides them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MonteCarloConfig {
     /// Number of sampled array instances (the exact count in fixed mode;
@@ -131,19 +133,6 @@ impl Default for MonteCarloConfig {
 }
 
 impl MonteCarloConfig {
-    /// Environment knob overriding [`MonteCarloConfig::samples`] in
-    /// [`MonteCarloConfig::from_env`].
-    pub const SAMPLES_ENV: &'static str = "MSPT_MC_SAMPLES";
-    /// Environment knob overriding [`MonteCarloConfig::seed`].
-    pub const SEED_ENV: &'static str = "MSPT_MC_SEED";
-    /// Environment knob setting [`MonteCarloConfig::target_half_width`]
-    /// (presence turns adaptive stopping on).
-    pub const TARGET_HALF_WIDTH_ENV: &'static str = "MSPT_MC_TARGET_HALF_WIDTH";
-    /// Environment knob overriding [`MonteCarloConfig::confidence`].
-    pub const CONFIDENCE_ENV: &'static str = "MSPT_MC_CONFIDENCE";
-    /// Environment knob setting [`MonteCarloConfig::max_samples`].
-    pub const MAX_SAMPLES_ENV: &'static str = "MSPT_MC_MAX_SAMPLES";
-
     /// A fixed-sample configuration: draw exactly `samples` instances under
     /// `seed` — the pre-adaptive constructor every existing call site used
     /// as a struct literal.
@@ -197,41 +186,6 @@ impl MonteCarloConfig {
             self.samples
         }
     }
-
-    /// The default configuration with the `MSPT_MC_*` environment knobs
-    /// applied on top: [`SAMPLES_ENV`](Self::SAMPLES_ENV),
-    /// [`SEED_ENV`](Self::SEED_ENV),
-    /// [`TARGET_HALF_WIDTH_ENV`](Self::TARGET_HALF_WIDTH_ENV),
-    /// [`CONFIDENCE_ENV`](Self::CONFIDENCE_ENV) and
-    /// [`MAX_SAMPLES_ENV`](Self::MAX_SAMPLES_ENV). Unset or unparseable
-    /// values keep the default — validation of the combination happens at
-    /// sampling time, like every other configuration path.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut config = MonteCarloConfig::default();
-        if let Some(samples) = parse_env::<usize>(Self::SAMPLES_ENV) {
-            config.samples = samples;
-        }
-        if let Some(seed) = parse_env::<u64>(Self::SEED_ENV) {
-            config.seed = seed;
-        }
-        if let Some(target) = parse_env::<f64>(Self::TARGET_HALF_WIDTH_ENV) {
-            config.target_half_width = Some(target);
-        }
-        if let Some(confidence) = parse_env::<f64>(Self::CONFIDENCE_ENV) {
-            config.confidence = confidence;
-        }
-        if let Some(max_samples) = parse_env::<usize>(Self::MAX_SAMPLES_ENV) {
-            config.max_samples = Some(max_samples);
-        }
-        config
-    }
-}
-
-/// Parses an environment variable, treating absence and parse failures the
-/// same way (keep the default).
-fn parse_env<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// The result of a Monte-Carlo addressability estimation.
@@ -826,30 +780,6 @@ mod tests {
         assert_eq!(adaptive.sample_cap(), 10_000);
         // Without an explicit cap, `samples` bounds the adaptive run.
         assert_eq!(config.with_target_half_width(0.02).sample_cap(), 2_000);
-    }
-
-    #[test]
-    fn env_knobs_override_the_default_configuration() {
-        // Only this test reads the MSPT_MC_* variables, so setting them
-        // here cannot race other tests.
-        std::env::set_var(MonteCarloConfig::SAMPLES_ENV, "123");
-        std::env::set_var(MonteCarloConfig::SEED_ENV, "77");
-        std::env::set_var(MonteCarloConfig::TARGET_HALF_WIDTH_ENV, "0.03");
-        std::env::set_var(MonteCarloConfig::CONFIDENCE_ENV, "0.99");
-        std::env::set_var(MonteCarloConfig::MAX_SAMPLES_ENV, "456");
-        let config = MonteCarloConfig::from_env();
-        std::env::remove_var(MonteCarloConfig::SAMPLES_ENV);
-        std::env::remove_var(MonteCarloConfig::SEED_ENV);
-        std::env::remove_var(MonteCarloConfig::TARGET_HALF_WIDTH_ENV);
-        std::env::remove_var(MonteCarloConfig::CONFIDENCE_ENV);
-        std::env::remove_var(MonteCarloConfig::MAX_SAMPLES_ENV);
-        assert_eq!(config.samples, 123);
-        assert_eq!(config.seed, 77);
-        assert_eq!(config.target_half_width, Some(0.03));
-        assert_eq!(config.confidence, 0.99);
-        assert_eq!(config.max_samples, Some(456));
-        // Unset (or unparseable) knobs keep the default.
-        assert_eq!(MonteCarloConfig::from_env(), MonteCarloConfig::default());
     }
 
     #[test]
