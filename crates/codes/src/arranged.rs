@@ -8,11 +8,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::arrangement::{arrange_min_transitions, ArrangementStrategy, SearchBudget};
+use crate::arrangement::{
+    arrange_min_transitions, check_budget, ArrangementStrategy, SearchBudget, MAX_ARRANGED_WORDS,
+};
 use crate::digit::{Digit, LogicLevel};
-#[cfg(test)]
-use crate::error::CodeError;
-use crate::error::Result;
+use crate::error::{CodeError, Result};
 use crate::hot::{hot_code, HotCodeParams};
 use crate::sequence::CodeSequence;
 use crate::word::CodeWord;
@@ -42,10 +42,12 @@ impl Default for ArrangedHotBudget {
 ///
 /// # Errors
 ///
-/// * [`CodeError::InvalidHotLength`](crate::CodeError::InvalidHotLength) when the length is not a positive
+/// * [`CodeError::InvalidHotLength`] when the length is not a positive
 ///   multiple of the radix.
-/// * [`CodeError::SpaceTooLarge`](crate::CodeError::SpaceTooLarge) when the space exceeds the enumeration
-///   limit.
+/// * [`CodeError::SpaceTooLarge`] when the space exceeds
+///   [`MAX_ARRANGED_WORDS`].
+/// * [`CodeError::BudgetTooLarge`] when a node or sweep budget exceeds its
+///   default.
 ///
 /// # Examples
 ///
@@ -65,6 +67,25 @@ pub fn arranged_hot_code(
     budget: ArrangedHotBudget,
 ) -> Result<CodeSequence> {
     let params = HotCodeParams::for_length(word_length, radix)?;
+    let words = params.space_size();
+    if words > MAX_ARRANGED_WORDS {
+        return Err(CodeError::SpaceTooLarge {
+            words,
+            limit: MAX_ARRANGED_WORDS,
+        });
+    }
+    let default = ArrangedHotBudget::default();
+    check_budget("max_nodes", budget.max_nodes, default.max_nodes)?;
+    check_budget(
+        "fallback.max_nodes",
+        budget.fallback.max_nodes,
+        default.fallback.max_nodes,
+    )?;
+    check_budget(
+        "fallback.max_two_opt_sweeps",
+        u64::from(budget.fallback.max_two_opt_sweeps),
+        u64::from(default.fallback.max_two_opt_sweeps),
+    )?;
     if radix == LogicLevel::BINARY {
         let sequence = revolving_door_code(params)?;
         if sequence.has_uniform_distance(2) {
@@ -295,6 +316,52 @@ mod tests {
         let ahc = arranged_hot_code(LogicLevel::TERNARY, 6, budget).unwrap();
         let hc = hot_code(LogicLevel::TERNARY, 6).unwrap();
         check_is_permutation(&ahc, hc.words()).unwrap();
+    }
+
+    #[test]
+    fn oversized_spaces_and_budgets_are_rejected_before_any_search() {
+        let default = ArrangedHotBudget::default();
+        // C(14, 7) = 3432, 9! / (3!)^3 = 1680 and 12! / (4!)^3 = 34650
+        // words: all past the arrangement bound.
+        for (radix, length) in [
+            (LogicLevel::BINARY, 14),
+            (LogicLevel::TERNARY, 9),
+            (LogicLevel::TERNARY, 12),
+        ] {
+            assert!(
+                matches!(
+                    arranged_hot_code(radix, length, default),
+                    Err(CodeError::SpaceTooLarge { .. })
+                ),
+                "{radix} length {length}"
+            );
+        }
+        let fallback = default.fallback;
+        for budget in [
+            ArrangedHotBudget {
+                max_nodes: default.max_nodes + 1,
+                ..default
+            },
+            ArrangedHotBudget {
+                fallback: SearchBudget {
+                    max_nodes: fallback.max_nodes + 1,
+                    ..fallback
+                },
+                ..default
+            },
+            ArrangedHotBudget {
+                fallback: SearchBudget {
+                    max_two_opt_sweeps: fallback.max_two_opt_sweeps + 1,
+                    ..fallback
+                },
+                ..default
+            },
+        ] {
+            assert!(matches!(
+                arranged_hot_code(LogicLevel::TERNARY, 6, budget),
+                Err(CodeError::BudgetTooLarge { .. })
+            ));
+        }
     }
 
     #[test]

@@ -16,6 +16,30 @@ use crate::error::{CodeError, Result};
 use crate::sequence::CodeSequence;
 use crate::word::CodeWord;
 
+/// The most words a balanced-Gray-code or arranged-hot-code search may
+/// arrange; a larger space is [`CodeError::SpaceTooLarge`] before any word
+/// is generated. Both searches recurse once per word on the caller's
+/// thread: a 1 024-word search needs ~0.3 MiB of stack optimized, and a
+/// 729-word one ~0.5 MiB unoptimized, well inside a 2 MiB thread stack (a
+/// server worker's); the default budgets' worst case at this size is
+/// ~15 s (a 1 000-word radix-10 BGC, 2-vCPU Xeon). The experiments'
+/// largest such codes have 32 (BGC) and 252 (AHC) words.
+pub const MAX_ARRANGED_WORDS: u128 = 1 << 10;
+
+/// Rejects a search budget above `limit`, its default value: the budgets
+/// bound a search's running time, so the defaults are the most a search
+/// accepts.
+pub(crate) fn check_budget(budget: &'static str, value: u64, limit: u64) -> Result<()> {
+    if value > limit {
+        return Err(CodeError::BudgetTooLarge {
+            budget,
+            value,
+            limit,
+        });
+    }
+    Ok(())
+}
+
 /// Strategy used to arrange a set of code words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]

@@ -8,11 +8,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::arrangement::{check_budget, MAX_ARRANGED_WORDS};
 use crate::digit::LogicLevel;
 use crate::error::{CodeError, Result};
 use crate::gray::gray_code;
 use crate::sequence::CodeSequence;
-use crate::tree::{base_length_of, MAX_ENUMERATED_WORDS};
+use crate::tree::base_length_of;
 use crate::word::CodeWord;
 
 /// Search limits for the balanced-Gray-code construction.
@@ -21,7 +22,8 @@ pub struct BalanceBudget {
     /// Maximum number of DFS nodes expanded per per-digit limit attempt.
     pub max_nodes_per_limit: u64,
     /// Largest slack added to the ideal per-digit limit before giving up and
-    /// falling back to the standard reflected Gray code.
+    /// falling back to the standard reflected Gray code. Slack beyond the
+    /// point where the limit stops constraining the search is not tried.
     pub max_limit_slack: usize,
 }
 
@@ -79,8 +81,9 @@ pub fn balance_report(sequence: &CodeSequence) -> BalanceReport {
 /// # Errors
 ///
 /// * [`CodeError::InvalidLength`] when `base_length == 0`.
-/// * [`CodeError::SpaceTooLarge`] when the space exceeds the enumeration
-///   limit.
+/// * [`CodeError::SpaceTooLarge`] when the space exceeds
+///   [`MAX_ARRANGED_WORDS`].
+/// * [`CodeError::BudgetTooLarge`] when the node budget exceeds its default.
 ///
 /// # Examples
 ///
@@ -105,18 +108,27 @@ pub fn balanced_gray_code(
         return Err(CodeError::InvalidLength { length: 0 });
     }
     let count = radix.word_count(base_length);
-    if count > MAX_ENUMERATED_WORDS {
+    if count > MAX_ARRANGED_WORDS {
         return Err(CodeError::SpaceTooLarge {
             words: count,
-            limit: MAX_ENUMERATED_WORDS,
+            limit: MAX_ARRANGED_WORDS,
         });
     }
+    check_budget(
+        "max_nodes_per_limit",
+        budget.max_nodes_per_limit,
+        BalanceBudget::default().max_nodes_per_limit,
+    )?;
     let count = count as usize;
     let transitions = count - 1;
     let ideal_limit = transitions.div_ceil(base_length);
+    // No digit can change `transitions` times before the path is complete,
+    // so from that limit on every attempt is the same unconstrained search.
+    let last_limit = ideal_limit
+        .saturating_add(budget.max_limit_slack)
+        .min(transitions);
 
-    for slack in 0..=budget.max_limit_slack {
-        let limit = ideal_limit + slack;
+    for limit in ideal_limit..=last_limit {
         if let Some(sequence) =
             search_balanced_path(radix, base_length, limit, budget.max_nodes_per_limit)
         {
@@ -350,6 +362,36 @@ mod tests {
         let bgc = balanced_gray_code(LogicLevel::BINARY, 4, budget).unwrap();
         // Still a valid complete Gray arrangement (the fallback).
         assert!(is_complete_gray_arrangement(&bgc));
+    }
+
+    #[test]
+    fn oversized_spaces_and_budgets_are_rejected_before_any_search() {
+        // 2^11 words: twice the arrangement bound.
+        assert!(matches!(
+            balanced_gray_code(LogicLevel::BINARY, 11, BalanceBudget::default()),
+            Err(CodeError::SpaceTooLarge { words: 2048, .. })
+        ));
+        let budget = BalanceBudget {
+            max_nodes_per_limit: BalanceBudget::default().max_nodes_per_limit + 1,
+            ..BalanceBudget::default()
+        };
+        assert!(matches!(
+            balanced_gray_code(LogicLevel::BINARY, 2, budget),
+            Err(CodeError::BudgetTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn slack_past_an_unconstraining_limit_is_not_tried() {
+        // With no nodes to expand every attempt fails at once, so an
+        // unbounded slack would retry forever; the search stops at the
+        // first unconstrained limit and falls back to the Gray code.
+        let budget = BalanceBudget {
+            max_nodes_per_limit: 0,
+            max_limit_slack: usize::MAX,
+        };
+        let bgc = balanced_gray_code(LogicLevel::BINARY, 5, budget).unwrap();
+        assert_eq!(bgc, gray_code(LogicLevel::BINARY, 5).unwrap());
     }
 
     #[test]

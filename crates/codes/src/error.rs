@@ -61,6 +61,16 @@ pub enum CodeError {
         /// Enumeration limit.
         limit: u128,
     },
+    /// A search budget exceeds its default value, the largest the code
+    /// searches accept.
+    BudgetTooLarge {
+        /// Name of the budget field.
+        budget: &'static str,
+        /// The requested value.
+        value: u64,
+        /// The largest accepted value.
+        limit: u64,
+    },
     /// No arrangement satisfying the requested constraints was found within
     /// the search budget.
     ArrangementNotFound {
@@ -114,6 +124,14 @@ impl fmt::Display for CodeError {
                 f,
                 "code space with {words} words exceeds the enumeration limit of {limit}"
             ),
+            CodeError::BudgetTooLarge {
+                budget,
+                value,
+                limit,
+            } => write!(
+                f,
+                "search budget {budget} = {value} exceeds its default of {limit}"
+            ),
             CodeError::ArrangementNotFound { reason } => {
                 write!(f, "no code arrangement found: {reason}")
             }
@@ -154,6 +172,11 @@ mod tests {
             CodeError::SpaceTooLarge {
                 words: 1 << 40,
                 limit: 1 << 20,
+            },
+            CodeError::BudgetTooLarge {
+                budget: "max_nodes",
+                value: u64::MAX,
+                limit: 4_000_000,
             },
             CodeError::ArrangementNotFound {
                 reason: "budget exhausted".to_string(),

@@ -60,6 +60,7 @@ mod word;
 pub use arranged::{arranged_hot_code, hot_code_pair, ArrangedHotBudget};
 pub use arrangement::{
     arrange_min_transitions, check_is_permutation, Arrangement, ArrangementStrategy, SearchBudget,
+    MAX_ARRANGED_WORDS,
 };
 pub use balanced::{
     balance_report, balanced_gray_code, reflected_balanced_gray_code, BalanceBudget, BalanceReport,

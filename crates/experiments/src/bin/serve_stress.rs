@@ -18,8 +18,8 @@
 //! CI artifact whose `benchmarks` rows feed `scripts/bench_compare.sh`:
 //! JSON rows keep the PR 6-era `serve_tcp/*` ids, so trajectories stay
 //! comparable, and binary rows land under `serve_tcp_bin/*`. Every run also
-//! measures a 64-entry cache snapshot in both persistence formats and
-//! **gates** on the binary one being ≥ 40 % smaller than the JSON one.
+//! measures a 64-entry cache snapshot in both renderings and **gates** on
+//! the binary one being ≥ 40 % smaller than the JSON one.
 //!
 //! Knobs (all environment variables):
 //!
@@ -34,9 +34,7 @@
 //! | `MSPT_NET_ADDR` | TCP bind address | 127.0.0.1:0 |
 //! | `MSPT_NET_DRAIN_MS` | shutdown drain grace (ms) | 250 |
 //! | `MSPT_ENGINE_THREADS` | engine worker threads | available parallelism |
-//! | `MSPT_CACHE_CAPACITY` | report-cache bound | 4096 |
 //! | `MSPT_CACHE_PATH` | warm-cache snapshot to load/save | unset |
-//! | `MSPT_CACHE_MAX_AGE_SECS` | drop binary snapshot rows older than this at load (0 = unlimited) | 0 |
 
 use std::path::Path;
 use std::sync::Arc;
@@ -154,7 +152,7 @@ fn sampling_demo(
 }
 
 /// The snapshot-size measurement: one cache, [`SNAPSHOT_ENTRIES`] rows,
-/// both persistence encodings.
+/// both snapshot encodings.
 struct SnapshotSizes {
     json_bytes: u64,
     bin_bytes: u64,

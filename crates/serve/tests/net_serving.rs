@@ -13,6 +13,9 @@
 //! * a defect-configured request for an oversized crossbar, or a request
 //!   for an oversized half cave, gets a typed error at once, in both
 //!   codecs, and its connection keeps serving;
+//! * a request for a code search past the arrangement bound, or with a
+//!   search budget above its default, gets a typed error at once, in both
+//!   codecs, and an unbounded limit slack no longer hangs a worker;
 //! * a length prefix above the frame bound gets a typed `bad_request`, then
 //!   an orderly close;
 //! * every truncation of a request document, in both codecs and in the
@@ -31,14 +34,16 @@ use decoder_sim::bincodec;
 use decoder_sim::codec::config_to_json;
 use decoder_sim::{
     DefectKind, DisturbanceKind, EngineConfig, ExecutionEngine, PlatformReport, SimConfig,
-    SimulationPlatform, WireErrorKind,
+    SimError, SimulationPlatform, WireErrorKind,
 };
 use mspt_serve::net::MAX_FRAME_BYTES;
 use mspt_serve::{
     parse_reply_any, probe_shed, read_frame, request_to_bin, run_net_stress, write_frame,
     NetClient, NetServer, ReportRequest, ReportServer, StressConfig, WireCodec, WireReply,
 };
-use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
+use nanowire_codes::{
+    ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
+};
 
 fn mix() -> Vec<ReportRequest> {
     // Small but representative: two code families plus a Laplace variant,
@@ -554,6 +559,141 @@ fn oversized_half_caves_get_typed_errors_and_the_connection_keeps_serving() {
     }
     assert_eq!(handle.served(), frames);
     handle.shutdown();
+}
+
+/// A paper-default configuration of one code.
+fn paper(kind: CodeKind, radix: LogicLevel, length: usize) -> SimConfig {
+    SimConfig::paper_defaults(CodeSpec::new(kind, radix, length).unwrap()).unwrap()
+}
+
+/// The code searches recurse once per word on the worker's thread and run
+/// as long as their budgets allow. Unbounded, a balanced Gray code of
+/// 8 192 words or a ternary arranged hot code of 34 650 words overflows a
+/// 2 MiB worker stack and aborts the server, a binary arranged hot code of
+/// length 28 enumerates C(28, 14) ≈ 4·10⁷ combinations, and a zero node
+/// budget with an unbounded limit slack retries forever. Each oversized
+/// space and each budget above its default must get a typed error within
+/// the 1 s read timeout, in both codecs, with the next well-formed request
+/// on the connection answered bit-identically; the unbounded slack is
+/// served its Gray-code fallback at once. In process, the same
+/// configurations are typed errors too.
+#[test]
+fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
+    let server = report_server(2);
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
+    let well_formed = mix().remove(0);
+    let reference = reference(&well_formed.config);
+
+    let budgets = CodeBudgets::default();
+    let bgc = paper(CodeKind::BalancedGray, LogicLevel::BINARY, 10);
+    let ahc = paper(CodeKind::ArrangedHot, LogicLevel::TERNARY, 6);
+    let hostile = [
+        (
+            "BGC binary M = 26",
+            paper(CodeKind::BalancedGray, LogicLevel::BINARY, 26),
+        ),
+        (
+            "AHC ternary M = 12",
+            paper(CodeKind::ArrangedHot, LogicLevel::TERNARY, 12),
+        ),
+        (
+            "AHC binary M = 28",
+            paper(CodeKind::ArrangedHot, LogicLevel::BINARY, 28),
+        ),
+        (
+            "BGC node budget",
+            bgc.clone().with_code_budgets(CodeBudgets {
+                balance: BalanceBudget {
+                    max_nodes_per_limit: u64::MAX,
+                    ..budgets.balance
+                },
+                ..budgets
+            }),
+        ),
+        (
+            "AHC node budget",
+            ahc.clone().with_code_budgets(CodeBudgets {
+                arranged_hot: ArrangedHotBudget {
+                    max_nodes: u64::MAX,
+                    ..budgets.arranged_hot
+                },
+                ..budgets
+            }),
+        ),
+        (
+            "AHC sweep budget",
+            ahc.with_code_budgets(CodeBudgets {
+                arranged_hot: ArrangedHotBudget {
+                    fallback: SearchBudget {
+                        max_two_opt_sweeps: u32::MAX,
+                        ..budgets.arranged_hot.fallback
+                    },
+                    ..budgets.arranged_hot
+                },
+                ..budgets
+            }),
+        ),
+    ];
+    let unbounded_slack = ReportRequest::new(bgc.with_code_budgets(CodeBudgets {
+        balance: BalanceBudget {
+            max_nodes_per_limit: 0,
+            max_limit_slack: usize::MAX,
+        },
+        ..budgets
+    }));
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    // A worker that starts such a search would not answer in time; fail
+    // instead of waiting for it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut frames = 0;
+    let mut slack_replies = Vec::new();
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        for (name, config) in &hostile {
+            let what = format!("{codec:?} {name}");
+            let request = codec.encode_request(&ReportRequest::new(config.clone()));
+            match round_trip(&mut stream, &request, &what) {
+                WireReply::Error(error) => {
+                    assert_eq!(error.kind, WireErrorKind::Internal, "{what}: {error}");
+                }
+                WireReply::Report(_) => panic!("{what}: served a report"),
+            }
+            // The same connection still serves a well-formed request.
+            match round_trip(&mut stream, &codec.encode_request(&well_formed), &what) {
+                WireReply::Report(report) => assert_eq!(report, reference, "{what}: next"),
+                WireReply::Error(error) => panic!("{what}: next request failed: {error}"),
+            }
+            frames += 2;
+        }
+        let what = format!("{codec:?} unbounded limit slack");
+        slack_replies.push(round_trip(
+            &mut stream,
+            &codec.encode_request(&unbounded_slack),
+            &what,
+        ));
+        frames += 1;
+    }
+    assert_eq!(handle.served(), frames);
+    handle.shutdown();
+
+    for (name, config) in &hostile {
+        assert!(
+            matches!(
+                SimulationPlatform::new(config.clone()).evaluate(),
+                Err(SimError::Code(_))
+            ),
+            "in-process {name}"
+        );
+    }
+    let slack_reference = SimulationPlatform::new(unbounded_slack.config)
+        .evaluate()
+        .unwrap();
+    for reply in slack_replies {
+        assert_eq!(reply, WireReply::Report(slack_reference.clone()));
+    }
 }
 
 /// Every proper prefix of a request document, sent whole as one frame,

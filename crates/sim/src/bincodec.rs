@@ -84,9 +84,9 @@ pub const DOC_REPLY: u8 = 4;
 pub const DOC_SNAPSHOT: u8 = 5;
 
 /// Whether a payload's first byte marks it as a binary document rather than
-/// JSON text. This is the codec negotiation used by the framed transport and
-/// the snapshot loader: JSON documents start with `{` (or whitespace), which
-/// can never equal `BIN_MAGIC[0]`.
+/// JSON text. This is the codec negotiation used by the framed transport:
+/// JSON documents start with `{` (or whitespace), which can never equal
+/// `BIN_MAGIC[0]`.
 #[must_use]
 pub fn is_binary(bytes: &[u8]) -> bool {
     bytes.first() == Some(&BIN_MAGIC[0])

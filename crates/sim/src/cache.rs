@@ -31,33 +31,29 @@
 //! * **Counters.** Hits, misses and evictions are atomic counters readable at
 //!   any time through [`ReportCache::stats`]; the serve stress gate derives
 //!   its hit-rate assertions from them.
-//! * **Persistence.** [`ReportCache::save_to_path`] writes a versioned binary
-//!   snapshot (`schema_version` [`CACHE_SCHEMA_VERSION`]) that
-//!   [`ReportCache::load_from_path`] restores bit-identically; a mismatched
-//!   schema version is rejected, never reinterpreted. Snapshots are bounded
-//!   to the configured capacity on save (over-retained shard overflow is
-//!   dropped, most-recently-used entries win), so the persisted file cannot
-//!   grow without bound across warm restarts.
+//! * **Persistence.** [`ReportCache::save_to_path`] rewrites one versioned
+//!   binary snapshot (`schema_version` [`CACHE_SCHEMA_VERSION`]) that
+//!   [`ReportCache::load_from_path`] restores bit-identically; a file of any
+//!   other schema version is rejected, never reinterpreted. Snapshots are
+//!   bounded to the configured capacity on save (over-retained shard
+//!   overflow is dropped, most-recently-used entries win), so the persisted
+//!   file cannot grow without bound across warm restarts.
 //!
-//! # Snapshot formats
+//! # Snapshot format
 //!
-//! Saves write a [`crate::bincodec`] document ([`bincodec::DOC_SNAPSHOT`])
-//! holding a header section and one section per row — a write timestamp,
-//! the entry's fingerprint, and the nested binary config/report documents.
-//! Saving over an existing binary snapshot **appends** only the rows whose
-//! key the file does not already hold (an O(new) write instead of a full
-//! rewrite), falling back to a compacting rewrite when the file's row count
-//! plus the new rows would exceed the capacity bound or the existing file
-//! is unreadable. The file's keys are recomputed from each row's config
-//! document, never trusted from the stored fingerprint.
-//!
-//! [`ReportCache::load_from_path`] auto-detects the format from the first
-//! byte (binary documents open with `0xB1`, JSON with `{`), so JSON-era
-//! snapshot files keep loading unchanged; [`ReportCache::snapshot_json`]
-//! still renders that text format. Binary rows carry the time they were
-//! written; a positive `MSPT_CACHE_MAX_AGE_SECS` drops rows older than that
-//! bound at load, so a long-lived warm file cannot resurrect reports from
-//! arbitrarily far in the past.
+//! A snapshot is one [`crate::bincodec`] document
+//! ([`bincodec::DOC_SNAPSHOT`]): a header section holding the schema
+//! version, then one section per row holding the length-prefixed binary
+//! config and report documents. Every save rewrites the whole file from
+//! the cache's surviving rows, sorted by key, so the file is a function of
+//! those rows alone: saving an unchanged cache twice writes the same bytes,
+//! and two caches holding the same rows write the same file whatever order
+//! they were filled in. A file written before this layout (rows carrying a
+//! write timestamp and a fingerprint, or JSON text) is a typed
+//! [`SimError::Persistence`] error, which the warm-start callers turn into
+//! a cold start. [`ReportCache::snapshot_json`] renders the same rows as
+//! JSON text, the baseline the binary snapshot's size is measured against;
+//! nothing loads it.
 //!
 //! # Cache-key identity
 //!
@@ -72,36 +68,25 @@
 //! Snapshot rows carry full config documents and loads recompute keys, so
 //! a file written under an earlier key scheme keeps loading.
 
-use std::collections::{BTreeSet, HashMap};
-use std::io::Write;
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::bincodec::{self, BinReader, BinWriter};
-use crate::codec::{config_from_json, config_to_json, report_from_json, report_to_json, JsonValue};
+use crate::codec::{config_to_json, report_to_json, JsonValue};
 use crate::config::SimConfig;
 use crate::error::{Result, SimError};
 use crate::platform::PlatformReport;
 use crate::stage::Stage;
 
-/// Environment variable overriding the default report-cache capacity.
-pub const CACHE_CAPACITY_ENV: &str = "MSPT_CACHE_CAPACITY";
-
 /// Environment variable naming the warm-cache persistence file `run_all` and
 /// the serve stress bin load on start and save on exit.
 pub const CACHE_PATH_ENV: &str = "MSPT_CACHE_PATH";
 
-/// Environment variable bounding the age, in seconds, of binary snapshot
-/// rows at load: rows written longer ago than this are skipped. Unset or
-/// `0` disables the bound. JSON snapshots carry no timestamps and are never
-/// age-bounded.
-pub const CACHE_MAX_AGE_ENV: &str = "MSPT_CACHE_MAX_AGE_SECS";
-
 /// Schema version of the persisted snapshot format. Bump on any change to
 /// the on-disk layout; loaders reject every other version.
-pub const CACHE_SCHEMA_VERSION: u64 = 1;
+pub const CACHE_SCHEMA_VERSION: u64 = 2;
 
 /// Default bound on the number of cached reports (far above the paper's
 /// sweep-point count, so default runs never evict).
@@ -114,8 +99,7 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// Must precede every row section.
 const TAG_SNAPSHOT_HEADER: u8 = 0x01;
 
-/// Binary snapshot section carrying one cached entry: save timestamp
-/// (`u64` Unix seconds), fingerprint (`u64`), then the length-prefixed
+/// Binary snapshot section carrying one cached entry: the length-prefixed
 /// config and report [`crate::bincodec`] documents.
 const TAG_SNAPSHOT_ROW: u8 = 0x02;
 
@@ -148,126 +132,34 @@ impl CacheConfig {
 }
 
 impl Default for CacheConfig {
-    /// Capacity: the `MSPT_CACHE_CAPACITY` environment variable when set to a
-    /// valid integer (zero allowed — it disables caching), otherwise
-    /// [`DEFAULT_CACHE_CAPACITY`]. Shards: [`DEFAULT_CACHE_SHARDS`].
+    /// [`DEFAULT_CACHE_CAPACITY`] entries in [`DEFAULT_CACHE_SHARDS`] shards.
     fn default() -> Self {
         CacheConfig {
-            capacity: default_capacity(),
+            capacity: DEFAULT_CACHE_CAPACITY,
             shards: DEFAULT_CACHE_SHARDS,
         }
     }
 }
 
-fn default_capacity() -> usize {
-    if let Ok(value) = std::env::var(CACHE_CAPACITY_ENV) {
-        if let Ok(parsed) = value.trim().parse::<usize>() {
-            return parsed;
-        }
-    }
-    DEFAULT_CACHE_CAPACITY
-}
-
-/// Seconds since the Unix epoch, stamped on binary snapshot rows at save so
-/// the age bound at load has something to measure against. Clock failure
-/// degrades to `0`, which the bound treats as "arbitrarily old".
-fn now_unix() -> u64 {
-    // mspt-analyze: allow(determinism-unsafe-calls) snapshot row timestamps are persistence metadata consumed only by the load-time age bound; they never feed an evaluation result
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |elapsed| elapsed.as_secs())
-}
-
-/// Reads [`CACHE_MAX_AGE_ENV`]: a positive integer bounds row age at load;
-/// unset, unparsable or `0` disables the bound.
-fn max_age_from_env() -> u64 {
-    std::env::var(CACHE_MAX_AGE_ENV)
-        .ok()
-        .and_then(|value| value.trim().parse::<u64>().ok())
-        .filter(|&seconds| seconds > 0)
-        .unwrap_or(u64::MAX)
-}
-
-/// One [`TAG_SNAPSHOT_ROW`] section (tag + length + body) for a cached
-/// entry — the unit both full snapshots and appending saves write.
-fn snapshot_row_section(
-    written_at: u64,
-    fingerprint: u64,
-    config: &SimConfig,
-    report: &PlatformReport,
-) -> Vec<u8> {
-    let config_bytes = bincodec::config_to_bin(config);
-    let report_bytes = bincodec::report_to_bin(report);
-    let mut body = BinWriter::new();
-    body.put_u64(written_at);
-    body.put_u64(fingerprint);
-    body.put_u32(u32::try_from(config_bytes.len()).unwrap_or(u32::MAX));
-    body.put_bytes(&config_bytes);
-    body.put_u32(u32::try_from(report_bytes.len()).unwrap_or(u32::MAX));
-    body.put_bytes(&report_bytes);
-    let mut section = BinWriter::new();
-    section.section(TAG_SNAPSHOT_ROW, &body.into_bytes());
-    section.into_bytes()
-}
-
-/// A complete binary snapshot document: header section first, then one row
-/// section per `(key, fingerprint, config, report)` entry, all stamped
-/// `written_at`.
-fn encode_snapshot_bin(
-    rows: &[(Vec<u8>, u64, SimConfig, PlatformReport)],
-    written_at: u64,
-) -> Vec<u8> {
+/// A complete binary snapshot document: the header section, then one row
+/// section per `(config, report)` pair, in the given order.
+fn encode_snapshot(rows: &[(SimConfig, PlatformReport)]) -> Vec<u8> {
     let mut payload = BinWriter::new();
     let mut header = BinWriter::new();
     header.put_u64(CACHE_SCHEMA_VERSION);
     payload.section(TAG_SNAPSHOT_HEADER, &header.into_bytes());
-    for (_, fingerprint, config, report) in rows {
-        payload.put_bytes(&snapshot_row_section(
-            written_at,
-            *fingerprint,
-            config,
-            report,
-        ));
+    for (config, report) in rows {
+        let mut row = BinWriter::new();
+        for document in [
+            bincodec::config_to_bin(config),
+            bincodec::report_to_bin(report),
+        ] {
+            row.put_u32(u32::try_from(document.len()).unwrap_or(u32::MAX));
+            row.put_bytes(&document);
+        }
+        payload.section(TAG_SNAPSHOT_ROW, &row.into_bytes());
     }
     bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes())
-}
-
-/// The key of every row persisted in a binary snapshot file, one per row
-/// in file order, recomputed from each row's config document — the stored
-/// fingerprint is never trusted, since a file written under another key
-/// scheme carries stale ones. `None` when the file is missing, not a
-/// current-version binary snapshot, or damaged — the appending save then
-/// falls back to a full rewrite.
-fn binary_snapshot_row_keys(path: &Path) -> Option<Vec<Vec<u8>>> {
-    let bytes = std::fs::read(path).ok()?;
-    let payload = bincodec::document_payload(&bytes, bincodec::DOC_SNAPSHOT).ok()?;
-    let mut reader = BinReader::new(payload);
-    let mut header_seen = false;
-    let mut keys = Vec::new();
-    loop {
-        match reader.next_section() {
-            Ok(Some((TAG_SNAPSHOT_HEADER, body))) => {
-                let mut section = BinReader::new(body);
-                if section.take_u64().ok()? != CACHE_SCHEMA_VERSION {
-                    return None;
-                }
-                header_seen = true;
-            }
-            Ok(Some((TAG_SNAPSHOT_ROW, body))) => {
-                let mut section = BinReader::new(body);
-                section.take_u64().ok()?; // written_at
-                section.take_u64().ok()?; // stored fingerprint
-                let config_length = section.take_u32().ok()? as usize;
-                let config =
-                    bincodec::config_from_bin(section.take_bytes(config_length).ok()?).ok()?;
-                keys.push(Stage::Composite.key(&config));
-            }
-            Ok(Some(_)) => {} // Unknown section: skippable, not ours to judge.
-            Ok(None) => break,
-            Err(_) => return None,
-        }
-    }
-    header_seen.then_some(keys)
 }
 
 /// A point-in-time view of the cache counters.
@@ -618,20 +510,15 @@ impl<V: Clone> MemoCache<V> {
     }
 
     /// An unordered point-in-time copy of every stored entry:
-    /// `(fingerprint, key, value, last_used)` rows, one shard at a time —
-    /// what snapshot persistence builds its bounded, sorted row set from.
+    /// `(key, value, last_used)` rows, one shard at a time — what snapshot
+    /// persistence builds its bounded, sorted row set from.
     #[must_use]
-    pub fn entries(&self) -> Vec<(u64, Vec<u8>, V, u64)> {
+    pub fn entries(&self) -> Vec<(Vec<u8>, V, u64)> {
         let mut rows = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for entry in &shard.entries {
-                rows.push((
-                    entry.fingerprint,
-                    entry.key.clone(),
-                    entry.value.clone(),
-                    entry.last_used,
-                ));
+                rows.push((entry.key.clone(), entry.value.clone(), entry.last_used));
             }
         }
         rows
@@ -764,11 +651,11 @@ impl ReportCache {
     /// configured capacity**: the per-shard LRU bound can over-retain up to
     /// `shards − 1` entries beyond `capacity` when the shard count does not
     /// divide it, so the snapshot keeps only the `capacity` most recently
-    /// used entries — the persisted file can never grow past the configured
-    /// bound across warm restarts. Which entries survive therefore follows
-    /// access recency; the surviving set itself is sorted by key, so two
-    /// caches persisting the same surviving entries render byte-identical
-    /// files regardless of insertion order.
+    /// used entries. Which entries survive therefore follows access
+    /// recency; the surviving set itself is sorted by key, so two caches
+    /// holding the same surviving entries render byte-identical text
+    /// regardless of insertion order. Nothing loads this text: it is the
+    /// baseline the binary snapshot's size is measured against.
     #[must_use]
     pub fn snapshot_json(&self) -> String {
         JsonValue::Object(vec![
@@ -781,7 +668,7 @@ impl ReportCache {
                 JsonValue::Array(
                     self.snapshot_rows()
                         .iter()
-                        .map(|(_, _, config, report)| {
+                        .map(|(config, report)| {
                             JsonValue::Object(vec![
                                 ("config".to_string(), config_to_json(config)),
                                 ("report".to_string(), report_to_json(report)),
@@ -797,64 +684,42 @@ impl ReportCache {
     /// The rows a snapshot persists, in persisted order: every stored
     /// entry, most-recently-used entries winning the truncation to the
     /// capacity bound, the surviving set sorted by key so both snapshot
-    /// encodings are deterministic for a given surviving set. Each row
-    /// carries its key for the appending save.
-    fn snapshot_rows(&self) -> Vec<(Vec<u8>, u64, SimConfig, PlatformReport)> {
-        let mut rows: Vec<(u64, Vec<u8>, u64, SimConfig, PlatformReport)> = self
-            .memo
-            .entries()
-            .into_iter()
-            .map(|(fingerprint, key, cached, last_used)| {
-                (last_used, key, fingerprint, cached.config, cached.report)
-            })
-            .collect();
+    /// encodings are a function of the surviving rows alone.
+    fn snapshot_rows(&self) -> Vec<(SimConfig, PlatformReport)> {
+        let mut rows = self.memo.entries();
         // Most recently used first, then truncate to the capacity bound.
-        rows.sort_by_key(|row| std::cmp::Reverse(row.0));
+        rows.sort_by_key(|row| std::cmp::Reverse(row.2));
         rows.truncate(self.memo.config().capacity);
-        rows.sort_by(|a, b| a.1.cmp(&b.1));
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows.into_iter()
-            .map(|(_, key, fingerprint, config, report)| (key, fingerprint, config, report))
+            .map(|(_, cached, _)| (cached.config, cached.report))
             .collect()
     }
 
     /// Renders the cache as a binary snapshot document — the same rows as
     /// [`ReportCache::snapshot_json`] (same bounding, same order) in the
-    /// compact [`crate::bincodec`] encoding, each row stamped with the
-    /// current time for the load-side age bound.
+    /// compact [`crate::bincodec`] encoding. The bytes are a function of
+    /// the surviving rows alone.
     #[must_use]
     pub fn snapshot_bin(&self) -> Vec<u8> {
-        encode_snapshot_bin(&self.snapshot_rows(), now_unix())
+        encode_snapshot(&self.snapshot_rows())
     }
 
-    /// Restores entries from a binary snapshot with no age bound applied.
-    /// Returns the number of entries actually stored.
+    /// Restores entries from a snapshot produced by
+    /// [`ReportCache::snapshot_bin`], inserting them as most-recently-used
+    /// in snapshot order (capacity bounds still apply). Each row's key is
+    /// recomputed from its config document. Returns the number of entries
+    /// actually stored — rows the cache rejected (already present, or
+    /// storage disabled) are not counted, though under a bound tighter than
+    /// the snapshot a stored row may still evict an earlier one.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Persistence`] on malformed bytes or a mismatched
-    /// schema version.
+    /// Returns [`SimError::Persistence`] on malformed bytes, a schema
+    /// version other than [`CACHE_SCHEMA_VERSION`] — a snapshot from a
+    /// different format generation is rejected, never reinterpreted — or a
+    /// row section appearing before the header.
     pub fn load_snapshot_bin(&self, bytes: &[u8]) -> Result<usize> {
-        self.load_snapshot_bin_bounded(bytes, 0, u64::MAX)
-    }
-
-    /// Restores entries from a binary snapshot produced by
-    /// [`ReportCache::snapshot_bin`] (or accumulated by appending saves),
-    /// skipping rows written more than `max_age_secs` before `now_unix` —
-    /// the load-side age bound that keeps a long-lived warm file from
-    /// resurrecting arbitrarily old reports. Returns the number of entries
-    /// actually stored; age-skipped and already-present rows are not
-    /// counted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Persistence`] on malformed bytes, a mismatched
-    /// schema version, or a row section appearing before the header.
-    pub fn load_snapshot_bin_bounded(
-        &self,
-        bytes: &[u8],
-        now_unix: u64,
-        max_age_secs: u64,
-    ) -> Result<usize> {
         let payload = bincodec::document_payload(bytes, bincodec::DOC_SNAPSHOT)?;
         let mut reader = BinReader::new(payload);
         let mut version: Option<u64> = None;
@@ -886,19 +751,11 @@ impl ReportCache {
                         });
                     }
                     let mut section = BinReader::new(body);
-                    let written_at = section.take_u64()?;
-                    // Loading recomputes the key from the decoded
-                    // configuration, so a stale or corrupted stored
-                    // fingerprint can never misfile an entry.
-                    let _stored_fingerprint = section.take_u64()?;
                     let config_length = section.take_u32()? as usize;
                     let config = bincodec::config_from_bin(section.take_bytes(config_length)?)?;
                     let report_length = section.take_u32()? as usize;
                     let report = bincodec::report_from_bin(section.take_bytes(report_length)?)?;
                     section.finish()?;
-                    if now_unix.saturating_sub(written_at) > max_age_secs {
-                        continue;
-                    }
                     if self.insert_row(config, report) {
                         loaded += 1;
                     }
@@ -914,108 +771,32 @@ impl ReportCache {
         Ok(loaded)
     }
 
-    /// Restores entries from a snapshot produced by
-    /// [`ReportCache::snapshot_json`], inserting them as most-recently-used
-    /// in snapshot order (capacity bounds still apply). Returns the number
-    /// of entries actually stored — rows the cache rejected (already
-    /// present, or storage disabled) are not counted, though under a bound
-    /// tighter than the snapshot a stored row may still evict an earlier
-    /// one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Persistence`] on malformed JSON or a
-    /// `schema_version` other than [`CACHE_SCHEMA_VERSION`] — a snapshot
-    /// from a different format generation is rejected, never reinterpreted.
-    pub fn load_snapshot(&self, snapshot: &str) -> Result<usize> {
-        let value = JsonValue::parse(snapshot)?;
-        let version = value.get("schema_version")?.as_u64()?;
-        if version != CACHE_SCHEMA_VERSION {
-            return Err(SimError::Persistence {
-                reason: format!(
-                    "cache snapshot schema version {version} does not match supported version {CACHE_SCHEMA_VERSION}"
-                ),
-            });
-        }
-        let entries = value.get("entries")?.as_array()?;
-        let mut loaded = 0;
-        for row in entries {
-            let config = config_from_json(row.get("config")?)?;
-            let report = report_from_json(row.get("report")?)?;
-            if self.insert_row(config, report) {
-                loaded += 1;
-            }
-        }
-        Ok(loaded)
-    }
-
-    /// Writes the snapshot to a file as a binary document. A save onto an
-    /// existing current-version binary file appends only the rows whose
-    /// keys the file lacks instead of rewriting everything; any other
-    /// target — missing file, JSON file, older or damaged binary, or an
-    /// append that would take the file's row count past the capacity
-    /// bound — is a full rewrite. Returns the number of rows the file holds
-    /// after the save (at most the configured capacity on a rewrite).
+    /// Writes the snapshot to a file, replacing whatever the file held with
+    /// exactly the bytes [`ReportCache::snapshot_bin`] renders. Returns the
+    /// number of rows written (at most the configured capacity).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on I/O failure.
     pub fn save_to_path(&self, path: &Path) -> Result<usize> {
-        let written_at = now_unix();
         let rows = self.snapshot_rows();
-        if let Some(persisted) = binary_snapshot_row_keys(path) {
-            let existing: BTreeSet<&[u8]> = persisted.iter().map(Vec::as_slice).collect();
-            let fresh: Vec<&(Vec<u8>, u64, SimConfig, PlatformReport)> = rows
-                .iter()
-                .filter(|(key, _, _, _)| !existing.contains(key.as_slice()))
-                .collect();
-            let total = persisted.len() + fresh.len();
-            if total <= self.memo.config().capacity {
-                let mut appended = Vec::new();
-                for (_, fingerprint, config, report) in fresh {
-                    appended.extend_from_slice(&snapshot_row_section(
-                        written_at,
-                        *fingerprint,
-                        config,
-                        report,
-                    ));
-                }
-                let mut file = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .map_err(|io| persistence_io("appending to", path, &io))?;
-                file.write_all(&appended)
-                    .map_err(|io| persistence_io("appending to", path, &io))?;
-                return Ok(total);
-            }
-        }
-        std::fs::write(path, encode_snapshot_bin(&rows, written_at))
+        std::fs::write(path, encode_snapshot(&rows))
             .map_err(|io| persistence_io("writing", path, &io))?;
         Ok(rows.len())
     }
 
-    /// Loads a snapshot file — binary, as [`ReportCache::save_to_path`]
-    /// writes it, or a JSON-era text file — auto-detected from the first
-    /// byte. Binary snapshots honour the
-    /// [`CACHE_MAX_AGE_ENV`] age bound; JSON snapshots carry no timestamps
-    /// and load in full. Returns the number of entries loaded.
+    /// Loads a snapshot file written by [`ReportCache::save_to_path`] — see
+    /// [`ReportCache::load_snapshot_bin`]. Returns the number of entries
+    /// loaded.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Persistence`] on I/O failure, a malformed snapshot
-    /// in either format, or a mismatched schema version.
+    /// Returns [`SimError::Persistence`] on I/O failure, a malformed
+    /// snapshot, or a mismatched schema version (which includes every file
+    /// written in an earlier format).
     pub fn load_from_path(&self, path: &Path) -> Result<usize> {
         let bytes = std::fs::read(path).map_err(|io| persistence_io("reading", path, &io))?;
-        if bincodec::is_binary(&bytes) {
-            return self.load_snapshot_bin_bounded(&bytes, now_unix(), max_age_from_env());
-        }
-        let snapshot = std::str::from_utf8(&bytes).map_err(|_| SimError::Persistence {
-            reason: format!(
-                "cache snapshot {} is neither a binary document nor UTF-8 JSON",
-                path.display()
-            ),
-        })?;
-        self.load_snapshot(snapshot)
+        self.load_snapshot_bin(&bytes)
     }
 }
 
@@ -1132,60 +913,14 @@ mod tests {
         assert_eq!(restored.load_snapshot_bin(&bytes).unwrap(), 0);
     }
 
-    #[test]
-    fn age_bound_skips_stale_rows_without_error() {
-        let cache = ReportCache::new(CacheConfig::unsharded(8));
-        let a = config(6);
-        cache.get_or_compute(&a, || evaluate(&a)).unwrap();
-        let bytes = encode_snapshot_bin(&cache.snapshot_rows(), 1_000);
-        let fresh_enough = ReportCache::new(CacheConfig::unsharded(8));
-        assert_eq!(
-            fresh_enough
-                .load_snapshot_bin_bounded(&bytes, 1_500, 600)
-                .unwrap(),
-            1
-        );
-        let too_old = ReportCache::new(CacheConfig::unsharded(8));
-        assert_eq!(
-            too_old
-                .load_snapshot_bin_bounded(&bytes, 2_000, 600)
-                .unwrap(),
-            0
-        );
-        assert!(too_old.is_empty());
-    }
-
-    #[test]
-    fn binary_save_appends_new_rows_only() {
-        let path =
-            std::env::temp_dir().join(format!("mspt-cache-append-{}.bin", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let cache = ReportCache::new(CacheConfig::unsharded(8));
-        let a = config(6);
-        cache.get_or_compute(&a, || evaluate(&a)).unwrap();
-        assert_eq!(cache.save_to_path(&path).unwrap(), 1);
-        let first_size = std::fs::metadata(&path).unwrap().len();
-
-        // Saving again with no new entries appends nothing.
-        assert_eq!(cache.save_to_path(&path).unwrap(), 1);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), first_size);
-
-        // A new entry appends one row; the old bytes stay in place.
-        let b = config(8);
-        cache.get_or_compute(&b, || evaluate(&b)).unwrap();
-        assert_eq!(cache.save_to_path(&path).unwrap(), 2);
-        assert!(std::fs::metadata(&path).unwrap().len() > first_size);
-
-        let restored = ReportCache::new(CacheConfig::unsharded(8));
-        assert_eq!(restored.load_from_path(&path).unwrap(), 2);
-        assert_eq!(restored.snapshot_json(), cache.snapshot_json());
-        let _ = std::fs::remove_file(&path);
+    /// A snapshot path unique to this test process and `name`.
+    fn temp_snapshot_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("mspt-cache-{name}-{}.bin", std::process::id()))
     }
 
     #[test]
     fn binary_save_rewrites_when_append_would_exceed_capacity() {
-        let path =
-            std::env::temp_dir().join(format!("mspt-cache-rewrite-{}.bin", std::process::id()));
+        let path = temp_snapshot_path("rewrite");
         let _ = std::fs::remove_file(&path);
         let small = ReportCache::new(CacheConfig::unsharded(2));
         for length in [6, 8] {
@@ -1194,8 +929,8 @@ mod tests {
         }
         assert_eq!(small.save_to_path(&path).unwrap(), 2);
         // Touch `a` so it survives eviction, then push a third entry out of
-        // capacity: the file now holds a fingerprint the cache evicted, so
-        // an append would exceed the bound and a rewrite happens instead.
+        // capacity: the file now holds a row the cache evicted, and the
+        // next save replaces it.
         let a = config(6);
         small.get_or_compute(&a, || evaluate(&a)).unwrap();
         let c = config(10);
@@ -1207,91 +942,118 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The keys of every row the file at `path` holds, in file order.
-    fn persisted_keys(path: &Path) -> Vec<Vec<u8>> {
-        binary_snapshot_row_keys(path).expect("a healthy binary snapshot")
+    #[test]
+    fn a_save_replaces_whatever_the_file_held() {
+        let path = temp_snapshot_path("replace");
+        let cache = ReportCache::new(CacheConfig::unsharded(4));
+        let filled = |cache: &ReportCache, lengths: &[usize]| {
+            for &length in lengths {
+                let config = config(length);
+                cache.get_or_compute(&config, || evaluate(&config)).unwrap();
+            }
+        };
+        filled(&cache, &[6, 8]);
+        // A file holding a row the cache lacks, then one holding more rows
+        // than the cache (its two among them): either way the save leaves
+        // exactly the cache's rows.
+        let other = ReportCache::new(CacheConfig::unsharded(8));
+        filled(&other, &[10]);
+        let more = ReportCache::new(CacheConfig::unsharded(8));
+        filled(&more, &[6, 8, 10, 12]);
+        for previous in [&other, &more] {
+            previous.save_to_path(&path).unwrap();
+            assert_eq!(cache.save_to_path(&path).unwrap(), 2);
+            assert_eq!(std::fs::read(&path).unwrap(), cache.snapshot_bin());
+            let restored = ReportCache::new(CacheConfig::unsharded(8));
+            assert_eq!(restored.load_from_path(&path).unwrap(), 2);
+            assert_eq!(restored.snapshot_json(), cache.snapshot_json());
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn appending_saves_key_rows_by_their_config_not_the_stored_fingerprint() {
-        let path =
-            std::env::temp_dir().join(format!("mspt-cache-foreign-{}.bin", std::process::id()));
-        let cache = ReportCache::new(CacheConfig::unsharded(8));
-        for length in [6, 8] {
+    fn saving_an_unchanged_cache_twice_writes_identical_bytes() {
+        let path = temp_snapshot_path("resave");
+        let cache = ReportCache::new(CacheConfig::default());
+        for length in [6, 8, 10] {
             let config = config(length);
             cache.get_or_compute(&config, || evaluate(&config)).unwrap();
         }
-        // The same rows as a writer with another key scheme leaves them:
-        // every stored fingerprint foreign to this one.
-        let foreign: Vec<_> = cache
-            .snapshot_rows()
-            .into_iter()
-            .map(|(key, fingerprint, config, report)| (key, !fingerprint, config, report))
-            .collect();
-        std::fs::write(&path, encode_snapshot_bin(&foreign, now_unix())).unwrap();
-        let size = std::fs::metadata(&path).unwrap().len();
-        for _ in 0..2 {
-            assert_eq!(cache.save_to_path(&path).unwrap(), 2);
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), size);
-        }
-        let keys = persisted_keys(&path);
-        assert_eq!(keys.len(), 2);
-        assert_ne!(keys[0], keys[1]);
-        let restored = ReportCache::new(CacheConfig::unsharded(8));
-        assert_eq!(restored.load_from_path(&path).unwrap(), 2);
-        assert_eq!(restored.snapshot_json(), cache.snapshot_json());
+        assert_eq!(cache.save_to_path(&path).unwrap(), 3);
+        let first = std::fs::read(&path).unwrap();
+        // A hit moves recency, not the surviving rows.
+        let a = config(6);
+        cache.get_or_compute(&a, || unreachable!("warm")).unwrap();
+        assert_eq!(cache.save_to_path(&path).unwrap(), 3);
+        assert_eq!(std::fs::read(&path).unwrap(), first);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn appending_saves_count_rows_not_keys_against_capacity() {
-        let path =
-            std::env::temp_dir().join(format!("mspt-cache-aliased-{}.bin", std::process::id()));
-        let cache = ReportCache::new(CacheConfig::unsharded(3));
-        let [a, b, c] = [config(6), config(8), config(10)];
-        for config in [&a, &b] {
-            cache.get_or_compute(config, || evaluate(config)).unwrap();
+    fn snapshots_do_not_depend_on_insertion_order() {
+        let configs = [6, 8, 10, 12].map(config);
+        let forward = ReportCache::new(CacheConfig::default());
+        let backward = ReportCache::new(CacheConfig::default());
+        for config in &configs {
+            forward.get_or_compute(config, || evaluate(config)).unwrap();
         }
-        // Three rows holding two keys: a Gaussian and a Laplace row of `a`
-        // share one report key under this scheme.
-        let mut rows = cache.snapshot_rows();
-        let aliased = rows[0].clone();
-        rows.push((
-            aliased.0,
-            aliased.1,
-            aliased.2.with_disturbance(crate::DisturbanceKind::Laplace),
-            aliased.3,
-        ));
-        std::fs::write(&path, encode_snapshot_bin(&rows, now_unix())).unwrap();
-        // One new entry fits three distinct keys but not four rows: the
-        // save rewrites instead of appending past the bound.
-        cache.get_or_compute(&c, || evaluate(&c)).unwrap();
-        for _ in 0..2 {
-            assert_eq!(cache.save_to_path(&path).unwrap(), 3);
-            let keys = persisted_keys(&path);
-            assert_eq!(keys.len(), 3);
-            assert_eq!(keys.iter().collect::<BTreeSet<_>>().len(), 3);
+        for config in configs.iter().rev() {
+            backward
+                .get_or_compute(config, || evaluate(config))
+                .unwrap();
         }
-        let restored = ReportCache::new(CacheConfig::unsharded(8));
-        assert_eq!(restored.load_from_path(&path).unwrap(), 3);
-        assert_eq!(restored.snapshot_json(), cache.snapshot_json());
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(forward.snapshot_bin(), backward.snapshot_bin());
+    }
+
+    /// A one-row snapshot in the version 1 layout, whose rows carried a
+    /// write timestamp and a fingerprint before the two documents.
+    fn version_one_snapshot(config: &SimConfig, report: &PlatformReport) -> Vec<u8> {
+        let mut header = BinWriter::new();
+        header.put_u64(1);
+        let mut row = BinWriter::new();
+        row.put_u64(1_700_000_000);
+        row.put_u64(ReportCache::fingerprint(config));
+        for document in [
+            bincodec::config_to_bin(config),
+            bincodec::report_to_bin(report),
+        ] {
+            row.put_u32(u32::try_from(document.len()).unwrap());
+            row.put_bytes(&document);
+        }
+        let mut payload = BinWriter::new();
+        payload.section(TAG_SNAPSHOT_HEADER, &header.into_bytes());
+        payload.section(TAG_SNAPSHOT_ROW, &row.into_bytes());
+        bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes())
     }
 
     #[test]
-    fn json_era_snapshot_still_loads_from_path() {
-        let path =
-            std::env::temp_dir().join(format!("mspt-cache-json-era-{}.json", std::process::id()));
+    fn earlier_snapshot_formats_are_typed_errors_and_load_nothing() {
+        let path = temp_snapshot_path("earlier-format");
         let cache = ReportCache::new(CacheConfig::unsharded(8));
         let a = config(6);
-        cache.get_or_compute(&a, || evaluate(&a)).unwrap();
-        std::fs::write(&path, cache.snapshot_json()).unwrap();
-        let restored = ReportCache::new(CacheConfig::unsharded(8));
-        assert_eq!(restored.load_from_path(&path).unwrap(), 1);
-        assert_eq!(restored.snapshot_json(), cache.snapshot_json());
-        // Saving onto a JSON-era file rewrites it as binary.
-        assert_eq!(restored.save_to_path(&path).unwrap(), 1);
-        assert!(bincodec::is_binary(&std::fs::read(&path).unwrap()));
+        let report = cache.get_or_compute(&a, || evaluate(&a)).unwrap();
+        for (format, bytes) in [
+            ("version 1", version_one_snapshot(&a, &report)),
+            ("JSON text", cache.snapshot_json().into_bytes()),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            let target = ReportCache::new(CacheConfig::unsharded(8));
+            assert!(
+                matches!(
+                    target.load_snapshot_bin(&bytes),
+                    Err(SimError::Persistence { .. })
+                ),
+                "{format}"
+            );
+            assert!(
+                matches!(
+                    target.load_from_path(&path),
+                    Err(SimError::Persistence { .. })
+                ),
+                "{format}"
+            );
+            assert!(target.is_empty(), "{format}: rows loaded");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,5 +1,6 @@
 //! Std-only JSON codec for the types that cross process boundaries: the
-//! serve layer's wire format and the report cache's warm-cache persistence.
+//! serve layer's wire format (and the report cache's JSON rendering, which
+//! nothing loads).
 //!
 //! The vendored `serde` stand-in is marker-traits only (no data model, no
 //! serializers — crates.io is unreachable in this build environment), so this
@@ -17,19 +18,19 @@
 //! Fields added after a format shipped (the defect selection and the
 //! composite report quantities) are encoded unconditionally but decoded
 //! through [`JsonValue::get_opt`] with the pre-field behaviour as the
-//! default, so snapshots and wire messages written before the field existed
-//! keep loading; unknown *values* (an unrecognised kind tag) are still
-//! rejected loudly.
+//! default, so wire messages written before the field existed keep
+//! loading; unknown *values* (an unrecognised kind tag) are still rejected
+//! loudly.
 //!
 //! # Float round-tripping
 //!
 //! Finite `f64`s are written with Rust's shortest-roundtrip `Display`
 //! formatting and parsed back with `str::parse::<f64>`, which restores the
-//! **bit-identical** value. That is what lets a warm cache loaded from disk
-//! serve byte-for-byte the same [`PlatformReport`]s the original process
-//! computed. Non-finite floats are not representable in JSON; the encoder
-//! maps them to `null` and the decoder rejects `null` where a number is
-//! required, so corruption fails loudly instead of silently.
+//! **bit-identical** value. That is what lets a JSON client receive
+//! byte-for-byte the same [`PlatformReport`]s the server computed.
+//! Non-finite floats are not representable in JSON; the encoder maps them
+//! to `null` and the decoder rejects `null` where a number is required, so
+//! corruption fails loudly instead of silently.
 
 use nanowire_codes::{
     ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,

@@ -189,9 +189,10 @@ impl Default for ExecutionEngine {
 
 impl ExecutionEngine {
     /// Creates an engine with the default report cache
-    /// ([`CacheConfig::default`]: `MSPT_CACHE_CAPACITY` or 4096 entries,
-    /// 8 shards). Zero `threads` or `chunk_size` are clamped to one so every
-    /// configuration is runnable.
+    /// ([`CacheConfig::default`]: 4096 entries in 8 shards; pass another
+    /// [`CacheConfig`] through [`ExecutionEngine::with_cache`]). Zero
+    /// `threads` or `chunk_size` are clamped to one so every configuration
+    /// is runnable.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         ExecutionEngine::with_cache(config, CacheConfig::default())
@@ -298,8 +299,8 @@ impl ExecutionEngine {
         })
     }
 
-    /// Persists the report memo to a versioned binary snapshot file.
-    /// Returns the number of rows the file holds.
+    /// Writes the report memo to a versioned binary snapshot file,
+    /// replacing whatever the file held. Returns the number of rows written.
     ///
     /// # Errors
     ///
@@ -308,13 +309,14 @@ impl ExecutionEngine {
         self.stages.reports().save_to_path(path)
     }
 
-    /// Restores a warm report memo saved by [`ExecutionEngine::save_cache`]
-    /// (or a JSON-era snapshot). Returns the number of entries loaded.
+    /// Restores a warm report memo saved by [`ExecutionEngine::save_cache`].
+    /// Returns the number of entries loaded.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on I/O failure, a malformed
-    /// snapshot or a mismatched snapshot schema version.
+    /// snapshot or a mismatched snapshot schema version (a file written in
+    /// an earlier format).
     pub fn load_cache(&self, path: &Path) -> Result<usize> {
         self.stages.reports().load_from_path(path)
     }

@@ -24,11 +24,10 @@
 //! [`Evaluation::builder`] runs one configuration on an engine.
 //!
 //! Repeated evaluations are served from the engine's sharded, bounded,
-//! single-flight [`ReportCache`], which persists to a versioned snapshot.
-//! Saves are always compact binary through the std-only [`bincodec`]
-//! module; snapshots from the JSON era (the [`codec`] module) still load,
-//! with the format detected on load. It is the substrate of the
-//! `mspt-serve` concurrent serving layer.
+//! single-flight [`ReportCache`], which persists to a versioned snapshot:
+//! one compact [`bincodec`] document of (config, report) rows, rewritten in
+//! full on every save. It is the substrate of the `mspt-serve` concurrent
+//! serving layer.
 //!
 //! # Examples
 //!
@@ -72,8 +71,8 @@ pub use ablation::{
     SensitivityPoint, SensitivitySweep,
 };
 pub use cache::{
-    CacheConfig, CacheStats, ReportCache, CACHE_CAPACITY_ENV, CACHE_MAX_AGE_ENV, CACHE_PATH_ENV,
-    CACHE_SCHEMA_VERSION, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
+    CacheConfig, CacheStats, ReportCache, CACHE_PATH_ENV, CACHE_SCHEMA_VERSION,
+    DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
 };
 pub use codec::WireErrorKind;
 pub use config::{SimConfig, MAX_NANOWIRES_PER_HALF_CAVE};

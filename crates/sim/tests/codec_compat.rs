@@ -8,10 +8,7 @@
 use decoder_sim::codec::{
     config_from_json, config_to_json, report_from_json, report_to_json, JsonValue,
 };
-use decoder_sim::{
-    CacheConfig, DefectKind, MonteCarloConfig, ReportCache, SimConfig, SimulationPlatform,
-    CACHE_SCHEMA_VERSION,
-};
+use decoder_sim::{DefectKind, MonteCarloConfig, ReportCache, SimConfig, SimulationPlatform};
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn config(kind: CodeKind, length: usize) -> SimConfig {
@@ -132,67 +129,4 @@ fn mixed_version_round_trips_stay_bit_identical() {
         defective.composite_yield.to_bits()
     );
     assert!(decoded.defect_survival < 1.0);
-}
-
-#[test]
-fn pr4_era_cache_snapshots_load_and_serve_bit_identically() {
-    // Build a snapshot, then strip the defect fields from every row — the
-    // exact byte shape a PR 4-era process would have persisted (same
-    // schema_version; the defect fields are additive, not a format bump).
-    let warm = ReportCache::new(CacheConfig::default());
-    let configs = [
-        config(CodeKind::Tree, 8),
-        config(CodeKind::BalancedGray, 10),
-    ];
-    for entry in &configs {
-        warm.get_or_compute(entry, || SimulationPlatform::new(entry.clone()).evaluate())
-            .unwrap();
-    }
-    let snapshot = JsonValue::parse(&warm.snapshot_json()).unwrap();
-    assert_eq!(
-        snapshot.get("schema_version").unwrap().as_u64().unwrap(),
-        CACHE_SCHEMA_VERSION
-    );
-    let legacy_rows: Vec<JsonValue> = snapshot
-        .get("entries")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|row| {
-            JsonValue::Object(vec![
-                (
-                    "config".to_string(),
-                    without_keys(row.get("config").unwrap(), &["defects", "monte_carlo"]),
-                ),
-                (
-                    "report".to_string(),
-                    without_keys(row.get("report").unwrap(), &REPORT_DEFECT_KEYS),
-                ),
-            ])
-        })
-        .collect();
-    let legacy_snapshot = JsonValue::Object(vec![
-        (
-            "schema_version".to_string(),
-            JsonValue::from_u64(CACHE_SCHEMA_VERSION),
-        ),
-        ("entries".to_string(), JsonValue::Array(legacy_rows)),
-    ])
-    .render();
-
-    let restored = ReportCache::new(CacheConfig::default());
-    assert_eq!(restored.load_snapshot(&legacy_snapshot).unwrap(), 2);
-    for entry in &configs {
-        assert!(restored.contains(entry), "legacy snapshot lost an entry");
-        let original = warm.get_or_compute(entry, || unreachable!("warm")).unwrap();
-        let reloaded = restored
-            .get_or_compute(entry, || unreachable!("warm"))
-            .unwrap();
-        assert_eq!(reloaded, original);
-        assert_eq!(
-            reloaded.composite_yield.to_bits(),
-            original.composite_yield.to_bits()
-        );
-    }
 }

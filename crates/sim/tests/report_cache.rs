@@ -1,8 +1,8 @@
 //! Edge-case coverage for the sharded, bounded, single-flight report cache:
 //! degenerate capacities, LRU eviction order under interleaved hits,
-//! single-flight under contention, persistence round-trips and schema
-//! versioning (in both snapshot codecs), and report keying (a disturbance
-//! variant shares its report entry; a window variant does not).
+//! single-flight under contention, binary snapshot round-trips and schema
+//! versioning, and report keying (a disturbance variant shares its report
+//! entry; a window variant does not).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -176,10 +176,10 @@ fn persistence_round_trips_bit_identically() {
     // window variant — a field the report reads — is an entry of its own.
     assert_eq!(cache.len(), 3);
     assert_eq!(cache.stats().misses, 3);
-    let snapshot = cache.snapshot_json();
+    let snapshot = cache.snapshot_bin();
 
     let restored = ReportCache::new(CacheConfig::default());
-    assert_eq!(restored.load_snapshot(&snapshot).unwrap(), 3);
+    assert_eq!(restored.load_snapshot_bin(&snapshot).unwrap(), 3);
     assert_eq!(restored.len(), 3);
     for entry in [&gaussian, &laplace, &windowed, &gray] {
         assert!(restored.contains(entry));
@@ -198,7 +198,7 @@ fn persistence_round_trips_bit_identically() {
     }
     // Snapshots are canonical: re-rendering the restored cache is
     // byte-identical.
-    assert_eq!(restored.snapshot_json(), snapshot);
+    assert_eq!(restored.snapshot_bin(), snapshot);
 }
 
 #[test]
@@ -221,15 +221,10 @@ fn binary_snapshots_round_trip_and_agree_with_json() {
             .unwrap(),
         3
     );
-    let restored_json = ReportCache::new(CacheConfig::default());
-    assert_eq!(
-        restored_json.load_snapshot(&cache.snapshot_json()).unwrap(),
-        3
-    );
 
-    // Whichever codec carried the rows, the restored caches are
-    // indistinguishable: same canonical JSON snapshot, bit for bit.
-    assert_eq!(restored_bin.snapshot_json(), restored_json.snapshot_json());
+    // The restored cache renders the original's canonical JSON snapshot,
+    // bit for bit.
+    assert_eq!(restored_bin.snapshot_json(), cache.snapshot_json());
     for entry in [&gaussian, &laplace, &windowed, &gray] {
         let original = cache
             .get_or_compute(entry, || unreachable!("warm"))
@@ -283,20 +278,23 @@ fn mismatched_snapshot_schema_versions_are_rejected() {
     let cache = ReportCache::new(CacheConfig::default());
     let a = config(CodeKind::Tree, 8);
     cache.get_or_compute(&a, || evaluate(&a)).unwrap();
-    let snapshot = cache.snapshot_json();
-    let future = snapshot.replacen(
-        &format!("\"schema_version\":{CACHE_SCHEMA_VERSION}"),
-        "\"schema_version\":999",
-        1,
+    let snapshot = cache.snapshot_bin();
+    // The header section opens the payload, after the 7-byte document
+    // envelope and its own tag and length: its body is the version.
+    let version = 7 + 1 + 4..7 + 1 + 4 + 8;
+    assert_eq!(
+        snapshot[version.clone()],
+        CACHE_SCHEMA_VERSION.to_le_bytes()
     );
-    assert_ne!(future, snapshot, "version marker not found in snapshot");
+    let mut future = snapshot.clone();
+    future[version].copy_from_slice(&999u64.to_le_bytes());
 
     let fresh = ReportCache::new(CacheConfig::default());
-    let error = fresh.load_snapshot(&future).unwrap_err();
+    let error = fresh.load_snapshot_bin(&future).unwrap_err();
     assert!(error.to_string().contains("schema version"));
     assert!(fresh.is_empty(), "a rejected snapshot must load nothing");
     // Garbage is rejected too.
-    assert!(fresh.load_snapshot("not json at all").is_err());
+    assert!(fresh.load_snapshot_bin(b"not a snapshot").is_err());
 }
 
 #[test]
@@ -343,19 +341,15 @@ fn snapshots_are_bounded_to_the_cache_capacity() {
     for entry in &entries {
         cache.get_or_compute(entry, || evaluate(entry)).unwrap();
     }
-    let snapshot = cache.snapshot_json();
-    let parsed = decoder_sim::codec::JsonValue::parse(&snapshot).unwrap();
-    let rows = parsed.get("entries").unwrap().as_array().unwrap();
+    let restored = ReportCache::new(CacheConfig::default());
+    let rows = restored.load_snapshot_bin(&cache.snapshot_bin()).unwrap();
     assert!(
-        rows.len() <= 3,
-        "snapshot persisted {} rows past the capacity bound of 3",
-        rows.len()
+        rows <= 3,
+        "snapshot persisted {rows} rows past the capacity bound of 3"
     );
     // The most recently used entry always survives the bound.
-    let restored = ReportCache::new(CacheConfig::default());
-    restored.load_snapshot(&snapshot).unwrap();
     assert!(restored.contains(&entries[entries.len() - 1]));
-    assert!(restored.len() <= 3);
+    assert_eq!(restored.len(), rows);
 }
 
 #[test]
@@ -369,14 +363,14 @@ fn loading_respects_the_capacity_bound() {
     ] {
         cache.get_or_compute(entry, || evaluate(entry)).unwrap();
     }
-    let snapshot = cache.snapshot_json();
+    let snapshot = cache.snapshot_bin();
     let bounded = ReportCache::new(CacheConfig::unsharded(2));
     // Every row is stored (then the tight bound evicts earlier ones).
-    assert_eq!(bounded.load_snapshot(&snapshot).unwrap(), 4);
+    assert_eq!(bounded.load_snapshot_bin(&snapshot).unwrap(), 4);
     assert_eq!(bounded.len(), 2, "load must not exceed the capacity bound");
     assert_eq!(bounded.stats().evictions, 2);
     // A disabled cache stores nothing and reports exactly that.
     let disabled = ReportCache::new(CacheConfig::unsharded(0));
-    assert_eq!(disabled.load_snapshot(&snapshot).unwrap(), 0);
+    assert_eq!(disabled.load_snapshot_bin(&snapshot).unwrap(), 0);
     assert!(disabled.is_empty());
 }
