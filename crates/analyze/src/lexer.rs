@@ -6,9 +6,8 @@
 //!
 //! * line comments (`//`), nested block comments (`/* /* */ */`);
 //! * string, raw-string (`r#"…"#`), byte-string and char literals — their
-//!   *contents* survive as [`TokenKind::Str`] tokens (the codec-symmetry
-//!   lint matches on key literals) but never produce identifier tokens, so
-//!   a lint needle inside a string can never fire;
+//!   *contents* survive as [`TokenKind::Str`] tokens but never produce
+//!   identifier tokens, so a lint needle inside a string can never fire;
 //! * lifetimes (`'a`) vs. char literals (`'a'`);
 //! * identifiers, number literals and single-character punctuation.
 //!

@@ -1,7 +1,7 @@
 //! mspt-analyze: the workspace lint pass that machine-checks the
-//! determinism, locking and codec contracts.
+//! determinism and locking contracts.
 //!
-//! The workspace's correctness story rests on three contracts that the type
+//! The workspace's correctness story rests on two contracts that the type
 //! system cannot express and code review keeps re-litigating:
 //!
 //! * **determinism** — every random stream derives from
@@ -9,14 +9,15 @@
 //!   and no wall clock or hash-order iteration feeds an evaluation result;
 //! * **locking** — a consistent acquisition order, condvar predicates
 //!   re-checked in loops, an explicit poison policy, and no blocking calls
-//!   under a held guard;
-//! * **codec symmetry** — every key a `*_to_json` encoder writes is read by
-//!   its `*_from_json` decoder and vice versa.
+//!   under a held guard.
 //!
-//! This crate machine-checks all three. It is deliberately dependency-free:
+//! (The codecs need no lint: both render one field list per wire type, so
+//! encode and decode agree by construction.)
+//!
+//! This crate machine-checks both. It is deliberately dependency-free:
 //! a hand-rolled [`lexer`] strips comments and strings into a token stream,
 //! [`source`] walks the workspace and computes `#[cfg(test)]` regions, and
-//! the [`lint`] framework runs the five lints in [`lints`] and applies the
+//! the [`lint`] framework runs the four lints in [`lints`] and applies the
 //! escape comments.
 //!
 //! # Escape comments

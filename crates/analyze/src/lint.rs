@@ -36,7 +36,6 @@ pub fn default_lints() -> Vec<Box<dyn Lint>> {
         Box::new(crate::lints::domain_tag::DomainTag::default()),
         Box::new(crate::lints::unsafe_calls::UnsafeCalls),
         Box::new(crate::lints::locks::LockDiscipline),
-        Box::new(crate::lints::codec_symmetry::CodecSymmetry),
     ]
 }
 

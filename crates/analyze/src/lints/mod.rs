@@ -1,4 +1,4 @@
-//! The five repo-contract lints.
+//! The four repo-contract lints.
 //!
 //! Each module ships one [`crate::lint::Lint`] implementation:
 //!
@@ -8,60 +8,14 @@
 //! | [`domain_tag`] | `*_DOMAIN` seed tags are registered and collision-free |
 //! | [`unsafe_calls`] | no wall clocks or hash-order iteration in evaluation paths |
 //! | [`locks`] | lock ordering, condvar predicates, poison policy, no blocking under a lock |
-//! | [`codec_symmetry`] | every `*_to_json` key round-trips through `*_from_json` |
 
-pub mod codec_symmetry;
 pub mod domain_tag;
 pub mod locks;
 pub mod raw_seed;
 pub mod unsafe_calls;
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::Token;
 use crate::source::matching;
-
-/// `fn <name> … { body }` spans, keyed by function name: `(name, body-open
-/// index, body-close index, name line, name col)`.
-pub(crate) fn function_bodies(tokens: &[Token]) -> Vec<(String, usize, usize, u32, u32)> {
-    let mut bodies = Vec::new();
-    let mut index = 0;
-    while index < tokens.len() {
-        if !tokens[index].is_ident("fn") {
-            index += 1;
-            continue;
-        }
-        let Some(name) = tokens.get(index + 1).filter(|t| t.kind == TokenKind::Ident) else {
-            index += 1;
-            continue;
-        };
-        // The body is the first `{` at zero paren/bracket depth after the
-        // signature (generics, arguments, return type may nest).
-        let mut probe = index + 2;
-        let mut depth = 0i32;
-        let mut body = None;
-        while probe < tokens.len() {
-            let token = &tokens[probe];
-            if token.is_punct('(') || token.is_punct('[') {
-                depth += 1;
-            } else if token.is_punct(')') || token.is_punct(']') {
-                depth -= 1;
-            } else if token.is_punct('{') && depth == 0 {
-                body = Some(probe);
-                break;
-            } else if token.is_punct(';') && depth == 0 {
-                break;
-            }
-            probe += 1;
-        }
-        let Some(open) = body else {
-            index += 2;
-            continue;
-        };
-        let close = matching(tokens, open, '{', '}').unwrap_or(tokens.len() - 1);
-        bodies.push((name.text.clone(), open, close, name.line, name.col));
-        index = open + 1;
-    }
-    bodies
-}
 
 /// Whether `tokens[index..]` starts a `.name(` method-call sequence, with
 /// `index` pointing at the `.`.

@@ -305,11 +305,11 @@ mod tests {
             "sim",
             "// mspt-analyze: allow(raw-seed) reason one\n\
              // mspt-analyze: allow(lock-discipline) reason two\n\
-             let x = 1; // mspt-analyze: allow(codec-symmetry) inline reason\n",
+             let x = 1; // mspt-analyze: allow(determinism-unsafe-calls) inline reason\n",
         );
         assert!(file.allow_for("raw-seed", 3).is_some());
         assert!(file.allow_for("lock-discipline", 3).is_some());
-        assert!(file.allow_for("codec-symmetry", 3).is_some());
+        assert!(file.allow_for("determinism-unsafe-calls", 3).is_some());
         // A non-adjacent allow does not leak downward.
         assert!(file.allow_for("raw-seed", 5).is_none());
         // An unrelated lint is not silenced.

@@ -106,14 +106,14 @@ impl LogicLevel {
     }
 
     /// Number of distinct words of `len` digits in this radix (`n^len`),
-    /// saturating at `u128::MAX`.
+    /// or `u128::MAX` when that does not fit a `u128`. Exponentiation by
+    /// squaring takes `O(log len)` steps, so a hostile length costs nothing.
     #[must_use]
     pub fn word_count(self, len: usize) -> u128 {
-        let mut acc: u128 = 1;
-        for _ in 0..len {
-            acc = acc.saturating_mul(u128::from(self.0));
-        }
-        acc
+        u32::try_from(len)
+            .ok()
+            .and_then(|len| u128::from(self.0).checked_pow(len))
+            .unwrap_or(u128::MAX)
     }
 }
 
@@ -272,6 +272,23 @@ mod tests {
     #[test]
     fn word_count_saturates() {
         assert_eq!(LogicLevel::new(16).unwrap().word_count(64), u128::MAX);
+    }
+
+    #[test]
+    fn word_counts_are_exact_or_max_in_bounded_time() {
+        // Against repeated checked multiplication, past each radix's
+        // overflow length (2¹²⁸ overflows at length 128).
+        for radix in 2..=16u8 {
+            let level = LogicLevel::new(radix).unwrap();
+            let mut expected = Some(1u128);
+            for len in 0..=200 {
+                assert_eq!(level.word_count(len), expected.unwrap_or(u128::MAX));
+                expected = expected.and_then(|count| count.checked_mul(u128::from(radix)));
+            }
+            for len in [2_000_000_000, usize::MAX] {
+                assert_eq!(level.word_count(len), u128::MAX);
+            }
+        }
     }
 
     #[test]

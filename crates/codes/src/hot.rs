@@ -45,7 +45,7 @@ impl HotCodeParams {
     }
 
     /// The number of words in the code space: the multinomial coefficient
-    /// `M! / (k!)^n`, saturating at `u128::MAX`.
+    /// `M! / (k!)^n`, or `u128::MAX` when that does not fit a `u128`.
     #[must_use]
     pub fn space_size(&self) -> u128 {
         multinomial_equal_parts(
@@ -56,36 +56,39 @@ impl HotCodeParams {
     }
 }
 
-/// `M! / (k!)^n` computed incrementally to avoid overflow for the small
-/// parameters used by decoders; saturates at `u128::MAX`.
+/// `M! / (k!)^n` for `M = n·k`, as the product of binomial coefficients
+/// `C(M, k) · C(M−k, k) ⋯ C(k, k)`; `u128::MAX` when it does not fit a
+/// `u128`.
 fn multinomial_equal_parts(m: usize, k: usize, n: usize) -> u128 {
-    // Product of binomial coefficients: C(m, k) * C(m-k, k) * ... * C(k, k).
-    let mut total: u128 = 1;
-    let mut remaining = m;
-    for _ in 0..n {
-        total = total.saturating_mul(binomial(remaining, k));
-        remaining -= k;
-    }
-    total
+    (0..n)
+        .try_fold(1u128, |total, part| {
+            total.checked_mul(binomial(m - part * k, k))
+        })
+        .unwrap_or(u128::MAX)
 }
 
-/// Binomial coefficient with saturation.
+/// The binomial coefficient `C(n, k)`, or `u128::MAX` when it does not fit
+/// a `u128`.
 fn binomial(n: usize, k: usize) -> u128 {
     if k > n {
         return 0;
     }
     let k = k.min(n - k);
-    let mut num: u128 = 1;
-    let mut den: u128 = 1;
+    // C(n, i + 1) = C(n, i) · (n − i) / (i + 1), exactly: after dividing out
+    // g = gcd(C(n, i), i + 1), the rest of i + 1 divides n − i. The value at
+    // least doubles while i ≤ (n − 2)/3, so for n ≥ 383 the loop overflows
+    // and stops within 128 steps; for smaller n it ends within 191.
+    let mut value: u128 = 1;
     for i in 0..k {
-        num = num.saturating_mul((n - i) as u128);
-        den = den.saturating_mul((i + 1) as u128);
-        // Keep the intermediate values small by dividing out common factors.
-        let g = gcd(num, den);
-        num /= g;
-        den /= g;
+        let denominator = (i + 1) as u128;
+        let common = gcd(value, denominator);
+        let factor = (n - i) as u128 / (denominator / common);
+        match (value / common).checked_mul(factor) {
+            Some(next) => value = next,
+            None => return u128::MAX,
+        }
     }
-    num / den
+    value
 }
 
 fn gcd(mut a: u128, mut b: u128) -> u128 {
@@ -251,10 +254,66 @@ mod tests {
 
     #[test]
     fn too_large_spaces_are_rejected() {
-        // Binary hot code with M = 80 has C(80, 40) >> 2^20 words.
-        assert!(matches!(
-            hot_code(LogicLevel::BINARY, 80),
-            Err(CodeError::SpaceTooLarge { .. })
-        ));
+        // Binary hot code with M = 80 has C(80, 40) >> 2^20 words; at
+        // M = 1000 and 2·10⁶ the space does not fit a u128.
+        for length in [80, 1_000, 2_000_000] {
+            assert!(matches!(
+                hot_code(LogicLevel::BINARY, length),
+                Err(CodeError::SpaceTooLarge { .. })
+            ));
+        }
+        assert_eq!(
+            hot_space_size(LogicLevel::BINARY, 1_000).unwrap(),
+            u128::MAX
+        );
+        assert_eq!(hot_space_size(LogicLevel::BINARY, 200).unwrap(), u128::MAX);
+    }
+
+    /// Rows `0..rows` of Pascal's triangle in checked arithmetic: `None`
+    /// where the entry does not fit a `u128`.
+    fn pascal(rows: usize) -> Vec<Vec<Option<u128>>> {
+        let mut triangle: Vec<Vec<Option<u128>>> = vec![vec![Some(1)]];
+        for n in 1..rows {
+            let above = &triangle[n - 1];
+            let row = (0..=n)
+                .map(|k| {
+                    let left = if k == 0 { Some(0) } else { above[k - 1] };
+                    let right = above.get(k).copied().unwrap_or(Some(0));
+                    left?.checked_add(right?)
+                })
+                .collect();
+            triangle.push(row);
+        }
+        triangle
+    }
+
+    #[test]
+    fn binomials_and_multinomials_are_exact_or_max() {
+        // C(200, 100) ≈ 9·10⁵⁸ is past the u128 range, and every radix's
+        // multinomial overflows below M = 200.
+        let triangle = pascal(201);
+        for (n, row) in triangle.iter().enumerate() {
+            for (k, &expected) in row.iter().enumerate() {
+                assert_eq!(binomial(n, k), expected.unwrap_or(u128::MAX), "C({n}, {k})");
+            }
+        }
+        for radix in 2..=16usize {
+            let mut overflowed = false;
+            for k in 1..=200 / radix {
+                let m = k * radix;
+                let expected = (0..radix)
+                    .try_fold(1u128, |total, part| {
+                        total.checked_mul(triangle[m - part * k][k]?)
+                    })
+                    .unwrap_or(u128::MAX);
+                overflowed |= expected == u128::MAX;
+                assert_eq!(
+                    multinomial_equal_parts(m, k, radix),
+                    expected,
+                    "radix {radix}, M = {m}"
+                );
+            }
+            assert!(overflowed, "radix {radix} never overflows below M = 200");
+        }
     }
 }

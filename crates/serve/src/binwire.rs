@@ -57,7 +57,6 @@ const TAG_REPLY_ERROR: u8 = 0x02;
 
 /// Encodes a request as a binary wire document: its config section.
 #[must_use]
-// mspt-analyze: allow(codec-symmetry) the legacy override sections are read (applied onto the decoded config) and never written
 pub fn request_to_bin(request: &ReportRequest) -> Vec<u8> {
     let mut payload = BinWriter::new();
     payload.section(TAG_REQUEST_CONFIG, &config_to_bin(&request.config));

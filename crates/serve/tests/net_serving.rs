@@ -38,8 +38,9 @@ use decoder_sim::{
 };
 use mspt_serve::net::MAX_FRAME_BYTES;
 use mspt_serve::{
-    parse_reply_any, probe_shed, read_frame, request_to_bin, run_net_stress, write_frame,
-    NetClient, NetServer, ReportRequest, ReportServer, StressConfig, WireCodec, WireReply,
+    parse_reply_any, probe_shed, read_frame, request_from_bin, request_to_bin, run_net_stress,
+    write_frame, NetClient, NetServer, ReportRequest, ReportServer, StressConfig, WireCodec,
+    WireReply,
 };
 use nanowire_codes::{
     ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
@@ -571,7 +572,11 @@ fn paper(kind: CodeKind, radix: LogicLevel, length: usize) -> SimConfig {
 /// 8 192 words or a ternary arranged hot code of 34 650 words overflows a
 /// 2 MiB worker stack and aborts the server, a binary arranged hot code of
 /// length 28 enumerates C(28, 14) ≈ 4·10⁷ combinations, and a zero node
-/// budget with an unbounded limit slack retries forever. Each oversized
+/// budget with an unbounded limit slack retries forever. Space sizes that
+/// do not fit a `u128` must saturate, not wrap: a wrapped hot-code size
+/// (C(1000, 500) read as 1) starts an enumeration that exhausts memory or
+/// the stack, and a tree-family size computed digit by digit holds a worker
+/// for a time linear in the length. Each oversized
 /// space and each budget above its default must get a typed error within
 /// the 1 s read timeout, in both codecs, with the next well-formed request
 /// on the connection answered bit-identically; the unbounded slack is
@@ -599,6 +604,30 @@ fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
         (
             "AHC binary M = 28",
             paper(CodeKind::ArrangedHot, LogicLevel::BINARY, 28),
+        ),
+        (
+            "HC binary M = 1000",
+            paper(CodeKind::Hot, LogicLevel::BINARY, 1_000),
+        ),
+        (
+            "HC binary M = 2·10⁶",
+            paper(CodeKind::Hot, LogicLevel::BINARY, 2_000_000),
+        ),
+        (
+            "AHC binary M = 1000",
+            paper(CodeKind::ArrangedHot, LogicLevel::BINARY, 1_000),
+        ),
+        (
+            "AHC binary M = 2·10⁶",
+            paper(CodeKind::ArrangedHot, LogicLevel::BINARY, 2_000_000),
+        ),
+        (
+            "TC binary M = 2·10⁹",
+            paper(CodeKind::Tree, LogicLevel::BINARY, 2_000_000_000),
+        ),
+        (
+            "GC binary M = 2·10⁹",
+            paper(CodeKind::Gray, LogicLevel::BINARY, 2_000_000_000),
         ),
         (
             "BGC node budget",
@@ -785,4 +814,102 @@ fn every_request_truncation_gets_a_typed_error_at_a_live_server() {
     assert_eq!(handle.served(), frames);
     handle.shutdown();
     assert_eq!(request.to_json_string(), json);
+}
+
+/// What a live server must answer to a request payload: its decoded
+/// configuration's report, or a typed error of the class the failure
+/// belongs to.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Report(PlatformReport),
+    Error(WireErrorKind),
+}
+
+fn answer_of(reply: WireReply) -> Answer {
+    match reply {
+        WireReply::Report(report) => Answer::Report(report),
+        WireReply::Error(error) => Answer::Error(error.kind),
+    }
+}
+
+/// The in-process answer to a request payload. A payload whose first byte
+/// is not the binary magic goes down the JSON path, where a binary
+/// document is not a JSON request.
+fn expected_answer(payload: &[u8]) -> Answer {
+    if !bincodec::is_binary(payload) {
+        return Answer::Error(WireErrorKind::BadRequest);
+    }
+    match request_from_bin(payload) {
+        Err(_) => Answer::Error(WireErrorKind::BadRequest),
+        Ok(request) => match SimulationPlatform::new(request.config).evaluate() {
+            Ok(report) => Answer::Report(report),
+            Err(_) => Answer::Error(WireErrorKind::Internal),
+        },
+    }
+}
+
+/// Every single-bit flip of one binary request, framed correctly, at a live
+/// server: each flipped frame gets the report of the configuration it
+/// decodes to, or a typed error of the class the in-process decoder and
+/// evaluation give, and a well-formed request after every 64th flip is
+/// answered bit-identically. A flip can turn a field into any value, so the
+/// server must bound what it admits before working on it: a high bit of the
+/// code length asks for ~2⁶³ digits, which must be a typed error at once.
+///
+/// The request is a defect-free binary Gray code of length 10 (32 words),
+/// chosen so that every flip the server admits is answered quickly even in
+/// the debug test profile: a flipped kind tag gives a tree or a hot code
+/// (never a balanced-Gray or arranged-hot search, which a Gray tag is two
+/// bits away from), flipped lengths and radices give at most 10⁵ words or a
+/// typed `SpaceTooLarge`, and with no defects no crossbar is sampled.
+#[test]
+fn every_request_bit_flip_gets_a_typed_error_or_its_report_at_a_live_server() {
+    let server = report_server(2);
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
+    let request = ReportRequest::new(paper(CodeKind::Gray, LogicLevel::BINARY, 10));
+    let reference = reference(&request.config);
+    let payload = request_to_bin(&request);
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = 0u64;
+    let mut reports = 0;
+    for bit in 0..payload.len() * 8 {
+        let mut flipped = payload.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let what = format!("request with bit {bit} flipped");
+        let answer = answer_of(round_trip(&mut stream, &flipped, &what));
+        if matches!(answer, Answer::Report(_)) {
+            reports += 1;
+        }
+        assert_eq!(answer, expected_answer(&flipped), "{what}");
+        frames += 1;
+        if frames.is_multiple_of(64) {
+            let well_formed = round_trip(&mut stream, &payload, &what);
+            assert_eq!(
+                well_formed,
+                WireReply::Report(reference.clone()),
+                "{what}: the next well-formed request"
+            );
+            frames += 1;
+        }
+    }
+    // Flips inside the values of the report's inputs are served.
+    assert!(reports > 0);
+    assert_eq!(handle.served(), frames);
+
+    // Both workers are still there: once the flipping connection has let go
+    // of its worker, two connections held open at once are each answered.
+    drop(stream);
+    let mut first = NetClient::connect(handle.local_addr()).unwrap();
+    let mut second = NetClient::connect(handle.local_addr()).unwrap();
+    for client in [&mut first, &mut second] {
+        let reply = client.call_bytes(&payload).unwrap();
+        assert_eq!(expect_report(Some(reply), "after the flips"), reference);
+    }
+    assert_eq!(handle.served(), frames + 2);
+    handle.shutdown();
 }

@@ -29,6 +29,18 @@
 //! bodies are fixed little-endian layouts (`u64`/`u32`/`u8` integers,
 //! `f64::to_le_bytes` floats, `u32`-length-prefixed UTF-8 strings).
 //!
+//! # Rendered from the wire schema
+//!
+//! Config and report documents, the leaf bodies and the flat stage-key
+//! bytes are this module's backend of the crate's wire schema, the one
+//! field list per type that the JSON codec renders too. A record's body is
+//! its fields back to back in listing order; a document groups its fields
+//! by section tag, sections in ascending tag order and fields in listing
+//! order within a section. A field's section body bytes are its stage-key
+//! bytes, except the window override, whose section is written only when
+//! it is set and then holds the bare value (a key carries a presence byte
+//! instead).
+//!
 //! # Versioning discipline
 //!
 //! * A document whose schema version differs from [`BIN_SCHEMA_VERSION`] is
@@ -37,30 +49,25 @@
 //!   a version-1 reader stays forward-compatible with payloads to which a
 //!   later writer appended new sections, exactly as the JSON decoder
 //!   ignores object keys it does not read.
-//! * Every section this version writes is **required** when decoding
-//!   (except genuinely optional values such as the window override): the
-//!   binary format is new in version 1, so unlike the JSON codec it has no
-//!   pre-field legacy documents to stay lenient for. A truncated document
-//!   therefore always fails — there is no prefix of a valid document that
-//!   decodes successfully.
+//! * Every section this version writes is **required** when decoding,
+//!   except the window override (its absence is the unset state) and the
+//!   config's Monte-Carlo section, which postdates version 1 and defaults
+//!   to the fixed-sample behaviour. The binary format postdates the other
+//!   additive fields, so unlike the JSON codec it has no other legacy
+//!   documents to stay lenient for.
 //! * Non-finite floats are rejected on decode. JSON cannot represent them
 //!   (the JSON encoder maps them to `null`, which its decoder rejects), so
 //!   accepting them here would let the two codecs disagree.
 
-use nanowire_codes::{
-    ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
-};
-
-use crossbar_array::LayoutRules;
-use device_physics::{Nanometers, ThresholdModel, Volts};
+use nanowire_codes::CodeSpec;
 
 use crate::codec::WireErrorKind;
 use crate::config::SimConfig;
-use crate::defect::{DefectConfig, DefectKind};
+use crate::defect::DefectKind;
 use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
-use crate::monte_carlo::MonteCarloConfig;
 use crate::platform::PlatformReport;
+use crate::schema::{blank_code, blank_report, encode, Field, Presence, Record, Value, Wire};
 use crate::stage::ConfigField;
 
 /// The four magic bytes that open every binary document. The first byte,
@@ -117,21 +124,25 @@ impl BinWriter {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, value: u8) {
         self.buf.push(value);
     }
 
     /// Appends a `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, value: u32) {
         self.buf.extend_from_slice(&value.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, value: u64) {
         self.buf.extend_from_slice(&value.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64` (lossless on every supported target).
+    #[inline]
     pub fn put_usize(&mut self, value: usize) {
         self.put_u64(value as u64);
     }
@@ -139,11 +150,13 @@ impl BinWriter {
     /// Appends an `f64` as its 8 IEEE-754 bytes, little-endian — the
     /// bit-exact round trip the JSON codec achieves with shortest-roundtrip
     /// formatting.
+    #[inline]
     pub fn put_f64(&mut self, value: f64) {
         self.buf.extend_from_slice(&value.to_le_bytes());
     }
 
     /// Appends raw bytes with no framing — the caller owns the layout.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -203,6 +216,7 @@ impl<'a> BinReader<'a> {
 
     /// How many bytes remain unread.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -213,6 +227,7 @@ impl<'a> BinReader<'a> {
     ///
     /// Returns [`SimError::Persistence`] when fewer than `count` bytes
     /// remain.
+    #[inline]
     pub fn take_bytes(&mut self, count: usize) -> Result<&'a [u8]> {
         if count > self.remaining() {
             return Err(err(format!(
@@ -230,6 +245,7 @@ impl<'a> BinReader<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on truncation.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8> {
         Ok(self.take_bytes(1)?[0])
     }
@@ -249,6 +265,7 @@ impl<'a> BinReader<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on truncation.
+    #[inline]
     pub fn take_u32(&mut self) -> Result<u32> {
         let bytes = self.take_bytes(4)?;
         Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
@@ -259,6 +276,7 @@ impl<'a> BinReader<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on truncation.
+    #[inline]
     pub fn take_u64(&mut self) -> Result<u64> {
         let bytes = self.take_bytes(8)?;
         let mut raw = [0u8; 8];
@@ -272,6 +290,7 @@ impl<'a> BinReader<'a> {
     ///
     /// Returns [`SimError::Persistence`] on truncation or when the value
     /// does not fit this target's `usize`.
+    #[inline]
     pub fn take_usize(&mut self) -> Result<usize> {
         let value = self.take_u64()?;
         usize::try_from(value).map_err(|_| err(format!("value {value} does not fit a usize")))
@@ -284,6 +303,7 @@ impl<'a> BinReader<'a> {
     ///
     /// Returns [`SimError::Persistence`] on truncation or a non-finite
     /// value.
+    #[inline]
     pub fn take_f64(&mut self) -> Result<f64> {
         let bytes = self.take_bytes(8)?;
         let mut raw = [0u8; 8];
@@ -383,39 +403,269 @@ pub fn document_payload(bytes: &[u8], kind: u8) -> Result<&[u8]> {
 }
 
 // ---------------------------------------------------------------------------
-// Leaf encodings (section bodies, no envelope)
+// Schema backends
 // ---------------------------------------------------------------------------
 
-fn code_kind_tag(kind: CodeKind) -> u8 {
-    match kind {
-        CodeKind::Tree => 0,
-        CodeKind::Gray => 1,
-        CodeKind::BalancedGray => 2,
-        CodeKind::Hot => 3,
-        CodeKind::ArrangedHot => 4,
+/// Section tags are `1..SECTIONS`, so a document's sections fit one `u16`
+/// mask.
+const SECTIONS: usize = 16;
+
+fn section_bit(field: Field) -> u16 {
+    1 << field.tag
+}
+
+/// The body encoder: every field in listing order, back to back — a nested
+/// record, or a leaf body such as [`code_spec_to_bin`]'s.
+pub(crate) struct BodyOut<'a>(pub(crate) &'a mut BinWriter);
+
+impl Wire for BodyOut<'_> {
+    const DECODES: bool = false;
+
+    #[inline(always)]
+    fn field<V: Value>(&mut self, _: Field, value: &mut V) -> Result<()> {
+        value.put(self.0);
+        Ok(())
     }
 }
 
-fn code_kind_from_tag(tag: u8) -> Result<CodeKind> {
-    CodeKind::ALL
-        .into_iter()
-        .find(|&kind| code_kind_tag(kind) == tag)
-        .ok_or_else(|| err(format!("unknown code kind tag {tag}")))
+/// The body decoder: every field in listing order.
+pub(crate) struct BodyIn<'a, 'b>(pub(crate) &'b mut BinReader<'a>);
+
+impl Wire for BodyIn<'_, '_> {
+    const DECODES: bool = true;
+
+    #[inline(always)]
+    fn field<V: Value>(&mut self, _: Field, value: &mut V) -> Result<()> {
+        value.read(self.0)
+    }
 }
 
-/// Writes a [`CodeSpec`] body: `kind:u8  radix:u8  length:u64 LE`.
-pub(crate) fn put_code_spec(writer: &mut BinWriter, code: CodeSpec) {
-    writer.put_u8(code_kind_tag(code.kind()));
-    writer.put_u8(code.radix().radix());
-    writer.put_usize(code.code_length());
+/// A document encoder pass: collects the section tags of a record's fields
+/// (`tag == 0`), or writes the fields of one section.
+struct SectionOut<'a> {
+    out: &'a mut BinWriter,
+    tag: u8,
+    tags: u16,
 }
+
+impl Wire for SectionOut<'_> {
+    const DECODES: bool = false;
+
+    #[inline(always)]
+    fn field<V: Value>(&mut self, field: Field, value: &mut V) -> Result<()> {
+        self.tags |= section_bit(field);
+        if field.tag == self.tag {
+            value.put(self.out);
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn when_set<V: Value + Default>(&mut self, field: Field, value: &mut Option<V>) -> Result<()> {
+        match value {
+            Some(value) => self.field(field, value),
+            None => Ok(()),
+        }
+    }
+}
+
+fn duplicate(tag: u8) -> SimError {
+    err(format!("duplicate section 0x{tag:02x} in binary document"))
+}
+
+fn missing(field: Field) -> SimError {
+    err(format!(
+        "binary document is missing section 0x{:02x} ({})",
+        field.tag, field.key
+    ))
+}
+
+/// A document decoder pass: reads the fields of one section from its body.
+struct SectionIn<'a> {
+    tag: u8,
+    body: BinReader<'a>,
+    /// Whether a field of the record lives in this section.
+    known: bool,
+}
+
+impl Wire for SectionIn<'_> {
+    const DECODES: bool = true;
+
+    #[inline(always)]
+    fn field<V: Value>(&mut self, field: Field, value: &mut V) -> Result<()> {
+        if field.tag != self.tag {
+            return Ok(());
+        }
+        self.known = true;
+        value.read(&mut self.body)
+    }
+
+    #[inline(always)]
+    fn when_set<V: Value + Default>(&mut self, field: Field, value: &mut Option<V>) -> Result<()> {
+        if field.tag != self.tag {
+            return Ok(());
+        }
+        self.field(field, value.get_or_insert_with(V::default))
+    }
+}
+
+/// After every section is read: a field whose section the document lacks
+/// keeps its default, or fails the decode.
+struct Missing {
+    seen: u16,
+}
+
+impl Wire for Missing {
+    const DECODES: bool = true;
+
+    #[inline(always)]
+    fn field<V: Value>(&mut self, field: Field, _: &mut V) -> Result<()> {
+        if self.seen & section_bit(field) != 0 || field.presence == Presence::Default {
+            Ok(())
+        } else {
+            Err(missing(field))
+        }
+    }
+
+    fn when_set<V: Value + Default>(&mut self, _: Field, _: &mut Option<V>) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// Encodes a record as a document of kind `kind`: its fields grouped into
+/// sections in ascending tag order, listing order within a section. The
+/// first pass collects the tags; an unset [`Wire::when_set`] field has
+/// none, so its section is left out.
+pub(crate) fn put_document<R: Record>(kind: u8, record: &R) -> Vec<u8> {
+    let mut out = BinWriter {
+        buf: document(kind, &[]),
+    };
+    let mut pass = SectionOut {
+        out: &mut out,
+        tag: 0,
+        tags: 0,
+    };
+    encode(record, &mut pass);
+    let tags = pass.tags;
+    for tag in (1..SECTIONS as u8).filter(|&tag| tags & (1 << tag) != 0) {
+        let header = out.buf.len();
+        out.put_u8(tag);
+        out.put_u32(0);
+        encode(
+            record,
+            &mut SectionOut {
+                out: &mut out,
+                tag,
+                tags: 0,
+            },
+        );
+        let length = u32::try_from(out.buf.len() - header - 5).unwrap_or(u32::MAX);
+        out.buf[header + 1..header + 5].copy_from_slice(&length.to_le_bytes());
+    }
+    out.into_bytes()
+}
+
+/// Decodes a document of kind `kind` into `record`, one pass over the field
+/// list per section. Unknown section tags are skipped; a field's
+/// section is required unless its presence rule defaults it.
+pub(crate) fn read_document<R: Record>(bytes: &[u8], kind: u8, mut record: R) -> Result<R> {
+    let mut reader = BinReader::new(document_payload(bytes, kind)?);
+    let mut seen = 0u16;
+    while let Some((tag, body)) = reader.next_section()? {
+        let mut pass = SectionIn {
+            tag,
+            body: BinReader::new(body),
+            known: false,
+        };
+        record.fields(&mut pass)?;
+        if pass.known {
+            // A known tag is below `SECTIONS`, so the shift cannot overflow.
+            if seen & (1 << tag) != 0 {
+                return Err(duplicate(tag));
+            }
+            seen |= 1 << tag;
+            pass.body.finish()?;
+        }
+    }
+    record.fields(&mut Missing { seen })?;
+    record.finish()?;
+    Ok(record)
+}
+
+/// The stage-key encoder: the body encoding of the wanted fields, each
+/// one's byte span recorded by its position in the field list.
+struct KeyFields {
+    out: BinWriter,
+    wanted: u32,
+    position: usize,
+    spans: [(usize, usize); ConfigField::ALL.len()],
+}
+
+impl Wire for KeyFields {
+    const DECODES: bool = false;
+
+    #[inline(always)]
+    fn field<V: Value>(&mut self, _: Field, value: &mut V) -> Result<()> {
+        if self.wanted & (1 << self.position) != 0 {
+            let start = self.out.buf.len();
+            value.put(&mut self.out);
+            self.spans[self.position] = (start, self.out.buf.len());
+        }
+        self.position += 1;
+        Ok(())
+    }
+}
+
+/// The flat key bytes of `fields` of `config`, concatenated in `fields`
+/// order: each field's body encoding, the window override behind a presence
+/// byte. Every encoding is self-delimiting, so concatenating any fixed list
+/// of fields is injective.
+pub(crate) fn config_key(config: &SimConfig, fields: &[ConfigField]) -> Vec<u8> {
+    let mut pass = KeyFields {
+        // Every field of a configuration encodes to at most 219 bytes.
+        out: BinWriter {
+            buf: Vec::with_capacity(256),
+        },
+        wanted: fields
+            .iter()
+            .fold(0, |wanted, &field| wanted | 1 << field as u32),
+        position: 0,
+        spans: [(0, 0); ConfigField::ALL.len()],
+    };
+    encode(config, &mut pass);
+    // Most read sets are in listing order, and then the bytes are the key.
+    if fields.is_sorted_by_key(|&field| field as usize) {
+        return pass.out.buf;
+    }
+    let mut key = Vec::with_capacity(pass.out.buf.len());
+    for &field in fields {
+        let (start, end) = pass.spans[field as usize];
+        key.extend_from_slice(&pass.out.buf[start..end]);
+    }
+    key
+}
+
+fn body<V: Value>(value: &V) -> Vec<u8> {
+    let mut out = BinWriter::new();
+    value.put(&mut out);
+    out.into_bytes()
+}
+
+fn from_body<V: Value>(bytes: &[u8], mut value: V) -> Result<V> {
+    let mut input = BinReader::new(bytes);
+    value.read(&mut input)?;
+    input.finish()?;
+    Ok(value)
+}
+
+// ---------------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------------
 
 /// Encodes a [`CodeSpec`] body: `kind:u8  radix:u8  length:u64 LE`.
 #[must_use]
 pub fn code_spec_to_bin(code: CodeSpec) -> Vec<u8> {
-    let mut writer = BinWriter::new();
-    put_code_spec(&mut writer, code);
-    writer.into_bytes()
+    body(&code)
 }
 
 /// Decodes a [`CodeSpec`] body, re-validating length against the family.
@@ -425,34 +675,14 @@ pub fn code_spec_to_bin(code: CodeSpec) -> Vec<u8> {
 /// Returns [`SimError::Persistence`] on malformed bytes, or propagates the
 /// code layer's validation errors.
 pub fn code_spec_from_bin(bytes: &[u8]) -> Result<CodeSpec> {
-    let mut reader = BinReader::new(bytes);
-    let kind = code_kind_from_tag(reader.take_u8()?)?;
-    let radix = LogicLevel::new(reader.take_u8()?)?;
-    let length = reader.take_usize()?;
-    reader.finish()?;
-    Ok(CodeSpec::new(kind, radix, length)?)
-}
-
-/// Writes a [`DisturbanceKind`] body: `kind:u8` plus, for the correlated
-/// kind, `shared_fraction:f64`.
-pub(crate) fn put_disturbance(writer: &mut BinWriter, kind: DisturbanceKind) {
-    match kind {
-        DisturbanceKind::Gaussian => writer.put_u8(0),
-        DisturbanceKind::Laplace => writer.put_u8(1),
-        DisturbanceKind::Correlated { shared_fraction } => {
-            writer.put_u8(2);
-            writer.put_f64(shared_fraction);
-        }
-    }
+    from_body(bytes, blank_code())
 }
 
 /// Encodes a [`DisturbanceKind`] body: `kind:u8` plus, for the correlated
 /// kind, `shared_fraction:f64`.
 #[must_use]
 pub fn disturbance_to_bin(kind: DisturbanceKind) -> Vec<u8> {
-    let mut writer = BinWriter::new();
-    put_disturbance(&mut writer, kind);
-    writer.into_bytes()
+    body(&kind)
 }
 
 /// Decodes a [`DisturbanceKind`] body.
@@ -462,102 +692,32 @@ pub fn disturbance_to_bin(kind: DisturbanceKind) -> Vec<u8> {
 /// Returns [`SimError::Persistence`] on malformed bytes or an unknown kind
 /// tag.
 pub fn disturbance_from_bin(bytes: &[u8]) -> Result<DisturbanceKind> {
-    let mut reader = BinReader::new(bytes);
-    let kind = match reader.take_u8()? {
-        0 => DisturbanceKind::Gaussian,
-        1 => DisturbanceKind::Laplace,
-        2 => DisturbanceKind::Correlated {
-            shared_fraction: reader.take_f64()?,
-        },
-        other => return Err(err(format!("unknown disturbance kind tag {other}"))),
-    };
-    reader.finish()?;
-    Ok(kind)
-}
-
-/// Writes a [`DefectKind`] body: `kind:u8` plus, for the sampled kind,
-/// `nanowire_breakage:f64  crosspoint_defect:f64  seed:u64`.
-pub(crate) fn put_defects(writer: &mut BinWriter, kind: DefectKind) {
-    match kind {
-        DefectKind::None => writer.put_u8(0),
-        DefectKind::Sampled(config) => {
-            writer.put_u8(1);
-            writer.put_f64(config.nanowire_breakage());
-            writer.put_f64(config.crosspoint_defect());
-            writer.put_u64(config.seed());
-        }
-    }
+    from_body(bytes, DisturbanceKind::default())
 }
 
 /// Encodes a [`DefectKind`] body: `kind:u8` plus, for the sampled kind,
 /// `nanowire_breakage:f64  crosspoint_defect:f64  seed:u64`.
 #[must_use]
 pub fn defect_to_bin(kind: DefectKind) -> Vec<u8> {
-    let mut writer = BinWriter::new();
-    put_defects(&mut writer, kind);
-    writer.into_bytes()
-}
-
-/// Writes a [`MonteCarloConfig`] body: `samples:u64  seed:u64`, the target
-/// half-width behind a presence byte, `confidence:f64`, then the sample
-/// ceiling behind a presence byte.
-pub(crate) fn put_monte_carlo(writer: &mut BinWriter, mc: MonteCarloConfig) {
-    writer.put_usize(mc.samples);
-    writer.put_u64(mc.seed);
-    match mc.target_half_width {
-        Some(target) => {
-            writer.put_u8(1);
-            writer.put_f64(target);
-        }
-        None => writer.put_u8(0),
-    }
-    writer.put_f64(mc.confidence);
-    match mc.max_samples {
-        Some(max) => {
-            writer.put_u8(1);
-            writer.put_usize(max);
-        }
-        None => writer.put_u8(0),
-    }
+    body(&kind)
 }
 
 /// Decodes a [`DefectKind`] body, re-validating the rates through
-/// [`DefectConfig::new`].
+/// [`DefectConfig::new`](crate::DefectConfig::new).
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed bytes or an unknown kind
 /// tag, or propagates the defect layer's rate-validation errors.
 pub fn defect_from_bin(bytes: &[u8]) -> Result<DefectKind> {
-    let mut reader = BinReader::new(bytes);
-    let kind = match reader.take_u8()? {
-        0 => DefectKind::None,
-        1 => {
-            let nanowire_breakage = reader.take_f64()?;
-            let crosspoint_defect = reader.take_f64()?;
-            let seed = reader.take_u64()?;
-            DefectKind::Sampled(DefectConfig::new(
-                nanowire_breakage,
-                crosspoint_defect,
-                seed,
-            )?)
-        }
-        other => return Err(err(format!("unknown defect kind tag {other}"))),
-    };
-    reader.finish()?;
-    Ok(kind)
+    from_body(bytes, DefectKind::None)
 }
 
 /// Encodes a [`WireErrorKind`] body as one byte, in [`WireErrorKind::ALL`]
 /// order.
 #[must_use]
 pub fn wire_error_kind_to_bin(kind: WireErrorKind) -> Vec<u8> {
-    let tag = match kind {
-        WireErrorKind::BadRequest => 0u8,
-        WireErrorKind::Overloaded => 1,
-        WireErrorKind::Internal => 2,
-    };
-    vec![tag]
+    body(&kind)
 }
 
 /// Decodes a [`WireErrorKind`] body.
@@ -566,267 +726,39 @@ pub fn wire_error_kind_to_bin(kind: WireErrorKind) -> Vec<u8> {
 ///
 /// Returns [`SimError::Persistence`] on malformed bytes or an unknown tag.
 pub fn wire_error_kind_from_bin(bytes: &[u8]) -> Result<WireErrorKind> {
-    let mut reader = BinReader::new(bytes);
-    let kind = match reader.take_u8()? {
-        0 => WireErrorKind::BadRequest,
-        1 => WireErrorKind::Overloaded,
-        2 => WireErrorKind::Internal,
-        other => return Err(err(format!("unknown wire error kind tag {other}"))),
-    };
-    reader.finish()?;
-    Ok(kind)
-}
-
-// ---------------------------------------------------------------------------
-// SimConfig document
-// ---------------------------------------------------------------------------
-
-const TAG_CONFIG_CODE: u8 = 0x01;
-const TAG_CONFIG_GEOMETRY: u8 = 0x02;
-const TAG_CONFIG_LAYOUT: u8 = 0x03;
-const TAG_CONFIG_THRESHOLD: u8 = 0x04;
-const TAG_CONFIG_NOISE: u8 = 0x05;
-const TAG_CONFIG_WINDOW: u8 = 0x06;
-const TAG_CONFIG_BUDGETS: u8 = 0x07;
-const TAG_CONFIG_DISTURBANCE: u8 = 0x08;
-const TAG_CONFIG_DEFECTS: u8 = 0x09;
-const TAG_CONFIG_MONTE_CARLO: u8 = 0x0a;
-
-fn duplicate(tag: u8) -> SimError {
-    err(format!("duplicate section 0x{tag:02x} in binary document"))
-}
-
-fn missing(what: &str) -> SimError {
-    err(format!("binary document is missing its {what} section"))
-}
-
-/// Stores a decoded section into its slot, rejecting a second occurrence —
-/// a duplicate section is a format violation, not a "last writer wins".
-fn store<T>(slot: &mut Option<T>, value: T, tag: u8) -> Result<()> {
-    if slot.replace(value).is_some() {
-        Err(duplicate(tag))
-    } else {
-        Ok(())
-    }
+    from_body(bytes, WireErrorKind::BadRequest)
 }
 
 /// Encodes a full [`SimConfig`] as a [`DOC_CONFIG`] document — every field,
 /// including the disturbance kind and the defect selection, so two
-/// configurations differing in either never serialize identically.
-///
-/// Section bodies are the [`ConfigField`] identity encoders — the bytes the
-/// stage keys are folded from — so the document and the memo keys cannot
-/// disagree on a field's layout. The window override is the one exception:
-/// its section is written only when the override is set, and then holds
-/// the bare value.
+/// configurations differing in either never serialize identically. Section
+/// bodies hold the fields' stage-key bytes, except that the window-override
+/// section is written only when the override is set, and then holds the
+/// bare value.
 #[must_use]
 pub fn config_to_bin(config: &SimConfig) -> Vec<u8> {
-    let section = |fields: &[ConfigField]| {
-        let mut body = BinWriter::new();
-        for &field in fields {
-            field.encode(config, &mut body);
-        }
-        body.into_bytes()
-    };
-    let mut payload = BinWriter::new();
-    payload.section(TAG_CONFIG_CODE, &section(&[ConfigField::Code]));
-    payload.section(
-        TAG_CONFIG_GEOMETRY,
-        &section(&[ConfigField::NanowiresPerHalfCave, ConfigField::RawBits]),
-    );
-    payload.section(TAG_CONFIG_LAYOUT, &section(&[ConfigField::Layout]));
-    payload.section(
-        TAG_CONFIG_THRESHOLD,
-        &section(&[ConfigField::ThresholdModel]),
-    );
-    payload.section(
-        TAG_CONFIG_NOISE,
-        &section(&[ConfigField::SigmaPerDose, ConfigField::SupplyRange]),
-    );
-    if let Some(window) = config.window_override() {
-        payload.section(TAG_CONFIG_WINDOW, &window.value().to_le_bytes());
-    }
-    payload.section(TAG_CONFIG_BUDGETS, &section(&[ConfigField::CodeBudgets]));
-    payload.section(
-        TAG_CONFIG_DISTURBANCE,
-        &section(&[ConfigField::Disturbance]),
-    );
-    payload.section(TAG_CONFIG_DEFECTS, &section(&[ConfigField::Defects]));
-    // Appended last so documents written by this version still parse in
-    // readers that predate the sampling knobs (they skip unknown tags).
-    payload.section(TAG_CONFIG_MONTE_CARLO, &section(&[ConfigField::MonteCarlo]));
-    document(DOC_CONFIG, &payload.into_bytes())
+    put_document(DOC_CONFIG, config)
 }
 
 /// Decodes a [`SimConfig`] document, passing every field through the same
 /// validating constructors a hand-built configuration uses. Unknown section
-/// tags are skipped; every section version 1 writes is required (the window
-/// override excepted — its absence *is* the unset state — and the
+/// tags are skipped; every section version 1 writes is required, except the
+/// window override — its absence *is* the unset state — and the
 /// Monte-Carlo section, which postdates version 1 and defaults to the
-/// historical fixed-sample behaviour when absent).
+/// historical fixed-sample behaviour when absent.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed bytes, or propagates the
 /// validation errors of the reconstructed layers.
 pub fn config_from_bin(bytes: &[u8]) -> Result<SimConfig> {
-    let mut reader = BinReader::new(document_payload(bytes, DOC_CONFIG)?);
-    let mut code = None;
-    let mut geometry = None;
-    let mut layout = None;
-    let mut threshold = None;
-    let mut noise = None;
-    let mut window = None;
-    let mut budgets = None;
-    let mut disturbance = None;
-    let mut defects = None;
-    let mut monte_carlo = None;
-    while let Some((tag, body)) = reader.next_section()? {
-        match tag {
-            TAG_CONFIG_CODE => store(&mut code, code_spec_from_bin(body)?, tag)?,
-            TAG_CONFIG_GEOMETRY => {
-                let mut section = BinReader::new(body);
-                let value = (section.take_usize()?, section.take_u64()?);
-                section.finish()?;
-                store(&mut geometry, value, tag)?;
-            }
-            TAG_CONFIG_LAYOUT => {
-                let mut section = BinReader::new(body);
-                let value = LayoutRules::new(
-                    Nanometers::new(section.take_f64()?),
-                    Nanometers::new(section.take_f64()?),
-                    section.take_f64()?,
-                    Nanometers::new(section.take_f64()?),
-                )?;
-                section.finish()?;
-                store(&mut layout, value, tag)?;
-            }
-            TAG_CONFIG_THRESHOLD => {
-                let mut section = BinReader::new(body);
-                let value = ThresholdModel::new(
-                    Nanometers::new(section.take_f64()?),
-                    Volts::new(section.take_f64()?),
-                )?;
-                section.finish()?;
-                store(&mut threshold, value, tag)?;
-            }
-            TAG_CONFIG_NOISE => {
-                let mut section = BinReader::new(body);
-                let value = (
-                    Volts::new(section.take_f64()?),
-                    Volts::new(section.take_f64()?),
-                    Volts::new(section.take_f64()?),
-                );
-                section.finish()?;
-                store(&mut noise, value, tag)?;
-            }
-            TAG_CONFIG_WINDOW => {
-                let mut section = BinReader::new(body);
-                let value = Volts::new(section.take_f64()?);
-                section.finish()?;
-                store(&mut window, value, tag)?;
-            }
-            TAG_CONFIG_BUDGETS => {
-                let mut section = BinReader::new(body);
-                let value = CodeBudgets {
-                    balance: BalanceBudget {
-                        max_nodes_per_limit: section.take_u64()?,
-                        max_limit_slack: section.take_usize()?,
-                    },
-                    arranged_hot: ArrangedHotBudget {
-                        max_nodes: section.take_u64()?,
-                        fallback: SearchBudget {
-                            max_nodes: section.take_u64()?,
-                            max_two_opt_sweeps: section.take_u32()?,
-                        },
-                    },
-                };
-                section.finish()?;
-                store(&mut budgets, value, tag)?;
-            }
-            TAG_CONFIG_DISTURBANCE => store(&mut disturbance, disturbance_from_bin(body)?, tag)?,
-            TAG_CONFIG_DEFECTS => store(&mut defects, defect_from_bin(body)?, tag)?,
-            TAG_CONFIG_MONTE_CARLO => {
-                let mut section = BinReader::new(body);
-                let mut value = MonteCarloConfig::fixed(section.take_usize()?, section.take_u64()?);
-                if section.take_u8()? != 0 {
-                    value = value.with_target_half_width(section.take_f64()?);
-                }
-                value = value.with_confidence(section.take_f64()?);
-                if section.take_u8()? != 0 {
-                    value = value.with_max_samples(section.take_usize()?);
-                }
-                section.finish()?;
-                store(&mut monte_carlo, value, tag)?;
-            }
-            _ => {} // Forward compatibility: skip sections a later writer added.
-        }
-    }
-    let code = code.ok_or_else(|| missing("code"))?;
-    let (nanowires, raw_bits) = geometry.ok_or_else(|| missing("geometry"))?;
-    let layout = layout.ok_or_else(|| missing("layout"))?;
-    let threshold = threshold.ok_or_else(|| missing("threshold"))?;
-    let (sigma, supply_low, supply_high) = noise.ok_or_else(|| missing("noise"))?;
-    let budgets = budgets.ok_or_else(|| missing("budgets"))?;
-    let disturbance = disturbance.ok_or_else(|| missing("disturbance"))?;
-    let defects = defects.ok_or_else(|| missing("defects"))?;
-    let mut config = SimConfig::new(
-        code,
-        nanowires,
-        raw_bits,
-        layout,
-        threshold,
-        sigma,
-        (supply_low, supply_high),
-    )?
-    .with_code_budgets(budgets)
-    .with_disturbance(disturbance)
-    // Optional for forward compatibility: documents written before the
-    // sampling knobs existed decode to the default fixed behaviour.
-    .with_monte_carlo(monte_carlo.unwrap_or_default())
-    .with_defects(defects);
-    if let Some(window) = window {
-        config = config.with_window(window);
-    }
-    Ok(config)
+    read_document(bytes, DOC_CONFIG, SimConfig::blank())
 }
-
-// ---------------------------------------------------------------------------
-// PlatformReport document
-// ---------------------------------------------------------------------------
-
-const TAG_REPORT_CODE: u8 = 0x01;
-const TAG_REPORT_STRUCTURE: u8 = 0x02;
-const TAG_REPORT_METRICS: u8 = 0x03;
-const TAG_REPORT_DEFECTS: u8 = 0x04;
-const TAG_REPORT_DEFECT_METRICS: u8 = 0x05;
 
 /// Encodes a [`PlatformReport`] as a [`DOC_REPORT`] document.
 #[must_use]
 pub fn report_to_bin(report: &PlatformReport) -> Vec<u8> {
-    let mut payload = BinWriter::new();
-    payload.section(TAG_REPORT_CODE, &code_spec_to_bin(report.code));
-    let mut structure = BinWriter::new();
-    structure.put_usize(report.nanowires_per_half_cave);
-    structure.put_usize(report.fabrication_steps);
-    structure.put_usize(report.contact_groups);
-    payload.section(TAG_REPORT_STRUCTURE, &structure.into_bytes());
-    let mut metrics = BinWriter::new();
-    metrics.put_f64(report.mean_variability);
-    metrics.put_f64(report.max_normalized_sigma);
-    metrics.put_f64(report.cave_yield);
-    metrics.put_f64(report.crossbar_yield);
-    metrics.put_f64(report.effective_bits);
-    metrics.put_f64(report.raw_bit_area);
-    metrics.put_f64(report.effective_bit_area);
-    payload.section(TAG_REPORT_METRICS, &metrics.into_bytes());
-    payload.section(TAG_REPORT_DEFECTS, &defect_to_bin(report.defects));
-    let mut defect_metrics = BinWriter::new();
-    defect_metrics.put_f64(report.defect_survival);
-    defect_metrics.put_f64(report.composite_yield);
-    defect_metrics.put_f64(report.composite_effective_bits);
-    payload.section(TAG_REPORT_DEFECT_METRICS, &defect_metrics.into_bytes());
-    document(DOC_REPORT, &payload.into_bytes())
+    put_document(DOC_REPORT, report)
 }
 
 /// Decodes a [`PlatformReport`] document bit-identically (floats round-trip
@@ -838,84 +770,16 @@ pub fn report_to_bin(report: &PlatformReport) -> Vec<u8> {
 ///
 /// Returns [`SimError::Persistence`] on malformed bytes.
 pub fn report_from_bin(bytes: &[u8]) -> Result<PlatformReport> {
-    let mut reader = BinReader::new(document_payload(bytes, DOC_REPORT)?);
-    let mut code = None;
-    let mut structure = None;
-    let mut metrics = None;
-    let mut defects = None;
-    let mut defect_metrics = None;
-    while let Some((tag, body)) = reader.next_section()? {
-        match tag {
-            TAG_REPORT_CODE => store(&mut code, code_spec_from_bin(body)?, tag)?,
-            TAG_REPORT_STRUCTURE => {
-                let mut section = BinReader::new(body);
-                let value = (
-                    section.take_usize()?,
-                    section.take_usize()?,
-                    section.take_usize()?,
-                );
-                section.finish()?;
-                store(&mut structure, value, tag)?;
-            }
-            TAG_REPORT_METRICS => {
-                let mut section = BinReader::new(body);
-                let value = [
-                    section.take_f64()?,
-                    section.take_f64()?,
-                    section.take_f64()?,
-                    section.take_f64()?,
-                    section.take_f64()?,
-                    section.take_f64()?,
-                    section.take_f64()?,
-                ];
-                section.finish()?;
-                store(&mut metrics, value, tag)?;
-            }
-            TAG_REPORT_DEFECTS => store(&mut defects, defect_from_bin(body)?, tag)?,
-            TAG_REPORT_DEFECT_METRICS => {
-                let mut section = BinReader::new(body);
-                let value = (
-                    section.take_f64()?,
-                    section.take_f64()?,
-                    section.take_f64()?,
-                );
-                section.finish()?;
-                store(&mut defect_metrics, value, tag)?;
-            }
-            _ => {} // Forward compatibility: skip sections a later writer added.
-        }
-    }
-    let code = code.ok_or_else(|| missing("code"))?;
-    let (nanowires_per_half_cave, fabrication_steps, contact_groups) =
-        structure.ok_or_else(|| missing("structure"))?;
-    let [mean_variability, max_normalized_sigma, cave_yield, crossbar_yield, effective_bits, raw_bit_area, effective_bit_area] =
-        metrics.ok_or_else(|| missing("metrics"))?;
-    let defects = defects.ok_or_else(|| missing("defects"))?;
-    let (defect_survival, composite_yield, composite_effective_bits) =
-        defect_metrics.ok_or_else(|| missing("defect metrics"))?;
-    Ok(PlatformReport {
-        code,
-        nanowires_per_half_cave,
-        fabrication_steps,
-        mean_variability,
-        max_normalized_sigma,
-        cave_yield,
-        crossbar_yield,
-        effective_bits,
-        raw_bit_area,
-        effective_bit_area,
-        contact_groups,
-        defects,
-        defect_survival,
-        composite_yield,
-        composite_effective_bits,
-    })
+    read_document(bytes, DOC_REPORT, blank_report())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monte_carlo::MonteCarloConfig;
     use crate::platform::SimulationPlatform;
+    use device_physics::Volts;
+    use nanowire_codes::{CodeKind, LogicLevel};
 
     fn base_config() -> SimConfig {
         let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
@@ -954,7 +818,7 @@ mod tests {
         let mut legacy_payload = BinWriter::new();
         let mut reader = BinReader::new(payload);
         while let Some((tag, body)) = reader.next_section().unwrap() {
-            if tag != TAG_CONFIG_MONTE_CARLO {
+            if tag != 0x0a {
                 legacy_payload.section(tag, body);
             }
         }
@@ -971,6 +835,32 @@ mod tests {
         let decoded = report_from_bin(&bytes).unwrap();
         assert_eq!(decoded, report);
         assert_eq!(report_to_bin(&decoded), bytes);
+    }
+
+    #[test]
+    fn sections_decode_in_any_order() {
+        // Defects make the report's composites differ from its decoder
+        // quantities, which a later section must not overwrite.
+        let config = base_config()
+            .with_window(Volts::new(0.375))
+            .with_defects(DefectKind::sampled(0.02, 0.01, 7).unwrap());
+        let report = SimulationPlatform::new(config.clone()).evaluate().unwrap();
+        let reversed = |bytes: &[u8], kind: u8| {
+            let mut reader = BinReader::new(document_payload(bytes, kind).unwrap());
+            let mut sections = Vec::new();
+            while let Some(section) = reader.next_section().unwrap() {
+                sections.push(section);
+            }
+            let mut payload = BinWriter::new();
+            for (tag, body) in sections.into_iter().rev() {
+                payload.section(tag, body);
+            }
+            document(kind, &payload.into_bytes())
+        };
+        let config_bytes = reversed(&config_to_bin(&config), DOC_CONFIG);
+        assert_eq!(config_from_bin(&config_bytes).unwrap(), config);
+        let report_bytes = reversed(&report_to_bin(&report), DOC_REPORT);
+        assert_eq!(report_from_bin(&report_bytes).unwrap(), report);
     }
 
     #[test]

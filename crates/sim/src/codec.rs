@@ -9,18 +9,21 @@
 //! * a minimal [`JsonValue`] tree with a recursive-descent parser and a
 //!   deterministic writer (object keys keep insertion order, so a value
 //!   rendered twice is byte-identical);
-//! * explicit encode/decode functions for [`SimConfig`], [`PlatformReport`],
-//!   [`DisturbanceKind`] and [`DefectKind`] — every decoded configuration
-//!   passes through the same validating constructors as a hand-built one.
+//! * the JSON backend of the crate's wire schema, which lists the fields of
+//!   [`SimConfig`], [`PlatformReport`] and their leaf types once for both
+//!   codecs: a record is an object whose members follow the field list, and
+//!   decoding reads each member by key. The `*_to_json` / `*_from_json`
+//!   entry points render that list; every decoded configuration passes
+//!   through the same validating constructors as a hand-built one.
 //!
 //! # Versioning discipline
 //!
-//! Fields added after a format shipped (the defect selection and the
-//! composite report quantities) are encoded unconditionally but decoded
-//! through [`JsonValue::get_opt`] with the pre-field behaviour as the
-//! default, so wire messages written before the field existed keep
-//! loading; unknown *values* (an unrecognised kind tag) are still rejected
-//! loudly.
+//! Fields added after a format shipped (the defect selection, the
+//! Monte-Carlo knobs and the composite report quantities) are always
+//! written, but the field list marks them defaulted: a document without
+//! the key decodes to the pre-field behaviour, so wire messages written
+//! before the field existed keep loading. Unknown *values* (an unrecognised
+//! kind tag) are still rejected loudly, and unknown keys are ignored.
 //!
 //! # Float round-tripping
 //!
@@ -32,19 +35,17 @@
 //! to `null` and the decoder rejects `null` where a number is required, so
 //! corruption fails loudly instead of silently.
 
-use nanowire_codes::{
-    ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
-};
-
-use crossbar_array::LayoutRules;
-use device_physics::{Nanometers, ThresholdModel, Volts};
+use nanowire_codes::CodeSpec;
 
 use crate::config::SimConfig;
-use crate::defect::{DefectConfig, DefectKind};
+use crate::defect::DefectKind;
 use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
 use crate::monte_carlo::MonteCarloConfig;
 use crate::platform::PlatformReport;
+use crate::schema::{
+    blank_code, blank_report, Field, Presence, Record, Value, Wire, WIRE_ERROR_KINDS,
+};
 
 /// A parsed JSON document: the minimal value tree the serve and persistence
 /// codecs build on. Numbers keep their literal text so integers up to `u64`
@@ -65,7 +66,7 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
-fn err(reason: impl Into<String>) -> SimError {
+pub(crate) fn err(reason: impl Into<String>) -> SimError {
     SimError::Persistence {
         reason: reason.into(),
     }
@@ -542,54 +543,45 @@ impl Parser<'_> {
     }
 }
 
-fn object(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(key, value)| (key.to_string(), value))
-            .collect(),
-    )
-}
+/// The JSON encoder: a record's fields become object members, in listing
+/// order.
+pub(crate) struct JsonOut(pub(crate) Vec<(String, JsonValue)>);
 
-fn volts_field(value: Volts) -> JsonValue {
-    JsonValue::from_f64(value.value())
-}
+impl Wire for JsonOut {
+    const DECODES: bool = false;
 
-fn volts_from(value: &JsonValue) -> Result<Volts> {
-    Ok(Volts::new(value.as_f64()?))
-}
-
-fn code_kind_name(kind: CodeKind) -> &'static str {
-    match kind {
-        CodeKind::Tree => "tree",
-        CodeKind::Gray => "gray",
-        CodeKind::BalancedGray => "balanced_gray",
-        CodeKind::Hot => "hot",
-        CodeKind::ArrangedHot => "arranged_hot",
+    fn field<V: Value>(&mut self, field: Field, value: &mut V) -> Result<()> {
+        self.0.push((field.key.to_string(), value.to_json()));
+        Ok(())
     }
 }
 
-fn code_kind_from(name: &str) -> Result<CodeKind> {
-    CodeKind::ALL
-        .into_iter()
-        .find(|&kind| code_kind_name(kind) == name)
-        .ok_or_else(|| err(format!("unknown code kind {name:?}")))
+/// The JSON decoder: reads each field of a record from an object, by key.
+pub(crate) struct JsonIn<'a>(pub(crate) &'a JsonValue);
+
+impl Wire for JsonIn<'_> {
+    const DECODES: bool = true;
+
+    fn field<V: Value>(&mut self, field: Field, value: &mut V) -> Result<()> {
+        match self.0.get_opt(field.key)? {
+            Some(json) => value.read_json(json),
+            None if field.presence == Presence::Required => {
+                Err(err(format!("missing object key {:?}", field.key)))
+            }
+            None => Ok(()),
+        }
+    }
+}
+
+fn decode<R: Record>(value: &JsonValue, mut record: R) -> Result<R> {
+    record.read_json(value)?;
+    Ok(record)
 }
 
 /// Encodes a [`CodeSpec`] as `{"kind","radix","length"}`.
 #[must_use]
 pub fn code_spec_to_json(code: CodeSpec) -> JsonValue {
-    object(vec![
-        (
-            "kind",
-            JsonValue::String(code_kind_name(code.kind()).into()),
-        ),
-        (
-            "radix",
-            JsonValue::from_u64(u64::from(code.radix().radix())),
-        ),
-        ("length", JsonValue::from_usize(code.code_length())),
-    ])
+    code.to_json()
 }
 
 /// Decodes a [`CodeSpec`], re-validating length against the family.
@@ -599,29 +591,14 @@ pub fn code_spec_to_json(code: CodeSpec) -> JsonValue {
 /// Returns [`SimError::Persistence`] on malformed JSON, or propagates the
 /// code layer's validation errors.
 pub fn code_spec_from_json(value: &JsonValue) -> Result<CodeSpec> {
-    let kind = code_kind_from(value.get("kind")?.as_str()?)?;
-    let radix =
-        u8::try_from(value.get("radix")?.as_u64()?).map_err(|_| err("radix does not fit a u8"))?;
-    let radix = LogicLevel::new(radix)?;
-    Ok(CodeSpec::new(
-        kind,
-        radix,
-        value.get("length")?.as_usize()?,
-    )?)
+    decode(value, blank_code())
 }
 
 /// Encodes a [`DisturbanceKind`] as a tagged object (`{"kind":"gaussian"}`,
 /// `{"kind":"correlated","shared_fraction":0.5}`, ...).
 #[must_use]
 pub fn disturbance_to_json(kind: DisturbanceKind) -> JsonValue {
-    match kind {
-        DisturbanceKind::Gaussian => object(vec![("kind", JsonValue::String("gaussian".into()))]),
-        DisturbanceKind::Laplace => object(vec![("kind", JsonValue::String("laplace".into()))]),
-        DisturbanceKind::Correlated { shared_fraction } => object(vec![
-            ("kind", JsonValue::String("correlated".into())),
-            ("shared_fraction", JsonValue::from_f64(shared_fraction)),
-        ]),
-    }
+    kind.to_json()
 }
 
 /// Decodes a [`DisturbanceKind`].
@@ -630,14 +607,7 @@ pub fn disturbance_to_json(kind: DisturbanceKind) -> JsonValue {
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON or an unknown kind.
 pub fn disturbance_from_json(value: &JsonValue) -> Result<DisturbanceKind> {
-    match value.get("kind")?.as_str()? {
-        "gaussian" => Ok(DisturbanceKind::Gaussian),
-        "laplace" => Ok(DisturbanceKind::Laplace),
-        "correlated" => Ok(DisturbanceKind::Correlated {
-            shared_fraction: value.get("shared_fraction")?.as_f64()?,
-        }),
-        other => Err(err(format!("unknown disturbance kind {other:?}"))),
-    }
+    decode(value, DisturbanceKind::default())
 }
 
 /// Encodes a [`MonteCarloConfig`] as an object carrying the fixed-mode
@@ -645,328 +615,65 @@ pub fn disturbance_from_json(value: &JsonValue) -> Result<DisturbanceKind> {
 /// render as `null` when unset).
 #[must_use]
 pub fn monte_carlo_to_json(config: MonteCarloConfig) -> JsonValue {
-    object(vec![
-        ("samples", JsonValue::from_usize(config.samples)),
-        ("seed", JsonValue::from_u64(config.seed)),
-        (
-            "target_half_width",
-            config
-                .target_half_width
-                .map_or(JsonValue::Null, JsonValue::from_f64),
-        ),
-        ("confidence", JsonValue::from_f64(config.confidence)),
-        (
-            "max_samples",
-            config
-                .max_samples
-                .map_or(JsonValue::Null, JsonValue::from_usize),
-        ),
-    ])
+    config.to_json()
 }
 
-/// Decodes a [`MonteCarloConfig`]. The adaptive knobs are optional *keys*
-/// as well as nullable values: documents written before adaptive stopping
-/// existed (bare `{"samples":…,"seed":…}`) decode to the fixed behaviour.
+/// Decodes a [`MonteCarloConfig`]. The adaptive knobs are optional keys,
+/// and the unset ones are nullable: documents written before adaptive
+/// stopping existed (bare `{"samples":…,"seed":…}`) decode to the fixed
+/// behaviour.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON.
 pub fn monte_carlo_from_json(value: &JsonValue) -> Result<MonteCarloConfig> {
-    let mut config = MonteCarloConfig::fixed(
-        value.get("samples")?.as_usize()?,
-        value.get("seed")?.as_u64()?,
-    );
-    if let Some(target) = value.get_opt("target_half_width")? {
-        if !matches!(target, JsonValue::Null) {
-            config = config.with_target_half_width(target.as_f64()?);
-        }
-    }
-    if let Some(confidence) = value.get_opt("confidence")? {
-        if !matches!(confidence, JsonValue::Null) {
-            config = config.with_confidence(confidence.as_f64()?);
-        }
-    }
-    if let Some(max) = value.get_opt("max_samples")? {
-        if !matches!(max, JsonValue::Null) {
-            config = config.with_max_samples(max.as_usize()?);
-        }
-    }
-    Ok(config)
+    decode(value, MonteCarloConfig::default())
 }
 
 /// Encodes a [`DefectKind`] as a tagged object (`{"kind":"none"}` or
 /// `{"kind":"sampled","nanowire_breakage":…,"crosspoint_defect":…,"seed":…}`).
 #[must_use]
 pub fn defect_to_json(kind: DefectKind) -> JsonValue {
-    match kind {
-        DefectKind::None => object(vec![("kind", JsonValue::String("none".into()))]),
-        DefectKind::Sampled(config) => object(vec![
-            ("kind", JsonValue::String("sampled".into())),
-            (
-                "nanowire_breakage",
-                JsonValue::from_f64(config.nanowire_breakage()),
-            ),
-            (
-                "crosspoint_defect",
-                JsonValue::from_f64(config.crosspoint_defect()),
-            ),
-            ("seed", JsonValue::from_u64(config.seed())),
-        ]),
-    }
+    kind.to_json()
 }
 
 /// Decodes a [`DefectKind`], re-validating the rates through
-/// [`DefectConfig::new`].
+/// [`DefectConfig::new`](crate::DefectConfig::new).
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON or an unknown kind,
 /// or propagates the defect layer's rate-validation errors.
 pub fn defect_from_json(value: &JsonValue) -> Result<DefectKind> {
-    match value.get("kind")?.as_str()? {
-        "none" => Ok(DefectKind::None),
-        "sampled" => Ok(DefectKind::Sampled(DefectConfig::new(
-            value.get("nanowire_breakage")?.as_f64()?,
-            value.get("crosspoint_defect")?.as_f64()?,
-            value.get("seed")?.as_u64()?,
-        )?)),
-        other => Err(err(format!("unknown defect kind {other:?}"))),
-    }
+    decode(value, DefectKind::None)
 }
 
 /// Encodes a full [`SimConfig`] — every field, including the disturbance
 /// kind, the defect selection and the Monte-Carlo sampling knobs, so two
-/// configurations differing only in any of them never serialize (or
-/// cache-key) identically.
+/// configurations differing only in any of them never serialize
+/// identically.
 #[must_use]
 pub fn config_to_json(config: &SimConfig) -> JsonValue {
-    let layout = config.layout();
-    let threshold = config.threshold_model();
-    let budgets = config.code_budgets();
-    let (supply_low, supply_high) = config.supply_range();
-    object(vec![
-        ("code", code_spec_to_json(config.code())),
-        (
-            "nanowires_per_half_cave",
-            JsonValue::from_usize(config.nanowires_per_half_cave()),
-        ),
-        ("raw_bits", JsonValue::from_u64(config.raw_bits())),
-        (
-            "layout",
-            object(vec![
-                (
-                    "litho_pitch_nm",
-                    JsonValue::from_f64(layout.litho_pitch().value()),
-                ),
-                (
-                    "nanowire_pitch_nm",
-                    JsonValue::from_f64(layout.nanowire_pitch().value()),
-                ),
-                (
-                    "min_contact_width_factor",
-                    JsonValue::from_f64(layout.min_contact_width_factor()),
-                ),
-                (
-                    "contact_alignment_tolerance_nm",
-                    JsonValue::from_f64(layout.contact_alignment_tolerance().value()),
-                ),
-            ]),
-        ),
-        (
-            "threshold_model",
-            object(vec![
-                (
-                    "oxide_thickness_nm",
-                    JsonValue::from_f64(threshold.oxide_thickness().value()),
-                ),
-                (
-                    "flat_band_voltage_v",
-                    volts_field(threshold.flat_band_voltage()),
-                ),
-            ]),
-        ),
-        ("sigma_per_dose_v", volts_field(config.sigma_per_dose())),
-        (
-            "supply_range_v",
-            JsonValue::Array(vec![volts_field(supply_low), volts_field(supply_high)]),
-        ),
-        (
-            "window_override_v",
-            config
-                .window_override()
-                .map_or(JsonValue::Null, volts_field),
-        ),
-        (
-            "code_budgets",
-            object(vec![
-                (
-                    "balance",
-                    object(vec![
-                        (
-                            "max_nodes_per_limit",
-                            JsonValue::from_u64(budgets.balance.max_nodes_per_limit),
-                        ),
-                        (
-                            "max_limit_slack",
-                            JsonValue::from_usize(budgets.balance.max_limit_slack),
-                        ),
-                    ]),
-                ),
-                (
-                    "arranged_hot",
-                    object(vec![
-                        (
-                            "max_nodes",
-                            JsonValue::from_u64(budgets.arranged_hot.max_nodes),
-                        ),
-                        (
-                            "fallback",
-                            object(vec![
-                                (
-                                    "max_nodes",
-                                    JsonValue::from_u64(budgets.arranged_hot.fallback.max_nodes),
-                                ),
-                                (
-                                    "max_two_opt_sweeps",
-                                    JsonValue::from_u64(u64::from(
-                                        budgets.arranged_hot.fallback.max_two_opt_sweeps,
-                                    )),
-                                ),
-                            ]),
-                        ),
-                    ]),
-                ),
-            ]),
-        ),
-        ("disturbance", disturbance_to_json(config.disturbance())),
-        ("defects", defect_to_json(config.defects())),
-        ("monte_carlo", monte_carlo_to_json(config.monte_carlo())),
-    ])
+    config.to_json()
 }
 
 /// Decodes a [`SimConfig`], passing every field through the same validating
-/// constructors a hand-built configuration uses.
+/// constructors a hand-built configuration uses. Documents written before
+/// the `defects` or `monte_carlo` keys existed decode with the defect-free
+/// and fixed-sample defaults.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON, or propagates the
 /// validation errors of the reconstructed layers.
 pub fn config_from_json(value: &JsonValue) -> Result<SimConfig> {
-    let code = code_spec_from_json(value.get("code")?)?;
-    let layout_value = value.get("layout")?;
-    let layout = LayoutRules::new(
-        Nanometers::new(layout_value.get("litho_pitch_nm")?.as_f64()?),
-        Nanometers::new(layout_value.get("nanowire_pitch_nm")?.as_f64()?),
-        layout_value.get("min_contact_width_factor")?.as_f64()?,
-        Nanometers::new(
-            layout_value
-                .get("contact_alignment_tolerance_nm")?
-                .as_f64()?,
-        ),
-    )?;
-    let threshold_value = value.get("threshold_model")?;
-    let threshold = ThresholdModel::new(
-        Nanometers::new(threshold_value.get("oxide_thickness_nm")?.as_f64()?),
-        volts_from(threshold_value.get("flat_band_voltage_v")?)?,
-    )?;
-    let supply = value.get("supply_range_v")?.as_array()?;
-    if supply.len() != 2 {
-        return Err(err("supply_range_v must have exactly two entries"));
-    }
-    let budgets_value = value.get("code_budgets")?;
-    let balance_value = budgets_value.get("balance")?;
-    let arranged_value = budgets_value.get("arranged_hot")?;
-    let fallback_value = arranged_value.get("fallback")?;
-    let budgets = CodeBudgets {
-        balance: BalanceBudget {
-            max_nodes_per_limit: balance_value.get("max_nodes_per_limit")?.as_u64()?,
-            max_limit_slack: balance_value.get("max_limit_slack")?.as_usize()?,
-        },
-        arranged_hot: ArrangedHotBudget {
-            max_nodes: arranged_value.get("max_nodes")?.as_u64()?,
-            fallback: SearchBudget {
-                max_nodes: fallback_value.get("max_nodes")?.as_u64()?,
-                max_two_opt_sweeps: u32::try_from(
-                    fallback_value.get("max_two_opt_sweeps")?.as_u64()?,
-                )
-                .map_err(|_| err("max_two_opt_sweeps does not fit a u32"))?,
-            },
-        },
-    };
-    let mut config = SimConfig::new(
-        code,
-        value.get("nanowires_per_half_cave")?.as_usize()?,
-        value.get("raw_bits")?.as_u64()?,
-        layout,
-        threshold,
-        volts_from(value.get("sigma_per_dose_v")?)?,
-        (volts_from(&supply[0])?, volts_from(&supply[1])?),
-    )?
-    .with_code_budgets(budgets)
-    .with_disturbance(disturbance_from_json(value.get("disturbance")?)?);
-    // Absent in documents written before the defect dimension existed; the
-    // default (defect-free) is exactly the pre-field behaviour.
-    if let Some(defects) = value.get_opt("defects")? {
-        config = config.with_defects(defect_from_json(defects)?);
-    }
-    // Absent in documents written before the sampling knobs moved into the
-    // configuration; the default is the historical fixed-sample behaviour.
-    if let Some(monte_carlo) = value.get_opt("monte_carlo")? {
-        config = config.with_monte_carlo(monte_carlo_from_json(monte_carlo)?);
-    }
-    if !matches!(value.get("window_override_v")?, JsonValue::Null) {
-        config = config.with_window(volts_from(value.get("window_override_v")?)?);
-    }
-    Ok(config)
+    decode(value, SimConfig::blank())
 }
 
 /// Encodes a [`PlatformReport`].
 #[must_use]
 pub fn report_to_json(report: &PlatformReport) -> JsonValue {
-    object(vec![
-        ("code", code_spec_to_json(report.code)),
-        (
-            "nanowires_per_half_cave",
-            JsonValue::from_usize(report.nanowires_per_half_cave),
-        ),
-        (
-            "fabrication_steps",
-            JsonValue::from_usize(report.fabrication_steps),
-        ),
-        (
-            "mean_variability",
-            JsonValue::from_f64(report.mean_variability),
-        ),
-        (
-            "max_normalized_sigma",
-            JsonValue::from_f64(report.max_normalized_sigma),
-        ),
-        ("cave_yield", JsonValue::from_f64(report.cave_yield)),
-        ("crossbar_yield", JsonValue::from_f64(report.crossbar_yield)),
-        ("effective_bits", JsonValue::from_f64(report.effective_bits)),
-        ("raw_bit_area", JsonValue::from_f64(report.raw_bit_area)),
-        (
-            "effective_bit_area",
-            JsonValue::from_f64(report.effective_bit_area),
-        ),
-        (
-            "contact_groups",
-            JsonValue::from_usize(report.contact_groups),
-        ),
-        ("defects", defect_to_json(report.defects)),
-        (
-            "defect_survival",
-            JsonValue::from_f64(report.defect_survival),
-        ),
-        (
-            "composite_yield",
-            JsonValue::from_f64(report.composite_yield),
-        ),
-        (
-            "composite_effective_bits",
-            JsonValue::from_f64(report.composite_effective_bits),
-        ),
-    ])
+    report.to_json()
 }
 
 /// Decodes a [`PlatformReport`] bit-identically (floats round-trip exactly).
@@ -981,41 +688,7 @@ pub fn report_to_json(report: &PlatformReport) -> JsonValue {
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON.
 pub fn report_from_json(value: &JsonValue) -> Result<PlatformReport> {
-    let crossbar_yield = value.get("crossbar_yield")?.as_f64()?;
-    let effective_bits = value.get("effective_bits")?.as_f64()?;
-    let defects = match value.get_opt("defects")? {
-        Some(kind) => defect_from_json(kind)?,
-        None => DefectKind::None,
-    };
-    let defect_survival = match value.get_opt("defect_survival")? {
-        Some(survival) => survival.as_f64()?,
-        None => 1.0,
-    };
-    let composite_yield = match value.get_opt("composite_yield")? {
-        Some(composite) => composite.as_f64()?,
-        None => crossbar_yield,
-    };
-    let composite_effective_bits = match value.get_opt("composite_effective_bits")? {
-        Some(bits) => bits.as_f64()?,
-        None => effective_bits,
-    };
-    Ok(PlatformReport {
-        code: code_spec_from_json(value.get("code")?)?,
-        nanowires_per_half_cave: value.get("nanowires_per_half_cave")?.as_usize()?,
-        fabrication_steps: value.get("fabrication_steps")?.as_usize()?,
-        mean_variability: value.get("mean_variability")?.as_f64()?,
-        max_normalized_sigma: value.get("max_normalized_sigma")?.as_f64()?,
-        cave_yield: value.get("cave_yield")?.as_f64()?,
-        crossbar_yield,
-        effective_bits,
-        raw_bit_area: value.get("raw_bit_area")?.as_f64()?,
-        effective_bit_area: value.get("effective_bit_area")?.as_f64()?,
-        contact_groups: value.get("contact_groups")?.as_usize()?,
-        defects,
-        defect_survival,
-        composite_yield,
-        composite_effective_bits,
-    })
+    decode(value, blank_report())
 }
 
 /// The class of a wire-level failure, shared by every transport front end
@@ -1047,11 +720,7 @@ impl WireErrorKind {
     /// `"internal"`).
     #[must_use]
     pub fn as_wire_str(self) -> &'static str {
-        match self {
-            WireErrorKind::BadRequest => "bad_request",
-            WireErrorKind::Overloaded => "overloaded",
-            WireErrorKind::Internal => "internal",
-        }
+        WIRE_ERROR_KINDS[self as usize]
     }
 
     /// Parses a wire tag back into a kind.
@@ -1060,17 +729,14 @@ impl WireErrorKind {
     ///
     /// Returns [`SimError::Persistence`] on an unknown tag.
     pub fn from_wire_str(tag: &str) -> Result<WireErrorKind> {
-        WireErrorKind::ALL
-            .into_iter()
-            .find(|kind| kind.as_wire_str() == tag)
-            .ok_or_else(|| err(format!("unknown wire error kind {tag:?}")))
+        wire_error_kind_from_json(&JsonValue::String(tag.to_string()))
     }
 }
 
 /// Encodes a [`WireErrorKind`] as its JSON wire tag.
 #[must_use]
 pub fn wire_error_kind_to_json(kind: WireErrorKind) -> JsonValue {
-    JsonValue::String(kind.as_wire_str().to_string())
+    kind.to_json()
 }
 
 /// Decodes a [`WireErrorKind`] from its JSON wire tag.
@@ -1079,13 +745,17 @@ pub fn wire_error_kind_to_json(kind: WireErrorKind) -> JsonValue {
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON or an unknown tag.
 pub fn wire_error_kind_from_json(value: &JsonValue) -> Result<WireErrorKind> {
-    WireErrorKind::from_wire_str(value.as_str()?)
+    let mut kind = WireErrorKind::BadRequest;
+    kind.read_json(value)?;
+    Ok(kind)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::platform::SimulationPlatform;
+    use device_physics::Volts;
+    use nanowire_codes::{CodeKind, LogicLevel};
 
     fn base_config() -> SimConfig {
         let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
@@ -1300,6 +970,7 @@ mod tests {
             }
         }
         assert!(config_from_json(&value).is_err());
-        assert!(code_kind_from("mystery").is_err());
+        let mystery = JsonValue::parse(r#"{"kind":"mystery","radix":2,"length":8}"#).unwrap();
+        assert!(code_spec_from_json(&mystery).is_err());
     }
 }

@@ -11,6 +11,7 @@ use crate::defect::DefectKind;
 use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
 use crate::monte_carlo::MonteCarloConfig;
+use crate::schema::{blank_code, Field, Record, Wire};
 
 /// The largest [`SimConfig::nanowires_per_half_cave`] a configuration
 /// accepts. A half cave of `N` nanowires takes `N` code words and an
@@ -86,15 +87,25 @@ impl SimConfig {
     /// Never fails for a valid [`CodeSpec`]; kept fallible for API
     /// consistency with [`SimConfig::new`].
     pub fn paper_defaults(code: CodeSpec) -> Result<Self> {
-        SimConfig::new(
+        Ok(SimConfig::paper(code))
+    }
+
+    /// The paper's platform for `code`, valid by construction.
+    fn paper(code: CodeSpec) -> SimConfig {
+        SimConfig {
             code,
-            20,
-            PAPER_RAW_BITS,
-            LayoutRules::paper_default(),
-            ThresholdModel::default_mspt(),
-            Volts::from_millivolts(50.0),
-            (Volts::new(0.0), Volts::new(1.0)),
-        )
+            nanowires_per_half_cave: 20,
+            raw_bits: PAPER_RAW_BITS,
+            layout: LayoutRules::paper_default(),
+            threshold_model: ThresholdModel::default_mspt(),
+            sigma_per_dose: Volts::from_millivolts(50.0),
+            supply_range: (Volts::new(0.0), Volts::new(1.0)),
+            window_override: None,
+            code_budgets: CodeBudgets::default(),
+            disturbance: DisturbanceKind::default(),
+            defects: DefectKind::default(),
+            monte_carlo: MonteCarloConfig::default(),
+        }
     }
 
     /// Creates a fully explicit configuration.
@@ -114,30 +125,7 @@ impl SimConfig {
         sigma_per_dose: Volts,
         supply_range: (Volts, Volts),
     ) -> Result<Self> {
-        check_nanowires_per_half_cave(nanowires_per_half_cave)?;
-        if raw_bits == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "raw capacity must be positive".to_string(),
-            });
-        }
-        // `partial_cmp` keeps NaN bounds on the error path (NaN is not
-        // Greater), matching the previous negated comparison.
-        if supply_range.1.value().partial_cmp(&supply_range.0.value())
-            != Some(std::cmp::Ordering::Greater)
-        {
-            return Err(SimError::InvalidConfig {
-                reason: format!(
-                    "supply range [{}, {}] is degenerate",
-                    supply_range.0, supply_range.1
-                ),
-            });
-        }
-        if sigma_per_dose.value() < 0.0 {
-            return Err(SimError::InvalidConfig {
-                reason: format!("σ_T must be non-negative, got {sigma_per_dose}"),
-            });
-        }
-        Ok(SimConfig {
+        let config = SimConfig {
             code,
             nanowires_per_half_cave,
             raw_bits,
@@ -145,12 +133,41 @@ impl SimConfig {
             threshold_model,
             sigma_per_dose,
             supply_range,
-            window_override: None,
-            code_budgets: CodeBudgets::default(),
-            disturbance: DisturbanceKind::default(),
-            defects: DefectKind::default(),
-            monte_carlo: MonteCarloConfig::default(),
-        })
+            ..SimConfig::paper(code)
+        };
+        config.check()?;
+        Ok(config)
+    }
+
+    /// The configuration a decoder starts from: the paper defaults, whose
+    /// defect-free selection and fixed sampling are the defaults of the
+    /// fields added after the wire formats shipped.
+    pub(crate) fn blank() -> SimConfig {
+        SimConfig::paper(blank_code())
+    }
+
+    /// The checks [`SimConfig::new`] runs over its arguments jointly.
+    fn check(&self) -> Result<()> {
+        check_nanowires_per_half_cave(self.nanowires_per_half_cave)?;
+        if self.raw_bits == 0 {
+            return Err(SimError::InvalidConfig {
+                reason: "raw capacity must be positive".to_string(),
+            });
+        }
+        let (low, high) = self.supply_range;
+        // `partial_cmp` keeps NaN bounds on the error path (NaN is not
+        // Greater), matching the previous negated comparison.
+        if high.value().partial_cmp(&low.value()) != Some(std::cmp::Ordering::Greater) {
+            return Err(SimError::InvalidConfig {
+                reason: format!("supply range [{low}, {high}] is degenerate"),
+            });
+        }
+        if self.sigma_per_dose.value() < 0.0 {
+            return Err(SimError::InvalidConfig {
+                reason: format!("σ_T must be non-negative, got {}", self.sigma_per_dose),
+            });
+        }
+        Ok(())
     }
 
     /// Replaces the code specification, keeping every other parameter — the
@@ -366,6 +383,57 @@ impl SimConfig {
             return Ok(window);
         }
         Ok(self.doping_ladder()?.window_half_width())
+    }
+}
+
+/// The configuration's wire fields, in [`ConfigField`](crate::ConfigField)
+/// order: a field's stage-key bytes are its binary encoding here. The list
+/// sits beside the private fields it visits.
+impl Record for SimConfig {
+    fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
+        wire.field(Field::section("code", 0x01), &mut self.code)?;
+        wire.field(
+            Field::section("nanowires_per_half_cave", 0x02),
+            &mut self.nanowires_per_half_cave,
+        )?;
+        wire.field(Field::section("raw_bits", 0x02), &mut self.raw_bits)?;
+        wire.field(Field::section("layout", 0x03), &mut self.layout)?;
+        wire.field(
+            Field::section("threshold_model", 0x04),
+            &mut self.threshold_model,
+        )?;
+        wire.field(
+            Field::section("sigma_per_dose_v", 0x05),
+            &mut self.sigma_per_dose,
+        )?;
+        wire.field(
+            Field::section("supply_range_v", 0x05),
+            &mut self.supply_range,
+        )?;
+        wire.when_set(
+            Field::section("window_override_v", 0x06),
+            &mut self.window_override,
+        )?;
+        wire.field(Field::section("code_budgets", 0x07), &mut self.code_budgets)?;
+        wire.field(Field::section("disturbance", 0x08), &mut self.disturbance)?;
+        // Added after the JSON format shipped; the default is defect-free.
+        wire.field(
+            Field::section("defects", 0x09).json_default(),
+            &mut self.defects,
+        )?;
+        // Added after both formats shipped; the default is the historical
+        // fixed-sample behaviour.
+        wire.field(
+            Field::section("monte_carlo", 0x0a).defaulted(),
+            &mut self.monte_carlo,
+        )
+    }
+
+    /// Runs the joint checks of [`SimConfig::new`] over a decoded
+    /// configuration; its nested records validated themselves as they were
+    /// decoded.
+    fn finish(&mut self) -> Result<()> {
+        self.check()
     }
 }
 

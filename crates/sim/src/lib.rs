@@ -62,6 +62,7 @@ mod evaluation;
 mod monte_carlo;
 mod platform;
 mod report;
+mod schema;
 mod stage;
 mod stats;
 mod sweep;

@@ -377,7 +377,7 @@ impl SimulationPlatform {
             }
         };
 
-        Ok(PlatformReport {
+        let report = PlatformReport {
             code,
             nanowires_per_half_cave: self.config.nanowires_per_half_cave(),
             fabrication_steps: staged.cost.total(),
@@ -393,7 +393,29 @@ impl SimulationPlatform {
             defect_survival,
             composite_yield,
             composite_effective_bits,
-        })
+        };
+        // A finite but absurd input (a litho pitch of 10¹⁵⁵ nm) can overflow
+        // a quantity to infinity, and a non-finite report has no encoding in
+        // either wire codec.
+        let quantities = [
+            report.mean_variability,
+            report.max_normalized_sigma,
+            report.cave_yield,
+            report.crossbar_yield,
+            report.effective_bits,
+            report.raw_bit_area,
+            report.effective_bit_area,
+            report.defect_survival,
+            report.composite_yield,
+            report.composite_effective_bits,
+        ];
+        if quantities.iter().all(|quantity| quantity.is_finite()) {
+            Ok(report)
+        } else {
+            Err(SimError::InvalidConfig {
+                reason: format!("the configuration's report overflows: {quantities:?}"),
+            })
+        }
     }
 }
 
@@ -428,6 +450,8 @@ fn check_defect_map(defects: DefectKind, map: Option<&DefectMap>, edge: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbar_array::LayoutRules;
+    use device_physics::Nanometers;
     use nanowire_codes::{CodeKind, LogicLevel};
 
     fn platform(kind: CodeKind, length: usize) -> SimulationPlatform {
@@ -446,6 +470,35 @@ mod tests {
         assert!(report.mean_variability >= 1.0);
         assert!(report.max_normalized_sigma >= 1.0);
         assert!(report.contact_groups >= 1);
+    }
+
+    #[test]
+    fn reports_that_overflow_are_typed_errors() {
+        // A litho pitch of 4.3·10¹⁵⁵ nm passes the layout rules, but the
+        // crossbar area overflows to infinity, which no wire codec encodes.
+        let base = platform(CodeKind::Gray, 10).config().clone();
+        let rules = base.layout();
+        let layout = LayoutRules::new(
+            Nanometers::new(4.3e155),
+            rules.nanowire_pitch(),
+            rules.min_contact_width_factor(),
+            rules.contact_alignment_tolerance(),
+        )
+        .unwrap();
+        let config = SimConfig::new(
+            base.code(),
+            base.nanowires_per_half_cave(),
+            base.raw_bits(),
+            layout,
+            *base.threshold_model(),
+            base.sigma_per_dose(),
+            base.supply_range(),
+        )
+        .unwrap();
+        assert!(matches!(
+            SimulationPlatform::new(config).evaluate(),
+            Err(SimError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

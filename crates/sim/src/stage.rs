@@ -24,12 +24,14 @@
 //!
 //! # Keys by construction
 //!
-//! Every [`ConfigField`] has one canonical, self-delimiting byte encoder
-//! (fixed-width little-endian integers, floats as their bits, a leading
-//! tag or presence byte on the variable-width fields), and a stage's key is
-//! its [`Stage::reads`] list folded over those encoders — so a key covers
-//! exactly the declared read set. The binary codec writes its config
-//! sections with the same encoders. A key's fingerprint is FNV-1a
+//! Every [`ConfigField`] is one entry of [`SimConfig`]'s wire field list,
+//! and its key bytes are that field's binary encoding (fixed-width
+//! little-endian integers, floats as their bits, a leading tag or presence
+//! byte on the variable-width fields, so every encoding is
+//! self-delimiting). A stage's key is its [`Stage::reads`] fields'
+//! encodings concatenated in `reads()` order — so a key covers exactly the
+//! declared read set, and the binary config document's sections hold the
+//! same bytes. A key's fingerprint is FNV-1a
 //! finalized through [`chunk_seed`] under `STAGE_KEY_DOMAIN` at the
 //! stage's index, so stage keys never collide across stages or with any
 //! sampling seed stream.
@@ -49,6 +51,7 @@ use crate::cache::{CacheConfig, CacheStats, MemoCache, ReportCache};
 use crate::config::SimConfig;
 use crate::error::Result;
 use crate::monte_carlo::{MonteCarloConfig, MonteCarloOutcome};
+use crate::schema::Value;
 
 /// Domain-separation tag mixed into stage-key fingerprints before the
 /// [`chunk_seed`] finalizer. Keeps the stage memo keys decorrelated from
@@ -57,7 +60,8 @@ const STAGE_KEY_DOMAIN: u64 = 0x57a6_e1fd_9b3c_5a21;
 
 /// The [`SimConfig`] fields a stage can declare in its read set — one
 /// variant per public accessor that is part of a configuration's identity,
-/// each with one canonical byte encoding.
+/// in the order of the configuration's wire field list, whose binary
+/// encoding of the field is its key bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfigField {
     /// [`SimConfig::code`].
@@ -103,58 +107,6 @@ impl ConfigField {
         ConfigField::Defects,
         ConfigField::MonteCarlo,
     ];
-
-    /// Appends the field's canonical encoding for `config` — the one byte
-    /// layout every identity is built from: stage keys (and through the
-    /// `Composite` key, the report key) and the binary config document's
-    /// sections. Fixed-width fields are little-endian with floats as their
-    /// bits; the window override, disturbance, defects and the optional
-    /// Monte-Carlo knobs carry a leading tag or presence byte, so every
-    /// encoding is self-delimiting and concatenating any fixed list of
-    /// fields is injective.
-    pub(crate) fn encode(self, config: &SimConfig, out: &mut BinWriter) {
-        match self {
-            ConfigField::Code => bincodec::put_code_spec(out, config.code()),
-            ConfigField::NanowiresPerHalfCave => out.put_usize(config.nanowires_per_half_cave()),
-            ConfigField::RawBits => out.put_u64(config.raw_bits()),
-            ConfigField::Layout => {
-                let layout = config.layout();
-                out.put_f64(layout.litho_pitch().value());
-                out.put_f64(layout.nanowire_pitch().value());
-                out.put_f64(layout.min_contact_width_factor());
-                out.put_f64(layout.contact_alignment_tolerance().value());
-            }
-            ConfigField::ThresholdModel => {
-                let threshold = config.threshold_model();
-                out.put_f64(threshold.oxide_thickness().value());
-                out.put_f64(threshold.flat_band_voltage().value());
-            }
-            ConfigField::SigmaPerDose => out.put_f64(config.sigma_per_dose().value()),
-            ConfigField::SupplyRange => {
-                let (low, high) = config.supply_range();
-                out.put_f64(low.value());
-                out.put_f64(high.value());
-            }
-            ConfigField::WindowOverride => match config.window_override() {
-                Some(window) => {
-                    out.put_u8(1);
-                    out.put_f64(window.value());
-                }
-                None => out.put_u8(0),
-            },
-            ConfigField::CodeBudgets => {
-                let budgets = config.code_budgets();
-                out.put_u64(budgets.balance.max_nodes_per_limit);
-                out.put_usize(budgets.balance.max_limit_slack);
-                out.put_u64(budgets.arranged_hot.max_nodes);
-                out.put_u64(budgets.arranged_hot.fallback.max_nodes);
-                out.put_u32(budgets.arranged_hot.fallback.max_two_opt_sweeps);
-            }
-            ConfigField::Disturbance => bincodec::put_disturbance(out, config.disturbance()),
-            ConfigField::Defects => bincodec::put_defects(out, config.defects()),
-            ConfigField::MonteCarlo => bincodec::put_monte_carlo(out, config.monte_carlo()),
-        }
-    }
 }
 
 /// One stage of the evaluation pipeline — the unit of memoization and
@@ -330,11 +282,7 @@ impl Stage {
     /// see [`StageCache`]'s Monte-Carlo slot — appended by the cache.)
     #[must_use]
     pub fn key(self, config: &SimConfig) -> Vec<u8> {
-        let mut key = BinWriter::new();
-        for &field in self.reads() {
-            field.encode(config, &mut key);
-        }
-        key.into_bytes()
+        bincodec::config_key(config, self.reads())
     }
 
     /// The memo fingerprint of a stage key: FNV-1a over the key bytes,
@@ -549,7 +497,7 @@ impl StageCache {
     {
         let mut key = BinWriter::new();
         key.put_bytes(&Stage::MonteCarlo.key(config));
-        bincodec::put_monte_carlo(&mut key, mc);
+        mc.put(&mut key);
         key.put_usize(chunk_size);
         let key = key.into_bytes();
         self.monte_carlo
