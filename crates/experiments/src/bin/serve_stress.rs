@@ -198,9 +198,9 @@ fn snapshot_sizes(mix: &[ReportRequest]) -> Result<SnapshotSizes, Box<dyn std::e
     })
 }
 
-/// Renders the loadgen results in the same `benchmarks` shape as
-/// `BENCH_results.json`, so `scripts/bench_compare.sh` can diff two runs'
-/// latency trajectories unchanged. `labeled` holds one `(row prefix,
+/// Renders the loadgen results with a `benchmarks` list of `{id,
+/// median_ns}` rows, so `scripts/bench_compare.sh` can diff two runs'
+/// latency trajectories. `labeled` holds one `(row prefix,
 /// outcome)` pair per codec run; the first is the primary outcome the
 /// top-level scalars describe. `transport` and `shed_path_exercised` keep
 /// their places in the artifact for its consumers.
@@ -432,11 +432,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stress.requests_per_client,
         stress.seed
     );
+    let handle = NetServer::bind(serve_config, Arc::new(server.clone()))?;
+    let serve_config = handle.config();
     println!(
         " tcp: {} worker(s), queue bound {}, drain {:?}",
         serve_config.workers, serve_config.queue_bound, serve_config.drain_grace,
     );
-    let handle = NetServer::bind(serve_config, Arc::new(server.clone()))?;
     println!(" tcp: listening on {}", handle.local_addr());
 
     // JSON keeps the PR 6-era row ids so bench trajectories stay

@@ -87,10 +87,12 @@ pub struct ServeConfig {
     /// `127.0.0.1:0`.
     pub bind_addr: String,
     /// Fixed worker-pool size: connections served concurrently. Default:
-    /// available parallelism.
+    /// available parallelism. [`NetServer::bind`] clamps 0 to 1.
     pub workers: usize,
     /// Bound of the accept/dispatch queue: connections that may wait for a
     /// worker before the acceptor starts shedding. Default 64.
+    /// [`NetServer::bind`] clamps 0 to 1, so a connection can still reach a
+    /// worker.
     pub queue_bound: usize,
     /// What to do with a connection when the queue is full
     /// ([`ShedPolicy::Reply`]).
@@ -125,7 +127,7 @@ impl ServeConfig {
                 .ok()
                 .filter(|addr| !addr.trim().is_empty())
                 .unwrap_or(default.bind_addr),
-            workers: crate::env_usize(NET_WORKERS_ENV, default.workers).max(1),
+            workers: crate::env_usize(NET_WORKERS_ENV, default.workers),
             queue_bound: crate::env_usize(NET_QUEUE_ENV, default.queue_bound),
             shed_policy: default.shed_policy,
             drain_grace: Duration::from_millis(env_ms(NET_DRAIN_MS_ENV, 250)),
@@ -362,13 +364,20 @@ pub struct NetServer;
 impl NetServer {
     /// Binds the listener and starts the acceptor and worker threads.
     /// `bind_addr` port 0 picks a free port — read the actual one from
-    /// [`NetServerHandle::local_addr`].
+    /// [`NetServerHandle::local_addr`]. A zero worker count or queue bound
+    /// is clamped to 1, and [`NetServerHandle::config`] reports the
+    /// clamped values.
     ///
     /// # Errors
     ///
     /// Returns a persistence error when the bind address is invalid or the
     /// listener cannot be created.
     pub fn bind(config: ServeConfig, handler: Arc<dyn Handler>) -> Result<NetServerHandle> {
+        let config = ServeConfig {
+            workers: config.workers.max(1),
+            queue_bound: config.queue_bound.max(1),
+            ..config
+        };
         let listener = TcpListener::bind(&config.bind_addr)
             .map_err(|error| wire_err(format!("bind {}: {error}", config.bind_addr)))?;
         let local_addr = listener
@@ -382,7 +391,7 @@ impl NetServer {
         let queue = Arc::new(BoundedQueue::new(config.queue_bound));
         let counters = Arc::new(NetCounters::default());
 
-        let workers = (0..config.workers.max(1))
+        let workers = (0..config.workers)
             .map(|_| {
                 let queue = Arc::clone(&queue);
                 let handler = Arc::clone(&handler);
@@ -600,7 +609,7 @@ impl NetServerHandle {
         self.local_addr
     }
 
-    /// The configuration the server was started with.
+    /// The configuration the server runs with, zero counts clamped.
     #[must_use]
     pub fn config(&self) -> &ServeConfig {
         &self.config

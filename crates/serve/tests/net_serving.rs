@@ -5,11 +5,15 @@
 //!   entirely from the warm cache;
 //! * a full bounded dispatch queue sheds with the framed, typed
 //!   `overloaded` error — never a hang, never a silent drop;
+//! * a zero worker count or queue bound is clamped to one, so such a
+//!   server serves instead of shedding every connection;
 //! * a graceful shutdown drains in-flight requests: everything a client
 //!   sent before shutdown gets a response before its connection closes;
 //! * a request frame that arrives in pieces, with pauses longer than the
 //!   workers' poll interval, is answered, and a client stalled mid-frame
 //!   does not hold a shutdown much past the drain grace;
+//! * clients that vanish mid-frame cost no worker: a fresh connection is
+//!   still served;
 //! * a defect-configured request for an oversized crossbar, or a request
 //!   for an oversized half cave, gets a typed error at once, in both
 //!   codecs, and its connection keeps serving;
@@ -25,7 +29,7 @@
 mod common;
 
 use std::io::Write;
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,8 +43,8 @@ use decoder_sim::{
 use mspt_serve::net::MAX_FRAME_BYTES;
 use mspt_serve::{
     parse_reply_any, probe_shed, read_frame, request_from_bin, request_to_bin, run_net_stress,
-    write_frame, NetClient, NetServer, ReportRequest, ReportServer, StressConfig, WireCodec,
-    WireReply,
+    write_frame, NetClient, NetServer, NetServerHandle, ReportRequest, ReportServer, StressConfig,
+    WireCodec, WireReply,
 };
 use nanowire_codes::{
     ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
@@ -73,6 +77,19 @@ fn report_server(threads: usize) -> ReportServer {
         threads,
         chunk_size: 256,
     })))
+}
+
+/// Waits until the acceptor has handled `count` connections.
+fn wait_for_accepted(handle: &NetServerHandle, count: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.accepted() < count {
+        assert!(
+            Instant::now() < deadline,
+            "acceptor saw {} of {count} connections",
+            handle.accepted()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
@@ -190,14 +207,7 @@ fn accept_time_sheds_are_typed_for_both_codec_fleets() {
     // Fill the dispatch queue with one idle connection, and wait until the
     // acceptor has queued it.
     let _filler = NetClient::connect(addr).unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while handle.accepted() < 2 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "acceptor never queued the filler connection"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_for_accepted(&handle, 2);
 
     // The over-quota connection is shed before it reveals a codec, so the
     // typed overloaded reply arrives as JSON — and a binary client decodes
@@ -232,6 +242,32 @@ fn a_full_dispatch_queue_sheds_with_the_typed_overloaded_error() {
     handle.shutdown();
 }
 
+/// A fresh connection gets the serial reference report for `request` in
+/// both codecs, each within a 5 s read timeout.
+fn assert_served_in_both_codecs(addr: SocketAddr, request: &ReportRequest) {
+    let reference = reference(&request.config);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        let what = format!("{codec:?} request on a fresh connection");
+        write_frame(&mut stream, &codec.encode_request(request)).unwrap();
+        let report = expect_report(read_frame(&mut stream).unwrap(), &what);
+        assert_eq!(report, reference, "{what}");
+    }
+}
+
+#[test]
+fn zero_workers_and_queue_bound_are_clamped_to_one() {
+    let handle = NetServer::bind(loopback_config(0, 0), Arc::new(report_server(1))).unwrap();
+    assert_served_in_both_codecs(handle.local_addr(), &mix().remove(0));
+    assert_eq!((handle.served(), handle.shed()), (2, 0));
+    assert_eq!(handle.config().workers, 1);
+    assert_eq!(handle.config().queue_bound, 1);
+    handle.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_drains_in_flight_requests() {
     let server = report_server(2);
@@ -250,14 +286,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
         client.send_bytes(&frame).unwrap();
     }
     // …and is known to the acceptor (queued or already at a worker).
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while handle.accepted() < 3 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "acceptor never saw all three connections"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_for_accepted(&handle, 3);
 
     // Readers must drain concurrently with the blocking shutdown call.
     let readers: Vec<_> = clients
@@ -347,14 +376,7 @@ fn request_frames_split_across_poll_timeouts_are_answered() {
     // closes it once the grace window has passed.
     let mut stalled = TcpStream::connect(addr).unwrap();
     stalled.write_all(&frame[..6]).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.accepted() < 3 {
-        assert!(
-            Instant::now() < deadline,
-            "acceptor never saw the stalled connection"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_for_accepted(&handle, 3);
     std::thread::sleep(Duration::from_millis(50));
     let grace = handle.config().drain_grace;
     let started = Instant::now();
@@ -365,6 +387,54 @@ fn request_frames_split_across_poll_timeouts_are_answered() {
         "shutdown waited {waited:?} on a connection stalled mid-frame (grace {grace:?})"
     );
     assert!(!matches!(read_frame(&mut stalled), Ok(Some(_))));
+}
+
+/// More clients than workers vanish mid-frame at each of three cuts: EOF
+/// inside the length prefix, EOF mid-payload, and a drop one byte short of
+/// the frame. Then as many clients as workers stall mid-frame, so each
+/// holds a worker, and vanish. No worker is lost: a fresh connection gets
+/// bit-identical reports in both codecs within its read timeout, and only
+/// its two frames were served.
+#[test]
+fn clients_that_vanish_mid_frame_never_cost_a_worker() {
+    let workers = 2;
+    let handle = NetServer::bind(loopback_config(workers, 16), Arc::new(report_server(1))).unwrap();
+    let addr = handle.local_addr();
+    let request = mix().remove(0);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &WireCodec::Binary.encode_request(&request)).unwrap();
+
+    let mut held = Vec::new();
+    for (cut, eof) in [
+        (2, true),
+        (4 + (frame.len() - 4) / 2, true),
+        (frame.len() - 1, false),
+    ] {
+        for _ in 0..=workers {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&frame[..cut]).unwrap();
+            if eof {
+                stream.shutdown(Shutdown::Write).unwrap();
+                held.push(stream);
+            }
+        }
+    }
+    let stalled: Vec<TcpStream> = (0..workers)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&frame[..6]).unwrap();
+            stream
+        })
+        .collect();
+    wait_for_accepted(&handle, 4 * workers as u64 + 3);
+    std::thread::sleep(Duration::from_millis(50));
+    drop(stalled);
+
+    assert_served_in_both_codecs(addr, &request);
+    assert_eq!(handle.served(), 2);
+    assert_eq!(handle.shed(), 0);
+    drop(held);
+    handle.shutdown();
 }
 
 /// `raw_bits` comes from the wire unbounded, and a defect-configured

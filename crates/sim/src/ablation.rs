@@ -3,10 +3,10 @@
 //! per-dose variability σ_T, the addressability decision window, the contact
 //! alignment tolerance and the half-cave size.
 //!
-//! These sweeps back the "Design choices flagged for ablation" section of
-//! DESIGN.md: the paper's qualitative conclusions (optimised arrangements
-//! win, longer codes help up to a point) must hold across the plausible range
-//! of every constant, not just at the chosen default.
+//! The `sensitivity` binary of `mspt-experiments` prints these sweeps: the
+//! paper's qualitative conclusions (optimised arrangements win, longer codes
+//! help up to a point) must hold across the plausible range of every
+//! constant, not just at the chosen default.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,48 +1,35 @@
 #!/usr/bin/env bash
-# Bench-trajectory comparison: warns (never fails) when a benchmark's median
-# moved beyond a noise threshold between two results files. Consumes both
-# the criterion aggregate (BENCH_results.json) and the TCP loadgen's latency
-# artifact (SERVE_net_results.json) — the loadgen emits its p50/p99/p999/
-# ns_per_req rows in the same `benchmarks` shape for exactly this reason.
+# Serve-latency trajectory: warns (never fails) when a row of the
+# `serve_stress` TCP loadgen's latency artifact (SERVE_net_results.json)
+# moved beyond a noise threshold between two runs. The loadgen writes its
+# p50/p99/p999/ns_per_req rows in a `benchmarks` list for this script.
 #
 # Usage: scripts/bench_compare.sh <previous.json> <current.json>
 #
-# Environment:
-#   BENCH_NOISE_RATIO  relative change treated as noise (default 0.35 =
-#                      ±35%). Set from the measured cross-baseline spread
-#                      that `bench_history.sh` prints for the committed
-#                      baselines (~three quarters of ids under 35%; the
-#                      noisier tail is sub-100µs micro-benches at 3
-#                      samples), not from guesswork — the original ±50%
-#                      predates any second baseline and let real one-third
-#                      regressions pass as noise. Both passes warn, never
-#                      fail, so the tighter knob costs only occasional
-#                      false-positive warnings on the micro ids.
-#
 # Each results file has the shape
 #   {"schema_version":1,…,"benchmarks":[{"id":…,"median_ns":…},…]}
-# (rows from builds that predate median_ns fall back to mean_ns).
 #
-# Exit code is always 0: this is a trend signal, not a gate. Regressions
-# print GitHub warning annotations so they surface on the run summary.
+# A relative change within ±35% counts as noise. Exit code is always 0:
+# this is a trend signal, not a gate. Regressions print GitHub warning
+# annotations so they surface on the run summary.
 set -u
+
+readonly NOISE_RATIO=0.35
 
 prev="${1:?usage: bench_compare.sh <previous.json> <current.json>}"
 curr="${2:?usage: bench_compare.sh <previous.json> <current.json>}"
-ratio="${BENCH_NOISE_RATIO:-0.35}"
 
 if ! [ -r "$prev" ] || ! [ -r "$curr" ]; then
   echo "bench_compare: nothing to compare (missing $prev or $curr)"
   exit 0
 fi
 
-jq -r -n --slurpfile prev "$prev" --slurpfile curr "$curr" --argjson noise "$ratio" '
-  def metric: (.median_ns // .mean_ns);
-  ($prev[0].benchmarks | map({key: .id, value: metric}) | from_entries) as $before
+jq -r -n --slurpfile prev "$prev" --slurpfile curr "$curr" --argjson noise "$NOISE_RATIO" '
+  ($prev[0].benchmarks | map({key: .id, value: .median_ns}) | from_entries) as $before
   | $curr[0].benchmarks[]
   | . as $row
   | ($before[$row.id] // null) as $old
-  | ($row | metric) as $new
+  | $row.median_ns as $new
   | if $old == null or $old == 0 then
       "::notice::bench \($row.id): no previous median to compare"
     else
