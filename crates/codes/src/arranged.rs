@@ -111,46 +111,67 @@ pub fn arranged_hot_code(
 /// The revolving-door (Nijenhuis–Wilf) Gray code for `k`-combinations of
 /// `m` positions, rendered as binary hot-code words: successive words swap
 /// exactly one `1` with one `0`, i.e. differ in exactly two digits.
+///
+/// The sequence is `A(m, k) = A(m-1, k)` followed by the reverse of
+/// `A(m-1, k-1)` with position `m-1` added to every set. It is written out
+/// word by word by walking that recursion forwards or backwards over one
+/// working word: each level sets position `m-1` for its two halves, and a
+/// base case fills positions `0..m`.
 fn revolving_door_code(params: HotCodeParams) -> Result<CodeSequence> {
-    let m = params.word_length;
-    let k = params.multiplicity;
-
-    // Recursive construction over index sets.
-    fn combinations(m: usize, k: usize) -> Vec<Vec<usize>> {
-        if k == 0 {
-            return vec![vec![]];
+    fn emit(
+        m: usize,
+        k: usize,
+        backwards: bool,
+        word: &mut [u8],
+        out: &mut Vec<CodeWord>,
+    ) -> Result<()> {
+        if k == 0 || k == m {
+            // The one set of A(m, 0) is empty, and that of A(m, m) is full.
+            word[..m].fill(u8::from(k == m));
+            out.push(CodeWord::new(
+                word.iter().copied().map(Digit::new).collect(),
+                LogicLevel::BINARY,
+            )?);
+            return Ok(());
         }
-        if k == m {
-            return vec![(0..m).collect()];
+        // Forwards: A(m-1, k) with position m-1 clear, then A(m-1, k-1)
+        // backwards with it set. Backwards: the same halves in reverse.
+        if backwards {
+            word[m - 1] = 1;
+            emit(m - 1, k - 1, false, word, out)?;
+            word[m - 1] = 0;
+            emit(m - 1, k, true, word, out)
+        } else {
+            word[m - 1] = 0;
+            emit(m - 1, k, false, word, out)?;
+            word[m - 1] = 1;
+            emit(m - 1, k - 1, true, word, out)
         }
-        // A(m, k) = A(m-1, k) followed by reverse(A(m-1, k-1)) each ∪ {m-1}.
-        let mut result = combinations(m - 1, k);
-        let mut tail = combinations(m - 1, k - 1);
-        tail.reverse();
-        for set in tail {
-            let mut set = set;
-            set.push(m - 1);
-            result.push(set);
-        }
-        result
     }
 
-    let sets = combinations(m, k);
-    let words: Result<Vec<CodeWord>> = sets
-        .into_iter()
-        .map(|set| {
-            let mut values = vec![Digit::new(0); m];
-            for index in set {
-                values[index] = Digit::new(1);
-            }
-            CodeWord::new(values, LogicLevel::BINARY)
-        })
-        .collect();
-    CodeSequence::new(words?)
+    let mut word = vec![0u8; params.word_length];
+    let mut words = Vec::with_capacity(usize::try_from(params.space_size()).unwrap_or(0));
+    emit(
+        params.word_length,
+        params.multiplicity,
+        false,
+        &mut word,
+        &mut words,
+    )?;
+    CodeSequence::new(words)
 }
 
 /// Backtracking search for a Hamiltonian path of the distance-2 graph of a
-/// hot-code space. Returns `Ok(None)` when the node budget is exhausted.
+/// hot-code space, trying every start word in order. Returns `Ok(None)`
+/// when the node budget, shared by all starts, is exhausted.
+///
+/// At every node the unvisited neighbours are tried in `(remaining, next)`
+/// order, where `remaining` is the neighbour's own count of unvisited
+/// neighbours (Warnsdorff's rule, a strong heuristic for Hamiltonian paths
+/// on dense structured graphs). The search runs on an explicit stack,
+/// keeps every word's unvisited-neighbour count up to date as words are
+/// visited, and fills one candidate buffer per depth, so it allocates
+/// nothing per node.
 fn search_distance_two_path(space: &CodeSequence, max_nodes: u64) -> Result<Option<CodeSequence>> {
     let words = space.words();
     let count = words.len();
@@ -158,76 +179,106 @@ fn search_distance_two_path(space: &CodeSequence, max_nodes: u64) -> Result<Opti
         return Ok(Some(space.clone()));
     }
 
-    // Adjacency lists of the distance-2 graph.
+    // Adjacency lists of the distance-2 graph. The words of one sequence
+    // share their length, so digits compare position by position, and a
+    // pair stops at its third difference.
+    let two_apart = |a: &CodeWord, b: &CodeWord| {
+        let differences = a.digits().iter().zip(b.digits()).filter(|(x, y)| x != y);
+        differences.take(3).count() == 2
+    };
     let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); count];
     for i in 0..count {
         for j in (i + 1)..count {
-            if words[i].transitions_to(&words[j])? == 2 {
+            if two_apart(&words[i], &words[j]) {
                 adjacency[i].push(j);
                 adjacency[j].push(i);
             }
         }
     }
+    let adjacent = |word: usize| adjacency[word].as_slice();
+    let width = adjacency.iter().map(Vec::len).max().unwrap_or(0);
 
-    struct Ctx<'a> {
-        adjacency: &'a [Vec<usize>],
-        count: usize,
-        max_nodes: u64,
-    }
-
-    fn dfs(ctx: &Ctx<'_>, visited: &mut Vec<bool>, path: &mut Vec<usize>, nodes: &mut u64) -> bool {
-        if path.len() == ctx.count {
-            return true;
-        }
-        *nodes += 1;
-        if *nodes > ctx.max_nodes {
-            return false;
-        }
-        let current = *path.last().expect("non-empty path");
-        // Prefer neighbours with few remaining options (Warnsdorff-style), a
-        // strong heuristic for Hamiltonian paths on dense structured graphs.
-        let mut candidates: Vec<(usize, usize)> = ctx.adjacency[current]
-            .iter()
-            .copied()
-            .filter(|&next| !visited[next])
-            .map(|next| {
-                let remaining = ctx.adjacency[next].iter().filter(|&&n| !visited[n]).count();
-                (remaining, next)
-            })
-            .collect();
-        candidates.sort_unstable();
-        for (_, next) in candidates {
-            visited[next] = true;
-            path.push(next);
-            if dfs(ctx, visited, path, nodes) {
-                return true;
-            }
-            path.pop();
-            visited[next] = false;
-            if *nodes > ctx.max_nodes {
-                return false;
-            }
-        }
-        false
-    }
-
-    let ctx = Ctx {
-        adjacency: &adjacency,
-        count,
-        max_nodes,
-    };
+    // Depth d's candidates, (remaining, next), live in
+    // candidates[d * width ..][.. filled[d]]; tried[d] of them are taken.
+    let mut candidates = vec![(0usize, 0usize); count * width];
+    let mut filled = vec![0usize; count];
+    let mut tried = vec![0usize; count];
+    let mut visited = vec![false; count];
+    let mut unvisited: Vec<usize> = adjacency.iter().map(Vec::len).collect();
+    let mut path: Vec<usize> = Vec::with_capacity(count);
     let mut nodes = 0u64;
-    for start in 0..count {
-        let mut visited = vec![false; count];
-        visited[start] = true;
-        let mut path = vec![start];
-        if dfs(&ctx, &mut visited, &mut path, &mut nodes) {
-            let sequence: Result<Vec<CodeWord>> =
-                path.into_iter().map(|i| Ok(words[i].clone())).collect();
-            return Ok(Some(CodeSequence::new(sequence?)?));
+
+    let visit = |word: usize, visited: &mut [bool], unvisited: &mut [usize]| {
+        visited[word] = true;
+        for &other in adjacent(word) {
+            unvisited[other] -= 1;
         }
+    };
+    let leave = |word: usize, visited: &mut [bool], unvisited: &mut [usize]| {
+        visited[word] = false;
+        for &other in adjacent(word) {
+            unvisited[other] += 1;
+        }
+    };
+    let expand = |depth: usize,
+                  current: usize,
+                  visited: &[bool],
+                  unvisited: &[usize],
+                  candidates: &mut [(usize, usize)]|
+     -> usize {
+        let buffer = &mut candidates[depth * width..(depth + 1) * width];
+        let mut len = 0;
+        for &next in adjacent(current) {
+            if visited[next] {
+                continue;
+            }
+            let candidate = (unvisited[next], next);
+            let mut slot = len;
+            while slot > 0 && buffer[slot - 1] > candidate {
+                buffer[slot] = buffer[slot - 1];
+                slot -= 1;
+            }
+            buffer[slot] = candidate;
+            len += 1;
+        }
+        len
+    };
+
+    for start in 0..count {
+        visit(start, &mut visited, &mut unvisited);
+        path.push(start);
+        nodes += 1;
         if nodes > max_nodes {
             return Ok(None);
+        }
+        filled[0] = expand(0, start, &visited, &unvisited, &mut candidates);
+        tried[0] = 0;
+        let mut depth = 0;
+        loop {
+            if tried[depth] < filled[depth] {
+                let (_, next) = candidates[depth * width + tried[depth]];
+                tried[depth] += 1;
+                visit(next, &mut visited, &mut unvisited);
+                path.push(next);
+                if path.len() == count {
+                    let arranged = path.iter().map(|&word| words[word].clone()).collect();
+                    return Ok(Some(CodeSequence::new(arranged)?));
+                }
+                nodes += 1;
+                if nodes > max_nodes {
+                    return Ok(None);
+                }
+                depth += 1;
+                tried[depth] = 0;
+                filled[depth] = expand(depth, next, &visited, &unvisited, &mut candidates);
+            } else {
+                let word = path.pop().expect("the start word stays on the path");
+                leave(word, &mut visited, &mut unvisited);
+                if depth == 0 {
+                    break;
+                }
+                depth -= 1;
+            }
         }
     }
     Ok(None)

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::arrangement::{check_budget, MAX_ARRANGED_WORDS};
-use crate::digit::LogicLevel;
+use crate::digit::{Digit, LogicLevel};
 use crate::error::{CodeError, Result};
 use crate::gray::gray_code;
 use crate::sequence::CodeSequence;
@@ -156,7 +156,14 @@ pub fn reflected_balanced_gray_code(
 }
 
 /// DFS for a Hamiltonian path of the one-digit-difference graph in which no
-/// digit position changes more than `limit` times.
+/// digit position changes more than `limit` times, starting from the
+/// all-zero word like every other code of the crate.
+///
+/// Words are their tree-code indices. At every node the candidate moves
+/// (change one digit to another value) are ordered stably by the changes
+/// their digit has accumulated, so the balance target is met early. The
+/// search runs on an explicit stack over a precomputed digit table, with
+/// one candidate buffer per depth, and allocates nothing per node.
 fn search_balanced_path(
     radix: LogicLevel,
     base_length: usize,
@@ -165,136 +172,111 @@ fn search_balanced_path(
 ) -> Option<Vec<CodeWord>> {
     let n = radix.radix_usize();
     let total: usize = n.pow(base_length as u32);
+    // digits[w * base_length + j] is digit j (most significant first) of
+    // word w, and place[j] is that digit's place value.
+    let mut digits = vec![0u8; total * base_length];
+    for (word, row) in digits.chunks_exact_mut(base_length).enumerate() {
+        let mut rest = word;
+        for slot in row.iter_mut().rev() {
+            *slot = (rest % n) as u8;
+            rest /= n;
+        }
+    }
+    let mut place = vec![1usize; base_length];
+    for j in (0..base_length - 1).rev() {
+        place[j] = place[j + 1] * n;
+    }
 
-    // Words are represented by their tree-code index; neighbours differ in
-    // exactly one digit.
+    // Depth d's candidates, (digit, neighbour), live in
+    // candidates[d * width ..][.. filled[d]]; tried[d] of them are taken.
+    let width = base_length * (n - 1);
+    let mut candidates = vec![(0usize, 0usize); total * width];
+    let mut filled = vec![0usize; total];
+    let mut tried = vec![0usize; total];
     let mut visited = vec![false; total];
     let mut digit_changes = vec![0usize; base_length];
     let mut path: Vec<usize> = Vec::with_capacity(total);
     let mut nodes: u64 = 0;
 
-    // Start from the all-zero word, like every other code of the crate.
-    visited[0] = true;
-    path.push(0);
-
-    let powers: Vec<usize> = (0..base_length)
-        .rev()
-        .scan(1usize, |acc, _| {
-            let value = *acc;
-            *acc *= n;
-            Some(value)
-        })
-        .collect();
-    // powers[j] is the place value of digit j (digit 0 is most significant).
-    let place = {
-        let mut p = powers;
-        p.reverse();
-        p
-    };
-
-    fn digits_of(mut index: usize, n: usize, len: usize) -> Vec<u8> {
-        let mut digits = vec![0u8; len];
-        for slot in digits.iter_mut().rev() {
-            *slot = (index % n) as u8;
-            index /= n;
-        }
-        digits
-    }
-
-    struct Ctx<'a> {
-        n: usize,
-        base_length: usize,
-        total: usize,
-        limit: usize,
-        max_nodes: u64,
-        place: &'a [usize],
-    }
-
-    fn dfs(
-        ctx: &Ctx<'_>,
-        visited: &mut Vec<bool>,
-        digit_changes: &mut Vec<usize>,
-        path: &mut Vec<usize>,
-        nodes: &mut u64,
-    ) -> bool {
-        if path.len() == ctx.total {
-            return true;
-        }
-        *nodes += 1;
-        if *nodes > ctx.max_nodes {
-            return false;
-        }
-        let current = *path.last().expect("non-empty path");
-        let current_digits = digits_of(current, ctx.n, ctx.base_length);
-
-        // Candidate moves: change one digit to another value. Prefer digits
-        // with the fewest accumulated changes so the balance target is met,
-        // and among them prefer neighbours with low remaining degree.
-        let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
-        for j in 0..ctx.base_length {
-            if digit_changes[j] >= ctx.limit {
+    let expand = |depth: usize,
+                  current: usize,
+                  visited: &[bool],
+                  digit_changes: &[usize],
+                  candidates: &mut [(usize, usize)]|
+     -> usize {
+        let buffer = &mut candidates[depth * width..(depth + 1) * width];
+        let mut len = 0;
+        for (j, &value) in digits[current * base_length..(current + 1) * base_length]
+            .iter()
+            .enumerate()
+        {
+            if digit_changes[j] >= limit {
                 continue;
             }
-            let current_value = usize::from(current_digits[j]);
-            for value in 0..ctx.n {
-                if value == current_value {
+            let base = current - usize::from(value) * place[j];
+            for other in (0..n).filter(|&other| other != usize::from(value)) {
+                let neighbour = base + other * place[j];
+                if visited[neighbour] {
                     continue;
                 }
-                let neighbour = neighbour_index(current, j, value, ctx);
-                if !visited[neighbour] {
-                    candidates.push((digit_changes[j], j, neighbour));
+                // Stable insertion: after every candidate whose digit has
+                // changed as often or less.
+                let mut slot = len;
+                while slot > 0 && digit_changes[buffer[slot - 1].0] > digit_changes[j] {
+                    buffer[slot] = buffer[slot - 1];
+                    slot -= 1;
                 }
+                buffer[slot] = (j, neighbour);
+                len += 1;
             }
         }
-        candidates.sort_by_key(|&(changes, _, _)| changes);
-
-        for (_, j, neighbour) in candidates {
-            visited[neighbour] = true;
-            digit_changes[j] += 1;
-            path.push(neighbour);
-            if dfs(ctx, visited, digit_changes, path, nodes) {
-                return true;
-            }
-            path.pop();
-            digit_changes[j] -= 1;
-            visited[neighbour] = false;
-            if *nodes > ctx.max_nodes {
-                return false;
-            }
-        }
-        false
-    }
-
-    fn neighbour_index(current: usize, j: usize, new_value: usize, ctx: &Ctx<'_>) -> usize {
-        let digits = digits_of(current, ctx.n, ctx.base_length);
-        let old_value = usize::from(digits[j]);
-        current - old_value * ctx.place[j] + new_value * ctx.place[j]
-    }
-
-    let ctx = Ctx {
-        n,
-        base_length,
-        total,
-        limit,
-        max_nodes,
-        place: &place,
+        len
     };
 
-    if dfs(
-        &ctx,
-        &mut visited,
-        &mut digit_changes,
-        &mut path,
-        &mut nodes,
-    ) {
-        let words: Option<Vec<CodeWord>> = path
-            .into_iter()
-            .map(|index| CodeWord::from_index(index as u128, base_length, radix).ok())
-            .collect();
-        words
-    } else {
-        None
+    visited[0] = true;
+    path.push(0);
+    if path.len() < total {
+        nodes += 1;
+        if nodes > max_nodes {
+            return None;
+        }
+        filled[0] = expand(0, 0, &visited, &digit_changes, &mut candidates);
+        let mut depth = 0;
+        loop {
+            if tried[depth] < filled[depth] {
+                let (j, neighbour) = candidates[depth * width + tried[depth]];
+                tried[depth] += 1;
+                visited[neighbour] = true;
+                digit_changes[j] += 1;
+                path.push(neighbour);
+                if path.len() == total {
+                    break;
+                }
+                nodes += 1;
+                if nodes > max_nodes {
+                    return None;
+                }
+                depth += 1;
+                tried[depth] = 0;
+                filled[depth] = expand(depth, neighbour, &visited, &digit_changes, &mut candidates);
+            } else {
+                if depth == 0 {
+                    return None;
+                }
+                depth -= 1;
+                let (j, neighbour) = candidates[depth * width + tried[depth] - 1];
+                path.pop();
+                digit_changes[j] -= 1;
+                visited[neighbour] = false;
+            }
+        }
     }
+    path.into_iter()
+        .map(|word| {
+            let row = &digits[word * base_length..(word + 1) * base_length];
+            CodeWord::new(row.iter().copied().map(Digit::new).collect(), radix).ok()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -47,6 +47,7 @@
 mod arranged;
 mod arrangement;
 mod balanced;
+mod cyclic;
 mod digit;
 mod error;
 mod gray;

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arranged::{arranged_hot_code, ArrangedHotBudget};
 use crate::balanced::{reflected_balanced_gray_code, BalanceBudget};
+use crate::cyclic::{hot_prefix, reflected_prefix};
 use crate::digit::LogicLevel;
 use crate::error::{CodeError, Result};
 use crate::gray::reflected_gray_code;
@@ -210,6 +211,28 @@ impl CodeSpec {
             CodeKind::Hot => hot_code(self.radix, self.code_length),
             CodeKind::ArrangedHot => {
                 arranged_hot_code(self.radix, self.code_length, budgets.arranged_hot)
+            }
+        }
+    }
+
+    /// The first `count` words of the code's cyclic extension (word `i` is
+    /// word `i mod Ω` of the sequence): what a half cave of `count`
+    /// nanowires reads. Equal, word for word and error for error, to
+    /// `self.generate_with(budgets)?.take_cyclic(count)`. Tree, Gray and hot
+    /// codes build only the `count` words they return; the searched
+    /// families (BGC, AHC) generate their whole arrangement first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates generation errors, then returns
+    /// [`CodeError::InvalidLength`] when `count == 0`.
+    pub fn generate_cyclic(&self, budgets: CodeBudgets, count: usize) -> Result<CodeSequence> {
+        match self.kind {
+            CodeKind::Tree => reflected_prefix(self.radix, self.code_length, count, false),
+            CodeKind::Gray => reflected_prefix(self.radix, self.code_length, count, true),
+            CodeKind::Hot => hot_prefix(self.radix, self.code_length, count),
+            CodeKind::BalancedGray | CodeKind::ArrangedHot => {
+                self.generate_with(budgets)?.take_cyclic(count)
             }
         }
     }

@@ -58,6 +58,19 @@ impl HalfCave {
         })
     }
 
+    /// A half cave whose nanowire `i` carries word `i` of `assignment`: the
+    /// same half cave as `HalfCave::new(assignment.len(), &code)` when
+    /// `assignment` is the cyclic extension of `code`, as
+    /// [`CodeSpec::generate_cyclic`](nanowire_codes::CodeSpec::generate_cyclic)
+    /// builds it.
+    #[must_use]
+    pub fn from_assignment(assignment: CodeSequence) -> Self {
+        HalfCave {
+            nanowire_count: assignment.len(),
+            assignment,
+        }
+    }
+
     /// The number of nanowires `N`.
     #[must_use]
     pub fn nanowire_count(&self) -> usize {
@@ -144,6 +157,13 @@ mod tests {
         let half = HalfCave::new(20, &code).unwrap();
         assert_eq!(half.assignment()[8], code[0]);
         assert_eq!(half.assignment()[19], code[3]);
+    }
+
+    #[test]
+    fn an_explicit_assignment_is_the_cyclic_half_cave() {
+        let code = gray_code();
+        let cyclic = HalfCave::from_assignment(code.take_cyclic(20).unwrap());
+        assert_eq!(cyclic, HalfCave::new(20, &code).unwrap());
     }
 
     #[test]

@@ -53,22 +53,30 @@ impl AddressabilityProfile {
     /// comparable. Pass an explicit `window` to study tighter or looser
     /// sensing margins.
     ///
+    /// A region's in-window probability depends only on its dose count, so
+    /// it is evaluated once per distinct count, the first time a region in
+    /// row-major order has that count. Each nanowire's product multiplies
+    /// the same factors in the same order as a per-region evaluation.
+    ///
     /// # Errors
     ///
-    /// Propagates device-physics errors for invalid windows.
+    /// Propagates device-physics errors for invalid windows: the error of
+    /// the first region, in row-major order, whose probability fails.
     pub fn from_variability(
         variability: &VariabilityMatrix,
         model: &VariabilityModel,
         window: Volts,
     ) -> Result<Self> {
-        let n = variability.nanowire_count();
-        let m = variability.region_count();
-        let mut probabilities = Vec::with_capacity(n);
-        for i in 0..n {
+        let counts = variability.dose_counts().as_matrix();
+        let mut by_count: Vec<Option<f64>> = vec![None; counts.max() + 1];
+        let mut probabilities = Vec::with_capacity(counts.rows());
+        for row in counts.iter_rows() {
             let mut p = 1.0;
-            for j in 0..m {
-                let doses = variability.dose_counts().count(i, j)?;
-                p *= model.in_window_probability(doses, window)?;
+            for &doses in row {
+                p *= match by_count[doses] {
+                    Some(q) => q,
+                    None => *by_count[doses].insert(model.in_window_probability(doses, window)?),
+                };
             }
             probabilities.push(p);
         }

@@ -132,16 +132,29 @@ impl StepDopingMatrix {
         self.doses.map(|v| v / 1e18)
     }
 
-    /// Whether a dose is non-zero up to [`DOSE_EQUALITY_TOLERANCE`], relative
-    /// to the largest dose magnitude of the matrix.
-    #[must_use]
-    pub fn is_nonzero_dose(&self, value: f64) -> bool {
+    /// The absolute tolerance at or below which a dose counts as zero:
+    /// [`DOSE_EQUALITY_TOLERANCE`] times the largest dose magnitude of the
+    /// matrix (at least 1). One scan of the matrix, so callers that classify
+    /// many doses compute it once.
+    pub(crate) fn zero_dose_tolerance(&self) -> f64 {
         let scale = self
             .doses
             .iter()
             .fold(0.0f64, |acc, &v| acc.max(v.abs()))
             .max(1.0);
-        value.abs() > DOSE_EQUALITY_TOLERANCE * scale
+        DOSE_EQUALITY_TOLERANCE * scale
+    }
+
+    /// Whether a dose is non-zero up to [`DOSE_EQUALITY_TOLERANCE`], relative
+    /// to the largest dose magnitude of the matrix. Each call scans the whole
+    /// matrix for that magnitude; [`DoseCountMatrix::from_steps`] and
+    /// [`StepDopingMatrix::distinct_doses_per_step`] scan it once for all
+    /// their doses.
+    ///
+    /// [`DoseCountMatrix::from_steps`]: crate::DoseCountMatrix::from_steps
+    #[must_use]
+    pub fn is_nonzero_dose(&self, value: f64) -> bool {
+        value.abs() > self.zero_dose_tolerance()
     }
 
     /// Reconstructs the final doping matrix by accumulating the steps:
@@ -172,12 +185,7 @@ impl StepDopingMatrix {
     /// lithography/doping count `φ_i` of Definition 4.
     #[must_use]
     pub fn distinct_doses_per_step(&self) -> Vec<usize> {
-        let scale = self
-            .doses
-            .iter()
-            .fold(0.0f64, |acc, &v| acc.max(v.abs()))
-            .max(1.0);
-        let tol = DOSE_EQUALITY_TOLERANCE * scale;
+        let tol = self.zero_dose_tolerance();
         (0..self.step_count())
             .map(|i| {
                 let mut distinct: Vec<f64> = Vec::new();

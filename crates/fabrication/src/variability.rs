@@ -28,21 +28,23 @@ pub struct DoseCountMatrix {
 
 impl DoseCountMatrix {
     /// Derives the dose counts from a step doping matrix:
-    /// `ν_i^j = Σ_{k≥i} [S_k^j ≠ 0]`.
+    /// `ν_i^j = Σ_{k≥i} [S_k^j ≠ 0]`, where "non-zero" is
+    /// [`StepDopingMatrix::is_nonzero_dose`] against a tolerance computed
+    /// once, so the count is linear in the matrix size.
     #[must_use]
     pub fn from_steps(steps: &StepDopingMatrix) -> Self {
         let n = steps.step_count();
         let m = steps.region_count();
+        let tolerance = steps.zero_dose_tolerance();
         let mut rows = vec![vec![0usize; m]; n];
         let mut suffix = vec![0usize; m];
         for i in (0..n).rev() {
-            for (j, count) in suffix.iter_mut().enumerate() {
-                let dose = steps.dose(i, j).expect("in range");
-                if steps.is_nonzero_dose(dose) {
+            for (count, dose) in suffix.iter_mut().zip(steps.step_doses(i)) {
+                if dose.abs() > tolerance {
                     *count += 1;
                 }
             }
-            rows[i] = suffix.clone();
+            rows[i].copy_from_slice(&suffix);
         }
         DoseCountMatrix {
             counts: Matrix::from_rows(rows).expect("same shape as S"),

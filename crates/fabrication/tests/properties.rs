@@ -27,6 +27,28 @@ fn ladder_for(radix: LogicLevel) -> DopingLadder {
     .unwrap()
 }
 
+/// Strategy producing random pattern matrices with radix 2–4, N in 1..=64
+/// and M in 2..=12, each with the ladder it is fabricated on: the
+/// solver-built ladder of its radix, or the paper's worked-example ladder
+/// (three levels, so for radices 2 and 3 only).
+fn reference_strategy() -> impl Strategy<Value = (PatternMatrix, DopingLadder)> {
+    (2u8..=4, 1usize..=64, 2usize..=12, any::<bool>()).prop_flat_map(
+        |(radix, n, m, paper_ladder)| {
+            let level = LogicLevel::new(radix).unwrap();
+            proptest::collection::vec(proptest::collection::vec(0..radix, m), n).prop_map(
+                move |rows| {
+                    let ladder = if paper_ladder && radix <= 3 {
+                        DopingLadder::paper_example()
+                    } else {
+                        ladder_for(level)
+                    };
+                    (PatternMatrix::from_rows(rows, level).unwrap(), ladder)
+                },
+            )
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -71,6 +93,24 @@ proptest! {
             for i in (0..n - 1).rev() {
                 let expected = doses.count(i + 1, j).unwrap()
                     + usize::from(pattern.digit(i, j).unwrap() != pattern.digit(i + 1, j).unwrap());
+                prop_assert_eq!(doses.count(i, j).unwrap(), expected);
+            }
+        }
+    }
+
+    /// The linear dose count equals its per-cell definition
+    /// `ν_i^j = Σ_{k≥i} [is_nonzero_dose(S_k^j)]`, where every
+    /// classification rescans the step matrix for its tolerance.
+    #[test]
+    fn dose_counts_equal_the_per_cell_definition((pattern, ladder) in reference_strategy()) {
+        let steps = StepDopingMatrix::from_pattern(&pattern, &ladder).unwrap();
+        let doses = DoseCountMatrix::from_steps(&steps);
+        let n = steps.step_count();
+        let m = steps.region_count();
+        for j in 0..m {
+            let mut expected = 0;
+            for i in (0..n).rev() {
+                expected += usize::from(steps.is_nonzero_dose(steps.dose(i, j).unwrap()));
                 prop_assert_eq!(doses.count(i, j).unwrap(), expected);
             }
         }

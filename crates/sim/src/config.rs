@@ -377,13 +377,37 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Propagates device-physics errors from ladder construction.
+    /// Returns [`SimError::InvalidConfig`] for a NaN or negative override
+    /// (`-0.0` passes), or propagates device-physics errors from ladder
+    /// construction.
     pub fn decision_window(&self) -> Result<Volts> {
-        if let Some(window) = self.window_override {
-            return Ok(window);
+        match self.window_override {
+            Some(window) => check_window(window),
+            None => Ok(self.doping_ladder()?.window_half_width()),
         }
-        Ok(self.doping_ladder()?.window_half_width())
     }
+
+    /// [`SimConfig::decision_window`] with the ladder's half-width already
+    /// at hand (the variability stage carries it), so the ladder is not
+    /// solved again.
+    pub(crate) fn decision_window_given(&self, ladder_window: Volts) -> Result<Volts> {
+        match self.window_override {
+            Some(window) => check_window(window),
+            None => Ok(ladder_window),
+        }
+    }
+}
+
+/// Rejects a NaN or negative decision-window half-width: `NaN < 0.0` is
+/// false, and a NaN window would otherwise reject every region silently.
+/// `-0.0` passes.
+pub(crate) fn check_window(window: Volts) -> Result<Volts> {
+    if window.value().is_nan() || window.value() < 0.0 {
+        return Err(SimError::InvalidConfig {
+            reason: format!("decision window must be non-negative, got {window}"),
+        });
+    }
+    Ok(window)
 }
 
 /// The configuration's wire fields, in [`ConfigField`](crate::ConfigField)
@@ -440,6 +464,8 @@ impl Record for SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExecutionEngine;
+    use crate::platform::SimulationPlatform;
     use nanowire_codes::{CodeKind, LogicLevel};
 
     fn code() -> CodeSpec {
@@ -541,6 +567,41 @@ mod tests {
         assert_eq!(config.decision_window().unwrap(), Volts::new(0.2));
         let other = CodeSpec::new(CodeKind::Hot, LogicLevel::BINARY, 6).unwrap();
         assert_eq!(config.with_code(other).code(), other);
+    }
+
+    #[test]
+    fn bad_window_overrides_get_one_error_on_both_paths() {
+        let engine = ExecutionEngine::serial();
+        let sampling = MonteCarloConfig::fixed(64, 1);
+        let windowed = |window: f64| {
+            SimConfig::paper_defaults(code())
+                .unwrap()
+                .with_window(Volts::new(window))
+        };
+        for window in [-0.1, f64::NAN] {
+            let config = windowed(window);
+            let expected = format!(
+                "decision window must be non-negative, got {}",
+                Volts::new(window)
+            );
+            let report = SimulationPlatform::new(config.clone()).evaluate();
+            let sampled = engine.monte_carlo_for_config(&config, sampling);
+            for result in [report.map(drop), sampled.map(drop)] {
+                assert!(
+                    matches!(&result, Err(SimError::InvalidConfig { reason }) if *reason == expected),
+                    "{window}: {result:?}"
+                );
+            }
+        }
+        // -0.0 is a zero-width window like 0.0, not a negative one.
+        assert_eq!(windowed(-0.0).decision_window().unwrap(), Volts::new(-0.0));
+        assert!(engine
+            .monte_carlo_for_config(&windowed(-0.0), sampling)
+            .is_ok());
+        assert_eq!(
+            SimulationPlatform::new(windowed(-0.0)).evaluate(),
+            SimulationPlatform::new(windowed(0.0)).evaluate()
+        );
     }
 
     #[test]

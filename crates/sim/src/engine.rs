@@ -515,7 +515,7 @@ impl ExecutionEngine {
                 let platform = SimulationPlatform::new(sim.clone());
                 let staged = platform.variability_stage(&self.stages)?;
                 let model = sim.variability_model()?;
-                let window = sim.decision_window()?;
+                let window = sim.decision_window_given(staged.ladder_window)?;
                 let disturbance = sim.disturbance().model()?;
                 self.monte_carlo_with_disturbance(
                     &staged.variability,

@@ -72,6 +72,7 @@ use mspt_fabrication::VariabilityMatrix;
 // `crossbar-array`; both determinism contracts rest on the same function.
 pub(crate) use crossbar_array::chunk_seed;
 
+use crate::config::check_window;
 use crate::disturbance::DisturbanceModel;
 use crate::error::{Result, SimError};
 
@@ -215,13 +216,7 @@ pub(crate) fn validate_monte_carlo(config: &MonteCarloConfig, window: Volts) -> 
             reason: "Monte-Carlo estimation needs at least one sample".to_string(),
         });
     }
-    // `NaN < 0.0` is false, and a NaN window would reject every region
-    // silently: an all-zero profile instead of an error.
-    if window.value().is_nan() || window.value() < 0.0 {
-        return Err(SimError::InvalidConfig {
-            reason: format!("decision window must be non-negative, got {window}"),
-        });
-    }
+    check_window(window)?;
     // `!(inside)` keeps NaN on the error path.
     if !(config.confidence > 0.0 && config.confidence < 1.0) {
         return Err(SimError::InvalidConfig {

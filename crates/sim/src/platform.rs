@@ -8,7 +8,9 @@ use crossbar_array::{
     survival_fraction, AddressabilityProfile, CaveYield, CompositeYield, ContactGroupLayout,
     CrossbarArea, DefectMap, DefectModel, HalfCave,
 };
-use mspt_fabrication::{FabricationCost, PatternMatrix, VariabilityMatrix};
+use mspt_fabrication::{
+    DoseCountMatrix, FabricationCost, PatternMatrix, StepDopingMatrix, VariabilityMatrix,
+};
 use nanowire_codes::{CodeSequence, CodeSpec};
 
 use crate::config::SimConfig;
@@ -85,17 +87,26 @@ impl SimulationPlatform {
             .generate_with(self.config.code_budgets())?)
     }
 
+    /// The first `nanowires` words of the configured code's cyclic
+    /// extension, built without enumerating the whole code where the family
+    /// allows it ([`CodeSpec::generate_cyclic`]).
+    fn cyclic_sequence(&self, nanowires: usize) -> Result<CodeSequence> {
+        Ok(self
+            .config
+            .code()
+            .generate_cyclic(self.config.code_budgets(), nanowires)?)
+    }
+
     /// The half-cave assignment (the configured code applied cyclically to
     /// the configured number of nanowires).
     ///
     /// # Errors
     ///
-    /// Propagates code and crossbar errors.
+    /// Propagates code errors.
     pub fn half_cave(&self) -> Result<HalfCave> {
-        Ok(HalfCave::new(
-            self.config.nanowires_per_half_cave(),
-            &self.code_sequence()?,
-        )?)
+        Ok(HalfCave::from_assignment(
+            self.cyclic_sequence(self.config.nanowires_per_half_cave())?,
+        ))
     }
 
     /// The variability matrix `Σ` of the configured half cave.
@@ -132,8 +143,7 @@ impl SimulationPlatform {
     ///
     /// Propagates code, fabrication and device-physics errors.
     pub fn fabrication_cost_for(&self, nanowires: usize) -> Result<FabricationCost> {
-        let sequence = self.code_sequence()?.take_cyclic(nanowires)?;
-        let pattern = PatternMatrix::from_sequence(&sequence)?;
+        let pattern = PatternMatrix::from_sequence(&self.cyclic_sequence(nanowires)?)?;
         Ok(FabricationCost::from_pattern(
             &pattern,
             &self.config.doping_ladder()?,
@@ -147,8 +157,7 @@ impl SimulationPlatform {
     ///
     /// Propagates code, fabrication and device-physics errors.
     pub fn variability_for(&self, nanowires: usize) -> Result<VariabilityMatrix> {
-        let sequence = self.code_sequence()?.take_cyclic(nanowires)?;
-        let pattern = PatternMatrix::from_sequence(&sequence)?;
+        let pattern = PatternMatrix::from_sequence(&self.cyclic_sequence(nanowires)?)?;
         Ok(VariabilityMatrix::from_pattern(
             &pattern,
             &self.config.doping_ladder()?,
@@ -286,16 +295,15 @@ impl SimulationPlatform {
     pub(crate) fn variability_stage(&self, stages: &StageCache) -> Result<VariabilityStage> {
         stages.variability(&self.config, || {
             // Σ and Φ share the pattern and the doping ladder, so one
-            // stage computes both from a single pattern build.
+            // stage computes both from a single step-matrix build.
             let pattern = self.half_cave()?.pattern()?;
             let ladder = self.config.doping_ladder()?;
+            let model = self.config.variability_model()?;
+            let steps = StepDopingMatrix::from_pattern(&pattern, &ladder)?;
             Ok(VariabilityStage {
-                variability: VariabilityMatrix::from_pattern(
-                    &pattern,
-                    &ladder,
-                    &self.config.variability_model()?,
-                )?,
-                cost: FabricationCost::from_pattern(&pattern, &ladder)?,
+                variability: VariabilityMatrix::new(DoseCountMatrix::from_steps(&steps), &model),
+                cost: FabricationCost::from_steps(&steps),
+                ladder_window: ladder.window_half_width(),
             })
         })
     }
@@ -352,7 +360,7 @@ impl SimulationPlatform {
             Ok(AddressabilityProfile::from_variability(
                 &staged.variability,
                 &self.config.variability_model()?,
-                self.config.decision_window()?,
+                self.config.decision_window_given(staged.ladder_window)?,
             )?)
         })?;
         let yield_ =

@@ -44,6 +44,7 @@
 use crossbar_array::{
     chunk_seed, AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea,
 };
+use device_physics::Volts;
 use mspt_fabrication::{FabricationCost, VariabilityMatrix};
 
 use crate::bincodec::{self, BinWriter};
@@ -299,13 +300,17 @@ impl Stage {
 
 /// The memoized product of the [`Stage::Variability`] stage: the
 /// variability matrix and the fabrication cost ride together because both
-/// derive from the same pattern and doping ladder.
+/// derive from the same pattern and doping ladder, and the ladder's window
+/// rides with them because the ladder is a function of the stage's key.
 #[derive(Debug, Clone)]
 pub(crate) struct VariabilityStage {
     /// The variability matrix `Σ` of the configured half cave.
     pub variability: VariabilityMatrix,
     /// The fabrication complexity `Φ` of the configured half cave.
     pub cost: FabricationCost,
+    /// The ladder's [`DopingLadder::window_half_width`](device_physics::DopingLadder::window_half_width):
+    /// the decision window of a configuration without an override.
+    pub ladder_window: Volts,
 }
 
 /// The counters of one stage's memo slot — a per-stage [`CacheStats`] row.
