@@ -12,9 +12,9 @@
 //!   differ only in tail shape.
 //! * [`CorrelatedDisturbance`] — a shared per-nanowire offset plus
 //!   independent per-region noise (systematic dose drift on top of local
-//!   randomness). `1 + M` normals per nanowire of `M` regions.
+//!   randomness). `1 + M` draws per nanowire of `M` regions.
 //!
-//! # Two sampling paths
+//! # Sampling paths
 //!
 //! A region passes when its deviation lies inside the decision window. For a
 //! model whose deviation is a monotone function of one uniform draw, that is
@@ -33,20 +33,30 @@
 //!   exactly the same draws and Laplace estimates are bit-identical either
 //!   way.
 //!
-//! Correlated and custom models keep the default `None` and take the
-//! *general path*: [`DisturbanceModel::sample_regions`] fills each
-//! nanowire's deviations and the sampler checks them against the window.
-//! Box–Muller Gaussian sampling stays available there, through
-//! [`GaussianDisturbance::sample_regions`], as the independent reference
-//! the window path is checked against.
+//! A correlated region's range moves with its nanowire's shared offset, so
+//! the correlated model instead declares its shared variance fraction
+//! through [`DisturbanceModel::shared_offset_fraction`] and takes the
+//! *shared-offset path*: one exact normal per nanowire for the offset, and
+//! per region one draw whose normal is bracketed by a quantile table and
+//! computed only when the bracket straddles the window (see
+//! [`crate::monte_carlo`]). Like the Gaussian's, its estimates differ from
+//! those of earlier releases for the same seed and agree in distribution.
+//!
+//! Custom models keep both defaults and take the *general path*:
+//! [`DisturbanceModel::sample_regions`] fills each nanowire's deviations and
+//! the sampler checks them against the window. Box–Muller sampling stays
+//! available there, through [`GaussianDisturbance::sample_regions`] and
+//! [`CorrelatedDisturbance::sample_regions`], as the independent reference
+//! the other two paths are checked against.
 //!
 //! # Fixed-consumption contract
 //!
 //! Whatever the distribution, a model must draw a **fixed number** of values
 //! from the source per nanowire, depending only on the region count — never
 //! on the sampled values, the window, or the acceptance outcome. The window
-//! path draws exactly one 53-bit uniform per region; on the general path the
-//! model's own discipline applies. This is the common-random-numbers
+//! path draws exactly one 53-bit uniform per region, the shared-offset path
+//! `1 + M` per nanowire of `M` regions; on the general path the model's own
+//! discipline applies. This is the common-random-numbers
 //! discipline documented in [`crate::monte_carlo`]: it keeps chunked
 //! sampling bit-identical for any thread count and makes same-seed
 //! comparisons across windows exact.
@@ -105,8 +115,10 @@ use crate::stats::erfc;
 ///     .iter()
 ///     .zip(&sigmas)
 ///     .all(|(d, s)| d.abs() <= s * 3f64.sqrt()));
-/// // No acceptance range: the sampler takes the general path.
+/// // No acceptance range and no shared offset: the sampler takes the
+/// // general path.
 /// assert_eq!(UniformDisturbance.accepted_draws(0.1, 0.05), None);
+/// assert_eq!(UniformDisturbance.shared_offset_fraction(), None);
 /// ```
 pub trait DisturbanceModel: fmt::Debug + Send + Sync {
     /// Fills `out` with one sampled disturbance per doping region of one
@@ -128,6 +140,22 @@ pub trait DisturbanceModel: fmt::Debug + Send + Sync {
     /// non-negative and may be `+∞`. The provided body returns `None`.
     fn accepted_draws(&self, sigma: f64, half_width: f64) -> Option<RangeInclusive<u64>> {
         let _ = (sigma, half_width);
+        None
+    }
+
+    /// The fraction `ρ ∈ [0, 1]` of every region's variance carried by one
+    /// standard-normal offset `Z₀` that all regions of a nanowire share, when
+    /// the model is region `j` deviating by `σ_j · (√ρ · Z₀ + √(1−ρ) · Z_j)`
+    /// with independent standard normals `Z_j` — or `None` for any other
+    /// model.
+    ///
+    /// When the model has no [`accepted_draws`](Self::accepted_draws) range
+    /// and returns a `ρ` in `[0, 1]` here, the sampler takes the
+    /// shared-offset path and never calls
+    /// [`sample_regions`](Self::sample_regions): per nanowire it draws `Z₀`
+    /// from one 53-bit uniform and each `Z_j` from one more, in region order.
+    /// The provided body returns `None`.
+    fn shared_offset_fraction(&self) -> Option<f64> {
         None
     }
 }
@@ -234,8 +262,14 @@ impl DisturbanceModel for LaplaceDisturbance {
 ///
 /// where `ρ` is the [`shared_fraction`](CorrelatedDisturbance::shared_fraction)
 /// of the variance carried by the shared offset `Z₀`. `ρ = 0` degenerates to
-/// the Gaussian model (but consumes one extra normal per nanowire); `ρ = 1`
+/// the Gaussian model (but consumes one extra draw per nanowire); `ρ = 1`
 /// moves every region of a wire in lockstep.
+///
+/// The sampler takes the shared-offset path for this model
+/// ([`shared_offset_fraction`](DisturbanceModel::shared_offset_fraction)).
+/// [`sample_regions`](DisturbanceModel::sample_regions) still draws `1 + M`
+/// Box–Muller normals per nanowire, the offset first — the reference
+/// sampler that path is validated against.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelatedDisturbance {
     shared_fraction: f64,
@@ -273,6 +307,10 @@ impl DisturbanceModel for CorrelatedDisturbance {
         for (slot, &sigma) in out.iter_mut().zip(sigmas) {
             *slot = sigma * (shared_weight * shared + local_weight * draws.sample());
         }
+    }
+
+    fn shared_offset_fraction(&self) -> Option<f64> {
+        Some(self.shared_fraction)
     }
 }
 
@@ -515,6 +553,10 @@ mod tests {
         assert_eq!(correlated.accepted_draws(0.1, 0.2), None);
         assert!(GaussianDisturbance.accepted_draws(0.1, 0.2).is_some());
         assert!(LaplaceDisturbance.accepted_draws(0.1, 0.2).is_some());
+        // Only the correlated model has a shared offset.
+        assert_eq!(correlated.shared_offset_fraction(), Some(0.5));
+        assert_eq!(GaussianDisturbance.shared_offset_fraction(), None);
+        assert_eq!(LaplaceDisturbance.shared_offset_fraction(), None);
     }
 
     #[test]

@@ -58,8 +58,7 @@ use crate::defect::DefectKind;
 use crate::disturbance::DisturbanceModel;
 use crate::error::{Result, SimError};
 use crate::monte_carlo::{
-    chunk_seed, sample_chunk, validate_monte_carlo, AcceptanceTable, MonteCarloConfig,
-    MonteCarloOutcome, SigmaMatrix,
+    chunk_seed, validate_monte_carlo, Kernel, MonteCarloConfig, MonteCarloOutcome, SigmaMatrix,
 };
 use crate::platform::{PlatformReport, SimulationPlatform};
 use crate::stage::{StageCache, StageStats};
@@ -393,8 +392,10 @@ impl ExecutionEngine {
     /// The sampling path follows from the model: when it has an
     /// [`accepted_draws`](DisturbanceModel::accepted_draws) range for every
     /// cell, the ranges are tabulated once for the whole estimate and every
-    /// chunk runs the one-draw-one-compare window kernel; otherwise every
-    /// chunk samples deviations through
+    /// chunk runs the one-draw-one-compare window kernel; when it declares a
+    /// [`shared_offset_fraction`](DisturbanceModel::shared_offset_fraction),
+    /// every chunk runs the shared-offset kernel over a quantile table built
+    /// once; otherwise every chunk samples deviations through
     /// [`sample_regions`](DisturbanceModel::sample_regions) and checks them
     /// against the window.
     ///
@@ -412,19 +413,13 @@ impl ExecutionEngine {
     ) -> Result<MonteCarloOutcome> {
         validate_monte_carlo(&config, window)?;
         let sigmas = SigmaMatrix::from_variability(variability, model)?;
-        let window_half_width = window.value();
-        let table = AcceptanceTable::build(&sigmas, window_half_width, disturbance);
+        let kernel = Kernel::new(&sigmas, window.value(), disturbance);
         let chunk_size = self.config.chunk_size;
         let cap = config.sample_cap();
         let chunk_count = cap.div_ceil(chunk_size);
         let chunk_samples = |chunk: usize| chunk_size.min(cap - chunk * chunk_size);
         let run_chunk = |chunk: usize| {
-            let seed = chunk_seed(config.seed, chunk as u64);
-            let samples = chunk_samples(chunk);
-            Ok(match &table {
-                Some(table) => table.sample_chunk(seed, samples),
-                None => sample_chunk(&sigmas, window_half_width, seed, samples, disturbance),
-            })
+            Ok(kernel.sample_chunk(chunk_seed(config.seed, chunk as u64), chunk_samples(chunk)))
         };
         let z = z_for_confidence(config.confidence);
         let mut totals = vec![0usize; sigmas.nanowires()];

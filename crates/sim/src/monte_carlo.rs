@@ -21,7 +21,7 @@
 //!
 //! # Sampling paths
 //!
-//! An estimate samples in one of two ways, chosen from the
+//! An estimate samples in one of three ways, chosen once from the
 //! [`DisturbanceModel`] itself (see [`crate::disturbance`]):
 //!
 //! * **Window path** — when the model returns a range of accepted uniform
@@ -31,18 +31,29 @@
 //!   then costs one 53-bit draw and one integer compare. No deviation is
 //!   ever materialised. The Gaussian model therefore no longer replays the
 //!   Box–Muller stream: same distribution, different samples for a seed.
-//! * **General path** — otherwise (correlated and custom models), each
-//!   nanowire's deviations are filled by
-//!   [`DisturbanceModel::sample_regions`] and checked against the window.
-//!   A Gaussian model that only implements `sample_regions` samples
-//!   Box–Muller normals here: the reference the window path is checked
-//!   against.
+//! * **Shared-offset path** — when the model declares a shared offset
+//!   ([`DisturbanceModel::shared_offset_fraction`]; the correlated model
+//!   does), region `j` of a nanowire with shared offset `Z₀` passes when
+//!   its own normal lies in `[(−c_j − √ρ·Z₀)/√(1−ρ), (c_j − √ρ·Z₀)/√(1−ρ)]`
+//!   with `c_j = w/σ_j`. Per nanowire, `Z₀` is one exact normal from one
+//!   53-bit draw ([`normal_quantile`]). Per region, one draw's top 8 bits
+//!   pick a bracket of its normal from a 257-edge quantile table built once
+//!   per estimate, and the exact quantile is computed only when the bracket
+//!   straddles a bound (under 1 % of cells on the Fig. 7/8 points). The
+//!   table edges are scaled by `√(1−ρ)` rather than the bounds divided by
+//!   it, so `ρ = 1` (no local noise) needs no special case.
+//! * **General path** — otherwise (custom models), each nanowire's
+//!   deviations are filled by [`DisturbanceModel::sample_regions`] and
+//!   checked against the window. A Gaussian or correlated model that only
+//!   implements `sample_regions` samples Box–Muller normals here: the
+//!   reference the other two paths are checked against.
 //!
 //! # Sampling discipline (common random numbers)
 //!
 //! Every region is drawn **unconditionally**: a sample consumes the same
 //! number of draws per nanowire whether or not an early region already
-//! fell outside the window — one uniform per region on the window path, the
+//! fell outside the window — one uniform per region on the window path,
+//! `1 + M` per nanowire of `M` regions on the shared-offset path, the
 //! model's fixed count on the general path. RNG consumption therefore never
 //! depends on the window or the acceptance outcome, so two runs with the
 //! same seed see the *same* draws and differ only in the accept/reject
@@ -75,6 +86,7 @@ pub(crate) use crossbar_array::chunk_seed;
 use crate::config::check_window;
 use crate::disturbance::DisturbanceModel;
 use crate::error::{Result, SimError};
+use crate::stats::inverse_normal_cdf;
 
 /// The confidence level a [`MonteCarloConfig`] uses when none is specified:
 /// the conventional 95 % two-sided interval.
@@ -296,6 +308,63 @@ impl SigmaMatrix {
     }
 }
 
+/// The sampling path of one estimate, chosen once from its model (see the
+/// module docs); every chunk of the estimate runs it.
+#[derive(Debug)]
+pub(crate) enum Kernel<'a> {
+    /// One draw and one compare per cell (Gaussian, Laplace).
+    Window(AcceptanceTable),
+    /// One exact normal per nanowire and a bracketed draw per region
+    /// (correlated); boxed, as its quantile table is 2 KiB.
+    SharedOffset(Box<SharedOffsetTable>),
+    /// Deviations from [`DisturbanceModel::sample_regions`], then the
+    /// window check (custom models).
+    General {
+        sigmas: &'a SigmaMatrix,
+        window_half_width: f64,
+        disturbance: &'a dyn DisturbanceModel,
+    },
+}
+
+impl<'a> Kernel<'a> {
+    /// The window path when the model has a draw range for every σ of the
+    /// estimate, else the shared-offset path when it declares a shared
+    /// fraction in `[0, 1]`, else the general path.
+    pub(crate) fn new(
+        sigmas: &'a SigmaMatrix,
+        window_half_width: f64,
+        disturbance: &'a dyn DisturbanceModel,
+    ) -> Kernel<'a> {
+        if let Some(table) = AcceptanceTable::build(sigmas, window_half_width, disturbance) {
+            return Kernel::Window(table);
+        }
+        match disturbance.shared_offset_fraction() {
+            Some(fraction) if (0.0..=1.0).contains(&fraction) => Kernel::SharedOffset(Box::new(
+                SharedOffsetTable::build(sigmas, window_half_width, fraction),
+            )),
+            _ => Kernel::General {
+                sigmas,
+                window_half_width,
+                disturbance,
+            },
+        }
+    }
+
+    /// Runs one deterministic chunk of `samples` array instances and returns
+    /// the per-nanowire counts of fully-in-window samples.
+    pub(crate) fn sample_chunk(&self, seed: u64, samples: usize) -> Vec<usize> {
+        match self {
+            Kernel::Window(table) => table.sample_chunk(seed, samples),
+            Kernel::SharedOffset(table) => table.sample_chunk(seed, samples),
+            Kernel::General {
+                sigmas,
+                window_half_width,
+                disturbance,
+            } => sample_chunk(sigmas, *window_half_width, seed, samples, *disturbance),
+        }
+    }
+}
+
 /// Runs one deterministic chunk of `samples` array instances on the general
 /// path and returns the per-nanowire counts of fully-in-window samples.
 ///
@@ -406,6 +475,120 @@ impl AcceptanceTable {
     }
 }
 
+/// The shared-offset path's quantile table indexes draws by their top
+/// `BRACKET_BITS` bits: 256 buckets of 2⁴⁵ consecutive draws.
+const BRACKET_BITS: u32 = 8;
+/// The shift that leaves a 53-bit draw's bucket.
+const BRACKET_SHIFT: u32 = 53 - BRACKET_BITS;
+/// The number of buckets; the table has one more edge than that.
+const BRACKETS: usize = 1 << BRACKET_BITS;
+
+/// The shared-offset path's per-estimate table: the window of every
+/// (nanowire, region) cell in units of its σ, and the bracket of the local
+/// noise every bucket of draws can produce.
+///
+/// A region with window `c` passes when its local noise
+/// `√(1−ρ) · z(k)`, for its draw `k` and the draw's normal
+/// [`z(k)`](normal_quantile), lies in `[−c − √ρ·Z₀, c − √ρ·Z₀]`. Because
+/// `z` increases, the local noise of a draw in bucket `b` lies in
+/// `[edges[b], edges[b + 1]]`, and `z(k)` is needed only when that bracket
+/// straddles a bound. In floating point `z` increases only to within an ulp
+/// (near `|z| = 1.3`, draws ten apart can come out of order), so the local
+/// noise is clamped into its bracket: the bracket and the exact quantile
+/// then decide alike by construction. Undoped cells have `c = +∞` and the
+/// edges are finite, so no decision divides by zero or forms `0 · ∞`.
+#[derive(Debug)]
+pub(crate) struct SharedOffsetTable {
+    /// Row-major `w / |σ|` per cell, laid out like [`SigmaMatrix`]; `+∞`
+    /// for an undoped cell (σ = 0), which passes any window, `w = 0`
+    /// included.
+    windows: Vec<f64>,
+    /// `√(1−ρ)` times the normal of each bucket's first draw, and of the
+    /// last draw `2⁵³ − 1` at the end: all finite (`|z| ≤ 8.3`).
+    edges: [f64; BRACKETS + 1],
+    /// `√ρ`, the weight of the shared offset.
+    shared_weight: f64,
+    /// `√(1−ρ)`, the weight of each region's own normal.
+    local_weight: f64,
+    nanowires: usize,
+    regions: usize,
+}
+
+impl SharedOffsetTable {
+    /// Builds the table for shared variance fraction `shared_fraction`
+    /// (`ρ ∈ [0, 1]`).
+    pub(crate) fn build(
+        sigmas: &SigmaMatrix,
+        window_half_width: f64,
+        shared_fraction: f64,
+    ) -> SharedOffsetTable {
+        let local_weight = (1.0 - shared_fraction).sqrt();
+        let mut edges = [0.0; BRACKETS + 1];
+        for (bucket, edge) in (0u64..).zip(edges.iter_mut()) {
+            let first_draw = (bucket << BRACKET_SHIFT).min(UNIFORM_DRAWS - 1);
+            *edge = local_weight * normal_quantile(first_draw);
+        }
+        let windows = sigmas
+            .values()
+            .iter()
+            .map(|&sigma| {
+                if sigma == 0.0 {
+                    f64::INFINITY
+                } else {
+                    window_half_width / sigma.abs()
+                }
+            })
+            .collect();
+        SharedOffsetTable {
+            windows,
+            edges,
+            shared_weight: shared_fraction.sqrt(),
+            local_weight,
+            nanowires: sigmas.nanowires(),
+            regions: sigmas.regions(),
+        }
+    }
+
+    /// Runs one deterministic chunk of `samples` array instances and returns
+    /// the per-nanowire counts of fully-in-window samples.
+    pub(crate) fn sample_chunk(&self, seed: u64, samples: usize) -> Vec<usize> {
+        if self.regions == 0 {
+            return vec![samples; self.nanowires];
+        }
+        let mut draws = NormalSource::from_seed(seed);
+        let mut counts = vec![0usize; self.nanowires];
+        for _ in 0..samples {
+            for (count, windows) in counts
+                .iter_mut()
+                .zip(self.windows.chunks_exact(self.regions))
+            {
+                *count += usize::from(self.wire_passes(windows, &mut draws));
+            }
+        }
+        counts
+    }
+
+    /// Samples one nanowire whose regions have the given windows: its shared
+    /// offset from one draw, then one draw per region, every region drawn.
+    fn wire_passes(&self, windows: &[f64], draws: &mut NormalSource<StdRng>) -> bool {
+        let shift = self.shared_weight * normal_quantile(draws.uniform_bits());
+        let mut inside = true;
+        for &window in windows {
+            let bits = draws.uniform_bits();
+            let (low, high) = (-window - shift, window - shift);
+            // `bits >> BRACKET_SHIFT` is below `BRACKETS`: draws have 53 bits.
+            let bucket = (bits >> BRACKET_SHIFT) as usize;
+            let (floor, ceiling) = (self.edges[bucket], self.edges[bucket + 1]);
+            inside &= (low <= floor && ceiling <= high)
+                || (low <= ceiling && floor <= high && {
+                    let local = self.local_weight * normal_quantile(bits);
+                    (low..=high).contains(&local.max(floor).min(ceiling))
+                });
+        }
+        inside
+    }
+}
+
 /// The number of distinct 53-bit draws: [`NormalSource::uniform_bits`]
 /// returns values below it.
 pub(crate) const UNIFORM_DRAWS: u64 = 1 << 53;
@@ -413,6 +596,20 @@ pub(crate) const UNIFORM_DRAWS: u64 = 1 << 53;
 /// The uniform in `[0, 1)` a 53-bit draw stands for: `bits / 2⁵³`, exact.
 pub(crate) fn unit_interval(bits: u64) -> f64 {
     bits as f64 * (1.0 / UNIFORM_DRAWS as f64)
+}
+
+/// The standard normal a 53-bit draw stands for on the shared-offset path:
+/// `Φ⁻¹((k + ½) / 2⁵³)`, the quantile of the draw's midpoint, so the two
+/// extreme draws give finite normals (about ∓8.29). The lower half of the
+/// draws is evaluated at `(2k + 1) / 2⁵⁴`, which is exact there, and the
+/// upper half as its mirror image, so `z(2⁵³ − 1 − k) = −z(k)` exactly.
+fn normal_quantile(bits: u64) -> f64 {
+    let lower = |k: u64| inverse_normal_cdf((2 * k + 1) as f64 * (0.5 / UNIFORM_DRAWS as f64));
+    if bits < UNIFORM_DRAWS / 2 {
+        lower(bits)
+    } else {
+        -lower(UNIFORM_DRAWS - 1 - bits)
+    }
 }
 
 /// A standard-normal sampler over any uniform generator, via the Box–Muller
@@ -501,10 +698,10 @@ pub fn max_profile_difference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::ops::RangeInclusive;
 
-    use crate::disturbance::{GaussianDisturbance, LaplaceDisturbance};
+    use crate::disturbance::{CorrelatedDisturbance, GaussianDisturbance, LaplaceDisturbance};
     use crate::engine::ExecutionEngine;
+    use crate::stats::erfc;
     use device_physics::{DopingLadder, ThresholdModel};
     use mspt_fabrication::PatternMatrix;
     use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -546,41 +743,20 @@ mod tests {
         )
     }
 
-    /// Box–Muller Gaussian sampling with every σ scaled by `self.0`: only
-    /// `sample_regions`, so the engine samples it on the general path. At
-    /// scale 1 it is the reference sampler of the analytic gate.
+    /// A stock model forced onto the general path: it implements only
+    /// `sample_regions`, so it samples Box–Muller normals there — the
+    /// reference sampler of the analytic gates.
     #[derive(Debug)]
-    struct BoxMuller(f64);
+    struct GeneralPath<M>(M);
 
-    impl DisturbanceModel for BoxMuller {
+    impl<M: DisturbanceModel> DisturbanceModel for GeneralPath<M> {
         fn sample_regions(
             &self,
             sigmas: &[f64],
             draws: &mut NormalSource<StdRng>,
             out: &mut [f64],
         ) {
-            for (slot, &sigma) in out.iter_mut().zip(sigmas) {
-                *slot = self.0 * sigma * draws.sample();
-            }
-        }
-    }
-
-    /// The Gaussian window sampler with every σ scaled by `self.0`.
-    #[derive(Debug)]
-    struct ScaledWindow(f64);
-
-    impl DisturbanceModel for ScaledWindow {
-        fn sample_regions(
-            &self,
-            sigmas: &[f64],
-            draws: &mut NormalSource<StdRng>,
-            out: &mut [f64],
-        ) {
-            BoxMuller(self.0).sample_regions(sigmas, draws, out);
-        }
-
-        fn accepted_draws(&self, sigma: f64, half_width: f64) -> Option<RangeInclusive<u64>> {
-            GaussianDisturbance.accepted_draws(self.0 * sigma, half_width)
+            self.0.sample_regions(sigmas, draws, out);
         }
     }
 
@@ -607,10 +783,19 @@ mod tests {
         ((0..=k).map(pmf).sum(), (k..=n).map(pmf).sum())
     }
 
+    /// One of the Fig. 7/8 points, with its analytic (Gaussian) profile.
+    struct FigurePoint {
+        name: String,
+        variability: VariabilityMatrix,
+        model: VariabilityModel,
+        window: Volts,
+        analytic: Vec<f64>,
+    }
+
     /// The 15 Fig. 7/8 points: tree, Gray and balanced Gray codes at
     /// M = 6, 8, 10 and hot and arranged-hot codes at M = 4, 6, 8, binary,
-    /// paper defaults. Each comes with its analytic profile.
-    fn figure_points() -> Vec<(String, VariabilityMatrix, VariabilityModel, Volts, Vec<f64>)> {
+    /// paper defaults.
+    fn figure_points() -> Vec<FigurePoint> {
         let mut points = Vec::new();
         for (kinds, lengths) in [
             (
@@ -624,13 +809,13 @@ mod tests {
                     let code = CodeSpec::new(kind, LogicLevel::BINARY, length).unwrap();
                     let config = crate::SimConfig::paper_defaults(code).unwrap();
                     let platform = crate::SimulationPlatform::new(config.clone());
-                    points.push((
-                        format!("{kind:?} M={length}"),
-                        platform.variability().unwrap(),
-                        config.variability_model().unwrap(),
-                        config.decision_window().unwrap(),
-                        platform.addressability().unwrap().probabilities().to_vec(),
-                    ));
+                    points.push(FigurePoint {
+                        name: format!("{kind:?} M={length}"),
+                        variability: platform.variability().unwrap(),
+                        model: config.variability_model().unwrap(),
+                        window: config.decision_window().unwrap(),
+                        analytic: platform.addressability().unwrap().probabilities().to_vec(),
+                    });
                 }
             }
         }
@@ -638,24 +823,27 @@ mod tests {
     }
 
     /// The analytic-vs-Monte-Carlo gate: every (point, nanowire) count must
-    /// pass an exact two-sided binomial test against the analytic
-    /// probability, at a Bonferroni share of the family-wise `alpha`.
-    /// Returns the failing pairs.
+    /// pass an exact two-sided binomial test against the `expected`
+    /// probability, at a Bonferroni share of the family-wise `alpha`. The
+    /// sampler sees every σ scaled by `sigma_scale` (its window divided by
+    /// it). Returns the failing pairs.
     fn analytic_gate_failures(
-        points: &[(String, VariabilityMatrix, VariabilityModel, Volts, Vec<f64>)],
+        points: &[FigurePoint],
+        expected: &[Vec<f64>],
         disturbance: &dyn DisturbanceModel,
+        sigma_scale: f64,
         samples: usize,
         alpha: f64,
     ) -> Vec<String> {
-        let pairs: usize = points.iter().map(|point| point.4.len()).sum();
+        let pairs: usize = expected.iter().map(Vec::len).sum();
         let level = alpha / pairs as f64 / 2.0;
         let mut failures = Vec::new();
-        for (seed, (name, variability, model, window, analytic)) in points.iter().enumerate() {
+        for (seed, (point, expected)) in points.iter().zip(expected).enumerate() {
             let outcome = ExecutionEngine::serial()
                 .monte_carlo_with_disturbance(
-                    variability,
-                    model,
-                    *window,
+                    &point.variability,
+                    &point.model,
+                    Volts::new(point.window.value() / sigma_scale),
                     MonteCarloConfig::fixed(samples, 0x6a7e + seed as u64),
                     disturbance,
                 )
@@ -664,14 +852,15 @@ mod tests {
                 .profile
                 .probabilities()
                 .iter()
-                .zip(analytic)
+                .zip(expected)
                 .enumerate()
             {
                 let successes = (p_hat * samples as f64).round() as usize;
                 let (lower, upper) = binomial_tails(samples, successes, p);
                 if lower < level || upper < level {
                     failures.push(format!(
-                        "{name} wire {wire}: {successes}/{samples} vs p {p}"
+                        "{} wire {wire}: {successes}/{samples} vs p {p}",
+                        point.name
                     ));
                 }
             }
@@ -688,19 +877,128 @@ mod tests {
         const ALPHA: f64 = 1e-3;
         let points = figure_points();
         assert_eq!(points.len(), 15);
+        let analytic: Vec<Vec<f64>> = points.iter().map(|point| point.analytic.clone()).collect();
         for (name, sampler) in [
             ("window", &GaussianDisturbance as &dyn DisturbanceModel),
-            ("Box–Muller reference", &BoxMuller(1.0)),
+            ("Box–Muller reference", &GeneralPath(GaussianDisturbance)),
         ] {
-            let failures = analytic_gate_failures(&points, sampler, SAMPLES, ALPHA);
+            let failures = analytic_gate_failures(&points, &analytic, sampler, 1.0, SAMPLES, ALPHA);
             assert!(failures.is_empty(), "{name} sampler: {failures:#?}");
+            // The gate has power: a sampler whose σ is 5 % too wide fails it.
+            let failures =
+                analytic_gate_failures(&points, &analytic, sampler, 1.05, SAMPLES, ALPHA);
+            assert!(!failures.is_empty(), "σ × 1.05 {name} sampler passed");
         }
-        // The gate has power: a sampler whose σ is 5 % too wide fails it.
+    }
+
+    /// Per-wire addressability under the correlated model, by quadrature
+    /// over the shared offset: `∫ φ(z₀) Π_j [Φ(hi_j) − Φ(lo_j)] dz₀` with
+    /// `hi_j, lo_j = (±c_j − √ρ·z₀)/√(1−ρ)` and `c_j = w/σ_j`, Simpson's
+    /// rule on `[−8.5, 8.5]`, `Φ` from the accurate `erfc`. At `ρ = 1` it is
+    /// `P(|Z₀| ≤ min_j c_j)`. An undoped region (σ = 0) always passes.
+    fn correlated_quadrature(sigmas: &SigmaMatrix, window: f64, rho: f64) -> Vec<f64> {
+        const REACH: f64 = 8.5;
+        const STEPS: usize = 800;
+        let phi = |x: f64| 0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2);
+        let windows: Vec<f64> = sigmas
+            .values()
+            .iter()
+            .map(|&sigma| {
+                if sigma == 0.0 {
+                    f64::INFINITY
+                } else {
+                    window / sigma
+                }
+            })
+            .collect();
+        if rho == 1.0 {
+            return windows
+                .chunks_exact(sigmas.regions())
+                .map(|row| {
+                    let narrowest = row.iter().copied().fold(f64::INFINITY, f64::min);
+                    1.0 - erfc(narrowest * std::f64::consts::FRAC_1_SQRT_2)
+                })
+                .collect();
+        }
+        // A region's factor depends on its window alone: evaluate each
+        // distinct window once per node.
+        let mut distinct: Vec<f64> = Vec::new();
+        let index: Vec<usize> = windows
+            .iter()
+            .map(|&c| match distinct.iter().position(|&seen| seen == c) {
+                Some(position) => position,
+                None => {
+                    distinct.push(c);
+                    distinct.len() - 1
+                }
+            })
+            .collect();
+        let (shared, local) = (rho.sqrt(), (1.0 - rho).sqrt());
+        let step = 2.0 * REACH / STEPS as f64;
+        let mut integrals = vec![0.0f64; sigmas.nanowires()];
+        for node in 0..=STEPS {
+            let z = -REACH + step * node as f64;
+            let weight = match node {
+                0 | STEPS => 1.0,
+                odd if odd % 2 == 1 => 4.0,
+                _ => 2.0,
+            };
+            let density = (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
+            let factors: Vec<f64> = distinct
+                .iter()
+                .map(|&c| phi((c - shared * z) / local) - phi((-c - shared * z) / local))
+                .collect();
+            for (integral, cells) in integrals
+                .iter_mut()
+                .zip(index.chunks_exact(sigmas.regions()))
+            {
+                let product: f64 = cells.iter().map(|&cell| factors[cell]).product();
+                *integral += weight * density * product;
+            }
+        }
+        integrals.iter().map(|sum| sum * step / 3.0).collect()
+    }
+
+    #[test]
+    fn correlated_monte_carlo_matches_the_quadrature() {
+        // The analytic gate's exact binomial test, against the quadrature
+        // of the correlated model at the correlated configurations' ρ = ½,
+        // for the shared-offset path and the Box–Muller reference.
+        const SAMPLES: usize = 3_000;
+        const ALPHA: f64 = 1e-3;
+        const RHO: f64 = 0.5;
+        let points = figure_points();
+        let sigmas: Vec<SigmaMatrix> = points
+            .iter()
+            .map(|point| SigmaMatrix::from_variability(&point.variability, &point.model).unwrap())
+            .collect();
+        // The reference reduces to the analytic Gaussian product at ρ = 0,
+        // up to the analytic model's erf approximation.
+        for (point, sigmas) in points.iter().zip(&sigmas) {
+            let independent = correlated_quadrature(sigmas, point.window.value(), 0.0);
+            for (wire, (q, a)) in independent.iter().zip(&point.analytic).enumerate() {
+                assert!(
+                    (q - a).abs() < 1e-5,
+                    "{} wire {wire}: {q} vs {a}",
+                    point.name
+                );
+            }
+        }
+        let quadrature: Vec<Vec<f64>> = points
+            .iter()
+            .zip(&sigmas)
+            .map(|(point, sigmas)| correlated_quadrature(sigmas, point.window.value(), RHO))
+            .collect();
+        let correlated = CorrelatedDisturbance::new(RHO).unwrap();
         for (name, sampler) in [
-            ("window", &ScaledWindow(1.05) as &dyn DisturbanceModel),
-            ("Box–Muller", &BoxMuller(1.05)),
+            ("shared-offset", &correlated as &dyn DisturbanceModel),
+            ("Box–Muller reference", &GeneralPath(correlated)),
         ] {
-            let failures = analytic_gate_failures(&points, sampler, SAMPLES, ALPHA);
+            let failures =
+                analytic_gate_failures(&points, &quadrature, sampler, 1.0, SAMPLES, ALPHA);
+            assert!(failures.is_empty(), "{name} sampler: {failures:#?}");
+            let failures =
+                analytic_gate_failures(&points, &quadrature, sampler, 1.05, SAMPLES, ALPHA);
             assert!(!failures.is_empty(), "σ × 1.05 {name} sampler passed");
         }
     }
@@ -819,14 +1117,19 @@ mod tests {
         // draws the same values for both runs (same seed, same sigmas), so
         // the wide-window run accepts a superset of the narrow-window run's
         // samples — the comparison is exact per nanowire, with no
-        // statistical slack. Gaussian and Laplace take the window path,
-        // the Box–Muller reference the general path.
+        // statistical slack. Gaussian and Laplace take the window path, the
+        // correlated model the shared-offset path, the Box–Muller references
+        // the general path.
         let variability = variability(CodeKind::Hot, 6, 12);
         let model = VariabilityModel::paper_default();
+        let correlated = CorrelatedDisturbance::new(0.5).unwrap();
         for disturbance in [
             &GaussianDisturbance as &dyn DisturbanceModel,
             &LaplaceDisturbance,
-            &BoxMuller(1.0),
+            &correlated,
+            &CorrelatedDisturbance::new(1.0).unwrap(),
+            &GeneralPath(GaussianDisturbance),
+            &GeneralPath(correlated),
         ] {
             let run = |window: f64| {
                 ExecutionEngine::serial()
@@ -860,7 +1163,8 @@ mod tests {
     fn undoped_regions_pass_any_window_on_both_paths() {
         // Nanowire 0 is undoped everywhere (σ = 0): 0·Z = 0 lies inside
         // every window, even w = 0. Nanowire 1's doped region puts a second
-        // σ into the acceptance table.
+        // σ into the acceptance table. Every model runs its own path and the
+        // general path.
         let sigmas = SigmaMatrix {
             values: vec![0.0, 0.0, 0.0, 0.0, 0.05, 0.0],
             nanowires: 2,
@@ -869,14 +1173,80 @@ mod tests {
         for disturbance in [
             &GaussianDisturbance as &dyn DisturbanceModel,
             &LaplaceDisturbance,
-            &BoxMuller(1.0),
+            &CorrelatedDisturbance::new(0.0).unwrap(),
+            &CorrelatedDisturbance::new(0.5).unwrap(),
+            &CorrelatedDisturbance::new(1.0).unwrap(),
         ] {
             for window in [0.0, 0.1, f64::INFINITY] {
                 let general = sample_chunk(&sigmas, window, 5, 300, disturbance);
                 assert_eq!(general[0], 300, "{disturbance:?} general path, w {window}");
-                if let Some(table) = AcceptanceTable::build(&sigmas, window, disturbance) {
-                    let counts = table.sample_chunk(5, 300);
-                    assert_eq!(counts[0], 300, "{disturbance:?} window path, w {window}");
+                let kernel = Kernel::new(&sigmas, window, disturbance);
+                assert!(!matches!(kernel, Kernel::General { .. }));
+                let counts = kernel.sample_chunk(5, 300);
+                assert_eq!(counts[0], 300, "{disturbance:?} own path, w {window}");
+            }
+        }
+    }
+
+    /// The shared-offset decision of one nanowire with the exact quantile of
+    /// every region, on the table's own arithmetic — the reference the
+    /// bracketed [`SharedOffsetTable::wire_passes`] must equal draw for
+    /// draw. Also counts the regions whose bracket straddles a bound.
+    fn exact_wire_passes(
+        table: &SharedOffsetTable,
+        windows: &[f64],
+        draws: &mut NormalSource<StdRng>,
+        straddles: &mut usize,
+    ) -> bool {
+        let shift = table.shared_weight * normal_quantile(draws.uniform_bits());
+        let mut inside = true;
+        for &window in windows {
+            let bits = draws.uniform_bits();
+            let (low, high) = (-window - shift, window - shift);
+            let bucket = (bits >> BRACKET_SHIFT) as usize;
+            let bracket = table.edges[bucket]..table.edges[bucket + 1];
+            *straddles += usize::from(bracket.contains(&low) || bracket.contains(&high));
+            inside &= (low..=high).contains(&(table.local_weight * normal_quantile(bits)));
+        }
+        inside
+    }
+
+    #[test]
+    fn bracketed_decisions_equal_exact_quantile_decisions() {
+        // The tree code's σ's at the paper's defaults, with nanowire 0
+        // undoped and one undoped region on nanowire 1.
+        let mut sigmas = SigmaMatrix::from_variability(
+            &variability(CodeKind::Tree, 8, 6),
+            &VariabilityModel::paper_default(),
+        )
+        .unwrap();
+        let regions = sigmas.regions();
+        sigmas.values[..regions].fill(0.0);
+        sigmas.values[regions + 2] = 0.0;
+        for rho in [0.0, 0.5, 1.0] {
+            for window in [0.0, 0.1, f64::INFINITY] {
+                let table = SharedOffsetTable::build(&sigmas, window, rho);
+                // The outer edges are the normals of the extreme draws,
+                // ∓8.29 before scaling by √(1−ρ).
+                let outer = (1.0 - rho).sqrt() * 8.292_361_075_813_595;
+                assert!((table.edges[0] + outer).abs() <= 1e-12);
+                assert_eq!(table.edges[BRACKETS], -table.edges[0]);
+                let mut bracketed = NormalSource::from_seed(11);
+                let mut exact = NormalSource::from_seed(11);
+                let mut straddles = 0;
+                for sample in 0..2_000 {
+                    for (wire, windows) in table.windows.chunks_exact(regions).enumerate() {
+                        assert_eq!(
+                            table.wire_passes(windows, &mut bracketed),
+                            exact_wire_passes(&table, windows, &mut exact, &mut straddles),
+                            "ρ {rho}, w {window}, sample {sample}, nanowire {wire}"
+                        );
+                    }
+                }
+                // The exact quantile is exercised where a bound can fall
+                // inside a bracket.
+                if window == 0.1 && rho < 1.0 {
+                    assert!(straddles > 100, "ρ {rho}: {straddles} straddling regions");
                 }
             }
         }

@@ -1,8 +1,9 @@
 //! Sequential-stopping statistics for the adaptive Monte-Carlo kernel: the
 //! Wilson score interval for a binomial proportion, and the inverse normal
-//! CDF that turns a confidence level into its z quantile. Also the
-//! tail-accurate complementary error function behind the Gaussian sampler's
-//! acceptance ranges, `Φ(−c) = erfc(c/√2)/2`.
+//! CDF that turns a confidence level into its z quantile (and the
+//! shared-offset sampler's draws into normals). Also the tail-accurate
+//! complementary error function behind the Gaussian sampler's acceptance
+//! ranges, `Φ(−c) = erfc(c/√2)/2`.
 //!
 //! The adaptive sampler stops the moment every nanowire's estimated
 //! addressability carries a Wilson half-width at or below the configured
@@ -17,9 +18,16 @@
 //! property the engine's cross-thread determinism contract rests on.
 
 /// The inverse CDF (quantile function) of the standard normal distribution,
-/// evaluated with Acklam's rational approximation (absolute error below
-/// `1.15e-9` over the open unit interval — far tighter than any sampling
-/// noise the stopping rule faces).
+/// `Φ⁻¹(p)`, by Wichura's algorithm AS 241 (`PPND16`, Applied Statistics 37,
+/// 1988): one rational function of degree 7 over 7 for the centre
+/// `|p − ½| ≤ 0.425`, one for the tails out to `min(p, 1 − p) = e⁻²⁵`, and
+/// one beyond. A round trip through an accurate `erfc` comes back within a
+/// relative error of `1e-13` in the smaller tail `min(p, 1 − p)`, from
+/// `p = 1e-15` to `1 − 1e-15`.
+///
+/// It gives the Wilson interval its z quantile ([`z_for_confidence`]), and
+/// the Monte-Carlo sampler of the correlated disturbance its normal
+/// deviates.
 ///
 /// Returns `f64::NAN` outside the open interval `(0, 1)`.
 #[must_use]
@@ -27,55 +35,92 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
     if !(p > 0.0 && p < 1.0) {
         return f64::NAN;
     }
-    // Coefficients of Acklam's approximation.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
+    // Numerators and denominators, constant term first.
+    const CENTRE_NUMERATOR: [f64; 8] = [
+        3.387_132_872_796_366_5,
+        1.331_416_678_917_843_8e2,
+        1.971_590_950_306_551_3e3,
+        1.373_169_376_550_946e4,
+        4.592_195_393_154_987e4,
+        6.726_577_092_700_87e4,
+        3.343_057_558_358_813e4,
+        2.509_080_928_730_122_7e3,
     ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
+    const CENTRE_DENOMINATOR: [f64; 8] = [
+        1.0,
+        4.231_333_070_160_091e1,
+        6.871_870_074_920_579e2,
+        5.394_196_021_424_751e3,
+        2.121_379_430_158_659_7e4,
+        3.930_789_580_009_271e4,
+        2.872_908_573_572_194_3e4,
+        5.226_495_278_852_854e3,
     ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
+    const TAIL_NUMERATOR: [f64; 8] = [
+        1.423_437_110_749_683_5,
+        4.630_337_846_156_546,
+        5.769_497_221_460_691,
+        3.647_848_324_763_204_5,
+        1.270_458_252_452_368_4,
+        2.417_807_251_774_506e-1,
+        2.272_384_498_926_918_4e-2,
+        7.745_450_142_783_414e-4,
     ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
+    const TAIL_DENOMINATOR: [f64; 8] = [
+        1.0,
+        2.053_191_626_637_759,
+        1.676_384_830_183_803_8,
+        6.897_673_349_851e-1,
+        1.481_039_764_274_800_8e-1,
+        1.519_866_656_361_645_7e-2,
+        5.475_938_084_995_345e-4,
+        1.050_750_071_644_416_9e-9,
     ];
-    const P_LOW: f64 = 0.024_25;
-    const P_HIGH: f64 = 1.0 - P_LOW;
-    if p < P_LOW {
-        // Lower tail.
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= P_HIGH {
-        // Central region.
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        // Upper tail: symmetric to the lower one.
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+    const FAR_NUMERATOR: [f64; 8] = [
+        6.657_904_643_501_103,
+        5.463_784_911_164_114,
+        1.784_826_539_917_291_3,
+        2.965_605_718_285_048_7e-1,
+        2.653_218_952_657_612_4e-2,
+        1.242_660_947_388_078_4e-3,
+        2.711_555_568_743_487_6e-5,
+        2.010_334_399_292_288_1e-7,
+    ];
+    const FAR_DENOMINATOR: [f64; 8] = [
+        1.0,
+        5.998_322_065_558_88e-1,
+        1.369_298_809_227_358e-1,
+        1.487_536_129_085_061_5e-2,
+        7.868_691_311_456_133e-4,
+        1.846_318_317_510_054_8e-5,
+        1.421_511_758_316_446e-7,
+        2.044_263_103_389_939_7e-15,
+    ];
+    let q = p - 0.5;
+    if q.abs() <= 0.425 {
+        let r = 0.180_625 - q * q;
+        return q * horner(&CENTRE_NUMERATOR, r) / horner(&CENTRE_DENOMINATOR, r);
     }
+    // The smaller tail, exact: `1 − p` for `p > ½` (Sterbenz).
+    let tail = if q < 0.0 { p } else { 1.0 - p };
+    let r = (-tail.ln()).sqrt();
+    let magnitude = if r <= 5.0 {
+        let r = r - 1.6;
+        horner(&TAIL_NUMERATOR, r) / horner(&TAIL_DENOMINATOR, r)
+    } else {
+        let r = r - 5.0;
+        horner(&FAR_NUMERATOR, r) / horner(&FAR_DENOMINATOR, r)
+    };
+    if q < 0.0 {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+/// `Σ coefficients[i] · xⁱ`, by Horner's rule.
+fn horner(coefficients: &[f64; 8], x: f64) -> f64 {
+    coefficients.iter().rev().fold(0.0, |sum, &c| sum * x + c)
 }
 
 /// The complementary error function `erfc(x) = 1 − erf(x)`, with a relative
@@ -171,6 +216,10 @@ pub fn z_for_confidence(confidence: f64) -> f64 {
 /// half   = z·√(p̂(1−p̂)/t + z²/4t²) / (1 + z²/t)
 /// ```
 ///
+/// The bounds always contain `p̂ = successes / trials`: at `p̂ = 0` or `1` the
+/// exact bound equals `p̂`, and rounding can land the computed one an ulp on
+/// the wrong side of it, so each bound is also clamped to `p̂`.
+///
 /// Returns `(0.0, 1.0)` — the vacuous interval — when `trials` is zero, so a
 /// stopping rule built on this function can never fire before sampling.
 #[must_use]
@@ -184,7 +233,10 @@ pub fn wilson_bounds(successes: usize, trials: usize, z: f64) -> (f64, f64) {
     let denominator = 1.0 + z2 / t;
     let centre = (p_hat + z2 / (2.0 * t)) / denominator;
     let half = z * (p_hat * (1.0 - p_hat) / t + z2 / (4.0 * t * t)).sqrt() / denominator;
-    ((centre - half).max(0.0), (centre + half).min(1.0))
+    (
+        (centre - half).max(0.0).min(p_hat),
+        (centre + half).min(1.0).max(p_hat),
+    )
 }
 
 /// The half-width of the Wilson score interval for `successes` out of
@@ -296,30 +348,30 @@ mod tests {
         }
     }
 
-    /// The standard normal CDF via `erf`-free numeric integration — a slow,
-    /// independent check that the rational approximation really inverts Φ.
-    fn normal_cdf(x: f64) -> f64 {
-        // Simpson's rule over [-12, x]; the mass below -12 is ~1.8e-33.
-        let lower = -12.0_f64;
-        if x <= lower {
-            return 0.0;
-        }
-        let steps = 20_000usize;
-        let h = (x - lower) / steps as f64;
-        let density = |t: f64| (-0.5 * t * t).exp() / (2.0 * std::f64::consts::PI).sqrt();
-        let mut sum = density(lower) + density(x);
-        for i in 1..steps {
-            let t = lower + h * i as f64;
-            sum += density(t) * if i % 2 == 1 { 4.0 } else { 2.0 };
-        }
-        sum * h / 3.0
-    }
-
     #[test]
     fn inverse_cdf_inverts_the_integrated_cdf() {
-        for &p in &[0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975, 0.999] {
-            let round_trip = normal_cdf(inverse_normal_cdf(p));
-            assert!((round_trip - p).abs() < 1e-6, "Φ(Φ⁻¹({p})) = {round_trip}");
+        // Φ(x) = erfc(−x/√2)/2 below the median and 1 − Φ(x) = erfc(x/√2)/2
+        // above it: the round trip is checked in the smaller tail, where a
+        // relative error shows. Log-spaced tails from 1e-15 to ½ cross all
+        // three branches (switches at 0.075 and e⁻²⁵ ≈ 1.4e-11).
+        let mut tails: Vec<f64> = (0..=150)
+            .map(|i| 10f64.powf(-15.0 + f64::from(i) * 0.1).min(0.5))
+            .collect();
+        tails.extend([0.075, 0.074_999_999_999, (-25.0f64).exp(), 0.499_999]);
+        for tail in tails {
+            for p in [tail, 1.0 - tail] {
+                let x = inverse_normal_cdf(p);
+                let (round_trip, expected) = if p < 0.5 {
+                    (0.5 * erfc(-x / std::f64::consts::SQRT_2), p)
+                } else {
+                    (0.5 * erfc(x / std::f64::consts::SQRT_2), 1.0 - p)
+                };
+                let relative = ((round_trip - expected) / expected).abs();
+                assert!(
+                    relative <= 1e-13,
+                    "Φ⁻¹({p}) = {x}: tail {round_trip:e} vs {expected:e} ({relative:e})"
+                );
+            }
         }
     }
 
@@ -394,6 +446,25 @@ mod tests {
         assert_eq!(wilson_bounds(0, 0, z), (0.0, 1.0));
     }
 
+    #[test]
+    fn wilson_bounds_contain_an_extreme_estimate_exactly() {
+        // At p̂ = 0 or 1 the exact bound equals p̂, so rounding alone decides
+        // the side; the Wilson coverage of an all-pass wire relies on it.
+        for confidence in [0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999] {
+            let z = z_for_confidence(confidence);
+            for trials in 1..=20_000 {
+                for successes in [0, trials] {
+                    let (lower, upper) = wilson_bounds(successes, trials, z);
+                    let p_hat = successes as f64 / trials as f64;
+                    assert!(
+                        lower <= p_hat && p_hat <= upper,
+                        "{successes}/{trials} at {confidence}: [{lower}, {upper}]"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -414,7 +485,7 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&lower));
             prop_assert!((0.0..=1.0).contains(&upper));
             prop_assert!(lower <= upper);
-            prop_assert!(lower <= p_hat + 1e-12 && p_hat <= upper + 1e-12);
+            prop_assert!(lower <= p_hat && p_hat <= upper);
             // The half-width function is the same interval's radius
             // (before clamping, so compare against the unclamped centre).
             let half = wilson_half_width(successes, trials, z);

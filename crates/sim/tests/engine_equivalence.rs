@@ -252,6 +252,42 @@ fn laplace_fixed_seed_outcome_is_pinned() {
     );
 }
 
+/// Pins a fixed-seed correlated outcome on the shared-offset path (one
+/// exact normal per nanowire, a bracketed draw per region) and on its
+/// Box–Muller reference, whose counts are those the correlated model drew
+/// before it had a path of its own.
+#[test]
+fn correlated_fixed_seed_outcome_is_pinned() {
+    let variability = variability(CodeKind::Tree, 8, 10);
+    let model = VariabilityModel::paper_default();
+    let correlated = decoder_sim::CorrelatedDisturbance::new(0.5).unwrap();
+    let run = |disturbance: &dyn DisturbanceModel| {
+        ExecutionEngine::serial()
+            .monte_carlo_with_disturbance(
+                &variability,
+                &model,
+                Volts::new(0.25),
+                MonteCarloConfig::fixed(500, 42),
+                disturbance,
+            )
+            .unwrap()
+    };
+    let shared_offset = run(&correlated);
+    assert_eq!(
+        counts(&shared_offset),
+        vec![388, 407, 428, 445, 464, 468, 491, 496, 500, 500],
+        "probabilities: {:?}",
+        shared_offset.profile
+    );
+    let reference = run(&GeneralPath(correlated));
+    assert_eq!(
+        counts(&reference),
+        vec![382, 404, 426, 428, 460, 477, 487, 495, 500, 500],
+        "probabilities: {:?}",
+        reference.profile
+    );
+}
+
 #[test]
 fn non_gaussian_disturbances_are_bit_identical_across_thread_counts() {
     let variability = variability(CodeKind::Gray, 8, 12);

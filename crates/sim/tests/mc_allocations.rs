@@ -10,10 +10,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use decoder_sim::{
     CorrelatedDisturbance, DisturbanceModel, ExecutionEngine, GaussianDisturbance,
-    LaplaceDisturbance, MonteCarloConfig, SimConfig, SimulationPlatform, DEFAULT_CHUNK_SIZE,
+    LaplaceDisturbance, MonteCarloConfig, NormalSource, SimConfig, SimulationPlatform,
+    DEFAULT_CHUNK_SIZE,
 };
 use device_physics::Volts;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
+use rand::rngs::StdRng;
 
 struct CountingAllocator;
 
@@ -39,13 +41,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Allocations that do not scale with the chunk count: the sigma matrix,
-/// the acceptance table, the totals, the outcome and the growth of the
-/// per-chunk result vector.
+/// the acceptance or shared-offset table, the totals, the outcome and the
+/// growth of the per-chunk result vector.
 const CONSTANT_SLACK: u64 = 4;
 
+/// A stock model forced onto the general path: it implements only
+/// `sample_regions`.
+#[derive(Debug)]
+struct GeneralPath<M>(M);
+
+impl<M: DisturbanceModel> DisturbanceModel for GeneralPath<M> {
+    fn sample_regions(&self, sigmas: &[f64], draws: &mut NormalSource<StdRng>, out: &mut [f64]) {
+        self.0.sample_regions(sigmas, draws, out);
+    }
+}
+
 /// Doubling the sample budget (32 → 63 chunks) adds at most one allocation
-/// per added chunk on the window path (its counts) and two on the general
-/// path (its counts and its deviation row).
+/// per added chunk on the window and shared-offset paths (its counts) and
+/// two on the general path (its counts and its deviation row).
 #[test]
 fn monte_carlo_allocates_per_chunk_never_per_sample() {
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
@@ -77,10 +90,11 @@ fn monte_carlo_allocates_per_chunk_never_per_sample() {
     let added_chunks = chunks(16_000) - chunks(8_000);
 
     let correlated = CorrelatedDisturbance::new(0.5).unwrap();
-    let paths: [(&str, &dyn DisturbanceModel, u64); 3] = [
+    let paths: [(&str, &dyn DisturbanceModel, u64); 4] = [
         ("Gaussian window path", &GaussianDisturbance, 1),
         ("Laplace window path", &LaplaceDisturbance, 1),
-        ("correlated general path", &correlated, 2),
+        ("correlated shared-offset path", &correlated, 1),
+        ("correlated general path", &GeneralPath(correlated), 2),
     ];
     for (path, disturbance, per_chunk) in paths {
         let small = allocations(8_000, disturbance);
