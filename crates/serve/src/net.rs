@@ -8,36 +8,40 @@
 //! ([`crate::binwire`]), told apart by the payload's first byte. Each
 //! request frame produces exactly one response frame on the same
 //! connection, in order, **in the codec the request arrived in** — codec
-//! choice is per frame, so JSON-era clients keep working unchanged. A length
-//! prefix above [`MAX_FRAME_BYTES`] is answered with one typed `bad_request`
-//! response before anything is allocated for its payload, and the
-//! connection then closes. That reply, like an accept-time `overloaded`
-//! shed, is written before any payload byte has revealed a codec and is
-//! therefore always JSON; binary clients handle both by routing received
-//! frames through [`crate::binwire::parse_reply_any`].
+//! choice is per frame, so JSON-era clients keep working unchanged. A frame
+//! leaves in one write, prefix and payload together, so on a `TCP_NODELAY`
+//! socket a small frame crosses as one segment and wakes its reader once.
+//! A length prefix above [`MAX_FRAME_BYTES`] is answered with one typed
+//! `bad_request` response before anything is allocated for its payload,
+//! and the connection then closes. That reply, like an accept-time
+//! `overloaded` shed, is written before any payload byte has revealed a
+//! codec and is therefore always JSON; binary clients handle both by
+//! routing received frames through [`crate::binwire::parse_reply_any`].
 //!
 //! # Pool, backpressure, shed
 //!
-//! [`NetServer::bind`] starts one acceptor thread and a fixed pool of
-//! [`ServeConfig::workers`] worker threads. Accepted connections enter a
-//! **bounded** dispatch queue ([`ServeConfig::queue_bound`]); each worker
-//! owns one connection at a time for that connection's lifetime. When every
-//! worker is busy and the queue is full, the acceptor **sheds** the new
-//! connection explicitly: one framed, typed `overloaded` error response,
-//! then an orderly close ([`ShedPolicy::Reply`]) — never a hang and never a
-//! silent drop. Clients distinguish the shed from a real failure by its
-//! wire kind and may retry later.
+//! [`NetServer::bind`] starts one acceptor thread, which sleeps in a
+//! blocking `accept()`, and a fixed pool of [`ServeConfig::workers`] worker
+//! threads. Accepted connections enter a **bounded** dispatch queue
+//! ([`ServeConfig::queue_bound`]); each worker owns one connection at a
+//! time for that connection's lifetime. When every worker is busy and the
+//! queue is full, the acceptor **sheds** the new connection explicitly: one
+//! framed, typed `overloaded` error response, then an orderly close
+//! ([`ShedPolicy::Reply`]) — never a hang and never a silent drop. Clients
+//! distinguish the shed from a real failure by its wire kind and may retry
+//! later.
 //!
 //! # Graceful shutdown
 //!
-//! [`NetServerHandle::shutdown`] stops accepting, then **drains**: every
-//! connection already accepted (in a worker or still queued) gets
-//! [`ServeConfig::drain_grace`] to flush its in-flight requests — frames
-//! that arrive within the grace window are served and answered — before the
-//! connection closes. Only then do the threads exit.
+//! [`NetServerHandle::shutdown`] stops accepting — it wakes the blocked
+//! acceptor with one connection of its own, which is dropped uncounted —
+//! then **drains**: every connection already accepted (in a worker or still
+//! queued) gets [`ServeConfig::drain_grace`] to flush its in-flight
+//! requests — frames that arrive within the grace window are served and
+//! answered — before the connection closes. Only then do the threads exit.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -65,8 +69,10 @@ pub const NET_DRAIN_MS_ENV: &str = "MSPT_NET_DRAIN_MS";
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// How often a worker blocked on an idle connection wakes to re-check the
-/// shutdown flag, and how often the acceptor polls for new connections.
+/// shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// How long the acceptor backs off after a failed `accept()` (e.g.
+/// `EMFILE`) before it re-checks the shutdown flag and accepts again.
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// What the acceptor does with a connection it cannot enqueue.
@@ -139,7 +145,8 @@ fn env_ms(name: &str, default: u64) -> u64 {
     crate::env_u64(name, default)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in one `write_all`: the prefix and the
+/// payload share a buffer, so a peer never wakes for a bare prefix.
 ///
 /// # Errors
 ///
@@ -155,8 +162,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
                 format!("frame of {} bytes exceeds MAX_FRAME_BYTES", payload.len()),
             )
         })?;
-    writer.write_all(&length.to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&length.to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -272,12 +281,6 @@ struct QueueState<T> {
     closed: bool,
 }
 
-enum Popped<T> {
-    Item(T),
-    Empty,
-    Closed,
-}
-
 impl<T> BoundedQueue<T> {
     fn new(bound: usize) -> Self {
         BoundedQueue {
@@ -303,35 +306,22 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Pops an item, waiting up to `timeout`. A closed queue still yields
-    /// its remaining items (shutdown drains them) before reporting
-    /// `Closed`.
-    fn pop_timeout(&self, timeout: Duration) -> Popped<T> {
-        let deadline = Instant::now() + timeout;
+    /// Pops an item, waiting while the queue is empty and open. A closed
+    /// queue still yields its remaining items (shutdown drains them) before
+    /// `None`; [`BoundedQueue::close`] wakes every waiter.
+    fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(item) = state.items.pop_front() {
-                return Popped::Item(item);
+                return Some(item);
             }
             if state.closed {
-                return Popped::Closed;
+                return None;
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Popped::Empty;
-            }
-            let (next, result) = self
+            state = self
                 .available
-                .wait_timeout(state, remaining)
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-            state = next;
-            if result.timed_out() && state.items.is_empty() {
-                return if state.closed {
-                    Popped::Closed
-                } else {
-                    Popped::Empty
-                };
-            }
         }
     }
 
@@ -383,9 +373,6 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|error| wire_err(format!("local_addr: {error}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|error| wire_err(format!("set_nonblocking: {error}")))?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(BoundedQueue::new(config.queue_bound));
@@ -423,42 +410,40 @@ impl NetServer {
     }
 }
 
+/// Accepts until shutdown. The flag is checked each time `accept()`
+/// returns, so the connection that [`NetServerHandle::shutdown`] makes to
+/// wake this thread is dropped here, never dispatched or counted.
 fn accept_loop(
     listener: &TcpListener,
     queue: &BoundedQueue<TcpStream>,
     shutdown: &AtomicBool,
     counters: &NetCounters,
 ) {
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nodelay(true).ok();
-                if let Err(rejected) = queue.try_push(stream) {
-                    // Counted before the reply is written, so a client that
-                    // has read its shed reply always finds it counted.
-                    counters.shed.fetch_add(1, Ordering::Relaxed);
-                    shed_connection(rejected);
-                }
-                // Incremented after the queue/shed decision so observers
-                // that wait on this counter know the dispatch outcome of
-                // every counted connection is final.
-                counters.accepted.fetch_add(1, Ordering::Release);
-            }
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => thread::sleep(ACCEPT_POLL),
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::Acquire) {
+            return;
         }
+        let Ok((stream, _)) = accepted else {
+            thread::sleep(ACCEPT_POLL);
+            continue;
+        };
+        stream.set_nodelay(true).ok();
+        if let Err(mut rejected) = queue.try_push(stream) {
+            // Counted before the reply is written, so a client that has
+            // read its shed reply always finds it counted.
+            counters.shed.fetch_add(1, Ordering::Relaxed);
+            refuse(
+                &mut rejected,
+                WireErrorKind::Overloaded,
+                "server overloaded: dispatch queue full, retry later",
+            );
+        }
+        // Incremented after the queue/shed decision so observers that wait
+        // on this counter know the dispatch outcome of every counted
+        // connection is final.
+        counters.accepted.fetch_add(1, Ordering::Release);
     }
-}
-
-fn shed_connection(mut stream: TcpStream) {
-    stream.set_nonblocking(false).ok();
-    refuse(
-        &mut stream,
-        WireErrorKind::Overloaded,
-        "server overloaded: dispatch queue full, retry later",
-    );
 }
 
 /// Writes one typed JSON error frame and shuts the write half, so the
@@ -478,14 +463,8 @@ fn worker_loop(
     counters: &NetCounters,
     drain_grace: Duration,
 ) {
-    loop {
-        match queue.pop_timeout(POLL_INTERVAL) {
-            Popped::Item(stream) => {
-                serve_connection(stream, handler, shutdown, counters, drain_grace);
-            }
-            Popped::Empty => {}
-            Popped::Closed => return,
-        }
+    while let Some(stream) = queue.pop() {
+        serve_connection(stream, handler, shutdown, counters, drain_grace);
     }
 }
 
@@ -500,11 +479,7 @@ fn serve_connection(
     counters: &NetCounters,
     drain_grace: Duration,
 ) {
-    // The stream came from a non-blocking listener; reads must block (with
-    // a poll timeout) from here on.
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
-    {
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
     let mut drain_deadline: Option<Instant> = None;
@@ -637,7 +612,10 @@ impl NetServerHandle {
 
     /// Gracefully shuts the server down: stop accepting, drain in-flight
     /// requests (each accepted connection gets [`ServeConfig::drain_grace`]
-    /// to flush what it already sent), join every thread.
+    /// to flush what it already sent), join every thread. The acceptor,
+    /// blocked in `accept()`, is woken by one connection to the listener;
+    /// should that connect fail, it is left to exit at its next accept
+    /// rather than joined.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -645,10 +623,16 @@ impl NetServerHandle {
     fn shutdown_inner(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join().ok();
+            // The acceptor sleeps in accept(): one connection of our own
+            // wakes it to see the flag. Should that connect fail, shutdown
+            // must not hang on the acceptor, which then exits at its next
+            // accept; its handle is dropped unjoined.
+            if TcpStream::connect(wake_addr(self.local_addr)).is_ok() {
+                acceptor.join().ok();
+            }
         }
-        // No new connections can arrive now; closing the queue lets workers
-        // drain the remaining accepted connections and then exit.
+        // No new connections are dispatched now; closing the queue lets
+        // workers drain the remaining accepted connections and then exit.
         self.queue.close();
         for worker in self.workers.drain(..) {
             worker.join().ok();
@@ -660,6 +644,17 @@ impl Drop for NetServerHandle {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
+}
+
+/// The address that reaches a listener bound to `local`: itself, or
+/// loopback when the listener is bound to the unspecified address.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 /// A blocking framed-TCP client: the other half of the protocol, used by
@@ -768,20 +763,98 @@ mod tests {
         assert_eq!(queue.try_push(3).unwrap_err(), 3);
         queue.close();
         // Remaining items still drain after close…
-        assert!(matches!(
-            queue.pop_timeout(Duration::from_millis(1)),
-            Popped::Item(1)
-        ));
-        assert!(matches!(
-            queue.pop_timeout(Duration::from_millis(1)),
-            Popped::Item(2)
-        ));
+        assert_eq!(queue.pop(), Some(1));
+        assert_eq!(queue.pop(), Some(2));
         // …then the queue reports closed, and rejects new pushes.
-        assert!(matches!(
-            queue.pop_timeout(Duration::from_millis(1)),
-            Popped::Closed
-        ));
+        assert_eq!(queue.pop(), None);
         assert_eq!(queue.try_push(4).unwrap_err(), 4);
+    }
+
+    /// A writer that records the bytes of every `write` call.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// 159 and 752 bytes are the sizes of perfbench's binary reply and JSON
+    /// request frames.
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        for length in [0, 159, 752] {
+            let payload: Vec<u8> = (0..=u8::MAX).cycle().take(length).collect();
+            let mut log = WriteLog::default();
+            write_frame(&mut log, &payload).unwrap();
+            assert_eq!(
+                log.0.len(),
+                1,
+                "a {length}-byte payload took several writes"
+            );
+            let frame = &log.0[0];
+            assert_eq!(frame[..4], u32::try_from(length).unwrap().to_be_bytes());
+            assert_eq!(frame[4..], payload[..]);
+            assert_eq!(read_frame(&mut frame.as_slice()).unwrap(), Some(payload));
+        }
+    }
+
+    fn wait_for_accepted(handle: &NetServerHandle, count: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.accepted() < count {
+            assert!(
+                Instant::now() < deadline,
+                "acceptor saw {} of {count}",
+                handle.accepted()
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The connection that wakes the acceptor is neither queued (the idle
+    /// case, where the queue has room) nor shed (the busy case, where the
+    /// worker holds a connection and another fills the queue): `accepted`,
+    /// `served` and `shed` read the same after shutdown as before it.
+    #[test]
+    fn the_shutdown_wake_connection_is_never_dispatched_or_counted() {
+        let handler: Arc<dyn Handler> = Arc::new(crate::ReportServer::new(Arc::new(
+            decoder_sim::ExecutionEngine::serial(),
+        )));
+        for busy in [false, true] {
+            let config = ServeConfig {
+                workers: 1,
+                queue_bound: 1,
+                drain_grace: Duration::from_millis(50),
+                ..ServeConfig::default()
+            };
+            let mut handle = NetServer::bind(config, Arc::clone(&handler)).unwrap();
+            // The worker keeps this connection. A malformed request is
+            // answered with a typed bad_request and evaluates nothing.
+            let mut client = NetClient::connect(handle.local_addr()).unwrap();
+            client.call_bytes(b"not a request").unwrap();
+            let _filler = busy.then(|| NetClient::connect(handle.local_addr()).unwrap());
+            let accepted = 1 + u64::from(busy);
+            wait_for_accepted(&handle, accepted);
+
+            let started = Instant::now();
+            handle.shutdown_inner();
+            let waited = started.elapsed();
+            assert!(
+                waited < Duration::from_secs(1),
+                "busy {busy}: shutdown took {waited:?}"
+            );
+            assert_eq!(
+                (handle.accepted(), handle.served(), handle.shed()),
+                (accepted, 1, 0),
+                "busy {busy}"
+            );
+        }
     }
 
     #[test]

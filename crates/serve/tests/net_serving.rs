@@ -9,6 +9,9 @@
 //!   server serves instead of shedding every connection;
 //! * a graceful shutdown drains in-flight requests: everything a client
 //!   sent before shutdown gets a response before its connection closes;
+//! * shutdown wakes the acceptor blocked in `accept()`, whether the server
+//!   is bound to loopback or to the unspecified address, idle or after
+//!   serving, within a second;
 //! * a request frame that arrives in pieces, with pauses longer than the
 //!   workers' poll interval, is answered, and a client stalled mid-frame
 //!   does not hold a shutdown much past the drain grace;
@@ -43,8 +46,8 @@ use decoder_sim::{
 use mspt_serve::net::MAX_FRAME_BYTES;
 use mspt_serve::{
     parse_reply_any, probe_shed, read_frame, request_from_bin, request_to_bin, run_net_stress,
-    write_frame, NetClient, NetServer, NetServerHandle, ReportRequest, ReportServer, StressConfig,
-    WireCodec, WireReply,
+    write_frame, NetClient, NetServer, NetServerHandle, ReportRequest, ReportServer, ServeConfig,
+    StressConfig, WireCodec, WireReply,
 };
 use nanowire_codes::{
     ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
@@ -311,6 +314,33 @@ fn graceful_shutdown_drains_in_flight_requests() {
             WireReply::Error(error) => panic!("in-flight request failed during drain: {error}"),
         }
         assert_eq!(eof, None, "connection did not close cleanly after drain");
+    }
+}
+
+/// The acceptor sleeps in `accept()`, and shutdown wakes it with one
+/// connection to the listener's address — loopback for an unspecified bind.
+#[test]
+fn shutdown_wakes_the_blocked_acceptor_on_loopback_and_unspecified_binds() {
+    let request = mix().remove(0);
+    for bind_addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for serve_first in [false, true] {
+            let config = ServeConfig {
+                bind_addr: bind_addr.to_string(),
+                ..loopback_config(2, 4)
+            };
+            let handle = NetServer::bind(config, Arc::new(report_server(1))).unwrap();
+            if serve_first {
+                let port = handle.local_addr().port();
+                assert_served_in_both_codecs(SocketAddr::from(([127, 0, 0, 1], port)), &request);
+            }
+            let started = Instant::now();
+            handle.shutdown();
+            let waited = started.elapsed();
+            assert!(
+                waited < Duration::from_secs(1),
+                "{bind_addr}, serve first {serve_first}: shutdown took {waited:?}"
+            );
+        }
     }
 }
 
