@@ -68,10 +68,10 @@ fn delta(before: &CacheStats, after: &CacheStats) -> PassStats {
     }
 }
 
-fn benchmark_row(id: &str, median_ns: f64) -> JsonValue {
+fn benchmark_row(id: &str, median_ns: f64) -> JsonValue<'static> {
     JsonValue::Object(vec![
-        ("id".to_string(), JsonValue::String(id.to_string())),
-        ("median_ns".to_string(), JsonValue::from_f64(median_ns)),
+        ("id".into(), JsonValue::String(id.to_string().into())),
+        ("median_ns".into(), JsonValue::from_f64(median_ns)),
     ])
 }
 
@@ -79,21 +79,15 @@ fn benchmark_row(id: &str, median_ns: f64) -> JsonValue {
 /// stage, in `Stage::ALL` order. Rides alongside the aggregate report-cache
 /// counters in the results artifact (new key, old fields untouched, so
 /// pre-stage-cache consumers keep parsing).
-fn stage_stats_json(rows: &[StageStats]) -> JsonValue {
+fn stage_stats_json(rows: &[StageStats]) -> JsonValue<'static> {
     JsonValue::Array(
         rows.iter()
             .map(|row| {
                 JsonValue::Object(vec![
-                    (
-                        "stage".to_string(),
-                        JsonValue::String(row.stage.name().to_string()),
-                    ),
-                    ("hits".to_string(), JsonValue::from_u64(row.stats.hits)),
-                    ("misses".to_string(), JsonValue::from_u64(row.stats.misses)),
-                    (
-                        "evictions".to_string(),
-                        JsonValue::from_u64(row.stats.evictions),
-                    ),
+                    ("stage".into(), JsonValue::String(row.stage.name().into())),
+                    ("hits".into(), JsonValue::from_u64(row.stats.hits)),
+                    ("misses".into(), JsonValue::from_u64(row.stats.misses)),
+                    ("evictions".into(), JsonValue::from_u64(row.stats.evictions)),
                 ])
             })
             .collect(),
@@ -265,88 +259,67 @@ fn results_json(
         sampling.adaptive_used as f64,
     ));
     JsonValue::Object(vec![
-        ("schema_version".to_string(), JsonValue::from_u64(1)),
+        ("schema_version".into(), JsonValue::from_u64(1)),
+        ("transport".into(), JsonValue::String("tcp".into())),
+        ("requests".into(), JsonValue::from_u64(outcome.requests)),
+        ("mismatches".into(), JsonValue::from_u64(outcome.mismatches)),
+        ("sheds".into(), JsonValue::from_u64(outcome.sheds)),
         (
-            "transport".to_string(),
-            JsonValue::String("tcp".to_string()),
-        ),
-        (
-            "requests".to_string(),
-            JsonValue::from_u64(outcome.requests),
-        ),
-        (
-            "mismatches".to_string(),
-            JsonValue::from_u64(outcome.mismatches),
-        ),
-        ("sheds".to_string(), JsonValue::from_u64(outcome.sheds)),
-        (
-            "wire_failures".to_string(),
+            "wire_failures".into(),
             JsonValue::from_u64(outcome.wire_failures),
         ),
-        ("shed_path_exercised".to_string(), JsonValue::Bool(true)),
+        ("shed_path_exercised".into(), JsonValue::Bool(true)),
+        ("rps".into(), JsonValue::from_f64(outcome.throughput_rps())),
+        ("p50_ns".into(), JsonValue::from_u64(latency.quantile(0.5))),
+        ("p99_ns".into(), JsonValue::from_u64(latency.quantile(0.99))),
         (
-            "rps".to_string(),
-            JsonValue::from_f64(outcome.throughput_rps()),
-        ),
-        (
-            "p50_ns".to_string(),
-            JsonValue::from_u64(latency.quantile(0.5)),
-        ),
-        (
-            "p99_ns".to_string(),
-            JsonValue::from_u64(latency.quantile(0.99)),
-        ),
-        (
-            "p999_ns".to_string(),
+            "p999_ns".into(),
             JsonValue::from_u64(latency.quantile(0.999)),
         ),
-        ("max_ns".to_string(), JsonValue::from_u64(latency.max())),
-        ("mean_ns".to_string(), JsonValue::from_f64(latency.mean())),
+        ("max_ns".into(), JsonValue::from_u64(latency.max())),
+        ("mean_ns".into(), JsonValue::from_f64(latency.mean())),
         (
-            "snapshot_size".to_string(),
+            "snapshot_size".into(),
             JsonValue::Object(vec![
                 (
-                    "entries".to_string(),
+                    "entries".into(),
                     JsonValue::from_u64(SNAPSHOT_ENTRIES as u64),
                 ),
                 (
-                    "json_bytes".to_string(),
+                    "json_bytes".into(),
                     JsonValue::from_u64(snapshot.json_bytes),
                 ),
-                (
-                    "bin_bytes".to_string(),
-                    JsonValue::from_u64(snapshot.bin_bytes),
-                ),
+                ("bin_bytes".into(), JsonValue::from_u64(snapshot.bin_bytes)),
             ]),
         ),
-        ("stage_cache".to_string(), stage_stats_json(stage_rows)),
+        ("stage_cache".into(), stage_stats_json(stage_rows)),
         (
-            "sampling".to_string(),
+            "sampling".into(),
             JsonValue::Object(vec![
                 (
-                    "fixed_samples_used".to_string(),
+                    "fixed_samples_used".into(),
                     JsonValue::from_u64(sampling.fixed_used as u64),
                 ),
                 (
-                    "adaptive_samples_used".to_string(),
+                    "adaptive_samples_used".into(),
                     JsonValue::from_u64(sampling.adaptive_used as u64),
                 ),
                 (
-                    "sample_cap".to_string(),
+                    "sample_cap".into(),
                     JsonValue::from_u64(sampling.cap as u64),
                 ),
-                ("runs".to_string(), JsonValue::from_u64(sampling.stats.runs)),
+                ("runs".into(), JsonValue::from_u64(sampling.stats.runs)),
                 (
-                    "samples_requested".to_string(),
+                    "samples_requested".into(),
                     JsonValue::from_u64(sampling.stats.samples_requested),
                 ),
                 (
-                    "samples_used".to_string(),
+                    "samples_used".into(),
                     JsonValue::from_u64(sampling.stats.samples_used),
                 ),
             ]),
         ),
-        ("benchmarks".to_string(), JsonValue::Array(benchmarks)),
+        ("benchmarks".into(), JsonValue::Array(benchmarks)),
     ])
     .render()
 }

@@ -89,7 +89,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use decoder_sim::codec::{
-    config_from_json, config_to_json, defect_from_json, disturbance_from_json, JsonValue,
+    config_from_json, defect_from_json, disturbance_from_json, write_config_json, JsonValue,
 };
 use decoder_sim::{
     CacheStats, ExecutionEngine, PlatformReport, Result, SamplingStats, SimConfig, StageStats,
@@ -217,14 +217,11 @@ impl ReportRequest {
     /// `{"schema_version":1,"config":{…}}`.
     #[must_use]
     pub fn to_json_string(&self) -> String {
-        JsonValue::Object(vec![
-            (
-                "schema_version".to_string(),
-                JsonValue::from_u64(WIRE_SCHEMA_VERSION),
-            ),
-            ("config".to_string(), config_to_json(&self.config)),
-        ])
-        .render()
+        let mut out = String::new();
+        let mut request = wire::versioned(&mut out);
+        write_config_json(&self.config, request.member("config"));
+        request.close();
+        out
     }
 
     /// Decodes a wire JSON request.
@@ -434,7 +431,7 @@ pub(crate) fn zipf_index(rng: &mut StdRng, cumulative: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoder_sim::codec::{defect_to_json, disturbance_to_json};
+    use decoder_sim::codec::{config_to_json, defect_to_json, disturbance_to_json};
     use decoder_sim::{DefectKind, DisturbanceKind, EngineConfig, SimulationPlatform};
     use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
     use rand::SeedableRng;

@@ -17,7 +17,8 @@
 //! ```
 
 use decoder_sim::codec::{
-    report_from_json, report_to_json, wire_error_kind_from_json, wire_error_kind_to_json, JsonValue,
+    report_from_json, wire_error_kind_from_json, write_json_string, write_json_u64,
+    write_report_json, JsonValue, ObjectWriter,
 };
 use decoder_sim::{PlatformReport, Result, SimError, WireErrorKind};
 
@@ -76,47 +77,45 @@ pub enum WireReply {
     Error(WireError),
 }
 
-fn versioned(mut fields: Vec<(String, JsonValue)>) -> String {
-    fields.insert(
-        0,
-        (
-            "schema_version".to_string(),
-            JsonValue::from_u64(WIRE_SCHEMA_VERSION),
-        ),
-    );
-    JsonValue::Object(fields).render()
+/// Starting room of an envelope's text buffer: a wire request or an ok
+/// reply of the figure configurations takes 0.6–0.8 kB, so most envelopes
+/// are written with one allocation.
+const ENVELOPE_CAPACITY: usize = 1_024;
+
+/// Opens an envelope in `out`: an object whose first member is
+/// `schema_version`. The caller writes the other members and closes it.
+pub(crate) fn versioned(out: &mut String) -> ObjectWriter<'_> {
+    out.reserve(ENVELOPE_CAPACITY);
+    let mut envelope = ObjectWriter::open(out);
+    write_json_u64(WIRE_SCHEMA_VERSION, envelope.member("schema_version"));
+    envelope
 }
 
 /// Encodes a successful response.
 #[must_use]
 pub fn ok_response(report: &PlatformReport) -> String {
-    versioned(vec![
-        ("status".to_string(), JsonValue::String("ok".to_string())),
-        ("report".to_string(), report_to_json(report)),
-    ])
+    let mut out = String::new();
+    let mut reply = versioned(&mut out);
+    write_json_string("ok", reply.member("status"));
+    write_report_json(report, reply.member("report"));
+    reply.close();
+    out
 }
 
 /// Encodes a typed error response. The legacy top-level `reason` is kept so
 /// clients that predate the typed `error` object still see the failure.
 #[must_use]
 pub fn error_response(error: &WireError) -> String {
-    versioned(vec![
-        ("status".to_string(), JsonValue::String("error".to_string())),
-        (
-            "error".to_string(),
-            JsonValue::Object(vec![
-                ("kind".to_string(), wire_error_kind_to_json(error.kind)),
-                (
-                    "reason".to_string(),
-                    JsonValue::String(error.reason.clone()),
-                ),
-            ]),
-        ),
-        (
-            "reason".to_string(),
-            JsonValue::String(error.reason.clone()),
-        ),
-    ])
+    let mut out = String::new();
+    let mut reply = versioned(&mut out);
+    write_json_string("error", reply.member("status"));
+    let mut typed = ObjectWriter::open(reply.member("error"));
+    write_json_string(error.kind.as_wire_str(), typed.member("kind"));
+    write_json_string(&error.reason, typed.member("reason"));
+    typed.close();
+    write_json_string(&error.reason, reply.member("reason"));
+    reply.close();
+    out
 }
 
 /// Decodes a wire response into the typed reply — the client half of the

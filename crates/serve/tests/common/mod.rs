@@ -123,14 +123,14 @@ pub fn legacy_request_json(
     defects: Option<DefectKind>,
 ) -> String {
     JsonValue::Object(vec![
-        ("schema_version".to_string(), JsonValue::from_u64(1)),
-        ("config".to_string(), config_to_json(config)),
+        ("schema_version".into(), JsonValue::from_u64(1)),
+        ("config".into(), config_to_json(config)),
         (
-            "disturbance".to_string(),
+            "disturbance".into(),
             disturbance.map_or(JsonValue::Null, disturbance_to_json),
         ),
         (
-            "defects".to_string(),
+            "defects".into(),
             defects.map_or(JsonValue::Null, defect_to_json),
         ),
     ])

@@ -47,10 +47,10 @@ fn assert_noticed<T: PartialEq + std::fmt::Debug>(decoded: Result<T>, original: 
     }
 }
 
-fn perturb(leaf: &JsonValue) -> JsonValue {
+fn perturb<'a>(leaf: &JsonValue<'a>) -> JsonValue<'a> {
     match leaf {
-        JsonValue::Number(literal) => JsonValue::Number(format!("{literal}1")),
-        JsonValue::String(text) => JsonValue::String(format!("{text}_")),
+        JsonValue::Number(literal) => JsonValue::Number(format!("{literal}1").into()),
+        JsonValue::String(text) => JsonValue::String(format!("{text}_").into()),
         _ => JsonValue::Null,
     }
 }
@@ -68,10 +68,10 @@ fn json_battery<T: PartialEq + std::fmt::Debug>(
         panic!("an envelope is an object");
     };
     for (index, (key, member)) in members.iter().enumerate() {
-        let unread = UNREAD_KEYS.contains(&key.as_str());
+        let unread = UNREAD_KEYS.contains(&key.as_ref());
         let mut mutations = vec![(format!("dropping {key}"), None)];
         match member {
-            JsonValue::Object(inner) if !DOCUMENT_KEYS.contains(&key.as_str()) => {
+            JsonValue::Object(inner) if !DOCUMENT_KEYS.contains(&key.as_ref()) => {
                 for (inner_index, (inner_key, leaf)) in inner.iter().enumerate() {
                     let mut without = inner.clone();
                     without.remove(inner_index);

@@ -74,7 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::bincodec::{self, BinReader, BinWriter};
-use crate::codec::{config_to_json, report_to_json, JsonValue};
+use crate::codec::{write_config_json, write_json_u64, write_report_json, ObjectWriter};
 use crate::config::SimConfig;
 use crate::error::{Result, SimError};
 use crate::platform::PlatformReport;
@@ -658,27 +658,23 @@ impl ReportCache {
     /// baseline the binary snapshot's size is measured against.
     #[must_use]
     pub fn snapshot_json(&self) -> String {
-        JsonValue::Object(vec![
-            (
-                "schema_version".to_string(),
-                JsonValue::from_u64(CACHE_SCHEMA_VERSION),
-            ),
-            (
-                "entries".to_string(),
-                JsonValue::Array(
-                    self.snapshot_rows()
-                        .iter()
-                        .map(|(config, report)| {
-                            JsonValue::Object(vec![
-                                ("config".to_string(), config_to_json(config)),
-                                ("report".to_string(), report_to_json(report)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .render()
+        let mut out = String::new();
+        let mut snapshot = ObjectWriter::open(&mut out);
+        write_json_u64(CACHE_SCHEMA_VERSION, snapshot.member("schema_version"));
+        let entries = snapshot.member("entries");
+        entries.push('[');
+        for (index, (config, report)) in self.snapshot_rows().iter().enumerate() {
+            if index > 0 {
+                entries.push(',');
+            }
+            let mut entry = ObjectWriter::open(entries);
+            write_config_json(config, entry.member("config"));
+            write_report_json(report, entry.member("report"));
+            entry.close();
+        }
+        entries.push(']');
+        snapshot.close();
+        out
     }
 
     /// The rows a snapshot persists, in persisted order: every stored

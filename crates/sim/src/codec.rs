@@ -6,15 +6,25 @@
 //! serializers — crates.io is unreachable in this build environment), so this
 //! module hand-rolls the small amount of JSON the workspace needs:
 //!
-//! * a minimal [`JsonValue`] tree with a recursive-descent parser and a
-//!   deterministic writer (object keys keep insertion order, so a value
-//!   rendered twice is byte-identical);
+//! * one writer that puts JSON text straight into an output `String`:
+//!   [`ObjectWriter`] writes an object as `"key":value` members, and
+//!   [`write_json_string`], [`write_json_f64`] and [`write_json_u64`] write
+//!   the leaves. Encoding builds no value tree, and its output is
+//!   deterministic (members come out in the order they are written, so a
+//!   value written twice is byte-identical);
+//! * a recursive-descent parser into a [`JsonValue`] tree whose keys,
+//!   number literals and escape-free strings borrow the input, so a parse
+//!   allocates about once per object or array. Code that edits documents
+//!   builds and renders the same tree type with owned strings;
 //! * the JSON backend of the crate's wire schema, which lists the fields of
 //!   [`SimConfig`], [`PlatformReport`] and their leaf types once for both
-//!   codecs: a record is an object whose members follow the field list, and
-//!   decoding reads each member by key. The `*_to_json` / `*_from_json`
-//!   entry points render that list; every decoded configuration passes
-//!   through the same validating constructors as a hand-built one.
+//!   codecs: a record is written as an object whose members follow the
+//!   field list, and decoding reads each member of the parsed object by
+//!   key. [`write_config_json`] and [`write_report_json`] write a record
+//!   into a caller's buffer; the `*_to_json` entry points return the
+//!   parsed-back tree of that text and the `*_from_json` ones decode a
+//!   tree. Every decoded configuration passes through the same validating
+//!   constructors as a hand-built one.
 //!
 //! # Versioning discipline
 //!
@@ -35,6 +45,9 @@
 //! to `null` and the decoder rejects `null` where a number is required, so
 //! corruption fails loudly instead of silently.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
 use nanowire_codes::CodeSpec;
 
 use crate::config::SimConfig;
@@ -47,23 +60,24 @@ use crate::schema::{
     blank_code, blank_report, Field, Presence, Record, Value, Wire, WIRE_ERROR_KINDS,
 };
 
-/// A parsed JSON document: the minimal value tree the serve and persistence
-/// codecs build on. Numbers keep their literal text so integers up to `u64`
-/// and shortest-roundtrip floats survive unchanged.
+/// A JSON document as a tree. Numbers keep their literal text so integers
+/// up to `u64` and shortest-roundtrip floats survive unchanged. A parsed
+/// tree borrows its keys, number literals and escape-free strings from the
+/// input; a built one owns them.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+pub enum JsonValue<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, stored as its literal token.
-    Number(String),
+    Number(Cow<'a, str>),
     /// A string.
-    String(String),
+    String(Cow<'a, str>),
     /// An array.
-    Array(Vec<JsonValue>),
-    /// An object; keys keep insertion order so rendering is deterministic.
-    Object(Vec<(String, JsonValue)>),
+    Array(Vec<JsonValue<'a>>),
+    /// An object; keys keep document order so rendering is deterministic.
+    Object(Vec<(Cow<'a, str>, JsonValue<'a>)>),
 }
 
 pub(crate) fn err(reason: impl Into<String>) -> SimError {
@@ -72,13 +86,13 @@ pub(crate) fn err(reason: impl Into<String>) -> SimError {
     }
 }
 
-impl JsonValue {
+impl JsonValue<'static> {
     /// Encodes a finite `f64` as a number with shortest-roundtrip formatting
     /// (`null` for non-finite values, which JSON cannot represent).
     #[must_use]
-    pub fn from_f64(value: f64) -> JsonValue {
+    pub fn from_f64(value: f64) -> Self {
         if value.is_finite() {
-            JsonValue::Number(format!("{value}"))
+            JsonValue::Number(value.to_string().into())
         } else {
             JsonValue::Null
         }
@@ -86,16 +100,12 @@ impl JsonValue {
 
     /// Encodes a `u64` exactly.
     #[must_use]
-    pub fn from_u64(value: u64) -> JsonValue {
-        JsonValue::Number(value.to_string())
+    pub fn from_u64(value: u64) -> Self {
+        JsonValue::Number(value.to_string().into())
     }
+}
 
-    /// Encodes a `usize` exactly.
-    #[must_use]
-    pub fn from_usize(value: usize) -> JsonValue {
-        JsonValue::Number(value.to_string())
-    }
-
+impl<'a> JsonValue<'a> {
     /// The value as a finite `f64`.
     ///
     /// # Errors
@@ -155,7 +165,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] when the value is not an array.
-    pub fn as_array(&self) -> Result<&[JsonValue]> {
+    pub fn as_array(&self) -> Result<&[JsonValue<'a>]> {
         match self {
             JsonValue::Array(items) => Ok(items),
             other => Err(err(format!("expected an array, got {}", other.kind_name()))),
@@ -168,7 +178,7 @@ impl JsonValue {
     ///
     /// Returns [`SimError::Persistence`] when the value is not an object or
     /// the key is absent.
-    pub fn get(&self, key: &str) -> Result<&JsonValue> {
+    pub fn get(&self, key: &str) -> Result<&JsonValue<'a>> {
         self.get_opt(key)?
             .ok_or_else(|| err(format!("missing object key {key:?}")))
     }
@@ -180,7 +190,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] when the value is not an object.
-    pub fn get_opt(&self, key: &str) -> Result<Option<&JsonValue>> {
+    pub fn get_opt(&self, key: &str) -> Result<Option<&JsonValue<'a>>> {
         match self {
             JsonValue::Object(fields) => Ok(fields
                 .iter()
@@ -205,7 +215,7 @@ impl JsonValue {
     }
 
     /// Renders the value as compact JSON. Deterministic: object keys are
-    /// written in insertion order, numbers keep their literals.
+    /// written in tree order, numbers keep their literals.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -219,7 +229,7 @@ impl JsonValue {
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
             JsonValue::Number(literal) => out.push_str(literal),
-            JsonValue::String(text) => render_string(text, out),
+            JsonValue::String(text) => write_json_string(text, out),
             JsonValue::Array(items) => {
                 out.push('[');
                 for (index, item) in items.iter().enumerate() {
@@ -231,36 +241,33 @@ impl JsonValue {
                 out.push(']');
             }
             JsonValue::Object(fields) => {
-                out.push('{');
-                for (index, (key, value)) in fields.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    render_string(key, out);
-                    out.push(':');
-                    value.render_into(out);
+                let mut object = ObjectWriter::open(out);
+                for (key, value) in fields {
+                    value.render_into(object.member(key));
                 }
-                out.push('}');
+                object.close();
             }
         }
     }
 
-    /// Parses a JSON document, requiring it to span the whole input.
+    /// Parses a JSON document, requiring it to span the whole input. The
+    /// tree borrows from `input` wherever the text needs no unescaping.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on any syntax error, with the byte
     /// offset in the reason.
-    pub fn parse(input: &str) -> Result<JsonValue> {
+    pub fn parse(input: &'a str) -> Result<JsonValue<'a>> {
         let mut parser = Parser {
-            bytes: input.as_bytes(),
+            input,
             position: 0,
             depth: 0,
+            pending: Vec::with_capacity(PENDING_CAPACITY),
         };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
         parser.skip_whitespace();
-        if parser.position != parser.bytes.len() {
+        if parser.position != input.len() {
             return Err(err(format!(
                 "trailing characters after JSON document at byte {}",
                 parser.position
@@ -268,24 +275,108 @@ impl JsonValue {
         }
         Ok(value)
     }
-}
 
-fn render_string(text: &str, out: &mut String) {
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            ch if (ch as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", ch as u32));
+    /// The same tree owning all its text, detached from the input it was
+    /// parsed from.
+    #[must_use]
+    pub fn into_owned(self) -> JsonValue<'static> {
+        let owned = |text: Cow<'a, str>| Cow::Owned(text.into_owned());
+        match self {
+            JsonValue::Null => JsonValue::Null,
+            JsonValue::Bool(flag) => JsonValue::Bool(flag),
+            JsonValue::Number(literal) => JsonValue::Number(owned(literal)),
+            JsonValue::String(text) => JsonValue::String(owned(text)),
+            JsonValue::Array(items) => {
+                JsonValue::Array(items.into_iter().map(JsonValue::into_owned).collect())
             }
-            ch => out.push(ch),
+            JsonValue::Object(fields) => JsonValue::Object(
+                fields
+                    .into_iter()
+                    .map(|(key, value)| (owned(key), value.into_owned()))
+                    .collect(),
+            ),
         }
     }
+}
+
+/// Writes one JSON object straight into a text buffer: `{`, then a
+/// `"key":value` member per [`ObjectWriter::member`] call, comma-separated,
+/// then `}` at [`ObjectWriter::close`].
+#[derive(Debug)]
+pub struct ObjectWriter<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl<'o> ObjectWriter<'o> {
+    /// Opens an object at the end of `out`.
+    pub fn open(out: &'o mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes the next member's key and returns the buffer its value goes
+    /// into; the caller writes exactly one JSON value there.
+    pub fn member(&mut self, key: &str) -> &mut String {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        write_json_string(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Closes the object.
+    pub fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// Writes `text` as a JSON string: quoted, with `"`, `\` and control
+/// characters escaped, everything else passed through as UTF-8.
+pub fn write_json_string(text: &str, out: &mut String) {
     out.push('"');
+    // Every escaped byte is ASCII, so the plain runs between them are
+    // whole UTF-8.
+    let mut plain = 0;
+    for (index, byte) in text.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'\n' => 'n',
+            b'\r' => 'r',
+            b'\t' => 't',
+            0..=0x1f => 'u',
+            _ => continue,
+        };
+        out.push_str(&text[plain..index]);
+        out.push('\\');
+        out.push(escape);
+        if escape == 'u' {
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{byte:04x}");
+        }
+        plain = index + 1;
+    }
+    out.push_str(&text[plain..]);
+    out.push('"');
+}
+
+/// Writes a finite `f64` with its shortest round-trip `Display` digits, and
+/// a non-finite one as `null`, which JSON has instead.
+pub fn write_json_f64(value: f64, out: &mut String) {
+    if value.is_finite() {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{value}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Writes a `u64` exactly.
+pub fn write_json_u64(value: u64, out: &mut String) {
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{value}");
 }
 
 /// Maximum container-nesting depth the parser accepts. The recursive-descent
@@ -295,13 +386,23 @@ fn render_string(text: &str, out: &mut String) {
 /// levels.
 const MAX_JSON_DEPTH: usize = 128;
 
+/// Starting room of the parser's stack of pending members: a wire request
+/// or reply holds at most about 20 members in open containers at once (a
+/// report alone has 15), so parsing one never grows the stack.
+const PENDING_CAPACITY: usize = 32;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     position: usize,
     depth: usize,
+    /// The members of the objects and arrays still open, innermost last (an
+    /// array item under an empty key). A container moves its own into one
+    /// vector of exactly their number when it closes, so each allocates
+    /// once.
+    pending: Vec<(Cow<'a, str>, JsonValue<'a>)>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn descend(&mut self) -> Result<()> {
         self.depth += 1;
         if self.depth > MAX_JSON_DEPTH {
@@ -311,8 +412,13 @@ impl Parser<'_> {
         }
         Ok(())
     }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
+    }
+
     fn skip_whitespace(&mut self) {
-        while let Some(&byte) = self.bytes.get(self.position) {
+        while let Some(&byte) = self.bytes().get(self.position) {
             if matches!(byte, b' ' | b'\t' | b'\n' | b'\r') {
                 self.position += 1;
             } else {
@@ -322,7 +428,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.position).copied()
+        self.bytes().get(self.position).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<()> {
@@ -338,7 +444,7 @@ impl Parser<'_> {
     }
 
     fn consume_literal(&mut self, literal: &str) -> bool {
-        if self.bytes[self.position..].starts_with(literal.as_bytes()) {
+        if self.bytes()[self.position..].starts_with(literal.as_bytes()) {
             self.position += literal.len();
             true
         } else {
@@ -346,7 +452,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue> {
+    fn parse_value(&mut self) -> Result<JsonValue<'a>> {
         self.skip_whitespace();
         match self.peek() {
             Some(b'{') => self.parse_object(),
@@ -363,15 +469,15 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue> {
+    fn parse_object(&mut self) -> Result<JsonValue<'a>> {
         self.descend()?;
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        let start = self.pending.len();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.position += 1;
             self.depth -= 1;
-            return Ok(JsonValue::Object(fields));
+            return Ok(JsonValue::Object(Vec::new()));
         }
         loop {
             self.skip_whitespace();
@@ -379,14 +485,14 @@ impl Parser<'_> {
             self.skip_whitespace();
             self.expect(b':')?;
             let value = self.parse_value()?;
-            fields.push((key, value));
+            self.pending.push((key, value));
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.position += 1,
                 Some(b'}') => {
                     self.position += 1;
                     self.depth -= 1;
-                    return Ok(JsonValue::Object(fields));
+                    return Ok(JsonValue::Object(self.pending.drain(start..).collect()));
                 }
                 _ => {
                     return Err(err(format!(
@@ -398,25 +504,27 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue> {
+    fn parse_array(&mut self) -> Result<JsonValue<'a>> {
         self.descend()?;
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let start = self.pending.len();
         self.skip_whitespace();
         if self.peek() == Some(b']') {
             self.position += 1;
             self.depth -= 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(JsonValue::Array(Vec::new()));
         }
         loop {
-            items.push(self.parse_value()?);
+            let item = self.parse_value()?;
+            self.pending.push((Cow::Borrowed(""), item));
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.position += 1,
                 Some(b']') => {
                     self.position += 1;
                     self.depth -= 1;
-                    return Ok(JsonValue::Array(items));
+                    let items = self.pending.drain(start..).map(|(_, item)| item);
+                    return Ok(JsonValue::Array(items.collect()));
                 }
                 _ => {
                     return Err(err(format!(
@@ -428,28 +536,36 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String> {
+    /// Advances over the longest run of plain string bytes (no quote,
+    /// backslash or control character) and returns it. The run ends at an
+    /// ASCII byte or the end of input, so multi-byte UTF-8 passes through
+    /// whole.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.position;
+        while let Some(&byte) = self.bytes().get(self.position) {
+            if byte == b'"' || byte == b'\\' || byte < 0x20 {
+                break;
+            }
+            self.position += 1;
+        }
+        &self.input[start..self.position]
+    }
+
+    /// Parses a string, borrowing it from the input unless it holds an
+    /// escape.
+    fn parse_string(&mut self) -> Result<Cow<'a, str>> {
         self.expect(b'"')?;
-        let mut text = String::new();
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.position += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut text = run.to_string();
         loop {
-            let start = self.position;
-            // Advance over the longest plain (unescaped, non-quote) run so
-            // multi-byte UTF-8 passes through untouched.
-            while let Some(&byte) = self.bytes.get(self.position) {
-                if byte == b'"' || byte == b'\\' || byte < 0x20 {
-                    break;
-                }
-                self.position += 1;
-            }
-            if self.position > start {
-                let run = std::str::from_utf8(&self.bytes[start..self.position])
-                    .map_err(|_| err("invalid UTF-8 inside string"))?;
-                text.push_str(run);
-            }
             match self.peek() {
                 Some(b'"') => {
                     self.position += 1;
-                    return Ok(text);
+                    return Ok(Cow::Owned(text));
                 }
                 Some(b'\\') => {
                     self.position += 1;
@@ -505,24 +621,29 @@ impl Parser<'_> {
                 }
                 _ => return Err(err("unterminated string")),
             }
+            text.push_str(self.plain_run());
         }
     }
 
     /// Reads the four hex digits of one `\u` escape code unit (the `\u` is
-    /// already consumed) and advances past them.
+    /// already consumed) and advances past them. Only ASCII hex digits
+    /// count: `u32::from_str_radix` alone would also take a leading `+`.
     fn parse_hex_unit(&mut self) -> Result<u32> {
         let end = self.position + 4;
         let digits = self
-            .bytes
+            .bytes()
             .get(self.position..end)
             .and_then(|hex| std::str::from_utf8(hex).ok())
             .ok_or_else(|| err("truncated \\u escape"))?;
+        if !digits.bytes().all(|digit| digit.is_ascii_hexdigit()) {
+            return Err(err("invalid \\u escape digits"));
+        }
         let unit = u32::from_str_radix(digits, 16).map_err(|_| err("invalid \\u escape digits"))?;
         self.position = end;
         Ok(unit)
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue> {
+    fn parse_number(&mut self) -> Result<JsonValue<'a>> {
         let start = self.position;
         if self.peek() == Some(b'-') {
             self.position += 1;
@@ -534,30 +655,29 @@ impl Parser<'_> {
                 break;
             }
         }
-        let literal = std::str::from_utf8(&self.bytes[start..self.position])
-            .expect("number tokens are ASCII");
+        let literal = &self.input[start..self.position];
         if literal.parse::<f64>().is_err() {
             return Err(err(format!("invalid number literal {literal:?}")));
         }
-        Ok(JsonValue::Number(literal.to_string()))
+        Ok(JsonValue::Number(Cow::Borrowed(literal)))
     }
 }
 
-/// The JSON encoder: a record's fields become object members, in listing
+/// The JSON encoder: writes a record's fields as object members, in listing
 /// order.
-pub(crate) struct JsonOut(pub(crate) Vec<(String, JsonValue)>);
+pub(crate) struct JsonOut<'o>(pub(crate) ObjectWriter<'o>);
 
-impl Wire for JsonOut {
+impl Wire for JsonOut<'_> {
     const DECODES: bool = false;
 
     fn field<V: Value>(&mut self, field: Field, value: &mut V) -> Result<()> {
-        self.0.push((field.key.to_string(), value.to_json()));
+        value.write_json(self.0.member(field.key));
         Ok(())
     }
 }
 
 /// The JSON decoder: reads each field of a record from an object, by key.
-pub(crate) struct JsonIn<'a>(pub(crate) &'a JsonValue);
+pub(crate) struct JsonIn<'a>(pub(crate) &'a JsonValue<'a>);
 
 impl Wire for JsonIn<'_> {
     const DECODES: bool = true;
@@ -573,15 +693,25 @@ impl Wire for JsonIn<'_> {
     }
 }
 
-fn decode<R: Record>(value: &JsonValue, mut record: R) -> Result<R> {
+fn decode<R: Record>(value: &JsonValue<'_>, mut record: R) -> Result<R> {
     record.read_json(value)?;
     Ok(record)
 }
 
-/// Encodes a [`CodeSpec`] as `{"kind","radix","length"}`.
+/// The tree of a value's JSON text, parsed back and owned: what the
+/// `*_to_json` entry points hand to code that inspects or edits documents.
+fn tree<V: Value>(value: &V) -> JsonValue<'static> {
+    let mut text = String::new();
+    value.write_json(&mut text);
+    JsonValue::parse(&text)
+        .expect("the writer emits valid JSON")
+        .into_owned()
+}
+
+/// The tree of a [`CodeSpec`]: `{"kind","radix","length"}`.
 #[must_use]
-pub fn code_spec_to_json(code: CodeSpec) -> JsonValue {
-    code.to_json()
+pub fn code_spec_to_json(code: CodeSpec) -> JsonValue<'static> {
+    tree(&code)
 }
 
 /// Decodes a [`CodeSpec`], re-validating length against the family.
@@ -590,15 +720,16 @@ pub fn code_spec_to_json(code: CodeSpec) -> JsonValue {
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON, or propagates the
 /// code layer's validation errors.
-pub fn code_spec_from_json(value: &JsonValue) -> Result<CodeSpec> {
+pub fn code_spec_from_json(value: &JsonValue<'_>) -> Result<CodeSpec> {
     decode(value, blank_code())
 }
 
-/// Encodes a [`DisturbanceKind`] as a tagged object (`{"kind":"gaussian"}`,
-/// `{"kind":"correlated","shared_fraction":0.5}`, ...).
+/// The tree of a [`DisturbanceKind`]: a tagged object
+/// (`{"kind":"gaussian"}`, `{"kind":"correlated","shared_fraction":0.5}`,
+/// ...).
 #[must_use]
-pub fn disturbance_to_json(kind: DisturbanceKind) -> JsonValue {
-    kind.to_json()
+pub fn disturbance_to_json(kind: DisturbanceKind) -> JsonValue<'static> {
+    tree(&kind)
 }
 
 /// Decodes a [`DisturbanceKind`].
@@ -606,16 +737,16 @@ pub fn disturbance_to_json(kind: DisturbanceKind) -> JsonValue {
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON or an unknown kind.
-pub fn disturbance_from_json(value: &JsonValue) -> Result<DisturbanceKind> {
+pub fn disturbance_from_json(value: &JsonValue<'_>) -> Result<DisturbanceKind> {
     decode(value, DisturbanceKind::default())
 }
 
-/// Encodes a [`MonteCarloConfig`] as an object carrying the fixed-mode
-/// fields plus the adaptive knobs (`target_half_width` / `max_samples`
-/// render as `null` when unset).
+/// The tree of a [`MonteCarloConfig`]: an object carrying the fixed-mode
+/// fields plus the adaptive knobs (`target_half_width` / `max_samples` are
+/// `null` when unset).
 #[must_use]
-pub fn monte_carlo_to_json(config: MonteCarloConfig) -> JsonValue {
-    config.to_json()
+pub fn monte_carlo_to_json(config: MonteCarloConfig) -> JsonValue<'static> {
+    tree(&config)
 }
 
 /// Decodes a [`MonteCarloConfig`]. The adaptive knobs are optional keys,
@@ -626,15 +757,15 @@ pub fn monte_carlo_to_json(config: MonteCarloConfig) -> JsonValue {
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON.
-pub fn monte_carlo_from_json(value: &JsonValue) -> Result<MonteCarloConfig> {
+pub fn monte_carlo_from_json(value: &JsonValue<'_>) -> Result<MonteCarloConfig> {
     decode(value, MonteCarloConfig::default())
 }
 
-/// Encodes a [`DefectKind`] as a tagged object (`{"kind":"none"}` or
+/// The tree of a [`DefectKind`]: a tagged object (`{"kind":"none"}` or
 /// `{"kind":"sampled","nanowire_breakage":…,"crosspoint_defect":…,"seed":…}`).
 #[must_use]
-pub fn defect_to_json(kind: DefectKind) -> JsonValue {
-    kind.to_json()
+pub fn defect_to_json(kind: DefectKind) -> JsonValue<'static> {
+    tree(&kind)
 }
 
 /// Decodes a [`DefectKind`], re-validating the rates through
@@ -644,17 +775,22 @@ pub fn defect_to_json(kind: DefectKind) -> JsonValue {
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON or an unknown kind,
 /// or propagates the defect layer's rate-validation errors.
-pub fn defect_from_json(value: &JsonValue) -> Result<DefectKind> {
+pub fn defect_from_json(value: &JsonValue<'_>) -> Result<DefectKind> {
     decode(value, DefectKind::None)
 }
 
-/// Encodes a full [`SimConfig`] — every field, including the disturbance
-/// kind, the defect selection and the Monte-Carlo sampling knobs, so two
-/// configurations differing only in any of them never serialize
-/// identically.
+/// Writes a full [`SimConfig`] as a JSON object at the end of `out` —
+/// every field, including the disturbance kind, the defect selection and
+/// the Monte-Carlo sampling knobs, so two configurations differing only in
+/// any of them never serialize identically.
+pub fn write_config_json(config: &SimConfig, out: &mut String) {
+    config.write_json(out);
+}
+
+/// The tree of a [`SimConfig`]'s JSON text (see [`write_config_json`]).
 #[must_use]
-pub fn config_to_json(config: &SimConfig) -> JsonValue {
-    config.to_json()
+pub fn config_to_json(config: &SimConfig) -> JsonValue<'static> {
+    tree(config)
 }
 
 /// Decodes a [`SimConfig`], passing every field through the same validating
@@ -666,14 +802,20 @@ pub fn config_to_json(config: &SimConfig) -> JsonValue {
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON, or propagates the
 /// validation errors of the reconstructed layers.
-pub fn config_from_json(value: &JsonValue) -> Result<SimConfig> {
+pub fn config_from_json(value: &JsonValue<'_>) -> Result<SimConfig> {
     decode(value, SimConfig::blank())
 }
 
-/// Encodes a [`PlatformReport`].
+/// Writes a [`PlatformReport`] as a JSON object at the end of `out`.
+pub fn write_report_json(report: &PlatformReport, out: &mut String) {
+    report.write_json(out);
+}
+
+/// The tree of a [`PlatformReport`]'s JSON text (see
+/// [`write_report_json`]).
 #[must_use]
-pub fn report_to_json(report: &PlatformReport) -> JsonValue {
-    report.to_json()
+pub fn report_to_json(report: &PlatformReport) -> JsonValue<'static> {
+    tree(report)
 }
 
 /// Decodes a [`PlatformReport`] bit-identically (floats round-trip exactly).
@@ -687,7 +829,7 @@ pub fn report_to_json(report: &PlatformReport) -> JsonValue {
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON.
-pub fn report_from_json(value: &JsonValue) -> Result<PlatformReport> {
+pub fn report_from_json(value: &JsonValue<'_>) -> Result<PlatformReport> {
     decode(value, blank_report())
 }
 
@@ -722,21 +864,12 @@ impl WireErrorKind {
     pub fn as_wire_str(self) -> &'static str {
         WIRE_ERROR_KINDS[self as usize]
     }
-
-    /// Parses a wire tag back into a kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Persistence`] on an unknown tag.
-    pub fn from_wire_str(tag: &str) -> Result<WireErrorKind> {
-        wire_error_kind_from_json(&JsonValue::String(tag.to_string()))
-    }
 }
 
-/// Encodes a [`WireErrorKind`] as its JSON wire tag.
+/// The tree of a [`WireErrorKind`]: its JSON wire tag.
 #[must_use]
-pub fn wire_error_kind_to_json(kind: WireErrorKind) -> JsonValue {
-    kind.to_json()
+pub fn wire_error_kind_to_json(kind: WireErrorKind) -> JsonValue<'static> {
+    tree(&kind)
 }
 
 /// Decodes a [`WireErrorKind`] from its JSON wire tag.
@@ -744,7 +877,7 @@ pub fn wire_error_kind_to_json(kind: WireErrorKind) -> JsonValue {
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON or an unknown tag.
-pub fn wire_error_kind_from_json(value: &JsonValue) -> Result<WireErrorKind> {
+pub fn wire_error_kind_from_json(value: &JsonValue<'_>) -> Result<WireErrorKind> {
     let mut kind = WireErrorKind::BadRequest;
     kind.read_json(value)?;
     Ok(kind)
@@ -779,6 +912,29 @@ mod tests {
     }
 
     #[test]
+    fn parsed_trees_borrow_all_but_escaped_strings() {
+        let text = r#"{"plain":"text","escaped":"a\"b","number":-2.5e3}"#;
+        let JsonValue::Object(members) = JsonValue::parse(text).unwrap() else {
+            panic!("an object parses to an object");
+        };
+        assert!(members
+            .iter()
+            .all(|(key, _)| matches!(key, Cow::Borrowed(_))));
+        assert!(matches!(
+            members[0].1,
+            JsonValue::String(Cow::Borrowed("text"))
+        ));
+        assert_eq!(
+            members[1].1,
+            JsonValue::String(Cow::Owned("a\"b".to_string()))
+        );
+        assert!(matches!(
+            members[2].1,
+            JsonValue::Number(Cow::Borrowed("-2.5e3"))
+        ));
+    }
+
+    #[test]
     fn wire_error_kinds_round_trip_and_reject_unknown_tags() {
         for kind in WireErrorKind::ALL {
             let encoded = wire_error_kind_to_json(kind);
@@ -803,6 +959,9 @@ mod tests {
             "\"unterminated",
             "{\"a\":1} trailing",
             "1e",
+            // `u32::from_str_radix` takes a leading sign; a `\u` escape
+            // takes four hex digits only.
+            r#""\u+041""#,
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -963,8 +1122,8 @@ mod tests {
             for (key, field) in fields.iter_mut() {
                 if key == "disturbance" {
                     *field = JsonValue::Object(vec![(
-                        "kind".to_string(),
-                        JsonValue::String("cauchy".to_string()),
+                        "kind".into(),
+                        JsonValue::String("cauchy".into()),
                     )]);
                 }
             }

@@ -10,12 +10,13 @@
 //! cannot disagree on a key, a tag or a layout. Decoded values are rebuilt
 //! through the same validating constructors as hand-built ones.
 //!
-//! The backends — JSON over [`JsonValue`] in [`crate::codec`]; binary
-//! bodies, documents and the flat stage-key bytes in [`crate::bincodec`] —
-//! render one listing into both layouts:
+//! The backends — JSON text written straight into a `String` and read back
+//! from a parsed [`JsonValue`] in [`crate::codec`]; binary bodies, documents
+//! and the flat stage-key bytes in [`crate::bincodec`] — render one listing
+//! into both layouts:
 //!
-//! * JSON writes a record's fields as object members in listing order, a
-//!   nested record as a nested object.
+//! * JSON writes a record's fields as `"key":value` object members in
+//!   listing order, a nested record as a nested object.
 //! * Binary writes a record's fields back to back in listing order. A
 //!   document groups its fields by section tag: sections come out in
 //!   ascending tag order, and fields keep listing order within a section.
@@ -33,7 +34,10 @@ use nanowire_codes::{
 };
 
 use crate::bincodec::{BinReader, BinWriter, BodyIn, BodyOut};
-use crate::codec::{err, JsonIn, JsonOut, JsonValue, WireErrorKind};
+use crate::codec::{
+    err, write_json_f64, write_json_string, write_json_u64, JsonIn, JsonOut, JsonValue,
+    ObjectWriter, WireErrorKind,
+};
 use crate::defect::{DefectConfig, DefectKind};
 use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
@@ -121,8 +125,8 @@ pub(crate) trait Wire {
 /// the section tag only when every visit inlines (a report document decodes
 /// about three times slower otherwise).
 pub(crate) trait Value {
-    fn to_json(&self) -> JsonValue;
-    fn read_json(&mut self, json: &JsonValue) -> Result<()>;
+    fn write_json(&self, out: &mut String);
+    fn read_json(&mut self, json: &JsonValue<'_>) -> Result<()>;
     fn put(&self, out: &mut BinWriter);
     fn read(&mut self, input: &mut BinReader<'_>) -> Result<()>;
 }
@@ -154,15 +158,13 @@ pub(crate) fn encode<R: Record, W: Wire>(record: &R, wire: &mut W) {
 }
 
 impl<R: Record> Value for R {
-    fn to_json(&self) -> JsonValue {
-        let mut count = Count(0);
-        encode(self, &mut count);
-        let mut members = JsonOut(Vec::with_capacity(count.0));
-        encode(self, &mut members);
-        JsonValue::Object(members.0)
+    fn write_json(&self, out: &mut String) {
+        let mut object = JsonOut(ObjectWriter::open(out));
+        encode(self, &mut object);
+        object.0.close();
     }
 
-    fn read_json(&mut self, json: &JsonValue) -> Result<()> {
+    fn read_json(&mut self, json: &JsonValue<'_>) -> Result<()> {
         self.fields(&mut JsonIn(json))?;
         self.finish()
     }
@@ -179,29 +181,18 @@ impl<R: Record> Value for R {
     }
 }
 
-/// Counts a record's fields, so its JSON object is allocated once.
-struct Count(usize);
-
-impl Wire for Count {
-    const DECODES: bool = false;
-
-    fn field<V: Value>(&mut self, _: Field, _: &mut V) -> Result<()> {
-        self.0 += 1;
-        Ok(())
-    }
-}
-
-/// The leaf encodings, one row per type: how it becomes a JSON value and
-/// back, and how it is written and read in binary (fixed-width little
-/// endian; a `usize` travels as a `u64`, a radix as one byte).
+/// The leaf encodings, one row per type: how it is written as JSON text and
+/// read back from a JSON value, and how it is written and read in binary
+/// (fixed-width little endian; a `usize` travels as a `u64`, a radix as one
+/// byte).
 macro_rules! leaf_values {
-    ($($leaf:ty => $to_json:expr, $from_json:expr, $put:expr, $take:expr;)*) => {$(
+    ($($leaf:ty => $write_json:expr, $from_json:expr, $put:expr, $take:expr;)*) => {$(
         impl Value for $leaf {
-            fn to_json(&self) -> JsonValue {
-                ($to_json)(*self)
+            fn write_json(&self, out: &mut String) {
+                ($write_json)(*self, out);
             }
 
-            fn read_json(&mut self, json: &JsonValue) -> Result<()> {
+            fn read_json(&mut self, json: &JsonValue<'_>) -> Result<()> {
                 *self = ($from_json)(json)?;
                 Ok(())
             }
@@ -221,26 +212,27 @@ macro_rules! leaf_values {
 }
 
 leaf_values! {
-    f64 => JsonValue::from_f64, JsonValue::as_f64, BinWriter::put_f64, BinReader::take_f64;
-    u64 => JsonValue::from_u64, JsonValue::as_u64, BinWriter::put_u64, BinReader::take_u64;
-    usize =>
-        JsonValue::from_usize, JsonValue::as_usize, BinWriter::put_usize, BinReader::take_usize;
-    u32 => |value| JsonValue::from_u64(u64::from(value)),
-        |json: &JsonValue| {
+    f64 => write_json_f64, JsonValue::as_f64, BinWriter::put_f64, BinReader::take_f64;
+    u64 => write_json_u64, JsonValue::as_u64, BinWriter::put_u64, BinReader::take_u64;
+    usize => |value: usize, out: &mut String| write_json_u64(value as u64, out),
+        JsonValue::as_usize, BinWriter::put_usize, BinReader::take_usize;
+    u32 => |value: u32, out: &mut String| write_json_u64(u64::from(value), out),
+        |json: &JsonValue<'_>| {
             let value = json.as_u64()?;
             u32::try_from(value).map_err(|_| err(format!("{value} does not fit a u32")))
         },
         BinWriter::put_u32, BinReader::take_u32;
-    Volts => |volts: Volts| JsonValue::from_f64(volts.value()),
-        |json: &JsonValue| json.as_f64().map(Volts::new),
+    Volts => |volts: Volts, out: &mut String| write_json_f64(volts.value(), out),
+        |json: &JsonValue<'_>| json.as_f64().map(Volts::new),
         |out: &mut BinWriter, volts: Volts| out.put_f64(volts.value()),
         |input: &mut BinReader<'_>| input.take_f64().map(Volts::new);
-    Nanometers => |length: Nanometers| JsonValue::from_f64(length.value()),
-        |json: &JsonValue| json.as_f64().map(Nanometers::new),
+    Nanometers => |length: Nanometers, out: &mut String| write_json_f64(length.value(), out),
+        |json: &JsonValue<'_>| json.as_f64().map(Nanometers::new),
         |out: &mut BinWriter, length: Nanometers| out.put_f64(length.value()),
         |input: &mut BinReader<'_>| input.take_f64().map(Nanometers::new);
-    LogicLevel => |radix: LogicLevel| JsonValue::from_u64(u64::from(radix.radix())),
-        |json: &JsonValue| {
+    LogicLevel =>
+        |radix: LogicLevel, out: &mut String| write_json_u64(u64::from(radix.radix()), out),
+        |json: &JsonValue<'_>| {
             let radix = json.as_u64()?;
             let radix =
                 u8::try_from(radix).map_err(|_| err(format!("radix {radix} does not fit a u8")))?;
@@ -253,11 +245,14 @@ leaf_values! {
 /// `null` in JSON; a presence byte (`0` absent, anything else present)
 /// before the value in binary.
 impl<V: Value + Default> Value for Option<V> {
-    fn to_json(&self) -> JsonValue {
-        self.as_ref().map_or(JsonValue::Null, V::to_json)
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
     }
 
-    fn read_json(&mut self, json: &JsonValue) -> Result<()> {
+    fn read_json(&mut self, json: &JsonValue<'_>) -> Result<()> {
         if matches!(json, JsonValue::Null) {
             *self = None;
         } else {
@@ -291,11 +286,15 @@ impl<V: Value + Default> Value for Option<V> {
 /// A JSON array of exactly two entries; the two values back to back in
 /// binary.
 impl<V: Value> Value for (V, V) {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(vec![self.0.to_json(), self.1.to_json()])
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
     }
 
-    fn read_json(&mut self, json: &JsonValue) -> Result<()> {
+    fn read_json(&mut self, json: &JsonValue<'_>) -> Result<()> {
         let [first, second] = json.as_array()? else {
             return Err(err("expected an array of exactly two entries"));
         };
@@ -333,20 +332,24 @@ impl Tag {
     fn index(self) -> usize {
         usize::from(self.index)
     }
-}
 
-impl Value for Tag {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::String(self.names[self.index()].to_string())
-    }
-
-    fn read_json(&mut self, json: &JsonValue) -> Result<()> {
-        let name = json.as_str()?;
+    /// Points the tag at the entry called `name`.
+    fn set_name(&mut self, name: &str) -> Result<()> {
         self.index = (0..)
             .zip(self.names)
             .find_map(|(index, &known)| (known == name).then_some(index))
             .ok_or_else(|| err(format!("unknown {} {name:?}", self.what)))?;
         Ok(())
+    }
+}
+
+impl Value for Tag {
+    fn write_json(&self, out: &mut String) {
+        write_json_string(self.names[self.index()], out);
+    }
+
+    fn read_json(&mut self, json: &JsonValue<'_>) -> Result<()> {
+        self.set_name(json.as_str()?)
     }
 
     #[inline]
@@ -452,17 +455,26 @@ impl WireErrorKind {
     fn tag(self) -> Tag {
         Tag::new("wire error kind", &WIRE_ERROR_KINDS, self as u8)
     }
+
+    /// Parses a wire tag back into a kind.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Persistence`] on an unknown tag.
+    pub fn from_wire_str(name: &str) -> Result<WireErrorKind> {
+        let mut tag = WireErrorKind::BadRequest.tag();
+        tag.set_name(name)?;
+        Ok(WireErrorKind::ALL[tag.index()])
+    }
 }
 
 impl Value for WireErrorKind {
-    fn to_json(&self) -> JsonValue {
-        self.tag().to_json()
+    fn write_json(&self, out: &mut String) {
+        self.tag().write_json(out);
     }
 
-    fn read_json(&mut self, json: &JsonValue) -> Result<()> {
-        let mut tag = self.tag();
-        tag.read_json(json)?;
-        *self = WireErrorKind::ALL[tag.index()];
+    fn read_json(&mut self, json: &JsonValue<'_>) -> Result<()> {
+        *self = WireErrorKind::from_wire_str(json.as_str()?)?;
         Ok(())
     }
 

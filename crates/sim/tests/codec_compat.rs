@@ -18,12 +18,12 @@ fn config(kind: CodeKind, length: usize) -> SimConfig {
 
 /// Strips top-level keys from an object — the shape of a document written
 /// by a build that predates those fields.
-fn without_keys(value: &JsonValue, keys: &[&str]) -> JsonValue {
+fn without_keys<'a>(value: &JsonValue<'a>, keys: &[&str]) -> JsonValue<'a> {
     match value {
         JsonValue::Object(fields) => JsonValue::Object(
             fields
                 .iter()
-                .filter(|(name, _)| !keys.contains(&name.as_str()))
+                .filter(|(name, _)| !keys.contains(&name.as_ref()))
                 .cloned()
                 .collect(),
         ),

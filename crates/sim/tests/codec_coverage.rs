@@ -78,7 +78,7 @@ fn walk(
     match value {
         JsonValue::Object(fields) => {
             for (key, child) in fields {
-                path.push(Step::Key(key.clone()));
+                path.push(Step::Key(key.to_string()));
                 members.push(path.clone());
                 walk(child, path, members, leaves);
                 path.pop();
@@ -121,7 +121,7 @@ fn edit_parent(value: &mut JsonValue, path: &[Step], edit: &mut dyn FnMut(&mut J
     edit(parent, last);
 }
 
-fn dropped(value: &JsonValue, path: &[Step]) -> JsonValue {
+fn dropped<'a>(value: &JsonValue<'a>, path: &[Step]) -> JsonValue<'a> {
     let mut value = value.clone();
     edit_parent(&mut value, path, &mut |parent, step| match (parent, step) {
         (JsonValue::Object(fields), Step::Key(key)) => fields.retain(|(name, _)| name != key),
@@ -132,23 +132,23 @@ fn dropped(value: &JsonValue, path: &[Step]) -> JsonValue {
 
 /// A different value: an integer plus one, a float doubled (one for zero),
 /// a string with a suffix, a flipped bool, and `1` for `null`.
-fn perturb(leaf: &JsonValue) -> JsonValue {
+fn perturb<'a>(leaf: &JsonValue<'a>) -> JsonValue<'a> {
     match leaf {
         JsonValue::Number(literal) => match literal.parse::<u128>() {
-            Ok(integer) => JsonValue::Number((integer + 1).to_string()),
+            Ok(integer) => JsonValue::Number((integer + 1).to_string().into()),
             Err(_) => {
                 let float: f64 = literal.parse().unwrap();
                 JsonValue::from_f64(if float == 0.0 { 1.0 } else { 2.0 * float })
             }
         },
-        JsonValue::String(text) => JsonValue::String(format!("{text}_")),
+        JsonValue::String(text) => JsonValue::String(format!("{text}_").into()),
         JsonValue::Bool(flag) => JsonValue::Bool(!flag),
         JsonValue::Null => JsonValue::from_u64(1),
         other => panic!("no perturbation for {other:?}"),
     }
 }
 
-fn perturbed(value: &JsonValue, path: &[Step]) -> JsonValue {
+fn perturbed<'a>(value: &JsonValue<'a>, path: &[Step]) -> JsonValue<'a> {
     let mut value = value.clone();
     edit_parent(&mut value, path, &mut |parent, step| {
         let leaf = match (parent, step) {
@@ -179,8 +179,8 @@ type DefaultedSection<T> = (u8, fn(&T) -> T);
 /// Drops every member and perturbs every leaf of `original`'s JSON form.
 fn json_battery<T: PartialEq + std::fmt::Debug>(
     original: &T,
-    to_json: fn(&T) -> JsonValue,
-    from_json: fn(&JsonValue) -> Result<T>,
+    to_json: fn(&T) -> JsonValue<'static>,
+    from_json: fn(&JsonValue<'_>) -> Result<T>,
     defaults: &[Defaulted<T>],
 ) {
     let json = to_json(original);
