@@ -662,6 +662,47 @@ fn oversized_half_caves_get_typed_errors_and_the_connection_keeps_serving() {
     handle.shutdown();
 }
 
+/// A JSON request whose configuration writes a number as RFC 8259 forbids
+/// it, with the value unchanged — a leading zero on `raw_bits`, a bare
+/// point after the supply's upper bound — gets a typed `bad_request`, and
+/// the same connection then serves a well-formed request bit-identically.
+#[test]
+fn json_numbers_outside_rfc_8259_get_typed_errors_and_the_connection_keeps_serving() {
+    let server = report_server(2);
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
+    let well_formed = mix().remove(0);
+    let reference = reference(&well_formed.config);
+    let json = well_formed.to_json_string();
+    let raw_bits = well_formed.config.raw_bits();
+    let edits = [
+        (
+            format!("\"raw_bits\":{raw_bits}"),
+            format!("\"raw_bits\":0{raw_bits}"),
+        ),
+        (
+            "\"supply_range_v\":[0,1]".to_string(),
+            "\"supply_range_v\":[0,1.]".to_string(),
+        ),
+    ];
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for (from, to) in &edits {
+        assert_eq!(json.matches(from.as_str()).count(), 1, "{from}");
+        let hostile = json.replacen(from.as_str(), to, 1);
+        expect_bad_request(round_trip(&mut stream, hostile.as_bytes(), to), to);
+        match round_trip(&mut stream, json.as_bytes(), to) {
+            WireReply::Report(report) => assert_eq!(report, reference, "{to}: next"),
+            WireReply::Error(error) => panic!("{to}: next request failed: {error}"),
+        }
+    }
+    assert_eq!(handle.served(), 2 * edits.len() as u64);
+    handle.shutdown();
+}
+
 /// A paper-default configuration of one code.
 fn paper(kind: CodeKind, radix: LogicLevel, length: usize) -> SimConfig {
     SimConfig::paper_defaults(CodeSpec::new(kind, radix, length).unwrap()).unwrap()

@@ -643,20 +643,37 @@ impl<'a> Parser<'a> {
         Ok(unit)
     }
 
+    /// Consumes one byte if `accept` takes it.
+    fn eat(&mut self, accept: impl Fn(u8) -> bool) -> bool {
+        let taken = self.peek().is_some_and(accept);
+        self.position += usize::from(taken);
+        taken
+    }
+
+    /// Consumes a run of at least one digit.
+    fn digits(&mut self) -> bool {
+        let start = self.position;
+        while self.eat(|byte| byte.is_ascii_digit()) {}
+        self.position > start
+    }
+
+    /// A number literal as RFC 8259 writes it:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Every such literal
+    /// parses as an `f64`, so the value is parsed, and rejected if it does
+    /// not fit, only when it is read.
     fn parse_number(&mut self) -> Result<JsonValue<'a>> {
         let start = self.position;
-        if self.peek() == Some(b'-') {
-            self.position += 1;
+        self.eat(|byte| byte == b'-');
+        let mut well_formed = self.eat(|byte| byte == b'0') || self.digits();
+        if well_formed && self.eat(|byte| byte == b'.') {
+            well_formed = self.digits();
         }
-        while let Some(byte) = self.peek() {
-            if byte.is_ascii_digit() || matches!(byte, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.position += 1;
-            } else {
-                break;
-            }
+        if well_formed && self.eat(|byte| matches!(byte, b'e' | b'E')) {
+            self.eat(|byte| matches!(byte, b'+' | b'-'));
+            well_formed = self.digits();
         }
         let literal = &self.input[start..self.position];
-        if literal.parse::<f64>().is_err() {
+        if !well_formed {
             return Err(err(format!("invalid number literal {literal:?}")));
         }
         Ok(JsonValue::Number(Cow::Borrowed(literal)))
@@ -964,6 +981,39 @@ mod tests {
             r#""\u+041""#,
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn number_literals_follow_rfc_8259() {
+        // A leading zero, a bare point, a point without digits before the
+        // exponent, a bare sign, an exponent without digits, and a missing
+        // integer part: each is a literal `str::parse::<f64>` would take.
+        for bad in [
+            "[01]",
+            "[1.]",
+            "[-0.e5]",
+            r#"{"a":007}"#,
+            "[-]",
+            "[1e]",
+            "[1e+]",
+            "[-.5]",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        for (good, value) in [
+            ("[0]", 0.0),
+            ("[-0]", -0.0),
+            ("[0.5]", 0.5),
+            ("[1e5]", 1e5),
+            ("[1E+5]", 1e5),
+            ("[-1.25e-3]", -1.25e-3),
+        ] {
+            let parsed = JsonValue::parse(good).unwrap();
+            let [number] = parsed.as_array().unwrap() else {
+                panic!("{good:?} is not one number");
+            };
+            assert_eq!(number.as_f64().unwrap().to_bits(), f64::to_bits(value));
         }
     }
 
