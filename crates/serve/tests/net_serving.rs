@@ -27,9 +27,15 @@
 //!   an orderly close;
 //! * every truncation of a request document, in both codecs and in the
 //!   shape earlier clients wrote, gets a typed error from a live server
-//!   whose connection keeps serving bit-identical reports.
+//!   whose connection keeps serving bit-identical reports;
+//! * a JSON number literal RFC 8259 forbids gets a typed error, and the
+//!   connection keeps serving;
+//! * a request whose configuration carries the Monte-Carlo sampling knobs
+//!   configs once held gets the reply bytes of the request without them.
 
 mod common;
+#[path = "../../sim/tests/retired/mod.rs"]
+mod retired;
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -37,7 +43,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::loopback_config;
-use decoder_sim::bincodec;
+use decoder_sim::bincodec::{self, config_to_bin, BinWriter};
 use decoder_sim::codec::config_to_json;
 use decoder_sim::{
     DefectKind, DisturbanceKind, EngineConfig, ExecutionEngine, PlatformReport, SimConfig,
@@ -533,13 +539,17 @@ fn oversized_defect_crossbars_get_typed_errors_and_the_connection_keeps_serving(
     handle.shutdown();
 }
 
+/// Sends `payload` as one frame and returns the one reply frame.
+fn reply_frame(stream: &mut TcpStream, payload: &[u8], what: &str) -> Vec<u8> {
+    write_frame(stream, payload).unwrap();
+    read_frame(stream)
+        .unwrap_or_else(|error| panic!("{what}: no reply ({error})"))
+        .unwrap_or_else(|| panic!("{what}: connection closed without a reply"))
+}
+
 /// Sends `payload` as one frame and decodes the one reply frame.
 fn round_trip(stream: &mut TcpStream, payload: &[u8], what: &str) -> WireReply {
-    write_frame(stream, payload).unwrap();
-    let reply = read_frame(stream)
-        .unwrap_or_else(|error| panic!("{what}: no reply ({error})"))
-        .unwrap_or_else(|| panic!("{what}: connection closed without a reply"));
-    parse_reply_any(&reply).unwrap()
+    parse_reply_any(&reply_frame(stream, payload, what)).unwrap()
 }
 
 fn expect_bad_request(reply: WireReply, what: &str) {
@@ -700,6 +710,66 @@ fn json_numbers_outside_rfc_8259_get_typed_errors_and_the_connection_keeps_servi
         }
     }
     assert_eq!(handle.served(), 2 * edits.len() as u64);
+    handle.shutdown();
+}
+
+/// Requests sent while configs carried their Monte-Carlo sampling knobs —
+/// a `monte_carlo` member in JSON, config section `0x0a` in binary — get,
+/// byte for byte, the reply of the request without them: no report read
+/// the knobs.
+#[test]
+fn requests_carrying_retired_sampling_knobs_get_the_same_reply_bytes() {
+    let server = report_server(2);
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
+    let config = mix()
+        .remove(0)
+        .config
+        .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
+    let request = ReportRequest::new(config.clone());
+    // A binary request is one section, `0x01`, holding the config document.
+    let bin_request = |config_document: &[u8]| {
+        let mut payload = BinWriter::new();
+        payload.section(0x01, config_document);
+        bincodec::document(bincodec::DOC_REQUEST, &payload.into_bytes())
+    };
+    assert_eq!(
+        bin_request(&config_to_bin(&config)),
+        request_to_bin(&request)
+    );
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = 0;
+    for knobs in retired::knob_variants() {
+        let retired = [
+            (
+                WireCodec::Json,
+                format!(
+                    "{{\"schema_version\":1,\"config\":{}}}",
+                    retired::config_json_with_knobs(&config, knobs)
+                )
+                .into_bytes(),
+            ),
+            (
+                WireCodec::Binary,
+                bin_request(&retired::config_bin_with_knobs(&config, knobs)),
+            ),
+        ];
+        for (codec, legacy) in retired {
+            let what = format!("{codec:?} request carrying {knobs:?}");
+            let current = reply_frame(&mut stream, &codec.encode_request(&request), &what);
+            assert!(matches!(
+                parse_reply_any(&current),
+                Ok(WireReply::Report(_))
+            ));
+            assert_eq!(reply_frame(&mut stream, &legacy, &what), current, "{what}");
+            frames += 2;
+        }
+    }
+    assert_eq!(handle.served(), frames);
     handle.shutdown();
 }
 

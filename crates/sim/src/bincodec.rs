@@ -50,11 +50,12 @@
 //!   later writer appended new sections, exactly as the JSON decoder
 //!   ignores object keys it does not read.
 //! * Every section this version writes is **required** when decoding,
-//!   except the window override (its absence is the unset state) and the
-//!   config's Monte-Carlo section, which postdates version 1 and defaults
-//!   to the fixed-sample behaviour. The binary format postdates the other
-//!   additive fields, so unlike the JSON codec it has no other legacy
-//!   documents to stay lenient for.
+//!   except the window override (its absence is the unset state). The
+//!   binary format postdates the JSON codec's additive fields, so unlike
+//!   the JSON codec it has no legacy documents to stay lenient for. A
+//!   config section this version no longer writes is an unknown tag like
+//!   any other: section `0x0a` of earlier configs, which held sampling
+//!   knobs no report reads, is skipped.
 //! * Non-finite floats are rejected on decode. JSON cannot represent them
 //!   (the JSON encoder maps them to `null`, which its decoder rejects), so
 //!   accepting them here would let the two codecs disagree.
@@ -67,7 +68,7 @@ use crate::defect::DefectKind;
 use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
 use crate::platform::PlatformReport;
-use crate::schema::{blank_code, blank_report, encode, Field, Presence, Record, Value, Wire};
+use crate::schema::{blank_code, blank_report, encode, Field, Record, Value, Wire};
 use crate::stage::ConfigField;
 
 /// The four magic bytes that open every binary document. The first byte,
@@ -510,7 +511,7 @@ impl Wire for SectionIn<'_> {
 }
 
 /// After every section is read: a field whose section the document lacks
-/// keeps its default, or fails the decode.
+/// fails the decode.
 struct Missing {
     seen: u16,
 }
@@ -520,7 +521,7 @@ impl Wire for Missing {
 
     #[inline(always)]
     fn field<V: Value>(&mut self, field: Field, _: &mut V) -> Result<()> {
-        if self.seen & section_bit(field) != 0 || field.presence == Presence::Default {
+        if self.seen & section_bit(field) != 0 {
             Ok(())
         } else {
             Err(missing(field))
@@ -622,7 +623,7 @@ impl Wire for KeyFields {
 /// of fields is injective.
 pub(crate) fn config_key(config: &SimConfig, fields: &[ConfigField]) -> Vec<u8> {
     let mut pass = KeyFields {
-        // Every field of a configuration encodes to at most 219 bytes.
+        // The fields of a configuration encode to at most 177 bytes in all.
         out: BinWriter {
             buf: Vec::with_capacity(256),
         },
@@ -743,9 +744,7 @@ pub fn config_to_bin(config: &SimConfig) -> Vec<u8> {
 /// Decodes a [`SimConfig`] document, passing every field through the same
 /// validating constructors a hand-built configuration uses. Unknown section
 /// tags are skipped; every section version 1 writes is required, except the
-/// window override — its absence *is* the unset state — and the
-/// Monte-Carlo section, which postdates version 1 and defaults to the
-/// historical fixed-sample behaviour when absent.
+/// window override — its absence *is* the unset state.
 ///
 /// # Errors
 ///
@@ -776,7 +775,6 @@ pub fn report_from_bin(bytes: &[u8]) -> Result<PlatformReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monte_carlo::MonteCarloConfig;
     use crate::platform::SimulationPlatform;
     use device_physics::Volts;
     use nanowire_codes::{CodeKind, LogicLevel};
@@ -793,38 +791,10 @@ mod tests {
                 shared_fraction: 0.25,
             })
             .with_defects(DefectKind::sampled(0.01, 0.002, 7).unwrap())
-            .with_window(Volts::new(0.375))
-            .with_monte_carlo(
-                MonteCarloConfig::fixed(4_096, 17)
-                    .with_target_half_width(0.05)
-                    .with_confidence(0.99)
-                    .with_max_samples(65_536),
-            );
+            .with_window(Volts::new(0.375));
         let bytes = config_to_bin(&config);
         let decoded = config_from_bin(&bytes).unwrap();
         assert_eq!(config_to_bin(&decoded), bytes);
-        assert_eq!(decoded.monte_carlo(), config.monte_carlo());
-        assert_eq!(decoded, config);
-    }
-
-    #[test]
-    fn documents_without_a_monte_carlo_section_decode_to_the_default() {
-        // Reconstruct the byte stream a pre-adaptive writer produced: every
-        // section except the trailing Monte-Carlo one. The decoder must
-        // fall back to the historical fixed-sample default.
-        let config = base_config();
-        let bytes = config_to_bin(&config);
-        let payload = document_payload(&bytes, DOC_CONFIG).unwrap();
-        let mut legacy_payload = BinWriter::new();
-        let mut reader = BinReader::new(payload);
-        while let Some((tag, body)) = reader.next_section().unwrap() {
-            if tag != 0x0a {
-                legacy_payload.section(tag, body);
-            }
-        }
-        let legacy = document(DOC_CONFIG, &legacy_payload.into_bytes());
-        let decoded = config_from_bin(&legacy).unwrap();
-        assert_eq!(decoded.monte_carlo(), MonteCarloConfig::default());
         assert_eq!(decoded, config);
     }
 

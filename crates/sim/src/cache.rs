@@ -59,14 +59,15 @@
 //!
 //! A report's key is [`Stage::Composite`]'s key: the encodings of exactly
 //! the [`SimConfig`] fields a report reads (see [`Stage::reads`]). Two
-//! configurations that differ only in fields no report stage reads — the
-//! disturbance kind, the Monte-Carlo knobs — share one entry, in memory and
-//! on disk, because their reports are identical; configurations differing
-//! in any field a report reads (the defect selection included) never alias.
-//! Keys are re-checked in full on every lookup, so a fingerprint collision
-//! can cost a duplicate evaluation but never serve the wrong report.
-//! Snapshot rows carry full config documents and loads recompute keys, so
-//! a file written under an earlier key scheme keeps loading.
+//! configurations that differ only in the one field no report stage reads,
+//! the disturbance kind, share one entry, in memory and on disk, because
+//! their reports are identical; configurations differing in any field a
+//! report reads (the defect selection included) never alias. Keys are
+//! re-checked in full on every lookup, so a fingerprint collision can cost
+//! a duplicate evaluation but never serve the wrong report. Snapshot rows
+//! carry full config documents and loads recompute keys, so a file written
+//! under an earlier key scheme keeps loading, and so does one whose config
+//! documents still carry the retired sampling-knob section.
 
 use std::collections::HashMap;
 use std::path::Path;

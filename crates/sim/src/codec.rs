@@ -28,12 +28,14 @@
 //!
 //! # Versioning discipline
 //!
-//! Fields added after a format shipped (the defect selection, the
-//! Monte-Carlo knobs and the composite report quantities) are always
-//! written, but the field list marks them defaulted: a document without
-//! the key decodes to the pre-field behaviour, so wire messages written
-//! before the field existed keep loading. Unknown *values* (an unrecognised
-//! kind tag) are still rejected loudly, and unknown keys are ignored.
+//! Fields added after the format shipped (the defect selection and the
+//! composite report quantities) are always written, but the field list
+//! marks them defaulted: a document without the key decodes to the
+//! pre-field behaviour, so wire messages written before the field existed
+//! keep loading. Unknown *values* (an unrecognised kind tag) are still
+//! rejected loudly, and unknown keys are ignored — so a config written
+//! while it still carried a `monte_carlo` member, sampling knobs no report
+//! reads, decodes to the same configuration without it.
 //!
 //! # Float round-tripping
 //!
@@ -54,7 +56,6 @@ use crate::config::SimConfig;
 use crate::defect::DefectKind;
 use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
-use crate::monte_carlo::MonteCarloConfig;
 use crate::platform::PlatformReport;
 use crate::schema::{
     blank_code, blank_report, Field, Presence, Record, Value, Wire, WIRE_ERROR_KINDS,
@@ -758,26 +759,6 @@ pub fn disturbance_from_json(value: &JsonValue<'_>) -> Result<DisturbanceKind> {
     decode(value, DisturbanceKind::default())
 }
 
-/// The tree of a [`MonteCarloConfig`]: an object carrying the fixed-mode
-/// fields plus the adaptive knobs (`target_half_width` / `max_samples` are
-/// `null` when unset).
-#[must_use]
-pub fn monte_carlo_to_json(config: MonteCarloConfig) -> JsonValue<'static> {
-    tree(&config)
-}
-
-/// Decodes a [`MonteCarloConfig`]. The adaptive knobs are optional keys,
-/// and the unset ones are nullable: documents written before adaptive
-/// stopping existed (bare `{"samples":…,"seed":…}`) decode to the fixed
-/// behaviour.
-///
-/// # Errors
-///
-/// Returns [`SimError::Persistence`] on malformed JSON.
-pub fn monte_carlo_from_json(value: &JsonValue<'_>) -> Result<MonteCarloConfig> {
-    decode(value, MonteCarloConfig::default())
-}
-
 /// The tree of a [`DefectKind`]: a tagged object (`{"kind":"none"}` or
 /// `{"kind":"sampled","nanowire_breakage":…,"crosspoint_defect":…,"seed":…}`).
 #[must_use]
@@ -797,9 +778,9 @@ pub fn defect_from_json(value: &JsonValue<'_>) -> Result<DefectKind> {
 }
 
 /// Writes a full [`SimConfig`] as a JSON object at the end of `out` —
-/// every field, including the disturbance kind, the defect selection and
-/// the Monte-Carlo sampling knobs, so two configurations differing only in
-/// any of them never serialize identically.
+/// every field, including the disturbance kind and the defect selection,
+/// so two configurations differing only in either never serialize
+/// identically.
 pub fn write_config_json(config: &SimConfig, out: &mut String) {
     config.write_json(out);
 }
@@ -812,8 +793,8 @@ pub fn config_to_json(config: &SimConfig) -> JsonValue<'static> {
 
 /// Decodes a [`SimConfig`], passing every field through the same validating
 /// constructors a hand-built configuration uses. Documents written before
-/// the `defects` or `monte_carlo` keys existed decode with the defect-free
-/// and fixed-sample defaults.
+/// the `defects` key existed decode as defect-free, and a `monte_carlo`
+/// member, which earlier configs carried, is ignored like any unknown key.
 ///
 /// # Errors
 ///
@@ -1073,46 +1054,15 @@ mod tests {
         assert_eq!(decoded, config);
 
         // Every override survives, including a window override, a
-        // non-default disturbance, a defect selection and adaptive
-        // Monte-Carlo sampling knobs.
+        // non-default disturbance and a defect selection.
         let tuned = base_config()
             .with_window(Volts::new(0.21))
             .with_disturbance(DisturbanceKind::Correlated {
                 shared_fraction: 0.25,
             })
-            .with_defects(DefectKind::sampled(0.02, 0.01, 77).unwrap())
-            .with_monte_carlo(
-                MonteCarloConfig::fixed(4_096, 17)
-                    .with_target_half_width(0.05)
-                    .with_confidence(0.99)
-                    .with_max_samples(65_536),
-            );
+            .with_defects(DefectKind::sampled(0.02, 0.01, 77).unwrap());
         let decoded = config_from_json(&config_to_json(&tuned)).unwrap();
         assert_eq!(decoded, tuned);
-    }
-
-    #[test]
-    fn monte_carlo_documents_without_adaptive_keys_decode_to_fixed_mode() {
-        // The wire shape of a fixed-sample request written before adaptive
-        // stopping existed: bare samples + seed, no adaptive keys at all.
-        let legacy = JsonValue::parse(r#"{"samples":500,"seed":42}"#).unwrap();
-        let decoded = monte_carlo_from_json(&legacy).unwrap();
-        assert_eq!(decoded, MonteCarloConfig::fixed(500, 42));
-        assert!(!decoded.is_adaptive());
-        // Explicit nulls mean the same thing as absent keys.
-        let nulled = JsonValue::parse(
-            r#"{"samples":500,"seed":42,"target_half_width":null,"confidence":0.95,"max_samples":null}"#,
-        )
-        .unwrap();
-        assert_eq!(monte_carlo_from_json(&nulled).unwrap(), decoded);
-    }
-
-    #[test]
-    fn canonical_strings_separate_monte_carlo_knobs() {
-        let fixed = base_config();
-        let adaptive = base_config()
-            .with_monte_carlo(MonteCarloConfig::default().with_target_half_width(0.05));
-        assert_ne!(rendered(&fixed), rendered(&adaptive));
     }
 
     #[test]

@@ -10,7 +10,6 @@ use nanowire_codes::{CodeBudgets, CodeSpec};
 use crate::defect::DefectKind;
 use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
-use crate::monte_carlo::MonteCarloConfig;
 use crate::schema::{blank_code, Field, Record, Wire};
 
 /// The largest [`SimConfig::nanowires_per_half_cave`] a configuration
@@ -67,11 +66,6 @@ pub struct SimConfig {
     // (defect-free) behaviour.
     #[serde(default)]
     defects: DefectKind,
-    // Defaulted so configurations serialized before the sampling knobs
-    // moved into the configuration still deserialize: the default is the
-    // engine's historical fixed-sample behaviour.
-    #[serde(default)]
-    monte_carlo: MonteCarloConfig,
 }
 
 impl SimConfig {
@@ -104,7 +98,6 @@ impl SimConfig {
             code_budgets: CodeBudgets::default(),
             disturbance: DisturbanceKind::default(),
             defects: DefectKind::default(),
-            monte_carlo: MonteCarloConfig::default(),
         }
     }
 
@@ -140,8 +133,8 @@ impl SimConfig {
     }
 
     /// The configuration a decoder starts from: the paper defaults, whose
-    /// defect-free selection and fixed sampling are the defaults of the
-    /// fields added after the wire formats shipped.
+    /// defect-free selection is the default of the field added after the
+    /// JSON format shipped.
     pub(crate) fn blank() -> SimConfig {
         SimConfig::paper(blank_code())
     }
@@ -242,19 +235,6 @@ impl SimConfig {
         self
     }
 
-    /// Replaces the Monte-Carlo sampling configuration: sample count, run
-    /// seed, and the adaptive-stopping knobs (defaults to
-    /// [`MonteCarloConfig::default`], a fixed-sample run). Like the
-    /// disturbance kind, the selection is part of the configuration's
-    /// identity and keys the Monte-Carlo stage; no report stage reads it, so
-    /// variants differing only here share one report-cache entry (their
-    /// reports are identical).
-    #[must_use]
-    pub fn with_monte_carlo(mut self, monte_carlo: MonteCarloConfig) -> Self {
-        self.monte_carlo = monte_carlo;
-        self
-    }
-
     /// The code specification under evaluation.
     #[must_use]
     pub fn code(&self) -> CodeSpec {
@@ -313,12 +293,6 @@ impl SimConfig {
     #[must_use]
     pub fn defects(&self) -> DefectKind {
         self.defects
-    }
-
-    /// The Monte-Carlo sampling configuration of the evaluation.
-    #[must_use]
-    pub fn monte_carlo(&self) -> MonteCarloConfig {
-        self.monte_carlo
     }
 
     /// The crossbar specification implied by this configuration.
@@ -444,12 +418,6 @@ impl Record for SimConfig {
         wire.field(
             Field::section("defects", 0x09).json_default(),
             &mut self.defects,
-        )?;
-        // Added after both formats shipped; the default is the historical
-        // fixed-sample behaviour.
-        wire.field(
-            Field::section("monte_carlo", 0x0a).defaulted(),
-            &mut self.monte_carlo,
         )
     }
 
@@ -465,6 +433,7 @@ impl Record for SimConfig {
 mod tests {
     use super::*;
     use crate::engine::ExecutionEngine;
+    use crate::monte_carlo::MonteCarloConfig;
     use crate::platform::SimulationPlatform;
     use nanowire_codes::{CodeKind, LogicLevel};
 
@@ -629,20 +598,6 @@ mod tests {
         // The defect selection is part of the configuration's identity (it
         // keys the engine's defect-map stage and report cache).
         assert_ne!(config, defective);
-    }
-
-    #[test]
-    fn monte_carlo_defaults_and_is_part_of_the_identity() {
-        let config = SimConfig::paper_defaults(code()).unwrap();
-        assert_eq!(config.monte_carlo(), MonteCarloConfig::default());
-        let tuned = config
-            .clone()
-            .with_monte_carlo(MonteCarloConfig::fixed(4_096, 7).with_target_half_width(0.05));
-        assert_eq!(tuned.monte_carlo().samples, 4_096);
-        assert!(tuned.monte_carlo().is_adaptive());
-        // The sampling knobs are part of the configuration's identity (they
-        // key the engine's Monte-Carlo stage; no report reads them).
-        assert_ne!(config, tuned);
     }
 
     #[test]

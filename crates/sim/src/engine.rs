@@ -493,9 +493,9 @@ impl ExecutionEngine {
     ///
     /// Both the outcome and the underlying variability matrix memoize in the
     /// engine's [`StageCache`]: repeating the estimation is a Monte-Carlo
-    /// stage hit, and a sweep that varies only fields outside the
-    /// variability stage's read set (defect selection, sampling seed) reuses
-    /// the cached matrix instead of regenerating the pattern per point.
+    /// stage hit, and a sweep that varies only `config` or fields outside the
+    /// variability stage's read set (the defect selection) reuses the cached
+    /// matrix instead of regenerating the pattern per point.
     ///
     /// # Errors
     ///

@@ -1,9 +1,10 @@
 //! One front door for evaluating a configuration: a builder that names
 //! *what* to evaluate (a configuration, optionally narrowed to a stage set,
-//! optionally with a Monte-Carlo validation pass) and *where* to run it (an
-//! [`ExecutionEngine`]). Everything else about the evaluation — disturbance
-//! model, defect selection, sampling knobs — is part of the [`SimConfig`]
-//! and set through its `with_*` methods:
+//! optionally with a Monte-Carlo validation pass under its own
+//! [`MonteCarloConfig`]) and *where* to run it (an [`ExecutionEngine`]).
+//! Everything else about the evaluation — disturbance model, defect
+//! selection — is part of the [`SimConfig`] and set through its `with_*`
+//! methods:
 //!
 //! ```
 //! use decoder_sim::{Evaluation, ExecutionEngine, SimConfig};
@@ -77,7 +78,7 @@ impl EvaluationBuilder {
     /// Adds a Monte-Carlo validation pass with an explicit sampling
     /// configuration. Listing [`Stage::MonteCarlo`] in
     /// [`EvaluationBuilder::stages`] without calling this runs the pass
-    /// under the configuration's own [`SimConfig::monte_carlo`] knobs.
+    /// under [`MonteCarloConfig::default`].
     #[must_use]
     pub fn monte_carlo(mut self, config: MonteCarloConfig) -> Self {
         self.monte_carlo = Some(config);
@@ -107,11 +108,8 @@ impl EvaluationBuilder {
         };
         let monte_carlo = if wants_monte_carlo {
             Some(
-                engine.monte_carlo_for_config(
-                    &self.config,
-                    self.monte_carlo
-                        .unwrap_or_else(|| self.config.monte_carlo()),
-                )?,
+                engine
+                    .monte_carlo_for_config(&self.config, self.monte_carlo.unwrap_or_default())?,
             )
         } else {
             None
@@ -177,18 +175,10 @@ mod tests {
             .stages(&[Stage::MonteCarlo])
             .run(&engine)
             .unwrap();
-        assert_eq!(
-            outcome.monte_carlo.unwrap().samples,
-            MonteCarloConfig::default().samples
-        );
-        // And a configuration carrying its own sampling knobs wins over
-        // the crate default when the builder does not override them.
-        let tuned = base().with_monte_carlo(MonteCarloConfig::fixed(128, 21));
-        let outcome = Evaluation::builder(tuned)
-            .stages(&[Stage::MonteCarlo])
-            .run(&engine)
+        let default = engine
+            .monte_carlo_for_config(&base(), MonteCarloConfig::default())
             .unwrap();
-        assert_eq!(outcome.monte_carlo.unwrap().samples, 128);
+        assert_eq!(outcome.monte_carlo, Some(default));
     }
 
     #[test]

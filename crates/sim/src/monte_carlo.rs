@@ -106,9 +106,12 @@ pub const DEFAULT_MC_CONFIDENCE: f64 = 0.95;
 ///   is given).
 ///
 /// Construct fixed-mode values with [`MonteCarloConfig::fixed`]; layer the
-/// adaptive knobs on with the `with_*` builders. A configuration carries its
-/// sampling knobs in [`SimConfig::monte_carlo`](crate::SimConfig::monte_carlo);
-/// no environment variable overrides them.
+/// adaptive knobs on with the `with_*` builders. A sampling configuration
+/// is not part of a [`SimConfig`](crate::SimConfig): each sampling call
+/// names its own, through
+/// [`EvaluationBuilder::monte_carlo`](crate::EvaluationBuilder::monte_carlo)
+/// or [`ExecutionEngine::monte_carlo_for_config`](crate::ExecutionEngine::monte_carlo_for_config),
+/// and no environment variable overrides it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MonteCarloConfig {
     /// Number of sampled array instances (the exact count in fixed mode;
@@ -118,25 +121,15 @@ pub struct MonteCarloConfig {
     pub seed: u64,
     /// When set, enables adaptive stopping: sampling ends at the first
     /// chunk boundary where every nanowire's Wilson-interval half-width is
-    /// at most this value. Serde/codec-defaulted to `None`, so
-    /// configurations serialized before the field existed keep the fixed
-    /// behaviour.
-    #[serde(default)]
+    /// at most this value.
     pub target_half_width: Option<f64>,
     /// Confidence level of the Wilson stopping interval (and of the
-    /// [`MonteCarloOutcome`] CI bounds), strictly inside `(0, 1)`.
-    /// Defaulted to [`DEFAULT_MC_CONFIDENCE`] for pre-field configurations.
-    #[serde(default = "default_mc_confidence")]
+    /// [`MonteCarloOutcome`] CI bounds), strictly inside `(0, 1)`;
+    /// [`DEFAULT_MC_CONFIDENCE`] unless overridden.
     pub confidence: f64,
     /// Explicit ceiling on drawn samples in adaptive mode; `None` means
     /// [`samples`](Self::samples) is the cap. Ignored in fixed mode.
-    #[serde(default)]
     pub max_samples: Option<usize>,
-}
-
-/// Serde default hook for [`MonteCarloConfig::confidence`].
-fn default_mc_confidence() -> f64 {
-    DEFAULT_MC_CONFIDENCE
 }
 
 impl Default for MonteCarloConfig {
@@ -155,7 +148,7 @@ impl MonteCarloConfig {
             samples,
             seed,
             target_half_width: None,
-            confidence: default_mc_confidence(),
+            confidence: DEFAULT_MC_CONFIDENCE,
             max_samples: None,
         }
     }

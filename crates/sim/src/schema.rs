@@ -23,9 +23,9 @@
 //! * An enum tag ([`Tag`]) is an index into one name list: JSON writes the
 //!   name, binary the index.
 //!
-//! Fields added after a format shipped are always written but keep their
-//! default when a document leaves them out ([`Presence`]); the window
-//! override is written only when set ([`Wire::when_set`]).
+//! Fields added after the JSON format shipped are always written but keep
+//! their default when a JSON document leaves them out ([`Presence`]); the
+//! window override is written only when set ([`Wire::when_set`]).
 
 use crossbar_array::LayoutRules;
 use device_physics::{Nanometers, ThresholdModel, Volts};
@@ -52,8 +52,6 @@ pub(crate) enum Presence {
     /// JSON keeps the default (the key was added after the JSON format
     /// shipped); a binary document still needs the field.
     JsonDefault,
-    /// Either codec keeps the default.
-    Default,
 }
 
 /// One entry of a field list.
@@ -85,13 +83,6 @@ impl Field {
     pub(crate) const fn json_default(self) -> Field {
         Field {
             presence: Presence::JsonDefault,
-            ..self
-        }
-    }
-
-    pub(crate) const fn defaulted(self) -> Field {
-        Field {
-            presence: Presence::Default,
             ..self
         }
     }
@@ -492,24 +483,15 @@ impl Value for WireErrorKind {
     }
 }
 
+/// A sampling configuration travels in no document; its binary body is
+/// what the Monte-Carlo memo slot appends to the stage key.
 impl Record for MonteCarloConfig {
     fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
         wire.field(Field::key("samples"), &mut self.samples)?;
         wire.field(Field::key("seed"), &mut self.seed)?;
-        // The adaptive knobs postdate the JSON format: documents without
-        // them decode to the fixed-sample behaviour.
-        wire.field(
-            Field::key("target_half_width").json_default(),
-            &mut self.target_half_width,
-        )?;
-        wire.field(
-            Field::key("confidence").json_default(),
-            &mut self.confidence,
-        )?;
-        wire.field(
-            Field::key("max_samples").json_default(),
-            &mut self.max_samples,
-        )
+        wire.field(Field::key("target_half_width"), &mut self.target_half_width)?;
+        wire.field(Field::key("confidence"), &mut self.confidence)?;
+        wire.field(Field::key("max_samples"), &mut self.max_samples)
     }
 }
 

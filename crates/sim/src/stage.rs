@@ -13,7 +13,7 @@
 //! ContactLayout ─────────────────────────────┘        ├─► Composite
 //!   └─────────► CrossbarArea ─────────────────────────┤   (PlatformReport)
 //! DefectMap ──────────────────────────────────────────┘
-//! Variability ──────► MonteCarlo   (+ Disturbance, MonteCarlo knobs, chunk)
+//! Variability ──────► MonteCarlo   (+ Disturbance; per call: MonteCarloConfig, chunk)
 //! ```
 //!
 //! Changing only the defect seed therefore re-runs only the `DefectMap` and
@@ -87,14 +87,12 @@ pub enum ConfigField {
     Disturbance,
     /// [`SimConfig::defects`].
     Defects,
-    /// [`SimConfig::monte_carlo`].
-    MonteCarlo,
 }
 
 impl ConfigField {
     /// Every field, in declaration order — what the stage-invalidation
     /// matrix test iterates over.
-    pub const ALL: [ConfigField; 12] = [
+    pub const ALL: [ConfigField; 11] = [
         ConfigField::Code,
         ConfigField::NanowiresPerHalfCave,
         ConfigField::RawBits,
@@ -106,7 +104,6 @@ impl ConfigField {
         ConfigField::CodeBudgets,
         ConfigField::Disturbance,
         ConfigField::Defects,
-        ConfigField::MonteCarlo,
     ];
 }
 
@@ -262,7 +259,6 @@ impl Stage {
                 ConfigField::CodeBudgets,
                 ConfigField::WindowOverride,
                 ConfigField::Disturbance,
-                ConfigField::MonteCarlo,
             ],
         }
     }
@@ -485,11 +481,11 @@ impl StageCache {
         keyed(&self.defect_map, Stage::DefectMap, config, compute)
     }
 
-    /// The Monte-Carlo slot keys on the stage key **plus** the explicit
-    /// sampling configuration (sample count, run seed and the
-    /// adaptive-stopping knobs, through the `MonteCarlo` field encoder) and
-    /// the engine chunk size (outcomes are bit-identical across thread
-    /// counts but depend on the chunk size).
+    /// The Monte-Carlo slot keys on the stage key **plus** the sampling
+    /// configuration the call names (sample count, run seed and the
+    /// adaptive-stopping knobs, in its binary encoding) and the engine
+    /// chunk size (outcomes are bit-identical across thread counts but
+    /// depend on the chunk size).
     pub(crate) fn monte_carlo<F>(
         &self,
         config: &SimConfig,
@@ -577,7 +573,6 @@ mod tests {
             ConfigField::Defects => {
                 base.with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap())
             }
-            ConfigField::MonteCarlo => base.with_monte_carlo(MonteCarloConfig::fixed(123, 9)),
         }
     }
 

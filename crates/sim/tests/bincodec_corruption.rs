@@ -35,38 +35,15 @@ fn assert_typed_failure(result: Result<(), SimError>, what: &str) {
     }
 }
 
-/// Every proper prefix of a config document fails loudly — except the one
-/// clean cut at the boundary of the trailing optional Monte-Carlo section,
-/// which reproduces byte-exactly what a pre-adaptive writer emitted and
-/// must therefore decode to the same configuration under the default
-/// sampling knobs. Every other truncation point is corruption.
 #[test]
 fn every_proper_prefix_of_a_config_document_fails() {
-    let config = golden_config();
-    let bytes = config_to_bin(&config);
-    let mut valid_cuts = Vec::new();
+    let bytes = config_to_bin(&golden_config());
     for take in 0..bytes.len() {
-        match config_from_bin(&bytes[..take]) {
-            Ok(decoded) => {
-                assert_eq!(
-                    decoded,
-                    config,
-                    "config prefix of {take}/{} bytes decoded to a different config",
-                    bytes.len()
-                );
-                valid_cuts.push(take);
-            }
-            Err(SimError::Persistence { .. }) => {}
-            Err(other) => panic!(
-                "config prefix of {take}/{} bytes failed with a non-persistence error: {other}",
-                bytes.len()
-            ),
-        }
+        assert_typed_failure(
+            config_from_bin(&bytes[..take]).map(|_| ()),
+            &format!("config prefix of {take}/{} bytes", bytes.len()),
+        );
     }
-    // Exactly one valid cut, and it sits where the Monte-Carlo section's
-    // tag (0x0a) begins — the pre-adaptive end of the document.
-    assert_eq!(valid_cuts.len(), 1, "valid cuts: {valid_cuts:?}");
-    assert_eq!(bytes[valid_cuts[0]], 0x0a);
 }
 
 #[test]

@@ -1,14 +1,18 @@
-//! Forward-compatibility coverage for the additive dimensions of the codec:
-//! documents written before `SimConfig` carried a `DefectKind` or the
-//! Monte-Carlo sampling knobs (and before `PlatformReport` carried
-//! composite quantities) must keep decoding with the pre-field defaults,
-//! and mixed-version round trips must stay bit-identical to a fresh
-//! evaluation.
+//! Compatibility coverage for the fields the codecs gained and lost:
+//! documents written before `SimConfig` carried a `DefectKind` (and before
+//! `PlatformReport` carried composite quantities) must keep decoding with
+//! the pre-field defaults, documents written while `SimConfig` still
+//! carried Monte-Carlo sampling knobs must decode to the configuration
+//! without them, and mixed-version round trips must stay bit-identical to
+//! a fresh evaluation.
 
+mod retired;
+
+use decoder_sim::bincodec::{config_from_bin, config_to_bin};
 use decoder_sim::codec::{
     config_from_json, config_to_json, report_from_json, report_to_json, JsonValue,
 };
-use decoder_sim::{DefectKind, MonteCarloConfig, ReportCache, SimConfig, SimulationPlatform};
+use decoder_sim::{DefectKind, ReportCache, SimConfig, SimulationPlatform};
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn config(kind: CodeKind, length: usize) -> SimConfig {
@@ -54,26 +58,47 @@ fn pre_defect_configs_decode_as_defect_free() {
     );
 }
 
+/// Configs carried their Monte-Carlo sampling knobs — a JSON `monte_carlo`
+/// member, binary section `0x0a` — until the knobs moved onto the sampling
+/// calls. No report read them, so such a document decodes to the
+/// configuration without them, with the same report key and the same
+/// documents when written again.
 #[test]
-fn pre_adaptive_configs_decode_with_fixed_sampling_defaults() {
-    // The byte shape a PR 8-era writer produced: no "monte_carlo" key on
-    // the config object at all. It must decode to the historical
-    // fixed-sample default and stay identity-equal to a fresh config.
-    let expected = config(CodeKind::BalancedGray, 10);
-    let legacy = without_keys(&config_to_json(&expected), &["monte_carlo"]);
-    assert!(legacy.get_opt("monte_carlo").unwrap().is_none());
-    let decoded = config_from_json(&legacy).unwrap();
-    assert_eq!(decoded.monte_carlo(), MonteCarloConfig::default());
-    assert!(!decoded.monte_carlo().is_adaptive());
-    assert_eq!(decoded, expected);
-    assert_eq!(
-        ReportCache::fingerprint(&decoded),
-        ReportCache::fingerprint(&expected)
+fn configs_carrying_retired_sampling_knobs_decode_without_them() {
+    let expected = config(CodeKind::BalancedGray, 10)
+        .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
+    for knobs in retired::knob_variants() {
+        let text = retired::config_json_with_knobs(&expected, knobs);
+        let json = JsonValue::parse(&text).unwrap();
+        assert!(json.get_opt("monte_carlo").unwrap().is_some());
+        let decoded = [
+            config_from_json(&json).unwrap(),
+            config_from_bin(&retired::config_bin_with_knobs(&expected, knobs)).unwrap(),
+        ];
+        for decoded in decoded {
+            assert_eq!(decoded, expected, "{knobs:?}");
+            assert_eq!(
+                ReportCache::fingerprint(&decoded),
+                ReportCache::fingerprint(&expected)
+            );
+            assert_eq!(config_to_bin(&decoded), config_to_bin(&expected));
+            assert_eq!(
+                config_to_json(&decoded).render(),
+                config_to_json(&expected).render()
+            );
+        }
+    }
+    // A member written before adaptive stopping existed held the sample
+    // count and seed alone; it is ignored the same way.
+    let text = config_to_json(&expected).render();
+    let bare = format!(
+        "{},\"monte_carlo\":{{\"samples\":500,\"seed\":42}}}}",
+        &text[..text.len() - 1]
     );
-    // A config stripped of *both* additive dimensions — the oldest wire
-    // shape still in the field — decodes too.
-    let oldest = without_keys(&config_to_json(&expected), &["defects", "monte_carlo"]);
-    assert_eq!(config_from_json(&oldest).unwrap(), expected);
+    assert_eq!(
+        config_from_json(&JsonValue::parse(&bare).unwrap()).unwrap(),
+        expected
+    );
 }
 
 #[test]

@@ -13,10 +13,7 @@ use decoder_sim::bincodec::{
 use decoder_sim::codec::{
     config_from_json, config_to_json, report_from_json, report_to_json, JsonValue,
 };
-use decoder_sim::{
-    DefectKind, DisturbanceKind, MonteCarloConfig, PlatformReport, Result, SimConfig,
-    DEFAULT_MC_CONFIDENCE,
-};
+use decoder_sim::{DefectKind, DisturbanceKind, PlatformReport, Result, SimConfig};
 use device_physics::Volts;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
@@ -30,12 +27,6 @@ fn full_config() -> SimConfig {
         })
         .with_defects(DefectKind::sampled(0.05, 0.02, 2_009).unwrap())
         .with_window(Volts::new(0.375))
-        .with_monte_carlo(
-            MonteCarloConfig::fixed(4_096, 17)
-                .with_target_half_width(0.05)
-                .with_confidence(0.99)
-                .with_max_samples(65_536),
-        )
 }
 
 /// A defect-composed report whose composites differ from the decoder
@@ -264,30 +255,11 @@ fn bin_battery<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// The JSON keys a configuration written before the defect dimension or the
-/// sampling knobs lacks, with the value such a document decodes to.
-const CONFIG_JSON_DEFAULTS: [Defaulted<SimConfig>; 5] = [
-    ("defects", |config| {
-        config.clone().with_defects(DefectKind::None)
-    }),
-    ("monte_carlo", |config| {
-        config.clone().with_monte_carlo(MonteCarloConfig::default())
-    }),
-    ("monte_carlo.target_half_width", |config| {
-        let mut monte_carlo = config.monte_carlo();
-        monte_carlo.target_half_width = None;
-        config.clone().with_monte_carlo(monte_carlo)
-    }),
-    ("monte_carlo.confidence", |config| {
-        let monte_carlo = config.monte_carlo().with_confidence(DEFAULT_MC_CONFIDENCE);
-        config.clone().with_monte_carlo(monte_carlo)
-    }),
-    ("monte_carlo.max_samples", |config| {
-        let mut monte_carlo = config.monte_carlo();
-        monte_carlo.max_samples = None;
-        config.clone().with_monte_carlo(monte_carlo)
-    }),
-];
+/// The JSON key a configuration written before the defect dimension lacks,
+/// with the value such a document decodes to.
+const CONFIG_JSON_DEFAULTS: [Defaulted<SimConfig>; 1] = [("defects", |config| {
+    config.clone().with_defects(DefectKind::None)
+})];
 
 /// The JSON keys a report written before the defect dimension lacks: such a
 /// report is defect-free, its composites the decoder quantities.
@@ -310,30 +282,23 @@ const REPORT_JSON_DEFAULTS: [Defaulted<PlatformReport>; 4] = [
     }),
 ];
 
-/// The configuration sections a document may lack: the window override,
-/// written only when set, and the Monte-Carlo section, which postdates the
-/// binary format.
-const CONFIG_BIN_DEFAULTS: [DefaultedSection<SimConfig>; 2] = [
-    (0x06, |config| {
-        SimConfig::new(
-            config.code(),
-            config.nanowires_per_half_cave(),
-            config.raw_bits(),
-            *config.layout(),
-            *config.threshold_model(),
-            config.sigma_per_dose(),
-            config.supply_range(),
-        )
-        .unwrap()
-        .with_code_budgets(config.code_budgets())
-        .with_disturbance(config.disturbance())
-        .with_defects(config.defects())
-        .with_monte_carlo(config.monte_carlo())
-    }),
-    (0x0a, |config| {
-        config.clone().with_monte_carlo(MonteCarloConfig::default())
-    }),
-];
+/// The configuration section a document may lack: the window override,
+/// written only when set.
+const CONFIG_BIN_DEFAULTS: [DefaultedSection<SimConfig>; 1] = [(0x06, |config| {
+    SimConfig::new(
+        config.code(),
+        config.nanowires_per_half_cave(),
+        config.raw_bits(),
+        *config.layout(),
+        *config.threshold_model(),
+        config.sigma_per_dose(),
+        config.supply_range(),
+    )
+    .unwrap()
+    .with_code_budgets(config.code_budgets())
+    .with_disturbance(config.disturbance())
+    .with_defects(config.defects())
+})];
 
 #[test]
 fn every_json_config_key_and_leaf_is_read() {
@@ -392,12 +357,6 @@ fn other_enum_kinds_and_an_unset_window_are_read() {
             config_from_json,
             &CONFIG_JSON_DEFAULTS,
         );
-        bin_battery(
-            &config,
-            DOC_CONFIG,
-            config_to_bin,
-            config_from_bin,
-            &[CONFIG_BIN_DEFAULTS[1]],
-        );
+        bin_battery(&config, DOC_CONFIG, config_to_bin, config_from_bin, &[]);
     }
 }

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use crossbar_array::LayoutRules;
-use decoder_sim::{DefectKind, DisturbanceKind, MonteCarloConfig, SimConfig};
+use decoder_sim::{DefectKind, DisturbanceKind, SimConfig};
 use device_physics::{Nanometers, ThresholdModel, Volts};
 use nanowire_codes::{
     ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
@@ -100,27 +100,6 @@ pub fn window_strategy() -> impl Strategy<Value = Option<Volts>> {
     ]
 }
 
-/// Sampling knobs in fixed or adaptive mode, with and without an explicit
-/// sample ceiling.
-pub fn monte_carlo_strategy() -> impl Strategy<Value = MonteCarloConfig> {
-    (
-        (1usize..4_096, any::<u64>()),
-        prop_oneof![Just(None), (0.001f64..0.2).prop_map(Some)],
-        0.5f64..0.999,
-        prop_oneof![Just(None), (1usize..65_536).prop_map(Some)],
-    )
-        .prop_map(|((samples, seed), target, confidence, max)| {
-            let mut config = MonteCarloConfig::fixed(samples, seed).with_confidence(confidence);
-            if let Some(target) = target {
-                config = config.with_target_half_width(target);
-            }
-            if let Some(max) = max {
-                config = config.with_max_samples(max);
-            }
-            config
-        })
-}
-
 pub fn config_strategy() -> impl Strategy<Value = SimConfig> {
     (
         (code_spec_strategy(), 1usize..64, 1u64..(1 << 40)),
@@ -130,7 +109,6 @@ pub fn config_strategy() -> impl Strategy<Value = SimConfig> {
             budgets_strategy(),
             disturbance_strategy(),
             defect_strategy(),
-            monte_carlo_strategy(),
         ),
     )
         .prop_map(
@@ -138,7 +116,7 @@ pub fn config_strategy() -> impl Strategy<Value = SimConfig> {
                 (code, nanowires, raw_bits),
                 (layout, threshold, sigma),
                 (supply_low, supply_span, window),
-                (budgets, disturbance, defects, monte_carlo),
+                (budgets, disturbance, defects),
             )| {
                 let mut config = SimConfig::new(
                     code,
@@ -152,8 +130,7 @@ pub fn config_strategy() -> impl Strategy<Value = SimConfig> {
                 .unwrap()
                 .with_code_budgets(budgets)
                 .with_disturbance(disturbance)
-                .with_defects(defects)
-                .with_monte_carlo(monte_carlo);
+                .with_defects(defects);
                 if let Some(window) = window {
                     config = config.with_window(window);
                 }

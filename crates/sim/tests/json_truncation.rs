@@ -6,14 +6,12 @@
 use decoder_sim::codec::{
     config_from_json, config_to_json, report_from_json, report_to_json, JsonValue,
 };
-use decoder_sim::{
-    DefectKind, DisturbanceKind, MonteCarloConfig, SimConfig, SimError, SimulationPlatform,
-};
+use decoder_sim::{DefectKind, DisturbanceKind, SimConfig, SimError, SimulationPlatform};
 use device_physics::Volts;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 /// A configuration with every optional field set: window override,
-/// correlated disturbance, sampled defects and adaptive sampling knobs.
+/// correlated disturbance and sampled defects.
 fn full_config() -> SimConfig {
     let code = CodeSpec::new(CodeKind::Gray, LogicLevel::BINARY, 8).unwrap();
     SimConfig::paper_defaults(code)
@@ -23,12 +21,6 @@ fn full_config() -> SimConfig {
         })
         .with_defects(DefectKind::sampled(0.05, 0.02, 2_009).unwrap())
         .with_window(Volts::new(0.375))
-        .with_monte_carlo(
-            MonteCarloConfig::fixed(4_000, 7)
-                .with_target_half_width(0.02)
-                .with_confidence(0.99)
-                .with_max_samples(16_000),
-        )
 }
 
 /// Decodes every proper prefix of `json` that ends on a character boundary

@@ -97,9 +97,6 @@ fn varied(base: &SimConfig, field: ConfigField) -> SimConfig {
         ConfigField::Defects => base
             .clone()
             .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap()),
-        ConfigField::MonteCarlo => base
-            .clone()
-            .with_monte_carlo(MonteCarloConfig::fixed(123, 9)),
     }
 }
 

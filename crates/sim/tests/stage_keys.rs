@@ -13,9 +13,10 @@
 //!
 //! A randomized warm-versus-cold check then pins the read sets against the
 //! pipeline's real data flow: on a warm engine, a one-field variant's
-//! report and Monte-Carlo outcome must equal a cold serial evaluation bit
-//! for bit. A stage that reads a field its read set leaves out would serve
-//! a stale value here.
+//! report and Monte-Carlo outcome, sampled under a drawn seed, must equal a
+//! cold serial evaluation bit for bit; so must an estimate whose only
+//! change is its sampling seed. A stage that reads a field its read set
+//! leaves out would serve a stale value here.
 
 mod common;
 
@@ -46,8 +47,7 @@ fn with_field_from(config: &SimConfig, donor: &SimConfig, field: ConfigField) ->
     .unwrap()
     .with_code_budgets(pick(ConfigField::CodeBudgets).code_budgets())
     .with_disturbance(pick(ConfigField::Disturbance).disturbance())
-    .with_defects(pick(ConfigField::Defects).defects())
-    .with_monte_carlo(pick(ConfigField::MonteCarlo).monte_carlo());
+    .with_defects(pick(ConfigField::Defects).defects());
     if let Some(window) = pick(ConfigField::WindowOverride).window_override() {
         varied = varied.with_window(window);
     }
@@ -70,7 +70,6 @@ fn field_differs(a: &SimConfig, b: &SimConfig, field: ConfigField) -> bool {
         ConfigField::CodeBudgets => a.code_budgets() != b.code_budgets(),
         ConfigField::Disturbance => a.disturbance() != b.disturbance(),
         ConfigField::Defects => a.defects() != b.defects(),
-        ConfigField::MonteCarlo => a.monte_carlo() != b.monte_carlo(),
     }
 }
 
@@ -88,22 +87,20 @@ fn evaluable_code_strategy() -> impl Strategy<Value = CodeSpec> {
 }
 
 /// Paper defaults with the code, nanowires, σ_T, window and defects drawn
-/// at random, and a small fixed-sample Monte-Carlo budget — configurations
-/// the full pipeline evaluates.
+/// at random — configurations the full pipeline evaluates.
 fn evaluable_strategy() -> impl Strategy<Value = SimConfig> {
     (
         (evaluable_code_strategy(), 8usize..32, 0.02f64..0.08),
-        (window_strategy(), defect_strategy(), any::<u64>()),
+        (window_strategy(), defect_strategy()),
     )
-        .prop_map(|((code, nanowires, sigma), (window, defects, seed))| {
+        .prop_map(|((code, nanowires, sigma), (window, defects))| {
             let mut config = SimConfig::paper_defaults(code)
                 .unwrap()
                 .with_nanowires_per_half_cave(nanowires)
                 .unwrap()
                 .with_sigma_per_dose(Volts::new(sigma))
                 .unwrap()
-                .with_defects(defects)
-                .with_monte_carlo(MonteCarloConfig::fixed(64, seed));
+                .with_defects(defects);
             if let Some(window) = window {
                 config = config.with_window(window);
             }
@@ -111,23 +108,25 @@ fn evaluable_strategy() -> impl Strategy<Value = SimConfig> {
         })
 }
 
-/// The fields the evaluable generator draws, plus the two only the
-/// Monte-Carlo stage reads.
-const EVALUABLE_FIELDS: [ConfigField; 7] = [
+/// The fields the evaluable generator draws, plus the one only the
+/// Monte-Carlo stage reads. The warm-versus-cold check draws an index one
+/// past them for a variant that changes only the sampling seed.
+const EVALUABLE_FIELDS: [ConfigField; 6] = [
     ConfigField::Code,
     ConfigField::NanowiresPerHalfCave,
     ConfigField::SigmaPerDose,
     ConfigField::WindowOverride,
     ConfigField::Defects,
     ConfigField::Disturbance,
-    ConfigField::MonteCarlo,
 ];
 
 /// The report and Monte-Carlo outcome of `config` on `engine`, sampled
-/// under the configuration's own disturbance and sampling knobs.
-fn evaluate(engine: &ExecutionEngine, config: &SimConfig) -> EvaluationOutcome {
+/// under the configuration's own disturbance with a small fixed-sample
+/// budget and `seed`.
+fn evaluate(engine: &ExecutionEngine, config: &SimConfig, seed: u64) -> EvaluationOutcome {
     Evaluation::builder(config.clone())
         .stages(&[Stage::Composite, Stage::MonteCarlo])
+        .monte_carlo(MonteCarloConfig::fixed(64, seed))
         .run(engine)
         .unwrap()
 }
@@ -178,23 +177,28 @@ proptest! {
     fn warm_one_field_variants_match_cold_serial_evaluation(
         base in evaluable_strategy(),
         donor in evaluable_strategy(),
-        field_index in 0usize..EVALUABLE_FIELDS.len(),
+        field_index in 0..=EVALUABLE_FIELDS.len(),
+        seed in any::<u64>(),
+        donor_seed in any::<u64>(),
     ) {
         // Evaluable configurations are Gaussian; a Laplace donor makes a
         // disturbance replacement a real change.
         let donor = donor.with_disturbance(DisturbanceKind::Laplace);
-        let field = EVALUABLE_FIELDS[field_index];
-        let varied = with_field_from(&base, &donor, field);
+        let field = EVALUABLE_FIELDS.get(field_index).copied();
+        let (varied, varied_seed) = match field {
+            Some(field) => (with_field_from(&base, &donor, field), seed),
+            None => (base.clone(), donor_seed),
+        };
         let engine = ExecutionEngine::new(EngineConfig {
             threads: 2,
             chunk_size: DEFAULT_CHUNK_SIZE,
         });
-        evaluate(&engine, &base);
-        let warm = evaluate(&engine, &varied);
+        evaluate(&engine, &base, seed);
+        let warm = evaluate(&engine, &varied, varied_seed);
 
         let cold_report = SimulationPlatform::new(varied.clone()).evaluate().unwrap();
         let cold_estimate = ExecutionEngine::serial()
-            .monte_carlo_for_config(&varied, varied.monte_carlo())
+            .monte_carlo_for_config(&varied, MonteCarloConfig::fixed(64, varied_seed))
             .unwrap();
         prop_assert_eq!(warm.report, Some(cold_report), "varied {:?}", field);
         prop_assert_eq!(warm.monte_carlo, Some(cold_estimate), "varied {:?}", field);
