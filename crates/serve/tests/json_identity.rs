@@ -20,14 +20,11 @@
 //! Both tables were taken while the codec still built a value tree to
 //! encode and copied every key and number it parsed, so they pin that
 //! writing records straight to text and parsing into values that borrow
-//! the input moved no byte and no decoded value. The mutation table was
-//! re-taken when number literals began to follow RFC 8259's grammar: the
-//! 48 mutations that write a leading zero or a bare point (`0131072`,
-//! `1.`), which decoded before, are rejected since. The config and request
-//! texts (and so the snapshot's, and the golden-config and request
-//! corpora) were re-taken when configs stopped carrying Monte-Carlo
-//! sampling knobs; every report, reply and error reply stayed put. A
-//! failure names the first text or corpus that moved.
+//! the input moved no byte and no decoded value. Since then the mutation
+//! table moved when number literals began to follow RFC 8259 (48
+//! mutations writing a leading zero or a bare point are rejected), and the
+//! config and request texts when configs stopped carrying sampling knobs.
+//! A failure names the first text or corpus that moved.
 
 #[path = "../../sim/tests/catalogue/mod.rs"]
 mod catalogue;

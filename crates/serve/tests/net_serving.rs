@@ -539,17 +539,13 @@ fn oversized_defect_crossbars_get_typed_errors_and_the_connection_keeps_serving(
     handle.shutdown();
 }
 
-/// Sends `payload` as one frame and returns the one reply frame.
-fn reply_frame(stream: &mut TcpStream, payload: &[u8], what: &str) -> Vec<u8> {
-    write_frame(stream, payload).unwrap();
-    read_frame(stream)
-        .unwrap_or_else(|error| panic!("{what}: no reply ({error})"))
-        .unwrap_or_else(|| panic!("{what}: connection closed without a reply"))
-}
-
 /// Sends `payload` as one frame and decodes the one reply frame.
 fn round_trip(stream: &mut TcpStream, payload: &[u8], what: &str) -> WireReply {
-    parse_reply_any(&reply_frame(stream, payload, what)).unwrap()
+    write_frame(stream, payload).unwrap();
+    let reply = read_frame(stream)
+        .unwrap_or_else(|error| panic!("{what}: no reply ({error})"))
+        .unwrap_or_else(|| panic!("{what}: connection closed without a reply"));
+    parse_reply_any(&reply).unwrap()
 }
 
 fn expect_bad_request(reply: WireReply, what: &str) {
@@ -681,40 +677,31 @@ fn json_numbers_outside_rfc_8259_get_typed_errors_and_the_connection_keeps_servi
     let server = report_server(2);
     let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
     let well_formed = mix().remove(0);
-    let reference = reference(&well_formed.config);
+    let reference = WireReply::Report(reference(&well_formed.config));
     let json = well_formed.to_json_string();
-    let raw_bits = well_formed.config.raw_bits();
-    let edits = [
-        (
-            format!("\"raw_bits\":{raw_bits}"),
-            format!("\"raw_bits\":0{raw_bits}"),
-        ),
-        (
-            "\"supply_range_v\":[0,1]".to_string(),
-            "\"supply_range_v\":[0,1.]".to_string(),
-        ),
-    ];
+    let raw_bits = format!("\"raw_bits\":{}", well_formed.config.raw_bits());
+    let supply = "\"supply_range_v\":[0,1]";
 
     let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    for (from, to) in &edits {
-        assert_eq!(json.matches(from.as_str()).count(), 1, "{from}");
-        let hostile = json.replacen(from.as_str(), to, 1);
-        expect_bad_request(round_trip(&mut stream, hostile.as_bytes(), to), to);
-        match round_trip(&mut stream, json.as_bytes(), to) {
-            WireReply::Report(report) => assert_eq!(report, reference, "{to}: next"),
-            WireReply::Error(error) => panic!("{to}: next request failed: {error}"),
-        }
+    for (from, to) in [
+        (raw_bits.as_str(), raw_bits.replace(':', ":0")),
+        (supply, supply.replace(']', ".]")),
+    ] {
+        assert_eq!(json.matches(from).count(), 1, "{from}");
+        let hostile = json.replacen(from, &to, 1);
+        expect_bad_request(round_trip(&mut stream, hostile.as_bytes(), &to), &to);
+        let next = round_trip(&mut stream, json.as_bytes(), &to);
+        assert_eq!(next, reference, "{to}: the next well-formed request");
     }
-    assert_eq!(handle.served(), 2 * edits.len() as u64);
+    assert_eq!(handle.served(), 4);
     handle.shutdown();
 }
 
-/// Requests sent while configs carried their Monte-Carlo sampling knobs —
-/// a `monte_carlo` member in JSON, config section `0x0a` in binary — get,
+/// Requests written while configs carried Monte-Carlo sampling knobs — a
+/// `monte_carlo` member in JSON, config section `0x0a` in binary — get,
 /// byte for byte, the reply of the request without them: no report read
 /// the knobs.
 #[test]
@@ -726,50 +713,33 @@ fn requests_carrying_retired_sampling_knobs_get_the_same_reply_bytes() {
         .config
         .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
     let request = ReportRequest::new(config.clone());
-    // A binary request is one section, `0x01`, holding the config document.
-    let bin_request = |config_document: &[u8]| {
-        let mut payload = BinWriter::new();
-        payload.section(0x01, config_document);
-        bincodec::document(bincodec::DOC_REQUEST, &payload.into_bytes())
-    };
-    assert_eq!(
-        bin_request(&config_to_bin(&config)),
-        request_to_bin(&request)
-    );
-
-    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut frames = 0;
+    let mut client = NetClient::connect(handle.local_addr()).unwrap();
     for knobs in retired::knob_variants() {
-        let retired = [
-            (
-                WireCodec::Json,
-                format!(
-                    "{{\"schema_version\":1,\"config\":{}}}",
-                    retired::config_json_with_knobs(&config, knobs)
-                )
-                .into_bytes(),
-            ),
-            (
-                WireCodec::Binary,
-                bin_request(&retired::config_bin_with_knobs(&config, knobs)),
-            ),
-        ];
-        for (codec, legacy) in retired {
+        let json = format!(
+            "{{\"schema_version\":1,\"config\":{}}}",
+            retired::config_json_with_knobs(&config, knobs)
+        );
+        // A binary request is one section, `0x01`, holding the config.
+        let mut bin = BinWriter::new();
+        bin.section(
+            0x01,
+            &retired::with_knobs_section(config_to_bin(&config), knobs),
+        );
+        let bin = bincodec::document(bincodec::DOC_REQUEST, &bin.into_bytes());
+        for (codec, legacy) in [
+            (WireCodec::Json, json.into_bytes()),
+            (WireCodec::Binary, bin),
+        ] {
             let what = format!("{codec:?} request carrying {knobs:?}");
-            let current = reply_frame(&mut stream, &codec.encode_request(&request), &what);
-            assert!(matches!(
-                parse_reply_any(&current),
-                Ok(WireReply::Report(_))
-            ));
-            assert_eq!(reply_frame(&mut stream, &legacy, &what), current, "{what}");
-            frames += 2;
+            let current = client.call_bytes(&codec.encode_request(&request)).unwrap();
+            assert_eq!(
+                expect_report(Some(current.clone()), &what),
+                reference(&config)
+            );
+            assert_eq!(client.call_bytes(&legacy).unwrap(), current, "{what}");
         }
     }
-    assert_eq!(handle.served(), frames);
+    assert_eq!(handle.served(), 8);
     handle.shutdown();
 }
 

@@ -983,18 +983,15 @@ mod tests {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
         for (good, value) in [
-            ("[0]", 0.0),
+            ("[0]", 0.0_f64),
             ("[-0]", -0.0),
             ("[0.5]", 0.5),
             ("[1e5]", 1e5),
             ("[1E+5]", 1e5),
             ("[-1.25e-3]", -1.25e-3),
         ] {
-            let parsed = JsonValue::parse(good).unwrap();
-            let [number] = parsed.as_array().unwrap() else {
-                panic!("{good:?} is not one number");
-            };
-            assert_eq!(number.as_f64().unwrap().to_bits(), f64::to_bits(value));
+            let number = JsonValue::parse(good).unwrap().as_array().unwrap()[0].as_f64();
+            assert_eq!(number.unwrap().to_bits(), value.to_bits(), "{good}");
         }
     }
 

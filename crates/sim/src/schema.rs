@@ -41,7 +41,6 @@ use crate::codec::{
 use crate::defect::{DefectConfig, DefectKind};
 use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
-use crate::monte_carlo::MonteCarloConfig;
 use crate::platform::PlatformReport;
 
 /// What a decoder does when a document leaves a field out.
@@ -480,18 +479,6 @@ impl Value for WireErrorKind {
         tag.read(input)?;
         *self = WireErrorKind::ALL[tag.index()];
         Ok(())
-    }
-}
-
-/// A sampling configuration travels in no document; its binary body is
-/// what the Monte-Carlo memo slot appends to the stage key.
-impl Record for MonteCarloConfig {
-    fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
-        wire.field(Field::key("samples"), &mut self.samples)?;
-        wire.field(Field::key("seed"), &mut self.seed)?;
-        wire.field(Field::key("target_half_width"), &mut self.target_half_width)?;
-        wire.field(Field::key("confidence"), &mut self.confidence)?;
-        wire.field(Field::key("max_samples"), &mut self.max_samples)
     }
 }
 

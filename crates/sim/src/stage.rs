@@ -483,9 +483,9 @@ impl StageCache {
 
     /// The Monte-Carlo slot keys on the stage key **plus** the sampling
     /// configuration the call names (sample count, run seed and the
-    /// adaptive-stopping knobs, in its binary encoding) and the engine
-    /// chunk size (outcomes are bit-identical across thread counts but
-    /// depend on the chunk size).
+    /// adaptive-stopping knobs, each option behind a presence byte) and the
+    /// engine chunk size (outcomes are bit-identical across thread counts
+    /// but depend on the chunk size).
     pub(crate) fn monte_carlo<F>(
         &self,
         config: &SimConfig,
@@ -498,7 +498,11 @@ impl StageCache {
     {
         let mut key = BinWriter::new();
         key.put_bytes(&Stage::MonteCarlo.key(config));
-        mc.put(&mut key);
+        key.put_usize(mc.samples);
+        key.put_u64(mc.seed);
+        mc.target_half_width.put(&mut key);
+        key.put_f64(mc.confidence);
+        mc.max_samples.put(&mut key);
         key.put_usize(chunk_size);
         let key = key.into_bytes();
         self.monte_carlo

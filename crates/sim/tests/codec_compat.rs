@@ -73,7 +73,11 @@ fn configs_carrying_retired_sampling_knobs_decode_without_them() {
         assert!(json.get_opt("monte_carlo").unwrap().is_some());
         let decoded = [
             config_from_json(&json).unwrap(),
-            config_from_bin(&retired::config_bin_with_knobs(&expected, knobs)).unwrap(),
+            config_from_bin(&retired::with_knobs_section(
+                config_to_bin(&expected),
+                knobs,
+            ))
+            .unwrap(),
         ];
         for decoded in decoded {
             assert_eq!(decoded, expected, "{knobs:?}");

@@ -12,10 +12,10 @@ use std::sync::Barrier;
 use std::thread;
 use std::time::Duration;
 
-use decoder_sim::bincodec::{self, BinReader, BinWriter};
+use decoder_sim::bincodec::{self, config_to_bin, report_to_bin, BinWriter};
 use decoder_sim::{
-    CacheConfig, DefectKind, DisturbanceKind, ExecutionEngine, MonteCarloConfig, ReportCache,
-    SimConfig, SimulationPlatform, CACHE_SCHEMA_VERSION,
+    CacheConfig, DefectKind, DisturbanceKind, ExecutionEngine, ReportCache, SimConfig,
+    SimulationPlatform, CACHE_SCHEMA_VERSION,
 };
 use device_physics::Volts;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -278,37 +278,10 @@ fn binary_snapshots_are_at_least_40_percent_smaller_at_64_entries() {
     assert_eq!(restored.snapshot_json(), cache.snapshot_json());
 }
 
-/// `snapshot` with section `0x0a` appended to every row's config document,
-/// as rows were written while configs carried their sampling knobs. A row
-/// section holds the length-prefixed config and report documents.
-fn with_retired_knobs(snapshot: &[u8], knobs: MonteCarloConfig) -> Vec<u8> {
-    let mut payload = BinWriter::new();
-    let mut sections =
-        BinReader::new(bincodec::document_payload(snapshot, bincodec::DOC_SNAPSHOT).unwrap());
-    while let Some((tag, body)) = sections.next_section().unwrap() {
-        if tag != 0x02 {
-            payload.section(tag, body);
-            continue;
-        }
-        let mut row = BinReader::new(body);
-        let config_length = row.take_u32().unwrap() as usize;
-        let config =
-            retired::with_knobs_section(row.take_bytes(config_length).unwrap().to_vec(), knobs);
-        let report_length = row.take_u32().unwrap() as usize;
-        let report = row.take_bytes(report_length).unwrap();
-        let mut rewritten = BinWriter::new();
-        for document in [&config[..], report] {
-            rewritten.put_u32(u32::try_from(document.len()).unwrap());
-            rewritten.put_bytes(document);
-        }
-        payload.section(tag, &rewritten.into_bytes());
-    }
-    bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes())
-}
-
 /// A snapshot written while configs carried their Monte-Carlo sampling
-/// knobs loads every row, and each row's configuration is then a report
-/// hit on an engine: the report key never read the knobs.
+/// knobs — every row's config document ending in section `0x0a` — loads
+/// every row, and each row's configuration is then a report hit on an
+/// engine: the report key never read the knobs.
 #[test]
 fn snapshots_whose_configs_carry_retired_sampling_knobs_load_and_hit() {
     let configs = [
@@ -317,19 +290,28 @@ fn snapshots_whose_configs_carry_retired_sampling_knobs_load_and_hit() {
         config(CodeKind::BalancedGray, 8)
             .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap()),
     ];
-    let cache = ReportCache::new(CacheConfig::default());
-    for entry in &configs {
-        cache.get_or_compute(entry, || evaluate(entry)).unwrap();
-    }
     for (index, knobs) in retired::knob_variants().into_iter().enumerate() {
-        let snapshot = cache.snapshot_bin();
-        let legacy = with_retired_knobs(&snapshot, knobs);
-        assert!(legacy.len() > snapshot.len());
+        // The header section holds the schema version; each row section
+        // the length-prefixed config and report documents.
+        let mut payload = BinWriter::new();
+        payload.section(0x01, &CACHE_SCHEMA_VERSION.to_le_bytes());
+        for entry in &configs {
+            let mut row = BinWriter::new();
+            for document in [
+                retired::with_knobs_section(config_to_bin(entry), knobs),
+                report_to_bin(&evaluate(entry).unwrap()),
+            ] {
+                row.put_u32(u32::try_from(document.len()).unwrap());
+                row.put_bytes(&document);
+            }
+            payload.section(0x02, &row.into_bytes());
+        }
         let path = std::env::temp_dir().join(format!(
             "mspt-retired-knobs-{index}-{}.bin",
             std::process::id()
         ));
-        std::fs::write(&path, &legacy).unwrap();
+        let snapshot = bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes());
+        std::fs::write(&path, snapshot).unwrap();
         let engine = ExecutionEngine::serial();
         let loaded = engine.load_cache(&path);
         std::fs::remove_file(&path).unwrap();

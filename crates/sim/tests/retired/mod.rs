@@ -1,16 +1,15 @@
 //! Config documents as they were written while a `SimConfig` carried its
-//! Monte-Carlo sampling knobs: the JSON `monte_carlo` member and the binary
-//! section `0x0a`, each the last of its document. Shared by the
-//! compatibility tests of the codecs, of the report-cache snapshot and of
-//! the live server; each uses a subset of them.
+//! Monte-Carlo sampling knobs: a trailing JSON `monte_carlo` member, a
+//! trailing binary section `0x0a`. Shared by the compatibility tests of the
+//! codecs, of the report-cache snapshot and of the live server; each uses a
+//! subset.
 #![allow(dead_code)]
 
-use decoder_sim::bincodec::{config_to_bin, BinWriter};
+use decoder_sim::bincodec::BinWriter;
 use decoder_sim::codec::config_to_json;
 use decoder_sim::{MonteCarloConfig, SimConfig};
 
-/// Sampling knobs in both modes: the default the knobs had, and adaptive
-/// knobs with every option set.
+/// The knobs' default, and adaptive knobs with every option set.
 pub fn knob_variants() -> [MonteCarloConfig; 2] {
     [
         MonteCarloConfig::default(),
@@ -21,11 +20,11 @@ pub fn knob_variants() -> [MonteCarloConfig; 2] {
     ]
 }
 
-/// `config`'s JSON text with `knobs` as its last member, `monte_carlo`
+/// `config`'s JSON text ending in a `monte_carlo` member holding `knobs`
 /// (unset options `null`).
 pub fn config_json_with_knobs(config: &SimConfig, knobs: MonteCarloConfig) -> String {
-    let option = |value: Option<String>| value.unwrap_or_else(|| "null".to_string());
     let text = config_to_json(config).render();
+    let option = |value: Option<String>| value.unwrap_or_else(|| "null".to_string());
     format!(
         "{},\"monte_carlo\":{{\"samples\":{},\"seed\":{},\"target_half_width\":{},\
          \"confidence\":{},\"max_samples\":{}}}}}",
@@ -38,32 +37,21 @@ pub fn config_json_with_knobs(config: &SimConfig, knobs: MonteCarloConfig) -> St
     )
 }
 
-/// `config`'s binary document with `knobs` in a trailing section `0x0a`.
-pub fn config_bin_with_knobs(config: &SimConfig, knobs: MonteCarloConfig) -> Vec<u8> {
-    with_knobs_section(config_to_bin(config), knobs)
-}
-
-/// A binary config document with `knobs` appended as section `0x0a`:
+/// A binary config `document` with `knobs` appended as section `0x0a`:
 /// samples, seed, target half-width, confidence and sample ceiling, each
 /// option behind a presence byte.
 pub fn with_knobs_section(mut document: Vec<u8>, knobs: MonteCarloConfig) -> Vec<u8> {
     let mut body = BinWriter::new();
     body.put_usize(knobs.samples);
     body.put_u64(knobs.seed);
-    match knobs.target_half_width {
-        Some(target) => {
-            body.put_u8(1);
-            body.put_f64(target);
-        }
-        None => body.put_u8(0),
+    body.put_u8(u8::from(knobs.target_half_width.is_some()));
+    if let Some(target) = knobs.target_half_width {
+        body.put_f64(target);
     }
     body.put_f64(knobs.confidence);
-    match knobs.max_samples {
-        Some(max) => {
-            body.put_u8(1);
-            body.put_usize(max);
-        }
-        None => body.put_u8(0),
+    body.put_u8(u8::from(knobs.max_samples.is_some()));
+    if let Some(max) = knobs.max_samples {
+        body.put_usize(max);
     }
     let mut section = BinWriter::new();
     section.section(0x0a, &body.into_bytes());
