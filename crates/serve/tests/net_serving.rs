@@ -713,6 +713,7 @@ fn requests_carrying_retired_sampling_knobs_get_the_same_reply_bytes() {
         .config
         .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
     let request = ReportRequest::new(config.clone());
+    let reference = reference(&config);
     let mut client = NetClient::connect(handle.local_addr()).unwrap();
     for knobs in retired::knob_variants() {
         let json = format!(
@@ -732,10 +733,7 @@ fn requests_carrying_retired_sampling_knobs_get_the_same_reply_bytes() {
         ] {
             let what = format!("{codec:?} request carrying {knobs:?}");
             let current = client.call_bytes(&codec.encode_request(&request)).unwrap();
-            assert_eq!(
-                expect_report(Some(current.clone()), &what),
-                reference(&config)
-            );
+            assert_eq!(expect_report(Some(current.clone()), &what), reference);
             assert_eq!(client.call_bytes(&legacy).unwrap(), current, "{what}");
         }
     }

@@ -55,7 +55,7 @@
 //!   the JSON codec it has no legacy documents to stay lenient for. A
 //!   config section this version no longer writes is an unknown tag like
 //!   any other: section `0x0a` of earlier configs, which held sampling
-//!   knobs no report reads, is skipped.
+//!   knobs no report reads, is skipped, and its tag is not reused.
 //! * Non-finite floats are rejected on decode. JSON cannot represent them
 //!   (the JSON encoder maps them to `null`, which its decoder rejects), so
 //!   accepting them here would let the two codecs disagree.

@@ -419,6 +419,8 @@ impl Record for SimConfig {
             Field::section("defects", 0x09).json_default(),
             &mut self.defects,
         )
+        // Retired: key `monte_carlo` and section 0x0a, which older configs
+        // still carry (sampling knobs). No new field may take either.
     }
 
     /// Runs the joint checks of [`SimConfig::new`] over a decoded
