@@ -847,6 +847,30 @@ mod tests {
     }
 
     #[test]
+    fn documents_without_a_monte_carlo_section_decode_to_the_default() {
+        // A pre-adaptive writer produced every section except the trailing
+        // Monte-Carlo one, `0x0a` — the shape every config document has
+        // again now that the sampling knobs left the config.
+        let config = base_config();
+        let bytes = config_to_bin(&config);
+        let mut reader = BinReader::new(document_payload(&bytes, DOC_CONFIG).unwrap());
+        while let Some((tag, _)) = reader.next_section().unwrap() {
+            assert_ne!(tag, 0x0a);
+        }
+        assert_eq!(config_from_bin(&bytes).unwrap(), config);
+        // Writers in between appended the knobs as `0x0a`; the decoder no
+        // longer reads that body, so none of it, well-formed or not, can
+        // move the decoded config.
+        for body in [&[][..], &[0xff; 3][..], &[0; 34][..]] {
+            let mut carrying = bytes.clone();
+            let mut section = BinWriter::new();
+            section.section(0x0a, body);
+            carrying.extend_from_slice(&section.into_bytes());
+            assert_eq!(config_from_bin(&carrying).unwrap(), config);
+        }
+    }
+
+    #[test]
     fn future_versions_and_bad_magic_are_rejected() {
         let mut future = config_to_bin(&base_config());
         future[4..6].copy_from_slice(&2u16.to_le_bytes());

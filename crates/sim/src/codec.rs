@@ -1063,6 +1063,27 @@ mod tests {
     }
 
     #[test]
+    fn monte_carlo_documents_without_adaptive_keys_decode_to_fixed_mode() {
+        // A config written before adaptive stopping existed carried bare
+        // samples + seed in its `monte_carlo` member; a later one could
+        // spell the unset adaptive keys as explicit nulls. The member is no
+        // longer read, so both decode to the config without it, and a
+        // sampling call that names no knobs draws a fixed sample count.
+        let config = base_config();
+        let text = rendered(&config);
+        for member in [
+            r#"{"samples":500,"seed":42}"#,
+            r#"{"samples":500,"seed":42,"target_half_width":null,"confidence":0.95,"max_samples":null}"#,
+        ] {
+            let legacy = format!("{},\"monte_carlo\":{member}}}", &text[..text.len() - 1]);
+            let decoded = config_from_json(&JsonValue::parse(&legacy).unwrap()).unwrap();
+            assert_eq!(decoded, config, "{member}");
+            assert_eq!(rendered(&decoded), text);
+        }
+        assert!(!crate::MonteCarloConfig::default().is_adaptive());
+    }
+
+    #[test]
     fn report_round_trips_bit_identically() {
         let report = SimulationPlatform::new(base_config()).evaluate().unwrap();
         let decoded = report_from_json(&report_to_json(&report)).unwrap();

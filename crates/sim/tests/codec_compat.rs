@@ -12,7 +12,10 @@ use decoder_sim::bincodec::{config_from_bin, config_to_bin};
 use decoder_sim::codec::{
     config_from_json, config_to_json, report_from_json, report_to_json, JsonValue,
 };
-use decoder_sim::{DefectKind, ReportCache, SimConfig, SimulationPlatform};
+use decoder_sim::{
+    DefectKind, Evaluation, ExecutionEngine, MonteCarloConfig, ReportCache, SimConfig,
+    SimulationPlatform, Stage,
+};
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn config(kind: CodeKind, length: usize) -> SimConfig {
@@ -92,17 +95,45 @@ fn configs_carrying_retired_sampling_knobs_decode_without_them() {
             );
         }
     }
-    // A member written before adaptive stopping existed held the sample
-    // count and seed alone; it is ignored the same way.
+}
+
+/// Configs written before adaptive stopping existed had no `monte_carlo`
+/// member, or one holding the sample count and seed alone. Both decode to
+/// the configuration, and an evaluation of it that names no sampling knobs
+/// draws the historical fixed-sample default.
+#[test]
+fn pre_adaptive_configs_decode_with_fixed_sampling_defaults() {
+    let expected = config(CodeKind::BalancedGray, 10);
     let text = config_to_json(&expected).render();
     let bare = format!(
         "{},\"monte_carlo\":{{\"samples\":500,\"seed\":42}}}}",
         &text[..text.len() - 1]
     );
+    let decoded = config_from_json(&JsonValue::parse(&bare).unwrap()).unwrap();
+    assert_eq!(decoded, expected);
     assert_eq!(
-        config_from_json(&JsonValue::parse(&bare).unwrap()).unwrap(),
-        expected
+        ReportCache::fingerprint(&decoded),
+        ReportCache::fingerprint(&expected)
     );
+    // A config stripped of the defect selection too — the oldest wire
+    // shape still in the field — decodes as well.
+    let oldest = without_keys(&config_to_json(&expected), &["defects"]);
+    assert!(oldest.get_opt("monte_carlo").unwrap().is_none());
+    assert_eq!(config_from_json(&oldest).unwrap(), expected);
+
+    assert!(!MonteCarloConfig::default().is_adaptive());
+    let engine = ExecutionEngine::serial();
+    let unnamed = Evaluation::builder(decoded)
+        .stages(&[Stage::MonteCarlo])
+        .run(&engine)
+        .unwrap();
+    let named = Evaluation::builder(expected)
+        .stages(&[Stage::MonteCarlo])
+        .monte_carlo(MonteCarloConfig::default())
+        .run(&engine)
+        .unwrap();
+    assert!(unnamed.monte_carlo.is_some());
+    assert_eq!(unnamed.monte_carlo, named.monte_carlo);
 }
 
 #[test]
