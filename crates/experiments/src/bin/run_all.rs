@@ -1,5 +1,6 @@
-//! Regenerates every figure and the headline numbers in one run — the
-//! command EXPERIMENTS.md is produced from.
+//! Regenerates every figure, the headline numbers, the disturbance-model
+//! comparison and the sensitivity sweeps in one run — the command
+//! EXPERIMENTS.md is produced from.
 //!
 //! All reports share one parallel [`mspt_experiments::paper_engine`], so the
 //! Fig. 7/Fig. 8 sweep points are evaluated once and the headline numbers
@@ -46,6 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", mspt_experiments::headline_numbers(&engine)?);
     println!();
     print!("{}", mspt_experiments::disturbance_report(&engine)?);
+    for sweep in mspt_experiments::sensitivity_report()? {
+        println!();
+        print!("{sweep}");
+    }
     if let Some(path) = &cache_path {
         let saved = engine.save_cache(Path::new(path))?;
         println!("\nwarm cache: saved {saved} report(s) to {path}");

@@ -3,50 +3,9 @@
 //! the half-cave size. The paper's qualitative conclusion — the optimised
 //! arrangement wins — must hold at every swept value.
 
-use decoder_sim::{
-    alignment_sensitivity, half_cave_sensitivity, sigma_sensitivity, window_sensitivity,
-    SensitivitySweep,
-};
-
-fn print_sweep(sweep: &SensitivitySweep) {
-    println!("sensitivity to {}:", sweep.parameter_name);
-    println!(
-        "{:>12} {:>12} {:>12} {:>14} {:>14}",
-        "value", "TC yield", "BGC yield", "TC area[nm²]", "BGC area[nm²]"
-    );
-    for point in &sweep.points {
-        println!(
-            "{:>12.1} {:>11.1}% {:>11.1}% {:>14.1} {:>14.1}",
-            point.parameter,
-            point.baseline_yield * 100.0,
-            point.optimised_yield * 100.0,
-            point.baseline_bit_area,
-            point.optimised_bit_area
-        );
-    }
-    println!(
-        "optimised arrangement wins at every value: {}\n",
-        sweep.optimised_always_wins()
-    );
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let base = mspt_experiments::paper_base_config()?;
-    print_sweep(&sigma_sensitivity(
-        &base,
-        &[20.0, 35.0, 50.0, 65.0, 80.0],
-        8,
-    )?);
-    print_sweep(&window_sensitivity(
-        &base,
-        &[150.0, 200.0, 250.0, 300.0],
-        8,
-    )?);
-    print_sweep(&alignment_sensitivity(
-        &base,
-        &[0.0, 8.0, 16.0, 24.0, 32.0],
-        8,
-    )?);
-    print_sweep(&half_cave_sensitivity(&base, &[10, 20, 30, 40], 8)?);
+    for sweep in mspt_experiments::sensitivity_report()? {
+        println!("{sweep}");
+    }
     Ok(())
 }

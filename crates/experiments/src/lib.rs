@@ -18,6 +18,7 @@
 //! | FIG8 | Fig. 8 — bit area vs code type & length | [`fig8_report`] |
 //! | HEAD | Abstract / Section 7 headline claims | [`headline_numbers`] |
 //! | DIST | Beyond the paper — Monte-Carlo addressability under non-Gaussian disturbances | [`disturbance_report`] |
+//! | SENS | Beyond the paper — TC vs BGC across the calibration constants the paper leaves open | [`sensitivity_report`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,9 +29,10 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use decoder_sim::{
-    variability_map, DefectKind, DisturbanceKind, EngineConfig, Evaluation, ExecutionEngine,
-    Fig5Report, Fig6Report, Fig7Report, Fig8Report, MonteCarloConfig, Result, SimConfig,
-    SimulationPlatform, Stage,
+    alignment_sensitivity, half_cave_sensitivity, sigma_sensitivity, variability_map,
+    window_sensitivity, DefectKind, DisturbanceKind, EngineConfig, Evaluation, ExecutionEngine,
+    Fig5Report, Fig6Report, Fig7Report, Fig8Report, MonteCarloConfig, Result, SensitivitySweep,
+    SimConfig, SimulationPlatform, Stage,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
@@ -351,6 +353,39 @@ pub fn disturbance_report(engine: &ExecutionEngine) -> Result<DisturbanceReport>
         analytic_gaussian_mean,
         points,
     })
+}
+
+/// Code length of the TC/BGC pair the sensitivity sweeps compare.
+const SENSITIVITY_CODE_LENGTH: usize = 8;
+
+/// Beyond the paper — the sensitivity sweeps: TC against BGC at `M = 8`
+/// across the plausible range of each calibration constant the paper does
+/// not pin (σ_T, the decision window, the contact alignment tolerance and
+/// the half-cave size), one sweep per constant in that order.
+///
+/// # Errors
+///
+/// Propagates sweep errors.
+pub fn sensitivity_report() -> Result<Vec<SensitivitySweep>> {
+    let base = paper_base_config()?;
+    Ok(vec![
+        sigma_sensitivity(
+            &base,
+            &[20.0, 35.0, 50.0, 65.0, 80.0],
+            SENSITIVITY_CODE_LENGTH,
+        )?,
+        window_sensitivity(
+            &base,
+            &[150.0, 200.0, 250.0, 300.0],
+            SENSITIVITY_CODE_LENGTH,
+        )?,
+        alignment_sensitivity(
+            &base,
+            &[0.0, 8.0, 16.0, 24.0, 32.0],
+            SENSITIVITY_CODE_LENGTH,
+        )?,
+        half_cave_sensitivity(&base, &[10, 20, 30, 40], SENSITIVITY_CODE_LENGTH)?,
+    ])
 }
 
 /// The serving-layer stress mix: every Fig. 7/8 sweep configuration (the
@@ -755,6 +790,28 @@ mod tests {
         assert!(text.contains("laplace"));
         assert!(text.contains("correlated(ρ=0.50)"));
         assert!(text.contains("worst wire"));
+    }
+
+    #[test]
+    fn sensitivity_report_sweeps_the_four_constants_and_bgc_wins() {
+        let sweeps = sensitivity_report().unwrap();
+        let names: Vec<&str> = sweeps
+            .iter()
+            .map(|sweep| sweep.parameter_name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "sigma_per_dose_mv",
+                "decision_window_mv",
+                "alignment_tolerance_nm",
+                "nanowires_per_half_cave"
+            ]
+        );
+        assert!(sweeps.iter().all(SensitivitySweep::optimised_always_wins));
+        assert!(sweeps[0]
+            .to_string()
+            .ends_with("wins at every value: true\n"));
     }
 
     #[test]

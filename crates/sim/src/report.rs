@@ -1,6 +1,6 @@
 //! Figure-shaped reports: the data series of Figs. 5–8 bundled with plain
 //! text rendering, so experiments, benches and EXPERIMENTS.md all print the
-//! same rows.
+//! same rows. The sensitivity sweeps render here too.
 
 use std::fmt;
 
@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use nanowire_codes::CodeKind;
 
+use crate::ablation::SensitivitySweep;
 use crate::sweep::{BitAreaPoint, ComplexityPoint, DefectYieldPoint, VariabilityMap, YieldPoint};
 
 /// Fig. 5 — fabrication complexity per code type and logic radix.
@@ -195,6 +196,33 @@ impl fmt::Display for Fig8Report {
             )?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for SensitivitySweep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "sensitivity to {}:", self.parameter_name)?;
+        writeln!(
+            f,
+            "{:>12} {:>12} {:>12} {:>14} {:>14}",
+            "value", "TC yield", "BGC yield", "TC area[nm²]", "BGC area[nm²]"
+        )?;
+        for point in &self.points {
+            writeln!(
+                f,
+                "{:>12.1} {:>11.1}% {:>11.1}% {:>14.1} {:>14.1}",
+                point.parameter,
+                point.baseline_yield * 100.0,
+                point.optimised_yield * 100.0,
+                point.baseline_bit_area,
+                point.optimised_bit_area
+            )?;
+        }
+        writeln!(
+            f,
+            "optimised arrangement wins at every value: {}",
+            self.optimised_always_wins()
+        )
     }
 }
 
