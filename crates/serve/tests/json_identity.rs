@@ -22,9 +22,12 @@
 //! writing records straight to text and parsing into values that borrow
 //! the input moved no byte and no decoded value. Since then the mutation
 //! table moved when number literals began to follow RFC 8259 (48
-//! mutations writing a leading zero or a bare point are rejected), and the
-//! config and request texts when configs stopped carrying sampling knobs.
-//! A failure names the first text or corpus that moved.
+//! mutations writing a leading zero or a bare point are rejected), the
+//! config and request texts when configs stopped carrying sampling knobs,
+//! and the golden-config and request lines when a decoded correlated
+//! shared fraction began to be checked against [0, 1] (the four flips
+//! writing 1.25, 2.25, 4.25 and 8.25 are rejected). A failure names the
+//! first text or corpus that moved.
 
 #[path = "../../sim/tests/catalogue/mod.rs"]
 mod catalogue;

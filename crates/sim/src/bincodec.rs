@@ -686,12 +686,15 @@ pub fn disturbance_to_bin(kind: DisturbanceKind) -> Vec<u8> {
     body(&kind)
 }
 
-/// Decodes a [`DisturbanceKind`] body.
+/// Decodes a [`DisturbanceKind`] body, re-validating a correlated shared
+/// fraction through
+/// [`CorrelatedDisturbance::new`](crate::CorrelatedDisturbance::new).
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed bytes or an unknown kind
-/// tag.
+/// tag, or [`SimError::InvalidConfig`] for a shared fraction outside
+/// `[0, 1]`.
 pub fn disturbance_from_bin(bytes: &[u8]) -> Result<DisturbanceKind> {
     from_body(bytes, DisturbanceKind::default())
 }

@@ -750,11 +750,14 @@ pub fn disturbance_to_json(kind: DisturbanceKind) -> JsonValue<'static> {
     tree(&kind)
 }
 
-/// Decodes a [`DisturbanceKind`].
+/// Decodes a [`DisturbanceKind`], re-validating a correlated shared
+/// fraction through
+/// [`CorrelatedDisturbance::new`](crate::CorrelatedDisturbance::new).
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Persistence`] on malformed JSON or an unknown kind.
+/// Returns [`SimError::Persistence`] on malformed JSON or an unknown kind,
+/// or [`SimError::InvalidConfig`] for a shared fraction outside `[0, 1]`.
 pub fn disturbance_from_json(value: &JsonValue<'_>) -> Result<DisturbanceKind> {
     decode(value, DisturbanceKind::default())
 }
@@ -1112,6 +1115,33 @@ mod tests {
         assert!(defect_from_json(&hostile).is_err());
         let unknown = JsonValue::parse(r#"{"kind":"clustered"}"#).unwrap();
         assert!(defect_from_json(&unknown).is_err());
+    }
+
+    #[test]
+    fn correlated_shared_fractions_are_checked_at_decode_in_both_codecs() {
+        use crate::bincodec::{config_from_bin, config_to_bin};
+        let with_fraction = |shared_fraction| {
+            base_config().with_disturbance(DisturbanceKind::Correlated { shared_fraction })
+        };
+        for shared_fraction in [0.0, 0.25, 1.0] {
+            let config = with_fraction(shared_fraction);
+            assert_eq!(config_from_json(&config_to_json(&config)).unwrap(), config);
+            assert_eq!(config_from_bin(&config_to_bin(&config)).unwrap(), config);
+        }
+        // The variant itself is unchecked, so the writers emit these; the
+        // decoders reject them as `CorrelatedDisturbance::new` does.
+        for shared_fraction in [1.25, -0.25] {
+            let config = with_fraction(shared_fraction);
+            for error in [
+                config_from_json(&config_to_json(&config)).unwrap_err(),
+                config_from_bin(&config_to_bin(&config)).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(error, SimError::InvalidConfig { .. }),
+                    "{shared_fraction}: {error}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::codec::{
     ObjectWriter, WireErrorKind,
 };
 use crate::defect::{DefectConfig, DefectKind};
-use crate::disturbance::DisturbanceKind;
+use crate::disturbance::{CorrelatedDisturbance, DisturbanceKind};
 use crate::error::{Result, SimError};
 use crate::platform::PlatformReport;
 
@@ -400,7 +400,9 @@ impl Record for DisturbanceKind {
             *self = match kind.index() {
                 0 => DisturbanceKind::Gaussian,
                 1 => DisturbanceKind::Laplace,
-                _ => DisturbanceKind::Correlated { shared_fraction },
+                _ => DisturbanceKind::Correlated {
+                    shared_fraction: CorrelatedDisturbance::new(shared_fraction)?.shared_fraction(),
+                },
             };
         }
         Ok(())
