@@ -3,8 +3,6 @@
 //! fabrication recipe, the address map and the full evaluation of the
 //! resulting MSPT nanowire decoder.
 
-use serde::{Deserialize, Serialize};
-
 use crossbar_array::LayoutRules;
 use decoder_sim::{PlatformReport, SimConfig, SimulationPlatform};
 use device_physics::{ThresholdModel, Volts};
@@ -82,74 +80,16 @@ impl DecoderDesign {
     }
 
     /// Evaluates the design: fabrication complexity, variability, yield and
-    /// bit area on the paper's platform.
+    /// bit area on the paper's platform. The fabrication recipe and its
+    /// pass and dose counts come from
+    /// [`DecoderRecipe::for_design`](crate::DecoderRecipe::for_design).
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors from the simulation layer.
-    pub fn evaluate(&self) -> Result<DesignReport> {
-        let platform = self.platform();
-        let report = platform.evaluate()?;
-        let plan = crate::encode::DecoderRecipe::for_design(self)?;
-        Ok(DesignReport {
-            lithography_passes: plan.lithography_passes(),
-            distinct_doses: plan.distinct_doses().len(),
-            code: report.code,
-            nanowires_per_half_cave: report.nanowires_per_half_cave,
-            fabrication_steps: report.fabrication_steps,
-            mean_variability: report.mean_variability,
-            max_normalized_sigma: report.max_normalized_sigma,
-            cave_yield: report.cave_yield,
-            crossbar_yield: report.crossbar_yield,
-            effective_bits: report.effective_bits,
-            raw_bit_area: report.raw_bit_area,
-            effective_bit_area: report.effective_bit_area,
-            contact_groups: report.contact_groups,
-        })
-    }
-
-    /// The raw platform report (the figure-level quantities without the
-    /// recipe summary).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors from the simulation layer.
-    pub fn platform_report(&self) -> Result<PlatformReport> {
+    pub fn evaluate(&self) -> Result<PlatformReport> {
         Ok(self.platform().evaluate()?)
     }
-}
-
-/// The evaluation of one decoder design: the quantities of the paper's
-/// figures plus a summary of the fabrication recipe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DesignReport {
-    /// The evaluated code.
-    pub code: CodeSpec,
-    /// Nanowires per half cave.
-    pub nanowires_per_half_cave: usize,
-    /// Fabrication complexity `Φ`.
-    pub fabrication_steps: usize,
-    /// Number of lithography/doping passes of the concrete recipe (must equal
-    /// `fabrication_steps`).
-    pub lithography_passes: usize,
-    /// Number of distinct implant doses the recipe uses.
-    pub distinct_doses: usize,
-    /// Average variability `‖Σ‖₁/(N·M)` in σ_T² units.
-    pub mean_variability: f64,
-    /// Largest normalised deviation `sqrt(ν)`.
-    pub max_normalized_sigma: f64,
-    /// Cave (nanowire) yield `Y`.
-    pub cave_yield: f64,
-    /// Crossbar yield `Y²`.
-    pub crossbar_yield: f64,
-    /// Effective density `D_RAW · Y²` in bits.
-    pub effective_bits: f64,
-    /// Raw area per crosspoint in nm².
-    pub raw_bit_area: f64,
-    /// Effective area per functional bit in nm².
-    pub effective_bit_area: f64,
-    /// Contact groups per half cave.
-    pub contact_groups: usize,
 }
 
 /// Builder for [`DecoderDesign`], pre-loaded with the paper's platform
@@ -327,8 +267,9 @@ mod tests {
             .build()
             .unwrap();
         let report = design.evaluate().unwrap();
-        assert_eq!(report.lithography_passes, report.fabrication_steps);
-        assert!(report.distinct_doses >= 1);
+        let recipe = crate::encode::DecoderRecipe::for_design(&design).unwrap();
+        assert_eq!(recipe.lithography_passes(), report.fabrication_steps);
+        assert!(!recipe.distinct_doses().is_empty());
         assert!((report.crossbar_yield - report.cave_yield.powi(2)).abs() < 1e-12);
         assert!(report.effective_bit_area >= report.raw_bit_area);
         assert_eq!(report.nanowires_per_half_cave, 20);
@@ -366,7 +307,6 @@ mod tests {
             design.code_sequence().unwrap().word_length(),
             design.code().code_length()
         );
-        let platform_report = design.platform_report().unwrap();
-        assert!(platform_report.crossbar_yield > 0.0);
+        assert_eq!(clone.evaluate().unwrap(), design.evaluate().unwrap());
     }
 }

@@ -18,7 +18,10 @@
 //!
 //! From a design you can obtain the concrete fabrication recipe
 //! ([`DecoderRecipe`]), the mesowire address map ([`AddressMap`]) and the full
-//! evaluation on the paper's simulation platform ([`DesignReport`]).
+//! evaluation on the paper's simulation platform
+//! ([`PlatformReport`](decoder_sim::PlatformReport)). A design-space
+//! exploration evaluates its candidates as one batch on the caller's
+//! [`ExecutionEngine`](decoder_sim::ExecutionEngine).
 //!
 //! # Examples
 //!
@@ -53,7 +56,7 @@ mod error;
 mod optimize;
 
 pub use addressing::{AddressAssignment, AddressMap};
-pub use design::{CodeSelection, DecoderDesign, DecoderDesignBuilder, DesignReport};
+pub use design::{CodeSelection, DecoderDesign, DecoderDesignBuilder};
 pub use encode::DecoderRecipe;
 pub use error::{DecoderError, Result};
 pub use optimize::{
@@ -70,7 +73,6 @@ mod crate_tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DecoderDesign>();
         assert_send_sync::<DecoderDesignBuilder>();
-        assert_send_sync::<DesignReport>();
         assert_send_sync::<DecoderRecipe>();
         assert_send_sync::<AddressMap>();
         assert_send_sync::<DesignSpace>();

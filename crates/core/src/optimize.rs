@@ -7,12 +7,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use decoder_sim::SimConfig;
+use decoder_sim::{design_points, ExecutionEngine, PlatformReport};
 use device_physics::DopingLadder;
 use mspt_fabrication::{FabricationCost, PatternMatrix, VariabilityMatrix};
 use nanowire_codes::{CodeKind, CodeSequence, CodeSpec, LogicLevel};
 
-use crate::design::{DecoderDesign, DesignReport};
+use crate::design::DecoderDesign;
 use crate::error::{DecoderError, Result};
 
 /// The objective a design-space exploration optimises.
@@ -61,7 +61,7 @@ pub struct RankedDesign {
     /// The objective value (lower is better; yields are negated).
     pub objective_value: f64,
     /// The full evaluation report of the candidate.
-    pub report: DesignReport,
+    pub report: PlatformReport,
 }
 
 /// The outcome of a design-space exploration.
@@ -77,7 +77,9 @@ pub struct OptimizationOutcome {
 
 /// Explores a design space under an objective, starting from a base design
 /// whose platform parameters (nanowires per half cave, σ_T, pitches, ...) are
-/// kept fixed.
+/// kept fixed. The candidates ([`design_points`] of the space) are evaluated
+/// as one batch on `engine` ([`ExecutionEngine::reports_for`]) and ranked
+/// by a stable sort, so candidates that tie keep the space's order.
 ///
 /// # Errors
 ///
@@ -85,27 +87,26 @@ pub struct OptimizationOutcome {
 ///   candidate.
 /// * Propagates evaluation errors.
 pub fn optimize(
+    engine: &ExecutionEngine,
     base: &DecoderDesign,
     space: &DesignSpace,
     objective: Objective,
 ) -> Result<OptimizationOutcome> {
-    let mut ranked: Vec<RankedDesign> = Vec::new();
-    for &kind in &space.kinds {
-        for &code_length in &space.code_lengths {
-            let Ok(code) = CodeSpec::new(kind, space.radix, code_length) else {
-                continue;
-            };
-            let config: SimConfig = base.config().clone().with_code(code);
-            let candidate = DecoderDesign::from_config(config);
-            let report = candidate.evaluate()?;
-            let objective_value = objective_value(objective, &report);
-            ranked.push(RankedDesign {
-                code,
-                objective_value,
-                report,
-            });
-        }
-    }
+    let configs = design_points(
+        base.config(),
+        &space.kinds,
+        space.radix,
+        &space.code_lengths,
+    );
+    let mut ranked: Vec<RankedDesign> = engine
+        .reports_for(&configs)?
+        .into_iter()
+        .map(|report| RankedDesign {
+            code: report.code,
+            objective_value: objective_value(objective, &report),
+            report,
+        })
+        .collect();
     if ranked.is_empty() {
         return Err(DecoderError::EmptyDesignSpace);
     }
@@ -123,7 +124,7 @@ pub fn optimize(
     })
 }
 
-fn objective_value(objective: Objective, report: &DesignReport) -> f64 {
+fn objective_value(objective: Objective, report: &PlatformReport) -> f64 {
     match objective {
         Objective::FabricationComplexity => report.fabrication_steps as f64,
         Objective::Variability => report.mean_variability,
@@ -201,19 +202,51 @@ fn cost_pair(sequence: &CodeSequence, ladder: &DopingLadder) -> Result<(usize, u
 }
 
 /// Convenience: run the paper's headline optimisation — minimise the bit area
-/// over the full binary design space — and return the winning design.
+/// over the full binary design space on `engine` — and return the winning
+/// design.
 ///
 /// # Errors
 ///
 /// Propagates exploration errors.
-pub fn best_bit_area_design(base: &DecoderDesign) -> Result<OptimizationOutcome> {
-    optimize(base, &DesignSpace::paper_default(), Objective::BitArea)
+pub fn best_bit_area_design(
+    engine: &ExecutionEngine,
+    base: &DecoderDesign,
+) -> Result<OptimizationOutcome> {
+    optimize(
+        engine,
+        base,
+        &DesignSpace::paper_default(),
+        Objective::BitArea,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::CodeSelection;
+    use decoder_sim::bincodec::report_to_bin;
+    use decoder_sim::{EngineConfig, SimulationPlatform, DEFAULT_CHUNK_SIZE};
+
+    fn engine() -> ExecutionEngine {
+        ExecutionEngine::new(EngineConfig {
+            threads: 2,
+            chunk_size: DEFAULT_CHUNK_SIZE,
+        })
+    }
+
+    /// Codes, objective values and report bits, in rank order.
+    fn ranking(ranked: &[RankedDesign]) -> Vec<(CodeSpec, u64, Vec<u8>)> {
+        ranked
+            .iter()
+            .map(|c| {
+                (
+                    c.code,
+                    c.objective_value.to_bits(),
+                    report_to_bin(&c.report),
+                )
+            })
+            .collect()
+    }
 
     fn base() -> DecoderDesign {
         DecoderDesign::builder()
@@ -231,8 +264,33 @@ mod tests {
             code_lengths: vec![6, 8, 10],
             radix: LogicLevel::BINARY,
         };
-        let outcome = optimize(&base(), &space, Objective::CrossbarYield).unwrap();
+        let outcome = optimize(&engine(), &base(), &space, Objective::CrossbarYield).unwrap();
         assert_eq!(outcome.ranked.len(), 9);
+        // A serial engine ranks the same reports, bit for bit, and so does a
+        // stable sort of per-candidate serial evaluations.
+        let serial = optimize(
+            &ExecutionEngine::serial(),
+            &base(),
+            &space,
+            Objective::CrossbarYield,
+        )
+        .unwrap();
+        assert_eq!(ranking(&serial.ranked), ranking(&outcome.ranked));
+        let mut expected = Vec::new();
+        for &kind in &space.kinds {
+            for &length in &space.code_lengths {
+                let code = CodeSpec::new(kind, space.radix, length).unwrap();
+                let config = base().config().clone().with_code(code);
+                let report = SimulationPlatform::new(config).evaluate().unwrap();
+                expected.push((code, -report.crossbar_yield, report_to_bin(&report)));
+            }
+        }
+        expected.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        let expected: Vec<_> = expected
+            .into_iter()
+            .map(|(code, value, bits)| (code, value.to_bits(), bits))
+            .collect();
+        assert_eq!(ranking(&outcome.ranked), expected);
         assert_eq!(outcome.objective, Objective::CrossbarYield);
         // Ranked from best to worst.
         for pair in outcome.ranked.windows(2) {
@@ -257,9 +315,10 @@ mod tests {
             code_lengths: vec![8],
             radix: LogicLevel::BINARY,
         };
-        let outcome = optimize(&base(), &space, Objective::Variability).unwrap();
+        let outcome = optimize(&engine(), &base(), &space, Objective::Variability).unwrap();
         assert_eq!(outcome.best.code().kind(), CodeKind::Gray);
-        let complexity = optimize(&base(), &space, Objective::FabricationComplexity).unwrap();
+        let complexity =
+            optimize(&engine(), &base(), &space, Objective::FabricationComplexity).unwrap();
         // Binary complexity is identical (2N) for both, so either may win;
         // the ranking must still be complete.
         assert_eq!(complexity.ranked.len(), 2);
@@ -273,7 +332,7 @@ mod tests {
             radix: LogicLevel::BINARY,
         };
         assert!(matches!(
-            optimize(&base(), &space, Objective::BitArea),
+            optimize(&engine(), &base(), &space, Objective::BitArea),
             Err(DecoderError::EmptyDesignSpace)
         ));
     }
@@ -297,7 +356,7 @@ mod tests {
 
     #[test]
     fn best_bit_area_design_prefers_long_optimised_codes() {
-        let outcome = best_bit_area_design(&base()).unwrap();
+        let outcome = best_bit_area_design(&engine(), &base()).unwrap();
         let best = outcome.best.code();
         // Fig. 8: the winners are the optimised codes at generous lengths,
         // never the short tree code.
@@ -306,5 +365,20 @@ mod tests {
             outcome.ranked[0].report.effective_bit_area
                 < outcome.ranked.last().unwrap().report.effective_bit_area
         );
+        // GC and BGC at M = 4 tie (660.8 nm²); the tie keeps the space's
+        // order, Gray before balanced Gray.
+        let rank = |kind: CodeKind| {
+            outcome
+                .ranked
+                .iter()
+                .position(|c| c.code.kind() == kind && c.code.code_length() == 4)
+                .unwrap()
+        };
+        let (gray, balanced) = (rank(CodeKind::Gray), rank(CodeKind::BalancedGray));
+        assert_eq!(
+            outcome.ranked[gray].objective_value.to_bits(),
+            outcome.ranked[balanced].objective_value.to_bits()
+        );
+        assert_eq!(balanced, gray + 1);
     }
 }

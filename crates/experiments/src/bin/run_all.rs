@@ -3,8 +3,9 @@
 //! EXPERIMENTS.md is produced from.
 //!
 //! All reports share one parallel [`mspt_experiments::paper_engine`], so the
-//! Fig. 7/Fig. 8 sweep points are evaluated once and the headline numbers
-//! are served from the engine's memoized report cache. Set `MSPT_CACHE_PATH`
+//! Fig. 7 points are evaluated once and Fig. 8, the headline numbers and
+//! the sensitivity sweeps' base points are served from the engine's
+//! memoized report cache. Set `MSPT_CACHE_PATH`
 //! to persist that cache across invocations: the file is loaded on start
 //! (ignored when absent or stale) and rewritten on exit, so repeated runs
 //! restart warm.
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", mspt_experiments::headline_numbers(&engine)?);
     println!();
     print!("{}", mspt_experiments::disturbance_report(&engine)?);
-    for sweep in mspt_experiments::sensitivity_report()? {
+    for sweep in mspt_experiments::sensitivity_report(&engine)? {
         println!();
         print!("{sweep}");
     }

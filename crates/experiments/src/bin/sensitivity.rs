@@ -4,7 +4,7 @@
 //! arrangement wins — must hold at every swept value.
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    for sweep in mspt_experiments::sensitivity_report()? {
+    for sweep in mspt_experiments::sensitivity_report(&mspt_experiments::paper_engine())? {
         println!("{sweep}");
     }
     Ok(())

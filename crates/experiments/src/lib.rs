@@ -29,10 +29,10 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use decoder_sim::{
-    alignment_sensitivity, half_cave_sensitivity, sigma_sensitivity, variability_map,
-    window_sensitivity, DefectKind, DisturbanceKind, EngineConfig, Evaluation, ExecutionEngine,
-    Fig5Report, Fig6Report, Fig7Report, Fig8Report, MonteCarloConfig, Result, SensitivitySweep,
-    SimConfig, SimulationPlatform, Stage,
+    alignment_sensitivity, design_points, half_cave_sensitivity, sigma_sensitivity,
+    variability_map, window_sensitivity, DefectKind, DisturbanceKind, EngineConfig, Evaluation,
+    ExecutionEngine, Fig5Report, Fig6Report, Fig7Report, Fig8Report, MonteCarloConfig,
+    PlatformReport, Result, SensitivitySweep, SimConfig, SimulationPlatform, Stage,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
@@ -115,30 +115,36 @@ pub fn fig6_report() -> Result<Fig6Report> {
     Ok(Fig6Report { maps })
 }
 
+/// The Fig. 7 points in row order: TC and BGC at lengths 6, 8 and 10, then
+/// HC and AHC at lengths 4, 6 and 8 — also the points the headline yield
+/// and bit-area numbers read, and the serve stress mix's base.
+fn fig7_points(base: &SimConfig) -> Vec<SimConfig> {
+    let mut points = design_points(
+        base,
+        &[CodeKind::Tree, CodeKind::BalancedGray],
+        LogicLevel::BINARY,
+        &TREE_FAMILY_LENGTHS,
+    );
+    points.extend(design_points(
+        base,
+        &[CodeKind::Hot, CodeKind::ArrangedHot],
+        LogicLevel::BINARY,
+        &HOT_FAMILY_LENGTHS,
+    ));
+    points
+}
+
 /// Regenerates Fig. 7: crossbar yield against code length for TC/BGC
-/// (lengths 6, 8, 10) and HC/AHC (lengths 4, 6, 8).
+/// (lengths 6, 8, 10) and HC/AHC (lengths 4, 6, 8), evaluated as one batch.
 ///
 /// # Errors
 ///
-/// Propagates sweep errors.
+/// Propagates evaluation errors.
 pub fn fig7_report(engine: &ExecutionEngine) -> Result<Fig7Report> {
     let base = paper_base_config()?;
-    let mut series = Vec::new();
-    for kind in [CodeKind::Tree, CodeKind::BalancedGray] {
-        series.push((
-            kind,
-            engine.yield_sweep(&base, kind, LogicLevel::BINARY, &TREE_FAMILY_LENGTHS)?,
-        ));
-    }
-    for kind in [CodeKind::Hot, CodeKind::ArrangedHot] {
-        series.push((
-            kind,
-            engine.yield_sweep(&base, kind, LogicLevel::BINARY, &HOT_FAMILY_LENGTHS)?,
-        ));
-    }
     Ok(Fig7Report {
-        series,
-        defect_series: vec![],
+        points: engine.reports_for(&fig7_points(&base))?,
+        defect_points: vec![],
     })
 }
 
@@ -183,52 +189,53 @@ pub fn defect_axis(seed: u64) -> Result<Vec<DefectKind>> {
 /// Beyond the paper — Fig. 7's defect axis: composite crossbar yield against
 /// the fabrication-defect rate for the best code of each family, with
 /// deterministic defect maps sampled from `seed` (the experiment's default
-/// is [`FIG7_DEFECT_SEED`]) composed onto the decoder yield.
+/// is [`FIG7_DEFECT_SEED`]) composed onto the decoder yield. The rows are
+/// the [`defect_axis`] of each code of [`FIG7_DEFECT_CODES`], evaluated as
+/// one batch.
 ///
 /// # Errors
 ///
-/// Propagates sweep errors.
+/// Propagates code and evaluation errors.
 pub fn fig7_defects_report(engine: &ExecutionEngine, seed: u64) -> Result<Fig7Report> {
     let base = paper_base_config()?;
     let axis = defect_axis(seed)?;
-    let mut defect_series = Vec::with_capacity(FIG7_DEFECT_CODES.len());
+    let mut configs = Vec::with_capacity(FIG7_DEFECT_CODES.len() * axis.len());
     for (kind, code_length) in FIG7_DEFECT_CODES {
-        defect_series.push((
-            kind,
-            engine.defect_yield_sweep(&base, kind, LogicLevel::BINARY, code_length, &axis)?,
-        ));
+        let code = CodeSpec::new(kind, LogicLevel::BINARY, code_length)?;
+        for &defects in &axis {
+            configs.push(base.clone().with_code(code).with_defects(defects));
+        }
     }
     Ok(Fig7Report {
-        series: vec![],
-        defect_series,
+        points: vec![],
+        defect_points: engine.reports_for(&configs)?,
     })
 }
 
 /// Regenerates Fig. 8: effective bit area for every code family at lengths
 /// 6, 8 and 10 (hot-family lengths 4, 6, 8 are included as well so the HC/AHC
-/// bars exist at their valid lengths).
+/// bars exist at their valid lengths), evaluated as one batch.
 ///
 /// # Errors
 ///
-/// Propagates sweep errors.
+/// Propagates evaluation errors.
 pub fn fig8_report(engine: &ExecutionEngine) -> Result<Fig8Report> {
     let base = paper_base_config()?;
-    let mut series = Vec::new();
-    for kind in [CodeKind::Tree, CodeKind::Gray, CodeKind::BalancedGray] {
-        series.push((
-            kind,
-            engine.bit_area_sweep(&base, kind, LogicLevel::BINARY, &TREE_FAMILY_LENGTHS)?,
-        ));
-    }
-    for kind in [CodeKind::Hot, CodeKind::ArrangedHot] {
-        let mut lengths = HOT_FAMILY_LENGTHS.to_vec();
-        lengths.push(10);
-        series.push((
-            kind,
-            engine.bit_area_sweep(&base, kind, LogicLevel::BINARY, &lengths)?,
-        ));
-    }
-    Ok(Fig8Report { series })
+    let mut configs = design_points(
+        &base,
+        &[CodeKind::Tree, CodeKind::Gray, CodeKind::BalancedGray],
+        LogicLevel::BINARY,
+        &TREE_FAMILY_LENGTHS,
+    );
+    configs.extend(design_points(
+        &base,
+        &[CodeKind::Hot, CodeKind::ArrangedHot],
+        LogicLevel::BINARY,
+        &[4, 6, 8, 10],
+    ));
+    Ok(Fig8Report {
+        points: engine.reports_for(&configs)?,
+    })
 }
 
 /// Code length of the disturbance-model comparison (the paper's
@@ -361,30 +368,20 @@ const SENSITIVITY_CODE_LENGTH: usize = 8;
 /// Beyond the paper — the sensitivity sweeps: TC against BGC at `M = 8`
 /// across the plausible range of each calibration constant the paper does
 /// not pin (σ_T, the decision window, the contact alignment tolerance and
-/// the half-cave size), one sweep per constant in that order.
+/// the half-cave size), one sweep per constant in that order, each
+/// evaluated as one batch on `engine`.
 ///
 /// # Errors
 ///
 /// Propagates sweep errors.
-pub fn sensitivity_report() -> Result<Vec<SensitivitySweep>> {
+pub fn sensitivity_report(engine: &ExecutionEngine) -> Result<Vec<SensitivitySweep>> {
     let base = paper_base_config()?;
+    let length = SENSITIVITY_CODE_LENGTH;
     Ok(vec![
-        sigma_sensitivity(
-            &base,
-            &[20.0, 35.0, 50.0, 65.0, 80.0],
-            SENSITIVITY_CODE_LENGTH,
-        )?,
-        window_sensitivity(
-            &base,
-            &[150.0, 200.0, 250.0, 300.0],
-            SENSITIVITY_CODE_LENGTH,
-        )?,
-        alignment_sensitivity(
-            &base,
-            &[0.0, 8.0, 16.0, 24.0, 32.0],
-            SENSITIVITY_CODE_LENGTH,
-        )?,
-        half_cave_sensitivity(&base, &[10, 20, 30, 40], SENSITIVITY_CODE_LENGTH)?,
+        sigma_sensitivity(engine, &base, &[20.0, 35.0, 50.0, 65.0, 80.0], length)?,
+        window_sensitivity(engine, &base, &[150.0, 200.0, 250.0, 300.0], length)?,
+        alignment_sensitivity(engine, &base, &[0.0, 8.0, 16.0, 24.0, 32.0], length)?,
+        half_cave_sensitivity(engine, &base, &[10, 20, 30, 40], length)?,
     ])
 }
 
@@ -404,18 +401,10 @@ pub fn sensitivity_report() -> Result<Vec<SensitivitySweep>> {
 pub fn stress_mix() -> Result<Vec<mspt_serve::ReportRequest>> {
     use mspt_serve::ReportRequest;
     let base = paper_base_config()?;
-    let mut mix = Vec::new();
-    for (kind, lengths) in [
-        (CodeKind::Tree, &TREE_FAMILY_LENGTHS),
-        (CodeKind::BalancedGray, &TREE_FAMILY_LENGTHS),
-        (CodeKind::Hot, &HOT_FAMILY_LENGTHS),
-        (CodeKind::ArrangedHot, &HOT_FAMILY_LENGTHS),
-    ] {
-        for &length in lengths {
-            let code = CodeSpec::new(kind, LogicLevel::BINARY, length)?;
-            mix.push(ReportRequest::new(base.clone().with_code(code)));
-        }
-    }
+    let mut mix: Vec<ReportRequest> = fig7_points(&base)
+        .into_iter()
+        .map(ReportRequest::new)
+        .collect();
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10)?;
     mix.push(ReportRequest::new(
         base.clone()
@@ -534,11 +523,10 @@ impl fmt::Display for HeadlineNumbers {
     }
 }
 
-/// Computes every headline number from the figure sweeps. The headline
-/// numbers revisit the Fig. 7 and Fig. 8 sweep points, so the engine's
-/// memoized report cache (and any cache warmed by earlier figure reports on
-/// the same engine) evaluates each distinct (kind, length) configuration
-/// once.
+/// Computes every headline number from the figure sweeps. The yield and
+/// bit-area numbers read the Fig. 7 points, evaluated as one batch, so an
+/// engine whose report cache earlier figure reports warmed serves them
+/// without evaluating anything.
 ///
 /// # Errors
 ///
@@ -580,98 +568,42 @@ pub fn headline_numbers(engine: &ExecutionEngine) -> Result<HeadlineNumbers> {
     let tc_variability = mean_variability(CodeKind::Tree)?;
     let bgc_variability = mean_variability(CodeKind::BalancedGray)?;
 
-    // Fig. 7 inputs.
-    let tc_yield = engine.yield_sweep(
-        &base,
-        CodeKind::Tree,
-        LogicLevel::BINARY,
-        &TREE_FAMILY_LENGTHS,
-    )?;
-    let bgc_yield = engine.yield_sweep(
-        &base,
-        CodeKind::BalancedGray,
-        LogicLevel::BINARY,
-        &TREE_FAMILY_LENGTHS,
-    )?;
-    let hc_yield = engine.yield_sweep(
-        &base,
-        CodeKind::Hot,
-        LogicLevel::BINARY,
-        &HOT_FAMILY_LENGTHS,
-    )?;
-    let ahc_yield = engine.yield_sweep(
-        &base,
-        CodeKind::ArrangedHot,
-        LogicLevel::BINARY,
-        &HOT_FAMILY_LENGTHS,
-    )?;
-    let yield_at = |points: &[decoder_sim::YieldPoint], length: usize| -> f64 {
-        points
+    // Fig. 7 and Fig. 8 inputs: the Fig. 7 points, as one batch.
+    let reports = engine.reports_for(&fig7_points(&base))?;
+    let at = |kind: CodeKind, length: usize| -> Option<&PlatformReport> {
+        reports
             .iter()
-            .find(|p| p.code_length == length)
-            .map(|p| p.crossbar_yield)
-            .unwrap_or(f64::NAN)
+            .find(|r| r.code.kind() == kind && r.code.code_length() == length)
     };
-
-    // Fig. 8 inputs (cache hits: the same configurations the yield sweeps
-    // above just evaluated).
-    let tc_area = engine.bit_area_sweep(
-        &base,
-        CodeKind::Tree,
-        LogicLevel::BINARY,
-        &TREE_FAMILY_LENGTHS,
-    )?;
-    let bgc_area = engine.bit_area_sweep(
-        &base,
-        CodeKind::BalancedGray,
-        LogicLevel::BINARY,
-        &[6, 8, 10],
-    )?;
-    let hc_area = engine.bit_area_sweep(
-        &base,
-        CodeKind::Hot,
-        LogicLevel::BINARY,
-        &HOT_FAMILY_LENGTHS,
-    )?;
-    let ahc_area = engine.bit_area_sweep(
-        &base,
-        CodeKind::ArrangedHot,
-        LogicLevel::BINARY,
-        &HOT_FAMILY_LENGTHS,
-    )?;
-    let area_at = |points: &[decoder_sim::BitAreaPoint], length: usize| -> f64 {
-        points
-            .iter()
-            .find(|p| p.code_length == length)
-            .map(|p| p.bit_area)
-            .unwrap_or(f64::NAN)
+    let yield_at = |kind: CodeKind, length: usize| -> f64 {
+        at(kind, length).map_or(f64::NAN, |r| r.crossbar_yield)
     };
-    let best_area = |points: &[decoder_sim::BitAreaPoint]| -> f64 {
-        points
+    let area_at = |kind: CodeKind, length: usize| -> f64 {
+        at(kind, length).map_or(f64::NAN, |r| r.effective_bit_area)
+    };
+    let best_area = |kind: CodeKind| -> f64 {
+        reports
             .iter()
-            .map(|p| p.bit_area)
+            .filter(|r| r.code.kind() == kind)
+            .map(|r| r.effective_bit_area)
             .fold(f64::INFINITY, f64::min)
     };
+    let (tc, bgc) = (CodeKind::Tree, CodeKind::BalancedGray);
+    let (hc, ahc) = (CodeKind::Hot, CodeKind::ArrangedHot);
 
     Ok(HeadlineNumbers {
         gray_complexity_saving_ternary: saving(LogicLevel::TERNARY),
         gray_complexity_saving_quaternary: saving(LogicLevel::QUATERNARY),
         bgc_variability_reduction: (tc_variability - bgc_variability) / tc_variability,
-        tc_yield_gain_6_to_10: (yield_at(&tc_yield, 10) - yield_at(&tc_yield, 6))
-            / yield_at(&tc_yield, 6),
-        ahc_yield_gain_4_to_8: (yield_at(&ahc_yield, 8) - yield_at(&ahc_yield, 4))
-            / yield_at(&ahc_yield, 4),
-        bgc_vs_tc_yield_gain_at_8: (yield_at(&bgc_yield, 8) - yield_at(&tc_yield, 8))
-            / yield_at(&tc_yield, 8),
-        ahc_vs_hc_yield_gain_at_8: (yield_at(&ahc_yield, 8) - yield_at(&hc_yield, 8))
-            / yield_at(&hc_yield, 8),
-        tc_bit_area_saving_6_to_10: (area_at(&tc_area, 6) - area_at(&tc_area, 10))
-            / area_at(&tc_area, 6),
-        bgc_vs_tc_density_gain_at_8: area_at(&tc_area, 8) / area_at(&bgc_area, 8) - 1.0,
-        ahc_vs_hc_area_saving_at_6: (area_at(&hc_area, 6) - area_at(&ahc_area, 6))
-            / area_at(&hc_area, 6),
-        best_bgc_bit_area: best_area(&bgc_area),
-        best_ahc_bit_area: best_area(&ahc_area),
+        tc_yield_gain_6_to_10: (yield_at(tc, 10) - yield_at(tc, 6)) / yield_at(tc, 6),
+        ahc_yield_gain_4_to_8: (yield_at(ahc, 8) - yield_at(ahc, 4)) / yield_at(ahc, 4),
+        bgc_vs_tc_yield_gain_at_8: (yield_at(bgc, 8) - yield_at(tc, 8)) / yield_at(tc, 8),
+        ahc_vs_hc_yield_gain_at_8: (yield_at(ahc, 8) - yield_at(hc, 8)) / yield_at(hc, 8),
+        tc_bit_area_saving_6_to_10: (area_at(tc, 6) - area_at(tc, 10)) / area_at(tc, 6),
+        bgc_vs_tc_density_gain_at_8: area_at(tc, 8) / area_at(bgc, 8) - 1.0,
+        ahc_vs_hc_area_saving_at_6: (area_at(hc, 6) - area_at(ahc, 6)) / area_at(hc, 6),
+        best_bgc_bit_area: best_area(bgc),
+        best_ahc_bit_area: best_area(ahc),
     })
 }
 
@@ -707,23 +639,31 @@ mod tests {
     #[test]
     fn fig7_series_cover_four_families() {
         let report = fig7_report(&paper_engine()).unwrap();
-        assert_eq!(report.series.len(), 4);
-        for (_, points) in &report.series {
-            assert_eq!(points.len(), 3);
+        assert_eq!(report.points.len(), 12);
+        for (series, kind) in report.points.chunks(3).zip([
+            CodeKind::Tree,
+            CodeKind::BalancedGray,
+            CodeKind::Hot,
+            CodeKind::ArrangedHot,
+        ]) {
+            assert!(series.iter().all(|r| r.code.kind() == kind));
         }
     }
 
     #[test]
     fn fig7_defects_covers_the_rate_axis_and_degrades_monotonically() {
         let report = fig7_defects_report(&paper_engine(), FIG7_DEFECT_SEED).unwrap();
-        assert!(report.series.is_empty());
-        assert_eq!(report.defect_series.len(), FIG7_DEFECT_CODES.len());
-        for (kind, points) in &report.defect_series {
-            assert_eq!(points.len(), DEFECT_RATE_AXIS.len());
+        assert!(report.points.is_empty());
+        assert_eq!(
+            report.defect_points.len(),
+            FIG7_DEFECT_CODES.len() * DEFECT_RATE_AXIS.len()
+        );
+        for points in report.defect_points.chunks(DEFECT_RATE_AXIS.len()) {
+            let kind = points[0].code.kind();
             // The rate-0 baseline is the paper's defect-free yield...
             assert_eq!(points[0].defects, DefectKind::None);
             assert_eq!(points[0].defect_survival, 1.0);
-            assert_eq!(points[0].composite_yield, points[0].decoder_yield);
+            assert_eq!(points[0].composite_yield, points[0].crossbar_yield);
             // ...and the composite yield falls as the defect rate grows
             // (sampled maps, but the axis steps are far above the sampling
             // noise of a 363×363 map).
@@ -738,7 +678,8 @@ mod tests {
             // The decoder yield is the same defect-free quantity at every
             // point of a series.
             for point in points {
-                assert_eq!(point.decoder_yield, points[0].decoder_yield);
+                assert_eq!(point.code, points[0].code);
+                assert_eq!(point.crossbar_yield, points[0].crossbar_yield);
             }
         }
         let text = report.to_string();
@@ -760,7 +701,8 @@ mod tests {
     #[test]
     fn fig8_best_is_an_optimised_code() {
         let report = fig8_report(&paper_engine()).unwrap();
-        let (kind, _, area) = report.best().unwrap();
+        let best = report.best().unwrap();
+        let (kind, area) = (best.code.kind(), best.effective_bit_area);
         assert!(kind.is_optimised(), "best code {kind:?}");
         assert!(area > 100.0 && area < 300.0, "best bit area {area}");
     }
@@ -794,7 +736,7 @@ mod tests {
 
     #[test]
     fn sensitivity_report_sweeps_the_four_constants_and_bgc_wins() {
-        let sweeps = sensitivity_report().unwrap();
+        let sweeps = sensitivity_report(&paper_engine()).unwrap();
         let names: Vec<&str> = sweeps
             .iter()
             .map(|sweep| sweep.parameter_name.as_str())

@@ -3,10 +3,12 @@
 //! per-dose variability σ_T, the addressability decision window, the contact
 //! alignment tolerance and the half-cave size.
 //!
-//! The `sensitivity` binary of `mspt-experiments` prints these sweeps: the
-//! paper's qualitative conclusions (optimised arrangements win, longer codes
-//! help up to a point) must hold across the plausible range of every
-//! constant, not just at the chosen default.
+//! Each sweep evaluates its TC/BGC pairs as one batch on the caller's
+//! [`ExecutionEngine`]. `mspt_experiments::sensitivity_report` runs them
+//! and the `sensitivity` and `run_all` binaries print them: the paper's
+//! qualitative conclusions (optimised arrangements win, longer codes help
+//! up to a point) must hold across the plausible range of every constant,
+//! not just at the chosen default.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,8 +17,8 @@ use device_physics::{Nanometers, Volts};
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 use crate::config::SimConfig;
+use crate::engine::ExecutionEngine;
 use crate::error::{Result, SimError};
-use crate::platform::SimulationPlatform;
 
 /// One point of a sensitivity sweep: the swept parameter value and the
 /// resulting crossbar yield / bit area of a pair of designs (a baseline code
@@ -62,28 +64,45 @@ impl SensitivitySweep {
     }
 }
 
-fn evaluate_pair(
-    base: &SimConfig,
-    baseline: CodeSpec,
-    optimised: CodeSpec,
-    parameter: f64,
-) -> Result<SensitivityPoint> {
-    let baseline_report = SimulationPlatform::new(base.clone().with_code(baseline)).evaluate()?;
-    let optimised_report = SimulationPlatform::new(base.clone().with_code(optimised)).evaluate()?;
-    Ok(SensitivityPoint {
-        parameter,
-        baseline_yield: baseline_report.crossbar_yield,
-        optimised_yield: optimised_report.crossbar_yield,
-        baseline_bit_area: baseline_report.effective_bit_area,
-        optimised_bit_area: optimised_report.effective_bit_area,
+/// The one body of the four sweeps: `configure` maps each swept value to
+/// its parameter and the base configuration at that value, and the TC and
+/// BGC reports of every value are evaluated as one batch on `engine`.
+fn sensitivity_sweep<T: Copy>(
+    engine: &ExecutionEngine,
+    parameter_name: &str,
+    values: &[T],
+    code_length: usize,
+    configure: impl Fn(T) -> Result<(f64, SimConfig)>,
+) -> Result<SensitivitySweep> {
+    if values.is_empty() {
+        return Err(SimError::EmptySweep);
+    }
+    let baseline = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, code_length)?;
+    let optimised = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, code_length)?;
+    let mut parameters = Vec::with_capacity(values.len());
+    let mut configs = Vec::with_capacity(2 * values.len());
+    for &value in values {
+        let (parameter, config) = configure(value)?;
+        parameters.push(parameter);
+        configs.push(config.clone().with_code(baseline));
+        configs.push(config.with_code(optimised));
+    }
+    let reports = engine.reports_for(&configs)?;
+    let points = parameters
+        .into_iter()
+        .zip(reports.chunks_exact(2))
+        .map(|(parameter, pair)| SensitivityPoint {
+            parameter,
+            baseline_yield: pair[0].crossbar_yield,
+            optimised_yield: pair[1].crossbar_yield,
+            baseline_bit_area: pair[0].effective_bit_area,
+            optimised_bit_area: pair[1].effective_bit_area,
+        })
+        .collect();
+    Ok(SensitivitySweep {
+        parameter_name: parameter_name.to_string(),
+        points,
     })
-}
-
-fn default_pair(radix: LogicLevel, code_length: usize) -> Result<(CodeSpec, CodeSpec)> {
-    Ok((
-        CodeSpec::new(CodeKind::Tree, radix, code_length)?,
-        CodeSpec::new(CodeKind::BalancedGray, radix, code_length)?,
-    ))
 }
 
 /// Sweeps the per-dose threshold-voltage deviation σ_T (in millivolts).
@@ -93,25 +112,23 @@ fn default_pair(radix: LogicLevel, code_length: usize) -> Result<(CodeSpec, Code
 /// Returns [`SimError::EmptySweep`] for an empty value list, or propagates
 /// evaluation errors.
 pub fn sigma_sensitivity(
+    engine: &ExecutionEngine,
     base: &SimConfig,
     sigma_millivolts: &[f64],
     code_length: usize,
 ) -> Result<SensitivitySweep> {
-    if sigma_millivolts.is_empty() {
-        return Err(SimError::EmptySweep);
-    }
-    let (baseline, optimised) = default_pair(LogicLevel::BINARY, code_length)?;
-    let mut points = Vec::with_capacity(sigma_millivolts.len());
-    for &sigma in sigma_millivolts {
-        let config = base
-            .clone()
-            .with_sigma_per_dose(Volts::from_millivolts(sigma))?;
-        points.push(evaluate_pair(&config, baseline, optimised, sigma)?);
-    }
-    Ok(SensitivitySweep {
-        parameter_name: "sigma_per_dose_mv".to_string(),
-        points,
-    })
+    sensitivity_sweep(
+        engine,
+        "sigma_per_dose_mv",
+        sigma_millivolts,
+        code_length,
+        |sigma| {
+            let config = base
+                .clone()
+                .with_sigma_per_dose(Volts::from_millivolts(sigma))?;
+            Ok((sigma, config))
+        },
+    )
 }
 
 /// Sweeps the addressability decision window (in millivolts).
@@ -121,64 +138,53 @@ pub fn sigma_sensitivity(
 /// Returns [`SimError::EmptySweep`] for an empty value list, or propagates
 /// evaluation errors.
 pub fn window_sensitivity(
+    engine: &ExecutionEngine,
     base: &SimConfig,
     window_millivolts: &[f64],
     code_length: usize,
 ) -> Result<SensitivitySweep> {
-    if window_millivolts.is_empty() {
-        return Err(SimError::EmptySweep);
-    }
-    let (baseline, optimised) = default_pair(LogicLevel::BINARY, code_length)?;
-    let mut points = Vec::with_capacity(window_millivolts.len());
-    for &window in window_millivolts {
-        let config = base.clone().with_window(Volts::from_millivolts(window));
-        points.push(evaluate_pair(&config, baseline, optimised, window)?);
-    }
-    Ok(SensitivitySweep {
-        parameter_name: "decision_window_mv".to_string(),
-        points,
-    })
+    sensitivity_sweep(
+        engine,
+        "decision_window_mv",
+        window_millivolts,
+        code_length,
+        |window| {
+            let config = base.clone().with_window(Volts::from_millivolts(window));
+            Ok((window, config))
+        },
+    )
 }
 
 /// Sweeps the contact alignment tolerance (in nanometres) — the constant
-/// behind the boundary-nanowire losses of ref. \[6\].
+/// behind the boundary-nanowire losses of ref. \[6\]. Only the tolerance
+/// of the base's layout changes.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::EmptySweep`] for an empty value list, or propagates
-/// evaluation errors.
+/// layout and evaluation errors.
 pub fn alignment_sensitivity(
+    engine: &ExecutionEngine,
     base: &SimConfig,
     tolerance_nanometers: &[f64],
     code_length: usize,
 ) -> Result<SensitivitySweep> {
-    if tolerance_nanometers.is_empty() {
-        return Err(SimError::EmptySweep);
-    }
-    let (baseline, optimised) = default_pair(LogicLevel::BINARY, code_length)?;
-    let mut points = Vec::with_capacity(tolerance_nanometers.len());
-    for &tolerance in tolerance_nanometers {
-        let rules = LayoutRules::new(
-            base.layout().litho_pitch(),
-            base.layout().nanowire_pitch(),
-            base.layout().min_contact_width_factor(),
-            Nanometers::new(tolerance),
-        )?;
-        let config = SimConfig::new(
-            base.code(),
-            base.nanowires_per_half_cave(),
-            base.raw_bits(),
-            rules,
-            *base.threshold_model(),
-            base.sigma_per_dose(),
-            base.supply_range(),
-        )?;
-        points.push(evaluate_pair(&config, baseline, optimised, tolerance)?);
-    }
-    Ok(SensitivitySweep {
-        parameter_name: "alignment_tolerance_nm".to_string(),
-        points,
-    })
+    let layout = base.layout();
+    sensitivity_sweep(
+        engine,
+        "alignment_tolerance_nm",
+        tolerance_nanometers,
+        code_length,
+        |tolerance| {
+            let rules = LayoutRules::new(
+                layout.litho_pitch(),
+                layout.nanowire_pitch(),
+                layout.min_contact_width_factor(),
+                Nanometers::new(tolerance),
+            )?;
+            Ok((tolerance, base.clone().with_layout(rules)))
+        },
+    )
 }
 
 /// Sweeps the number of nanowires per half cave — the constant the paper
@@ -189,23 +195,21 @@ pub fn alignment_sensitivity(
 /// Returns [`SimError::EmptySweep`] for an empty value list, or propagates
 /// evaluation errors.
 pub fn half_cave_sensitivity(
+    engine: &ExecutionEngine,
     base: &SimConfig,
     nanowire_counts: &[usize],
     code_length: usize,
 ) -> Result<SensitivitySweep> {
-    if nanowire_counts.is_empty() {
-        return Err(SimError::EmptySweep);
-    }
-    let (baseline, optimised) = default_pair(LogicLevel::BINARY, code_length)?;
-    let mut points = Vec::with_capacity(nanowire_counts.len());
-    for &count in nanowire_counts {
-        let config = base.clone().with_nanowires_per_half_cave(count)?;
-        points.push(evaluate_pair(&config, baseline, optimised, count as f64)?);
-    }
-    Ok(SensitivitySweep {
-        parameter_name: "nanowires_per_half_cave".to_string(),
-        points,
-    })
+    sensitivity_sweep(
+        engine,
+        "nanowires_per_half_cave",
+        nanowire_counts,
+        code_length,
+        |count| {
+            let config = base.clone().with_nanowires_per_half_cave(count)?;
+            Ok((count as f64, config))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -217,9 +221,13 @@ mod tests {
         SimConfig::paper_defaults(code).unwrap()
     }
 
+    fn engine() -> ExecutionEngine {
+        ExecutionEngine::serial()
+    }
+
     #[test]
     fn sigma_sweep_is_monotone_and_preserves_the_ordering() {
-        let sweep = sigma_sensitivity(&base(), &[20.0, 50.0, 80.0, 110.0], 8).unwrap();
+        let sweep = sigma_sensitivity(&engine(), &base(), &[20.0, 50.0, 80.0, 110.0], 8).unwrap();
         assert_eq!(sweep.points.len(), 4);
         assert!(sweep.optimised_always_wins());
         // Yields fall as σ_T grows, for both designs.
@@ -231,7 +239,7 @@ mod tests {
 
     #[test]
     fn window_sweep_is_monotone_and_preserves_the_ordering() {
-        let sweep = window_sensitivity(&base(), &[150.0, 250.0, 350.0], 8).unwrap();
+        let sweep = window_sensitivity(&engine(), &base(), &[150.0, 250.0, 350.0], 8).unwrap();
         assert!(sweep.optimised_always_wins());
         // Wider windows can only help.
         for pair in sweep.points.windows(2) {
@@ -242,7 +250,7 @@ mod tests {
 
     #[test]
     fn alignment_sweep_preserves_the_ordering_and_hurts_short_codes_more() {
-        let sweep = alignment_sensitivity(&base(), &[0.0, 16.0, 32.0], 8).unwrap();
+        let sweep = alignment_sensitivity(&engine(), &base(), &[0.0, 16.0, 32.0], 8).unwrap();
         assert!(sweep.optimised_always_wins());
         // More alignment uncertainty can only reduce the yield.
         for pair in sweep.points.windows(2) {
@@ -251,8 +259,62 @@ mod tests {
     }
 
     #[test]
+    fn sweeps_change_only_their_constant_of_the_base() {
+        use crate::defect::DefectKind;
+        let base = base()
+            .with_window(Volts::from_millivolts(120.0))
+            .with_defects(DefectKind::sampled(0.05, 0.02, 7).unwrap());
+        let engine = engine();
+        let pair = |config: &SimConfig| {
+            let codes = [CodeKind::Tree, CodeKind::BalancedGray]
+                .map(|kind| CodeSpec::new(kind, LogicLevel::BINARY, 8).unwrap());
+            let configs = codes.map(|code| config.clone().with_code(code));
+            let reports = engine.reports_for(&configs).unwrap();
+            (
+                reports[0].crossbar_yield,
+                reports[1].crossbar_yield,
+                reports[0].effective_bit_area,
+                reports[1].effective_bit_area,
+            )
+        };
+        let read = |point: &SensitivityPoint| {
+            (
+                point.baseline_yield,
+                point.optimised_yield,
+                point.baseline_bit_area,
+                point.optimised_bit_area,
+            )
+        };
+        // Each alignment point is the base with only the tolerance changed.
+        let tolerances = [0.0, 16.0, 32.0];
+        let sweep = alignment_sensitivity(&engine, &base, &tolerances, 8).unwrap();
+        for (point, tolerance) in sweep.points.iter().zip(tolerances) {
+            let layout = base.layout();
+            let rules = LayoutRules::new(
+                layout.litho_pitch(),
+                layout.nanowire_pitch(),
+                layout.min_contact_width_factor(),
+                Nanometers::new(tolerance),
+            )
+            .unwrap();
+            assert_eq!(read(point), pair(&base.clone().with_layout(rules)));
+        }
+        // At the base's own value every sweep reads the base's reports.
+        let own = pair(&base);
+        assert_eq!(read(&sweep.points[1]), own);
+        let sweeps = [
+            sigma_sensitivity(&engine, &base, &[50.0], 8).unwrap(),
+            window_sensitivity(&engine, &base, &[120.0], 8).unwrap(),
+            half_cave_sensitivity(&engine, &base, &[20], 8).unwrap(),
+        ];
+        for sweep in &sweeps {
+            assert_eq!(read(&sweep.points[0]), own, "{}", sweep.parameter_name);
+        }
+    }
+
+    #[test]
     fn half_cave_sweep_preserves_the_ordering() {
-        let sweep = half_cave_sensitivity(&base(), &[10, 20, 40], 8).unwrap();
+        let sweep = half_cave_sensitivity(&engine(), &base(), &[10, 20, 40], 8).unwrap();
         assert!(sweep.optimised_always_wins());
         assert_eq!(sweep.parameter_name, "nanowires_per_half_cave");
         // Larger half caves accumulate more doses and can only reduce yield.
@@ -264,19 +326,19 @@ mod tests {
     #[test]
     fn empty_sweeps_are_rejected() {
         assert!(matches!(
-            sigma_sensitivity(&base(), &[], 8),
+            sigma_sensitivity(&engine(), &base(), &[], 8),
             Err(SimError::EmptySweep)
         ));
         assert!(matches!(
-            window_sensitivity(&base(), &[], 8),
+            window_sensitivity(&engine(), &base(), &[], 8),
             Err(SimError::EmptySweep)
         ));
         assert!(matches!(
-            alignment_sensitivity(&base(), &[], 8),
+            alignment_sensitivity(&engine(), &base(), &[], 8),
             Err(SimError::EmptySweep)
         ));
         assert!(matches!(
-            half_cave_sensitivity(&base(), &[], 8),
+            half_cave_sensitivity(&engine(), &base(), &[], 8),
             Err(SimError::EmptySweep)
         ));
     }

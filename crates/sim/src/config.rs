@@ -171,6 +171,15 @@ impl SimConfig {
         self
     }
 
+    /// Replaces the layout rules, keeping every other parameter — the
+    /// operation the contact-alignment sensitivity sweep performs for every
+    /// point.
+    #[must_use]
+    pub fn with_layout(mut self, layout: LayoutRules) -> Self {
+        self.layout = layout;
+        self
+    }
+
     /// Overrides the number of nanowires per half cave.
     ///
     /// # Errors

@@ -1,5 +1,5 @@
-//! Work-sharded parallel execution engine for the Monte-Carlo validator and
-//! the Fig. 5–8 parameter sweeps.
+//! Work-sharded parallel execution engine for the Monte-Carlo validator,
+//! the defect maps and the batches of design points behind Figs. 5–8.
 //!
 //! # Determinism contract
 //!
@@ -21,18 +21,21 @@
 //! `samples_used` and the profile — is identical at any thread count; chunks
 //! computed past the stopping point are discarded, never folded in.
 //!
-//! Sweep points are evaluated independently and reassembled in parameter
-//! order, so sweep results are element-identical to the serial path.
+//! Every batch of design points — the Fig. 7 and Fig. 8 sweeps, the
+//! headline numbers, the sensitivity sweeps and the design-space
+//! exploration — goes through [`ExecutionEngine::reports_for`]: the points
+//! are evaluated independently and reassembled in input order, so a batch
+//! is element-identical to the serial path.
 //!
 //! # Memoization
 //!
 //! The engine carries one [`StageCache`]: a sharded, bounded, single-flight
 //! LRU slot per pipeline stage, whose `Composite` slot is the engine's one
-//! report memo ([`ReportCache`](crate::ReportCache)). Repeated (kind, radix,
-//! length) points across `yield_sweep`, `bit_area_sweep` and `full_sweep`
-//! calls on the same engine are evaluated once and served from that slot
-//! afterwards, and concurrent identical requests (the serve layer's
-//! workload) block on one in-flight evaluation instead of duplicating it.
+//! report memo ([`ReportCache`](crate::ReportCache)). A configuration
+//! repeated across `reports_for` batches on the same engine is evaluated
+//! once and served from that slot afterwards, and concurrent identical
+//! requests (the serve layer's workload) block on one in-flight evaluation
+//! instead of duplicating it.
 //! The report memo persists to a versioned binary snapshot
 //! ([`ExecutionEngine::save_cache`] / [`ExecutionEngine::load_cache`]) so
 //! repeated runs restart warm.
@@ -54,7 +57,6 @@ use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 use crate::cache::{CacheConfig, CacheStats};
 use crate::config::SimConfig;
-use crate::defect::DefectKind;
 use crate::disturbance::DisturbanceModel;
 use crate::error::{Result, SimError};
 use crate::monte_carlo::{
@@ -63,7 +65,7 @@ use crate::monte_carlo::{
 use crate::platform::{PlatformReport, SimulationPlatform};
 use crate::stage::{StageCache, StageStats};
 use crate::stats::{wilson_bounds, wilson_half_width, z_for_confidence};
-use crate::sweep::{BitAreaPoint, ComplexityPoint, DefectYieldPoint, YieldPoint};
+use crate::sweep::ComplexityPoint;
 
 /// Environment variable overriding the default engine thread count
 /// (CI uses it as a cheap cross-thread determinism gate).
@@ -129,7 +131,7 @@ fn default_thread_count() -> usize {
 /// # Examples
 ///
 /// ```
-/// use decoder_sim::{EngineConfig, ExecutionEngine, SimConfig};
+/// use decoder_sim::{design_points, EngineConfig, ExecutionEngine, SimConfig};
 /// use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -139,12 +141,13 @@ fn default_thread_count() -> usize {
 /// });
 /// let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8)?;
 /// let base = SimConfig::paper_defaults(code)?;
-/// let reports = engine.full_sweep(
+/// let configs = design_points(
 ///     &base,
 ///     &[CodeKind::Tree, CodeKind::Gray],
 ///     LogicLevel::BINARY,
 ///     &[6, 8],
-/// )?;
+/// );
+/// let reports = engine.reports_for(&configs)?;
 /// assert_eq!(reports.len(), 4);
 /// # Ok(())
 /// # }
@@ -581,14 +584,21 @@ impl ExecutionEngine {
         Ok(counts.into_iter().sum())
     }
 
-    /// Evaluates every configuration through the report cache, fanning the
-    /// batch across the engine's threads. In-batch duplicates are deduped
-    /// *before* the fan-out so they never occupy a worker just to block on
-    /// another worker's single-flight (and are evaluated once even with a
-    /// disabled cache); the single-flight cache still dedups against
-    /// concurrent batches and serve-layer requests. Results come back in
-    /// input order.
-    fn evaluate_batch(&self, configs: &[SimConfig]) -> Result<Vec<PlatformReport>> {
+    /// Evaluates every configuration through the report cache
+    /// ([`ExecutionEngine::report_for`]), fanning the batch across the
+    /// engine's threads — the one path of every batch of design points.
+    /// In-batch duplicates are deduped *before* the fan-out so they never
+    /// occupy a worker just to block on another worker's single-flight (and
+    /// are evaluated once even with a disabled cache); the single-flight
+    /// cache still dedups against concurrent batches and serve-layer
+    /// requests. Results come back in input order, bit-identical to the
+    /// serial [`SimulationPlatform::evaluate`] at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the lowest-index configuration that fails to
+    /// evaluate (every configuration is still evaluated).
+    pub fn reports_for(&self, configs: &[SimConfig]) -> Result<Vec<PlatformReport>> {
         let mut unique: Vec<&SimConfig> = Vec::new();
         let mut slots = Vec::with_capacity(configs.len());
         for config in configs {
@@ -650,165 +660,13 @@ impl ExecutionEngine {
             })
             .collect())
     }
-
-    /// Sweeps the crossbar yield over code lengths for one code family (one
-    /// series of Fig. 7), batched through the report cache. Lengths that are
-    /// invalid for the family/radix are skipped silently, so hot-code sweeps
-    /// can share length lists with tree-code sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EmptySweep`] for an empty length set, or
-    /// propagates evaluation errors.
-    pub fn yield_sweep(
-        &self,
-        base: &SimConfig,
-        kind: CodeKind,
-        radix: LogicLevel,
-        code_lengths: &[usize],
-    ) -> Result<Vec<YieldPoint>> {
-        if code_lengths.is_empty() {
-            return Err(SimError::EmptySweep);
-        }
-        let (lengths, configs) = valid_length_configs(base, kind, radix, code_lengths);
-        let reports = self.evaluate_batch(&configs)?;
-        Ok(lengths
-            .into_iter()
-            .zip(reports)
-            .map(|(code_length, report)| YieldPoint {
-                kind,
-                code_length,
-                cave_yield: report.cave_yield,
-                crossbar_yield: report.crossbar_yield,
-            })
-            .collect())
-    }
-
-    /// Sweeps the composite crossbar yield of one code over a set of
-    /// fabrication-defect selections (the defect axis of the Fig. 7
-    /// extension), batched through the report cache. Defect counts are
-    /// engine-sharded via [`ExecutionEngine::report_for`], so points stay
-    /// bit-identical for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EmptySweep`] for an empty defect set, or
-    /// propagates code and evaluation errors.
-    pub fn defect_yield_sweep(
-        &self,
-        base: &SimConfig,
-        kind: CodeKind,
-        radix: LogicLevel,
-        code_length: usize,
-        defects: &[DefectKind],
-    ) -> Result<Vec<DefectYieldPoint>> {
-        if defects.is_empty() {
-            return Err(SimError::EmptySweep);
-        }
-        let code = CodeSpec::new(kind, radix, code_length)?;
-        let configs: Vec<SimConfig> = defects
-            .iter()
-            .map(|&defect| base.clone().with_code(code).with_defects(defect))
-            .collect();
-        let reports = self.evaluate_batch(&configs)?;
-        Ok(defects
-            .iter()
-            .zip(reports)
-            .map(|(&defect, report)| DefectYieldPoint {
-                kind,
-                code_length,
-                defects: defect,
-                decoder_yield: report.crossbar_yield,
-                defect_survival: report.defect_survival,
-                composite_yield: report.composite_yield,
-            })
-            .collect())
-    }
-
-    /// Sweeps the effective bit area over code lengths for one code family
-    /// (one bar group of Fig. 8), batched through the report cache; invalid
-    /// lengths for the family are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EmptySweep`] for an empty length set, or
-    /// propagates evaluation errors.
-    pub fn bit_area_sweep(
-        &self,
-        base: &SimConfig,
-        kind: CodeKind,
-        radix: LogicLevel,
-        code_lengths: &[usize],
-    ) -> Result<Vec<BitAreaPoint>> {
-        if code_lengths.is_empty() {
-            return Err(SimError::EmptySweep);
-        }
-        let (lengths, configs) = valid_length_configs(base, kind, radix, code_lengths);
-        let reports = self.evaluate_batch(&configs)?;
-        Ok(lengths
-            .into_iter()
-            .zip(reports)
-            .map(|(code_length, report)| BitAreaPoint {
-                kind,
-                code_length,
-                bit_area: report.effective_bit_area,
-                crossbar_yield: report.crossbar_yield,
-            })
-            .collect())
-    }
-
-    /// Evaluates the full platform report for every (kind, length) pair,
-    /// batched through the report cache — for callers that need several
-    /// figures at once; invalid (kind, length) pairs are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EmptySweep`] for empty parameter sets, or
-    /// propagates evaluation errors.
-    pub fn full_sweep(
-        &self,
-        base: &SimConfig,
-        kinds: &[CodeKind],
-        radix: LogicLevel,
-        code_lengths: &[usize],
-    ) -> Result<Vec<PlatformReport>> {
-        if kinds.is_empty() || code_lengths.is_empty() {
-            return Err(SimError::EmptySweep);
-        }
-        let mut configs = Vec::new();
-        for &kind in kinds {
-            for &code_length in code_lengths {
-                if let Ok(code) = CodeSpec::new(kind, radix, code_length) {
-                    configs.push(base.clone().with_code(code));
-                }
-            }
-        }
-        self.evaluate_batch(&configs)
-    }
-}
-
-/// The (length, config) pairs of the lengths that are valid for the family —
-/// the shared skip-silently discipline of the yield and bit-area sweeps.
-fn valid_length_configs(
-    base: &SimConfig,
-    kind: CodeKind,
-    radix: LogicLevel,
-    code_lengths: &[usize],
-) -> (Vec<usize>, Vec<SimConfig>) {
-    let mut lengths = Vec::with_capacity(code_lengths.len());
-    let mut configs = Vec::with_capacity(code_lengths.len());
-    for &code_length in code_lengths {
-        if let Ok(code) = CodeSpec::new(kind, radix, code_length) {
-            lengths.push(code_length);
-            configs.push(base.clone().with_code(code));
-        }
-    }
-    (lengths, configs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defect::DefectKind;
+    use crate::sweep::design_points;
 
     fn base() -> SimConfig {
         let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
@@ -886,7 +744,6 @@ mod tests {
         let base = base();
         let kinds = [CodeKind::Tree, CodeKind::Gray, CodeKind::Hot];
         let radices = [LogicLevel::BINARY, LogicLevel::TERNARY];
-        let lengths = [4usize, 5, 6, 8];
         let engine = engine(4);
         // A fresh serial engine per sweep, so no comparison is a cache hit.
         let serial = ExecutionEngine::serial;
@@ -899,81 +756,48 @@ mod tests {
                 .complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
                 .unwrap()
         );
-        assert_eq!(
-            engine
-                .yield_sweep(&base, CodeKind::Hot, LogicLevel::BINARY, &lengths)
-                .unwrap(),
-            serial()
-                .yield_sweep(&base, CodeKind::Hot, LogicLevel::BINARY, &lengths)
-                .unwrap()
+        // A Fig. 7/8 grid plus a defect-configured point.
+        let mut configs = design_points(&base, &kinds, LogicLevel::BINARY, &[4, 5, 6, 8]);
+        configs.push(
+            base.clone()
+                .with_defects(DefectKind::sampled(0.05, 0.02, 42).unwrap()),
         );
         assert_eq!(
-            engine
-                .bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &[6, 8])
-                .unwrap(),
-            serial()
-                .bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &[6, 8])
-                .unwrap()
-        );
-        assert_eq!(
-            engine
-                .full_sweep(&base, &kinds, LogicLevel::BINARY, &[6, 8])
-                .unwrap(),
-            serial()
-                .full_sweep(&base, &kinds, LogicLevel::BINARY, &[6, 8])
-                .unwrap()
-        );
-        let defects = [
-            DefectKind::None,
-            DefectKind::sampled(0.05, 0.02, 42).unwrap(),
-        ];
-        assert_eq!(
-            engine
-                .defect_yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
-                .unwrap(),
-            serial()
-                .defect_yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
-                .unwrap()
+            engine.reports_for(&configs).unwrap(),
+            serial().reports_for(&configs).unwrap()
         );
     }
 
     #[test]
     fn repeated_points_hit_the_report_cache() {
-        let base = base();
+        let configs = design_points(&base(), &[CodeKind::Tree], LogicLevel::BINARY, &[6, 8]);
         let engine = engine(2);
-        let lengths = [6usize, 8];
-        let first = engine
-            .yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &lengths)
-            .unwrap();
-        let cached = engine.cached_report_count();
-        assert_eq!(cached, 2);
-        // The bit-area sweep over the same points evaluates nothing new.
-        engine
-            .bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &lengths)
-            .unwrap();
-        assert_eq!(engine.cached_report_count(), cached);
-        // And a repeated yield sweep returns identical points.
-        let second = engine
-            .yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &lengths)
-            .unwrap();
-        assert_eq!(first, second);
+        let first = engine.reports_for(&configs).unwrap();
+        assert_eq!(engine.cached_report_count(), 2);
+        let hits = engine.cache_stats().hits;
+        // A repeated batch evaluates nothing new and returns identical
+        // reports.
+        assert_eq!(engine.reports_for(&configs).unwrap(), first);
+        assert_eq!(engine.cached_report_count(), 2);
+        assert_eq!(engine.cache_stats().hits, hits + 2);
     }
 
     #[test]
     fn duplicate_points_in_one_batch_are_evaluated_once() {
         let base = base();
         let engine = engine(2);
-        let reports = engine
-            .full_sweep(
-                &base,
-                &[CodeKind::Tree, CodeKind::Tree],
-                LogicLevel::BINARY,
-                &[8],
-            )
-            .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0], reports[1]);
-        assert_eq!(engine.cached_report_count(), 1);
+        let configs = [
+            base.clone(),
+            base.clone().with_window(Volts::new(0.2)),
+            base,
+        ];
+        let reports = engine.reports_for(&configs).unwrap();
+        assert_eq!(reports.len(), 3);
+        assert_eq!(reports[0], reports[2]);
+        assert_ne!(reports[0], reports[1]);
+        assert_eq!(engine.cached_report_count(), 2);
+        assert_eq!(engine.cache_stats().misses, 2);
+        assert!(engine.reports_for(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -993,6 +817,7 @@ mod tests {
         // A defect-configured report on a 10¹²-bit crossbar (a 10⁶ edge) and
         // on one whose crosspoint count overflows fails the same way.
         let base = base();
+        let mut oversized = Vec::new();
         for raw_bits in [1_000_000_000_000, u64::MAX] {
             let config = SimConfig::new(
                 base.code(),
@@ -1006,9 +831,24 @@ mod tests {
             .unwrap()
             .with_defects(DefectKind::sampled(0.02, 0.01, 1).unwrap());
             assert!(is_spec_error(engine.report_for(&config).unwrap_err()));
-            let platform = SimulationPlatform::new(config);
+            let platform = SimulationPlatform::new(config.clone());
             assert!(is_spec_error(platform.evaluate().unwrap_err()));
             assert!(is_spec_error(platform.sample_defect_map().unwrap_err()));
+            oversized.push(config);
+        }
+        // A batch returns the error of its lowest-index failing config.
+        let errors: Vec<SimError> = oversized
+            .iter()
+            .map(|config| engine.report_for(config).unwrap_err())
+            .collect();
+        assert_ne!(errors[0], errors[1]);
+        for (first, second) in [(0, 1), (1, 0)] {
+            let batch = [
+                base.clone(),
+                oversized[first].clone(),
+                oversized[second].clone(),
+            ];
+            assert_eq!(engine.reports_for(&batch).unwrap_err(), errors[first]);
         }
     }
 
@@ -1020,19 +860,7 @@ mod tests {
             Err(SimError::EmptySweep)
         ));
         assert!(matches!(
-            engine.yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[]),
-            Err(SimError::EmptySweep)
-        ));
-        assert!(matches!(
-            engine.bit_area_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[]),
-            Err(SimError::EmptySweep)
-        ));
-        assert!(matches!(
-            engine.full_sweep(&base(), &[], LogicLevel::BINARY, &[8]),
-            Err(SimError::EmptySweep)
-        ));
-        assert!(matches!(
-            engine.defect_yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, 8, &[]),
+            engine.complexity_sweep(&base(), &[CodeKind::Tree], &[], 8, 10),
             Err(SimError::EmptySweep)
         ));
     }

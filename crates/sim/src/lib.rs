@@ -4,15 +4,17 @@
 //! one configuration object ([`SimConfig`]) holding the paper's platform
 //! parameters, one orchestrator ([`SimulationPlatform`]) that takes a code
 //! choice to fabrication complexity, variability, yield and bit area, the
-//! parameter sweeps behind Figs. 5–8, and a Monte-Carlo cross-check of the
-//! analytic yield model with pluggable disturbance distributions
-//! ([`DisturbanceModel`]: Gaussian, heavy-tailed Laplace, correlated
-//! inter-region) — the regimes the closed-form Gaussian integration cannot
-//! reach.
+//! design points behind Figs. 5–8 ([`design_points`], evaluated as one
+//! batch by [`ExecutionEngine::reports_for`]), and a Monte-Carlo
+//! cross-check of the analytic yield model with pluggable disturbance
+//! distributions ([`DisturbanceModel`]: Gaussian, heavy-tailed Laplace,
+//! correlated inter-region) — the regimes the closed-form Gaussian
+//! integration cannot reach.
 //!
-//! Both the Monte-Carlo validator and the sweeps run on a work-sharded
-//! parallel [`ExecutionEngine`] whose results are bit-identical for any
-//! thread count, [`ExecutionEngine::serial`] included; the engine also
+//! Both the Monte-Carlo validator and the batches of design points run on a
+//! work-sharded parallel [`ExecutionEngine`] whose results are
+//! bit-identical for any thread count, [`ExecutionEngine::serial`]
+//! included; the engine also
 //! shards crossbar defect sampling under the same per-chunk seeding
 //! contract. When a configuration selects defects
 //! ([`SimConfig::with_defects`] / [`DefectKind`]), every report composes
@@ -101,9 +103,7 @@ pub use crossbar_array::chunk_seed;
 pub use platform::{PlatformReport, SimulationPlatform};
 pub use report::{Fig5Report, Fig6Report, Fig7Report, Fig8Report};
 pub use stage::{ConfigField, Stage, StageCache, StageStats};
-pub use sweep::{
-    variability_map, BitAreaPoint, ComplexityPoint, DefectYieldPoint, VariabilityMap, YieldPoint,
-};
+pub use sweep::{design_points, variability_map, ComplexityPoint, VariabilityMap};
 
 #[cfg(test)]
 mod crate_tests {

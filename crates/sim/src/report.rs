@@ -6,10 +6,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use nanowire_codes::CodeKind;
-
 use crate::ablation::SensitivitySweep;
-use crate::sweep::{BitAreaPoint, ComplexityPoint, DefectYieldPoint, VariabilityMap, YieldPoint};
+use crate::platform::PlatformReport;
+use crate::sweep::{ComplexityPoint, VariabilityMap};
 
 /// Fig. 5 — fabrication complexity per code type and logic radix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,11 +82,13 @@ impl fmt::Display for Fig6Report {
 /// defect axis: composite yield under sampled fabrication defects.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig7Report {
-    /// One series per code family (the paper's figure).
-    pub series: Vec<(CodeKind, Vec<YieldPoint>)>,
-    /// One yield-vs-defect-rate series per code family (empty when the
-    /// defect axis was not swept — the paper assumes defect-free arrays).
-    pub defect_series: Vec<(CodeKind, Vec<DefectYieldPoint>)>,
+    /// One report per (code, length) point of the paper's figure, in row
+    /// order.
+    pub points: Vec<PlatformReport>,
+    /// One report per (code, defect selection) point of the defect axis, in
+    /// row order (empty when the axis was not swept — the paper assumes
+    /// defect-free arrays).
+    pub defect_points: Vec<PlatformReport>,
 }
 
 impl fmt::Display for Fig7Report {
@@ -96,26 +97,24 @@ impl fmt::Display for Fig7Report {
             f,
             "Fig. 7 — crossbar yield (fraction of addressable crosspoints)"
         )?;
-        if !self.series.is_empty() {
+        if !self.points.is_empty() {
             writeln!(
                 f,
                 "{:<6} {:>8} {:>12} {:>14}",
                 "code", "length", "cave yield", "crossbar yield"
             )?;
-            for (kind, points) in &self.series {
-                for point in points {
-                    writeln!(
-                        f,
-                        "{:<6} {:>8} {:>11.1}% {:>13.1}%",
-                        kind.label(),
-                        point.code_length,
-                        point.cave_yield * 100.0,
-                        point.crossbar_yield * 100.0
-                    )?;
-                }
+            for report in &self.points {
+                writeln!(
+                    f,
+                    "{:<6} {:>8} {:>11.1}% {:>13.1}%",
+                    report.code.kind().label(),
+                    report.code.code_length(),
+                    report.cave_yield * 100.0,
+                    report.crossbar_yield * 100.0
+                )?;
             }
         }
-        if !self.defect_series.is_empty() {
+        if !self.defect_points.is_empty() {
             writeln!(
                 f,
                 "defect axis — composite yield under sampled fabrication defects"
@@ -125,20 +124,18 @@ impl fmt::Display for Fig7Report {
                 "{:<6} {:>8} {:>8} {:>8} {:>10} {:>10} {:>11}",
                 "code", "length", "break", "stuck", "decoder", "survival", "composite"
             )?;
-            for (kind, points) in &self.defect_series {
-                for point in points {
-                    writeln!(
-                        f,
-                        "{:<6} {:>8} {:>7.2}% {:>7.2}% {:>9.2}% {:>9.2}% {:>10.2}%",
-                        kind.label(),
-                        point.code_length,
-                        point.defects.nanowire_breakage() * 100.0,
-                        point.defects.crosspoint_defect() * 100.0,
-                        point.decoder_yield * 100.0,
-                        point.defect_survival * 100.0,
-                        point.composite_yield * 100.0
-                    )?;
-                }
+            for report in &self.defect_points {
+                writeln!(
+                    f,
+                    "{:<6} {:>8} {:>7.2}% {:>7.2}% {:>9.2}% {:>9.2}% {:>10.2}%",
+                    report.code.kind().label(),
+                    report.code.code_length(),
+                    report.defects.nanowire_breakage() * 100.0,
+                    report.defects.crosspoint_defect() * 100.0,
+                    report.crossbar_yield * 100.0,
+                    report.defect_survival * 100.0,
+                    report.composite_yield * 100.0
+                )?;
             }
         }
         Ok(())
@@ -148,23 +145,20 @@ impl fmt::Display for Fig7Report {
 /// Fig. 8 — effective bit area per code type and length.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig8Report {
-    /// One series per code family.
-    pub series: Vec<(CodeKind, Vec<BitAreaPoint>)>,
+    /// One report per (code, length) point, in row order.
+    pub points: Vec<PlatformReport>,
 }
 
 impl Fig8Report {
-    /// The smallest bit area across every series, with its code and length —
-    /// the paper's headline "169 nm² for the balanced Gray code".
+    /// The point with the smallest bit area (the first of equals) — the
+    /// paper's headline "169 nm² for the balanced Gray code".
     #[must_use]
-    pub fn best(&self) -> Option<(CodeKind, usize, f64)> {
-        self.series
-            .iter()
-            .flat_map(|(kind, points)| {
-                points
-                    .iter()
-                    .map(move |p| (*kind, p.code_length, p.bit_area))
-            })
-            .min_by(|a, b| a.2.partial_cmp(&b.2).expect("finite areas"))
+    pub fn best(&self) -> Option<&PlatformReport> {
+        self.points.iter().min_by(|a, b| {
+            a.effective_bit_area
+                .partial_cmp(&b.effective_bit_area)
+                .expect("finite areas")
+        })
     }
 }
 
@@ -176,23 +170,23 @@ impl fmt::Display for Fig8Report {
             "{:<6} {:>8} {:>14} {:>14}",
             "code", "length", "bit area [nm²]", "crossbar yield"
         )?;
-        for (kind, points) in &self.series {
-            for point in points {
-                writeln!(
-                    f,
-                    "{:<6} {:>8} {:>14.1} {:>13.1}%",
-                    kind.label(),
-                    point.code_length,
-                    point.bit_area,
-                    point.crossbar_yield * 100.0
-                )?;
-            }
-        }
-        if let Some((kind, length, area)) = self.best() {
+        for report in &self.points {
             writeln!(
                 f,
-                "best: {} at M = {length} with {area:.1} nm²",
-                kind.label()
+                "{:<6} {:>8} {:>14.1} {:>13.1}%",
+                report.code.kind().label(),
+                report.code.code_length(),
+                report.effective_bit_area,
+                report.crossbar_yield * 100.0
+            )?;
+        }
+        if let Some(best) = self.best() {
+            writeln!(
+                f,
+                "best: {} at M = {} with {:.1} nm²",
+                best.code.kind().label(),
+                best.code.code_length(),
+                best.effective_bit_area
             )?;
         }
         Ok(())
@@ -231,8 +225,8 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::ExecutionEngine;
-    use crate::sweep::variability_map;
-    use nanowire_codes::{CodeSpec, LogicLevel};
+    use crate::sweep::{design_points, variability_map};
+    use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
     fn base() -> SimConfig {
         let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
@@ -272,50 +266,37 @@ mod tests {
 
     #[test]
     fn fig7_report_renders_series() {
-        let engine = ExecutionEngine::serial();
-        let series = vec![
-            (
-                CodeKind::Tree,
-                engine
-                    .yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[6, 8, 10])
-                    .unwrap(),
-            ),
-            (
-                CodeKind::BalancedGray,
-                engine
-                    .yield_sweep(
-                        &base(),
-                        CodeKind::BalancedGray,
-                        LogicLevel::BINARY,
-                        &[6, 8, 10],
-                    )
-                    .unwrap(),
-            ),
-        ];
+        let configs = design_points(
+            &base(),
+            &[CodeKind::Tree, CodeKind::BalancedGray],
+            LogicLevel::BINARY,
+            &[6, 8, 10],
+        );
         let report = Fig7Report {
-            series,
-            defect_series: vec![],
+            points: ExecutionEngine::serial().reports_for(&configs).unwrap(),
+            defect_points: vec![],
         };
         let text = report.to_string();
         assert!(text.contains("Fig. 7"));
         assert!(text.contains("BGC"));
         assert!(text.contains('%'));
         assert!(!text.contains("defect axis"));
+        assert_eq!(text.lines().count(), 2 + configs.len());
     }
 
     #[test]
     fn fig7_report_renders_the_defect_axis() {
         use crate::defect::DefectKind;
-        let defects = [
+        let configs: Vec<SimConfig> = [
             DefectKind::None,
             DefectKind::sampled(0.05, 0.02, 2_009).unwrap(),
-        ];
-        let points = ExecutionEngine::serial()
-            .defect_yield_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
-            .unwrap();
+        ]
+        .into_iter()
+        .map(|defects| base().with_defects(defects))
+        .collect();
         let report = Fig7Report {
-            series: vec![],
-            defect_series: vec![(CodeKind::Tree, points)],
+            points: vec![],
+            defect_points: ExecutionEngine::serial().reports_for(&configs).unwrap(),
         };
         let text = report.to_string();
         assert!(text.contains("defect axis"));
@@ -323,45 +304,35 @@ mod tests {
         assert!(text.contains("composite"));
         // The defect-free row keeps composite == decoder; the defective row
         // loses yield.
-        let defective = &report.defect_series[0].1[1];
-        assert!(defective.composite_yield < defective.decoder_yield);
-        let clean = &report.defect_series[0].1[0];
-        assert_eq!(clean.composite_yield, clean.decoder_yield);
+        let [clean, defective] = &report.defect_points[..] else {
+            panic!("two defect points");
+        };
+        assert!(defective.composite_yield < defective.crossbar_yield);
+        assert_eq!(clean.composite_yield, clean.crossbar_yield);
     }
 
     #[test]
     fn fig8_report_finds_the_best_bit_area() {
-        let engine = ExecutionEngine::serial();
-        let series = vec![
-            (
-                CodeKind::Tree,
-                engine
-                    .bit_area_sweep(&base(), CodeKind::Tree, LogicLevel::BINARY, &[6, 10])
-                    .unwrap(),
-            ),
-            (
-                CodeKind::BalancedGray,
-                engine
-                    .bit_area_sweep(
-                        &base(),
-                        CodeKind::BalancedGray,
-                        LogicLevel::BINARY,
-                        &[6, 10],
-                    )
-                    .unwrap(),
-            ),
-        ];
-        let report = Fig8Report { series };
+        let configs = design_points(
+            &base(),
+            &[CodeKind::Tree, CodeKind::BalancedGray],
+            LogicLevel::BINARY,
+            &[6, 10],
+        );
+        let report = Fig8Report {
+            points: ExecutionEngine::serial().reports_for(&configs).unwrap(),
+        };
         let best = report.best().unwrap();
-        assert!(best.2 > 0.0);
         // The balanced Gray code at the longer length must not lose to the
         // short tree code.
-        assert!(report.to_string().contains("best:"));
+        assert_eq!(best.code.kind(), CodeKind::BalancedGray);
+        assert_eq!(best.code.code_length(), 10);
+        assert!(report.to_string().contains("best: BGC at M = 10"));
     }
 
     #[test]
     fn empty_fig8_report_has_no_best() {
-        let report = Fig8Report { series: vec![] };
+        let report = Fig8Report { points: vec![] };
         assert!(report.best().is_none());
     }
 }

@@ -1,9 +1,12 @@
-//! The points of the parameter sweeps over code type, logic radix and code
-//! length behind Figs. 5–8 of the paper — the [`ExecutionEngine`] sweep
-//! methods produce them — and the Fig. 6 variability map, which has no
-//! engine form.
+//! The design points of the parameter sweeps over code type, logic radix
+//! and code length behind Figs. 5–8 of the paper. [`design_points`] lists
+//! the configurations of a (kind, length) grid, which
+//! [`ExecutionEngine::reports_for`] evaluates as one batch (Figs. 7 and 8,
+//! the headline numbers, the design-space exploration); Fig. 5's
+//! complexity points and Fig. 6's variability maps are built per half cave
+//! of their own size instead.
 //!
-//! [`ExecutionEngine`]: crate::ExecutionEngine
+//! [`ExecutionEngine::reports_for`]: crate::ExecutionEngine::reports_for
 
 use serde::{Deserialize, Serialize};
 
@@ -11,9 +14,30 @@ use mspt_fabrication::Matrix;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 use crate::config::SimConfig;
-use crate::defect::DefectKind;
 use crate::error::Result;
 use crate::platform::SimulationPlatform;
+
+/// The configurations of a (kind, length) grid over `base`: one per valid
+/// code, kinds outer and lengths inner. A length that is invalid for a
+/// family and radix is skipped, so hot-code families can share a length
+/// list with tree-code families.
+#[must_use]
+pub fn design_points(
+    base: &SimConfig,
+    kinds: &[CodeKind],
+    radix: LogicLevel,
+    code_lengths: &[usize],
+) -> Vec<SimConfig> {
+    kinds
+        .iter()
+        .flat_map(|&kind| {
+            code_lengths
+                .iter()
+                .filter_map(move |&length| CodeSpec::new(kind, radix, length).ok())
+        })
+        .map(|code| base.clone().with_code(code))
+        .collect()
+}
 
 /// One point of the fabrication-complexity sweep (Fig. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,50 +70,6 @@ pub struct VariabilityMap {
     pub mean_variability: f64,
     /// Largest normalised deviation of the map.
     pub max_normalized_sigma: f64,
-}
-
-/// One point of the yield sweep (Fig. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct YieldPoint {
-    /// Code family.
-    pub kind: CodeKind,
-    /// Code length `M`.
-    pub code_length: usize,
-    /// Cave (nanowire) yield `Y`.
-    pub cave_yield: f64,
-    /// Crossbar (crosspoint) yield `Y²`.
-    pub crossbar_yield: f64,
-}
-
-/// One point of the defect-axis yield sweep (the Fig. 7 extension): the
-/// decoder yield of one code composed with one fabrication-defect selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DefectYieldPoint {
-    /// Code family.
-    pub kind: CodeKind,
-    /// Code length `M`.
-    pub code_length: usize,
-    /// The fabrication-defect selection of the point.
-    pub defects: DefectKind,
-    /// Decoder-limited crossbar yield `Y²` (defect-free).
-    pub decoder_yield: f64,
-    /// Fraction of crosspoints surviving the sampled defect map.
-    pub defect_survival: f64,
-    /// Composite crossbar yield: `Y²` × survival.
-    pub composite_yield: f64,
-}
-
-/// One point of the bit-area sweep (Fig. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BitAreaPoint {
-    /// Code family.
-    pub kind: CodeKind,
-    /// Code length `M`.
-    pub code_length: usize,
-    /// Effective area per functional bit in nm².
-    pub bit_area: f64,
-    /// Crossbar yield `Y²` behind the bit area.
-    pub crossbar_yield: f64,
 }
 
 /// Computes the variability map of one code family and length (one panel of
@@ -186,45 +166,61 @@ mod tests {
 
     #[test]
     fn yield_sweep_skips_invalid_lengths_and_stays_in_bounds() {
-        let points = ExecutionEngine::serial()
-            .yield_sweep(&base(), CodeKind::Hot, LogicLevel::BINARY, &[4, 5, 6, 8])
-            .unwrap();
+        let configs = design_points(&base(), &[CodeKind::Hot], LogicLevel::BINARY, &[4, 5, 6, 8]);
         // Length 5 is invalid for a binary hot code and must be skipped.
-        assert_eq!(points.len(), 3);
-        for p in &points {
-            assert!(p.cave_yield > 0.0 && p.cave_yield <= 1.0);
-            assert!((p.crossbar_yield - p.cave_yield.powi(2)).abs() < 1e-12);
+        let lengths: Vec<usize> = configs.iter().map(|c| c.code().code_length()).collect();
+        assert_eq!(lengths, [4, 6, 8]);
+        for report in ExecutionEngine::serial().reports_for(&configs).unwrap() {
+            assert!(report.cave_yield > 0.0 && report.cave_yield <= 1.0);
+            assert!((report.crossbar_yield - report.cave_yield.powi(2)).abs() < 1e-12);
         }
     }
 
     #[test]
     fn bit_area_sweep_produces_positive_areas() {
-        let points = ExecutionEngine::serial()
-            .bit_area_sweep(
-                &base(),
-                CodeKind::BalancedGray,
-                LogicLevel::BINARY,
-                &[6, 8, 10],
-            )
-            .unwrap();
-        assert_eq!(points.len(), 3);
-        for p in &points {
-            assert!(p.bit_area > 100.0);
+        let configs = design_points(
+            &base(),
+            &[CodeKind::BalancedGray],
+            LogicLevel::BINARY,
+            &[6, 8, 10],
+        );
+        let reports = ExecutionEngine::serial().reports_for(&configs).unwrap();
+        assert_eq!(reports.len(), 3);
+        for report in &reports {
+            assert!(report.effective_bit_area > 100.0);
         }
         // Fig. 8: longer codes shrink the bit area over this range.
-        assert!(points[2].bit_area < points[0].bit_area);
+        assert!(reports[2].effective_bit_area < reports[0].effective_bit_area);
     }
 
     #[test]
     fn full_sweep_covers_valid_combinations() {
-        let reports = ExecutionEngine::serial()
-            .full_sweep(
-                &base(),
-                &[CodeKind::Tree, CodeKind::Hot],
-                LogicLevel::BINARY,
-                &[6, 8],
-            )
-            .unwrap();
-        assert_eq!(reports.len(), 4);
+        let base = base().with_window(device_physics::Volts::new(0.2));
+        let configs = design_points(
+            &base,
+            &[CodeKind::Tree, CodeKind::Hot],
+            LogicLevel::BINARY,
+            &[4, 5, 8],
+        );
+        // Kinds outer, lengths inner; neither binary family has length 5.
+        let codes: Vec<(CodeKind, usize)> = configs
+            .iter()
+            .map(|c| (c.code().kind(), c.code().code_length()))
+            .collect();
+        assert_eq!(
+            codes,
+            [
+                (CodeKind::Tree, 4),
+                (CodeKind::Tree, 8),
+                (CodeKind::Hot, 4),
+                (CodeKind::Hot, 8)
+            ]
+        );
+        // Every point keeps the rest of the base.
+        for config in &configs {
+            assert_eq!(config.clone().with_code(base.code()), base);
+        }
+        assert!(design_points(&base, &[], LogicLevel::BINARY, &[8]).is_empty());
+        assert!(design_points(&base, &[CodeKind::Tree], LogicLevel::BINARY, &[]).is_empty());
     }
 }

@@ -1,13 +1,13 @@
 //! Cross-thread equivalence and RNG-discipline regression tests for the
 //! parallel execution engine: the engine must be bit-identical to the serial
-//! path for Monte-Carlo at any thread count, element-identical for sweeps,
-//! and the exact Monte-Carlo outcome for a fixed seed is pinned so future
-//! changes to the sampling discipline are loud.
+//! path for Monte-Carlo and for batches of design points at any thread
+//! count, and the exact Monte-Carlo outcome for a fixed seed is pinned so
+//! future changes to the sampling discipline are loud.
 
 use crossbar_array::DefectModel;
 use decoder_sim::bincodec::report_to_bin;
 use decoder_sim::{
-    DefectKind, DisturbanceKind, DisturbanceModel, EngineConfig, ExecutionEngine,
+    design_points, DefectKind, DisturbanceKind, DisturbanceModel, EngineConfig, ExecutionEngine,
     GaussianDisturbance, LaplaceDisturbance, MonteCarloConfig, MonteCarloOutcome, NormalSource,
     SimConfig, StageCache, DEFAULT_CHUNK_SIZE,
 };
@@ -106,19 +106,23 @@ fn adaptive_stopping_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn full_sweep_is_element_identical_across_thread_counts() {
+fn reports_for_is_element_identical_across_thread_counts() {
     let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
     let base = SimConfig::paper_defaults(code).unwrap();
     let kinds = [CodeKind::Tree, CodeKind::Gray, CodeKind::Hot];
-    let lengths = [4usize, 6, 8];
-    let serial = ExecutionEngine::serial()
-        .full_sweep(&base, &kinds, LogicLevel::BINARY, &lengths)
-        .unwrap();
+    let configs = design_points(&base, &kinds, LogicLevel::BINARY, &[4, 6, 8]);
+    let bits = |engine: &ExecutionEngine| -> Vec<Vec<u8>> {
+        let reports = engine.reports_for(&configs).unwrap();
+        reports.iter().map(report_to_bin).collect()
+    };
+    let serial = bits(&ExecutionEngine::serial());
+    assert_eq!(serial.len(), configs.len());
     for threads in [2usize, 4] {
-        let parallel = engine(threads)
-            .full_sweep(&base, &kinds, LogicLevel::BINARY, &lengths)
-            .unwrap();
-        assert_eq!(serial, parallel, "sweep diverged at {threads} threads");
+        assert_eq!(
+            serial,
+            bits(&engine(threads)),
+            "batch diverged at {threads} threads"
+        );
     }
 }
 

@@ -1,12 +1,14 @@
 //! Explore the paper's design space (all five code families, binary logic,
 //! code lengths 4–10) and rank the candidates by effective bit area — the
-//! optimisation behind the paper's headline "169 nm² per bit".
+//! optimisation behind the paper's headline "169 nm² per bit". The
+//! candidates are evaluated as one batch on a parallel execution engine.
 //!
 //! Run with: `cargo run --example design_space_exploration`
 
 use mspt_nanowire_decoder::decoder::{
     optimize, CodeSelection, DecoderDesign, DesignSpace, Objective,
 };
+use mspt_nanowire_decoder::sim::ExecutionEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = DecoderDesign::builder()
@@ -15,7 +17,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .nanowires_per_half_cave(20)
         .build()?;
 
-    let outcome = optimize(&base, &DesignSpace::paper_default(), Objective::BitArea)?;
+    let outcome = optimize(
+        &ExecutionEngine::default(),
+        &base,
+        &DesignSpace::paper_default(),
+        Objective::BitArea,
+    )?;
 
     println!("Design-space exploration: minimise the effective bit area");
     println!(

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign};
+use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign, DecoderRecipe};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A balanced-Gray-code decoder with 10 doping regions per nanowire —
@@ -15,6 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     let report = design.evaluate()?;
+    let recipe = DecoderRecipe::for_design(&design)?;
 
     println!("MSPT nanowire-decoder quickstart");
     println!("================================");
@@ -24,8 +25,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.nanowires_per_half_cave
     );
     println!("fabrication steps (Φ):    {}", report.fabrication_steps);
-    println!("lithography passes:       {}", report.lithography_passes);
-    println!("distinct implant doses:   {}", report.distinct_doses);
+    println!("lithography passes:       {}", recipe.lithography_passes());
+    println!(
+        "distinct implant doses:   {}",
+        recipe.distinct_doses().len()
+    );
     println!("mean variability (σ_T²):  {:.2}", report.mean_variability);
     println!(
         "cave yield (Y):           {:.1}%",

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::codes::{CodeKind, CodeSequence, CodeSpec, CodeWord, LogicLevel};
     pub use crate::crossbar::{CrossbarSpec, LayoutRules};
     pub use crate::crossbar::{DefectMap, DefectModel};
-    pub use crate::decoder::{CodeSelection, DecoderDesign, DesignReport};
+    pub use crate::decoder::{CodeSelection, DecoderDesign};
     pub use crate::fabrication::{
         FabricationCost, PatternMatrix, StepDopingMatrix, VariabilityMatrix,
     };

@@ -4,7 +4,7 @@
 //! report.
 
 use mspt_nanowire_decoder::crossbar::is_uniquely_addressable;
-use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign};
+use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign, DecoderRecipe};
 use mspt_nanowire_decoder::prelude::*;
 use proptest::prelude::*;
 
@@ -50,7 +50,8 @@ proptest! {
         prop_assert!(report.cave_yield >= 0.0 && report.cave_yield <= 1.0);
         prop_assert!((report.crossbar_yield - report.cave_yield.powi(2)).abs() < 1e-12);
         prop_assert!(report.effective_bit_area >= report.raw_bit_area);
-        prop_assert_eq!(report.lithography_passes, report.fabrication_steps);
+        let recipe = DecoderRecipe::for_design(&design).unwrap();
+        prop_assert_eq!(recipe.lithography_passes(), report.fabrication_steps);
         prop_assert!(report.mean_variability >= 1.0);
     }
 

@@ -2,10 +2,19 @@
 //! (Section 6, Figs. 5–8) hold on the reproduction platform — orderings,
 //! trends and crossover locations rather than absolute numbers.
 
+use decoder_sim::PlatformReport;
 use mspt_experiments::{
     fig5_report, fig6_report, fig7_report, fig8_report, headline_numbers, paper_engine,
 };
 use nanowire_codes::{CodeKind, LogicLevel};
+
+/// The report of one (code, length) point of a figure.
+fn point(points: &[PlatformReport], kind: CodeKind, length: usize) -> &PlatformReport {
+    points
+        .iter()
+        .find(|p| p.code.kind() == kind && p.code.code_length() == length)
+        .unwrap()
+}
 
 #[test]
 fn fig5_binary_complexity_is_flat_and_gray_cancels_the_higher_radix_overhead() {
@@ -63,14 +72,8 @@ fn fig6_gray_codes_reduce_and_balance_the_variability() {
 #[test]
 fn fig7_yield_grows_with_code_length_and_optimised_codes_win() {
     let report = fig7_report(&paper_engine()).unwrap();
-    let series = |kind: CodeKind| &report.series.iter().find(|(k, _)| *k == kind).unwrap().1;
-    let yield_at = |kind: CodeKind, length: usize| {
-        series(kind)
-            .iter()
-            .find(|p| p.code_length == length)
-            .unwrap()
-            .crossbar_yield
-    };
+    let yield_at =
+        |kind: CodeKind, length: usize| point(&report.points, kind, length).crossbar_yield;
     // Yield increases with code length over the plotted range for TC and BGC.
     assert!(yield_at(CodeKind::Tree, 10) > yield_at(CodeKind::Tree, 6));
     assert!(yield_at(CodeKind::BalancedGray, 10) > yield_at(CodeKind::BalancedGray, 6));
@@ -84,24 +87,16 @@ fn fig7_yield_grows_with_code_length_and_optimised_codes_win() {
     let hc_6_to_8 = yield_at(CodeKind::Hot, 8) - yield_at(CodeKind::Hot, 6);
     assert!(hc_6_to_8 < hc_4_to_6 / 2.0);
     // All yields are physical.
-    for (_, points) in &report.series {
-        for p in points {
-            assert!(p.crossbar_yield > 0.0 && p.crossbar_yield <= 1.0);
-        }
+    for p in &report.points {
+        assert!(p.crossbar_yield > 0.0 && p.crossbar_yield <= 1.0);
     }
 }
 
 #[test]
 fn fig8_bit_area_shrinks_with_length_and_the_best_code_is_an_optimised_one() {
     let report = fig8_report(&paper_engine()).unwrap();
-    let series = |kind: CodeKind| &report.series.iter().find(|(k, _)| *k == kind).unwrap().1;
-    let area_at = |kind: CodeKind, length: usize| {
-        series(kind)
-            .iter()
-            .find(|p| p.code_length == length)
-            .unwrap()
-            .bit_area
-    };
+    let area_at =
+        |kind: CodeKind, length: usize| point(&report.points, kind, length).effective_bit_area;
     // Tree-family bit area decreases with code length over 6..10.
     for kind in [CodeKind::Tree, CodeKind::Gray, CodeKind::BalancedGray] {
         assert!(area_at(kind, 10) < area_at(kind, 8));
@@ -115,7 +110,8 @@ fn fig8_bit_area_shrinks_with_length_and_the_best_code_is_an_optimised_one() {
     assert!(area_at(CodeKind::ArrangedHot, 6) <= area_at(CodeKind::ArrangedHot, 8));
     // The overall best is an optimised code with a bit area in the paper's
     // ballpark (the paper reports 169 nm² for BGC, 175 nm² for AHC).
-    let (kind, _, area) = report.best().unwrap();
+    let best = report.best().unwrap();
+    let (kind, area) = (best.code.kind(), best.effective_bit_area);
     assert!(kind.is_optimised());
     assert!(area > 130.0 && area < 230.0, "best bit area {area} nm²");
 }
