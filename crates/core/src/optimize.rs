@@ -266,8 +266,8 @@ mod tests {
         };
         let outcome = optimize(&engine(), &base(), &space, Objective::CrossbarYield).unwrap();
         assert_eq!(outcome.ranked.len(), 9);
-        // A serial engine ranks the same reports, bit for bit, and so does a
-        // stable sort of per-candidate serial evaluations.
+        // A serial engine ranks the same reports, bit for bit, and each is
+        // the candidate's own serial evaluation.
         let serial = optimize(
             &ExecutionEngine::serial(),
             &base(),
@@ -276,21 +276,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ranking(&serial.ranked), ranking(&outcome.ranked));
-        let mut expected = Vec::new();
-        for &kind in &space.kinds {
-            for &length in &space.code_lengths {
-                let code = CodeSpec::new(kind, space.radix, length).unwrap();
-                let config = base().config().clone().with_code(code);
-                let report = SimulationPlatform::new(config).evaluate().unwrap();
-                expected.push((code, -report.crossbar_yield, report_to_bin(&report)));
-            }
+        for candidate in &outcome.ranked {
+            let config = base().config().clone().with_code(candidate.code);
+            let report = SimulationPlatform::new(config).evaluate().unwrap();
+            assert_eq!(report_to_bin(&report), report_to_bin(&candidate.report));
+            let value = objective_value(Objective::CrossbarYield, &report);
+            assert_eq!(value.to_bits(), candidate.objective_value.to_bits());
         }
-        expected.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let expected: Vec<_> = expected
-            .into_iter()
-            .map(|(code, value, bits)| (code, value.to_bits(), bits))
-            .collect();
-        assert_eq!(ranking(&outcome.ranked), expected);
         assert_eq!(outcome.objective, Objective::CrossbarYield);
         // Ranked from best to worst.
         for pair in outcome.ranked.windows(2) {

@@ -260,55 +260,54 @@ mod tests {
 
     #[test]
     fn sweeps_change_only_their_constant_of_the_base() {
-        use crate::defect::DefectKind;
         let base = base()
             .with_window(Volts::from_millivolts(120.0))
-            .with_defects(DefectKind::sampled(0.05, 0.02, 7).unwrap());
+            .with_defects(crate::DefectKind::sampled(0.05, 0.02, 7).unwrap());
         let engine = engine();
-        let pair = |config: &SimConfig| {
-            let codes = [CodeKind::Tree, CodeKind::BalancedGray]
-                .map(|kind| CodeSpec::new(kind, LogicLevel::BINARY, 8).unwrap());
-            let configs = codes.map(|code| config.clone().with_code(code));
-            let reports = engine.reports_for(&configs).unwrap();
-            (
-                reports[0].crossbar_yield,
-                reports[1].crossbar_yield,
-                reports[0].effective_bit_area,
-                reports[1].effective_bit_area,
-            )
-        };
-        let read = |point: &SensitivityPoint| {
-            (
-                point.baseline_yield,
-                point.optimised_yield,
-                point.baseline_bit_area,
-                point.optimised_bit_area,
-            )
+        // The point the base's TC code and its BGC twin give for `config`.
+        let point = |parameter, config: &SimConfig| {
+            let bgc = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 8).unwrap();
+            let configs = [config.clone(), config.clone().with_code(bgc)];
+            let [tc, bgc] = &engine.reports_for(&configs).unwrap()[..] else {
+                panic!("two reports");
+            };
+            SensitivityPoint {
+                parameter,
+                baseline_yield: tc.crossbar_yield,
+                optimised_yield: bgc.crossbar_yield,
+                baseline_bit_area: tc.effective_bit_area,
+                optimised_bit_area: bgc.effective_bit_area,
+            }
         };
         // Each alignment point is the base with only the tolerance changed.
-        let tolerances = [0.0, 16.0, 32.0];
-        let sweep = alignment_sensitivity(&engine, &base, &tolerances, 8).unwrap();
-        for (point, tolerance) in sweep.points.iter().zip(tolerances) {
-            let layout = base.layout();
+        let sweep = alignment_sensitivity(&engine, &base, &[0.0, 16.0, 32.0], 8).unwrap();
+        let layout = base.layout();
+        for swept in &sweep.points {
             let rules = LayoutRules::new(
                 layout.litho_pitch(),
                 layout.nanowire_pitch(),
                 layout.min_contact_width_factor(),
-                Nanometers::new(tolerance),
+                Nanometers::new(swept.parameter),
             )
             .unwrap();
-            assert_eq!(read(point), pair(&base.clone().with_layout(rules)));
+            let expected = point(swept.parameter, &base.clone().with_layout(rules));
+            assert_eq!(*swept, expected);
         }
         // At the base's own value every sweep reads the base's reports.
-        let own = pair(&base);
-        assert_eq!(read(&sweep.points[1]), own);
-        let sweeps = [
-            sigma_sensitivity(&engine, &base, &[50.0], 8).unwrap(),
-            window_sensitivity(&engine, &base, &[120.0], 8).unwrap(),
-            half_cave_sensitivity(&engine, &base, &[20], 8).unwrap(),
+        let at_base = [
+            (sigma_sensitivity(&engine, &base, &[50.0], 8), 50.0),
+            (window_sensitivity(&engine, &base, &[120.0], 8), 120.0),
+            (alignment_sensitivity(&engine, &base, &[16.0], 8), 16.0),
+            (half_cave_sensitivity(&engine, &base, &[20], 8), 20.0),
         ];
-        for sweep in &sweeps {
-            assert_eq!(read(&sweep.points[0]), own, "{}", sweep.parameter_name);
+        for (sweep, value) in at_base {
+            let sweep = sweep.unwrap();
+            assert_eq!(
+                sweep.points,
+                [point(value, &base)],
+                "{}",
+                sweep.parameter_name
+            );
         }
     }
 
