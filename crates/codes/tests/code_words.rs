@@ -1,14 +1,16 @@
 //! Code words pinned: the cyclic generator against the full sequence, the
 //! words of every code the design catalogue and the paper's figures use,
-//! and two balanced-Gray searches word for word, one that finds a balanced
-//! path and one that exhausts its budget and falls back to the Gray code.
+//! two balanced-Gray searches word for word, one that finds a balanced
+//! path and one that exhausts its budget and falls back to the Gray code,
+//! and the greedy/2-opt fallback of an exhausted arranged-hot search.
 //!
 //! The digests were generated before the cyclic generator and the
 //! allocation-free searches landed, so they pin that neither changes a word.
 
 use nanowire_codes::{
-    balance_report, balanced_gray_code, gray_code, BalanceBudget, CodeBudgets, CodeError, CodeKind,
-    CodeSequence, CodeSpec, LogicLevel, MAX_ENUMERATED_WORDS,
+    arranged_hot_code, balance_report, balanced_gray_code, gray_code, ArrangedHotBudget,
+    BalanceBudget, CodeBudgets, CodeError, CodeKind, CodeSequence, CodeSpec, LogicLevel,
+    MAX_ENUMERATED_WORDS,
 };
 
 fn fnv1a(hash: u64, byte: u8) -> u64 {
@@ -186,3 +188,37 @@ fn an_exhausting_balanced_search_is_pinned_word_for_word() {
 }
 
 const PINNED_BGC_BINARY_8: u64 = 0xb087002db5a29a25;
+
+/// With no search nodes the distance-2 search fails at once, and the
+/// arranged hot code is the greedy nearest-neighbour order improved by
+/// 2-opt sweeps; the digests were taken when that fallback was one strategy
+/// of a public arrangement search.
+#[test]
+fn an_exhausted_arranged_hot_search_is_pinned_word_for_word() {
+    for (radix, length, sweeps, pinned) in PINNED_AHC_FALLBACKS {
+        let budget = ArrangedHotBudget {
+            max_nodes: 0,
+            ..ArrangedHotBudget::default()
+        };
+        let budget = ArrangedHotBudget {
+            fallback: nanowire_codes::SearchBudget {
+                max_two_opt_sweeps: sweeps,
+                ..budget.fallback
+            },
+            ..budget
+        };
+        let ahc = arranged_hot_code(LogicLevel::new(radix).unwrap(), length, budget).unwrap();
+        let words = digest(&ahc);
+        assert_eq!(
+            words, pinned,
+            "radix {radix} length {length}, {sweeps} sweeps: digest {words:016x}, pinned {pinned:016x}"
+        );
+    }
+}
+
+const PINNED_AHC_FALLBACKS: [(u8, usize, u32, u64); 4] = [
+    (3, 6, 64, 0x58117cd43f9aa377),
+    (3, 6, 0, 0x58117cd43f9aa377),
+    (4, 4, 64, 0x6d08eef2f57d60a5),
+    (5, 5, 64, 0xce40ea1310039a45),
+];
