@@ -22,8 +22,10 @@ pub struct BalanceBudget {
     /// Maximum number of DFS nodes expanded per per-digit limit attempt.
     pub max_nodes_per_limit: u64,
     /// Largest slack added to the ideal per-digit limit before giving up and
-    /// falling back to the standard reflected Gray code. Slack beyond the
-    /// point where the limit stops constraining the search is not tried.
+    /// falling back to the standard reflected Gray code. Every extra limit
+    /// reruns a search of up to `max_nodes_per_limit` nodes, so a slack
+    /// above the default is refused; slack beyond the point where the limit
+    /// stops constraining the search is not tried.
     pub max_limit_slack: usize,
 }
 
@@ -83,7 +85,8 @@ pub fn balance_report(sequence: &CodeSequence) -> BalanceReport {
 /// * [`CodeError::InvalidLength`] when `base_length == 0`.
 /// * [`CodeError::SpaceTooLarge`] when the space exceeds
 ///   [`MAX_ARRANGED_WORDS`].
-/// * [`CodeError::BudgetTooLarge`] when the node budget exceeds its default.
+/// * [`CodeError::BudgetTooLarge`] when the node budget or the limit slack
+///   exceeds its default.
 ///
 /// # Examples
 ///
@@ -114,10 +117,16 @@ pub fn balanced_gray_code(
             limit: MAX_ARRANGED_WORDS,
         });
     }
+    let default = BalanceBudget::default();
     check_budget(
         "max_nodes_per_limit",
         budget.max_nodes_per_limit,
-        BalanceBudget::default().max_nodes_per_limit,
+        default.max_nodes_per_limit,
+    )?;
+    check_budget(
+        "max_limit_slack",
+        u64::try_from(budget.max_limit_slack).unwrap_or(u64::MAX),
+        u64::try_from(default.max_limit_slack).unwrap_or(u64::MAX),
     )?;
     let count = count as usize;
     let transitions = count - 1;
@@ -365,15 +374,37 @@ mod tests {
 
     #[test]
     fn slack_past_an_unconstraining_limit_is_not_tried() {
-        // With no nodes to expand every attempt fails at once, so an
-        // unbounded slack would retry forever; the search stops at the
-        // first unconstrained limit and falls back to the Gray code.
-        let budget = BalanceBudget {
-            max_nodes_per_limit: 0,
-            max_limit_slack: usize::MAX,
-        };
-        let bgc = balanced_gray_code(LogicLevel::BINARY, 5, budget).unwrap();
-        assert_eq!(bgc, gray_code(LogicLevel::BINARY, 5).unwrap());
+        // One and two binary digits: ideal limits of 1 and 2 for paths of
+        // 1 and 3 transitions, so a slack of at most 1 reaches the limit
+        // that constrains nothing. With no nodes to expand every attempt
+        // fails at once; each slack up to the default stops there and falls
+        // back to the Gray code.
+        for base_length in 1..=2 {
+            for max_limit_slack in 0..=BalanceBudget::default().max_limit_slack {
+                let budget = BalanceBudget {
+                    max_nodes_per_limit: 0,
+                    max_limit_slack,
+                };
+                let bgc = balanced_gray_code(LogicLevel::BINARY, base_length, budget).unwrap();
+                assert_eq!(bgc, gray_code(LogicLevel::BINARY, base_length).unwrap());
+            }
+        }
+        // A larger slack is refused before any search: each extra limit
+        // would rerun a search of up to `max_nodes_per_limit` nodes.
+        for max_limit_slack in [5, 16, 64, usize::MAX] {
+            let budget = BalanceBudget {
+                max_limit_slack,
+                ..BalanceBudget::default()
+            };
+            assert!(matches!(
+                balanced_gray_code(LogicLevel::BINARY, 8, budget),
+                Err(CodeError::BudgetTooLarge {
+                    budget: "max_limit_slack",
+                    limit: 4,
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

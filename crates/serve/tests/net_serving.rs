@@ -787,16 +787,17 @@ fn paper(kind: CodeKind, radix: LogicLevel, length: usize) -> SimConfig {
 /// as long as their budgets allow. Unbounded, a balanced Gray code of
 /// 8 192 words or a ternary arranged hot code of 34 650 words overflows a
 /// 2 MiB worker stack and aborts the server, a binary arranged hot code of
-/// length 28 enumerates C(28, 14) ≈ 4·10⁷ combinations, and a zero node
-/// budget with an unbounded limit slack retries forever. Space sizes that
+/// length 28 enumerates C(28, 14) ≈ 4·10⁷ combinations, a zero node
+/// budget with an unbounded limit slack retries forever, and each unit of
+/// limit slack reruns a balanced search of up to 4 M nodes (a binary
+/// M = 16 code with slack 16 searches for seconds). Space sizes that
 /// do not fit a `u128` must saturate, not wrap: a wrapped hot-code size
 /// (C(1000, 500) read as 1) starts an enumeration that exhausts memory or
 /// the stack, and a tree-family size computed digit by digit holds a worker
 /// for a time linear in the length. Each oversized
 /// space and each budget above its default must get a typed error within
 /// the 1 s read timeout, in both codecs, with the next well-formed request
-/// on the connection answered bit-identically; the unbounded slack is
-/// served its Gray-code fallback at once. In process, the same
+/// on the connection answered bit-identically. In process, the same
 /// configurations are typed errors too.
 #[test]
 fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
@@ -878,14 +879,28 @@ fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
                 ..budgets
             }),
         ),
+        (
+            "BGC unbounded limit slack",
+            bgc.with_code_budgets(CodeBudgets {
+                balance: BalanceBudget {
+                    max_nodes_per_limit: 0,
+                    max_limit_slack: usize::MAX,
+                },
+                ..budgets
+            }),
+        ),
+        // Seventeen limits of up to 4 M nodes each: seconds of search.
+        (
+            "BGC binary M = 16, limit slack 16",
+            paper(CodeKind::BalancedGray, LogicLevel::BINARY, 16).with_code_budgets(CodeBudgets {
+                balance: BalanceBudget {
+                    max_limit_slack: 16,
+                    ..budgets.balance
+                },
+                ..budgets
+            }),
+        ),
     ];
-    let unbounded_slack = ReportRequest::new(bgc.with_code_budgets(CodeBudgets {
-        balance: BalanceBudget {
-            max_nodes_per_limit: 0,
-            max_limit_slack: usize::MAX,
-        },
-        ..budgets
-    }));
 
     let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -895,7 +910,6 @@ fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
         .set_read_timeout(Some(Duration::from_secs(1)))
         .unwrap();
     let mut frames = 0;
-    let mut slack_replies = Vec::new();
     for codec in [WireCodec::Json, WireCodec::Binary] {
         for (name, config) in &hostile {
             let what = format!("{codec:?} {name}");
@@ -913,13 +927,6 @@ fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
             }
             frames += 2;
         }
-        let what = format!("{codec:?} unbounded limit slack");
-        slack_replies.push(round_trip(
-            &mut stream,
-            &codec.encode_request(&unbounded_slack),
-            &what,
-        ));
-        frames += 1;
     }
     assert_eq!(handle.served(), frames);
     handle.shutdown();
@@ -932,12 +939,6 @@ fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
             ),
             "in-process {name}"
         );
-    }
-    let slack_reference = SimulationPlatform::new(unbounded_slack.config)
-        .evaluate()
-        .unwrap();
-    for reply in slack_replies {
-        assert_eq!(reply, WireReply::Report(slack_reference.clone()));
     }
 }
 
