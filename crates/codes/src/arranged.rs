@@ -8,9 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::arrangement::{
-    arrange_min_transitions, check_budget, ArrangementStrategy, SearchBudget, MAX_ARRANGED_WORDS,
-};
+use crate::arrangement::{arrange_greedy_two_opt, check_budget, SearchBudget, MAX_ARRANGED_WORDS};
 use crate::digit::{Digit, LogicLevel};
 use crate::error::{CodeError, Result};
 use crate::hot::{hot_code, HotCodeParams};
@@ -99,13 +97,8 @@ pub fn arranged_hot_code(
     if let Some(sequence) = search_distance_two_path(&space, budget.max_nodes)? {
         return Ok(sequence);
     }
-    // Fallback: best-effort minimal-transition arrangement.
-    Ok(arrange_min_transitions(
-        space.into_words(),
-        ArrangementStrategy::GreedyTwoOpt,
-        budget.fallback,
-    )?
-    .sequence)
+    // Fallback: the greedy order, improved by 2-opt.
+    arrange_greedy_two_opt(space.into_words(), budget.fallback.max_two_opt_sweeps)
 }
 
 /// The revolving-door (Nijenhuis–Wilf) Gray code for `k`-combinations of

@@ -1,14 +1,12 @@
-//! Generic arrangement search: ordering a set of code words so that the total
-//! number of digit transitions between successive words is minimised.
+//! Arrangement machinery shared by the searched code families: the bound on
+//! the words a search may arrange, the budget checks, the permutation
+//! check, and the greedy nearest-neighbour ordering improved by 2-opt that
+//! an arranged hot code falls back to when its distance-2 search runs out
+//! of nodes.
 //!
-//! The Gray code is the closed-form answer for full tree-code spaces; for hot
-//! codes (Section 5.2) and for balancing objectives the paper relies on
-//! search. This module provides the shared machinery: exhaustive
-//! (branch-and-bound Hamiltonian-path) search for small spaces, greedy
-//! nearest-neighbour construction and 2-opt local improvement for larger
-//! ones.
-
-use std::collections::HashSet;
+//! The Gray code is the closed-form answer for full tree-code spaces; for
+//! hot codes (Section 5.2) and for balancing objectives the paper relies on
+//! search.
 
 use serde::{Deserialize, Serialize};
 
@@ -40,27 +38,12 @@ pub(crate) fn check_budget(budget: &'static str, value: u64, limit: u64) -> Resu
     Ok(())
 }
 
-/// Strategy used to arrange a set of code words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-#[derive(Default)]
-pub enum ArrangementStrategy {
-    /// Branch-and-bound search for a provably minimal arrangement. Falls back
-    /// to [`ArrangementStrategy::GreedyTwoOpt`] when the search budget is
-    /// exhausted.
-    Exhaustive,
-    /// Greedy nearest-neighbour construction.
-    Greedy,
-    /// Greedy construction followed by 2-opt local improvement.
-    #[default]
-    GreedyTwoOpt,
-}
-
-/// Tunable limits for arrangement search.
+/// Limits of the greedy/2-opt fallback of the arranged hot code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchBudget {
-    /// Maximum number of branch-and-bound nodes expanded before giving up on
-    /// exact search.
+    /// Checked against its default and kept on the wire
+    /// (`arranged_hot.fallback.max_nodes`), but read by no search: the
+    /// fallback expands no search nodes.
     pub max_nodes: u64,
     /// Maximum number of full 2-opt sweeps.
     pub max_two_opt_sweeps: u32,
@@ -75,82 +58,25 @@ impl Default for SearchBudget {
     }
 }
 
-/// Outcome of an arrangement search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Arrangement {
-    /// The arranged sequence.
-    pub sequence: CodeSequence,
-    /// Total number of digit transitions of the arranged sequence.
-    pub total_transitions: usize,
-    /// Whether the result is provably optimal (exhaustive search completed).
-    pub proven_optimal: bool,
-}
-
-/// Arranges `words` to minimise the total number of digit transitions between
-/// successive words.
+/// Orders `words` so that successive words differ in few digits: the
+/// cheapest greedy nearest-neighbour path over every start word, improved
+/// by at most `max_sweeps` 2-opt sweeps.
 ///
 /// # Errors
 ///
 /// * [`CodeError::EmptySequence`] when `words` is empty.
 /// * [`CodeError::LengthMismatch`] / [`CodeError::RadixMismatch`] when the
 ///   words are not mutually compatible.
-///
-/// # Examples
-///
-/// ```
-/// use nanowire_codes::{arrange_min_transitions, hot_code, ArrangementStrategy, LogicLevel, SearchBudget};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let hc = hot_code(LogicLevel::BINARY, 4)?;
-/// let arranged = arrange_min_transitions(
-///     hc.words().to_vec(),
-///     ArrangementStrategy::Exhaustive,
-///     SearchBudget::default(),
-/// )?;
-/// // Constant-weight words can never differ in fewer than two digits, so the
-/// // optimum is two transitions per step.
-/// assert_eq!(arranged.total_transitions, 2 * (hc.len() - 1));
-/// # Ok(())
-/// # }
-/// ```
-pub fn arrange_min_transitions(
+pub(crate) fn arrange_greedy_two_opt(
     words: Vec<CodeWord>,
-    strategy: ArrangementStrategy,
-    budget: SearchBudget,
-) -> Result<Arrangement> {
+    max_sweeps: u32,
+) -> Result<CodeSequence> {
     // Validate compatibility up-front by building a sequence.
-    let baseline = CodeSequence::new(words)?;
-    let words = baseline.into_words();
-    if words.len() == 1 {
-        let sequence = CodeSequence::new(words)?;
-        return Ok(Arrangement {
-            total_transitions: 0,
-            sequence,
-            proven_optimal: true,
-        });
-    }
-
+    let words = CodeSequence::new(words)?.into_words();
     let distances = distance_matrix(&words)?;
-    match strategy {
-        ArrangementStrategy::Greedy => {
-            let order = greedy_order(&distances);
-            finish(words, order, &distances, false)
-        }
-        ArrangementStrategy::GreedyTwoOpt => {
-            let mut order = greedy_order(&distances);
-            two_opt(&mut order, &distances, budget.max_two_opt_sweeps);
-            finish(words, order, &distances, false)
-        }
-        ArrangementStrategy::Exhaustive => {
-            let mut initial = greedy_order(&distances);
-            two_opt(&mut initial, &distances, budget.max_two_opt_sweeps);
-            let upper_bound = path_cost(&initial, &distances);
-            match branch_and_bound(&distances, upper_bound, budget.max_nodes) {
-                Some((order, _cost, completed)) => finish(words, order, &distances, completed),
-                None => finish(words, initial, &distances, false),
-            }
-        }
-    }
+    let mut order = greedy_order(&distances);
+    two_opt(&mut order, &distances, max_sweeps);
+    CodeSequence::new(order.into_iter().map(|i| words[i].clone()).collect())
 }
 
 /// The pairwise digit-transition (Hamming) distance matrix of a word set.
@@ -244,129 +170,6 @@ fn two_opt(order: &mut [usize], distances: &[Vec<usize>], max_sweeps: u32) {
     }
 }
 
-/// Branch-and-bound Hamiltonian-path search minimising the path cost.
-///
-/// Returns the best order found, its cost, and whether the search space was
-/// fully explored (so the result is provably optimal).
-fn branch_and_bound(
-    distances: &[Vec<usize>],
-    initial_upper_bound: usize,
-    max_nodes: u64,
-) -> Option<(Vec<usize>, usize, bool)> {
-    let n = distances.len();
-    // Minimum outgoing edge per node, used for an admissible lower bound.
-    let min_edge: Vec<usize> = (0..n)
-        .map(|i| {
-            (0..n)
-                .filter(|&j| j != i)
-                .map(|j| distances[i][j])
-                .min()
-                .unwrap_or(0)
-        })
-        .collect();
-
-    struct SearchState<'a> {
-        distances: &'a [Vec<usize>],
-        min_edge: &'a [usize],
-        best_cost: usize,
-        best_order: Option<Vec<usize>>,
-        nodes: u64,
-        max_nodes: u64,
-        aborted: bool,
-    }
-
-    fn dfs(
-        state: &mut SearchState<'_>,
-        order: &mut Vec<usize>,
-        visited: &mut Vec<bool>,
-        cost: usize,
-    ) {
-        if state.aborted {
-            return;
-        }
-        state.nodes += 1;
-        if state.nodes > state.max_nodes {
-            state.aborted = true;
-            return;
-        }
-        let n = state.distances.len();
-        if order.len() == n {
-            if cost < state.best_cost {
-                state.best_cost = cost;
-                state.best_order = Some(order.clone());
-            }
-            return;
-        }
-        // Lower bound: current cost plus the cheapest outgoing edge of every
-        // unvisited node except one (the path end has no outgoing edge).
-        let mut remaining_bound: usize = 0;
-        let mut max_single = 0usize;
-        for (node, seen) in visited.iter().enumerate() {
-            if !seen {
-                remaining_bound += state.min_edge[node];
-                max_single = max_single.max(state.min_edge[node]);
-            }
-        }
-        let bound = cost + remaining_bound.saturating_sub(max_single);
-        if bound >= state.best_cost {
-            return;
-        }
-        let current = *order.last().expect("non-empty order");
-        // Expand cheapest edges first so good solutions are found early.
-        let mut candidates: Vec<usize> = (0..n).filter(|&j| !visited[j]).collect();
-        candidates.sort_by_key(|&j| state.distances[current][j]);
-        for j in candidates {
-            visited[j] = true;
-            order.push(j);
-            dfs(state, order, visited, cost + state.distances[current][j]);
-            order.pop();
-            visited[j] = false;
-        }
-    }
-
-    let mut state = SearchState {
-        distances,
-        min_edge: &min_edge,
-        best_cost: initial_upper_bound + 1,
-        best_order: None,
-        nodes: 0,
-        max_nodes,
-        aborted: false,
-    };
-
-    for start in 0..n {
-        let mut visited = vec![false; n];
-        visited[start] = true;
-        let mut order = vec![start];
-        dfs(&mut state, &mut order, &mut visited, 0);
-        if state.aborted {
-            break;
-        }
-    }
-
-    state
-        .best_order
-        .map(|order| (order, state.best_cost, !state.aborted))
-}
-
-fn finish(
-    words: Vec<CodeWord>,
-    order: Vec<usize>,
-    distances: &[Vec<usize>],
-    proven_optimal: bool,
-) -> Result<Arrangement> {
-    // mspt-analyze: allow(determinism-unsafe-calls) debug-only cardinality check; only len() is read, never iteration order
-    debug_assert_eq!(order.iter().collect::<HashSet<_>>().len(), words.len());
-    let total_transitions = path_cost(&order, distances);
-    let arranged: Vec<CodeWord> = order.into_iter().map(|i| words[i].clone()).collect();
-    let sequence = CodeSequence::new(arranged)?;
-    Ok(Arrangement {
-        sequence,
-        total_transitions,
-        proven_optimal,
-    })
-}
-
 /// Returns an error if the words of `sequence` are not a permutation of
 /// `words`.
 ///
@@ -405,94 +208,32 @@ mod tests {
     use crate::hot::hot_code;
     use crate::tree::tree_code;
 
+    const SWEEPS: u32 = 64;
+
     #[test]
     fn single_word_is_trivially_optimal() {
         let word = CodeWord::from_values(&[0, 1], LogicLevel::BINARY).unwrap();
-        let arranged = arrange_min_transitions(
-            vec![word],
-            ArrangementStrategy::Exhaustive,
-            SearchBudget::default(),
-        )
-        .unwrap();
-        assert_eq!(arranged.total_transitions, 0);
-        assert!(arranged.proven_optimal);
-    }
-
-    #[test]
-    fn exhaustive_reaches_gray_optimum_on_small_tree_code() {
-        let tc = tree_code(LogicLevel::BINARY, 3).unwrap();
-        let arranged = arrange_min_transitions(
-            tc.words().to_vec(),
-            ArrangementStrategy::Exhaustive,
-            SearchBudget::default(),
-        )
-        .unwrap();
-        // The optimum over the full binary space is the Gray code: 1 digit
-        // change per step.
-        assert_eq!(arranged.total_transitions, tc.len() - 1);
-        assert!(arranged.sequence.is_gray());
-        check_is_permutation(&arranged.sequence, tc.words()).unwrap();
-    }
-
-    #[test]
-    fn exhaustive_reaches_swap_optimum_on_small_hot_code() {
-        let hc = hot_code(LogicLevel::BINARY, 4).unwrap();
-        let arranged = arrange_min_transitions(
-            hc.words().to_vec(),
-            ArrangementStrategy::Exhaustive,
-            SearchBudget::default(),
-        )
-        .unwrap();
-        assert_eq!(arranged.total_transitions, 2 * (hc.len() - 1));
-        assert!(arranged.sequence.has_uniform_distance(2));
-        check_is_permutation(&arranged.sequence, hc.words()).unwrap();
+        let arranged = arrange_greedy_two_opt(vec![word.clone()], SWEEPS).unwrap();
+        assert_eq!(arranged.words(), [word]);
+        assert_eq!(arranged.total_transitions(), 0);
     }
 
     #[test]
     fn greedy_never_worse_than_lexicographic() {
+        // No 2-opt sweeps: the greedy order alone.
         let hc = hot_code(LogicLevel::BINARY, 6).unwrap();
-        let arranged = arrange_min_transitions(
-            hc.words().to_vec(),
-            ArrangementStrategy::Greedy,
-            SearchBudget::default(),
-        )
-        .unwrap();
-        assert!(arranged.total_transitions <= hc.total_transitions());
-        check_is_permutation(&arranged.sequence, hc.words()).unwrap();
+        let arranged = arrange_greedy_two_opt(hc.words().to_vec(), 0).unwrap();
+        assert!(arranged.total_transitions() <= hc.total_transitions());
+        check_is_permutation(&arranged, hc.words()).unwrap();
     }
 
     #[test]
     fn two_opt_never_worse_than_greedy() {
         let hc = hot_code(LogicLevel::TERNARY, 6).unwrap();
-        let greedy = arrange_min_transitions(
-            hc.words().to_vec(),
-            ArrangementStrategy::Greedy,
-            SearchBudget::default(),
-        )
-        .unwrap();
-        let two_opt = arrange_min_transitions(
-            hc.words().to_vec(),
-            ArrangementStrategy::GreedyTwoOpt,
-            SearchBudget::default(),
-        )
-        .unwrap();
-        assert!(two_opt.total_transitions <= greedy.total_transitions);
-    }
-
-    #[test]
-    fn exhausted_budget_falls_back_gracefully() {
-        let hc = hot_code(LogicLevel::BINARY, 8).unwrap();
-        let tight = SearchBudget {
-            max_nodes: 10,
-            max_two_opt_sweeps: 4,
-        };
-        let arranged =
-            arrange_min_transitions(hc.words().to_vec(), ArrangementStrategy::Exhaustive, tight)
-                .unwrap();
-        // With an absurdly small budget the result is still a valid
-        // permutation, just not proven optimal.
-        assert!(!arranged.proven_optimal);
-        check_is_permutation(&arranged.sequence, hc.words()).unwrap();
+        let greedy = arrange_greedy_two_opt(hc.words().to_vec(), 0).unwrap();
+        let two_opt = arrange_greedy_two_opt(hc.words().to_vec(), SWEEPS).unwrap();
+        assert!(two_opt.total_transitions() <= greedy.total_transitions());
+        check_is_permutation(&two_opt, hc.words()).unwrap();
     }
 
     #[test]
@@ -512,17 +253,7 @@ mod tests {
             CodeWord::from_values(&[0, 1], LogicLevel::BINARY).unwrap(),
             CodeWord::from_values(&[0, 1, 1], LogicLevel::BINARY).unwrap(),
         ];
-        assert!(arrange_min_transitions(
-            words,
-            ArrangementStrategy::Greedy,
-            SearchBudget::default()
-        )
-        .is_err());
-        assert!(arrange_min_transitions(
-            vec![],
-            ArrangementStrategy::Greedy,
-            SearchBudget::default()
-        )
-        .is_err());
+        assert!(arrange_greedy_two_opt(words, SWEEPS).is_err());
+        assert!(arrange_greedy_two_opt(vec![], SWEEPS).is_err());
     }
 }

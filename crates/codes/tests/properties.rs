@@ -1,9 +1,9 @@
 //! Property-based tests of the code-space invariants.
 
 use nanowire_codes::{
-    arrange_min_transitions, balance_report, balanced_gray_code, gray_code, hot_code,
-    reflected_gray_code, reflected_tree_code, tree_code, ArrangementStrategy, BalanceBudget,
-    CodeKind, CodeSpec, CodeWord, LogicLevel, SearchBudget,
+    arranged_hot_code, balance_report, balanced_gray_code, gray_code, hot_code,
+    reflected_gray_code, reflected_tree_code, tree_code, ArrangedHotBudget, BalanceBudget,
+    CodeKind, CodeSpec, CodeWord, LogicLevel,
 };
 use proptest::prelude::*;
 
@@ -106,19 +106,27 @@ proptest! {
     }
 
     /// Hot codes contain only constant-composition words and are closed under
-    /// the arrangement search (same word multiset).
+    /// arrangement (same word multiset): with no search nodes, binary codes
+    /// are arranged by construction and the others by the greedy/2-opt
+    /// fallback.
     #[test]
     fn hot_code_arrangement_preserves_words(
-        length in prop_oneof![Just(4usize), Just(6usize)],
+        (radix, length) in prop_oneof![
+            Just((LogicLevel::BINARY, 4usize)),
+            Just((LogicLevel::BINARY, 6usize)),
+            Just((LogicLevel::TERNARY, 3usize)),
+            Just((LogicLevel::TERNARY, 6usize)),
+            Just((LogicLevel::QUATERNARY, 4usize)),
+        ],
     ) {
-        let hc = hot_code(LogicLevel::BINARY, length).unwrap();
-        let arranged = arrange_min_transitions(
-            hc.words().to_vec(),
-            ArrangementStrategy::GreedyTwoOpt,
-            SearchBudget::default(),
-        ).unwrap();
-        nanowire_codes::check_is_permutation(&arranged.sequence, hc.words()).unwrap();
-        prop_assert!(arranged.total_transitions <= hc.total_transitions());
+        let hc = hot_code(radix, length).unwrap();
+        let budget = ArrangedHotBudget {
+            max_nodes: 0,
+            ..ArrangedHotBudget::default()
+        };
+        let arranged = arranged_hot_code(radix, length, budget).unwrap();
+        nanowire_codes::check_is_permutation(&arranged, hc.words()).unwrap();
+        prop_assert!(arranged.total_transitions() <= hc.total_transitions());
     }
 
     /// Balanced Gray codes are Gray codes whose per-digit spread is no worse
