@@ -2,7 +2,7 @@
 //! engine and the serve layer.
 //!
 //! The sharding / LRU / single-flight machinery lives in the generic
-//! [`MemoCache`], instantiated once per stage by
+//! [`MemoCache`], instantiated once per memoized stage by
 //! [`crate::stage::StageCache`]. [`ReportCache`] is the
 //! (`SimConfig` → `PlatformReport`) instantiation that fills the stage
 //! graph's `Composite` slot — keyed by [`Stage::Composite`]'s key — and

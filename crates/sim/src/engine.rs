@@ -29,9 +29,11 @@
 //!
 //! # Memoization
 //!
-//! The engine carries one [`StageCache`]: a sharded, bounded, single-flight
-//! LRU slot per pipeline stage, whose `Composite` slot is the engine's one
-//! report memo ([`ReportCache`](crate::ReportCache)). A configuration
+//! The engine carries a sharded, bounded, single-flight LRU slot for each
+//! pipeline stage whose hits pay — variability, defect map, Monte-Carlo
+//! and the composite report, whose slot is the engine's one report memo
+//! ([`ReportCache`](crate::ReportCache)); the other stages are computed
+//! inline on every report miss. A configuration
 //! repeated across `reports_for` batches on the same engine is evaluated
 //! once and served from that slot afterwards, and concurrent identical
 //! requests (the serve layer's workload) block on one in-flight evaluation
@@ -202,8 +204,7 @@ impl ExecutionEngine {
 
     /// Creates an engine with an explicit cache configuration — the
     /// constructor behind cache-bound experiments and the serve layer's
-    /// capacity knob. Every slot of the per-stage memo table
-    /// ([`ExecutionEngine::stage_cache`]), the report slot included, uses
+    /// capacity knob. Every stage memo slot, the report slot included, uses
     /// it.
     #[must_use]
     pub fn with_cache(config: EngineConfig, cache: CacheConfig) -> Self {
@@ -250,20 +251,11 @@ impl ExecutionEngine {
         self.stages.reports().config()
     }
 
-    /// The engine's per-stage memo table — the stage-graph substrate every
-    /// [`ExecutionEngine::report_for`] and
-    /// [`ExecutionEngine::monte_carlo_for_config`] call shares. Exposed so
-    /// benches and callers can drive
-    /// [`SimulationPlatform::evaluate_with_stage_cache`] against a warm
-    /// engine directly.
-    #[must_use]
-    pub fn stage_cache(&self) -> &StageCache {
-        &self.stages
-    }
-
-    /// Per-stage hit/miss/eviction counters in [`crate::Stage::ALL`] order —
-    /// what the stage-invalidation matrix test and the serve stress output
-    /// read.
+    /// Per-stage hit/miss/eviction counters, one row per
+    /// [`Stage::ALL`](crate::Stage::ALL) entry in that order — what the
+    /// stage-invalidation matrix test and the serve stress output read. The
+    /// stages computed inline on every report miss (addressability, contact
+    /// layout, cave yield, crossbar area) have no memo slot and read zero.
     #[must_use]
     pub fn stage_stats(&self) -> Vec<StageStats> {
         self.stages.stats()
@@ -277,12 +269,13 @@ impl ExecutionEngine {
     /// On a miss the lookup's leader looks up the configured defect survival
     /// in the `DefectMap` slot, counting the usable crosspoints with the
     /// engine's sharded [`ExecutionEngine::count_usable`] (no map is built),
-    /// and runs the pipeline through the inner stage slots, so a
-    /// configuration that differs from a cached one in only some fields (a
-    /// sweep point) recomputes only the stages whose read set changed. The
-    /// result is bit-identical to the serial [`SimulationPlatform::evaluate`]
-    /// at any thread count, because both count the same independently seeded
-    /// chunks and add the counts as integers.
+    /// and the variability matrix and fabrication cost in the `Variability`
+    /// slot, then computes the remaining stages inline, so a configuration
+    /// that differs from a cached one outside those two read sets (a sweep
+    /// point) reuses both. The result is bit-identical to the serial
+    /// [`SimulationPlatform::evaluate`] at any thread count, because both
+    /// count the same independently seeded chunks and add the counts as
+    /// integers.
     ///
     /// # Errors
     ///
@@ -297,7 +290,13 @@ impl ExecutionEngine {
                     self.count_usable(model, rows, columns, seed)
                 })
             })?;
-            platform.staged_report(&self.stages, survival)
+            platform.staged_report(
+                || {
+                    self.stages
+                        .variability(config, || platform.variability_stage())
+                },
+                survival,
+            )
         })
     }
 
@@ -495,7 +494,7 @@ impl ExecutionEngine {
     /// [`Evaluation`](crate::Evaluation)).
     ///
     /// Both the outcome and the underlying variability matrix memoize in the
-    /// engine's [`StageCache`]: repeating the estimation is a Monte-Carlo
+    /// engine's stage slots: repeating the estimation is a Monte-Carlo
     /// stage hit, and a sweep that varies only `config` or fields outside the
     /// variability stage's read set (the defect selection) reuses the cached
     /// matrix instead of regenerating the pattern per point.
@@ -511,7 +510,9 @@ impl ExecutionEngine {
         self.stages
             .monte_carlo(sim, config, self.config.chunk_size, || {
                 let platform = SimulationPlatform::new(sim.clone());
-                let staged = platform.variability_stage(&self.stages)?;
+                let staged = self
+                    .stages
+                    .variability(sim, || platform.variability_stage())?;
                 let model = sim.variability_model()?;
                 let window = sim.decision_window_given(staged.ladder_window)?;
                 let disturbance = sim.disturbance().model()?;

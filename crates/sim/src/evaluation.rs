@@ -19,9 +19,11 @@
 //! # }
 //! ```
 //!
-//! Every run memoizes through the engine's [`StageCache`](crate::StageCache),
-//! so repeating an evaluation (or varying only fields outside a stage's read
-//! set) hits the per-stage memo slots instead of recomputing the pipeline.
+//! Every run memoizes through the engine's stage memo slots — the report,
+//! the variability stage, the defect survival and the Monte-Carlo outcome —
+//! so repeating an evaluation (or varying only fields outside a slot's read
+//! set) hits those slots instead of recomputing them
+//! ([`ExecutionEngine::stage_stats`] counts the hits).
 
 use crate::config::SimConfig;
 use crate::engine::ExecutionEngine;
@@ -86,7 +88,7 @@ impl EvaluationBuilder {
     }
 
     /// Runs the evaluation on `engine`. The report half goes through the
-    /// engine's report cache and stage cache
+    /// engine's report cache and stage slots
     /// ([`ExecutionEngine::report_for`]); the Monte-Carlo half goes through
     /// the Monte-Carlo stage slot
     /// ([`ExecutionEngine::monte_carlo_for_config`]). Results are

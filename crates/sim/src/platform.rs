@@ -16,7 +16,7 @@ use nanowire_codes::{CodeSequence, CodeSpec};
 use crate::config::SimConfig;
 use crate::defect::DefectKind;
 use crate::error::{Result, SimError};
-use crate::stage::{StageCache, VariabilityStage};
+use crate::stage::VariabilityStage;
 
 /// The outcome of evaluating one decoder design on the platform.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -273,8 +273,8 @@ impl SimulationPlatform {
     /// band by band, without building the map.
     ///
     /// Callers holding an [`ExecutionEngine`](crate::ExecutionEngine) should
-    /// prefer [`Evaluation`](crate::Evaluation), which runs the same
-    /// pipeline through the engine's report and stage caches.
+    /// prefer [`ExecutionEngine::report_for`](crate::ExecutionEngine::report_for),
+    /// which runs the same pipeline through the engine's memo slots.
     ///
     /// # Errors
     ///
@@ -284,90 +284,54 @@ impl SimulationPlatform {
         let survival = self.defect_survival_with(|model, rows, columns, seed| {
             Ok(model.count_usable(rows, columns, seed)?)
         })?;
-        self.staged_report(&StageCache::disabled(), survival)
+        self.staged_report(|| self.variability_stage(), survival)
     }
 
-    /// The memoized variability stage: the variability matrix and the
-    /// fabrication cost, which share one pattern/ladder build. This is the
-    /// root stage both the report pipeline and the Monte-Carlo validator
-    /// hang off — a sweep over the defect axis (or the disturbance kind)
-    /// hits this slot instead of regenerating the pattern per point.
-    pub(crate) fn variability_stage(&self, stages: &StageCache) -> Result<VariabilityStage> {
-        stages.variability(&self.config, || {
-            // Σ and Φ share the pattern and the doping ladder, so one
-            // stage computes both from a single step-matrix build.
-            let pattern = self.half_cave()?.pattern()?;
-            let ladder = self.config.doping_ladder()?;
-            let model = self.config.variability_model()?;
-            let steps = StepDopingMatrix::from_pattern(&pattern, &ladder)?;
-            Ok(VariabilityStage {
-                variability: VariabilityMatrix::new(DoseCountMatrix::from_steps(&steps), &model),
-                cost: FabricationCost::from_steps(&steps),
-                ladder_window: ladder.window_half_width(),
-            })
+    /// The variability stage: the variability matrix and the fabrication
+    /// cost, which share one pattern/ladder build. This is the root stage
+    /// both the report pipeline and the Monte-Carlo validator hang off, and
+    /// the engine memoizes it, so a sweep over the defect axis (or the
+    /// disturbance kind) does not regenerate the pattern per point.
+    pub(crate) fn variability_stage(&self) -> Result<VariabilityStage> {
+        // Σ and Φ share the pattern and the doping ladder, so one stage
+        // computes both from a single step-matrix build.
+        let pattern = self.half_cave()?.pattern()?;
+        let ladder = self.config.doping_ladder()?;
+        let model = self.config.variability_model()?;
+        let steps = StepDopingMatrix::from_pattern(&pattern, &ladder)?;
+        Ok(VariabilityStage {
+            variability: VariabilityMatrix::new(DoseCountMatrix::from_steps(&steps), &model),
+            cost: FabricationCost::from_steps(&steps),
+            ladder_window: ladder.window_half_width(),
         })
     }
 
-    /// [`SimulationPlatform::evaluate`] with an externally sampled defect
-    /// map, through an explicit per-stage memo table — the stage-graph entry
-    /// point. The report is one lookup of the table's `Composite` slot (the
-    /// report memo); on a miss, each pipeline stage (variability, contact
-    /// layout, addressability, cave yield, crossbar area) looks up its own
-    /// fingerprint in `stages` first, so a configuration change recomputes
-    /// only the stages whose declared read set it touches (see
-    /// [`Stage::reads`](crate::Stage::reads)).
-    ///
-    /// The map must correspond to the configured [`DefectKind`]: `Some` of
-    /// the right dimensions for [`DefectKind::Sampled`], `None` for
-    /// [`DefectKind::None`].
-    ///
-    /// With a [`StageCache::disabled`] cache every stage is a leader-path
-    /// miss and the evaluation is bit-identical to the pre-stage monolith —
-    /// the configuration behind [`SimulationPlatform::evaluate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the map's presence or
-    /// dimensions do not match the configuration (checked **before** the
-    /// report lookup, so a warm cache never masks a mismatched map), or
-    /// propagates pipeline errors.
-    pub fn evaluate_with_stage_cache(
+    /// The report pipeline below the `Composite` slot: the variability
+    /// stage from `variability` (the engine's memo slot, or a plain
+    /// computation), the contact layout, addressability, cave yield and
+    /// crossbar area computed inline, then composed with the defect
+    /// `survival` (`None` for a defect-free configuration). Runs as the
+    /// report lookup's leader, so it never consults the `Composite` slot
+    /// itself.
+    pub(crate) fn staged_report<F>(
         &self,
-        stages: &StageCache,
-        map: Option<&DefectMap>,
-    ) -> Result<PlatformReport> {
-        let edge = self.config.crossbar_spec()?.nanowires_per_layer();
-        check_defect_map(self.config.defects(), map, edge)?;
-        stages.reports().get_or_compute(&self.config, || {
-            self.staged_report(stages, map.map(DefectMap::usable_fraction))
-        })
-    }
-
-    /// The report pipeline below the `Composite` slot: every stage looked up
-    /// in `stages`, then composed with the defect `survival` (`None` for a
-    /// defect-free configuration). Runs as the report lookup's leader, so it
-    /// never consults the `Composite` slot itself.
-    pub(crate) fn staged_report(
-        &self,
-        stages: &StageCache,
+        variability: F,
         survival: Option<f64>,
-    ) -> Result<PlatformReport> {
+    ) -> Result<PlatformReport>
+    where
+        F: FnOnce() -> Result<VariabilityStage>,
+    {
         let spec = self.config.crossbar_spec()?;
         let code = self.config.code();
-        let staged = self.variability_stage(stages)?;
-        let layout = stages.contact_layout(&self.config, || self.contact_layout())?;
-        let profile = stages.addressability(&self.config, || {
-            Ok(AddressabilityProfile::from_variability(
-                &staged.variability,
-                &self.config.variability_model()?,
-                self.config.decision_window_given(staged.ladder_window)?,
-            )?)
-        })?;
-        let yield_ =
-            stages.cave_yield(&self.config, || Ok(CaveYield::compute(&profile, &layout)?))?;
-        let area = stages.crossbar_area(&self.config, || {
-            Ok(CrossbarArea::compute(&spec, code.code_length(), &layout)?)
-        })?;
+        let staged = variability()?;
+        let layout = self.contact_layout()?;
+        let profile = AddressabilityProfile::from_variability(
+            &staged.variability,
+            &self.config.variability_model()?,
+            self.config.decision_window_given(staged.ladder_window)?,
+        )?;
+        let yield_ = CaveYield::compute(&profile, &layout)?;
+        let area = CrossbarArea::compute(&spec, code.code_length(), &layout)?;
         let effective_bit_area = area.effective_bit_area(&spec, &yield_)?;
         let effective_bits = yield_.effective_bits(spec.raw_crosspoints());
 
@@ -424,34 +388,6 @@ impl SimulationPlatform {
                 reason: format!("the configuration's report overflows: {quantities:?}"),
             })
         }
-    }
-}
-
-/// Presence and dimension checks of an externally supplied defect map — the
-/// three error cases of [`SimulationPlatform::evaluate_with_stage_cache`],
-/// factored out so it rejects a mismatched map *before* the report lookup
-/// (a report hit must never mask one).
-fn check_defect_map(defects: DefectKind, map: Option<&DefectMap>, edge: usize) -> Result<()> {
-    match (defects, map) {
-        (DefectKind::None, None) => Ok(()),
-        (DefectKind::Sampled(_), Some(map)) => {
-            if map.rows() != edge || map.columns() != edge {
-                return Err(SimError::InvalidConfig {
-                    reason: format!(
-                        "defect map is {}x{} but the crossbar is {edge}x{edge}",
-                        map.rows(),
-                        map.columns()
-                    ),
-                });
-            }
-            Ok(())
-        }
-        (DefectKind::None, Some(_)) => Err(SimError::InvalidConfig {
-            reason: "defect map supplied for a defect-free configuration".to_string(),
-        }),
-        (DefectKind::Sampled(_), None) => Err(SimError::InvalidConfig {
-            reason: "defect-configured evaluation needs a sampled defect map".to_string(),
-        }),
     }
 }
 
@@ -551,29 +487,11 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_defect_maps_are_rejected() {
-        let defective = platform(CodeKind::Tree, 8)
-            .config()
-            .clone()
-            .with_defects(DefectKind::sampled(0.05, 0.02, 1).unwrap());
-        let defective = SimulationPlatform::new(defective);
-        let stages = StageCache::disabled();
-        // A defect-configured evaluation without a map is an error...
-        assert!(defective.evaluate_with_stage_cache(&stages, None).is_err());
-        // ...as is a map of the wrong dimensions...
-        let small = crossbar_array::DefectModel::new(0.05, 0.02)
+    fn defect_free_configurations_sample_no_map() {
+        assert!(platform(CodeKind::Tree, 8)
+            .sample_defect_map()
             .unwrap()
-            .sample_map(4, 4, 1)
-            .unwrap();
-        assert!(defective
-            .evaluate_with_stage_cache(&stages, Some(&small))
-            .is_err());
-        // ...and a map supplied to a defect-free configuration.
-        let clean = platform(CodeKind::Tree, 8);
-        assert!(clean
-            .evaluate_with_stage_cache(&stages, Some(&small))
-            .is_err());
-        assert!(clean.sample_defect_map().unwrap().is_none());
+            .is_none());
     }
 
     #[test]

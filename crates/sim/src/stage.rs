@@ -3,9 +3,8 @@
 //!
 //! A platform evaluation used to be a monolith — any one-field
 //! configuration change re-ran everything. This module splits it into
-//! explicit stages, each memoized under a **canonical per-stage
-//! fingerprint** derived from only the [`SimConfig`] fields the stage
-//! actually reads:
+//! explicit stages, each with a **canonical per-stage fingerprint** derived
+//! from only the [`SimConfig`] fields the stage actually reads:
 //!
 //! ```text
 //! Variability ──────► Addressability ──► CaveYield ──┐
@@ -16,11 +15,17 @@
 //! Variability ──────► MonteCarlo   (+ Disturbance; per call: MonteCarloConfig, chunk)
 //! ```
 //!
-//! Changing only the defect seed therefore re-runs only the `DefectMap` and
-//! `Composite` stages (the `DefectMap` slot memoizes the instance's
-//! survival, one `f64`, counted without building the map); changing only
-//! the disturbance kind re-runs only the `MonteCarlo` stage — every other
-//! stage is a cache hit, with its own hit/miss/eviction counters.
+//! Four stages are memoized, each in its own slot with hit/miss/eviction
+//! counters: `Variability` (the pattern, doping ladder and Σ/Φ build that
+//! every report and Monte-Carlo estimate starts from), `DefectMap` (the
+//! instance's survival, one `f64`, counted without building the map),
+//! `Composite` (the report) and `MonteCarlo`. Changing only the defect seed
+//! therefore re-runs only the `DefectMap` and `Composite` stages; changing
+//! only the disturbance kind re-runs only the `MonteCarlo` stage. The other
+//! four stages — addressability, contact layout, cave yield and crossbar
+//! area — hit rarely (a configuration that would hit them mostly hits the
+//! report) or save less than a lookup's key build costs, so every report
+//! miss computes them inline, and their counter rows read zero.
 //!
 //! # Keys by construction
 //!
@@ -36,14 +41,10 @@
 //! stage's index, so stage keys never collide across stages or with any
 //! sampling seed stream.
 //!
-//! [`StageCache`] holds one memo slot per stage, so every stage keeps the
-//! same per-shard LRU bounds, single-flight semantics and counters. The
-//! `Composite` slot is the [`ReportCache`] — the engine's one report memo,
-//! which also owns snapshot persistence.
+//! The `Composite` slot is the [`ReportCache`] — the engine's one report
+//! memo, which also owns snapshot persistence.
 
-use crossbar_array::{
-    chunk_seed, AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea,
-};
+use crossbar_array::chunk_seed;
 use device_physics::Volts;
 use mspt_fabrication::{FabricationCost, VariabilityMatrix};
 
@@ -140,7 +141,8 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order — the order
-    /// [`StageCache::stats`] reports rows in.
+    /// [`ExecutionEngine::stage_stats`](crate::ExecutionEngine::stage_stats)
+    /// reports rows in.
     pub const ALL: [Stage; 8] = [
         Stage::Variability,
         Stage::Addressability,
@@ -275,8 +277,8 @@ impl Stage {
 
     /// The canonical memo key of the stage for a configuration: the
     /// [`Stage::reads`] fields' encodings, concatenated in `reads()` order.
-    /// ([`Stage::MonteCarlo`] keys carry additional sampling parameters —
-    /// see [`StageCache`]'s Monte-Carlo slot — appended by the cache.)
+    /// ([`Stage::MonteCarlo`] memo keys append the call's sampling
+    /// configuration and the engine's chunk size to these bytes.)
     #[must_use]
     pub fn key(self, config: &SimConfig) -> Vec<u8> {
         bincodec::config_key(config, self.reads())
@@ -309,7 +311,8 @@ pub(crate) struct VariabilityStage {
     pub ladder_window: Volts,
 }
 
-/// The counters of one stage's memo slot — a per-stage [`CacheStats`] row.
+/// The counters of one stage's memo slot — a per-stage [`CacheStats`] row,
+/// zero for a stage computed inline on every report miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageStats {
     /// The stage the counters belong to.
@@ -319,33 +322,20 @@ pub struct StageStats {
     pub stats: CacheStats,
 }
 
-/// The per-stage memo table of the evaluation pipeline: one
-/// `MemoCache` slot per [`Stage`], each with fingerprint sharding, bounded
-/// LRU, single-flight semantics and hit/miss/eviction counters. The
-/// `Composite` slot is a [`ReportCache`]: the one report memo, which also
-/// persists snapshots. The `DefectMap` slot holds the defect survival
-/// (`Option<f64>`), never a `rows × columns` map.
-///
-/// The [`ExecutionEngine`](crate::ExecutionEngine) owns one; the serial
-/// entry points route through a [`StageCache::disabled`] instance, so
-/// their behaviour (including every defect-map validation error) is
-/// unchanged.
+/// The memo table of the evaluation pipeline: one `MemoCache` slot for each
+/// stage whose hits pay (`Variability`, `DefectMap`, `Composite`,
+/// `MonteCarlo`), each with fingerprint sharding, bounded LRU,
+/// single-flight semantics and hit/miss/eviction counters. The `Composite`
+/// slot is a [`ReportCache`]: the one report memo, which also persists
+/// snapshots. The `DefectMap` slot holds the defect survival
+/// (`Option<f64>`), never a `rows × columns` map. The
+/// [`ExecutionEngine`](crate::ExecutionEngine) owns one.
 #[derive(Debug)]
-pub struct StageCache {
+pub(crate) struct StageCache {
     variability: MemoCache<VariabilityStage>,
-    addressability: MemoCache<AddressabilityProfile>,
-    contact_layout: MemoCache<ContactGroupLayout>,
-    cave_yield: MemoCache<CaveYield>,
-    crossbar_area: MemoCache<CrossbarArea>,
     defect_map: MemoCache<Option<f64>>,
     composite: ReportCache,
     monte_carlo: MemoCache<MonteCarloOutcome>,
-}
-
-impl Default for StageCache {
-    fn default() -> Self {
-        StageCache::new(CacheConfig::default())
-    }
 }
 
 /// One stage-slot lookup: the stage's key for `config`, its fingerprint,
@@ -360,67 +350,36 @@ where
 }
 
 impl StageCache {
-    /// Creates a stage cache where every stage's memo slot uses `config`
-    /// (shards clamped to `1..=capacity`, capacity `0` disables storage).
-    #[must_use]
-    pub fn new(config: CacheConfig) -> Self {
+    /// Creates a stage cache where every memo slot uses `config` (shards
+    /// clamped to `1..=capacity`, capacity `0` disables storage).
+    pub(crate) fn new(config: CacheConfig) -> Self {
         StageCache {
             variability: MemoCache::new(config),
-            addressability: MemoCache::new(config),
-            contact_layout: MemoCache::new(config),
-            cave_yield: MemoCache::new(config),
-            crossbar_area: MemoCache::new(config),
             defect_map: MemoCache::new(config),
             composite: ReportCache::new(config),
             monte_carlo: MemoCache::new(config),
         }
     }
 
-    /// A cache that stores nothing: every stage lookup is a leader-path
-    /// miss that recomputes — the configuration behind the serial entry
-    /// points, which must stay bit- and error-identical to the pre-stage
-    /// monolith.
-    #[must_use]
-    pub fn disabled() -> Self {
-        StageCache::new(CacheConfig {
-            capacity: 0,
-            shards: 1,
-        })
-    }
-
     /// The per-stage counters, one row per [`Stage`] in [`Stage::ALL`]
-    /// order — what `cache_stats` extensions and the serve stress artifact
-    /// report.
-    #[must_use]
-    pub fn stats(&self) -> Vec<StageStats> {
+    /// order; the stages without a slot read zero.
+    pub(crate) fn stats(&self) -> Vec<StageStats> {
         Stage::ALL
             .iter()
             .map(|&stage| StageStats {
                 stage,
                 stats: match stage {
                     Stage::Variability => self.variability.stats(),
-                    Stage::Addressability => self.addressability.stats(),
-                    Stage::ContactLayout => self.contact_layout.stats(),
-                    Stage::CaveYield => self.cave_yield.stats(),
-                    Stage::CrossbarArea => self.crossbar_area.stats(),
                     Stage::DefectMap => self.defect_map.stats(),
                     Stage::Composite => self.composite.stats(),
                     Stage::MonteCarlo => self.monte_carlo.stats(),
+                    Stage::Addressability
+                    | Stage::ContactLayout
+                    | Stage::CaveYield
+                    | Stage::CrossbarArea => CacheStats::default(),
                 },
             })
             .collect()
-    }
-
-    /// Total entries stored across every stage slot.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.stats().iter().map(|row| row.stats.entries).sum()
-    }
-
-    /// Whether no stage slot stores anything.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The `Composite` slot: the report memo, keyed by
@@ -434,42 +393,6 @@ impl StageCache {
         F: FnOnce() -> Result<VariabilityStage>,
     {
         keyed(&self.variability, Stage::Variability, config, compute)
-    }
-
-    pub(crate) fn addressability<F>(
-        &self,
-        config: &SimConfig,
-        compute: F,
-    ) -> Result<AddressabilityProfile>
-    where
-        F: FnOnce() -> Result<AddressabilityProfile>,
-    {
-        keyed(&self.addressability, Stage::Addressability, config, compute)
-    }
-
-    pub(crate) fn contact_layout<F>(
-        &self,
-        config: &SimConfig,
-        compute: F,
-    ) -> Result<ContactGroupLayout>
-    where
-        F: FnOnce() -> Result<ContactGroupLayout>,
-    {
-        keyed(&self.contact_layout, Stage::ContactLayout, config, compute)
-    }
-
-    pub(crate) fn cave_yield<F>(&self, config: &SimConfig, compute: F) -> Result<CaveYield>
-    where
-        F: FnOnce() -> Result<CaveYield>,
-    {
-        keyed(&self.cave_yield, Stage::CaveYield, config, compute)
-    }
-
-    pub(crate) fn crossbar_area<F>(&self, config: &SimConfig, compute: F) -> Result<CrossbarArea>
-    where
-        F: FnOnce() -> Result<CrossbarArea>,
-    {
-        keyed(&self.crossbar_area, Stage::CrossbarArea, config, compute)
     }
 
     /// The `DefectMap` slot: the defect survival of the configured instance
@@ -654,55 +577,49 @@ mod tests {
 
     #[test]
     fn disabled_cache_always_recomputes() {
-        let cache = StageCache::disabled();
+        let cache = StageCache::new(CacheConfig::unsharded(0));
         let config = base();
         let mut computed = 0;
         for _ in 0..2 {
             cache
-                .contact_layout(&config, || {
+                .defect_survival(&config, || {
                     computed += 1;
-                    Ok(ContactGroupLayout::new(
-                        config.nanowires_per_half_cave(),
-                        config.code().space_size(),
-                        *config.layout(),
-                    )?)
+                    Ok(None)
                 })
                 .unwrap();
         }
         assert_eq!(computed, 2);
-        assert!(cache.is_empty());
         let rows = cache.stats();
-        let contact = rows
+        assert!(rows.iter().all(|row| row.stats.entries == 0));
+        let defect_map = rows
             .iter()
-            .find(|row| row.stage == Stage::ContactLayout)
+            .find(|row| row.stage == Stage::DefectMap)
             .unwrap();
-        assert_eq!((contact.stats.hits, contact.stats.misses), (0, 2));
+        assert_eq!((defect_map.stats.hits, defect_map.stats.misses), (0, 2));
     }
 
     #[test]
     fn enabled_cache_hits_on_repeats_and_counts_per_stage() {
         let cache = StageCache::new(CacheConfig::unsharded(16));
         let config = base();
+        let platform = crate::platform::SimulationPlatform::new(config.clone());
         for _ in 0..3 {
             cache
-                .cave_yield(&config, || {
-                    let platform = crate::platform::SimulationPlatform::new(config.clone());
-                    platform.cave_yield()
-                })
+                .variability(&config, || platform.variability_stage())
                 .unwrap();
         }
         let rows = cache.stats();
-        let cave = rows
-            .iter()
-            .find(|row| row.stage == Stage::CaveYield)
-            .unwrap();
-        assert_eq!((cave.stats.hits, cave.stats.misses), (2, 1));
-        // Other stages are untouched.
         let variability = rows
             .iter()
             .find(|row| row.stage == Stage::Variability)
             .unwrap();
-        assert_eq!(variability.stats, CacheStats::default());
+        assert_eq!((variability.stats.hits, variability.stats.misses), (2, 1));
+        // Other stages are untouched.
+        let defect_map = rows
+            .iter()
+            .find(|row| row.stage == Stage::DefectMap)
+            .unwrap();
+        assert_eq!(defect_map.stats, CacheStats::default());
     }
 
     #[test]

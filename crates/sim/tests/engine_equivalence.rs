@@ -4,12 +4,12 @@
 //! count, and the exact Monte-Carlo outcome for a fixed seed is pinned so
 //! future changes to the sampling discipline are loud.
 
-use crossbar_array::DefectModel;
+use crossbar_array::{CompositeYield, DefectModel};
 use decoder_sim::bincodec::report_to_bin;
 use decoder_sim::{
     design_points, DefectKind, DisturbanceKind, DisturbanceModel, EngineConfig, ExecutionEngine,
     GaussianDisturbance, LaplaceDisturbance, MonteCarloConfig, MonteCarloOutcome, NormalSource,
-    SimConfig, StageCache, DEFAULT_CHUNK_SIZE,
+    SimConfig, DEFAULT_CHUNK_SIZE,
 };
 use device_physics::{DopingLadder, ThresholdModel, VariabilityModel, Volts};
 use mspt_fabrication::{PatternMatrix, VariabilityMatrix};
@@ -409,13 +409,15 @@ fn defect_counts_are_identical_across_thread_counts() {
         .is_err());
 }
 
-/// The report path streams the defect count; the map path (an externally
-/// sampled instance through `evaluate_with_stage_cache`) still builds the
-/// map. Both must give the same report, bit for bit.
+/// The report path streams the defect count; the map path
+/// ([`SimulationPlatform::sample_defect_map`](decoder_sim::SimulationPlatform::sample_defect_map)
+/// composed with the cave yield) still builds the map. Both must give the
+/// same survival and composites, bit for bit.
 #[test]
 fn streamed_reports_match_the_map_path_bit_for_bit() {
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
     let base = SimConfig::paper_defaults(code).unwrap();
+    let raw_crosspoints = base.crossbar_spec().unwrap().raw_crosspoints();
     for defects in [
         DefectKind::None,
         DefectKind::sampled(0.05, 0.02, 2_009).unwrap(),
@@ -423,16 +425,26 @@ fn streamed_reports_match_the_map_path_bit_for_bit() {
     ] {
         let platform = decoder_sim::SimulationPlatform::new(base.clone().with_defects(defects));
         let streamed = platform.evaluate().unwrap();
-        let mapped = platform
-            .evaluate_with_stage_cache(
-                &StageCache::disabled(),
-                platform.sample_defect_map().unwrap().as_ref(),
-            )
-            .unwrap();
-        // The binary codec writes every float as its bits.
+        let cave_yield = platform.cave_yield().unwrap();
+        // A defect-free configuration samples no map and composes nothing.
+        let (survival, composite) = match platform.sample_defect_map().unwrap() {
+            Some(map) => (map.usable_fraction(), map.compose_with(&cave_yield)),
+            None => (1.0, CompositeYield::new(&cave_yield, 1.0)),
+        };
+        let bits = [
+            streamed.defect_survival,
+            streamed.composite_yield,
+            streamed.composite_effective_bits,
+        ]
+        .map(f64::to_bits);
+        let mapped = [
+            survival,
+            composite.crossbar_yield,
+            composite.effective_bits(raw_crosspoints),
+        ]
+        .map(f64::to_bits);
         assert_eq!(
-            report_to_bin(&streamed),
-            report_to_bin(&mapped),
+            bits, mapped,
             "streamed report diverged from the map path ({defects:?})"
         );
     }

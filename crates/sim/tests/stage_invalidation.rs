@@ -1,8 +1,9 @@
 //! The stage-invalidation matrix: for every [`ConfigField`], varying only
-//! that field on a warm engine must recompute exactly the stages whose
-//! declared read set ([`Stage::reads`]) contains the field — every other
-//! consulted stage hits — and the resulting reports must stay bit-identical
-//! to a cold serial evaluation, at one and at four engine threads.
+//! that field on a warm engine must recompute exactly the memoized stages
+//! whose declared read set ([`Stage::reads`]) contains the field — every
+//! other consulted memo slot hits, and the stages without a slot never
+//! count — and the resulting reports must stay bit-identical to a cold
+//! serial evaluation, at one and at four engine threads.
 //!
 //! The expected counter movement is derived from the public stage graph, so
 //! this test cross-checks the declared read sets against the *actual* data
@@ -10,8 +11,9 @@
 //! hit when it must miss, and vice versa).
 
 use decoder_sim::{
-    ConfigField, DefectKind, DisturbanceKind, EngineConfig, Evaluation, ExecutionEngine,
-    MonteCarloConfig, SimConfig, SimulationPlatform, Stage, StageStats, DEFAULT_CHUNK_SIZE,
+    CacheStats, ConfigField, DefectKind, DisturbanceKind, EngineConfig, Evaluation,
+    ExecutionEngine, MonteCarloConfig, SimConfig, SimulationPlatform, Stage, StageStats,
+    DEFAULT_CHUNK_SIZE,
 };
 
 use crossbar_array::LayoutRules;
@@ -130,18 +132,18 @@ fn expected_delta(stage: Stage, field: ConfigField) -> (u64, u64) {
             let mc_lookups = u64::from(monte_carlo_missed);
             (report_lookups + mc_lookups - miss, miss)
         }
-        // The remaining pipeline stages — the defect-map slot included —
-        // are consulted only while the composite closure runs.
-        Stage::Addressability
-        | Stage::ContactLayout
-        | Stage::CaveYield
-        | Stage::CrossbarArea
-        | Stage::DefectMap => {
+        // The defect-map slot is consulted only while the composite closure
+        // runs.
+        Stage::DefectMap => {
             if composite_missed {
                 (1 - miss, miss)
             } else {
                 (0, 0)
             }
+        }
+        // Computed inline on every report miss: no slot, no counts.
+        Stage::Addressability | Stage::ContactLayout | Stage::CaveYield | Stage::CrossbarArea => {
+            (0, 0)
         }
     }
 }
@@ -221,5 +223,46 @@ fn every_stage_has_a_field_that_invalidates_it_and_one_that_does_not() {
             "stage {} reads every field",
             stage.name()
         );
+    }
+}
+
+#[test]
+fn stage_stats_has_one_row_per_stage_in_pipeline_order() {
+    let engine = ExecutionEngine::new(EngineConfig {
+        threads: 2,
+        chunk_size: DEFAULT_CHUNK_SIZE,
+    });
+    let rows = engine.stage_stats();
+    let stages: Vec<Stage> = rows.iter().map(|row| row.stage).collect();
+    assert_eq!(stages, Stage::ALL);
+    assert!(rows.iter().all(|row| row.stats == CacheStats::default()));
+
+    let config = base().with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
+    let run = Evaluation::builder(config).monte_carlo(MonteCarloConfig::fixed(64, 17));
+    run.run(&engine).unwrap();
+    run.run(&engine).unwrap();
+    let rows = engine.stage_stats();
+    let stages: Vec<Stage> = rows.iter().map(|row| row.stage).collect();
+    assert_eq!(stages, Stage::ALL);
+    for row in rows {
+        // The report and the estimate each miss once and then hit. Their
+        // misses consult the variability slot (the estimate's lookup hits
+        // what the report's inserted) and the report's the defect map.
+        let expected = match row.stage {
+            Stage::Composite | Stage::MonteCarlo | Stage::Variability => (1, 1, 1),
+            Stage::DefectMap => (0, 1, 1),
+            Stage::Addressability
+            | Stage::ContactLayout
+            | Stage::CaveYield
+            | Stage::CrossbarArea => (0, 0, 0),
+        };
+        let stats = row.stats;
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            expected,
+            "stage {}",
+            row.stage.name()
+        );
+        assert_eq!(stats.evictions, 0, "stage {}", row.stage.name());
     }
 }
