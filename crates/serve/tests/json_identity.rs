@@ -24,10 +24,14 @@
 //! table moved when number literals began to follow RFC 8259 (48
 //! mutations writing a leading zero or a bare point are rejected), the
 //! config and request texts when configs stopped carrying sampling knobs,
-//! and the golden-config and request lines when a decoded correlated
+//! the golden-config and request lines when a decoded correlated
 //! shared fraction began to be checked against [0, 1] (the four flips
-//! writing 1.25, 2.25, 4.25 and 8.25 are rejected). A failure names the
-//! first text or corpus that moved.
+//! writing 1.25, 2.25, 4.25 and 8.25 are rejected), and the golden-config,
+//! request and ok-reply lines when JSON records began to reject keys
+//! outside their field list (the flips and deletions inside a defaulted
+//! key — the config's `defects`, the report's four defect keys — that
+//! decoded as the key left out are rejected). A failure names the first
+//! text or corpus that moved.
 
 #[path = "../../sim/tests/catalogue/mod.rs"]
 mod catalogue;

@@ -28,8 +28,8 @@
 //! * every truncation of a request document, in both codecs and in the
 //!   shape earlier clients wrote, gets a typed error from a live server
 //!   whose connection keeps serving bit-identical reports;
-//! * a JSON number literal RFC 8259 forbids gets a typed error, and the
-//!   connection keeps serving;
+//! * a JSON number literal RFC 8259 forbids, or a JSON config key outside
+//!   the field list, gets a typed error, and the connection keeps serving;
 //! * a request whose configuration carries the Monte-Carlo sampling knobs
 //!   configs once held gets the reply bytes of the request without them.
 
@@ -695,6 +695,44 @@ fn json_numbers_outside_rfc_8259_get_typed_errors_and_the_connection_keeps_servi
         expect_bad_request(round_trip(&mut stream, hostile.as_bytes(), &to), &to);
         let next = round_trip(&mut stream, json.as_bytes(), &to);
         assert_eq!(next, reference, "{to}: the next well-formed request");
+    }
+    assert_eq!(handle.served(), 4);
+    handle.shutdown();
+}
+
+/// A JSON request whose configuration carries a key its field list does
+/// not name — `defects` damaged to `eefects`, which read as a defect-free
+/// config while unknown keys were ignored, or a repeated key — gets a typed
+/// `bad_request`, and the same connection then serves the well-formed
+/// request the reply bytes of its report.
+#[test]
+fn json_configs_with_unknown_keys_get_typed_errors_and_the_connection_keeps_serving() {
+    let server = report_server(2);
+    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
+    let config = mix()
+        .remove(0)
+        .config
+        .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
+    let reply = ok_response(&reference(&config)).into_bytes();
+    let json = ReportRequest::new(config).to_json_string();
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for (from, to) in [
+        ("\"defects\"", "\"eefects\""),
+        ("\"raw_bits\"", "\"raw_bits\":1,\"raw_bits\""),
+    ] {
+        assert_eq!(json.matches(from).count(), 1, "{from}");
+        let hostile = json.replacen(from, to, 1);
+        expect_bad_request(round_trip(&mut stream, hostile.as_bytes(), to), to);
+        write_frame(&mut stream, json.as_bytes()).unwrap();
+        assert_eq!(
+            read_frame(&mut stream).unwrap(),
+            Some(reply.clone()),
+            "{to}: next"
+        );
     }
     assert_eq!(handle.served(), 4);
     handle.shutdown();

@@ -47,8 +47,11 @@
 //!   rejected loudly — a future writer's layout cannot be guessed.
 //! * Within the supported version, **unknown section tags are skipped**:
 //!   a version-1 reader stays forward-compatible with payloads to which a
-//!   later writer appended new sections, exactly as the JSON decoder
-//!   ignores object keys it does not read.
+//!   later writer appended new sections. (The JSON decoder, by contrast,
+//!   rejects an object key outside the field list and its retired names:
+//!   every section is required, so a damaged tag already fails here, while
+//!   a damaged JSON key would otherwise read as a defaulted field left
+//!   out.)
 //! * Every section this version writes is **required** when decoding,
 //!   except the window override (its absence is the unset state). The
 //!   binary format postdates the JSON codec's additive fields, so unlike

@@ -20,7 +20,7 @@
 //!   [`SimConfig`], [`PlatformReport`] and their leaf types once for both
 //!   codecs: a record is written as an object whose members follow the
 //!   field list, and decoding reads each member of the parsed object by
-//!   key. [`write_config_json`] and [`write_report_json`] write a record
+//!   key and rejects members the list does not name. [`write_config_json`] and [`write_report_json`] write a record
 //!   into a caller's buffer; the `*_to_json` entry points return the
 //!   parsed-back tree of that text and the `*_from_json` ones decode a
 //!   tree. Every decoded configuration passes through the same validating
@@ -32,10 +32,13 @@
 //! composite report quantities) are always written, but the field list
 //! marks them defaulted: a document without the key decodes to the
 //! pre-field behaviour, so wire messages written before the field existed
-//! keep loading. Unknown *values* (an unrecognised kind tag) are still
-//! rejected loudly, and unknown keys are ignored — so a config written
-//! while it still carried a `monte_carlo` member, sampling knobs no report
-//! reads, decodes to the same configuration without it.
+//! keep loading. Fields a record dropped stay listed as its retired names
+//! and are skipped whatever they hold — so a config written while it still
+//! carried a `monte_carlo` member, sampling knobs no report reads, decodes
+//! to the same configuration without it. Every other key outside a
+//! record's field list is rejected, as is a repeated key, and so are
+//! unknown *values* (an unrecognised kind tag): a damaged key fails loudly
+//! instead of decoding as a defaulted field left out.
 //!
 //! # Float round-tripping
 //!
@@ -58,7 +61,7 @@ use crate::disturbance::DisturbanceKind;
 use crate::error::{Result, SimError};
 use crate::platform::PlatformReport;
 use crate::schema::{
-    blank_code, blank_report, Field, Presence, Record, Value, Wire, WIRE_ERROR_KINDS,
+    blank_code, blank_report, encode, Field, Presence, Record, Value, Wire, WIRE_ERROR_KINDS,
 };
 
 /// A JSON document as a tree. Numbers keep their literal text so integers
@@ -694,21 +697,78 @@ impl Wire for JsonOut<'_> {
     }
 }
 
-/// The JSON decoder: reads each field of a record from an object, by key.
-pub(crate) struct JsonIn<'a>(pub(crate) &'a JsonValue<'a>);
+/// The JSON decoder: reads each field of a record from an object, by key,
+/// and counts the members it read.
+struct JsonIn<'a> {
+    object: &'a JsonValue<'a>,
+    read: usize,
+}
 
 impl Wire for JsonIn<'_> {
     const DECODES: bool = true;
 
     fn field<V: Value>(&mut self, field: Field, value: &mut V) -> Result<()> {
-        match self.0.get_opt(field.key)? {
-            Some(json) => value.read_json(json),
+        match self.object.get_opt(field.key)? {
+            Some(json) => {
+                self.read += 1;
+                value.read_json(json)
+            }
             None if field.presence == Presence::Required => {
                 Err(err(format!("missing object key {:?}", field.key)))
             }
             None => Ok(()),
         }
     }
+}
+
+/// An encoder that lists the fields a record writes, nothing else.
+pub(crate) struct FieldList(pub(crate) Vec<Field>);
+
+impl Wire for FieldList {
+    const DECODES: bool = false;
+
+    fn field<V: Value>(&mut self, field: Field, _: &mut V) -> Result<()> {
+        self.0.push(field);
+        Ok(())
+    }
+}
+
+/// Decodes `record`'s fields from the object `json`, by key. A member whose
+/// key is neither one of the fields nor one of the record's
+/// [`Record::RETIRED`] names is rejected, and so is a repeated key: a
+/// damaged key must not decode as a field left out.
+///
+/// The field list reads each of its keys at most once, so an object with
+/// exactly as many members as the list read holds nothing else; only a
+/// larger object is searched for repeated and unknown keys.
+pub(crate) fn read_record<R: Record>(record: &mut R, json: &JsonValue<'_>) -> Result<()> {
+    let mut wire = JsonIn {
+        object: json,
+        read: 0,
+    };
+    record.fields(&mut wire)?;
+    let JsonValue::Object(members) = json else {
+        return Err(err(format!("expected an object, got {}", json.kind_name())));
+    };
+    if members.len() == wire.read {
+        return Ok(());
+    }
+    let mut fields = FieldList(Vec::new());
+    encode(record, &mut fields);
+    for (index, (key, _)) in members.iter().enumerate() {
+        if members[..index].iter().any(|(earlier, _)| earlier == key) {
+            return Err(err(format!("repeated object key {key:?}")));
+        }
+        if !fields
+            .0
+            .iter()
+            .chain(R::RETIRED)
+            .any(|field| field.key == key)
+        {
+            return Err(err(format!("unknown object key {key:?}")));
+        }
+    }
+    Ok(())
 }
 
 fn decode<R: Record>(value: &JsonValue<'_>, mut record: R) -> Result<R> {
@@ -797,12 +857,13 @@ pub fn config_to_json(config: &SimConfig) -> JsonValue<'static> {
 /// Decodes a [`SimConfig`], passing every field through the same validating
 /// constructors a hand-built configuration uses. Documents written before
 /// the `defects` key existed decode as defect-free, and a `monte_carlo`
-/// member, which earlier configs carried, is ignored like any unknown key.
+/// member, which earlier configs carried, is skipped.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Persistence`] on malformed JSON, or propagates the
-/// validation errors of the reconstructed layers.
+/// Returns [`SimError::Persistence`] on malformed JSON or an unknown or
+/// repeated key, or propagates the validation errors of the reconstructed
+/// layers.
 pub fn config_from_json(value: &JsonValue<'_>) -> Result<SimConfig> {
     decode(value, SimConfig::blank())
 }
@@ -829,7 +890,8 @@ pub fn report_to_json(report: &PlatformReport) -> JsonValue<'static> {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Persistence`] on malformed JSON.
+/// Returns [`SimError::Persistence`] on malformed JSON or an unknown or
+/// repeated key.
 pub fn report_from_json(value: &JsonValue<'_>) -> Result<PlatformReport> {
     decode(value, blank_report())
 }
@@ -1084,6 +1146,76 @@ mod tests {
             assert_eq!(rendered(&decoded), text);
         }
         assert!(!crate::MonteCarloConfig::default().is_adaptive());
+    }
+
+    #[test]
+    fn damaged_keys_are_rejected_while_retired_and_pre_defect_shapes_decode() {
+        let config = base_config().with_defects(DefectKind::sampled(0.02, 0.01, 77).unwrap());
+        let report = SimulationPlatform::new(config.clone()).evaluate().unwrap();
+        let (config_text, report_text) = (rendered(&config), report_to_json(&report).render());
+        let edited = |text: &str, from: &str, to: &str| {
+            assert_eq!(text.matches(from).count(), 1, "{from}");
+            text.replacen(from, to, 1)
+        };
+        // One flipped bit in a defaulted key, a key no field has (in a
+        // nested record), and a repeated key.
+        for (text, from, to, named) in [
+            (&config_text, "\"defects\"", "\"eefects\"", "eefects"),
+            (&config_text, "\"radix\"", "\"radiz\":2,\"radix\"", "radiz"),
+            (
+                &config_text,
+                "\"raw_bits\"",
+                "\"raw_bits\":1,\"raw_bits\"",
+                "raw_bits",
+            ),
+            (
+                &report_text,
+                "\"composite_yield\"",
+                "\"composite_yiEld\"",
+                "composite_yiEld",
+            ),
+            (
+                &report_text,
+                "\"defect_survival\"",
+                "\"defects\":{\"kind\":\"none\"},\"defect_survival\"",
+                "defects",
+            ),
+        ] {
+            let edited = edited(text, from, to);
+            let document = JsonValue::parse(&edited).unwrap();
+            let error = if text == &config_text {
+                config_from_json(&document).map(drop)
+            } else {
+                report_from_json(&document).map(drop)
+            }
+            .unwrap_err();
+            assert!(
+                matches!(&error, SimError::Persistence { reason } if reason.contains(named)),
+                "{to}: {error}"
+            );
+        }
+        // A retired member is skipped; a document written before the defect
+        // keys existed decodes as defect-free.
+        let retired = format!(
+            "{},\"monte_carlo\":{{}}}}",
+            &config_text[..config_text.len() - 1]
+        );
+        assert_eq!(
+            config_from_json(&JsonValue::parse(&retired).unwrap()).unwrap(),
+            config
+        );
+        let defect_free = base_config();
+        let pre_defect = rendered(&defect_free).replace(",\"defects\":{\"kind\":\"none\"}", "");
+        assert!(!pre_defect.contains("defects"));
+        assert_eq!(
+            config_from_json(&JsonValue::parse(&pre_defect).unwrap()).unwrap(),
+            defect_free
+        );
+        let report = SimulationPlatform::new(defect_free).evaluate().unwrap();
+        let text = report_to_json(&report).render();
+        let pre_defect = format!("{}}}", &text[..text.find(",\"defects\"").unwrap()]);
+        let pre_defect = JsonValue::parse(&pre_defect).unwrap();
+        assert_eq!(report_from_json(&pre_defect).unwrap(), report);
     }
 
     #[test]

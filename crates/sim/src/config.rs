@@ -397,6 +397,9 @@ pub(crate) fn check_window(window: Volts) -> Result<Volts> {
 /// order: a field's stage-key bytes are its binary encoding here. The list
 /// sits beside the private fields it visits.
 impl Record for SimConfig {
+    /// The Monte-Carlo sampling knobs, which no report read.
+    const RETIRED: &'static [Field] = &[Field::section("monte_carlo", 0x0a)];
+
     fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
         wire.field(Field::section("code", 0x01), &mut self.code)?;
         wire.field(
@@ -428,8 +431,6 @@ impl Record for SimConfig {
             Field::section("defects", 0x09).json_default(),
             &mut self.defects,
         )
-        // Retired: key `monte_carlo` and section 0x0a, which older configs
-        // still carry (sampling knobs). No new field may take either.
     }
 
     /// Runs the joint checks of [`SimConfig::new`] over a decoded
@@ -609,6 +610,18 @@ mod tests {
         // The defect selection is part of the configuration's identity (it
         // keys the engine's defect-map stage and report cache).
         assert_ne!(config, defective);
+    }
+
+    #[test]
+    fn no_field_takes_a_retired_key_or_section() {
+        let mut fields = crate::codec::FieldList(Vec::new());
+        crate::schema::encode(&SimConfig::paper(code()), &mut fields);
+        for retired in SimConfig::RETIRED {
+            for field in &fields.0 {
+                assert_ne!(field.key, retired.key);
+                assert_ne!(field.tag, retired.tag, "{} and {}", field.key, retired.key);
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //!
 //! Fields added after the JSON format shipped are always written but keep
 //! their default when a JSON document leaves them out ([`Presence`]); the
-//! window override is written only when set ([`Wire::when_set`]).
+//! window override is written only when set ([`Wire::when_set`]). Fields a
+//! type no longer carries stay listed by name ([`Record::RETIRED`]), so
+//! older documents that hold them still decode; a JSON object member under
+//! any other key outside the field list is an error.
 
 use crossbar_array::LayoutRules;
 use device_physics::{Nanometers, ThresholdModel, Volts};
@@ -35,7 +38,7 @@ use nanowire_codes::{
 
 use crate::bincodec::{BinReader, BinWriter, BodyIn, BodyOut};
 use crate::codec::{
-    err, write_json_f64, write_json_string, write_json_u64, JsonIn, JsonOut, JsonValue,
+    err, read_record, write_json_f64, write_json_string, write_json_u64, JsonOut, JsonValue,
     ObjectWriter, WireErrorKind,
 };
 use crate::defect::{DefectConfig, DefectKind};
@@ -124,6 +127,12 @@ pub(crate) trait Value {
 /// A type written as its field list: a JSON object, or a binary body (a
 /// document's sections at the top level).
 pub(crate) trait Record: Clone {
+    /// Names documents written by earlier versions still carry, each a JSON
+    /// key and a binary section tag: both decoders skip them whatever they
+    /// hold, and no field may take one. Any other JSON key outside the
+    /// field list is an error.
+    const RETIRED: &'static [Field] = &[];
+
     /// Visits every field in listing order. A nested record is decoded in
     /// one visit, so it may read its fields into locals and rebuild itself
     /// through its constructor when [`Wire::DECODES`]. A document's record
@@ -155,7 +164,7 @@ impl<R: Record> Value for R {
     }
 
     fn read_json(&mut self, json: &JsonValue<'_>) -> Result<()> {
-        self.fields(&mut JsonIn(json))?;
+        read_record(self, json)?;
         self.finish()
     }
 
