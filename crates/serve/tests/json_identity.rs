@@ -30,8 +30,11 @@
 //! request and ok-reply lines when JSON records began to reject keys
 //! outside their field list (the flips and deletions inside a defaulted
 //! key — the config's `defects`, the report's four defect keys — that
-//! decoded as the key left out are rejected). A failure names the first
-//! text or corpus that moved.
+//! decoded as the key left out are rejected). The config and request texts,
+//! the snapshot text and the golden-config and request lines moved again
+//! when configs stopped carrying code-search budgets (the 110 accepted
+//! mutations inside the `code_budgets` member went with it). A failure
+//! names the first text or corpus that moved.
 
 #[path = "../../sim/tests/catalogue/mod.rs"]
 mod catalogue;

@@ -20,9 +20,8 @@
 //! * a defect-configured request for an oversized crossbar, or a request
 //!   for an oversized half cave, gets a typed error at once, in both
 //!   codecs, and its connection keeps serving;
-//! * a request for a code search past the arrangement bound, or with a
-//!   search budget above its default, gets a typed error at once, in both
-//!   codecs, and an unbounded limit slack no longer hangs a worker;
+//! * a request for a code search past the arrangement bound gets a typed
+//!   error at once, in both codecs;
 //! * a length prefix above the frame bound gets a typed `bad_request`, then
 //!   an orderly close;
 //! * every truncation of a request document, in both codecs and in the
@@ -30,8 +29,9 @@
 //!   whose connection keeps serving bit-identical reports;
 //! * a JSON number literal RFC 8259 forbids, or a JSON config key outside
 //!   the field list, gets a typed error, and the connection keeps serving;
-//! * a request whose configuration carries the Monte-Carlo sampling knobs
-//!   configs once held gets the reply bytes of the request without them.
+//! * a request whose configuration carries the code-search budgets or the
+//!   Monte-Carlo sampling knobs configs once held gets the reply bytes of
+//!   the request without them.
 
 mod common;
 #[path = "../../sim/tests/retired/mod.rs"]
@@ -55,9 +55,7 @@ use mspt_serve::{
     request_to_bin, run_net_stress, write_frame, NetClient, NetServer, NetServerHandle,
     ReportRequest, ReportServer, ServeConfig, StressConfig, WireCodec, WireReply,
 };
-use nanowire_codes::{
-    ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
-};
+use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn mix() -> Vec<ReportRequest> {
     // Small but representative: two code families plus a Laplace variant,
@@ -775,44 +773,65 @@ fn out_of_range_shared_fractions_get_typed_errors_and_the_connection_keeps_servi
     handle.shutdown();
 }
 
-/// Requests written while configs carried Monte-Carlo sampling knobs — a
-/// `monte_carlo` member in JSON, config section `0x0a` in binary — get,
-/// byte for byte, the reply of the request without them: no report read
-/// the knobs.
+/// Requests written while configs carried code-search budgets — a
+/// `code_budgets` member in JSON, config section `0x07` in binary — or
+/// Monte-Carlo sampling knobs — a `monte_carlo` member, section `0x0a` —
+/// get, byte for byte and within the 1 s read timeout, the reply of the
+/// request without them, whatever they hold. A balanced Gray or arranged
+/// hot code whose request starves its search of nodes is served the
+/// searched code, not the fallback: binary BGC M = 10 keeps its crossbar
+/// yield above the plain Gray code's.
 #[test]
 fn requests_carrying_retired_sampling_knobs_get_the_same_reply_bytes() {
     let server = report_server(2);
     let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
-    let config = mix()
-        .remove(0)
-        .config
-        .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
-    let request = ReportRequest::new(config.clone());
-    let reference = reference(&config);
-    let mut client = NetClient::connect(handle.local_addr()).unwrap();
-    for knobs in retired::knob_variants() {
-        let json = format!(
-            "{{\"schema_version\":1,\"config\":{}}}",
-            retired::config_json_with_knobs(&config, knobs)
-        );
-        // A binary request is one section, `0x01`, holding the config.
-        let mut bin = BinWriter::new();
-        bin.section(
-            0x01,
-            &retired::with_knobs_section(config_to_bin(&config), knobs),
-        );
-        let bin = bincodec::document(bincodec::DOC_REQUEST, &bin.into_bytes());
-        for (codec, legacy) in [
-            (WireCodec::Json, json.into_bytes()),
-            (WireCodec::Binary, bin),
-        ] {
-            let what = format!("{codec:?} request carrying {knobs:?}");
-            let current = client.call_bytes(&codec.encode_request(&request)).unwrap();
-            assert_eq!(expect_report(Some(current.clone()), &what), reference);
-            assert_eq!(client.call_bytes(&legacy).unwrap(), current, "{what}");
+    let bgc = paper(CodeKind::BalancedGray, LogicLevel::BINARY, 10);
+    let gray = reference(&paper(CodeKind::Gray, LogicLevel::BINARY, 10));
+    assert!(reference(&bgc).crossbar_yield > gray.crossbar_yield + 0.05);
+    let configs = [
+        mix()
+            .remove(0)
+            .config
+            .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap()),
+        bgc,
+        paper(CodeKind::ArrangedHot, LogicLevel::TERNARY, 6),
+    ];
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut frames = 0;
+    for config in &configs {
+        let request = ReportRequest::new(config.clone());
+        let reference = reference(config);
+        for retired in retired::variants() {
+            let json = format!(
+                "{{\"schema_version\":1,\"config\":{}}}",
+                retired.json(config)
+            );
+            // A binary request is one section, `0x01`, holding the config.
+            let mut bin = BinWriter::new();
+            bin.section(0x01, &retired.bin(&config_to_bin(config)));
+            let bin = bincodec::document(bincodec::DOC_REQUEST, &bin.into_bytes());
+            for (codec, legacy) in [
+                (WireCodec::Json, json.into_bytes()),
+                (WireCodec::Binary, bin),
+            ] {
+                let what = format!("{codec:?} {:?} request carrying {retired:?}", config.code());
+                let mut call = |payload: &[u8]| {
+                    write_frame(&mut stream, payload).unwrap();
+                    read_frame(&mut stream)
+                        .unwrap_or_else(|error| panic!("{what}: no reply within 1 s ({error})"))
+                };
+                let current = call(&codec.encode_request(&request));
+                assert_eq!(expect_report(current.clone(), &what), reference);
+                assert_eq!(call(&legacy), current, "{what}");
+                frames += 2;
+            }
         }
     }
-    assert_eq!(handle.served(), 8);
+    assert_eq!(handle.served(), frames);
     handle.shutdown();
 }
 
@@ -821,22 +840,19 @@ fn paper(kind: CodeKind, radix: LogicLevel, length: usize) -> SimConfig {
     SimConfig::paper_defaults(CodeSpec::new(kind, radix, length).unwrap()).unwrap()
 }
 
-/// The code searches recurse once per word on the worker's thread and run
-/// as long as their budgets allow. Unbounded, a balanced Gray code of
-/// 8 192 words or a ternary arranged hot code of 34 650 words overflows a
-/// 2 MiB worker stack and aborts the server, a binary arranged hot code of
-/// length 28 enumerates C(28, 14) ≈ 4·10⁷ combinations, a zero node
-/// budget with an unbounded limit slack retries forever, and each unit of
-/// limit slack reruns a balanced search of up to 4 M nodes (a binary
-/// M = 16 code with slack 16 searches for seconds). Space sizes that
-/// do not fit a `u128` must saturate, not wrap: a wrapped hot-code size
-/// (C(1000, 500) read as 1) starts an enumeration that exhausts memory or
-/// the stack, and a tree-family size computed digit by digit holds a worker
-/// for a time linear in the length. Each oversized
-/// space and each budget above its default must get a typed error within
+/// The code searches recurse once per word on the worker's thread.
+/// Unbounded, a balanced Gray code of 8 192 words or a ternary arranged hot
+/// code of 34 650 words overflows a 2 MiB worker stack and aborts the
+/// server, and a binary arranged hot code of length 28 enumerates
+/// C(28, 14) ≈ 4·10⁷ combinations. Space sizes that do not fit a `u128`
+/// must saturate, not wrap: a wrapped hot-code size (C(1000, 500) read
+/// as one) starts an enumeration that exhausts memory or the stack, and a
+/// tree-family size computed digit by digit holds a worker for a time
+/// linear in the length. Each oversized space must get a typed error within
 /// the 1 s read timeout, in both codecs, with the next well-formed request
 /// on the connection answered bit-identically. In process, the same
-/// configurations are typed errors too.
+/// configurations are typed errors too. (A client sends no search budgets:
+/// every code is generated with the defaults.)
 #[test]
 fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
     let server = report_server(2);
@@ -844,9 +860,6 @@ fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
     let well_formed = mix().remove(0);
     let reference = reference(&well_formed.config);
 
-    let budgets = CodeBudgets::default();
-    let bgc = paper(CodeKind::BalancedGray, LogicLevel::BINARY, 10);
-    let ahc = paper(CodeKind::ArrangedHot, LogicLevel::TERNARY, 6);
     let hostile = [
         (
             "BGC binary M = 26",
@@ -883,60 +896,6 @@ fn oversized_code_searches_get_typed_errors_and_the_connection_keeps_serving() {
         (
             "GC binary M = 2·10⁹",
             paper(CodeKind::Gray, LogicLevel::BINARY, 2_000_000_000),
-        ),
-        (
-            "BGC node budget",
-            bgc.clone().with_code_budgets(CodeBudgets {
-                balance: BalanceBudget {
-                    max_nodes_per_limit: u64::MAX,
-                    ..budgets.balance
-                },
-                ..budgets
-            }),
-        ),
-        (
-            "AHC node budget",
-            ahc.clone().with_code_budgets(CodeBudgets {
-                arranged_hot: ArrangedHotBudget {
-                    max_nodes: u64::MAX,
-                    ..budgets.arranged_hot
-                },
-                ..budgets
-            }),
-        ),
-        (
-            "AHC sweep budget",
-            ahc.with_code_budgets(CodeBudgets {
-                arranged_hot: ArrangedHotBudget {
-                    fallback: SearchBudget {
-                        max_two_opt_sweeps: u32::MAX,
-                        ..budgets.arranged_hot.fallback
-                    },
-                    ..budgets.arranged_hot
-                },
-                ..budgets
-            }),
-        ),
-        (
-            "BGC unbounded limit slack",
-            bgc.with_code_budgets(CodeBudgets {
-                balance: BalanceBudget {
-                    max_nodes_per_limit: 0,
-                    max_limit_slack: usize::MAX,
-                },
-                ..budgets
-            }),
-        ),
-        // Seventeen limits of up to 4 M nodes each: seconds of search.
-        (
-            "BGC binary M = 16, limit slack 16",
-            paper(CodeKind::BalancedGray, LogicLevel::BINARY, 16).with_code_budgets(CodeBudgets {
-                balance: BalanceBudget {
-                    max_limit_slack: 16,
-                    ..budgets.balance
-                },
-                ..budgets
-            }),
         ),
     ];
 

@@ -57,8 +57,9 @@
 //!   binary format postdates the JSON codec's additive fields, so unlike
 //!   the JSON codec it has no legacy documents to stay lenient for. A
 //!   config section this version no longer writes is an unknown tag like
-//!   any other: section `0x0a` of earlier configs, which held sampling
-//!   knobs no report reads, is skipped, and its tag is not reused.
+//!   any other: sections `0x07` (code-search budgets) and `0x0a` (sampling
+//!   knobs) of earlier configs are skipped whatever they hold, and neither
+//!   tag is reused (`SimConfig` lists both as retired).
 //! * Non-finite floats are rejected on decode. JSON cannot represent them
 //!   (the JSON encoder maps them to `null`, which its decoder rejects), so
 //!   accepting them here would let the two codecs disagree.
@@ -626,7 +627,7 @@ impl Wire for KeyFields {
 /// of fields is injective.
 pub(crate) fn config_key(config: &SimConfig, fields: &[ConfigField]) -> Vec<u8> {
     let mut pass = KeyFields {
-        // The fields of a configuration encode to at most 177 bytes in all.
+        // The fields of a configuration encode to at most 141 bytes in all.
         out: BinWriter {
             buf: Vec::with_capacity(256),
         },

@@ -66,8 +66,12 @@
 //! re-checked in full on every lookup, so a fingerprint collision can cost
 //! a duplicate evaluation but never serve the wrong report. Snapshot rows
 //! carry full config documents and loads recompute keys, so a file written
-//! under an earlier key scheme keeps loading, and so does one whose config
-//! documents still carry the retired sampling-knob section.
+//! under an earlier key scheme of the same schema version keeps loading,
+//! and a row's config document decodes like any other (the sections of
+//! retired fields are skipped). Version 3 began when configurations stopped
+//! carrying code-search budgets: a version-2 row whose config lowered a
+//! budget holds the report of a fallback code, which a load would file
+//! under the key of the default-budget configuration.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -86,8 +90,9 @@ use crate::stage::Stage;
 pub const CACHE_PATH_ENV: &str = "MSPT_CACHE_PATH";
 
 /// Schema version of the persisted snapshot format. Bump on any change to
-/// the on-disk layout; loaders reject every other version.
-pub const CACHE_SCHEMA_VERSION: u64 = 2;
+/// the on-disk layout, or to what a row's config means; loaders reject
+/// every other version.
+pub const CACHE_SCHEMA_VERSION: u64 = 3;
 
 /// Default bound on the number of cached reports (far above the paper's
 /// sweep-point count, so default runs never evict).

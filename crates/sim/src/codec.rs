@@ -34,8 +34,9 @@
 //! pre-field behaviour, so wire messages written before the field existed
 //! keep loading. Fields a record dropped stay listed as its retired names
 //! and are skipped whatever they hold — so a config written while it still
-//! carried a `monte_carlo` member, sampling knobs no report reads, decodes
-//! to the same configuration without it. Every other key outside a
+//! carried a `code_budgets` member (search budgets every configuration now
+//! leaves at their defaults) or a `monte_carlo` member (sampling knobs no
+//! report reads) decodes to the same configuration without it. Every other key outside a
 //! record's field list is rejected, as is a repeated key, and so are
 //! unknown *values* (an unrecognised kind tag): a damaged key fails loudly
 //! instead of decoding as a defaulted field left out.
@@ -856,8 +857,9 @@ pub fn config_to_json(config: &SimConfig) -> JsonValue<'static> {
 
 /// Decodes a [`SimConfig`], passing every field through the same validating
 /// constructors a hand-built configuration uses. Documents written before
-/// the `defects` key existed decode as defect-free, and a `monte_carlo`
-/// member, which earlier configs carried, is skipped.
+/// the `defects` key existed decode as defect-free, and the `code_budgets`
+/// and `monte_carlo` members earlier configs carried are skipped, whatever
+/// they hold.
 ///
 /// # Errors
 ///

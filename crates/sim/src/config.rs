@@ -57,7 +57,6 @@ pub struct SimConfig {
     sigma_per_dose: Volts,
     supply_range: (Volts, Volts),
     window_override: Option<Volts>,
-    code_budgets: CodeBudgets,
     // Defaulted so configurations serialized before this field existed
     // still deserialize (Gaussian is exactly the pre-field behaviour).
     #[serde(default)]
@@ -95,7 +94,6 @@ impl SimConfig {
             sigma_per_dose: Volts::from_millivolts(50.0),
             supply_range: (Volts::new(0.0), Volts::new(1.0)),
             window_override: None,
-            code_budgets: CodeBudgets::default(),
             disturbance: DisturbanceKind::default(),
             defects: DefectKind::default(),
         }
@@ -215,15 +213,6 @@ impl SimConfig {
         self
     }
 
-    /// Overrides the search budgets used when generating arranged codes
-    /// (defaults to [`CodeBudgets::default`]) — the serve layer's
-    /// deserializer uses this to rebuild a configuration faithfully.
-    #[must_use]
-    pub fn with_code_budgets(mut self, budgets: CodeBudgets) -> Self {
-        self.code_budgets = budgets;
-        self
-    }
-
     /// Selects the dose-disturbance distribution the Monte-Carlo path
     /// samples under (defaults to [`DisturbanceKind::Gaussian`], the only
     /// distribution the analytic path can integrate in closed form).
@@ -286,10 +275,13 @@ impl SimConfig {
         self.supply_range
     }
 
-    /// The search budgets used when generating arranged codes.
+    /// The search budgets every code is generated with: always
+    /// [`CodeBudgets::default`], the most each search accepts. They are not
+    /// part of a configuration, so a served code is the searched one, never
+    /// a budget-starved fallback under the family's name.
     #[must_use]
     pub fn code_budgets(&self) -> CodeBudgets {
-        self.code_budgets
+        CodeBudgets::default()
     }
 
     /// The dose-disturbance distribution of the Monte-Carlo path.
@@ -397,8 +389,13 @@ pub(crate) fn check_window(window: Volts) -> Result<Volts> {
 /// order: a field's stage-key bytes are its binary encoding here. The list
 /// sits beside the private fields it visits.
 impl Record for SimConfig {
-    /// The Monte-Carlo sampling knobs, which no report read.
-    const RETIRED: &'static [Field] = &[Field::section("monte_carlo", 0x0a)];
+    /// The code-search budgets, which every configuration now leaves at
+    /// their defaults, and the Monte-Carlo sampling knobs, which no report
+    /// read.
+    const RETIRED: &'static [Field] = &[
+        Field::section("code_budgets", 0x07),
+        Field::section("monte_carlo", 0x0a),
+    ];
 
     fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
         wire.field(Field::section("code", 0x01), &mut self.code)?;
@@ -424,7 +421,6 @@ impl Record for SimConfig {
             Field::section("window_override_v", 0x06),
             &mut self.window_override,
         )?;
-        wire.field(Field::section("code_budgets", 0x07), &mut self.code_budgets)?;
         wire.field(Field::section("disturbance", 0x08), &mut self.disturbance)?;
         // Added after the JSON format shipped; the default is defect-free.
         wire.field(

@@ -32,9 +32,7 @@
 
 use crossbar_array::LayoutRules;
 use device_physics::{Nanometers, ThresholdModel, Volts};
-use nanowire_codes::{
-    ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
-};
+use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 use crate::bincodec::{BinReader, BinWriter, BodyIn, BodyOut};
 use crate::codec::{
@@ -520,40 +518,6 @@ impl Record for ThresholdModel {
             *self = ThresholdModel::new(oxide_thickness, flat_band_voltage)?;
         }
         Ok(())
-    }
-}
-
-impl Record for CodeBudgets {
-    fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
-        wire.field(Field::key("balance"), &mut self.balance)?;
-        wire.field(Field::key("arranged_hot"), &mut self.arranged_hot)
-    }
-}
-
-impl Record for BalanceBudget {
-    fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
-        wire.field(
-            Field::key("max_nodes_per_limit"),
-            &mut self.max_nodes_per_limit,
-        )?;
-        wire.field(Field::key("max_limit_slack"), &mut self.max_limit_slack)
-    }
-}
-
-impl Record for ArrangedHotBudget {
-    fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
-        wire.field(Field::key("max_nodes"), &mut self.max_nodes)?;
-        wire.field(Field::key("fallback"), &mut self.fallback)
-    }
-}
-
-impl Record for SearchBudget {
-    fn fields<W: Wire>(&mut self, wire: &mut W) -> Result<()> {
-        wire.field(Field::key("max_nodes"), &mut self.max_nodes)?;
-        wire.field(
-            Field::key("max_two_opt_sweeps"),
-            &mut self.max_two_opt_sweeps,
-        )
     }
 }
 

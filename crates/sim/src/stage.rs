@@ -82,8 +82,6 @@ pub enum ConfigField {
     SupplyRange,
     /// [`SimConfig::window_override`].
     WindowOverride,
-    /// [`SimConfig::code_budgets`].
-    CodeBudgets,
     /// [`SimConfig::disturbance`].
     Disturbance,
     /// [`SimConfig::defects`].
@@ -93,7 +91,7 @@ pub enum ConfigField {
 impl ConfigField {
     /// Every field, in declaration order — what the stage-invalidation
     /// matrix test iterates over.
-    pub const ALL: [ConfigField; 11] = [
+    pub const ALL: [ConfigField; 10] = [
         ConfigField::Code,
         ConfigField::NanowiresPerHalfCave,
         ConfigField::RawBits,
@@ -102,7 +100,6 @@ impl ConfigField {
         ConfigField::SigmaPerDose,
         ConfigField::SupplyRange,
         ConfigField::WindowOverride,
-        ConfigField::CodeBudgets,
         ConfigField::Disturbance,
         ConfigField::Defects,
     ];
@@ -202,7 +199,6 @@ impl Stage {
                 ConfigField::ThresholdModel,
                 ConfigField::SigmaPerDose,
                 ConfigField::SupplyRange,
-                ConfigField::CodeBudgets,
             ],
             Stage::Addressability => &[
                 ConfigField::Code,
@@ -210,7 +206,6 @@ impl Stage {
                 ConfigField::ThresholdModel,
                 ConfigField::SigmaPerDose,
                 ConfigField::SupplyRange,
-                ConfigField::CodeBudgets,
                 ConfigField::WindowOverride,
             ],
             Stage::ContactLayout => &[
@@ -225,7 +220,6 @@ impl Stage {
                 ConfigField::ThresholdModel,
                 ConfigField::SigmaPerDose,
                 ConfigField::SupplyRange,
-                ConfigField::CodeBudgets,
                 ConfigField::WindowOverride,
             ],
             Stage::CrossbarArea => &[
@@ -249,7 +243,6 @@ impl Stage {
                 ConfigField::SigmaPerDose,
                 ConfigField::SupplyRange,
                 ConfigField::WindowOverride,
-                ConfigField::CodeBudgets,
                 ConfigField::Defects,
             ],
             Stage::MonteCarlo => &[
@@ -258,7 +251,6 @@ impl Stage {
                 ConfigField::ThresholdModel,
                 ConfigField::SigmaPerDose,
                 ConfigField::SupplyRange,
-                ConfigField::CodeBudgets,
                 ConfigField::WindowOverride,
                 ConfigField::Disturbance,
             ],
@@ -440,9 +432,7 @@ mod tests {
     use crate::disturbance::DisturbanceKind;
     use crossbar_array::LayoutRules;
     use device_physics::{Nanometers, ThresholdModel, Volts};
-    use nanowire_codes::{
-        ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel,
-    };
+    use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
     fn base() -> SimConfig {
         let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
@@ -489,13 +479,6 @@ mod tests {
                 Some((Volts::new(0.0), Volts::new(1.2))),
             ),
             ConfigField::WindowOverride => base.with_window(Volts::new(0.2)),
-            ConfigField::CodeBudgets => base.with_code_budgets(CodeBudgets {
-                balance: BalanceBudget {
-                    max_nodes_per_limit: 1_000,
-                    max_limit_slack: 2,
-                },
-                arranged_hot: ArrangedHotBudget::default(),
-            }),
             ConfigField::Disturbance => base.with_disturbance(DisturbanceKind::Laplace),
             ConfigField::Defects => {
                 base.with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap())

@@ -2,9 +2,9 @@
 //! documents written before `SimConfig` carried a `DefectKind` (and before
 //! `PlatformReport` carried composite quantities) must keep decoding with
 //! the pre-field defaults, documents written while `SimConfig` still
-//! carried Monte-Carlo sampling knobs must decode to the configuration
-//! without them, and mixed-version round trips must stay bit-identical to
-//! a fresh evaluation.
+//! carried code-search budgets or Monte-Carlo sampling knobs must decode to
+//! the configuration without them, and mixed-version round trips must stay
+//! bit-identical to a fresh evaluation.
 
 mod retired;
 
@@ -61,29 +61,31 @@ fn pre_defect_configs_decode_as_defect_free() {
     );
 }
 
-/// Configs carried their Monte-Carlo sampling knobs — a JSON `monte_carlo`
+/// Configs carried their code-search budgets — a JSON `code_budgets`
+/// member, binary section `0x07` — until every configuration took the
+/// defaults, and their Monte-Carlo sampling knobs — a JSON `monte_carlo`
 /// member, binary section `0x0a` — until the knobs moved onto the sampling
-/// calls. No report read them, so such a document decodes to the
-/// configuration without them, with the same report key and the same
-/// documents when written again.
+/// calls. Such a document decodes to the configuration without them,
+/// whatever they hold, with the same report key and the same documents
+/// when written again.
 #[test]
 fn configs_carrying_retired_sampling_knobs_decode_without_them() {
     let expected = config(CodeKind::BalancedGray, 10)
         .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
-    for knobs in retired::knob_variants() {
-        let text = retired::config_json_with_knobs(&expected, knobs);
+    for retired in retired::variants() {
+        let text = retired.json(&expected);
         let json = JsonValue::parse(&text).unwrap();
-        assert!(json.get_opt("monte_carlo").unwrap().is_some());
+        let key = match retired {
+            retired::Retired::Budgets(_) => "code_budgets",
+            retired::Retired::Knobs(_) => "monte_carlo",
+        };
+        assert!(json.get_opt(key).unwrap().is_some());
         let decoded = [
             config_from_json(&json).unwrap(),
-            config_from_bin(&retired::with_knobs_section(
-                config_to_bin(&expected),
-                knobs,
-            ))
-            .unwrap(),
+            config_from_bin(&retired.bin(&config_to_bin(&expected))).unwrap(),
         ];
         for decoded in decoded {
-            assert_eq!(decoded, expected, "{knobs:?}");
+            assert_eq!(decoded, expected, "{retired:?}");
             assert_eq!(
                 ReportCache::fingerprint(&decoded),
                 ReportCache::fingerprint(&expected)

@@ -295,7 +295,6 @@ const CONFIG_BIN_DEFAULTS: [DefaultedSection<SimConfig>; 1] = [(0x06, |config| {
         config.supply_range(),
     )
     .unwrap()
-    .with_code_budgets(config.code_budgets())
     .with_disturbance(config.disturbance())
     .with_defects(config.defects())
 })];

@@ -12,9 +12,7 @@ use proptest::prelude::*;
 use crossbar_array::LayoutRules;
 use decoder_sim::{DefectKind, DisturbanceKind, SimConfig};
 use device_physics::{Nanometers, ThresholdModel, Volts};
-use nanowire_codes::{
-    ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel, SearchBudget,
-};
+use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 pub fn code_spec_strategy() -> impl Strategy<Value = CodeSpec> {
     (0usize..CodeKind::ALL.len(), 2u8..=4, 1usize..5).prop_map(|(kind_index, radix, blocks)| {
@@ -69,30 +67,6 @@ pub fn threshold_strategy() -> impl Strategy<Value = ThresholdModel> {
     })
 }
 
-pub fn budgets_strategy() -> impl Strategy<Value = CodeBudgets> {
-    (
-        (1u64..1_000_000, 0usize..16),
-        (1u64..1_000_000, 1u64..1_000_000, 0u32..64),
-    )
-        .prop_map(
-            |((balance_nodes, balance_slack), (arranged_nodes, fallback_nodes, sweeps))| {
-                CodeBudgets {
-                    balance: BalanceBudget {
-                        max_nodes_per_limit: balance_nodes,
-                        max_limit_slack: balance_slack,
-                    },
-                    arranged_hot: ArrangedHotBudget {
-                        max_nodes: arranged_nodes,
-                        fallback: SearchBudget {
-                            max_nodes: fallback_nodes,
-                            max_two_opt_sweeps: sweeps,
-                        },
-                    },
-                }
-            },
-        )
-}
-
 pub fn window_strategy() -> impl Strategy<Value = Option<Volts>> {
     prop_oneof![
         Just(None),
@@ -105,18 +79,14 @@ pub fn config_strategy() -> impl Strategy<Value = SimConfig> {
         (code_spec_strategy(), 1usize..64, 1u64..(1 << 40)),
         (layout_strategy(), threshold_strategy(), 0.0f64..0.2),
         (-0.5f64..0.5, 0.1f64..2.0, window_strategy()),
-        (
-            budgets_strategy(),
-            disturbance_strategy(),
-            defect_strategy(),
-        ),
+        (disturbance_strategy(), defect_strategy()),
     )
         .prop_map(
             |(
                 (code, nanowires, raw_bits),
                 (layout, threshold, sigma),
                 (supply_low, supply_span, window),
-                (budgets, disturbance, defects),
+                (disturbance, defects),
             )| {
                 let mut config = SimConfig::new(
                     code,
@@ -128,7 +98,6 @@ pub fn config_strategy() -> impl Strategy<Value = SimConfig> {
                     (Volts::new(supply_low), Volts::new(supply_low + supply_span)),
                 )
                 .unwrap()
-                .with_code_budgets(budgets)
                 .with_disturbance(disturbance)
                 .with_defects(defects);
                 if let Some(window) = window {

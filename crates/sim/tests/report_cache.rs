@@ -1,8 +1,8 @@
 //! Edge-case coverage for the sharded, bounded, single-flight report cache:
 //! degenerate capacities, LRU eviction order under interleaved hits,
 //! single-flight under contention, binary snapshot round-trips and schema
-//! versioning, snapshots written while configs carried sampling knobs,
-//! and report keying (a disturbance variant shares its report entry; a
+//! versioning, snapshots whose configs carry retired fields (code-search
+//! budgets, sampling knobs), and report keying (a disturbance variant shares its report entry; a
 //! window variant does not).
 
 mod retired;
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use decoder_sim::bincodec::{self, config_to_bin, report_to_bin, BinWriter};
 use decoder_sim::{
-    CacheConfig, DefectKind, DisturbanceKind, ExecutionEngine, ReportCache, SimConfig,
+    CacheConfig, DefectKind, DisturbanceKind, ExecutionEngine, ReportCache, SimConfig, SimError,
     SimulationPlatform, CACHE_SCHEMA_VERSION,
 };
 use device_physics::Volts;
@@ -278,10 +278,12 @@ fn binary_snapshots_are_at_least_40_percent_smaller_at_64_entries() {
     assert_eq!(restored.snapshot_json(), cache.snapshot_json());
 }
 
-/// A snapshot written while configs carried their Monte-Carlo sampling
-/// knobs — every row's config document ending in section `0x0a` — loads
-/// every row, and each row's configuration is then a report hit on an
-/// engine: the report key never read the knobs.
+/// A snapshot whose config documents carry a retired field — code-search
+/// budgets in section `0x07`, Monte-Carlo sampling knobs in section `0x0a`
+/// — loads every row, and each row's configuration is then a report hit on
+/// an engine: neither field is part of a configuration. The same rows
+/// under schema version 2, whose configs could lower a budget and so hold
+/// a fallback code's report, are a typed error that loads nothing.
 #[test]
 fn snapshots_whose_configs_carry_retired_sampling_knobs_load_and_hit() {
     let configs = [
@@ -290,37 +292,47 @@ fn snapshots_whose_configs_carry_retired_sampling_knobs_load_and_hit() {
         config(CodeKind::BalancedGray, 8)
             .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap()),
     ];
-    for (index, knobs) in retired::knob_variants().into_iter().enumerate() {
-        // The header section holds the schema version; each row section
-        // the length-prefixed config and report documents.
-        let mut payload = BinWriter::new();
-        payload.section(0x01, &CACHE_SCHEMA_VERSION.to_le_bytes());
-        for entry in &configs {
-            let mut row = BinWriter::new();
-            for document in [
-                retired::with_knobs_section(config_to_bin(entry), knobs),
-                report_to_bin(&evaluate(entry).unwrap()),
-            ] {
-                row.put_u32(u32::try_from(document.len()).unwrap());
-                row.put_bytes(&document);
+    for (index, retired) in retired::variants().into_iter().enumerate() {
+        for version in [CACHE_SCHEMA_VERSION, 2] {
+            // The header section holds the schema version; each row
+            // section the length-prefixed config and report documents.
+            let mut payload = BinWriter::new();
+            payload.section(0x01, &version.to_le_bytes());
+            for entry in &configs {
+                let mut row = BinWriter::new();
+                for document in [
+                    retired.bin(&config_to_bin(entry)),
+                    report_to_bin(&evaluate(entry).unwrap()),
+                ] {
+                    row.put_u32(u32::try_from(document.len()).unwrap());
+                    row.put_bytes(&document);
+                }
+                payload.section(0x02, &row.into_bytes());
             }
-            payload.section(0x02, &row.into_bytes());
+            let path = std::env::temp_dir().join(format!(
+                "mspt-retired-{index}-v{version}-{}.bin",
+                std::process::id()
+            ));
+            let snapshot = bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes());
+            std::fs::write(&path, snapshot).unwrap();
+            let engine = ExecutionEngine::serial();
+            let loaded = engine.load_cache(&path);
+            std::fs::remove_file(&path).unwrap();
+            if version != CACHE_SCHEMA_VERSION {
+                assert!(
+                    matches!(&loaded, Err(SimError::Persistence { reason }) if reason.contains("schema version")),
+                    "{retired:?}: {loaded:?}"
+                );
+                assert_eq!(engine.cached_report_count(), 0, "{retired:?}");
+                continue;
+            }
+            assert_eq!(loaded.unwrap(), configs.len(), "{retired:?}");
+            for entry in &configs {
+                assert_eq!(engine.report_for(entry).unwrap(), evaluate(entry).unwrap());
+            }
+            let stats = engine.cache_stats();
+            assert_eq!((stats.hits, stats.misses), (configs.len() as u64, 0));
         }
-        let path = std::env::temp_dir().join(format!(
-            "mspt-retired-knobs-{index}-{}.bin",
-            std::process::id()
-        ));
-        let snapshot = bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes());
-        std::fs::write(&path, snapshot).unwrap();
-        let engine = ExecutionEngine::serial();
-        let loaded = engine.load_cache(&path);
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(loaded.unwrap(), configs.len(), "{knobs:?}");
-        for entry in &configs {
-            assert_eq!(engine.report_for(entry).unwrap(), evaluate(entry).unwrap());
-        }
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (configs.len() as u64, 0));
     }
 }
 

@@ -1,60 +1,164 @@
-//! Config documents as they were written while a `SimConfig` carried its
-//! Monte-Carlo sampling knobs: a trailing JSON `monte_carlo` member, a
-//! trailing binary section `0x0a`. Shared by the compatibility tests of the
-//! codecs, of the report-cache snapshot and of the live server; each uses a
-//! subset.
+//! Config documents as earlier versions wrote them, carrying fields a
+//! `SimConfig` no longer has:
+//!
+//! * the code-search budgets: a JSON `code_budgets` member between the
+//!   window override and the disturbance, binary section `0x07`;
+//! * the Monte-Carlo sampling knobs: a trailing JSON `monte_carlo` member,
+//!   binary section `0x0a`.
+//!
+//! Shared by the compatibility tests of the codecs, of the report-cache
+//! snapshot and of the live server; each uses a subset.
 #![allow(dead_code)]
 
-use decoder_sim::bincodec::BinWriter;
+use decoder_sim::bincodec::{self, BinReader, BinWriter, DOC_CONFIG};
 use decoder_sim::codec::config_to_json;
 use decoder_sim::{MonteCarloConfig, SimConfig};
 
-/// The knobs' default, and adaptive knobs with every option set.
-pub fn knob_variants() -> [MonteCarloConfig; 2] {
-    [
-        MonteCarloConfig::default(),
-        MonteCarloConfig::fixed(4_096, 17)
-            .with_target_half_width(0.05)
-            .with_confidence(0.99)
-            .with_max_samples(65_536),
+/// The five code-search budgets, in the order configs wrote them.
+#[derive(Debug, Clone, Copy)]
+pub struct Budgets {
+    pub max_nodes_per_limit: u64,
+    pub max_limit_slack: usize,
+    pub max_nodes: u64,
+    pub fallback_max_nodes: u64,
+    pub max_two_opt_sweeps: u32,
+}
+
+/// The budgets every configuration carried unless a client lowered one.
+pub const DEFAULT_BUDGETS: Budgets = Budgets {
+    max_nodes_per_limit: 4_000_000,
+    max_limit_slack: 4,
+    max_nodes: 4_000_000,
+    fallback_max_nodes: 2_000_000,
+    max_two_opt_sweeps: 64,
+};
+
+/// A field a config document carried and a `SimConfig` no longer has.
+#[derive(Debug, Clone, Copy)]
+pub enum Retired {
+    Budgets(Budgets),
+    Knobs(MonteCarloConfig),
+}
+
+/// The budgets' defaults and hostile values (budgets above their defaults
+/// were refused and zero nodes served a fallback code), then the knobs'
+/// default and adaptive knobs with every option set.
+pub fn variants() -> Vec<Retired> {
+    let budgets = DEFAULT_BUDGETS;
+    vec![
+        Retired::Budgets(budgets),
+        Retired::Budgets(Budgets {
+            max_nodes_per_limit: u64::MAX,
+            max_nodes: u64::MAX,
+            fallback_max_nodes: u64::MAX,
+            ..budgets
+        }),
+        Retired::Budgets(Budgets {
+            max_limit_slack: usize::MAX,
+            ..budgets
+        }),
+        Retired::Budgets(Budgets {
+            max_nodes_per_limit: 0,
+            max_limit_slack: 0,
+            max_nodes: 0,
+            fallback_max_nodes: 0,
+            ..budgets
+        }),
+        Retired::Budgets(Budgets {
+            max_two_opt_sweeps: u32::MAX,
+            ..budgets
+        }),
+        Retired::Knobs(MonteCarloConfig::default()),
+        Retired::Knobs(
+            MonteCarloConfig::fixed(4_096, 17)
+                .with_target_half_width(0.05)
+                .with_confidence(0.99)
+                .with_max_samples(65_536),
+        ),
     ]
 }
 
-/// `config`'s JSON text ending in a `monte_carlo` member holding `knobs`
-/// (unset options `null`).
-pub fn config_json_with_knobs(config: &SimConfig, knobs: MonteCarloConfig) -> String {
-    let text = config_to_json(config).render();
-    let option = |value: Option<String>| value.unwrap_or_else(|| "null".to_string());
-    format!(
-        "{},\"monte_carlo\":{{\"samples\":{},\"seed\":{},\"target_half_width\":{},\
-         \"confidence\":{},\"max_samples\":{}}}}}",
-        &text[..text.len() - 1],
-        knobs.samples,
-        knobs.seed,
-        option(knobs.target_half_width.map(|target| target.to_string())),
-        knobs.confidence,
-        option(knobs.max_samples.map(|max| max.to_string())),
-    )
-}
+impl Retired {
+    /// `config`'s JSON text with this member where configs wrote it.
+    pub fn json(self, config: &SimConfig) -> String {
+        let text = config_to_json(config).render();
+        let option = |value: Option<String>| value.unwrap_or_else(|| "null".to_string());
+        match self {
+            Retired::Budgets(budgets) => {
+                let at = text
+                    .find(",\"disturbance\":")
+                    .expect("configs carry a disturbance");
+                format!(
+                    "{},\"code_budgets\":{{\"balance\":{{\"max_nodes_per_limit\":{},\
+                     \"max_limit_slack\":{}}},\"arranged_hot\":{{\"max_nodes\":{},\
+                     \"fallback\":{{\"max_nodes\":{},\"max_two_opt_sweeps\":{}}}}}}}{}",
+                    &text[..at],
+                    budgets.max_nodes_per_limit,
+                    budgets.max_limit_slack,
+                    budgets.max_nodes,
+                    budgets.fallback_max_nodes,
+                    budgets.max_two_opt_sweeps,
+                    &text[at..],
+                )
+            }
+            Retired::Knobs(knobs) => format!(
+                "{},\"monte_carlo\":{{\"samples\":{},\"seed\":{},\"target_half_width\":{},\
+                 \"confidence\":{},\"max_samples\":{}}}}}",
+                &text[..text.len() - 1],
+                knobs.samples,
+                knobs.seed,
+                option(knobs.target_half_width.map(|target| target.to_string())),
+                knobs.confidence,
+                option(knobs.max_samples.map(|max| max.to_string())),
+            ),
+        }
+    }
 
-/// A binary config `document` with `knobs` appended as section `0x0a`:
-/// samples, seed, target half-width, confidence and sample ceiling, each
-/// option behind a presence byte.
-pub fn with_knobs_section(mut document: Vec<u8>, knobs: MonteCarloConfig) -> Vec<u8> {
-    let mut body = BinWriter::new();
-    body.put_usize(knobs.samples);
-    body.put_u64(knobs.seed);
-    body.put_u8(u8::from(knobs.target_half_width.is_some()));
-    if let Some(target) = knobs.target_half_width {
-        body.put_f64(target);
+    /// A binary config `document` with this field's section inserted in tag
+    /// order: for the budgets the five values back to back; for the knobs
+    /// samples, seed, target half-width, confidence and sample ceiling,
+    /// each option behind a presence byte.
+    pub fn bin(self, document: &[u8]) -> Vec<u8> {
+        let mut body = BinWriter::new();
+        let tag = match self {
+            Retired::Budgets(budgets) => {
+                body.put_u64(budgets.max_nodes_per_limit);
+                body.put_usize(budgets.max_limit_slack);
+                body.put_u64(budgets.max_nodes);
+                body.put_u64(budgets.fallback_max_nodes);
+                body.put_u32(budgets.max_two_opt_sweeps);
+                0x07
+            }
+            Retired::Knobs(knobs) => {
+                body.put_usize(knobs.samples);
+                body.put_u64(knobs.seed);
+                body.put_u8(u8::from(knobs.target_half_width.is_some()));
+                if let Some(target) = knobs.target_half_width {
+                    body.put_f64(target);
+                }
+                body.put_f64(knobs.confidence);
+                body.put_u8(u8::from(knobs.max_samples.is_some()));
+                if let Some(max) = knobs.max_samples {
+                    body.put_usize(max);
+                }
+                0x0a
+            }
+        };
+        let mut sections =
+            BinReader::new(bincodec::document_payload(document, DOC_CONFIG).unwrap());
+        let mut payload = BinWriter::new();
+        let mut pending = Some(body.into_bytes());
+        while let Some((next, section)) = sections.next_section().unwrap() {
+            if next > tag {
+                if let Some(body) = pending.take() {
+                    payload.section(tag, &body);
+                }
+            }
+            payload.section(next, section);
+        }
+        if let Some(body) = pending {
+            payload.section(tag, &body);
+        }
+        bincodec::document(DOC_CONFIG, &payload.into_bytes())
     }
-    body.put_f64(knobs.confidence);
-    body.put_u8(u8::from(knobs.max_samples.is_some()));
-    if let Some(max) = knobs.max_samples {
-        body.put_usize(max);
-    }
-    let mut section = BinWriter::new();
-    section.section(0x0a, &body.into_bytes());
-    document.extend(section.into_bytes());
-    document
 }

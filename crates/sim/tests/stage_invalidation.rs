@@ -18,9 +18,7 @@ use decoder_sim::{
 
 use crossbar_array::LayoutRules;
 use device_physics::{Nanometers, ThresholdModel, Volts};
-use nanowire_codes::{
-    ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeKind, CodeSpec, LogicLevel,
-};
+use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn base() -> SimConfig {
     let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
@@ -88,13 +86,6 @@ fn varied(base: &SimConfig, field: ConfigField) -> SimConfig {
             Some((Volts::new(0.0), Volts::new(1.2))),
         ),
         ConfigField::WindowOverride => base.clone().with_window(Volts::new(0.2)),
-        ConfigField::CodeBudgets => base.clone().with_code_budgets(CodeBudgets {
-            balance: BalanceBudget {
-                max_nodes_per_limit: 1_000,
-                max_limit_slack: 2,
-            },
-            arranged_hot: ArrangedHotBudget::default(),
-        }),
         ConfigField::Disturbance => base.clone().with_disturbance(DisturbanceKind::Laplace),
         ConfigField::Defects => base
             .clone()

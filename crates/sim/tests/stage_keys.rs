@@ -44,7 +44,6 @@ fn with_field_from(config: &SimConfig, donor: &SimConfig, field: ConfigField) ->
         pick(ConfigField::SupplyRange).supply_range(),
     )
     .unwrap()
-    .with_code_budgets(pick(ConfigField::CodeBudgets).code_budgets())
     .with_disturbance(pick(ConfigField::Disturbance).disturbance())
     .with_defects(pick(ConfigField::Defects).defects());
     if let Some(window) = pick(ConfigField::WindowOverride).window_override() {
@@ -66,7 +65,6 @@ fn field_differs(a: &SimConfig, b: &SimConfig, field: ConfigField) -> bool {
         ConfigField::SigmaPerDose => a.sigma_per_dose() != b.sigma_per_dose(),
         ConfigField::SupplyRange => a.supply_range() != b.supply_range(),
         ConfigField::WindowOverride => a.window_override() != b.window_override(),
-        ConfigField::CodeBudgets => a.code_budgets() != b.code_budgets(),
         ConfigField::Disturbance => a.disturbance() != b.disturbance(),
         ConfigField::Defects => a.defects() != b.defects(),
     }
