@@ -30,10 +30,11 @@
 //! # Memoization
 //!
 //! The engine carries a sharded, bounded, single-flight LRU slot for each
-//! pipeline stage whose hits pay — variability, defect map, Monte-Carlo
-//! and the composite report, whose slot is the engine's one report memo
-//! ([`ReportCache`](crate::ReportCache)); the other stages are computed
-//! inline on every report miss. A configuration
+//! pipeline stage whose hits pay — variability, defect map and the
+//! composite report, whose slot is the engine's one report memo
+//! ([`ReportCache`](crate::ReportCache)); the other report stages are
+//! computed inline on every report miss, and a Monte-Carlo estimate on
+//! every call. A configuration
 //! repeated across `reports_for` batches on the same engine is evaluated
 //! once and served from that slot afterwards, and concurrent identical
 //! requests (the serve layer's workload) block on one in-flight evaluation
@@ -255,7 +256,8 @@ impl ExecutionEngine {
     /// [`Stage::ALL`](crate::Stage::ALL) entry in that order — what the
     /// stage-invalidation matrix test and the serve stress output read. The
     /// stages computed inline on every report miss (addressability, contact
-    /// layout, cave yield, crossbar area) have no memo slot and read zero.
+    /// layout, cave yield, crossbar area) and the Monte-Carlo stage, computed
+    /// on every call, have no memo slot and read zero.
     #[must_use]
     pub fn stage_stats(&self) -> Vec<StageStats> {
         self.stages.stats()
@@ -388,8 +390,8 @@ impl ExecutionEngine {
     ///
     /// This is the raw-matrix entry point, for callers that construct their
     /// own variability matrices; [`ExecutionEngine::monte_carlo_for_config`]
-    /// derives the inputs from a [`SimConfig`] and memoizes through the
-    /// engine's stage cache.
+    /// derives the inputs from a [`SimConfig`], the variability matrix through
+    /// the engine's stage cache.
     ///
     /// The sampling path follows from the model: when it has an
     /// [`accepted_draws`](DisturbanceModel::accepted_draws) range for every
@@ -493,11 +495,12 @@ impl ExecutionEngine {
     /// experiments layer sweeps over (also reachable through
     /// [`Evaluation`](crate::Evaluation)).
     ///
-    /// Both the outcome and the underlying variability matrix memoize in the
-    /// engine's stage slots: repeating the estimation is a Monte-Carlo
-    /// stage hit, and a sweep that varies only `config` or fields outside the
-    /// variability stage's read set (the defect selection) reuses the cached
-    /// matrix instead of regenerating the pattern per point.
+    /// The variability matrix memoizes in the engine's `Variability` slot: a
+    /// sweep that varies only `config` or fields outside that stage's read
+    /// set (the disturbance, the defect selection) reuses the cached matrix
+    /// instead of regenerating the pattern per point. The estimate itself
+    /// is computed on every call, since callers draw a fresh seed per
+    /// estimate; a repeated call recomputes the identical outcome.
     ///
     /// # Errors
     ///
@@ -507,23 +510,20 @@ impl ExecutionEngine {
         sim: &SimConfig,
         config: MonteCarloConfig,
     ) -> Result<MonteCarloOutcome> {
-        self.stages
-            .monte_carlo(sim, config, self.config.chunk_size, || {
-                let platform = SimulationPlatform::new(sim.clone());
-                let staged = self
-                    .stages
-                    .variability(sim, || platform.variability_stage())?;
-                let model = sim.variability_model()?;
-                let window = sim.decision_window_given(staged.ladder_window)?;
-                let disturbance = sim.disturbance().model()?;
-                self.monte_carlo_with_disturbance(
-                    &staged.variability,
-                    &model,
-                    window,
-                    config,
-                    disturbance.as_ref(),
-                )
-            })
+        let platform = SimulationPlatform::new(sim.clone());
+        let staged = self
+            .stages
+            .variability(sim, || platform.variability_stage())?;
+        let model = sim.variability_model()?;
+        let window = sim.decision_window_given(staged.ladder_window)?;
+        let disturbance = sim.disturbance().model()?;
+        self.monte_carlo_with_disturbance(
+            &staged.variability,
+            &model,
+            window,
+            config,
+            disturbance.as_ref(),
+        )
     }
 
     /// Samples a crossbar defect map with its bands sharded across the
@@ -735,9 +735,16 @@ mod tests {
         assert_eq!(stats.samples_requested, 4_096);
         assert_eq!(stats.samples_used, outcome.samples_used as u64);
         assert!(stats.samples_used < stats.samples_requested);
-        // A stage-cache hit computes nothing, so the counters stand still.
-        engine.monte_carlo_for_config(&base(), adaptive).unwrap();
-        assert_eq!(engine.sampling_stats(), stats);
+        // No slot memoizes an estimate: a repeat recomputes the identical
+        // outcome, and the counters count it again.
+        assert_eq!(
+            engine.monte_carlo_for_config(&base(), adaptive).unwrap(),
+            outcome
+        );
+        let again = engine.sampling_stats();
+        assert_eq!(again.runs, 2);
+        assert_eq!(again.samples_requested, 2 * stats.samples_requested);
+        assert_eq!(again.samples_used, 2 * stats.samples_used);
     }
 
     #[test]

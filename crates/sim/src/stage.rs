@@ -12,20 +12,22 @@
 //! ContactLayout ─────────────────────────────┘        ├─► Composite
 //!   └─────────► CrossbarArea ─────────────────────────┤   (PlatformReport)
 //! DefectMap ──────────────────────────────────────────┘
-//! Variability ──────► MonteCarlo   (+ Disturbance; per call: MonteCarloConfig, chunk)
+//! Variability ──────► MonteCarlo   (+ Disturbance; per call: MonteCarloConfig)
 //! ```
 //!
-//! Four stages are memoized, each in its own slot with hit/miss/eviction
+//! Three stages are memoized, each in its own slot with hit/miss/eviction
 //! counters: `Variability` (the pattern, doping ladder and Σ/Φ build that
 //! every report and Monte-Carlo estimate starts from), `DefectMap` (the
-//! instance's survival, one `f64`, counted without building the map),
-//! `Composite` (the report) and `MonteCarlo`. Changing only the defect seed
-//! therefore re-runs only the `DefectMap` and `Composite` stages; changing
-//! only the disturbance kind re-runs only the `MonteCarlo` stage. The other
-//! four stages — addressability, contact layout, cave yield and crossbar
-//! area — hit rarely (a configuration that would hit them mostly hits the
-//! report) or save less than a lookup's key build costs, so every report
-//! miss computes them inline, and their counter rows read zero.
+//! instance's survival, one `f64`, counted without building the map) and
+//! `Composite` (the report). Changing only the defect seed therefore re-runs
+//! only the `DefectMap` and `Composite` stages; changing only the
+//! disturbance kind re-runs no memoized stage. The other four report stages
+//! — addressability, contact layout, cave yield and crossbar area — hit
+//! rarely (a configuration that would hit them mostly hits the report) or
+//! save less than a lookup's key build costs, so every report miss computes
+//! them inline. A Monte-Carlo estimate is computed on every call: callers
+//! draw a fresh seed per estimate, so its slot never hit. The counter rows
+//! of these five stages read zero.
 //!
 //! # Keys by construction
 //!
@@ -48,12 +50,10 @@ use crossbar_array::chunk_seed;
 use device_physics::Volts;
 use mspt_fabrication::{FabricationCost, VariabilityMatrix};
 
-use crate::bincodec::{self, BinWriter};
+use crate::bincodec;
 use crate::cache::{CacheConfig, CacheStats, MemoCache, ReportCache};
 use crate::config::SimConfig;
 use crate::error::Result;
-use crate::monte_carlo::{MonteCarloConfig, MonteCarloOutcome};
-use crate::schema::Value;
 
 /// Domain-separation tag mixed into stage-key fingerprints before the
 /// [`chunk_seed`] finalizer. Keeps the stage memo keys decorrelated from
@@ -131,8 +131,7 @@ pub enum Stage {
     /// is the [`ReportCache`].
     Composite,
     /// The Monte-Carlo addressability estimation under the configured
-    /// disturbance (keyed additionally by the explicit sampling
-    /// configuration and the chunk size).
+    /// disturbance, with the sampling configuration each call names.
     MonteCarlo,
 }
 
@@ -269,8 +268,6 @@ impl Stage {
 
     /// The canonical memo key of the stage for a configuration: the
     /// [`Stage::reads`] fields' encodings, concatenated in `reads()` order.
-    /// ([`Stage::MonteCarlo`] memo keys append the call's sampling
-    /// configuration and the engine's chunk size to these bytes.)
     #[must_use]
     pub fn key(self, config: &SimConfig) -> Vec<u8> {
         bincodec::config_key(config, self.reads())
@@ -304,7 +301,7 @@ pub(crate) struct VariabilityStage {
 }
 
 /// The counters of one stage's memo slot — a per-stage [`CacheStats`] row,
-/// zero for a stage computed inline on every report miss.
+/// zero for a stage without a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageStats {
     /// The stage the counters belong to.
@@ -315,8 +312,8 @@ pub struct StageStats {
 }
 
 /// The memo table of the evaluation pipeline: one `MemoCache` slot for each
-/// stage whose hits pay (`Variability`, `DefectMap`, `Composite`,
-/// `MonteCarlo`), each with fingerprint sharding, bounded LRU,
+/// stage whose hits pay (`Variability`, `DefectMap`, `Composite`), each
+/// with fingerprint sharding, bounded LRU,
 /// single-flight semantics and hit/miss/eviction counters. The `Composite`
 /// slot is a [`ReportCache`]: the one report memo, which also persists
 /// snapshots. The `DefectMap` slot holds the defect survival
@@ -327,7 +324,6 @@ pub(crate) struct StageCache {
     variability: MemoCache<VariabilityStage>,
     defect_map: MemoCache<Option<f64>>,
     composite: ReportCache,
-    monte_carlo: MemoCache<MonteCarloOutcome>,
 }
 
 /// One stage-slot lookup: the stage's key for `config`, its fingerprint,
@@ -349,7 +345,6 @@ impl StageCache {
             variability: MemoCache::new(config),
             defect_map: MemoCache::new(config),
             composite: ReportCache::new(config),
-            monte_carlo: MemoCache::new(config),
         }
     }
 
@@ -364,11 +359,11 @@ impl StageCache {
                     Stage::Variability => self.variability.stats(),
                     Stage::DefectMap => self.defect_map.stats(),
                     Stage::Composite => self.composite.stats(),
-                    Stage::MonteCarlo => self.monte_carlo.stats(),
                     Stage::Addressability
                     | Stage::ContactLayout
                     | Stage::CaveYield
-                    | Stage::CrossbarArea => CacheStats::default(),
+                    | Stage::CrossbarArea
+                    | Stage::MonteCarlo => CacheStats::default(),
                 },
             })
             .collect()
@@ -394,34 +389,6 @@ impl StageCache {
         F: FnOnce() -> Result<Option<f64>>,
     {
         keyed(&self.defect_map, Stage::DefectMap, config, compute)
-    }
-
-    /// The Monte-Carlo slot keys on the stage key **plus** the sampling
-    /// configuration the call names (sample count, run seed and the
-    /// adaptive-stopping knobs, each option behind a presence byte) and the
-    /// engine chunk size (outcomes are bit-identical across thread counts
-    /// but depend on the chunk size).
-    pub(crate) fn monte_carlo<F>(
-        &self,
-        config: &SimConfig,
-        mc: MonteCarloConfig,
-        chunk_size: usize,
-        compute: F,
-    ) -> Result<MonteCarloOutcome>
-    where
-        F: FnOnce() -> Result<MonteCarloOutcome>,
-    {
-        let mut key = BinWriter::new();
-        key.put_bytes(&Stage::MonteCarlo.key(config));
-        key.put_usize(mc.samples);
-        key.put_u64(mc.seed);
-        mc.target_half_width.put(&mut key);
-        key.put_f64(mc.confidence);
-        mc.max_samples.put(&mut key);
-        key.put_usize(chunk_size);
-        let key = key.into_bytes();
-        self.monte_carlo
-            .get_or_compute(Stage::MonteCarlo.fingerprint(&key), &key, compute)
     }
 }
 
@@ -603,55 +570,5 @@ mod tests {
             .find(|row| row.stage == Stage::DefectMap)
             .unwrap();
         assert_eq!(defect_map.stats, CacheStats::default());
-    }
-
-    #[test]
-    fn monte_carlo_keys_include_sampling_parameters() {
-        let cache = StageCache::new(CacheConfig::unsharded(16));
-        let config = base();
-        let outcome = MonteCarloOutcome {
-            profile: crossbar_array::AddressabilityProfile::new(vec![1.0]).unwrap(),
-            samples: 1,
-            samples_used: 1,
-            ci_lower: vec![0.0],
-            ci_upper: vec![1.0],
-        };
-        let mc = MonteCarloConfig::fixed(100, 1);
-        let variants = [
-            MonteCarloConfig::fixed(100, 1),
-            MonteCarloConfig::fixed(200, 1),
-            MonteCarloConfig::fixed(100, 2),
-            MonteCarloConfig::fixed(100, 1).with_target_half_width(0.05),
-            MonteCarloConfig::fixed(100, 1).with_confidence(0.99),
-            MonteCarloConfig::fixed(100, 1).with_max_samples(5_000),
-        ];
-        for (index, variant) in variants.into_iter().enumerate() {
-            let chunk = if index == 0 { 128 } else { 256 };
-            cache
-                .monte_carlo(&config, variant, 256, || Ok(outcome.clone()))
-                .unwrap();
-            cache
-                .monte_carlo(&config, variant, chunk, || Ok(outcome.clone()))
-                .unwrap();
-        }
-        // Every sampling knob (samples, seed, target, confidence, max) and
-        // the chunk size are part of the key: seven distinct keys above, and
-        // the five repeats with identical (config, chunk) pairs hit.
-        let rows = cache.stats();
-        let mc_row = rows
-            .iter()
-            .find(|row| row.stage == Stage::MonteCarlo)
-            .unwrap();
-        assert_eq!((mc_row.stats.hits, mc_row.stats.misses), (5, 7));
-        // And a repeat of the first configuration hits again.
-        cache
-            .monte_carlo(&config, mc, 256, || Ok(outcome.clone()))
-            .unwrap();
-        let rows = cache.stats();
-        let mc_row = rows
-            .iter()
-            .find(|row| row.stage == Stage::MonteCarlo)
-            .unwrap();
-        assert_eq!((mc_row.stats.hits, mc_row.stats.misses), (6, 7));
     }
 }

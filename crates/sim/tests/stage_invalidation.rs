@@ -109,20 +109,14 @@ fn stats_by_stage(rows: &[StageStats], stage: Stage) -> (u64, u64) {
 fn expected_delta(stage: Stage, field: ConfigField) -> (u64, u64) {
     let miss = u64::from(reads(stage, field));
     let composite_missed = reads(Stage::Composite, field);
-    let monte_carlo_missed = reads(Stage::MonteCarlo, field);
     match stage {
-        // Consulted once per evaluation: the report is one composite lookup,
-        // Monte-Carlo runs in its own pass.
-        Stage::Composite | Stage::MonteCarlo => (1 - miss, miss),
+        // Consulted once per evaluation: the report is one composite lookup.
+        Stage::Composite => (1 - miss, miss),
         // The variability slot is consulted by the composite closure (when
-        // the composite missed) and again by the Monte-Carlo closure (when
-        // the sampling stage missed); the second lookup always hits because
-        // the report pass already inserted the varied entry.
-        Stage::Variability => {
-            let report_lookups = u64::from(composite_missed);
-            let mc_lookups = u64::from(monte_carlo_missed);
-            (report_lookups + mc_lookups - miss, miss)
-        }
+        // the composite missed) and again by the Monte-Carlo pass, which
+        // samples on every run; the second lookup always hits because the
+        // report pass already inserted the varied entry.
+        Stage::Variability => (u64::from(composite_missed) + 1 - miss, miss),
         // The defect-map slot is consulted only while the composite closure
         // runs.
         Stage::DefectMap => {
@@ -132,10 +126,13 @@ fn expected_delta(stage: Stage, field: ConfigField) -> (u64, u64) {
                 (0, 0)
             }
         }
-        // Computed inline on every report miss: no slot, no counts.
-        Stage::Addressability | Stage::ContactLayout | Stage::CaveYield | Stage::CrossbarArea => {
-            (0, 0)
-        }
+        // Computed inline on every report miss, or on every Monte-Carlo
+        // call: no slot, no counts.
+        Stage::Addressability
+        | Stage::ContactLayout
+        | Stage::CaveYield
+        | Stage::CrossbarArea
+        | Stage::MonteCarlo => (0, 0),
     }
 }
 
@@ -176,9 +173,17 @@ fn run_matrix(threads: usize) {
             missed_stages += usize::from(actual.1 > 0);
         }
         // The acceptance shape: a one-field change on a warm engine is a
-        // partial re-evaluation — some stages recompute, some are served.
+        // partial re-evaluation — some stages recompute, some are served. A
+        // field only the estimate reads recomputes no memoized stage.
+        let sampling_only = Stage::ALL
+            .iter()
+            .all(|&stage| stage == Stage::MonteCarlo || !reads(stage, field));
         assert!(hit_stages >= 1, "varied {field:?}: no stage hit");
-        assert!(missed_stages >= 1, "varied {field:?}: no stage recomputed");
+        assert_eq!(
+            missed_stages >= 1,
+            !sampling_only,
+            "varied {field:?}: {missed_stages} memoized stages recomputed"
+        );
 
         // And the partially recomputed report is bit-identical to a cold
         // serial evaluation of the same configuration.
@@ -236,16 +241,19 @@ fn stage_stats_has_one_row_per_stage_in_pipeline_order() {
     let stages: Vec<Stage> = rows.iter().map(|row| row.stage).collect();
     assert_eq!(stages, Stage::ALL);
     for row in rows {
-        // The report and the estimate each miss once and then hit. Their
-        // misses consult the variability slot (the estimate's lookup hits
-        // what the report's inserted) and the report's the defect map.
+        // The report misses once and then hits; its miss consults the
+        // variability slot and the defect map. The estimate, computed on
+        // both runs, reads the variability slot each time and hits what the
+        // report's miss inserted.
         let expected = match row.stage {
-            Stage::Composite | Stage::MonteCarlo | Stage::Variability => (1, 1, 1),
+            Stage::Composite => (1, 1, 1),
+            Stage::Variability => (2, 1, 1),
             Stage::DefectMap => (0, 1, 1),
             Stage::Addressability
             | Stage::ContactLayout
             | Stage::CaveYield
-            | Stage::CrossbarArea => (0, 0, 0),
+            | Stage::CrossbarArea
+            | Stage::MonteCarlo => (0, 0, 0),
         };
         let stats = row.stats;
         assert_eq!(
