@@ -75,11 +75,6 @@ pub fn arranged_hot_code(
     let default = ArrangedHotBudget::default();
     check_budget("max_nodes", budget.max_nodes, default.max_nodes)?;
     check_budget(
-        "fallback.max_nodes",
-        budget.fallback.max_nodes,
-        default.fallback.max_nodes,
-    )?;
-    check_budget(
         "fallback.max_two_opt_sweeps",
         u64::from(budget.fallback.max_two_opt_sweeps),
         u64::from(default.fallback.max_two_opt_sweeps),
@@ -353,7 +348,6 @@ mod tests {
         let budget = ArrangedHotBudget {
             max_nodes: 1,
             fallback: SearchBudget {
-                max_nodes: 1,
                 max_two_opt_sweeps: 1,
             },
         };
@@ -388,15 +382,7 @@ mod tests {
             },
             ArrangedHotBudget {
                 fallback: SearchBudget {
-                    max_nodes: fallback.max_nodes + 1,
-                    ..fallback
-                },
-                ..default
-            },
-            ArrangedHotBudget {
-                fallback: SearchBudget {
                     max_two_opt_sweeps: fallback.max_two_opt_sweeps + 1,
-                    ..fallback
                 },
                 ..default
             },

@@ -41,10 +41,6 @@ pub(crate) fn check_budget(budget: &'static str, value: u64, limit: u64) -> Resu
 /// Limits of the greedy/2-opt fallback of the arranged hot code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchBudget {
-    /// Checked against its default and kept on the wire
-    /// (`arranged_hot.fallback.max_nodes`), but read by no search: the
-    /// fallback expands no search nodes.
-    pub max_nodes: u64,
     /// Maximum number of full 2-opt sweeps.
     pub max_two_opt_sweeps: u32,
 }
@@ -52,7 +48,6 @@ pub struct SearchBudget {
 impl Default for SearchBudget {
     fn default() -> Self {
         SearchBudget {
-            max_nodes: 2_000_000,
             max_two_opt_sweeps: 64,
         }
     }

@@ -198,14 +198,9 @@ fn an_exhausted_arranged_hot_search_is_pinned_word_for_word() {
     for (radix, length, sweeps, pinned) in PINNED_AHC_FALLBACKS {
         let budget = ArrangedHotBudget {
             max_nodes: 0,
-            ..ArrangedHotBudget::default()
-        };
-        let budget = ArrangedHotBudget {
             fallback: nanowire_codes::SearchBudget {
                 max_two_opt_sweeps: sweeps,
-                ..budget.fallback
             },
-            ..budget
         };
         let ahc = arranged_hot_code(LogicLevel::new(radix).unwrap(), length, budget).unwrap();
         let words = digest(&ahc);
