@@ -636,34 +636,56 @@ fn with_half_cave(request: &ReportRequest, codec: WireCodec, nanowires: u64) -> 
 /// and the connection keeps serving.
 #[test]
 fn oversized_half_caves_get_typed_errors_and_the_connection_keeps_serving() {
+    let well_formed = mix().remove(0);
+    let hostile: Vec<_> = [10_000, 1_000_000_000_000]
+        .into_iter()
+        .flat_map(|nanowires| {
+            [WireCodec::Json, WireCodec::Binary]
+                .map(|codec| (codec, with_half_cave(&well_formed, codec, nanowires)))
+        })
+        .collect();
+    hostile_frames_get_typed_errors(&well_formed, &hostile);
+}
+
+/// Sends each hostile `(codec, payload)` frame and expects a typed
+/// `bad_request` within the 1 s read timeout; after each, the same
+/// connection serves `well_formed` in that codec the reply bytes of its
+/// report.
+fn hostile_frames_get_typed_errors(well_formed: &ReportRequest, hostile: &[(WireCodec, Vec<u8>)]) {
     let server = report_server(2);
     let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
-    let well_formed = mix().remove(0);
-    let reference = reference(&well_formed.config);
+    let report = reference(&well_formed.config);
 
     let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
-    // A server that starts evaluating would not answer in time; fail
-    // instead of waiting for it.
+    // A server that starts evaluating a hostile request would not answer
+    // in time; fail instead of waiting for it.
     stream
         .set_read_timeout(Some(Duration::from_secs(1)))
         .unwrap();
-    let mut frames = 0;
-    for nanowires in [10_000, 1_000_000_000_000] {
-        for codec in [WireCodec::Json, WireCodec::Binary] {
-            let what = format!("{codec:?} request for {nanowires} nanowires per half cave");
-            let hostile = with_half_cave(&well_formed, codec, nanowires);
-            expect_bad_request(round_trip(&mut stream, &hostile, &what), &what);
-            // The same connection still serves a well-formed request.
-            match round_trip(&mut stream, &codec.encode_request(&well_formed), &what) {
-                WireReply::Report(report) => assert_eq!(report, reference, "{what}: next"),
-                WireReply::Error(error) => panic!("{what}: next request failed: {error}"),
-            }
-            frames += 2;
-        }
+    for (index, (codec, payload)) in hostile.iter().enumerate() {
+        let what = format!("{codec:?} hostile frame {index}");
+        expect_bad_request(round_trip(&mut stream, payload, &what), &what);
+        write_frame(&mut stream, &codec.encode_request(well_formed)).unwrap();
+        let reply = match codec {
+            WireCodec::Json => ok_response(&report).into_bytes(),
+            WireCodec::Binary => ok_response_bin(&report),
+        };
+        assert_eq!(
+            read_frame(&mut stream).unwrap(),
+            Some(reply),
+            "{what}: next"
+        );
     }
-    assert_eq!(handle.served(), frames);
+    assert_eq!(handle.served(), 2 * hostile.len() as u64);
     handle.shutdown();
+}
+
+/// `request`'s JSON frame with its one occurrence of `from` replaced by `to`.
+fn json_edit(request: &ReportRequest, from: &str, to: &str) -> (WireCodec, Vec<u8>) {
+    let json = request.to_json_string();
+    assert_eq!(json.matches(from).count(), 1, "{from}");
+    (WireCodec::Json, json.replacen(from, to, 1).into_bytes())
 }
 
 /// A JSON request whose configuration writes a number as RFC 8259 forbids
@@ -672,30 +694,14 @@ fn oversized_half_caves_get_typed_errors_and_the_connection_keeps_serving() {
 /// the same connection then serves a well-formed request bit-identically.
 #[test]
 fn json_numbers_outside_rfc_8259_get_typed_errors_and_the_connection_keeps_serving() {
-    let server = report_server(2);
-    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
-    let well_formed = mix().remove(0);
-    let reference = WireReply::Report(reference(&well_formed.config));
-    let json = well_formed.to_json_string();
-    let raw_bits = format!("\"raw_bits\":{}", well_formed.config.raw_bits());
+    let request = mix().remove(0);
+    let raw_bits = format!("\"raw_bits\":{}", request.config.raw_bits());
     let supply = "\"supply_range_v\":[0,1]";
-
-    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    for (from, to) in [
-        (raw_bits.as_str(), raw_bits.replace(':', ":0")),
-        (supply, supply.replace(']', ".]")),
-    ] {
-        assert_eq!(json.matches(from).count(), 1, "{from}");
-        let hostile = json.replacen(from, &to, 1);
-        expect_bad_request(round_trip(&mut stream, hostile.as_bytes(), &to), &to);
-        let next = round_trip(&mut stream, json.as_bytes(), &to);
-        assert_eq!(next, reference, "{to}: the next well-formed request");
-    }
-    assert_eq!(handle.served(), 4);
-    handle.shutdown();
+    let hostile = [
+        json_edit(&request, &raw_bits, &raw_bits.replace(':', ":0")),
+        json_edit(&request, supply, &supply.replace(']', ".]")),
+    ];
+    hostile_frames_get_typed_errors(&request, &hostile);
 }
 
 /// A JSON request whose configuration carries a key its field list does
@@ -705,35 +711,13 @@ fn json_numbers_outside_rfc_8259_get_typed_errors_and_the_connection_keeps_servi
 /// request the reply bytes of its report.
 #[test]
 fn json_configs_with_unknown_keys_get_typed_errors_and_the_connection_keeps_serving() {
-    let server = report_server(2);
-    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
-    let config = mix()
-        .remove(0)
-        .config
-        .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
-    let reply = ok_response(&reference(&config)).into_bytes();
-    let json = ReportRequest::new(config).to_json_string();
-
-    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    for (from, to) in [
-        ("\"defects\"", "\"eefects\""),
-        ("\"raw_bits\"", "\"raw_bits\":1,\"raw_bits\""),
-    ] {
-        assert_eq!(json.matches(from).count(), 1, "{from}");
-        let hostile = json.replacen(from, to, 1);
-        expect_bad_request(round_trip(&mut stream, hostile.as_bytes(), to), to);
-        write_frame(&mut stream, json.as_bytes()).unwrap();
-        assert_eq!(
-            read_frame(&mut stream).unwrap(),
-            Some(reply.clone()),
-            "{to}: next"
-        );
-    }
-    assert_eq!(handle.served(), 4);
-    handle.shutdown();
+    let defects = DefectKind::sampled(0.02, 0.01, 2_009).unwrap();
+    let request = ReportRequest::new(mix().remove(0).config.with_defects(defects));
+    let hostile = [
+        json_edit(&request, "\"defects\"", "\"eefects\""),
+        json_edit(&request, "\"raw_bits\"", "\"raw_bits\":1,\"raw_bits\""),
+    ];
+    hostile_frames_get_typed_errors(&request, &hostile);
 }
 
 /// A correlated disturbance's shared variance fraction must lie in [0, 1].
@@ -742,35 +726,13 @@ fn json_configs_with_unknown_keys_get_typed_errors_and_the_connection_keeps_serv
 /// well-formed request the reply bytes of its report.
 #[test]
 fn out_of_range_shared_fractions_get_typed_errors_and_the_connection_keeps_serving() {
-    let server = report_server(2);
-    let handle = NetServer::bind(loopback_config(2, 4), Arc::new(server)).unwrap();
     let correlated = |shared_fraction| {
         let config = mix().remove(0).config;
         ReportRequest::new(config.with_disturbance(DisturbanceKind::Correlated { shared_fraction }))
     };
-    let (well_formed, hostile) = (correlated(0.25), correlated(8.25));
-    let reference = reference(&well_formed.config);
-
-    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    for (codec, reply) in [
-        (WireCodec::Json, ok_response(&reference).into_bytes()),
-        (WireCodec::Binary, ok_response_bin(&reference)),
-    ] {
-        let what = format!("{codec:?} request with shared fraction 8.25");
-        let hostile = codec.encode_request(&hostile);
-        expect_bad_request(round_trip(&mut stream, &hostile, &what), &what);
-        write_frame(&mut stream, &codec.encode_request(&well_formed)).unwrap();
-        assert_eq!(
-            read_frame(&mut stream).unwrap(),
-            Some(reply),
-            "{what}: next"
-        );
-    }
-    assert_eq!(handle.served(), 4);
-    handle.shutdown();
+    let hostile = [WireCodec::Json, WireCodec::Binary]
+        .map(|codec| (codec, codec.encode_request(&correlated(8.25))));
+    hostile_frames_get_typed_errors(&correlated(0.25), &hostile);
 }
 
 /// Requests written while configs carried code-search budgets — a

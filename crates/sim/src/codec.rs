@@ -20,11 +20,11 @@
 //!   [`SimConfig`], [`PlatformReport`] and their leaf types once for both
 //!   codecs: a record is written as an object whose members follow the
 //!   field list, and decoding reads each member of the parsed object by
-//!   key and rejects members the list does not name. [`write_config_json`] and [`write_report_json`] write a record
-//!   into a caller's buffer; the `*_to_json` entry points return the
-//!   parsed-back tree of that text and the `*_from_json` ones decode a
-//!   tree. Every decoded configuration passes through the same validating
-//!   constructors as a hand-built one.
+//!   key and rejects members the list does not name. [`write_config_json`]
+//!   and [`write_report_json`] write a record into a caller's buffer; the
+//!   `*_to_json` entry points return the parsed-back tree of that text and
+//!   the `*_from_json` ones decode a tree. Every decoded configuration
+//!   passes through the same validating constructors as a hand-built one.
 //!
 //! # Versioning discipline
 //!
@@ -36,10 +36,10 @@
 //! and are skipped whatever they hold — so a config written while it still
 //! carried a `code_budgets` member (search budgets every configuration now
 //! leaves at their defaults) or a `monte_carlo` member (sampling knobs no
-//! report reads) decodes to the same configuration without it. Every other key outside a
-//! record's field list is rejected, as is a repeated key, and so are
-//! unknown *values* (an unrecognised kind tag): a damaged key fails loudly
-//! instead of decoding as a defaulted field left out.
+//! report reads) decodes to the same configuration without it. Every other
+//! key outside a record's field list is rejected, as is a repeated key, and
+//! so are unknown *values* (an unrecognised kind tag): a damaged key fails
+//! loudly instead of decoding as a defaulted field left out.
 //!
 //! # Float round-tripping
 //!
@@ -737,35 +737,36 @@ impl Wire for FieldList {
 /// Decodes `record`'s fields from the object `json`, by key. A member whose
 /// key is neither one of the fields nor one of the record's
 /// [`Record::RETIRED`] names is rejected, and so is a repeated key: a
-/// damaged key must not decode as a field left out.
-///
-/// The field list reads each of its keys at most once, so an object with
-/// exactly as many members as the list read holds nothing else; only a
-/// larger object is searched for repeated and unknown keys.
+/// damaged key must not decode as a field left out. The field list reads
+/// each of its keys at most once, so only an object with more members than
+/// the list read is searched.
 pub(crate) fn read_record<R: Record>(record: &mut R, json: &JsonValue<'_>) -> Result<()> {
     let mut wire = JsonIn {
         object: json,
         read: 0,
     };
     record.fields(&mut wire)?;
+    // A value that is not an object already failed its first field.
     let JsonValue::Object(members) = json else {
-        return Err(err(format!("expected an object, got {}", json.kind_name())));
+        return Ok(());
     };
     if members.len() == wire.read {
         return Ok(());
     }
     let mut fields = FieldList(Vec::new());
     encode(record, &mut fields);
-    for (index, (key, _)) in members.iter().enumerate() {
-        if members[..index].iter().any(|(earlier, _)| earlier == key) {
-            return Err(err(format!("repeated object key {key:?}")));
-        }
-        if !fields
+    let known = |key: &str| {
+        fields
             .0
             .iter()
             .chain(R::RETIRED)
             .any(|field| field.key == key)
-        {
+    };
+    for (index, (key, _)) in members.iter().enumerate() {
+        if members[..index].iter().any(|(earlier, _)| earlier == key) {
+            return Err(err(format!("repeated object key {key:?}")));
+        }
+        if !known(key) {
             return Err(err(format!("unknown object key {key:?}")));
         }
     }
@@ -1154,69 +1155,52 @@ mod tests {
     fn damaged_keys_are_rejected_while_retired_and_pre_defect_shapes_decode() {
         let config = base_config().with_defects(DefectKind::sampled(0.02, 0.01, 77).unwrap());
         let report = SimulationPlatform::new(config.clone()).evaluate().unwrap();
-        let (config_text, report_text) = (rendered(&config), report_to_json(&report).render());
+        let parse = |text: &str| JsonValue::parse(text).unwrap().into_owned();
         let edited = |text: &str, from: &str, to: &str| {
             assert_eq!(text.matches(from).count(), 1, "{from}");
-            text.replacen(from, to, 1)
+            parse(&text.replacen(from, to, 1))
         };
+        let (config_text, report_text) = (rendered(&config), report_to_json(&report).render());
+        let config_error =
+            |from, to| config_from_json(&edited(&config_text, from, to)).unwrap_err();
+        let report_error =
+            |from, to| report_from_json(&edited(&report_text, from, to)).unwrap_err();
         // One flipped bit in a defaulted key, a key no field has (in a
-        // nested record), and a repeated key.
-        for (text, from, to, named) in [
-            (&config_text, "\"defects\"", "\"eefects\"", "eefects"),
-            (&config_text, "\"radix\"", "\"radiz\":2,\"radix\"", "radiz"),
+        // nested record), and repeated keys.
+        for (error, named) in [
+            (config_error(r#""defects""#, r#""eefects""#), "eefects"),
+            (config_error(r#""radix""#, r#""radiz":2,"radix""#), "radiz"),
             (
-                &config_text,
-                "\"raw_bits\"",
-                "\"raw_bits\":1,\"raw_bits\"",
+                config_error(r#""raw_bits""#, r#""raw_bits":1,"raw_bits""#),
                 "raw_bits",
             ),
             (
-                &report_text,
-                "\"composite_yield\"",
-                "\"composite_yiEld\"",
+                report_error(r#""composite_yield""#, r#""composite_yiEld""#),
                 "composite_yiEld",
             ),
             (
-                &report_text,
-                "\"defect_survival\"",
-                "\"defects\":{\"kind\":\"none\"},\"defect_survival\"",
+                report_error(r#""defect_survival""#, r#""defects":{},"defect_survival""#),
                 "defects",
             ),
         ] {
-            let edited = edited(text, from, to);
-            let document = JsonValue::parse(&edited).unwrap();
-            let error = if text == &config_text {
-                config_from_json(&document).map(drop)
-            } else {
-                report_from_json(&document).map(drop)
-            }
-            .unwrap_err();
             assert!(
                 matches!(&error, SimError::Persistence { reason } if reason.contains(named)),
-                "{to}: {error}"
+                "{named}: {error}"
             );
         }
-        // A retired member is skipped; a document written before the defect
-        // keys existed decodes as defect-free.
-        let retired = format!(
-            "{},\"monte_carlo\":{{}}}}",
-            &config_text[..config_text.len() - 1]
-        );
-        assert_eq!(
-            config_from_json(&JsonValue::parse(&retired).unwrap()).unwrap(),
-            config
-        );
+        // A retired member is skipped; documents written before the defect
+        // keys existed decode as defect-free.
+        let retired = parse(&format!(r#"{{"monte_carlo":{{}},{}"#, &config_text[1..]));
+        assert_eq!(config_from_json(&retired).unwrap(), config);
         let defect_free = base_config();
-        let pre_defect = rendered(&defect_free).replace(",\"defects\":{\"kind\":\"none\"}", "");
-        assert!(!pre_defect.contains("defects"));
-        assert_eq!(
-            config_from_json(&JsonValue::parse(&pre_defect).unwrap()).unwrap(),
-            defect_free
-        );
+        let pre_defect = rendered(&defect_free).replace(r#","defects":{"kind":"none"}"#, "");
+        assert_eq!(config_from_json(&parse(&pre_defect)).unwrap(), defect_free);
         let report = SimulationPlatform::new(defect_free).evaluate().unwrap();
         let text = report_to_json(&report).render();
-        let pre_defect = format!("{}}}", &text[..text.find(",\"defects\"").unwrap()]);
-        let pre_defect = JsonValue::parse(&pre_defect).unwrap();
+        let pre_defect = parse(&format!(
+            "{}}}",
+            &text[..text.find(r#","defects""#).unwrap()]
+        ));
         assert_eq!(report_from_json(&pre_defect).unwrap(), report);
     }
 

@@ -213,12 +213,6 @@ leaf_values! {
     u64 => write_json_u64, JsonValue::as_u64, BinWriter::put_u64, BinReader::take_u64;
     usize => |value: usize, out: &mut String| write_json_u64(value as u64, out),
         JsonValue::as_usize, BinWriter::put_usize, BinReader::take_usize;
-    u32 => |value: u32, out: &mut String| write_json_u64(u64::from(value), out),
-        |json: &JsonValue<'_>| {
-            let value = json.as_u64()?;
-            u32::try_from(value).map_err(|_| err(format!("{value} does not fit a u32")))
-        },
-        BinWriter::put_u32, BinReader::take_u32;
     Volts => |volts: Volts, out: &mut String| write_json_f64(volts.value(), out),
         |json: &JsonValue<'_>| json.as_f64().map(Volts::new),
         |out: &mut BinWriter, volts: Volts| out.put_f64(volts.value()),

@@ -74,12 +74,8 @@ fn configs_carrying_retired_sampling_knobs_decode_without_them() {
         .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap());
     for retired in retired::variants() {
         let text = retired.json(&expected);
+        assert_ne!(text, config_to_json(&expected).render());
         let json = JsonValue::parse(&text).unwrap();
-        let key = match retired {
-            retired::Retired::Budgets(_) => "code_budgets",
-            retired::Retired::Knobs(_) => "monte_carlo",
-        };
-        assert!(json.get_opt(key).unwrap().is_some());
         let decoded = [
             config_from_json(&json).unwrap(),
             config_from_bin(&retired.bin(&config_to_bin(&expected))).unwrap(),

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use decoder_sim::bincodec::{self, config_to_bin, report_to_bin, BinWriter};
 use decoder_sim::{
-    CacheConfig, DefectKind, DisturbanceKind, ExecutionEngine, ReportCache, SimConfig, SimError,
+    CacheConfig, DefectKind, DisturbanceKind, ExecutionEngine, ReportCache, SimConfig,
     SimulationPlatform, CACHE_SCHEMA_VERSION,
 };
 use device_physics::Volts;
@@ -293,9 +293,9 @@ fn snapshots_whose_configs_carry_retired_sampling_knobs_load_and_hit() {
             .with_defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap()),
     ];
     for (index, retired) in retired::variants().into_iter().enumerate() {
-        for version in [CACHE_SCHEMA_VERSION, 2] {
-            // The header section holds the schema version; each row
-            // section the length-prefixed config and report documents.
+        // The header section holds the schema version; each row section
+        // the length-prefixed config and report documents.
+        let snapshot = |version: u64| {
             let mut payload = BinWriter::new();
             payload.section(0x01, &version.to_le_bytes());
             for entry in &configs {
@@ -309,30 +309,25 @@ fn snapshots_whose_configs_carry_retired_sampling_knobs_load_and_hit() {
                 }
                 payload.section(0x02, &row.into_bytes());
             }
-            let path = std::env::temp_dir().join(format!(
-                "mspt-retired-{index}-v{version}-{}.bin",
-                std::process::id()
-            ));
-            let snapshot = bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes());
-            std::fs::write(&path, snapshot).unwrap();
-            let engine = ExecutionEngine::serial();
-            let loaded = engine.load_cache(&path);
-            std::fs::remove_file(&path).unwrap();
-            if version != CACHE_SCHEMA_VERSION {
-                assert!(
-                    matches!(&loaded, Err(SimError::Persistence { reason }) if reason.contains("schema version")),
-                    "{retired:?}: {loaded:?}"
-                );
-                assert_eq!(engine.cached_report_count(), 0, "{retired:?}");
-                continue;
-            }
-            assert_eq!(loaded.unwrap(), configs.len(), "{retired:?}");
-            for entry in &configs {
-                assert_eq!(engine.report_for(entry).unwrap(), evaluate(entry).unwrap());
-            }
-            let stats = engine.cache_stats();
-            assert_eq!((stats.hits, stats.misses), (configs.len() as u64, 0));
+            bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes())
+        };
+        let path =
+            std::env::temp_dir().join(format!("mspt-retired-{index}-{}.bin", std::process::id()));
+        std::fs::write(&path, snapshot(CACHE_SCHEMA_VERSION)).unwrap();
+        let engine = ExecutionEngine::serial();
+        let loaded = engine.load_cache(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.unwrap(), configs.len(), "{retired:?}");
+        for entry in &configs {
+            assert_eq!(engine.report_for(entry).unwrap(), evaluate(entry).unwrap());
         }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (configs.len() as u64, 0));
+
+        let cache = ReportCache::new(CacheConfig::default());
+        let error = cache.load_snapshot_bin(&snapshot(2)).unwrap_err();
+        assert!(error.to_string().contains("schema version"), "{error}");
+        assert!(cache.is_empty(), "{retired:?}");
     }
 }
 

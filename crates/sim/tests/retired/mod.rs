@@ -14,24 +14,14 @@ use decoder_sim::bincodec::{self, BinReader, BinWriter, DOC_CONFIG};
 use decoder_sim::codec::config_to_json;
 use decoder_sim::{MonteCarloConfig, SimConfig};
 
-/// The five code-search budgets, in the order configs wrote them.
+/// The five code-search budgets, in the order configs wrote them: nodes
+/// per balanced-Gray limit, limit slack, arranged-hot nodes, fallback nodes
+/// and 2-opt sweeps.
 #[derive(Debug, Clone, Copy)]
-pub struct Budgets {
-    pub max_nodes_per_limit: u64,
-    pub max_limit_slack: usize,
-    pub max_nodes: u64,
-    pub fallback_max_nodes: u64,
-    pub max_two_opt_sweeps: u32,
-}
+pub struct Budgets(pub u64, pub usize, pub u64, pub u64, pub u32);
 
 /// The budgets every configuration carried unless a client lowered one.
-pub const DEFAULT_BUDGETS: Budgets = Budgets {
-    max_nodes_per_limit: 4_000_000,
-    max_limit_slack: 4,
-    max_nodes: 4_000_000,
-    fallback_max_nodes: 2_000_000,
-    max_two_opt_sweeps: 64,
-};
+pub const DEFAULT_BUDGETS: Budgets = Budgets(4_000_000, 4, 4_000_000, 2_000_000, 64);
 
 /// A field a config document carried and a `SimConfig` no longer has.
 #[derive(Debug, Clone, Copy)]
@@ -44,30 +34,13 @@ pub enum Retired {
 /// were refused and zero nodes served a fallback code), then the knobs'
 /// default and adaptive knobs with every option set.
 pub fn variants() -> Vec<Retired> {
-    let budgets = DEFAULT_BUDGETS;
+    let Budgets(nodes, slack, arranged, fallback, sweeps) = DEFAULT_BUDGETS;
     vec![
-        Retired::Budgets(budgets),
-        Retired::Budgets(Budgets {
-            max_nodes_per_limit: u64::MAX,
-            max_nodes: u64::MAX,
-            fallback_max_nodes: u64::MAX,
-            ..budgets
-        }),
-        Retired::Budgets(Budgets {
-            max_limit_slack: usize::MAX,
-            ..budgets
-        }),
-        Retired::Budgets(Budgets {
-            max_nodes_per_limit: 0,
-            max_limit_slack: 0,
-            max_nodes: 0,
-            fallback_max_nodes: 0,
-            ..budgets
-        }),
-        Retired::Budgets(Budgets {
-            max_two_opt_sweeps: u32::MAX,
-            ..budgets
-        }),
+        Retired::Budgets(DEFAULT_BUDGETS),
+        Retired::Budgets(Budgets(u64::MAX, slack, u64::MAX, u64::MAX, sweeps)),
+        Retired::Budgets(Budgets(nodes, usize::MAX, arranged, fallback, sweeps)),
+        Retired::Budgets(Budgets(0, 0, 0, 0, sweeps)),
+        Retired::Budgets(Budgets(nodes, slack, arranged, fallback, u32::MAX)),
         Retired::Knobs(MonteCarloConfig::default()),
         Retired::Knobs(
             MonteCarloConfig::fixed(4_096, 17)
@@ -84,20 +57,15 @@ impl Retired {
         let text = config_to_json(config).render();
         let option = |value: Option<String>| value.unwrap_or_else(|| "null".to_string());
         match self {
-            Retired::Budgets(budgets) => {
+            Retired::Budgets(Budgets(nodes, slack, arranged, fallback, sweeps)) => {
                 let at = text
                     .find(",\"disturbance\":")
                     .expect("configs carry a disturbance");
                 format!(
-                    "{},\"code_budgets\":{{\"balance\":{{\"max_nodes_per_limit\":{},\
-                     \"max_limit_slack\":{}}},\"arranged_hot\":{{\"max_nodes\":{},\
-                     \"fallback\":{{\"max_nodes\":{},\"max_two_opt_sweeps\":{}}}}}}}{}",
+                    "{},\"code_budgets\":{{\"balance\":{{\"max_nodes_per_limit\":{nodes},\
+                     \"max_limit_slack\":{slack}}},\"arranged_hot\":{{\"max_nodes\":{arranged},\
+                     \"fallback\":{{\"max_nodes\":{fallback},\"max_two_opt_sweeps\":{sweeps}}}}}}}{}",
                     &text[..at],
-                    budgets.max_nodes_per_limit,
-                    budgets.max_limit_slack,
-                    budgets.max_nodes,
-                    budgets.fallback_max_nodes,
-                    budgets.max_two_opt_sweeps,
                     &text[at..],
                 )
             }
@@ -121,12 +89,12 @@ impl Retired {
     pub fn bin(self, document: &[u8]) -> Vec<u8> {
         let mut body = BinWriter::new();
         let tag = match self {
-            Retired::Budgets(budgets) => {
-                body.put_u64(budgets.max_nodes_per_limit);
-                body.put_usize(budgets.max_limit_slack);
-                body.put_u64(budgets.max_nodes);
-                body.put_u64(budgets.fallback_max_nodes);
-                body.put_u32(budgets.max_two_opt_sweeps);
+            Retired::Budgets(Budgets(nodes, slack, arranged, fallback, sweeps)) => {
+                body.put_u64(nodes);
+                body.put_usize(slack);
+                body.put_u64(arranged);
+                body.put_u64(fallback);
+                body.put_u32(sweeps);
                 0x07
             }
             Retired::Knobs(knobs) => {
@@ -144,20 +112,16 @@ impl Retired {
                 0x0a
             }
         };
-        let mut sections =
-            BinReader::new(bincodec::document_payload(document, DOC_CONFIG).unwrap());
-        let mut payload = BinWriter::new();
-        let mut pending = Some(body.into_bytes());
-        while let Some((next, section)) = sections.next_section().unwrap() {
-            if next > tag {
-                if let Some(body) = pending.take() {
-                    payload.section(tag, &body);
-                }
-            }
-            payload.section(next, section);
+        let body = body.into_bytes();
+        let mut sections = vec![(tag, &body[..])];
+        let mut reader = BinReader::new(bincodec::document_payload(document, DOC_CONFIG).unwrap());
+        while let Some(section) = reader.next_section().unwrap() {
+            sections.push(section);
         }
-        if let Some(body) = pending {
-            payload.section(tag, &body);
+        sections.sort_by_key(|&(tag, _)| tag);
+        let mut payload = BinWriter::new();
+        for (tag, body) in sections {
+            payload.section(tag, body);
         }
         bincodec::document(DOC_CONFIG, &payload.into_bytes())
     }
