@@ -26,8 +26,8 @@
 //! rarely (a configuration that would hit them mostly hits the report) or
 //! save less than a lookup's key build costs, so every report miss computes
 //! them inline. A Monte-Carlo estimate is computed on every call: callers
-//! draw a fresh seed per estimate, so its slot never hit. The counter rows
-//! of these five stages read zero.
+//! draw a fresh seed per estimate, so a memo of estimates would not hit.
+//! The counter rows of these five stages read zero.
 //!
 //! # Keys by construction
 //!
