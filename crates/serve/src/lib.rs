@@ -176,6 +176,10 @@ pub(crate) fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// The members a JSON request may carry: the configuration, and the
+/// override keys earlier clients sent.
+const REQUEST_KEYS: [&str; 4] = ["schema_version", "config", "disturbance", "defects"];
+
 /// One serving request: the simulation configuration to evaluate.
 ///
 /// Disturbance and defect selections are fields of the configuration
@@ -230,12 +234,14 @@ impl ReportRequest {
     /// to the configuration. Both are optional: absent or `null` means no
     /// override, and an override object is applied onto the decoded
     /// configuration, so such a request decodes to the configuration those
-    /// clients were served.
+    /// clients were served. Any other key, and a repeated key, is an error:
+    /// a damaged override key must not decode as an override left out.
     ///
     /// # Errors
     ///
-    /// Returns [`decoder_sim::SimError::Persistence`] on malformed JSON or a mismatched
-    /// `schema_version`, or propagates configuration validation errors.
+    /// Returns [`decoder_sim::SimError::Persistence`] on malformed JSON, a
+    /// mismatched `schema_version` or an unknown or repeated key, or
+    /// propagates configuration validation errors.
     pub fn from_json_str(request_json: &str) -> Result<Self> {
         let value = JsonValue::parse(request_json)?;
         let version = value.get("schema_version")?.as_u64()?;
@@ -245,11 +251,15 @@ impl ReportRequest {
             )));
         }
         let mut config = config_from_json(value.get("config")?)?;
-        match value.get_opt("disturbance")? {
+        let disturbance = value.get_opt("disturbance")?;
+        let defects = value.get_opt("defects")?;
+        let read = 2 + usize::from(disturbance.is_some()) + usize::from(defects.is_some());
+        value.check_keys(read, |key| REQUEST_KEYS.contains(&key))?;
+        match disturbance {
             None | Some(JsonValue::Null) => {}
             Some(kind) => config = config.with_disturbance(disturbance_from_json(kind)?),
         }
-        match value.get_opt("defects")? {
+        match defects {
             None | Some(JsonValue::Null) => {}
             Some(kind) => config = config.with_defects(defect_from_json(kind)?),
         }
@@ -518,6 +528,60 @@ mod tests {
                 "{wire}"
             );
         }
+    }
+
+    #[test]
+    fn envelopes_reject_unknown_and_repeated_keys() {
+        fn is_persistence<T>(result: Result<T>, named: &str) -> bool {
+            matches!(result, Err(decoder_sim::SimError::Persistence { reason }) if reason.contains(named))
+        }
+        let base = request(CodeKind::Tree, 8).config;
+        let config = config_to_json(&base).render();
+        let sampled = defect_to_json(DefectKind::sampled(0.02, 0.01, 7).unwrap()).render();
+        // A damaged override key read as no override, and the defect-free
+        // report was served; now it is a typed `bad_request`, as is a
+        // repeated key.
+        let server = server(1);
+        for (wire, named) in [
+            (
+                format!("{{\"schema_version\":1,\"config\":{config},\"eefects\":{sampled}}}"),
+                "eefects",
+            ),
+            (
+                format!("{{\"schema_version\":1,\"config\":{config},\"config\":{config}}}"),
+                "config",
+            ),
+        ] {
+            let decoded = ReportRequest::from_json_str(&wire);
+            assert!(is_persistence(decoded, named), "{wire}");
+            match parse_reply(&handle_json(&server, &wire)).unwrap() {
+                WireReply::Error(error) => assert_eq!(error.kind, WireErrorKind::BadRequest),
+                WireReply::Report(_) => panic!("{wire}: served a report"),
+            }
+        }
+        // A shed reply whose `error` key is damaged decoded as the legacy
+        // reason-only shape, a final `internal` error instead of a
+        // retryable `overloaded` one.
+        let overloaded = WireError::new(WireErrorKind::Overloaded, "queue full");
+        let shed = error_response(&overloaded);
+        assert_eq!(parse_reply(&shed).unwrap(), WireReply::Error(overloaded));
+        for (from, to, named) in [
+            ("\"error\":{", "\"errnr\":{", "errnr"),
+            ("\"kind\"", "\"kind\":\"internal\",\"kind\"", "kind"),
+            ("\"status\"", "\"status\":\"ok\",\"status\"", "status"),
+        ] {
+            assert_eq!(shed.matches(from).count(), 1, "{from}");
+            let damaged = shed.replacen(from, to, 1);
+            assert!(is_persistence(parse_reply(&damaged), named), "{damaged}");
+        }
+        // The legacy shapes still decode: `null` overrides (above, in
+        // `requests_without_a_defects_field_still_parse`) and reason-only
+        // error replies.
+        let legacy = "{\"schema_version\":1,\"status\":\"error\",\"reason\":\"boom\"}";
+        assert_eq!(
+            parse_reply(legacy).unwrap(),
+            WireReply::Error(WireError::new(WireErrorKind::Internal, "boom"))
+        );
     }
 
     #[test]

@@ -77,6 +77,10 @@ pub enum WireReply {
     Error(WireError),
 }
 
+/// The members a JSON reply may carry: the status, then the report or the
+/// typed error with the legacy top-level reason.
+const REPLY_KEYS: [&str; 5] = ["schema_version", "status", "report", "error", "reason"];
+
 /// Starting room of an envelope's text buffer: a wire request or an ok
 /// reply of the figure configurations takes 0.6–0.8 kB, so most envelopes
 /// are written with one allocation.
@@ -123,12 +127,18 @@ pub fn error_response(error: &WireError) -> String {
 /// mismatches).
 ///
 /// Responses from servers that predate the typed `error` object (legacy
-/// top-level `reason` only) decode as [`WireErrorKind::Internal`].
+/// top-level `reason` only) decode as [`WireErrorKind::Internal`]. Any key
+/// other than `schema_version`, `status`, `report`, `error` and `reason`
+/// (`kind` and `reason` in the typed `error` object), and a repeated key,
+/// is an error: a damaged `error` key must not decode as a legacy reply,
+/// which would turn a retryable `overloaded` shed into a final `internal`
+/// failure.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persistence`] on malformed JSON, a mismatched
-/// `schema_version`, or an unknown status/kind tag.
+/// `schema_version`, an unknown status/kind tag, or an unknown or repeated
+/// key.
 pub fn parse_reply(response_json: &str) -> Result<WireReply> {
     let value = JsonValue::parse(response_json)?;
     let version = value.get("schema_version")?.as_u64()?;
@@ -137,13 +147,23 @@ pub fn parse_reply(response_json: &str) -> Result<WireReply> {
             "response schema version {version} does not match supported version {WIRE_SCHEMA_VERSION}"
         )));
     }
-    match value.get("status")?.as_str()? {
+    let status = value.get("status")?.as_str()?;
+    let report = value.get_opt("report")?;
+    let typed = value.get_opt("error")?;
+    let reason = value.get_opt("reason")?;
+    let read = 2 + [report, typed, reason].iter().flatten().count();
+    value.check_keys(read, |key| REPLY_KEYS.contains(&key))?;
+    match status {
         "ok" => Ok(WireReply::Report(report_from_json(value.get("report")?)?)),
-        "error" => match value.get_opt("error")? {
-            Some(typed) => Ok(WireReply::Error(WireError {
-                kind: wire_error_kind_from_json(typed.get("kind")?)?,
-                reason: typed.get("reason")?.as_str()?.to_string(),
-            })),
+        "error" => match typed {
+            Some(typed) => {
+                let error = WireError {
+                    kind: wire_error_kind_from_json(typed.get("kind")?)?,
+                    reason: typed.get("reason")?.as_str()?.to_string(),
+                };
+                typed.check_keys(2, |key| ["kind", "reason"].contains(&key))?;
+                Ok(WireReply::Error(error))
+            }
             None => Ok(WireReply::Error(WireError::new(
                 WireErrorKind::Internal,
                 value.get("reason")?.as_str()?,

@@ -33,8 +33,12 @@
 //! decoded as the key left out are rejected). The config and request texts,
 //! the snapshot text and the golden-config and request lines moved again
 //! when configs stopped carrying code-search budgets (the 110 accepted
-//! mutations inside the `code_budgets` member went with it). A failure
-//! names the first text or corpus that moved.
+//! mutations inside the `code_budgets` member went with it). The
+//! error-reply line moved when the envelopes began to reject keys they do
+//! not read: the 77 flips and 11 deletions inside the reply's `error` and
+//! top-level `reason` keys, which decoded as the legacy reason-only reply
+//! or as a reply without its legacy reason, are rejected. A failure names
+//! the first text or corpus that moved.
 
 #[path = "../../sim/tests/catalogue/mod.rs"]
 mod catalogue;

@@ -27,8 +27,9 @@
 //! * every truncation of a request document, in both codecs and in the
 //!   shape earlier clients wrote, gets a typed error from a live server
 //!   whose connection keeps serving bit-identical reports;
-//! * a JSON number literal RFC 8259 forbids, or a JSON config key outside
-//!   the field list, gets a typed error, and the connection keeps serving;
+//! * a JSON number literal RFC 8259 forbids, a JSON config key outside
+//!   the field list, or a JSON request key outside the envelope's, gets a
+//!   typed error, and the connection keeps serving;
 //! * a request whose configuration carries the code-search budgets or the
 //!   Monte-Carlo sampling knobs configs once held gets the reply bytes of
 //!   the request without them.
@@ -718,6 +719,24 @@ fn json_configs_with_unknown_keys_get_typed_errors_and_the_connection_keeps_serv
         json_edit(&request, "\"raw_bits\"", "\"raw_bits\":1,\"raw_bits\""),
     ];
     hostile_frames_get_typed_errors(&request, &hostile);
+}
+
+/// A JSON request in the shape earlier clients wrote, whose `defects`
+/// override key is damaged to `eefects` — which read as no override, so the
+/// defect-free report was served, while the envelope ignored keys it does
+/// not read — gets a typed `bad_request`, and the same connection then
+/// serves the request with the override the reply bytes of its report.
+#[test]
+fn json_requests_with_unknown_envelope_keys_get_typed_errors_and_the_connection_keeps_serving() {
+    let defects = DefectKind::sampled(0.02, 0.01, 2_009).unwrap();
+    let config = mix().remove(0).config;
+    let legacy = common::legacy_request_json(&config, None, Some(defects));
+    // The override is the envelope's last member, after the config's own
+    // `defects` field.
+    let at = legacy.rfind("\"defects\"").unwrap();
+    let damaged = format!("{}\"eefects\"{}", &legacy[..at], &legacy[at + 9..]);
+    let hostile = [(WireCodec::Json, damaged.into_bytes())];
+    hostile_frames_get_typed_errors(&ReportRequest::new(config.with_defects(defects)), &hostile);
 }
 
 /// A correlated disturbance's shared variance fraction must lie in [0, 1].

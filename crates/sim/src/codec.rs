@@ -208,6 +208,34 @@ impl<'a> JsonValue<'a> {
         }
     }
 
+    /// Checks the keys of an object after a decoder read `read` of its
+    /// members by key, each key at most once: a repeated key, or a key
+    /// `known` refuses, is an error, so a damaged key cannot decode as a
+    /// member left out. An object of exactly `read` members holds neither,
+    /// so only a longer one is searched and `known` is called only then.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Persistence`] naming the first repeated or
+    /// unknown key, or when the value is not an object.
+    pub fn check_keys(&self, read: usize, mut known: impl FnMut(&str) -> bool) -> Result<()> {
+        let JsonValue::Object(members) = self else {
+            return Err(err(format!("expected an object, got {}", self.kind_name())));
+        };
+        if members.len() == read {
+            return Ok(());
+        }
+        for (index, (key, _)) in members.iter().enumerate() {
+            if members[..index].iter().any(|(earlier, _)| earlier == key) {
+                return Err(err(format!("repeated object key {key:?}")));
+            }
+            if !known(key) {
+                return Err(err(format!("unknown object key {key:?}")));
+            }
+        }
+        Ok(())
+    }
+
     fn kind_name(&self) -> &'static str {
         match self {
             JsonValue::Null => "null",
@@ -736,41 +764,28 @@ impl Wire for FieldList {
 
 /// Decodes `record`'s fields from the object `json`, by key. A member whose
 /// key is neither one of the fields nor one of the record's
-/// [`Record::RETIRED`] names is rejected, and so is a repeated key: a
-/// damaged key must not decode as a field left out. The field list reads
-/// each of its keys at most once, so only an object with more members than
-/// the list read is searched.
+/// [`Record::RETIRED`] names is rejected, and so is a repeated key
+/// ([`JsonValue::check_keys`]); the field list is built only for an object
+/// with more members than the list read.
 pub(crate) fn read_record<R: Record>(record: &mut R, json: &JsonValue<'_>) -> Result<()> {
     let mut wire = JsonIn {
         object: json,
         read: 0,
     };
     record.fields(&mut wire)?;
-    // A value that is not an object already failed its first field.
-    let JsonValue::Object(members) = json else {
-        return Ok(());
-    };
-    if members.len() == wire.read {
-        return Ok(());
-    }
-    let mut fields = FieldList(Vec::new());
-    encode(record, &mut fields);
-    let known = |key: &str| {
+    let mut fields: Option<FieldList> = None;
+    json.check_keys(wire.read, |key| {
+        let fields = fields.get_or_insert_with(|| {
+            let mut list = FieldList(Vec::new());
+            encode(&*record, &mut list);
+            list
+        });
         fields
             .0
             .iter()
             .chain(R::RETIRED)
             .any(|field| field.key == key)
-    };
-    for (index, (key, _)) in members.iter().enumerate() {
-        if members[..index].iter().any(|(earlier, _)| earlier == key) {
-            return Err(err(format!("repeated object key {key:?}")));
-        }
-        if !known(key) {
-            return Err(err(format!("unknown object key {key:?}")));
-        }
-    }
-    Ok(())
+    })
 }
 
 fn decode<R: Record>(value: &JsonValue<'_>, mut record: R) -> Result<R> {
