@@ -278,7 +278,12 @@ mod tests {
     fn hot_family_requires_multiple_of_radix() {
         assert!(CodeSpec::new(CodeKind::Hot, LogicLevel::BINARY, 6).is_ok());
         assert!(CodeSpec::new(CodeKind::Hot, LogicLevel::TERNARY, 6).is_ok());
-        assert!(CodeSpec::new(CodeKind::ArrangedHot, LogicLevel::TERNARY, 7).is_err());
+        for kind in [CodeKind::Hot, CodeKind::ArrangedHot] {
+            assert!(
+                CodeSpec::new(kind, LogicLevel::TERNARY, 7).is_err(),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

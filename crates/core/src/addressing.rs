@@ -5,10 +5,10 @@
 use serde::{Deserialize, Serialize};
 
 use crossbar_array::{apply_address, AddressOutcome};
+use decoder_sim::{SimConfig, SimulationPlatform};
 use device_physics::Volts;
 use nanowire_codes::CodeWord;
 
-use crate::design::DecoderDesign;
 use crate::error::{DecoderError, Result};
 
 /// The applied-voltage assignment that selects one nanowire.
@@ -30,7 +30,8 @@ pub struct AddressMap {
 }
 
 impl AddressMap {
-    /// Builds the address map of one contact group of a design.
+    /// Builds the address map of one contact group of a design point: one
+    /// assignment per word of the configured code.
     ///
     /// The applied voltage for digit value `d` is placed halfway between the
     /// threshold of level `d` and the threshold of level `d + 1` (or half a
@@ -40,9 +41,9 @@ impl AddressMap {
     /// # Errors
     ///
     /// Propagates code and device-physics errors.
-    pub fn for_design(design: &DecoderDesign) -> Result<Self> {
-        let sequence = design.code_sequence()?;
-        let ladder = design.config().doping_ladder()?;
+    pub fn for_config(config: &SimConfig) -> Result<Self> {
+        let sequence = SimulationPlatform::new(config.clone()).code_sequence()?;
+        let ladder = config.doping_ladder()?;
         let levels = ladder.levels();
         let separation = if levels.len() >= 2 {
             levels[1].threshold.value() - levels[0].threshold.value()
@@ -170,28 +171,21 @@ impl AddressMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::CodeSelection;
-    use nanowire_codes::LogicLevel;
+    use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
-    fn map_for(kind: CodeSelection, radix: LogicLevel, length: usize) -> AddressMap {
-        let design = DecoderDesign::builder()
-            .code(kind)
-            .radix(radix)
-            .code_length(length)
-            .nanowires_per_half_cave(20)
-            .build()
-            .unwrap();
-        AddressMap::for_design(&design).unwrap()
+    fn map_for(kind: CodeKind, radix: LogicLevel, length: usize) -> AddressMap {
+        let code = CodeSpec::new(kind, radix, length).unwrap();
+        AddressMap::for_config(&SimConfig::paper_defaults(code).unwrap()).unwrap()
     }
 
     #[test]
     fn every_code_family_addresses_uniquely() {
         for (kind, length) in [
-            (CodeSelection::Tree, 8),
-            (CodeSelection::Gray, 8),
-            (CodeSelection::BalancedGray, 8),
-            (CodeSelection::Hot, 6),
-            (CodeSelection::ArrangedHot, 6),
+            (CodeKind::Tree, 8),
+            (CodeKind::Gray, 8),
+            (CodeKind::BalancedGray, 8),
+            (CodeKind::Hot, 6),
+            (CodeKind::ArrangedHot, 6),
         ] {
             let map = map_for(kind, LogicLevel::BINARY, length);
             map.verify_unique_addressing().unwrap();
@@ -201,7 +195,7 @@ mod tests {
 
     #[test]
     fn applied_levels_sit_between_threshold_levels() {
-        let map = map_for(CodeSelection::Gray, LogicLevel::TERNARY, 6);
+        let map = map_for(CodeKind::Gray, LogicLevel::TERNARY, 6);
         let levels = map.applied_levels();
         assert_eq!(levels.len(), 3);
         // Ternary thresholds sit at 1/6, 3/6, 5/6 V; applied levels halfway
@@ -213,7 +207,7 @@ mod tests {
 
     #[test]
     fn assignments_carry_one_voltage_per_region() {
-        let map = map_for(CodeSelection::BalancedGray, LogicLevel::BINARY, 10);
+        let map = map_for(CodeKind::BalancedGray, LogicLevel::BINARY, 10);
         for assignment in map.assignments() {
             assert_eq!(assignment.voltages.len(), 10);
             assert_eq!(assignment.word.len(), 10);
@@ -225,7 +219,7 @@ mod tests {
 
     #[test]
     fn selection_resolves_to_the_requested_position() {
-        let map = map_for(CodeSelection::ArrangedHot, LogicLevel::BINARY, 8);
+        let map = map_for(CodeKind::ArrangedHot, LogicLevel::BINARY, 8);
         for position in [0, 7, map.len() - 1] {
             assert_eq!(map.select(position).unwrap(), position);
         }

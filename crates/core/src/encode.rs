@@ -5,10 +5,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use decoder_sim::{SimConfig, SimulationPlatform};
 use device_physics::DopantConcentration;
-use mspt_fabrication::{FabricationCost, FabricationPlan, PatternMatrix, ProcessEvent};
+use mspt_fabrication::{FabricationCost, FabricationPlan, ProcessEvent};
 
-use crate::design::DecoderDesign;
 use crate::error::Result;
 
 /// The concrete fabrication recipe of one decoder design.
@@ -20,37 +20,20 @@ pub struct DecoderRecipe {
 }
 
 impl DecoderRecipe {
-    /// Builds the recipe for a design: generates the code, assigns it to the
-    /// half cave, derives the step doses and lays out the process events.
+    /// Builds the recipe for a design point: generates the configured code,
+    /// assigns it to the configured half cave, derives the step doses and
+    /// lays out the process events.
     ///
     /// # Errors
     ///
     /// Propagates code, fabrication and device-physics errors.
-    pub fn for_design(design: &DecoderDesign) -> Result<Self> {
-        let platform = design.platform();
-        let half_cave = platform.half_cave()?;
-        let pattern = half_cave.pattern()?;
-        let ladder = design.config().doping_ladder()?;
+    pub fn for_config(config: &SimConfig) -> Result<Self> {
+        let pattern = SimulationPlatform::new(config.clone())
+            .half_cave()?
+            .pattern()?;
+        let ladder = config.doping_ladder()?;
         let plan = FabricationPlan::for_pattern(&pattern, &ladder)?;
         let cost = FabricationCost::from_pattern(&pattern, &ladder)?;
-        let distinct_doses = collect_distinct_doses(&plan);
-        Ok(DecoderRecipe {
-            plan,
-            cost,
-            distinct_doses,
-        })
-    }
-
-    /// Builds the recipe for an explicit pattern matrix (e.g. a hand-crafted
-    /// prototype cave) using the design's doping ladder.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabrication and device-physics errors.
-    pub fn for_pattern(design: &DecoderDesign, pattern: &PatternMatrix) -> Result<Self> {
-        let ladder = design.config().doping_ladder()?;
-        let plan = FabricationPlan::for_pattern(pattern, &ladder)?;
-        let cost = FabricationCost::from_pattern(pattern, &ladder)?;
         let distinct_doses = collect_distinct_doses(&plan);
         Ok(DecoderRecipe {
             plan,
@@ -124,22 +107,19 @@ fn collect_distinct_doses(plan: &FabricationPlan) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::CodeSelection;
-    use nanowire_codes::LogicLevel;
+    use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
-    fn design() -> DecoderDesign {
-        DecoderDesign::builder()
-            .code(CodeSelection::Gray)
-            .code_length(8)
-            .nanowires_per_half_cave(16)
-            .build()
+    fn config() -> SimConfig {
+        let code = CodeSpec::new(CodeKind::Gray, LogicLevel::BINARY, 8).unwrap();
+        SimConfig::paper_defaults(code)
+            .unwrap()
+            .with_nanowires_per_half_cave(16)
             .unwrap()
     }
 
     #[test]
     fn recipe_matches_the_fabrication_cost() {
-        let design = design();
-        let recipe = DecoderRecipe::for_design(&design).unwrap();
+        let recipe = DecoderRecipe::for_config(&config()).unwrap();
         assert_eq!(recipe.lithography_passes(), recipe.cost().total());
         assert_eq!(recipe.plan().nanowire_count(), 16);
         assert_eq!(recipe.plan().region_count(), 8);
@@ -155,38 +135,16 @@ mod tests {
     fn binary_recipes_use_a_small_dose_menu() {
         // For binary codes the dose menu is tiny: ±(N_D(1) − N_D(0)) plus the
         // two absolute levels of the last spacer's patterning.
-        let recipe = DecoderRecipe::for_design(&design()).unwrap();
+        let recipe = DecoderRecipe::for_config(&config()).unwrap();
         assert!(recipe.distinct_doses().len() <= 4);
     }
 
     #[test]
     fn doses_are_sorted_and_distinct() {
-        let recipe = DecoderRecipe::for_design(&design()).unwrap();
+        let recipe = DecoderRecipe::for_config(&config()).unwrap();
         let doses = recipe.distinct_doses();
         for pair in doses.windows(2) {
             assert!(pair[0] < pair[1]);
         }
-    }
-
-    #[test]
-    fn explicit_pattern_recipes_reproduce_the_paper_example() {
-        // Ternary design so the ladder covers three levels.
-        let design = DecoderDesign::builder()
-            .code(CodeSelection::Gray)
-            .radix(LogicLevel::TERNARY)
-            .code_length(8)
-            .nanowires_per_half_cave(9)
-            .build()
-            .unwrap();
-        let pattern = PatternMatrix::from_rows(
-            vec![vec![0, 1, 2, 1], vec![0, 2, 2, 0], vec![1, 0, 1, 2]],
-            LogicLevel::TERNARY,
-        )
-        .unwrap();
-        let recipe = DecoderRecipe::for_pattern(&design, &pattern).unwrap();
-        // Example 3 of the paper: Φ = 9 (the dose values differ because the
-        // design's ladder is model-derived, but the pass count is set by the
-        // pattern alone).
-        assert_eq!(recipe.lithography_passes(), 9);
     }
 }

@@ -4,42 +4,46 @@
 //! the primary contribution of *"Decoding Nanowire Arrays Fabricated with the
 //! Multi-Spacer Patterning Technique"* (DAC 2009) as a library.
 //!
-//! A [`DecoderDesign`] bundles the three decisions the paper identifies:
+//! A design point is one [`SimConfig`](decoder_sim::SimConfig): the paper
+//! defaults ([`SimConfig::paper_defaults`](decoder_sim::SimConfig::paper_defaults))
+//! with the three decisions the paper identifies —
 //!
-//! 1. **Code family** ([`CodeSelection`]) — tree, Gray, balanced Gray, hot or
-//!    arranged hot codes. The Gray-style arrangements minimise both the
-//!    fabrication complexity `Φ` and the accumulated variability `‖Σ‖₁`
-//!    (Propositions 4 and 5), which [`verify_gray_arrangement_optimality`]
-//!    checks empirically.
+//! 1. **Code family** ([`CodeKind`](nanowire_codes::CodeKind)) — tree, Gray,
+//!    balanced Gray, hot or arranged hot codes. The Gray-style arrangements
+//!    minimise both the fabrication complexity `Φ` and the accumulated
+//!    variability `‖Σ‖₁` (Propositions 4 and 5), which
+//!    [`verify_gray_arrangement_optimality`] checks empirically.
 //! 2. **Code length `M`** — longer codes need fewer contact groups (less
 //!    boundary loss) but more doping regions; the sweet spot is found by
 //!    [`optimize`] / [`best_bit_area_design`].
 //! 3. **Logic radix** — binary through quaternary threshold levels.
 //!
-//! From a design you can obtain the concrete fabrication recipe
-//! ([`DecoderRecipe`]), the mesowire address map ([`AddressMap`]) and the full
-//! evaluation on the paper's simulation platform
-//! ([`PlatformReport`](decoder_sim::PlatformReport)). A design-space
-//! exploration evaluates its candidates as one batch on the caller's
-//! [`ExecutionEngine`](decoder_sim::ExecutionEngine).
+//! From a configuration you can obtain the concrete fabrication recipe
+//! ([`DecoderRecipe::for_config`]), the mesowire address map
+//! ([`AddressMap::for_config`]) and the full evaluation on the paper's
+//! simulation platform
+//! ([`SimulationPlatform::evaluate`](decoder_sim::SimulationPlatform::evaluate)).
+//! A design-space exploration evaluates its candidates as one batch on the
+//! caller's [`ExecutionEngine`](decoder_sim::ExecutionEngine) and returns
+//! the winning configuration.
 //!
 //! # Examples
 //!
 //! ```
-//! use mspt_decoder::{CodeSelection, DecoderDesign, DecoderRecipe};
+//! use decoder_sim::{SimConfig, SimulationPlatform};
+//! use mspt_decoder::DecoderRecipe;
+//! use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let design = DecoderDesign::builder()
-//!     .code(CodeSelection::BalancedGray)
-//!     .code_length(10)
-//!     .build()?;
+//! let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10)?;
+//! let config = SimConfig::paper_defaults(code)?;
 //!
 //! // Evaluate the design on the 16 kB crossbar platform of the paper.
-//! let report = design.evaluate()?;
+//! let report = SimulationPlatform::new(config.clone()).evaluate()?;
 //! assert!(report.crossbar_yield > 0.3);
 //!
 //! // The fabrication recipe: every lithography/implantation pass, in order.
-//! let recipe = DecoderRecipe::for_design(&design)?;
+//! let recipe = DecoderRecipe::for_config(&config)?;
 //! assert_eq!(recipe.lithography_passes(), report.fabrication_steps);
 //! # Ok(())
 //! # }
@@ -50,13 +54,11 @@
 #![warn(missing_debug_implementations)]
 
 mod addressing;
-mod design;
 mod encode;
 mod error;
 mod optimize;
 
 pub use addressing::{AddressAssignment, AddressMap};
-pub use design::{CodeSelection, DecoderDesign, DecoderDesignBuilder};
 pub use encode::DecoderRecipe;
 pub use error::{DecoderError, Result};
 pub use optimize::{
@@ -67,30 +69,33 @@ pub use optimize::{
 #[cfg(test)]
 mod crate_tests {
     use super::*;
+    use decoder_sim::{SimConfig, SimulationPlatform};
+    use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
     #[test]
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<DecoderDesign>();
-        assert_send_sync::<DecoderDesignBuilder>();
         assert_send_sync::<DecoderRecipe>();
         assert_send_sync::<AddressMap>();
         assert_send_sync::<DesignSpace>();
+        assert_send_sync::<OptimizationOutcome>();
         assert_send_sync::<DecoderError>();
     }
 
     #[test]
     fn end_to_end_design_flow() {
-        let design = DecoderDesign::builder()
-            .code(CodeSelection::ArrangedHot)
-            .code_length(6)
-            .nanowires_per_half_cave(20)
-            .build()
-            .unwrap();
-        let report = design.evaluate().unwrap();
-        let recipe = DecoderRecipe::for_design(&design).unwrap();
-        let map = AddressMap::for_design(&design).unwrap();
-        assert_eq!(recipe.lithography_passes(), report.fabrication_steps);
-        map.verify_unique_addressing().unwrap();
+        for (kind, length) in [(CodeKind::ArrangedHot, 6), (CodeKind::Gray, 8)] {
+            let code = CodeSpec::new(kind, LogicLevel::BINARY, length).unwrap();
+            let config = SimConfig::paper_defaults(code).unwrap();
+            let report = SimulationPlatform::new(config.clone()).evaluate().unwrap();
+            let recipe = DecoderRecipe::for_config(&config).unwrap();
+            let map = AddressMap::for_config(&config).unwrap();
+            assert_eq!(recipe.lithography_passes(), report.fabrication_steps);
+            assert!(!recipe.distinct_doses().is_empty());
+            assert!((report.crossbar_yield - report.cave_yield.powi(2)).abs() < 1e-12);
+            assert!(report.effective_bit_area >= report.raw_bit_area);
+            assert_eq!(report.nanowires_per_half_cave, 20);
+            map.verify_unique_addressing().unwrap();
+        }
     }
 }

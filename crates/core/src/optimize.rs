@@ -7,12 +7,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use decoder_sim::{design_points, ExecutionEngine, PlatformReport};
+use decoder_sim::{design_points, ExecutionEngine, PlatformReport, SimConfig};
 use device_physics::DopingLadder;
 use mspt_fabrication::{FabricationCost, PatternMatrix, VariabilityMatrix};
 use nanowire_codes::{CodeKind, CodeSequence, CodeSpec, LogicLevel};
 
-use crate::design::DecoderDesign;
 use crate::error::{DecoderError, Result};
 
 /// The objective a design-space exploration optimises.
@@ -56,28 +55,28 @@ impl DesignSpace {
 /// One evaluated candidate of a design-space exploration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RankedDesign {
-    /// The candidate code.
-    pub code: CodeSpec,
     /// The objective value (lower is better; yields are negated).
     pub objective_value: f64,
-    /// The full evaluation report of the candidate.
+    /// The full evaluation report of the candidate; its `code` names the
+    /// candidate.
     pub report: PlatformReport,
 }
 
 /// The outcome of a design-space exploration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationOutcome {
-    /// The best design found.
-    pub best: DecoderDesign,
+    /// The best design point found: the base configuration with the
+    /// winning code.
+    pub best: SimConfig,
     /// All evaluated candidates, sorted from best to worst.
     pub ranked: Vec<RankedDesign>,
     /// The objective that was optimised.
     pub objective: Objective,
 }
 
-/// Explores a design space under an objective, starting from a base design
-/// whose platform parameters (nanowires per half cave, σ_T, pitches, ...) are
-/// kept fixed. The candidates ([`design_points`] of the space) are evaluated
+/// Explores a design space under an objective, starting from a base
+/// configuration whose platform parameters (nanowires per half cave, σ_T,
+/// pitches, ...) are kept fixed. The candidates ([`design_points`] of the space) are evaluated
 /// as one batch on `engine` ([`ExecutionEngine::reports_for`]) and ranked
 /// by a stable sort, so candidates that tie keep the space's order.
 ///
@@ -88,21 +87,15 @@ pub struct OptimizationOutcome {
 /// * Propagates evaluation errors.
 pub fn optimize(
     engine: &ExecutionEngine,
-    base: &DecoderDesign,
+    base: &SimConfig,
     space: &DesignSpace,
     objective: Objective,
 ) -> Result<OptimizationOutcome> {
-    let configs = design_points(
-        base.config(),
-        &space.kinds,
-        space.radix,
-        &space.code_lengths,
-    );
+    let configs = design_points(base, &space.kinds, space.radix, &space.code_lengths);
     let mut ranked: Vec<RankedDesign> = engine
         .reports_for(&configs)?
         .into_iter()
         .map(|report| RankedDesign {
-            code: report.code,
             objective_value: objective_value(objective, &report),
             report,
         })
@@ -115,8 +108,7 @@ pub fn optimize(
             .partial_cmp(&b.objective_value)
             .expect("finite objective values")
     });
-    let best_code = ranked[0].code;
-    let best = DecoderDesign::from_config(base.config().clone().with_code(best_code));
+    let best = base.clone().with_code(ranked[0].report.code);
     Ok(OptimizationOutcome {
         best,
         ranked,
@@ -202,15 +194,15 @@ fn cost_pair(sequence: &CodeSequence, ladder: &DopingLadder) -> Result<(usize, u
 }
 
 /// Convenience: run the paper's headline optimisation — minimise the bit area
-/// over the full binary design space on `engine` — and return the winning
-/// design.
+/// over the full binary design space around `base` on `engine` — and return
+/// the winning design point.
 ///
 /// # Errors
 ///
 /// Propagates exploration errors.
 pub fn best_bit_area_design(
     engine: &ExecutionEngine,
-    base: &DecoderDesign,
+    base: &SimConfig,
 ) -> Result<OptimizationOutcome> {
     optimize(
         engine,
@@ -223,7 +215,6 @@ pub fn best_bit_area_design(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::CodeSelection;
     use decoder_sim::bincodec::report_to_bin;
     use decoder_sim::{EngineConfig, SimulationPlatform, DEFAULT_CHUNK_SIZE};
 
@@ -234,27 +225,17 @@ mod tests {
         })
     }
 
-    /// Codes, objective values and report bits, in rank order.
-    fn ranking(ranked: &[RankedDesign]) -> Vec<(CodeSpec, u64, Vec<u8>)> {
+    /// Objective values and report bits, in rank order.
+    fn ranking(ranked: &[RankedDesign]) -> Vec<(u64, Vec<u8>)> {
         ranked
             .iter()
-            .map(|c| {
-                (
-                    c.code,
-                    c.objective_value.to_bits(),
-                    report_to_bin(&c.report),
-                )
-            })
+            .map(|c| (c.objective_value.to_bits(), report_to_bin(&c.report)))
             .collect()
     }
 
-    fn base() -> DecoderDesign {
-        DecoderDesign::builder()
-            .code(CodeSelection::Tree)
-            .code_length(8)
-            .nanowires_per_half_cave(20)
-            .build()
-            .unwrap()
+    fn base() -> SimConfig {
+        let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
+        SimConfig::paper_defaults(code).unwrap()
     }
 
     #[test]
@@ -277,7 +258,7 @@ mod tests {
         .unwrap();
         assert_eq!(ranking(&serial.ranked), ranking(&outcome.ranked));
         for candidate in &outcome.ranked {
-            let config = base().config().clone().with_code(candidate.code);
+            let config = base().with_code(candidate.report.code);
             let report = SimulationPlatform::new(config).evaluate().unwrap();
             assert_eq!(report_to_bin(&report), report_to_bin(&candidate.report));
             let value = objective_value(Objective::CrossbarYield, &report);
@@ -291,12 +272,17 @@ mod tests {
         // The winner is never the plain tree code at the shortest length.
         let best = outcome.best.code();
         assert!(!(best.kind() == CodeKind::Tree && best.code_length() == 6));
-        // The best design's yield matches the best ranked report.
-        assert!(
-            (outcome.best.evaluate().unwrap().crossbar_yield
-                - outcome.ranked[0].report.crossbar_yield)
-                .abs()
-                < 1e-9
+        // The best design point is the base with the best ranked code, and
+        // evaluates to the best ranked report.
+        assert_eq!(
+            outcome.best,
+            base().with_code(outcome.ranked[0].report.code)
+        );
+        assert_eq!(
+            SimulationPlatform::new(outcome.best.clone())
+                .evaluate()
+                .unwrap(),
+            outcome.ranked[0].report
         );
     }
 
@@ -363,7 +349,7 @@ mod tests {
             outcome
                 .ranked
                 .iter()
-                .position(|c| c.code.kind() == kind && c.code.code_length() == 4)
+                .position(|c| c.report.code.kind() == kind && c.report.code.code_length() == 4)
                 .unwrap()
         };
         let (gray, balanced) = (rank(CodeKind::Gray), rank(CodeKind::BalancedGray));

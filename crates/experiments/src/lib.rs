@@ -7,7 +7,8 @@
 //! the same functions so every consumer sees identical rows. Every report
 //! except Fig. 6 runs on an [`ExecutionEngine`] the caller passes —
 //! [`paper_engine`] for the experiments' default — so several reports can
-//! share one engine and its report cache.
+//! share one engine and its report cache. Each design point is one
+//! [`SimConfig`] derived from [`paper_base_config`].
 //!
 //! | Experiment | Paper artefact | Function |
 //! |---|---|---|
@@ -32,7 +33,7 @@ use decoder_sim::{
     alignment_sensitivity, design_points, half_cave_sensitivity, sigma_sensitivity,
     variability_map, window_sensitivity, DefectKind, DisturbanceKind, EngineConfig, Evaluation,
     ExecutionEngine, Fig5Report, Fig6Report, Fig7Report, Fig8Report, MonteCarloConfig,
-    PlatformReport, Result, SensitivitySweep, SimConfig, SimulationPlatform, Stage,
+    PlatformReport, Result, SensitivitySweep, SimConfig, SimulationPlatform, Stage, VariabilityMap,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
@@ -71,25 +72,42 @@ pub const TREE_FAMILY_LENGTHS: [usize; 3] = [6, 8, 10];
 pub const HOT_FAMILY_LENGTHS: [usize; 3] = [4, 6, 8];
 
 /// Regenerates Fig. 5: fabrication complexity of TC and GC for binary,
-/// ternary and quaternary logic with `N = 10` nanowires per half cave.
+/// ternary and quaternary logic with `N = 10` nanowires per half cave,
+/// evaluated as one batch (radix outer, code type inner).
 ///
 /// # Errors
 ///
-/// Propagates sweep errors.
+/// Propagates evaluation errors.
 pub fn fig5_report(engine: &ExecutionEngine) -> Result<Fig5Report> {
-    let base = paper_base_config()?;
-    let points = engine.complexity_sweep(
-        &base,
-        &[CodeKind::Tree, CodeKind::Gray],
-        &[
-            LogicLevel::BINARY,
-            LogicLevel::TERNARY,
-            LogicLevel::QUATERNARY,
-        ],
-        FIG5_CODE_LENGTH,
-        FIG5_NANOWIRES,
-    )?;
-    Ok(Fig5Report { points })
+    let base = paper_base_config()?.with_nanowires_per_half_cave(FIG5_NANOWIRES)?;
+    let mut configs = Vec::new();
+    for radix in [
+        LogicLevel::BINARY,
+        LogicLevel::TERNARY,
+        LogicLevel::QUATERNARY,
+    ] {
+        configs.extend(design_points(
+            &base,
+            &[CodeKind::Tree, CodeKind::Gray],
+            radix,
+            &[FIG5_CODE_LENGTH],
+        ));
+    }
+    Ok(Fig5Report {
+        points: engine.reports_for(&configs)?,
+    })
+}
+
+/// The variability map of a binary code of one family and length with
+/// `N = 20` (one panel of Fig. 6).
+fn fig6_map(base: &SimConfig, kind: CodeKind, length: usize) -> Result<VariabilityMap> {
+    let code = CodeSpec::new(kind, LogicLevel::BINARY, length)?;
+    variability_map(
+        &base
+            .clone()
+            .with_code(code)
+            .with_nanowires_per_half_cave(FIG6_NANOWIRES)?,
+    )
 }
 
 /// Regenerates Fig. 6: the normalised variability maps of binary TC, GC and
@@ -97,19 +115,13 @@ pub fn fig5_report(engine: &ExecutionEngine) -> Result<Fig5Report> {
 ///
 /// # Errors
 ///
-/// Propagates sweep errors.
+/// Propagates code, fabrication and device-physics errors.
 pub fn fig6_report() -> Result<Fig6Report> {
     let base = paper_base_config()?;
     let mut maps = Vec::new();
     for kind in [CodeKind::Tree, CodeKind::Gray, CodeKind::BalancedGray] {
         for length in [8usize, 10] {
-            maps.push(variability_map(
-                &base,
-                kind,
-                LogicLevel::BINARY,
-                length,
-                FIG6_NANOWIRES,
-            )?);
+            maps.push(fig6_map(&base, kind, length)?);
         }
     }
     Ok(Fig6Report { maps })
@@ -535,17 +547,11 @@ pub fn headline_numbers(engine: &ExecutionEngine) -> Result<HeadlineNumbers> {
     let base = paper_base_config()?;
 
     // Fig. 5 inputs: complexity of TC vs GC at higher radices.
-    let complexity = engine.complexity_sweep(
-        &base,
-        &[CodeKind::Tree, CodeKind::Gray],
-        &[LogicLevel::TERNARY, LogicLevel::QUATERNARY],
-        FIG5_CODE_LENGTH,
-        FIG5_NANOWIRES,
-    )?;
+    let complexity = fig5_report(engine)?.points;
     let phi = |kind: CodeKind, radix: LogicLevel| -> f64 {
         complexity
             .iter()
-            .find(|p| p.kind == kind && p.radix == radix)
+            .find(|p| p.code.kind() == kind && p.code.radix() == radix)
             .map(|p| p.fabrication_steps as f64)
             .unwrap_or(f64::NAN)
     };
@@ -560,8 +566,7 @@ pub fn headline_numbers(engine: &ExecutionEngine) -> Result<HeadlineNumbers> {
     let mean_variability = |kind: CodeKind| -> Result<f64> {
         let mut total = 0.0;
         for length in [8usize, 10] {
-            total += variability_map(&base, kind, LogicLevel::BINARY, length, FIG6_NANOWIRES)?
-                .mean_variability;
+            total += fig6_map(&base, kind, length)?.mean_variability;
         }
         Ok(total / 2.0)
     };
@@ -614,18 +619,45 @@ mod tests {
     #[test]
     fn fig5_has_six_points_with_the_expected_ordering() {
         let report = fig5_report(&paper_engine()).unwrap();
-        assert_eq!(report.points.len(), 6);
+        // Radix outer, code type inner, every point at N = 10 and M = 8.
+        let order: Vec<(LogicLevel, CodeKind)> = report
+            .points
+            .iter()
+            .map(|p| (p.code.radix(), p.code.kind()))
+            .collect();
+        let radices = [
+            LogicLevel::BINARY,
+            LogicLevel::TERNARY,
+            LogicLevel::QUATERNARY,
+        ];
+        let expected: Vec<(LogicLevel, CodeKind)> = radices
+            .into_iter()
+            .flat_map(|radix| [(radix, CodeKind::Tree), (radix, CodeKind::Gray)])
+            .collect();
+        assert_eq!(order, expected);
+        assert!(report
+            .points
+            .iter()
+            .all(|p| p.nanowires_per_half_cave == 10 && p.code.code_length() == FIG5_CODE_LENGTH));
         let phi = |kind: CodeKind, radix: LogicLevel| {
             report
                 .points
                 .iter()
-                .find(|p| p.kind == kind && p.radix == radix)
+                .find(|p| p.code.kind() == kind && p.code.radix() == radix)
                 .unwrap()
                 .fabrication_steps
         };
+        // Binary codes: Φ = 2N regardless of the arrangement.
         assert_eq!(phi(CodeKind::Tree, LogicLevel::BINARY), 20);
+        assert_eq!(phi(CodeKind::Gray, LogicLevel::BINARY), 20);
+        // Higher radix: the tree code pays extra steps, the Gray code does not.
+        assert!(phi(CodeKind::Tree, LogicLevel::TERNARY) > 20);
         assert!(
-            phi(CodeKind::Gray, LogicLevel::TERNARY) <= phi(CodeKind::Tree, LogicLevel::TERNARY)
+            phi(CodeKind::Gray, LogicLevel::TERNARY) < phi(CodeKind::Tree, LogicLevel::TERNARY)
+        );
+        assert!(
+            phi(CodeKind::Gray, LogicLevel::QUATERNARY)
+                < phi(CodeKind::Tree, LogicLevel::QUATERNARY)
         );
     }
 

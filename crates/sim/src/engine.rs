@@ -21,11 +21,12 @@
 //! `samples_used` and the profile — is identical at any thread count; chunks
 //! computed past the stopping point are discarded, never folded in.
 //!
-//! Every batch of design points — the Fig. 7 and Fig. 8 sweeps, the
+//! Every batch of design points — the Fig. 5, 7 and 8 sweeps, the
 //! headline numbers, the sensitivity sweeps and the design-space
-//! exploration — goes through [`ExecutionEngine::reports_for`]: the points
-//! are evaluated independently and reassembled in input order, so a batch
-//! is element-identical to the serial path.
+//! exploration — goes through [`ExecutionEngine::reports_for`]: a design
+//! point is one [`SimConfig`], the points are evaluated independently and
+//! reassembled in input order, so a batch is element-identical to the
+//! serial path.
 //!
 //! # Memoization
 //!
@@ -56,19 +57,17 @@ use crossbar_array::{
 };
 use device_physics::{VariabilityModel, Volts};
 use mspt_fabrication::VariabilityMatrix;
-use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 use crate::cache::{CacheConfig, CacheStats};
 use crate::config::SimConfig;
 use crate::disturbance::DisturbanceModel;
-use crate::error::{Result, SimError};
+use crate::error::Result;
 use crate::monte_carlo::{
     chunk_seed, validate_monte_carlo, Kernel, MonteCarloConfig, MonteCarloOutcome, SigmaMatrix,
 };
 use crate::platform::{PlatformReport, SimulationPlatform};
 use crate::stage::{StageCache, StageStats};
 use crate::stats::{wilson_bounds, wilson_half_width, z_for_confidence};
-use crate::sweep::ComplexityPoint;
 
 /// Environment variable overriding the default engine thread count
 /// (CI uses it as a cheap cross-thread determinism gate).
@@ -307,7 +306,8 @@ impl ExecutionEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Persistence`] on I/O failure.
+    /// Returns [`SimError::Persistence`](crate::SimError::Persistence) on
+    /// I/O failure.
     pub fn save_cache(&self, path: &Path) -> Result<usize> {
         self.stages.reports().save_to_path(path)
     }
@@ -317,9 +317,9 @@ impl ExecutionEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Persistence`] on I/O failure, a malformed
-    /// snapshot or a mismatched snapshot schema version (a file written in
-    /// an earlier format).
+    /// Returns [`SimError::Persistence`](crate::SimError::Persistence) on
+    /// I/O failure, a malformed snapshot or a mismatched snapshot schema
+    /// version (a file written in an earlier format).
     pub fn load_cache(&self, path: &Path) -> Result<usize> {
         self.stages.reports().load_from_path(path)
     }
@@ -405,8 +405,9 @@ impl ExecutionEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero samples or a negative or
-    /// NaN window, or propagates lower-layer errors.
+    /// Returns [`SimError::InvalidConfig`](crate::SimError::InvalidConfig)
+    /// for zero samples or a negative or NaN window, or propagates
+    /// lower-layer errors.
     pub fn monte_carlo_with_disturbance(
         &self,
         variability: &VariabilityMatrix,
@@ -617,57 +618,15 @@ impl ExecutionEngine {
             .map(|index| reports[index].clone())
             .collect())
     }
-
-    /// Sweeps the fabrication complexity `Φ` over code families and logic
-    /// radices at a fixed half-cave size (Fig. 5 uses `N = 10`), fanning the
-    /// points across the engine's threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EmptySweep`] for empty parameter sets, or
-    /// propagates evaluation errors.
-    pub fn complexity_sweep(
-        &self,
-        base: &SimConfig,
-        kinds: &[CodeKind],
-        radices: &[LogicLevel],
-        code_length: usize,
-        nanowires: usize,
-    ) -> Result<Vec<ComplexityPoint>> {
-        if kinds.is_empty() || radices.is_empty() {
-            return Err(SimError::EmptySweep);
-        }
-        let mut pairs = Vec::with_capacity(kinds.len() * radices.len());
-        for &radix in radices {
-            for &kind in kinds {
-                pairs.push((kind, radix));
-            }
-        }
-        let steps = self.run_indexed(pairs.len(), |index| {
-            let (kind, radix) = pairs[index];
-            let code = CodeSpec::new(kind, radix, code_length)?;
-            let platform = SimulationPlatform::new(base.clone().with_code(code));
-            Ok(platform.fabrication_cost_for(nanowires)?.total())
-        })?;
-        Ok(pairs
-            .into_iter()
-            .zip(steps)
-            .map(|((kind, radix), fabrication_steps)| ComplexityPoint {
-                kind,
-                radix,
-                code_length,
-                nanowires,
-                fabrication_steps,
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::defect::DefectKind;
+    use crate::error::SimError;
     use crate::sweep::design_points;
+    use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
     fn base() -> SimConfig {
         let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
@@ -750,28 +709,16 @@ mod tests {
     fn parallel_sweeps_match_the_serial_path() {
         let base = base();
         let kinds = [CodeKind::Tree, CodeKind::Gray, CodeKind::Hot];
-        let radices = [LogicLevel::BINARY, LogicLevel::TERNARY];
-        let engine = engine(4);
-        // A fresh serial engine per sweep, so no comparison is a cache hit.
-        let serial = ExecutionEngine::serial;
-
-        assert_eq!(
-            engine
-                .complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
-                .unwrap(),
-            serial()
-                .complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
-                .unwrap()
-        );
         // A Fig. 7/8 grid plus a defect-configured point.
         let mut configs = design_points(&base, &kinds, LogicLevel::BINARY, &[4, 5, 6, 8]);
         configs.push(
             base.clone()
                 .with_defects(DefectKind::sampled(0.05, 0.02, 42).unwrap()),
         );
+        // A fresh serial engine, so no comparison is a cache hit.
         assert_eq!(
-            engine.reports_for(&configs).unwrap(),
-            serial().reports_for(&configs).unwrap()
+            engine(4).reports_for(&configs).unwrap(),
+            ExecutionEngine::serial().reports_for(&configs).unwrap()
         );
     }
 
@@ -857,18 +804,5 @@ mod tests {
             ];
             assert_eq!(engine.reports_for(&batch).unwrap_err(), errors[first]);
         }
-    }
-
-    #[test]
-    fn empty_sweeps_are_rejected() {
-        let engine = engine(2);
-        assert!(matches!(
-            engine.complexity_sweep(&base(), &[], &[LogicLevel::BINARY], 8, 10),
-            Err(SimError::EmptySweep)
-        ));
-        assert!(matches!(
-            engine.complexity_sweep(&base(), &[CodeKind::Tree], &[], 8, 10),
-            Err(SimError::EmptySweep)
-        ));
     }
 }

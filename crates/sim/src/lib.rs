@@ -4,8 +4,9 @@
 //! one configuration object ([`SimConfig`]) holding the paper's platform
 //! parameters, one orchestrator ([`SimulationPlatform`]) that takes a code
 //! choice to fabrication complexity, variability, yield and bit area, the
-//! design points behind Figs. 5–8 ([`design_points`], evaluated as one
-//! batch by [`ExecutionEngine::reports_for`]), and a Monte-Carlo
+//! design points behind Figs. 5, 7 and 8 ([`design_points`], evaluated as
+//! one batch by [`ExecutionEngine::reports_for`]) and Fig. 6's variability
+//! maps ([`variability_map`]), and a Monte-Carlo
 //! cross-check of the analytic yield model with pluggable disturbance
 //! distributions ([`DisturbanceModel`]: Gaussian, heavy-tailed Laplace,
 //! correlated inter-region) — the regimes the closed-form Gaussian
@@ -103,7 +104,7 @@ pub use crossbar_array::chunk_seed;
 pub use platform::{PlatformReport, SimulationPlatform};
 pub use report::{Fig5Report, Fig6Report, Fig7Report, Fig8Report};
 pub use stage::{ConfigField, Stage, StageStats};
-pub use sweep::{design_points, variability_map, ComplexityPoint, VariabilityMap};
+pub use sweep::{design_points, variability_map, VariabilityMap};
 
 #[cfg(test)]
 mod crate_tests {

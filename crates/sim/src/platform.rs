@@ -8,9 +8,7 @@ use crossbar_array::{
     survival_fraction, AddressabilityProfile, CaveYield, CompositeYield, ContactGroupLayout,
     CrossbarArea, DefectMap, DefectModel, HalfCave,
 };
-use mspt_fabrication::{
-    DoseCountMatrix, FabricationCost, PatternMatrix, StepDopingMatrix, VariabilityMatrix,
-};
+use mspt_fabrication::{DoseCountMatrix, FabricationCost, StepDopingMatrix, VariabilityMatrix};
 use nanowire_codes::{CodeSequence, CodeSpec};
 
 use crate::config::SimConfig;
@@ -133,35 +131,6 @@ impl SimulationPlatform {
         Ok(FabricationCost::from_pattern(
             &pattern,
             &self.config.doping_ladder()?,
-        )?)
-    }
-
-    /// The fabrication complexity of a half cave with an explicit nanowire
-    /// count (Fig. 5 uses `N = 10` independently of the crossbar geometry).
-    ///
-    /// # Errors
-    ///
-    /// Propagates code, fabrication and device-physics errors.
-    pub fn fabrication_cost_for(&self, nanowires: usize) -> Result<FabricationCost> {
-        let pattern = PatternMatrix::from_sequence(&self.cyclic_sequence(nanowires)?)?;
-        Ok(FabricationCost::from_pattern(
-            &pattern,
-            &self.config.doping_ladder()?,
-        )?)
-    }
-
-    /// The variability matrix of a half cave with an explicit nanowire count
-    /// (Fig. 6 uses `N = 20`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates code, fabrication and device-physics errors.
-    pub fn variability_for(&self, nanowires: usize) -> Result<VariabilityMatrix> {
-        let pattern = PatternMatrix::from_sequence(&self.cyclic_sequence(nanowires)?)?;
-        Ok(VariabilityMatrix::from_pattern(
-            &pattern,
-            &self.config.doping_ladder()?,
-            &self.config.variability_model()?,
         )?)
     }
 
@@ -534,10 +503,18 @@ mod tests {
 
     #[test]
     fn explicit_nanowire_counts_for_standalone_figures() {
-        let p = platform(CodeKind::Gray, 8);
-        let cost = p.fabrication_cost_for(10).unwrap();
-        assert_eq!(cost.step_count(), 10);
-        let variability = p.variability_for(20).unwrap();
+        // Fig. 5 counts the steps of a 10-nanowire half cave and Fig. 6 maps
+        // a 20-nanowire one: each is the half cave of its own config.
+        let config = platform(CodeKind::Gray, 8).config().clone();
+        let fig5 =
+            SimulationPlatform::new(config.clone().with_nanowires_per_half_cave(10).unwrap());
+        assert_eq!(fig5.fabrication_cost().unwrap().step_count(), 10);
+        assert_eq!(
+            fig5.evaluate().unwrap().fabrication_steps,
+            fig5.fabrication_cost().unwrap().total()
+        );
+        let fig6 = SimulationPlatform::new(config.with_nanowires_per_half_cave(20).unwrap());
+        let variability = fig6.variability().unwrap();
         assert_eq!(variability.nanowire_count(), 20);
         assert_eq!(variability.region_count(), 8);
     }

@@ -8,13 +8,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::ablation::SensitivitySweep;
 use crate::platform::PlatformReport;
-use crate::sweep::{ComplexityPoint, VariabilityMap};
+use crate::sweep::VariabilityMap;
 
 /// Fig. 5 — fabrication complexity per code type and logic radix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig5Report {
-    /// The swept points.
-    pub points: Vec<ComplexityPoint>,
+    /// The evaluated design points, one per (radix, code type); each
+    /// report's `fabrication_steps` is the plotted `Φ`.
+    pub points: Vec<PlatformReport>,
 }
 
 impl fmt::Display for Fig5Report {
@@ -28,8 +29,8 @@ impl fmt::Display for Fig5Report {
             writeln!(
                 f,
                 "{:<12} {:<6} {:>6}",
-                point.radix.to_string(),
-                point.kind.label(),
+                point.code.radix().to_string(),
+                point.code.kind().label(),
                 point.fabrication_steps
             )?;
         }
@@ -235,28 +236,32 @@ mod tests {
 
     #[test]
     fn fig5_report_renders_every_point() {
-        let points = ExecutionEngine::serial()
-            .complexity_sweep(
-                &base(),
+        let base = base().with_nanowires_per_half_cave(10).unwrap();
+        let mut configs = Vec::new();
+        for radix in [LogicLevel::BINARY, LogicLevel::TERNARY] {
+            configs.extend(design_points(
+                &base,
                 &[CodeKind::Tree, CodeKind::Gray],
-                &[LogicLevel::BINARY, LogicLevel::TERNARY],
-                8,
-                10,
-            )
-            .unwrap();
-        let report = Fig5Report { points };
+                radix,
+                &[8],
+            ));
+        }
+        let report = Fig5Report {
+            points: ExecutionEngine::serial().reports_for(&configs).unwrap(),
+        };
         let text = report.to_string();
         assert!(text.contains("Fig. 5"));
-        assert!(text.contains("ternary"));
-        assert!(text.lines().count() >= 6);
+        assert!(text.contains("ternary      GC"));
+        assert_eq!(text.lines().count(), 2 + configs.len());
     }
 
     #[test]
     fn fig6_report_renders_per_digit_profiles() {
-        let maps = vec![
-            variability_map(&base(), CodeKind::Tree, LogicLevel::BINARY, 8, 20).unwrap(),
-            variability_map(&base(), CodeKind::Gray, LogicLevel::BINARY, 8, 20).unwrap(),
-        ];
+        let map_of = |kind: CodeKind| {
+            let code = CodeSpec::new(kind, LogicLevel::BINARY, 8).unwrap();
+            variability_map(&base().with_code(code)).unwrap()
+        };
+        let maps = vec![map_of(CodeKind::Tree), map_of(CodeKind::Gray)];
         let report = Fig6Report { maps };
         let text = report.to_string();
         assert!(text.contains("TC (L = 8, N = 20)"));

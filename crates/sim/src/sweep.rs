@@ -1,10 +1,11 @@
 //! The design points of the parameter sweeps over code type, logic radix
-//! and code length behind Figs. 5–8 of the paper. [`design_points`] lists
-//! the configurations of a (kind, length) grid, which
-//! [`ExecutionEngine::reports_for`] evaluates as one batch (Figs. 7 and 8,
-//! the headline numbers, the design-space exploration); Fig. 5's
-//! complexity points and Fig. 6's variability maps are built per half cave
-//! of their own size instead.
+//! and code length behind Figs. 5–8 of the paper. A design point is one
+//! [`SimConfig`]: [`design_points`] lists the configurations of a (kind,
+//! length) grid, which [`ExecutionEngine::reports_for`] evaluates as one
+//! batch (Fig. 5 on a half cave of 10 nanowires, Figs. 7 and 8, the
+//! headline numbers, the design-space exploration). Fig. 6's
+//! [`variability_map`] keeps a form of its own, the per-region matrix no
+//! report carries, and reads the code and the half cave from its config.
 //!
 //! [`ExecutionEngine::reports_for`]: crate::ExecutionEngine::reports_for
 
@@ -39,21 +40,6 @@ pub fn design_points(
         .collect()
 }
 
-/// One point of the fabrication-complexity sweep (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ComplexityPoint {
-    /// Code family.
-    pub kind: CodeKind,
-    /// Logic radix.
-    pub radix: LogicLevel,
-    /// Code length `M` used for the sweep.
-    pub code_length: usize,
-    /// Number of nanowires per half cave.
-    pub nanowires: usize,
-    /// Total number of additional lithography/doping steps `Φ`.
-    pub fabrication_steps: usize,
-}
-
 /// One variability map (one panel of Fig. 6).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VariabilityMap {
@@ -72,28 +58,19 @@ pub struct VariabilityMap {
     pub max_normalized_sigma: f64,
 }
 
-/// Computes the variability map of one code family and length (one panel of
-/// Fig. 6; the paper uses `N = 20` nanowires).
+/// Computes the variability map of the configured code over the configured
+/// half cave (one panel of Fig. 6; the paper uses `N = 20` nanowires).
 ///
 /// # Errors
 ///
 /// Propagates code, fabrication and device-physics errors.
-pub fn variability_map(
-    base: &SimConfig,
-    kind: CodeKind,
-    radix: LogicLevel,
-    code_length: usize,
-    nanowires: usize,
-) -> Result<VariabilityMap> {
-    let code = CodeSpec::new(kind, radix, code_length)?;
-    let config = base.clone().with_code(code);
-    let platform = SimulationPlatform::new(config);
-    let variability = platform.variability_for(nanowires)?;
+pub fn variability_map(config: &SimConfig) -> Result<VariabilityMap> {
+    let variability = SimulationPlatform::new(config.clone()).variability()?;
     let normalized = variability.normalized_map();
     Ok(VariabilityMap {
-        kind,
-        code_length,
-        nanowires,
+        kind: config.code().kind(),
+        code_length: config.code().code_length(),
+        nanowires: config.nanowires_per_half_cave(),
         mean_variability: variability.mean_in_sigma_units(),
         max_normalized_sigma: normalized.max(),
         normalized_sigma: normalized,
@@ -111,56 +88,26 @@ mod tests {
     }
 
     #[test]
-    fn complexity_sweep_reproduces_fig5_shape() {
-        let points = ExecutionEngine::serial()
-            .complexity_sweep(
-                &base(),
-                &[CodeKind::Tree, CodeKind::Gray],
-                &[
-                    LogicLevel::BINARY,
-                    LogicLevel::TERNARY,
-                    LogicLevel::QUATERNARY,
-                ],
-                8,
-                10,
-            )
-            .unwrap();
-        assert_eq!(points.len(), 6);
-        let phi = |kind: CodeKind, radix: LogicLevel| {
-            points
-                .iter()
-                .find(|p| p.kind == kind && p.radix == radix)
-                .unwrap()
-                .fabrication_steps
-        };
-        // Binary codes: Φ = 2N regardless of the arrangement.
-        assert_eq!(phi(CodeKind::Tree, LogicLevel::BINARY), 20);
-        assert_eq!(phi(CodeKind::Gray, LogicLevel::BINARY), 20);
-        // Higher radix: the tree code pays extra steps, the Gray code does not.
-        assert!(phi(CodeKind::Tree, LogicLevel::TERNARY) > 20);
-        assert!(
-            phi(CodeKind::Gray, LogicLevel::TERNARY) < phi(CodeKind::Tree, LogicLevel::TERNARY)
-        );
-        assert!(
-            phi(CodeKind::Gray, LogicLevel::QUATERNARY)
-                < phi(CodeKind::Tree, LogicLevel::QUATERNARY)
-        );
-    }
-
-    #[test]
     fn variability_map_matches_fig6_structure() {
-        let map = variability_map(&base(), CodeKind::Tree, LogicLevel::BINARY, 8, 20).unwrap();
+        let map_of = |kind: CodeKind| {
+            let code = CodeSpec::new(kind, LogicLevel::BINARY, 8).unwrap();
+            variability_map(&base().with_code(code)).unwrap()
+        };
+        let map = map_of(CodeKind::Tree);
+        assert_eq!(
+            (map.kind, map.code_length, map.nanowires),
+            (CodeKind::Tree, 8, 20)
+        );
         assert_eq!(map.normalized_sigma.rows(), 20);
         assert_eq!(map.normalized_sigma.columns(), 8);
         // The lexicographic tree code toggles its least-significant digit at
         // every step, so the earliest-defined nanowire accumulates ~N doses
         // there: sqrt(20) ≈ 4.5, the peak of Fig. 6.a/b.
         assert!(map.max_normalized_sigma > 4.0);
-        let gray = variability_map(&base(), CodeKind::Gray, LogicLevel::BINARY, 8, 20).unwrap();
+        let gray = map_of(CodeKind::Gray);
         assert!(gray.max_normalized_sigma < map.max_normalized_sigma);
         assert!(gray.mean_variability < map.mean_variability);
-        let balanced =
-            variability_map(&base(), CodeKind::BalancedGray, LogicLevel::BINARY, 8, 20).unwrap();
+        let balanced = map_of(CodeKind::BalancedGray);
         assert!(balanced.max_normalized_sigma <= gray.max_normalized_sigma);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example code_comparison`
 
-use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign};
+use mspt_nanowire_decoder::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Comparison of code families on the paper's 16 kB crossbar platform");
@@ -13,18 +13,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for (kind, code_length) in [
-        (CodeSelection::Tree, 8),
-        (CodeSelection::Gray, 8),
-        (CodeSelection::BalancedGray, 8),
-        (CodeSelection::Hot, 8),
-        (CodeSelection::ArrangedHot, 8),
+        (CodeKind::Tree, 8),
+        (CodeKind::Gray, 8),
+        (CodeKind::BalancedGray, 8),
+        (CodeKind::Hot, 8),
+        (CodeKind::ArrangedHot, 8),
     ] {
-        let design = DecoderDesign::builder()
-            .code(kind)
-            .code_length(code_length)
-            .nanowires_per_half_cave(20)
-            .build()?;
-        let report = design.evaluate()?;
+        let code = CodeSpec::new(kind, LogicLevel::BINARY, code_length)?;
+        let report = SimulationPlatform::new(SimConfig::paper_defaults(code)?).evaluate()?;
         println!(
             "{:<22} {:>4} {:>8} {:>10.2} {:>12.1} {:>14.1}",
             kind.to_string(),

@@ -5,17 +5,13 @@
 //!
 //! Run with: `cargo run --example design_space_exploration`
 
-use mspt_nanowire_decoder::decoder::{
-    optimize, CodeSelection, DecoderDesign, DesignSpace, Objective,
-};
-use mspt_nanowire_decoder::sim::ExecutionEngine;
+use mspt_nanowire_decoder::decoder::{optimize, DesignSpace, Objective};
+use mspt_nanowire_decoder::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let base = DecoderDesign::builder()
-        .code(CodeSelection::Tree)
-        .code_length(8)
-        .nanowires_per_half_cave(20)
-        .build()?;
+    // The paper's platform; each candidate swaps in its own code.
+    let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8)?;
+    let base = SimConfig::paper_defaults(code)?;
 
     let outcome = optimize(
         &ExecutionEngine::default(),
@@ -30,21 +26,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "code", "M", "Y² [%]", "bit area [nm²]"
     );
     for candidate in &outcome.ranked {
+        let report = &candidate.report;
         println!(
             "{:<22} {:>4} {:>12.1} {:>16.1}",
-            candidate.code.kind().to_string(),
-            candidate.code.code_length(),
-            candidate.report.crossbar_yield * 100.0,
-            candidate.report.effective_bit_area,
+            report.code.kind().to_string(),
+            report.code.code_length(),
+            report.crossbar_yield * 100.0,
+            report.effective_bit_area,
         );
     }
-    let best = outcome.ranked.first().expect("non-empty design space");
+    let best = &outcome
+        .ranked
+        .first()
+        .expect("non-empty design space")
+        .report;
     println!();
     println!(
         "best design: {} at M = {} with {:.1} nm² per functional bit",
         best.code.kind(),
         best.code.code_length(),
-        best.report.effective_bit_area
+        best.effective_bit_area
     );
     Ok(())
 }

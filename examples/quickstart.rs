@@ -3,19 +3,17 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign, DecoderRecipe};
+use mspt_nanowire_decoder::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A balanced-Gray-code decoder with 10 doping regions per nanowire —
-    // the configuration the paper finds to give the smallest bit area.
-    let design = DecoderDesign::builder()
-        .code(CodeSelection::BalancedGray)
-        .code_length(10)
-        .nanowires_per_half_cave(20)
-        .build()?;
+    // the configuration the paper finds to give the smallest bit area — on
+    // the paper's platform (20 nanowires per half cave).
+    let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10)?;
+    let config = SimConfig::paper_defaults(code)?;
 
-    let report = design.evaluate()?;
-    let recipe = DecoderRecipe::for_design(&design)?;
+    let recipe = DecoderRecipe::for_config(&config)?;
+    let report = SimulationPlatform::new(config).evaluate()?;
 
     println!("MSPT nanowire-decoder quickstart");
     println!("================================");

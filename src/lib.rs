@@ -20,20 +20,19 @@
 //!   core with JSON and framed-TCP front ends (bounded-queue backpressure,
 //!   typed load-shed, graceful draining shutdown) and a p50/p99/p999 TCP
 //!   loadgen
-//! * [`decoder`] — the top-level decoder design and optimisation API
+//! * [`decoder`] — the decoder design layer over a design point (a
+//!   [`SimConfig`](sim::SimConfig)): fabrication recipe, address map and
+//!   design-space optimisation
 //!
 //! # Quickstart
 //!
 //! ```
-//! use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign};
+//! use mspt_nanowire_decoder::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let design = DecoderDesign::builder()
-//!     .code(CodeSelection::BalancedGray)
-//!     .code_length(8)
-//!     .nanowires_per_half_cave(20)
-//!     .build()?;
-//! let report = design.evaluate()?;
+//! let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 8)?;
+//! let config = SimConfig::paper_defaults(code)?;
+//! let report = SimulationPlatform::new(config).evaluate()?;
 //! assert!(report.crossbar_yield > 0.0 && report.crossbar_yield <= 1.0);
 //! # Ok(())
 //! # }
@@ -52,7 +51,7 @@ pub mod prelude {
     pub use crate::codes::{CodeKind, CodeSequence, CodeSpec, CodeWord, LogicLevel};
     pub use crate::crossbar::{CrossbarSpec, LayoutRules};
     pub use crate::crossbar::{DefectMap, DefectModel};
-    pub use crate::decoder::{CodeSelection, DecoderDesign};
+    pub use crate::decoder::{AddressMap, DecoderRecipe};
     pub use crate::fabrication::{
         FabricationCost, PatternMatrix, StepDopingMatrix, VariabilityMatrix,
     };

@@ -4,7 +4,6 @@
 //! report.
 
 use mspt_nanowire_decoder::crossbar::is_uniquely_addressable;
-use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign, DecoderRecipe};
 use mspt_nanowire_decoder::prelude::*;
 use proptest::prelude::*;
 
@@ -39,18 +38,16 @@ proptest! {
         raw_length in 0usize..16,
         nanowires in 6usize..32,
     ) {
-        let code_length = valid_length(kind, raw_length);
-        let design = DecoderDesign::builder()
-            .code(kind)
-            .code_length(code_length)
-            .nanowires_per_half_cave(nanowires)
-            .build()
+        let code = CodeSpec::new(kind, LogicLevel::BINARY, valid_length(kind, raw_length)).unwrap();
+        let design = SimConfig::paper_defaults(code)
+            .unwrap()
+            .with_nanowires_per_half_cave(nanowires)
             .unwrap();
-        let report = design.evaluate().unwrap();
+        let report = SimulationPlatform::new(design.clone()).evaluate().unwrap();
         prop_assert!(report.cave_yield >= 0.0 && report.cave_yield <= 1.0);
         prop_assert!((report.crossbar_yield - report.cave_yield.powi(2)).abs() < 1e-12);
         prop_assert!(report.effective_bit_area >= report.raw_bit_area);
-        let recipe = DecoderRecipe::for_design(&design).unwrap();
+        let recipe = DecoderRecipe::for_config(&design).unwrap();
         prop_assert_eq!(recipe.lithography_passes(), report.fabrication_steps);
         prop_assert!(report.mean_variability >= 1.0);
     }
@@ -85,8 +82,8 @@ proptest! {
         ).unwrap();
         let sigma = VariabilityModel::paper_default();
         let pairs = [
-            (CodeSelection::Tree, CodeSelection::Gray, 4 + 2 * (raw_length % 4)),
-            (CodeSelection::Hot, CodeSelection::ArrangedHot, 4 + 2 * (raw_length % 3)),
+            (CodeKind::Tree, CodeKind::Gray, 4 + 2 * (raw_length % 4)),
+            (CodeKind::Hot, CodeKind::ArrangedHot, 4 + 2 * (raw_length % 3)),
         ];
         for (baseline_kind, optimised_kind, code_length) in pairs {
             let baseline = CodeSpec::new(baseline_kind, LogicLevel::BINARY, code_length)

@@ -1,28 +1,24 @@
 //! Integration test: the full decoder design flow across every crate —
-//! build a design, derive its fabrication recipe, audit the recipe with the
-//! event-level process replay, verify the electrical address map, and use
-//! the resulting crossbar as a memory.
+//! state a design point, derive its fabrication recipe, audit the recipe
+//! with the event-level process replay, verify the electrical address map,
+//! and use the resulting crossbar as a memory.
 
 use mspt_nanowire_decoder::crossbar::{ContactGroupLayout, CrossbarMemory, LayoutRules};
-use mspt_nanowire_decoder::decoder::{AddressMap, CodeSelection, DecoderDesign, DecoderRecipe};
 use mspt_nanowire_decoder::prelude::*;
 
-fn designs_under_test() -> Vec<DecoderDesign> {
+/// One design point per code family, on the paper's platform.
+fn designs_under_test() -> Vec<SimConfig> {
     [
-        (CodeSelection::Tree, 8),
-        (CodeSelection::Gray, 8),
-        (CodeSelection::BalancedGray, 10),
-        (CodeSelection::Hot, 6),
-        (CodeSelection::ArrangedHot, 6),
+        (CodeKind::Tree, 8),
+        (CodeKind::Gray, 8),
+        (CodeKind::BalancedGray, 10),
+        (CodeKind::Hot, 6),
+        (CodeKind::ArrangedHot, 6),
     ]
     .into_iter()
     .map(|(kind, length)| {
-        DecoderDesign::builder()
-            .code(kind)
-            .code_length(length)
-            .nanowires_per_half_cave(20)
-            .build()
-            .expect("valid design")
+        let code = CodeSpec::new(kind, LogicLevel::BINARY, length).expect("valid code");
+        SimConfig::paper_defaults(code).expect("valid design")
     })
     .collect()
 }
@@ -30,8 +26,8 @@ fn designs_under_test() -> Vec<DecoderDesign> {
 #[test]
 fn every_design_produces_a_consistent_recipe_and_report() {
     for design in designs_under_test() {
-        let report = design.evaluate().unwrap();
-        let recipe = DecoderRecipe::for_design(&design).unwrap();
+        let recipe = DecoderRecipe::for_config(&design).unwrap();
+        let report = SimulationPlatform::new(design).evaluate().unwrap();
         assert_eq!(
             recipe.lithography_passes(),
             report.fabrication_steps,
@@ -47,10 +43,10 @@ fn every_design_produces_a_consistent_recipe_and_report() {
 #[test]
 fn every_design_recipe_survives_the_process_replay_audit() {
     for design in designs_under_test() {
-        let platform = design.platform();
+        let platform = SimulationPlatform::new(design.clone());
         let pattern = platform.half_cave().unwrap().pattern().unwrap();
-        let ladder = design.config().doping_ladder().unwrap();
-        let recipe = DecoderRecipe::for_design(&design).unwrap();
+        let ladder = design.doping_ladder().unwrap();
+        let recipe = DecoderRecipe::for_config(&design).unwrap();
         let audit = recipe.plan().audit(&pattern, &ladder).unwrap();
         assert_eq!(audit.lithography_passes, recipe.lithography_passes());
     }
@@ -59,7 +55,7 @@ fn every_design_recipe_survives_the_process_replay_audit() {
 #[test]
 fn every_design_addresses_its_nanowires_uniquely() {
     for design in designs_under_test() {
-        let map = AddressMap::for_design(&design).unwrap();
+        let map = AddressMap::for_config(&design).unwrap();
         map.verify_unique_addressing().unwrap();
         // The applied voltages stay within the supply range (0..1 V plus half
         // a level separation above the top threshold).
@@ -73,16 +69,17 @@ fn every_design_addresses_its_nanowires_uniquely() {
 
 #[test]
 fn a_design_drives_a_working_crossbar_memory() {
-    let design = DecoderDesign::builder()
-        .code(CodeSelection::ArrangedHot)
-        .code_length(6)
-        .nanowires_per_half_cave(20)
-        .build()
+    let spec = CodeSpec::new(CodeKind::ArrangedHot, LogicLevel::BINARY, 6).unwrap();
+    let design = SimConfig::paper_defaults(spec).unwrap();
+    let code = SimulationPlatform::new(design.clone())
+        .code_sequence()
         .unwrap();
-    let code = design.code_sequence().unwrap();
-    let layout =
-        ContactGroupLayout::new(20, design.code().space_size(), LayoutRules::paper_default())
-            .unwrap();
+    let layout = ContactGroupLayout::new(
+        design.nanowires_per_half_cave(),
+        design.code().space_size(),
+        LayoutRules::paper_default(),
+    )
+    .unwrap();
     let mut memory = CrossbarMemory::new(&code, layout.clone(), &code, layout).unwrap();
     assert!(memory.effective_capacity() > 0);
 

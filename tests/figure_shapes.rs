@@ -23,7 +23,7 @@ fn fig5_binary_complexity_is_flat_and_gray_cancels_the_higher_radix_overhead() {
         report
             .points
             .iter()
-            .find(|p| p.kind == kind && p.radix == radix)
+            .find(|p| p.code.kind() == kind && p.code.radix() == radix)
             .unwrap()
             .fabrication_steps
     };

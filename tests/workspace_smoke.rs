@@ -2,8 +2,6 @@
 //! crate-root quickstart runs as a plain test (not only as a doctest), so a
 //! broken workspace wiring fails `cargo test` even with doctests skipped.
 
-use mspt_nanowire_decoder::decoder::{CodeSelection, DecoderDesign};
-
 /// Every facade module path named in `src/lib.rs` resolves to the right
 /// underlying crate type. Pure compile-time check: if a re-export breaks,
 /// this file stops building.
@@ -16,7 +14,7 @@ fn facade_reexports_resolve() {
     assert_type::<mspt_nanowire_decoder::fabrication::PatternMatrix>();
     assert_type::<mspt_nanowire_decoder::crossbar::CrossbarSpec>();
     assert_type::<mspt_nanowire_decoder::sim::SimConfig>();
-    assert_type::<mspt_nanowire_decoder::decoder::DecoderDesign>();
+    assert_type::<mspt_nanowire_decoder::decoder::DecoderRecipe>();
 }
 
 /// The re-exported modules are the workspace crates themselves, not copies.
@@ -33,16 +31,16 @@ fn facade_reexports_are_the_workspace_crates() {
 }
 
 /// The quickstart from the facade's crate-level docs, verbatim, as a plain
-/// `#[test]`.
+/// `#[test]`: the design point is built from the paper defaults.
 #[test]
 fn quickstart_builder_runs() {
-    let design = DecoderDesign::builder()
-        .code(CodeSelection::BalancedGray)
-        .code_length(8)
-        .nanowires_per_half_cave(20)
-        .build()
-        .expect("quickstart design builds");
-    let report = design.evaluate().expect("quickstart design evaluates");
+    use mspt_nanowire_decoder::prelude::*;
+
+    let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 8).expect("valid spec");
+    let config = SimConfig::paper_defaults(code).expect("quickstart config builds");
+    let report = SimulationPlatform::new(config)
+        .evaluate()
+        .expect("quickstart config evaluates");
     assert!(report.crossbar_yield > 0.0 && report.crossbar_yield <= 1.0);
 }
 
