@@ -88,6 +88,46 @@ mod tests {
     }
 
     #[test]
+    fn complexity_sweep_reproduces_fig5_shape() {
+        // Fig. 5: TC and GC of length 8 on a half cave of N = 10 nanowires,
+        // radix outer and kind inner, evaluated as one batch.
+        let base = base().with_nanowires_per_half_cave(10).unwrap();
+        let radices = [
+            LogicLevel::BINARY,
+            LogicLevel::TERNARY,
+            LogicLevel::QUATERNARY,
+        ];
+        let configs: Vec<SimConfig> = radices
+            .into_iter()
+            .flat_map(|radix| design_points(&base, &[CodeKind::Tree, CodeKind::Gray], radix, &[8]))
+            .collect();
+        let points = ExecutionEngine::serial().reports_for(&configs).unwrap();
+        assert_eq!(points.len(), 6);
+        let phi = |kind: CodeKind, radix: LogicLevel| {
+            points
+                .iter()
+                .find(|p| p.code.kind() == kind && p.code.radix() == radix)
+                .unwrap()
+                .fabrication_steps
+        };
+        // Binary codes: Φ = 2N regardless of the arrangement.
+        assert_eq!(phi(CodeKind::Tree, LogicLevel::BINARY), 20);
+        assert_eq!(phi(CodeKind::Gray, LogicLevel::BINARY), 20);
+        // Higher radix: the tree code pays extra steps, the Gray code does not.
+        assert!(phi(CodeKind::Tree, LogicLevel::TERNARY) > 20);
+        assert!(
+            phi(CodeKind::Gray, LogicLevel::TERNARY) < phi(CodeKind::Tree, LogicLevel::TERNARY)
+        );
+        assert!(
+            phi(CodeKind::Gray, LogicLevel::QUATERNARY)
+                < phi(CodeKind::Tree, LogicLevel::QUATERNARY)
+        );
+        // The six bars of Fig. 5 in batch order.
+        let steps: Vec<usize> = points.iter().map(|p| p.fabrication_steps).collect();
+        assert_eq!(steps, [20, 20, 27, 21, 26, 22]);
+    }
+
+    #[test]
     fn variability_map_matches_fig6_structure() {
         let map_of = |kind: CodeKind| {
             let code = CodeSpec::new(kind, LogicLevel::BINARY, 8).unwrap();
