@@ -8,9 +8,9 @@
 //! allocation-free searches landed, so they pin that neither changes a word.
 
 use nanowire_codes::{
-    arranged_hot_code, balance_report, balanced_gray_code, gray_code, ArrangedHotBudget,
-    BalanceBudget, CodeBudgets, CodeError, CodeKind, CodeSequence, CodeSpec, LogicLevel,
-    MAX_ENUMERATED_WORDS,
+    arranged_hot_code, balance_report, balanced_gray_code, check_is_permutation, gray_code,
+    hot_code, ArrangedHotBudget, BalanceBudget, CodeBudgets, CodeError, CodeKind, CodeSequence,
+    CodeSpec, LogicLevel, MAX_ARRANGED_WORDS, MAX_ENUMERATED_WORDS, MAX_RADIX, MIN_RADIX,
 };
 
 fn fnv1a(hash: u64, byte: u8) -> u64 {
@@ -101,7 +101,9 @@ fn the_cyclic_generator_refuses_what_generation_refuses() {
 /// Every code of the design catalogue (perfbench's `CODE_POINTS`) and of
 /// the figures (Fig. 5: TC and GC at M = 8 in radices 2–4; Figs. 6–8:
 /// binary TC, GC and BGC at M = 6, 8, 10 and HC and AHC at M = 4, 6, 8, 10),
-/// with the digest of its full sequence under the default budgets.
+/// every arranged hot code above binary that the arrangement bound admits,
+/// and the largest binary one, with the digest of its full sequence under
+/// the default budgets.
 const PINNED_WORDS: &[(CodeKind, u8, usize, u64)] = &[
     (CodeKind::Tree, 2, 4, 0xaa409b8beba56f25),
     (CodeKind::Tree, 2, 6, 0xf7ba82531151ea3d),
@@ -143,8 +145,12 @@ const PINNED_WORDS: &[(CodeKind, u8, usize, u64)] = &[
     (CodeKind::ArrangedHot, 2, 6, 0x3c5df4c1b9187271),
     (CodeKind::ArrangedHot, 2, 8, 0x5e606965e4a12e7f),
     (CodeKind::ArrangedHot, 2, 10, 0xd3f10ec9c17e5141),
+    (CodeKind::ArrangedHot, 2, 12, 0xa1ac576bb67bac09),
+    (CodeKind::ArrangedHot, 3, 3, 0xd20a8394f96ee13d),
     (CodeKind::ArrangedHot, 3, 6, 0x8eb6b30000794933),
     (CodeKind::ArrangedHot, 4, 4, 0x6d08eef2f57d60a5),
+    (CodeKind::ArrangedHot, 5, 5, 0xb5fa6098260727f5),
+    (CodeKind::ArrangedHot, 6, 6, 0xf47a667ce636c5c5),
 ];
 
 #[test]
@@ -157,6 +163,46 @@ fn catalogue_and_figure_codes_keep_their_words() {
             "{spec}: digest {words:016x}, pinned {pinned:016x}"
         );
     }
+}
+
+/// Every arranged hot code `CodeSpec` admits within the arrangement bound
+/// steps through its whole hot space changing two digits per step.
+#[test]
+fn every_admitted_arranged_hot_code_has_distance_two() {
+    let mut admitted = Vec::new();
+    for radix in MIN_RADIX..=MAX_RADIX {
+        let level = LogicLevel::new(radix).unwrap();
+        for length in 1.. {
+            let Ok(spec) = CodeSpec::new(CodeKind::ArrangedHot, level, length) else {
+                continue;
+            };
+            // Hot spaces grow with the length, so no longer one is admitted.
+            if spec.space_size() > MAX_ARRANGED_WORDS {
+                break;
+            }
+            let ahc = spec.generate().unwrap();
+            assert!(ahc.has_uniform_distance(2), "{spec}");
+            check_is_permutation(&ahc, hot_code(level, length).unwrap().words()).unwrap();
+            admitted.push((radix, length));
+        }
+    }
+    // From radix 7 on, even M = n has n! > 1,024 words.
+    assert_eq!(
+        admitted,
+        [
+            (2, 2),
+            (2, 4),
+            (2, 6),
+            (2, 8),
+            (2, 10),
+            (2, 12),
+            (3, 3),
+            (3, 6),
+            (4, 4),
+            (5, 5),
+            (6, 6),
+        ]
+    );
 }
 
 #[test]
