@@ -71,8 +71,8 @@ pub enum CodeError {
         /// The largest accepted value.
         limit: u64,
     },
-    /// No arrangement satisfying the requested constraints was found within
-    /// the search budget.
+    /// No arrangement satisfying the requested constraints was found: the
+    /// distance-2 walk of an arranged hot code dead-ended.
     ArrangementNotFound {
         /// Human-readable description of the constraint that failed.
         reason: String,

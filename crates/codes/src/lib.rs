@@ -58,8 +58,8 @@ mod stats;
 mod tree;
 mod word;
 
-pub use arranged::{arranged_hot_code, hot_code_pair, ArrangedHotBudget};
-pub use arrangement::{check_is_permutation, SearchBudget, MAX_ARRANGED_WORDS};
+pub use arranged::arranged_hot_code;
+pub use arrangement::{check_is_permutation, MAX_ARRANGED_WORDS};
 pub use balanced::{
     balance_report, balanced_gray_code, reflected_balanced_gray_code, BalanceBudget, BalanceReport,
 };

@@ -9,7 +9,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::arranged::{arranged_hot_code, ArrangedHotBudget};
+use crate::arranged::arranged_hot_code;
 use crate::balanced::{reflected_balanced_gray_code, BalanceBudget};
 use crate::cyclic::{hot_prefix, reflected_prefix};
 use crate::digit::LogicLevel;
@@ -100,13 +100,13 @@ impl fmt::Display for CodeKind {
     }
 }
 
-/// Search budgets for the code families that are built by search.
+/// Search budgets for the code families that are built by search: only
+/// the balanced Gray code searches with a budget (an arranged hot code is
+/// one walk).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CodeBudgets {
     /// Budget of the balanced-Gray-code search.
     pub balance: BalanceBudget,
-    /// Budget of the arranged-hot-code search.
-    pub arranged_hot: ArrangedHotBudget,
 }
 
 /// A complete description of a code choice: family, radix and code length.
@@ -209,9 +209,7 @@ impl CodeSpec {
                 reflected_balanced_gray_code(self.radix, self.code_length, budgets.balance)
             }
             CodeKind::Hot => hot_code(self.radix, self.code_length),
-            CodeKind::ArrangedHot => {
-                arranged_hot_code(self.radix, self.code_length, budgets.arranged_hot)
-            }
+            CodeKind::ArrangedHot => arranged_hot_code(self.radix, self.code_length),
         }
     }
 
@@ -219,7 +217,7 @@ impl CodeSpec {
     /// word `i mod Ω` of the sequence): what a half cave of `count`
     /// nanowires reads. Equal, word for word and error for error, to
     /// `self.generate_with(budgets)?.take_cyclic(count)`. Tree, Gray and hot
-    /// codes build only the `count` words they return; the searched
+    /// codes build only the `count` words they return; the arranged
     /// families (BGC, AHC) generate their whole arrangement first.
     ///
     /// # Errors

@@ -2,8 +2,8 @@
 
 use nanowire_codes::{
     arranged_hot_code, balance_report, balanced_gray_code, gray_code, hot_code,
-    reflected_gray_code, reflected_tree_code, tree_code, ArrangedHotBudget, BalanceBudget,
-    CodeKind, CodeSpec, CodeWord, LogicLevel,
+    reflected_gray_code, reflected_tree_code, tree_code, BalanceBudget, CodeKind, CodeSpec,
+    CodeWord, LogicLevel,
 };
 use proptest::prelude::*;
 
@@ -106,9 +106,8 @@ proptest! {
     }
 
     /// Hot codes contain only constant-composition words and are closed under
-    /// arrangement (same word multiset): with no search nodes, binary codes
-    /// are arranged by construction and the others by the greedy/2-opt
-    /// fallback.
+    /// arrangement (same word multiset): binary codes are arranged by
+    /// construction and the others by the distance-2 walk.
     #[test]
     fn hot_code_arrangement_preserves_words(
         (radix, length) in prop_oneof![
@@ -120,11 +119,7 @@ proptest! {
         ],
     ) {
         let hc = hot_code(radix, length).unwrap();
-        let budget = ArrangedHotBudget {
-            max_nodes: 0,
-            ..ArrangedHotBudget::default()
-        };
-        let arranged = arranged_hot_code(radix, length, budget).unwrap();
+        let arranged = arranged_hot_code(radix, length).unwrap();
         nanowire_codes::check_is_permutation(&arranged, hc.words()).unwrap();
         prop_assert!(arranged.total_transitions() <= hc.total_transitions());
     }
