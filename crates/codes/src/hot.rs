@@ -242,6 +242,8 @@ mod tests {
             rendered,
             vec!["0011", "0101", "0110", "1001", "1010", "1100"]
         );
+        // Lexicographic order has steps that change more than two digits.
+        assert_eq!(hc.transition_profile(), vec![2, 2, 4, 2, 2]);
     }
 
     #[test]

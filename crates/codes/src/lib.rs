@@ -54,7 +54,6 @@ mod gray;
 mod hot;
 mod sequence;
 mod space;
-mod stats;
 mod tree;
 mod word;
 
@@ -69,7 +68,6 @@ pub use gray::{gray_code, is_complete_gray_arrangement, reflected_gray_code};
 pub use hot::{hot_code, hot_space_size, HotCodeParams};
 pub use sequence::CodeSequence;
 pub use space::{CodeBudgets, CodeKind, CodeSpec};
-pub use stats::{compare_arrangements, sequence_stats, ArrangementComparison, SequenceStats};
 pub use tree::{
     base_length_of, reflected_tree_code, tree_code, tree_space_size, MAX_ENUMERATED_WORDS,
 };

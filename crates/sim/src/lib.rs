@@ -90,10 +90,7 @@ pub use engine::{
 };
 pub use error::{Result, SimError};
 pub use evaluation::{Evaluation, EvaluationBuilder, EvaluationOutcome};
-pub use monte_carlo::{
-    max_profile_difference, MonteCarloConfig, MonteCarloOutcome, NormalSource,
-    DEFAULT_MC_CONFIDENCE,
-};
+pub use monte_carlo::{MonteCarloConfig, MonteCarloOutcome, NormalSource, DEFAULT_MC_CONFIDENCE};
 pub use stats::{inverse_normal_cdf, wilson_bounds, wilson_half_width, z_for_confidence};
 
 // Re-exported so the sampling and defect-map determinism contracts can be

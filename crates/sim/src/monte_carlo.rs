@@ -672,22 +672,6 @@ impl<R: Rng> NormalSource<R> {
     }
 }
 
-/// The largest absolute difference between the analytic and Monte-Carlo
-/// per-nanowire probabilities — used by tests and the ablation bench to show
-/// the two paths agree.
-#[must_use]
-pub fn max_profile_difference(
-    analytic: &AddressabilityProfile,
-    sampled: &AddressabilityProfile,
-) -> f64 {
-    analytic
-        .probabilities()
-        .iter()
-        .zip(sampled.probabilities())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
