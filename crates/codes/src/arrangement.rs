@@ -12,14 +12,14 @@ use crate::word::CodeWord;
 
 /// The most words a balanced Gray code or an arranged hot code may order; a
 /// larger space is [`CodeError::SpaceTooLarge`] before any word is
-/// generated. The bound holds two costs down: a balanced-Gray search that
-/// exhausts its default budget takes about 1 s at this size (0.9–1.2 s for
-/// binary M = 16 and 20, ternary M = 12, quaternary M = 10, radix-5 M = 8
-/// and radix-10 M = 6, release build, 2-vCPU Xeon), and an arranged hot
-/// code above binary compares all Ω(Ω−1)/2 word pairs to build its
-/// distance-2 graph (258,840 for the largest admitted one, radix-6 M = 6:
-/// about 1.2 ms). The experiments' largest such codes have 32 (BGC) and
-/// 252 (AHC) words.
+/// generated. The bound holds two costs down. A balanced-Gray search that
+/// exhausts its default budget takes about 1 s (0.9–1.2 s for binary
+/// M = 16 and 20, ternary M = 12, quaternary M = 10, radix-5 M = 8 and
+/// radix-10 M = 6; release build, 2-vCPU Xeon). An arranged hot code above
+/// binary compares all Ω(Ω−1)/2 word pairs to build its distance-2 graph:
+/// 258,840 pairs for the largest admitted one, radix-6 M = 6, generated in
+/// 1.4–2.1 ms on the same host. The experiments' largest such codes have
+/// 32 (BGC) and 252 (AHC) words.
 pub const MAX_ARRANGED_WORDS: u128 = 1 << 10;
 
 /// Rejects a balanced-Gray budget above `limit`, its default value: the

@@ -100,9 +100,8 @@ impl fmt::Display for CodeKind {
     }
 }
 
-/// Search budgets for the code families that are built by search: only
-/// the balanced Gray code searches with a budget (an arranged hot code is
-/// one walk).
+/// Search budgets for code generation: the balanced Gray code is the one
+/// family built by a budgeted search (an arranged hot code is one walk).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CodeBudgets {
     /// Budget of the balanced-Gray-code search.

@@ -6,7 +6,9 @@
 //! falls back to the Gray code.
 //!
 //! The digests were generated before the cyclic generator and the
-//! allocation-free searches landed, so they pin that neither changes a word.
+//! allocation-free searches landed, and those of ternary M = 3, radix-5
+//! M = 5, radix-6 M = 6 and binary M = 12 AHC before the walk replaced the
+//! backtracking search, so they pin that none of these changes a word.
 
 use nanowire_codes::{
     balance_report, balanced_gray_code, check_is_permutation, gray_code, hot_code, BalanceBudget,

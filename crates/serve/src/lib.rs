@@ -350,9 +350,8 @@ impl ReportServer {
     }
 
     /// The engine's cumulative Monte-Carlo sampling counters — how many
-    /// sampling runs the engine computed (cache hits excluded) and how many
-    /// samples the adaptive stopping rule actually drew against the
-    /// requested budgets.
+    /// sampling runs the engine computed and how many samples the adaptive
+    /// stopping rule actually drew against the requested budgets.
     #[must_use]
     pub fn sampling_stats(&self) -> SamplingStats {
         self.engine.sampling_stats()

@@ -276,9 +276,10 @@ impl SimConfig {
     }
 
     /// The search budgets every code is generated with: always
-    /// [`CodeBudgets::default`], the most each search accepts. They are not
-    /// part of a configuration, so a served code is the searched one, never
-    /// a budget-starved fallback under the family's name.
+    /// [`CodeBudgets::default`], the most the balanced-Gray search accepts.
+    /// They are not part of a configuration, so no request can lower a
+    /// budget and be served a budget-starved fallback under the family's
+    /// name.
     #[must_use]
     pub fn code_budgets(&self) -> CodeBudgets {
         CodeBudgets::default()

@@ -170,13 +170,13 @@ struct SamplingCounters {
 }
 
 /// Cumulative Monte-Carlo sampling counters of one engine: how many
-/// estimations actually ran (stage-cache hits do not count), how many
-/// samples their configurations requested as a ceiling, and how many the
-/// (possibly adaptive) kernel actually drew. The serve stress artifact
+/// estimations ran (every call samples; no memo slot holds an estimate),
+/// how many samples their configurations requested as a ceiling, and how
+/// many the (possibly adaptive) kernel actually drew. The serve stress artifact
 /// reports these to make adaptive savings visible in CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SamplingStats {
-    /// Number of Monte-Carlo estimations computed (not served from cache).
+    /// Number of Monte-Carlo estimations computed.
     pub runs: u64,
     /// Total sample ceiling across runs ([`MonteCarloConfig::sample_cap`]).
     pub samples_requested: u64,
