@@ -419,8 +419,13 @@ mod tests {
     fn balance_report_fields_are_consistent() {
         let gc = gray_code(LogicLevel::BINARY, 4).unwrap();
         let report = balance_report(&gc);
+        // The reflected binary Gray code at M = 4, counted by hand: the most
+        // significant digit flips once, each next digit twice as often.
+        assert_eq!(report.per_digit, vec![1, 2, 4, 8]);
+        // `total_transitions` counts word-pair distances, independently of
+        // the per-digit counts the total is summed from.
+        assert_eq!(report.total, gc.total_transitions());
         assert_eq!(report.total, 15);
-        assert_eq!(report.per_digit.iter().sum::<usize>(), report.total);
         assert_eq!(report.spread, report.max - report.min);
     }
 }

@@ -4,7 +4,7 @@
 use device_physics::{DopingLadder, ThresholdModel, VariabilityModel, Volts};
 use mspt_fabrication::{
     DoseCountMatrix, FabricationCost, FabricationPlan, FinalDopingMatrix, PatternMatrix,
-    StepDopingMatrix, VariabilityMatrix,
+    StepDopingMatrix, VariabilityMatrix, DOSE_EQUALITY_TOLERANCE,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 use proptest::prelude::*;
@@ -114,6 +114,54 @@ proptest! {
                 prop_assert_eq!(doses.count(i, j).unwrap(), expected);
             }
         }
+    }
+
+    /// The variability chain's builders equal their definitions for any
+    /// pattern and ladder: the rows of `PatternMatrix::from_sequence` are the
+    /// words' `CodeWord::values`; every step dose is bit for bit
+    /// `doping(P_i^j) − doping(P_{i+1}^j)`, and `doping(P_{N−1}^j)` in the
+    /// last step; and `φ_i` is a naive count of the distinct non-zero doses
+    /// of step `i`, classified by `is_nonzero_dose` and compared against a
+    /// tolerance recomputed for every dose.
+    #[test]
+    fn variability_chain_builders_equal_their_definitions(
+        (pattern, ladder) in reference_strategy()
+    ) {
+        let sequence = pattern.to_sequence().unwrap();
+        let rebuilt = PatternMatrix::from_sequence(&sequence).unwrap();
+        prop_assert_eq!(&rebuilt, &pattern);
+        for (i, word) in sequence.iter().enumerate() {
+            prop_assert_eq!(rebuilt.nanowire_pattern(i), word.values().as_slice());
+        }
+
+        let steps = StepDopingMatrix::from_pattern(&pattern, &ladder).unwrap();
+        let n = pattern.nanowire_count();
+        let doping = |i: usize, j: usize| ladder.doping(pattern.digit(i, j).unwrap()).unwrap().value();
+        for i in 0..n {
+            for j in 0..pattern.region_count() {
+                let expected = if i + 1 < n { doping(i, j) - doping(i + 1, j) } else { doping(i, j) };
+                prop_assert_eq!(steps.dose(i, j).unwrap().to_bits(), expected.to_bits());
+            }
+        }
+
+        let tolerance = || {
+            let scale = steps.as_matrix().iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
+            DOSE_EQUALITY_TOLERANCE * scale.max(1.0)
+        };
+        let naive: Vec<usize> = (0..steps.step_count())
+            .map(|i| {
+                let mut distinct: Vec<f64> = Vec::new();
+                for &dose in steps.step_doses(i) {
+                    if steps.is_nonzero_dose(dose)
+                        && !distinct.iter().any(|&d| (d - dose).abs() <= tolerance())
+                    {
+                        distinct.push(dose);
+                    }
+                }
+                distinct.len()
+            })
+            .collect();
+        prop_assert_eq!(FabricationCost::from_steps(&steps).per_step(), naive.as_slice());
     }
 
     /// ‖Σ‖₁ (in σ² units) equals N·M plus the weighted sum of transitions:

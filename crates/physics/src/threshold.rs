@@ -441,6 +441,71 @@ mod tests {
         ));
     }
 
+    /// Three pins on the solver: the paper-default ladders (the default
+    /// model over 0–1 V) of radix 2, 3 and 4 stay within 1e-9 relative of
+    /// the dopings a bisection solve gave them; targets one ulp outside the
+    /// reachable range get `ThresholdOutOfRange` with that range's bounds
+    /// (taken from the same bisection build), while the bounds themselves
+    /// solve; and a NaN target is an error.
+    #[test]
+    fn solver_pins_default_ladders_range_errors_and_nan_targets() {
+        const LADDER_BITS: [&[u64]; 3] = [
+            &[0x43ab_1038_4162_8f5a, 0x43d0_a12c_1ad6_6e63],
+            &[
+                0x43a1_f0bc_7255_ddeb,
+                0x43c1_2f58_7513_cff8,
+                0x43d3_f404_df58_4fc9,
+            ],
+            &[
+                0x439c_6e4b_409a_77b6,
+                0x43b6_92c0_ed1c_a980,
+                0x43c8_8046_ea63_9c7e,
+                0x43d5_bca2_44c0_7c93,
+            ],
+        ];
+        const MIN_VOLTS_BITS: u64 = 0xbfda_9eb9_f87a_1bc8;
+        const MAX_VOLTS_BITS: u64 = 0x4021_3965_3cad_7b45;
+
+        let model = ThresholdModel::default_mspt();
+        for (radix, pinned) in (2..=4).zip(LADDER_BITS) {
+            let ladder =
+                DopingLadder::from_model(&model, radix, (Volts::new(0.0), Volts::new(1.0)))
+                    .unwrap();
+            assert_eq!(ladder.level_count(), pinned.len());
+            for (level, &bits) in ladder.levels().iter().zip(pinned) {
+                let expected = f64::from_bits(bits);
+                let relative = (level.doping.value() - expected).abs() / expected;
+                assert!(
+                    relative <= 1e-9,
+                    "radix {radix}: {} cm^-3 against {expected} cm^-3",
+                    level.doping.value()
+                );
+            }
+        }
+
+        let (min, max) = (
+            f64::from_bits(MIN_VOLTS_BITS),
+            f64::from_bits(MAX_VOLTS_BITS),
+        );
+        for target in [min.next_down(), max.next_up()] {
+            assert_eq!(
+                model.doping_for_threshold(Volts::new(target)),
+                Err(PhysicsError::ThresholdOutOfRange {
+                    requested_volts: target,
+                    min_volts: min,
+                    max_volts: max,
+                })
+            );
+        }
+        for target in [min, max] {
+            let doping = model.doping_for_threshold(Volts::new(target)).unwrap();
+            let back = model.threshold_for_doping(doping).value();
+            assert!((back - target).abs() <= SOLVER_TOLERANCE * target.abs().max(1.0));
+        }
+
+        assert!(model.doping_for_threshold(Volts::new(f64::NAN)).is_err());
+    }
+
     #[test]
     fn ladder_from_model_is_monotone_and_windowed() {
         let model = ThresholdModel::default_mspt();

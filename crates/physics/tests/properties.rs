@@ -1,7 +1,7 @@
 //! Property-based tests of the device-physics invariants.
 
 use device_physics::{
-    combine_std_devs, DopantConcentration, DopingLadder, Gaussian, ThresholdModel,
+    combine_std_devs, DopantConcentration, DopingLadder, Gaussian, Nanometers, ThresholdModel,
     VariabilityModel, Volts,
 };
 use proptest::prelude::*;
@@ -22,14 +22,24 @@ proptest! {
     }
 
     /// Solving for a threshold and evaluating the model again recovers the
-    /// threshold (bijectivity of `f`).
+    /// threshold (bijectivity of `f`) to the solver's own acceptance test,
+    /// |V_T − t| ≤ 1e-10·max(|t|, 1), for any model (oxide 1–5 nm, flat
+    /// band −1.5 … −0.5 V) and any target inside the range that model
+    /// reaches over the solver's doping bounds, 10¹⁵ … 5·10²⁰ cm⁻³.
     #[test]
-    fn doping_solution_roundtrips(target_mv in 20.0f64..1200.0) {
-        let model = ThresholdModel::default_mspt();
-        let target = Volts::from_millivolts(target_mv);
-        let doping = model.doping_for_threshold(target).unwrap();
-        let back = model.threshold_for_doping(doping);
-        prop_assert!((back.value() - target.value()).abs() < 1e-5);
+    fn doping_solution_roundtrips(
+        oxide_nm in 1.0f64..5.0,
+        flat_band_v in -1.5f64..-0.5,
+        position in 0.0f64..1.0,
+    ) {
+        let model = ThresholdModel::new(Nanometers::new(oxide_nm), Volts::new(flat_band_v))
+            .unwrap();
+        let lowest = model.threshold_for_doping(DopantConcentration::new(1e15)).value();
+        let highest = model.threshold_for_doping(DopantConcentration::new(5e20)).value();
+        let target = lowest + position * (highest - lowest);
+        let doping = model.doping_for_threshold(Volts::new(target)).unwrap();
+        let back = model.threshold_for_doping(doping).value();
+        prop_assert!((back - target).abs() <= 1e-10 * target.abs().max(1.0));
     }
 
     /// Ladders built from the model are strictly monotone in both columns and
