@@ -55,16 +55,13 @@ impl FinalDopingMatrix {
                 radix: pattern.radix().radix(),
             });
         }
-        let mut rows = Vec::with_capacity(pattern.nanowire_count());
-        for i in 0..pattern.nanowire_count() {
-            let mut row = Vec::with_capacity(pattern.region_count());
-            for &digit in pattern.nanowire_pattern(i) {
-                row.push(ladder.doping(digit)?.value());
-            }
-            rows.push(row);
-        }
+        // One lookup per digit value: the ladder covers the radix, and every
+        // digit of the pattern is below it.
+        let by_digit = (0..pattern.radix().radix())
+            .map(|digit| Ok(ladder.doping(digit)?.value()))
+            .collect::<Result<Vec<f64>>>()?;
         Ok(FinalDopingMatrix {
-            levels: Matrix::from_rows(rows)?,
+            levels: pattern.digits().map(|&digit| by_digit[usize::from(digit)]),
         })
     }
 

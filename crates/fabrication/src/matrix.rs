@@ -67,6 +67,17 @@ impl<T> Matrix<T> {
         })
     }
 
+    /// Wraps a row-major buffer of `rows × columns` elements, both non-zero:
+    /// the crate's builders write their matrices in one buffer.
+    pub(crate) fn from_row_major(rows: usize, columns: usize, data: Vec<T>) -> Self {
+        debug_assert!(rows > 0 && columns > 0 && data.len() == rows * columns);
+        Matrix {
+            rows,
+            columns,
+            data,
+        }
+    }
+
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {

@@ -63,11 +63,17 @@ impl PatternMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`FabricationError::InvalidMatrixShape`] for an empty
-    /// sequence (cannot happen for sequences built by `nanowire-codes`).
+    /// None: a sequence holds at least one word, and its words share one
+    /// length and the radix their digits were checked against.
     pub fn from_sequence(sequence: &CodeSequence) -> Result<Self> {
-        let rows: Vec<Vec<u8>> = sequence.iter().map(CodeWord::values).collect();
-        PatternMatrix::from_rows(rows, sequence.radix())
+        let digits = sequence
+            .iter()
+            .flat_map(|word| word.digits().iter().map(|digit| digit.value()))
+            .collect();
+        Ok(PatternMatrix {
+            digits: Matrix::from_row_major(sequence.len(), sequence.word_length(), digits),
+            radix: sequence.radix(),
+        })
     }
 
     /// The number of nanowires `N` (matrix rows).

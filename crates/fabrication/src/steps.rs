@@ -41,22 +41,19 @@ impl StepDopingMatrix {
         let n = doping.nanowire_count();
         let m = doping.region_count();
         let d = doping.as_matrix();
-        let mut rows = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut row = Vec::with_capacity(m);
-            for j in 0..m {
-                let here = *d.get(i, j).expect("in range");
-                let next = if i + 1 < n {
-                    *d.get(i + 1, j).expect("in range")
-                } else {
-                    0.0
-                };
-                row.push(here - next);
-            }
-            rows.push(row);
+        let mut doses = Vec::with_capacity(n * m);
+        for i in 0..n - 1 {
+            doses.extend(
+                d.row(i)
+                    .iter()
+                    .zip(d.row(i + 1))
+                    .map(|(here, next)| here - next),
+            );
         }
+        // `D_N = 0`, and `x − 0.0` is `x` bit for bit.
+        doses.extend_from_slice(d.row(n - 1));
         StepDopingMatrix {
-            doses: Matrix::from_rows(rows).expect("same shape as D"),
+            doses: Matrix::from_row_major(n, m, doses),
         }
     }
 
@@ -186,14 +183,13 @@ impl StepDopingMatrix {
     #[must_use]
     pub fn distinct_doses_per_step(&self) -> Vec<usize> {
         let tol = self.zero_dose_tolerance();
-        (0..self.step_count())
-            .map(|i| {
-                let mut distinct: Vec<f64> = Vec::new();
-                for &dose in self.doses.row(i) {
-                    if dose.abs() <= tol {
-                        continue;
-                    }
-                    if !distinct.iter().any(|&d| (d - dose).abs() <= tol) {
+        let mut distinct: Vec<f64> = Vec::with_capacity(self.region_count());
+        self.doses
+            .iter_rows()
+            .map(|row| {
+                distinct.clear();
+                for &dose in row {
+                    if dose.abs() > tol && !distinct.iter().any(|&d| (d - dose).abs() <= tol) {
                         distinct.push(dose);
                     }
                 }

