@@ -136,10 +136,16 @@ proptest! {
 
         let steps = StepDopingMatrix::from_pattern(&pattern, &ladder).unwrap();
         let n = pattern.nanowire_count();
-        let doping = |i: usize, j: usize| ladder.doping(pattern.digit(i, j).unwrap()).unwrap().value();
+        let doping = |i: usize, j: usize| {
+            ladder.doping(pattern.digit(i, j).unwrap()).unwrap().value()
+        };
         for i in 0..n {
             for j in 0..pattern.region_count() {
-                let expected = if i + 1 < n { doping(i, j) - doping(i + 1, j) } else { doping(i, j) };
+                let expected = if i + 1 < n {
+                    doping(i, j) - doping(i + 1, j)
+                } else {
+                    doping(i, j)
+                };
                 prop_assert_eq!(steps.dose(i, j).unwrap().to_bits(), expected.to_bits());
             }
         }
