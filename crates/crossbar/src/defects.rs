@@ -21,34 +21,45 @@
 //! across threads (see `decoder_sim::ExecutionEngine::sample_defect_map`)
 //! while staying bit-identical for any thread count:
 //!
-//! * chunk `0` — the row-breakage vector;
-//! * chunk `1` — the column-breakage vector;
-//! * chunk `2 + b` — band `b` of the crosspoint-defect matrix, covering rows
-//!   `b · DEFECT_BAND_ROWS .. (b + 1) · DEFECT_BAND_ROWS`.
+//! * chunk `0` — the row-breakage vector, one uniform per row;
+//! * chunk `1` — the column-breakage vector, one uniform per column;
+//! * chunk `2 + r` — row `r` of the crosspoint-defect matrix.
 //!
 //! Chunk `c` is seeded [`chunk_seed`]`(seed ^ DOMAIN, c)`, where `DOMAIN` is
 //! a fixed defect-map tag: a Monte-Carlo estimation and a defect map sharing
 //! one run seed therefore draw from *decorrelated* streams instead of
 //! replaying each other's uniforms.
 //!
-//! Every chunk consumes a fixed number of uniforms (one per nanowire or
-//! crosspoint it covers), so the map depends only on `(rates, rows, columns,
-//! seed)` — never on which thread samples which chunk, and never on the
-//! defect rates steering RNG consumption.
+//! A row decides 64 crosspoints per draw. Column `c` owns a 53-bit uniform
+//! `k`, drawn most significant bit first: step `j` of the row draws one
+//! `u64` per 64-column word, and bit `c % 64` of word `c / 64` is bit
+//! `52 − j` of column `c`'s `k`. The crosspoint is defective iff `k < t`,
+//! where `t = ⌈rate · 2⁵³⌉` (`uniform_threshold`), so with probability
+//! exactly `t / 2⁵³`. A column is decided at the first bit where its `k`
+//! differs from `t`, and one still level with `t` once `t`'s lowest set bit
+//! has passed is not below it, so a row stops drawing as soon as every column
+//! is decided: a 363-column row takes about ten steps of six draws. `t = 0`
+//! and `t = 2⁵³` draw nothing.
+//!
+//! How far a row draws depends on its values and its rate, but no other row
+//! reads its stream, so a map depends only on `(rates, rows, columns, seed)`:
+//! never on which thread samples which row, nor on the [`DEFECT_BAND_ROWS`]
+//! rows a thread takes at a time. Each column's `k` is the same at every
+//! rate, so a seed's defective crosspoints at one rate are among those at
+//! any higher rate (common random numbers), as its broken nanowires are.
 //!
 //! # Streamed counts
 //!
 //! A report reads one number from a sampled instance: the fraction of usable
 //! crosspoints. [`DefectModel::count_usable`] computes it without building
-//! the map. It draws the two breakage chunks, then walks the band chunks one
-//! at a time through a [`UsableCounter`], consuming every chunk exactly as
-//! [`DefectModel::sample_map`] does (a broken row's uniforms are drawn and
-//! thrown away), and adds up the crosspoints with an intact row, an intact
-//! column and a working switch. The count therefore equals the map's count
-//! for every `(rates, rows, columns, seed)`, and [`survival_fraction`] turns
-//! either into the same bits. Band counts are integers, so a sharded count
-//! (`decoder_sim::ExecutionEngine::count_usable`) adds them in any order and
-//! still matches.
+//! the map. It draws the two breakage chunks, then counts the rows a band at
+//! a time through a [`UsableCounter`], with the row sampler the map uses. It
+//! skips a broken row without drawing, and decides only the intact columns
+//! of an intact row, adding those with a working switch. The count therefore
+//! equals the map's count for every `(rates, rows, columns, seed)`, and
+//! [`survival_fraction`] turns either into the same bits. Band counts are
+//! integers, so a sharded count (`decoder_sim::ExecutionEngine::count_usable`)
+//! adds them in any order and still matches.
 //!
 //! # Size bound
 //!
@@ -89,10 +100,9 @@ pub fn chunk_seed(seed: u64, chunk_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Number of crossbar rows per defect-map band — the fixed chunk size of the
-/// chunked map layout. Fixed (rather than derived from the machine) so maps
-/// are reproducible across hosts; like the Monte-Carlo `chunk_size`, maps
-/// depend on this value but never on the thread count.
+/// Number of crossbar rows per defect-map band, the unit of work a sharded
+/// map or count hands to a thread. Every row draws from a stream of its own,
+/// so maps and counts depend neither on this value nor on the thread count.
 pub const DEFECT_BAND_ROWS: usize = 64;
 
 /// Number of [`DEFECT_BAND_ROWS`]-row bands a `rows`-row defect map is
@@ -146,17 +156,15 @@ pub fn survival_fraction(usable: usize, rows: usize, columns: usize) -> f64 {
     usable as f64 / (rows * columns) as f64
 }
 
-/// The integer form of the Bernoulli draw `gen::<f64>() < rate`: for every
-/// draw `bits = next_u64()`, `gen::<f64>() < rate` holds exactly when
-/// `(bits >> 11) < uniform_threshold(rate)`.
+/// The threshold `t` of a switch-defect draw: a crosspoint whose 53-bit
+/// uniform `k` (see the module-level layout) lies below `t` is defective,
+/// which happens with probability `t / 2⁵³`. For every `k`,
+/// `k · 2⁻⁵³ < rate ⟺ k < uniform_threshold(rate)`, so that probability is
+/// the one `gen::<f64>() < rate` has (the vendored `rand` and rand 0.8's
+/// `Standard` both build `gen::<f64>()` as a 53-bit `k · 2⁻⁵³`):
 ///
-/// Why the two tests agree on every draw:
-///
-/// * the vendored `rand` builds `gen::<f64>()` as `(bits >> 11) · 2⁻⁵³`, and
-///   rand 0.8's `Standard` distribution does the same;
-/// * `k = bits >> 11` is an integer below 2⁵³, and both scalings by a power
-///   of two (`k · 2⁻⁵³` and `rate · 2⁵³`) are exact, so
-///   `k · 2⁻⁵³ < rate ⟺ k < rate · 2⁵³`;
+/// * both scalings by a power of two (`k · 2⁻⁵³` and `rate · 2⁵³`) are exact,
+///   so `k · 2⁻⁵³ < rate ⟺ k < rate · 2⁵³`;
 /// * for an integer `k` and a real `y`, `k < y ⟺ k < ⌈y⌉`.
 ///
 /// A rate in `[0, 1]` gives a threshold in `[0, 2⁵³]`, exact as a `u64`.
@@ -298,11 +306,11 @@ impl DefectModel {
         check_defect_dimensions(rows, columns)?;
         Ok(UsableCounter {
             broken_rows: self.sample_row_breakage(rows, seed),
-            intact_columns: self
-                .sample_column_breakage(columns, seed)
-                .into_iter()
-                .map(|broken| !broken)
-                .collect(),
+            intact_columns: lane_words(
+                self.sample_column_breakage(columns, seed)
+                    .into_iter()
+                    .map(|broken| !broken),
+            ),
             defect_threshold: uniform_threshold(self.crosspoint_defect),
             seed,
         })
@@ -323,10 +331,9 @@ impl DefectModel {
         self.sample_bools(columns, self.nanowire_breakage, defect_chunk_seed(seed, 1))
     }
 
-    /// Samples chunk `2 + band` of the map layout: the crosspoint-defect
-    /// flags of the rows in `band`, in row-major order (one uniform per
-    /// crosspoint, from the chunk-`2 + band` generator of the domain-tagged
-    /// layout).
+    /// Samples the crosspoint-defect flags of the rows in `band`, in
+    /// row-major order: row `r` from chunk `2 + r` of the domain-tagged
+    /// layout, 64 crosspoints per draw.
     ///
     /// Bands past the end of the map (`band ≥ defect_band_count(rows)`) are
     /// empty.
@@ -338,11 +345,15 @@ impl DefectModel {
         columns: usize,
         seed: u64,
     ) -> Vec<bool> {
-        self.sample_bools(
-            band_rows(band, rows).len() * columns,
-            self.crosspoint_defect,
-            defect_chunk_seed(seed, 2 + band as u64),
-        )
+        let rows = band_rows(band, rows);
+        let every_column = lane_words(std::iter::repeat_n(true, columns));
+        let mut sampler = RowSampler::new(uniform_threshold(self.crosspoint_defect), seed);
+        let mut flags = Vec::with_capacity(rows.len() * columns);
+        for row in rows {
+            let defective = sampler.decide(row, &every_column);
+            flags.extend((0..columns).map(|c| defective[c / 64] >> (c % 64) & 1 == 1));
+        }
+        flags
     }
 
     fn sample_bools(&self, count: usize, rate: f64, seed: u64) -> Vec<bool> {
@@ -366,7 +377,8 @@ impl Default for DefectModel {
 #[derive(Debug)]
 pub struct UsableCounter {
     broken_rows: Vec<bool>,
-    intact_columns: Vec<bool>,
+    /// The intact columns, 64 to a word as the row sampler decides them.
+    intact_columns: Vec<u64>,
     defect_threshold: u64,
     seed: u64,
 }
@@ -378,29 +390,92 @@ impl UsableCounter {
         defect_band_count(self.broken_rows.len())
     }
 
-    /// The usable crosspoints of band `band`: chunk `2 + band` drawn exactly
-    /// as [`DefectModel::sample_defective_band`] draws it, one uniform per
-    /// crosspoint in row-major order, and counted where the row and the
-    /// column are intact and the switch works. Bands past the end count
-    /// zero.
+    /// The usable crosspoints of band `band`: the crosspoints of its intact
+    /// rows and columns whose switch works, decided by the row sampler of
+    /// [`DefectModel::sample_defective_band`]. A broken row is skipped
+    /// without drawing. Bands past the end count zero.
     #[must_use]
     pub fn count_band(&self, band: usize) -> usize {
-        let mut rng = StdRng::seed_from_u64(defect_chunk_seed(self.seed, 2 + band as u64));
+        let mut sampler = RowSampler::new(self.defect_threshold, self.seed);
         let mut usable = 0;
-        for &broken in &self.broken_rows[band_rows(band, self.broken_rows.len())] {
-            if broken {
-                // Drawn and thrown away, so the next row sees the map's stream.
-                for _ in 0..self.intact_columns.len() {
-                    rng.next_u64();
-                }
+        for row in band_rows(band, self.broken_rows.len()) {
+            if self.broken_rows[row] {
                 continue;
             }
-            for &intact in &self.intact_columns {
-                let working = rng.next_u64() >> 11 >= self.defect_threshold;
-                usable += usize::from(intact & working);
-            }
+            let defective = sampler.decide(row, &self.intact_columns);
+            usable += self
+                .intact_columns
+                .iter()
+                .zip(defective)
+                .map(|(intact, defective)| (intact & !defective).count_ones() as usize)
+                .sum::<usize>();
         }
         usable
+    }
+}
+
+/// Packs per-column flags 64 to a word: bit `c % 64` of word `c / 64` is
+/// column `c`'s flag.
+fn lane_words(flags: impl ExactSizeIterator<Item = bool>) -> Vec<u64> {
+    let mut words = vec![0; flags.len().div_ceil(64)];
+    for (column, flag) in flags.enumerate() {
+        words[column / 64] |= u64::from(flag) << (column % 64);
+    }
+    words
+}
+
+/// The one switch-defect sampler of maps and counts: it decides a row's
+/// crosspoints 64 per draw, as the module-level layout describes, and keeps
+/// its word buffers from row to row.
+struct RowSampler {
+    threshold: u64,
+    seed: u64,
+    undecided: Vec<u64>,
+    defective: Vec<u64>,
+}
+
+impl RowSampler {
+    fn new(threshold: u64, seed: u64) -> Self {
+        RowSampler {
+            threshold,
+            seed,
+            undecided: Vec::new(),
+            defective: Vec::new(),
+        }
+    }
+
+    /// The defective crosspoints of row `row` among the columns set in
+    /// `columns`, 64 to a word like `columns`; the other bits are clear.
+    fn decide(&mut self, row: usize, columns: &[u64]) -> &[u64] {
+        self.defective.clear();
+        if self.threshold >> 53 != 0 {
+            // t = 2⁵³: every 53-bit k lies below it.
+            self.defective.extend_from_slice(columns);
+            return &self.defective;
+        }
+        self.defective.resize(columns.len(), 0);
+        self.undecided.clear();
+        self.undecided.extend_from_slice(columns);
+        let mut rng = StdRng::seed_from_u64(defect_chunk_seed(self.seed, 2 + row as u64));
+        // From bit 52 down to t's lowest set bit (none when t = 0): below it,
+        // t has only zeros, so a column still level with t cannot fall under it.
+        for bit in (self.threshold.trailing_zeros()..53).rev() {
+            // All ones where t has a one at this bit.
+            let t_bit = 0u64.wrapping_sub(self.threshold >> bit & 1);
+            let mut open = 0;
+            for (undecided, defective) in self.undecided.iter_mut().zip(&mut self.defective) {
+                let draw = rng.next_u64();
+                // A column whose bit differs from t's is decided, and below t
+                // when t's bit is the one.
+                *defective |= *undecided & !draw & t_bit;
+                *undecided &= !(draw ^ t_bit);
+                open |= *undecided;
+            }
+            if open == 0 {
+                break;
+            }
+        }
+        &self.defective
     }
 }
 
@@ -638,6 +713,57 @@ mod tests {
         // Determinism: the same seed gives the same map.
         assert_eq!(map, model.sample_map(200, 200, 42).unwrap());
         assert_ne!(map, model.sample_map(200, 200, 43).unwrap());
+    }
+
+    /// Column `c`'s 53-bit uniform `k` in row `row`, rebuilt from the first
+    /// 53 steps of the row's stream as the module-level layout defines it.
+    fn layout_uniforms(row: usize, columns: usize, seed: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(defect_chunk_seed(seed, 2 + row as u64));
+        let mut uniforms = vec![0u64; columns];
+        for step in 0..53 {
+            for word in uniforms.chunks_mut(64) {
+                let draw = rng.next_u64();
+                for (lane, uniform) in word.iter_mut().enumerate() {
+                    *uniform |= (draw >> lane & 1) << (52 - step);
+                }
+            }
+        }
+        uniforms
+    }
+
+    #[test]
+    fn switch_defects_compare_each_columns_uniform_with_the_threshold() {
+        let full = 1u64 << 53;
+        let mut thresholds = vec![0, 1, full / 2, full - 1, full];
+        // The Fig. 7 stuck-crosspoint rates.
+        thresholds.extend([0.005, 0.01, 0.025, 0.05].map(uniform_threshold));
+        // Random thresholds, with their low bits cleared from some of them.
+        let mut rng = StdRng::seed_from_u64(2_009);
+        for trailing_zeros in [0, 0, 3, 17, 40, 51] {
+            thresholds.push((rng.next_u64() >> 11) >> trailing_zeros << trailing_zeros);
+        }
+        // Rows on both sides of a band boundary.
+        let (rows, checked_rows) = (66, [0, 1, 63, 64, 65]);
+        for threshold in thresholds {
+            let rate = threshold as f64 / full as f64;
+            assert_eq!(uniform_threshold(rate), threshold);
+            let model = DefectModel::new(0.0, rate).unwrap();
+            for columns in [1, 63, 64, 65, 363] {
+                for seed in [1u64, 2_009] {
+                    let map = model.sample_map(rows, columns, seed).unwrap();
+                    for row in checked_rows {
+                        let uniforms = layout_uniforms(row, columns, seed);
+                        for (column, uniform) in uniforms.into_iter().enumerate() {
+                            assert_eq!(
+                                map.crosspoint_defective(row, column),
+                                uniform < threshold,
+                                "t {threshold}, {columns} columns, seed {seed}, ({row}, {column})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

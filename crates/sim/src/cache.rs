@@ -71,7 +71,10 @@
 //! retired fields are skipped). Version 3 began when configurations stopped
 //! carrying code-search budgets: a version-2 row whose config lowered a
 //! budget holds the report of a fallback code, which a load would file
-//! under the key of the default-budget configuration.
+//! under the key of the default-budget configuration. Version 4 began when
+//! each row of a sampled defect instance got a stream of its own, decided
+//! 64 crosspoints per draw: a version-3 row with sampled defects holds the
+//! survival of the old stream, which a load would serve under the same key.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -92,7 +95,7 @@ pub const CACHE_PATH_ENV: &str = "MSPT_CACHE_PATH";
 /// Schema version of the persisted snapshot format. Bump on any change to
 /// the on-disk layout, or to what a row's config means; loaders reject
 /// every other version.
-pub const CACHE_SCHEMA_VERSION: u64 = 3;
+pub const CACHE_SCHEMA_VERSION: u64 = 4;
 
 /// Default bound on the number of cached reports (far above the paper's
 /// sweep-point count, so default runs never evict).
