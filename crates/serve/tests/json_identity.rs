@@ -37,8 +37,11 @@
 //! error-reply line moved when the envelopes began to reject keys they do
 //! not read: the 77 flips and 11 deletions inside the reply's `error` and
 //! top-level `reason` keys, which decoded as the legacy reason-only reply
-//! or as a reply without its legacy reason, are rejected. A failure names
-//! the first text or corpus that moved.
+//! or as a reply without its legacy reason, are rejected. The ok-reply line
+//! moved when defect instances began to be drawn one stream per row, 64
+//! crosspoints per draw, because the golden configuration samples defects,
+//! and the snapshot text when the snapshot version went to 4 with it. A
+//! failure names the first text or corpus that moved.
 
 #[path = "../../sim/tests/catalogue/mod.rs"]
 mod catalogue;

@@ -499,9 +499,9 @@ fn defect_composed_reports_are_bit_identical_across_thread_counts() {
 }
 
 /// Pins the content of a fixed-seed defect map, including positions. Any
-/// change to the chunked map layout — band size, chunk-seed derivation,
-/// draw order, band order — shows up here as a loud, exact failure rather
-/// than a silent reshuffle.
+/// change to the chunked map layout — chunk-seed derivation, which chunk a
+/// row draws from, draw order, bit order — shows up here as a loud, exact
+/// failure rather than a silent reshuffle.
 #[test]
 fn fixed_seed_defect_map_is_pinned() {
     let model = DefectModel::new(0.1, 0.05).unwrap();
@@ -522,7 +522,7 @@ fn fixed_seed_defect_map_is_pinned() {
     assert_eq!(broken_columns, vec![0, 9, 22, 33, 34, 40, 41, 61, 78]);
     assert_eq!(
         (defects.len(), checksum),
-        (403, 11_250_109_737_314_579_149),
+        (394, 214_839_105_270_964_394),
         "usable fraction: {}",
         map.usable_fraction()
     );
