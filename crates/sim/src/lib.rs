@@ -17,11 +17,14 @@
 //! bit-identical for any thread count, [`ExecutionEngine::serial`]
 //! included; the engine also
 //! shards crossbar defect sampling under the same per-chunk seeding
-//! contract. When a configuration selects defects
-//! ([`SimConfig::with_defects`] / [`DefectKind`]), every report composes
-//! the sampled instance's survival with the decoder yield — the defect axis
-//! of the Fig. 7 extension. Reports count the usable crosspoints band by
-//! band ([`ExecutionEngine::count_usable`]) without building the map;
+//! contract: each row of an instance's switch-defect matrix is a chunk of
+//! its own, decided 64 crosspoints per draw, so an instance depends on
+//! neither the thread count nor the 64-row bands the engine hands out. When
+//! a configuration selects defects ([`SimConfig::with_defects`] /
+//! [`DefectKind`]), every report composes the sampled instance's survival
+//! with the decoder yield — the defect axis of the Fig. 7 extension.
+//! Reports count the usable crosspoints band by band
+//! ([`ExecutionEngine::count_usable`]) without building the map;
 //! [`ExecutionEngine::sample_defect_map`] draws the identical instance as a
 //! map for callers that want it.
 //! [`Evaluation::builder`] runs one configuration on an engine.
