@@ -17,9 +17,8 @@
 //! # Chunked map layout (determinism contract)
 //!
 //! [`DefectModel::sample_map`] draws a map not from one long RNG stream but
-//! from **independently seeded chunks**, so map generation can be sharded
-//! across threads (see `decoder_sim::ExecutionEngine::sample_defect_map`)
-//! while staying bit-identical for any thread count:
+//! from **independently seeded chunks**, so how far one row draws (below)
+//! moves no other row's draws:
 //!
 //! * chunk `0` — the row-breakage vector, one uniform per row;
 //! * chunk `1` — the column-breakage vector, one uniform per column;
@@ -42,24 +41,21 @@
 //! and `t = 2⁵³` draw nothing.
 //!
 //! How far a row draws depends on its values and its rate, but no other row
-//! reads its stream, so a map depends only on `(rates, rows, columns, seed)`:
-//! never on which thread samples which row, nor on the [`DEFECT_BAND_ROWS`]
-//! rows a thread takes at a time. Each column's `k` is the same at every
-//! rate, so a seed's defective crosspoints at one rate are among those at
-//! any higher rate (common random numbers), as its broken nanowires are.
+//! reads its stream, so a map depends only on `(rates, rows, columns, seed)`.
+//! Each column's `k` is the same at every rate, so a seed's defective
+//! crosspoints at one rate are among those at any higher rate (common random
+//! numbers), as its broken nanowires are.
 //!
 //! # Streamed counts
 //!
 //! A report reads one number from a sampled instance: the fraction of usable
 //! crosspoints. [`DefectModel::count_usable`] computes it without building
-//! the map. It draws the two breakage chunks, then counts the rows a band at
-//! a time through a [`UsableCounter`], with the row sampler the map uses. It
-//! skips a broken row without drawing, and decides only the intact columns
-//! of an intact row, adding those with a working switch. The count therefore
-//! equals the map's count for every `(rates, rows, columns, seed)`, and
-//! [`survival_fraction`] turns either into the same bits. Band counts are
-//! integers, so a sharded count (`decoder_sim::ExecutionEngine::count_usable`)
-//! adds them in any order and still matches.
+//! the map. It draws the two breakage chunks, then walks the rows with the
+//! row sampler the map uses. It skips a broken row without drawing, and
+//! decides only the intact columns of an intact row, adding those with a
+//! working switch. The count therefore equals the map's count for every
+//! `(rates, rows, columns, seed)`, and [`survival_fraction`] turns either
+//! into the same bits.
 //!
 //! # Size bound
 //!
@@ -67,8 +63,6 @@
 //! [`check_defect_dimensions`] before it draws or allocates anything: both
 //! positive, and `rows × columns` (a checked multiplication) at most
 //! [`MAX_DEFECT_CROSSPOINTS`].
-
-use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -85,8 +79,9 @@ use crate::yield_model::CaveYield;
 /// sampler in `decoder-sim` seeds its sample chunks with it directly, and
 /// [`DefectModel::sample_map`] seeds its map chunks with it through a
 /// defect-map domain tag (see the module docs), so the two samplers never
-/// replay each other's streams for a shared run seed. Both contracts
-/// ("bit-identical for any thread count") rest on this function being pure in
+/// replay each other's streams for a shared run seed. Both contracts (a
+/// Monte-Carlo outcome is bit-identical for any thread count, and one defect
+/// row's draws move no other) rest on this function being pure in
 /// `(seed, chunk_index)`.
 #[must_use]
 pub fn chunk_seed(seed: u64, chunk_index: u64) -> u64 {
@@ -98,18 +93,6 @@ pub fn chunk_seed(seed: u64, chunk_index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Number of crossbar rows per defect-map band, the unit of work a sharded
-/// map or count hands to a thread. Every row draws from a stream of its own,
-/// so maps and counts depend neither on this value nor on the thread count.
-pub const DEFECT_BAND_ROWS: usize = 64;
-
-/// Number of [`DEFECT_BAND_ROWS`]-row bands a `rows`-row defect map is
-/// sampled in (the last band may be shorter).
-#[must_use]
-pub fn defect_band_count(rows: usize) -> usize {
-    rows.div_ceil(DEFECT_BAND_ROWS)
 }
 
 /// The largest crosspoint count (`rows × columns`) a defect map or a
@@ -140,12 +123,6 @@ pub fn check_defect_dimensions(rows: usize, columns: usize) -> Result<usize> {
             ),
         }),
     }
-}
-
-/// The rows of band `band` of a `rows`-row map (empty past the end).
-fn band_rows(band: usize, rows: usize) -> Range<usize> {
-    let start = band.saturating_mul(DEFECT_BAND_ROWS).min(rows);
-    start..rows.min(start.saturating_add(DEFECT_BAND_ROWS))
 }
 
 /// The fraction of usable crosspoints of a `rows × columns` instance with
@@ -255,10 +232,8 @@ impl DefectModel {
     /// deterministic seed: which nanowires are broken and which crosspoints
     /// are defective.
     ///
-    /// The map is assembled from the independently seeded chunks of the
-    /// module-level layout, so this serial reference implementation is
-    /// bit-identical to a sharded assembly of the same chunks at any thread
-    /// count.
+    /// Each row is drawn from its own chunk of the module-level layout, in
+    /// one pass over the rows with one row sampler.
     ///
     /// # Errors
     ///
@@ -266,94 +241,63 @@ impl DefectModel {
     /// [`check_defect_dimensions`].
     pub fn sample_map(&self, rows: usize, columns: usize, seed: u64) -> Result<DefectMap> {
         let mut defective = Vec::with_capacity(check_defect_dimensions(rows, columns)?);
-        for band in 0..defect_band_count(rows) {
-            defective.extend(self.sample_defective_band(band, rows, columns, seed));
+        let every_column = lane_words(std::iter::repeat_n(true, columns));
+        let mut sampler = RowSampler::new(uniform_threshold(self.crosspoint_defect), seed);
+        for row in 0..rows {
+            let flags = sampler.decide(row, &every_column);
+            defective.extend((0..columns).map(|c| flags[c / 64] >> (c % 64) & 1 == 1));
         }
-        DefectMap::from_parts(
+        Ok(DefectMap {
             rows,
             columns,
-            self.sample_row_breakage(rows, seed),
-            self.sample_column_breakage(columns, seed),
+            broken_rows: self.sample_row_breakage(rows, seed),
+            broken_columns: self.sample_column_breakage(columns, seed),
             defective,
-        )
+        })
     }
 
     /// Counts the usable crosspoints of the instance [`DefectModel::sample_map`]
-    /// would draw for the same arguments, without building it: the serial sum
-    /// of the [`UsableCounter`] band counts (see the module-level "Streamed
-    /// counts").
+    /// would draw for the same arguments, without building it (see the
+    /// module-level "Streamed counts").
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::InvalidSpec`] when the dimensions fail
     /// [`check_defect_dimensions`].
     pub fn count_usable(&self, rows: usize, columns: usize, seed: u64) -> Result<usize> {
-        let counter = self.usable_counter(rows, columns, seed)?;
-        Ok((0..counter.bands())
-            .map(|band| counter.count_band(band))
-            .sum())
-    }
-
-    /// The per-band counter of usable crosspoints of a `rows × columns`
-    /// instance: checks the dimensions, draws the breakage chunks `0` and `1`
-    /// and computes the switch-defect threshold, once for every band.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidSpec`] when the dimensions fail
-    /// [`check_defect_dimensions`].
-    pub fn usable_counter(&self, rows: usize, columns: usize, seed: u64) -> Result<UsableCounter> {
         check_defect_dimensions(rows, columns)?;
-        Ok(UsableCounter {
-            broken_rows: self.sample_row_breakage(rows, seed),
-            intact_columns: lane_words(
-                self.sample_column_breakage(columns, seed)
-                    .into_iter()
-                    .map(|broken| !broken),
-            ),
-            defect_threshold: uniform_threshold(self.crosspoint_defect),
-            seed,
-        })
+        let intact_columns = lane_words(
+            self.sample_column_breakage(columns, seed)
+                .into_iter()
+                .map(|broken| !broken),
+        );
+        let mut sampler = RowSampler::new(uniform_threshold(self.crosspoint_defect), seed);
+        let mut usable = 0;
+        for (row, broken) in self.sample_row_breakage(rows, seed).into_iter().enumerate() {
+            if broken {
+                continue;
+            }
+            let defective = sampler.decide(row, &intact_columns);
+            usable += intact_columns
+                .iter()
+                .zip(defective)
+                .map(|(intact, defective)| (intact & !defective).count_ones() as usize)
+                .sum::<usize>();
+        }
+        Ok(usable)
     }
 
     /// Samples chunk `0` of the map layout: the row-breakage vector (`rows`
     /// uniforms from the chunk-0 generator of the domain-tagged layout).
-    #[must_use]
-    pub fn sample_row_breakage(&self, rows: usize, seed: u64) -> Vec<bool> {
+    fn sample_row_breakage(&self, rows: usize, seed: u64) -> Vec<bool> {
         self.sample_bools(rows, self.nanowire_breakage, defect_chunk_seed(seed, 0))
     }
 
     /// Samples chunk `1` of the map layout: the column-breakage vector
     /// (`columns` uniforms from the chunk-1 generator of the domain-tagged
     /// layout).
-    #[must_use]
-    pub fn sample_column_breakage(&self, columns: usize, seed: u64) -> Vec<bool> {
+    fn sample_column_breakage(&self, columns: usize, seed: u64) -> Vec<bool> {
         self.sample_bools(columns, self.nanowire_breakage, defect_chunk_seed(seed, 1))
-    }
-
-    /// Samples the crosspoint-defect flags of the rows in `band`, in
-    /// row-major order: row `r` from chunk `2 + r` of the domain-tagged
-    /// layout, 64 crosspoints per draw.
-    ///
-    /// Bands past the end of the map (`band ≥ defect_band_count(rows)`) are
-    /// empty.
-    #[must_use]
-    pub fn sample_defective_band(
-        &self,
-        band: usize,
-        rows: usize,
-        columns: usize,
-        seed: u64,
-    ) -> Vec<bool> {
-        let rows = band_rows(band, rows);
-        let every_column = lane_words(std::iter::repeat_n(true, columns));
-        let mut sampler = RowSampler::new(uniform_threshold(self.crosspoint_defect), seed);
-        let mut flags = Vec::with_capacity(rows.len() * columns);
-        for row in rows {
-            let defective = sampler.decide(row, &every_column);
-            flags.extend((0..columns).map(|c| defective[c / 64] >> (c % 64) & 1 == 1));
-        }
-        flags
     }
 
     fn sample_bools(&self, count: usize, rate: f64, seed: u64) -> Vec<bool> {
@@ -366,51 +310,6 @@ impl DefectModel {
 impl Default for DefectModel {
     fn default() -> Self {
         DefectModel::ideal()
-    }
-}
-
-/// The per-band counter of usable crosspoints behind
-/// [`DefectModel::count_usable`]: the breakage chunks of one
-/// `(rates, rows, columns, seed)` instance, drawn once, and the
-/// switch-defect threshold, computed once. Each band is drawn and counted on
-/// its own, so bands can be counted on any thread in any order.
-#[derive(Debug)]
-pub struct UsableCounter {
-    broken_rows: Vec<bool>,
-    /// The intact columns, 64 to a word as the row sampler decides them.
-    intact_columns: Vec<u64>,
-    defect_threshold: u64,
-    seed: u64,
-}
-
-impl UsableCounter {
-    /// Number of bands of the instance ([`defect_band_count`] of its rows).
-    #[must_use]
-    pub fn bands(&self) -> usize {
-        defect_band_count(self.broken_rows.len())
-    }
-
-    /// The usable crosspoints of band `band`: the crosspoints of its intact
-    /// rows and columns whose switch works, decided by the row sampler of
-    /// [`DefectModel::sample_defective_band`]. A broken row is skipped
-    /// without drawing. Bands past the end count zero.
-    #[must_use]
-    pub fn count_band(&self, band: usize) -> usize {
-        let mut sampler = RowSampler::new(self.defect_threshold, self.seed);
-        let mut usable = 0;
-        for row in band_rows(band, self.broken_rows.len()) {
-            if self.broken_rows[row] {
-                continue;
-            }
-            let defective = sampler.decide(row, &self.intact_columns);
-            usable += self
-                .intact_columns
-                .iter()
-                .zip(defective)
-                .map(|(intact, defective)| (intact & !defective).count_ones() as usize)
-                .sum::<usize>();
-        }
-        usable
     }
 }
 
@@ -523,48 +422,6 @@ pub struct DefectMap {
 }
 
 impl DefectMap {
-    /// Assembles a map from sampled chunks: the breakage vectors and the
-    /// row-major crosspoint-defect flags (the concatenated bands of the
-    /// module-level layout).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero
-    /// or a part's length does not match the dimensions.
-    pub fn from_parts(
-        rows: usize,
-        columns: usize,
-        broken_rows: Vec<bool>,
-        broken_columns: Vec<bool>,
-        defective: Vec<bool>,
-    ) -> Result<Self> {
-        if rows == 0 || columns == 0 {
-            return Err(CrossbarError::InvalidSpec {
-                reason: format!("defect map dimensions {rows}x{columns} must be positive"),
-            });
-        }
-        if broken_rows.len() != rows
-            || broken_columns.len() != columns
-            || rows.checked_mul(columns) != Some(defective.len())
-        {
-            return Err(CrossbarError::InvalidSpec {
-                reason: format!(
-                    "defect map parts ({}, {}, {}) do not match dimensions {rows}x{columns}",
-                    broken_rows.len(),
-                    broken_columns.len(),
-                    defective.len()
-                ),
-            });
-        }
-        Ok(DefectMap {
-            rows,
-            columns,
-            broken_rows,
-            broken_columns,
-            defective,
-        })
-    }
-
     /// Number of row nanowires.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -742,7 +599,7 @@ mod tests {
         for trailing_zeros in [0, 0, 3, 17, 40, 51] {
             thresholds.push((rng.next_u64() >> 11) >> trailing_zeros << trailing_zeros);
         }
-        // Rows on both sides of a band boundary.
+        // The first two rows and the last three of a 66-row map.
         let (rows, checked_rows) = (66, [0, 1, 63, 64, 65]);
         for threshold in thresholds {
             let rate = threshold as f64 / full as f64;
@@ -809,35 +666,6 @@ mod tests {
         assert_ne!(chunk_seed(42, 0), chunk_seed(43, 0));
     }
 
-    #[test]
-    fn maps_assemble_from_independently_sampled_chunks() {
-        // Spanning multiple bands (150 rows > DEFECT_BAND_ROWS), reassembling
-        // the chunks in any grouping must reproduce sample_map exactly — the
-        // property the execution engine's sharded assembly relies on.
-        let model = DefectModel::new(0.1, 0.05).unwrap();
-        let (rows, columns, seed) = (150usize, 40usize, 42u64);
-        assert_eq!(defect_band_count(rows), 3);
-        let mut defective = Vec::new();
-        // Deliberately sample the bands out of order to mimic scheduling.
-        let mut bands: Vec<(usize, Vec<bool>)> = (0..defect_band_count(rows))
-            .rev()
-            .map(|band| (band, model.sample_defective_band(band, rows, columns, seed)))
-            .collect();
-        bands.sort_by_key(|(band, _)| *band);
-        for (_, band) in bands {
-            defective.extend(band);
-        }
-        let assembled = DefectMap::from_parts(
-            rows,
-            columns,
-            model.sample_row_breakage(rows, seed),
-            model.sample_column_breakage(columns, seed),
-            defective,
-        )
-        .unwrap();
-        assert_eq!(assembled, model.sample_map(rows, columns, seed).unwrap());
-    }
-
     /// The usable crosspoints of a map, counted cell by cell.
     fn map_count(map: &DefectMap) -> usize {
         (0..map.rows())
@@ -857,7 +685,9 @@ mod tests {
         }
         // The Fig. 7 defect axis: breakage r, stuck crosspoints r / 2.
         rates.extend([0.01, 0.02, 0.05, 0.1].map(|rate| (rate, rate / 2.0)));
-        // Maps smaller than one band, exactly one band, partial last bands.
+        rates.push((0.05, 0.02));
+        // Maps narrower than one 64-column word, one word wide, with a
+        // partial last word, and the paper's 363² array.
         let dimensions = [(1, 1), (63, 7), (64, 64), (65, 3), (300, 70), (363, 363)];
         for (breakage, stuck) in rates {
             let model = DefectModel::new(breakage, stuck).unwrap();
@@ -875,20 +705,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn band_counts_sum_to_the_count_in_any_order() {
-        let model = DefectModel::new(0.05, 0.02).unwrap();
-        let (rows, columns, seed) = (300usize, 70usize, 42u64);
-        let counter = model.usable_counter(rows, columns, seed).unwrap();
-        assert_eq!(counter.bands(), defect_band_count(rows));
-        let reversed: usize = (0..counter.bands())
-            .rev()
-            .map(|band| counter.count_band(band))
-            .sum();
-        assert_eq!(reversed, model.count_usable(rows, columns, seed).unwrap());
-        assert_eq!(counter.count_band(counter.bands()), 0);
     }
 
     #[test]
@@ -919,26 +735,6 @@ mod tests {
             assert!(is_spec_error(
                 model.count_usable(rows, columns, 7).map(drop)
             ));
-            assert!(is_spec_error(
-                model.usable_counter(rows, columns, 7).map(drop)
-            ));
         }
-    }
-
-    #[test]
-    fn from_parts_validates_lengths() {
-        assert!(
-            DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 2], vec![false; 4]).is_ok()
-        );
-        assert!(
-            DefectMap::from_parts(2, 2, vec![false; 3], vec![false; 2], vec![false; 4]).is_err()
-        );
-        assert!(
-            DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 1], vec![false; 4]).is_err()
-        );
-        assert!(
-            DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 2], vec![false; 3]).is_err()
-        );
-        assert!(DefectMap::from_parts(0, 2, vec![], vec![false; 2], vec![]).is_err());
     }
 }

@@ -75,8 +75,8 @@ pub use array::{CrossbarSpec, PAPER_RAW_BITS};
 pub use cave::{Cave, HalfCave};
 pub use contact::{ContactGroupLayout, PositionKind};
 pub use defects::{
-    check_defect_dimensions, chunk_seed, defect_band_count, survival_fraction, CompositeYield,
-    DefectMap, DefectModel, UsableCounter, DEFECT_BAND_ROWS, MAX_DEFECT_CROSSPOINTS,
+    check_defect_dimensions, chunk_seed, survival_fraction, CompositeYield, DefectMap, DefectModel,
+    MAX_DEFECT_CROSSPOINTS,
 };
 pub use error::{CrossbarError, Result};
 pub use geometry::LayoutRules;
@@ -99,7 +99,6 @@ mod crate_tests {
         assert_send_sync::<CrossbarArea>();
         assert_send_sync::<CrossbarMemory>();
         assert_send_sync::<DefectModel>();
-        assert_send_sync::<UsableCounter>();
         assert_send_sync::<CrossbarError>();
     }
 }

@@ -103,10 +103,10 @@ fn nests_in(low: &DefectMap, high: &DefectMap) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For one seed and size (maps smaller than a word or a band, partial
-    /// last words and bands), raising the stuck-crosspoint rate only adds
-    /// defective crosspoints, raising the breakage rate only adds broken
-    /// nanowires, and neither raises the usable count.
+    /// For one seed and size (maps smaller than a word, partial last words),
+    /// raising the stuck-crosspoint rate only adds defective crosspoints,
+    /// raising the breakage rate only adds broken nanowires, and neither
+    /// raises the usable count.
     #[test]
     fn defect_instances_nest_in_the_rates(
         (rows, columns) in prop_oneof![Just((1, 1)), Just((300, 70)), (1usize..=300, 1usize..=70)],

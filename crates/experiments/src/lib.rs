@@ -401,8 +401,8 @@ pub fn sensitivity_report(engine: &ExecutionEngine) -> Result<Vec<SensitivitySwe
 /// four code families at their valid lengths) plus one Laplace-disturbance
 /// variant and one sampled-defect variant. The Laplace variant hits the
 /// Gaussian BGC entry (no report stage reads the disturbance kind); the
-/// defect variant keys its own entry and exercises the engine's sharded
-/// defect-map sampling under concurrent load. This is the
+/// defect variant keys its own entry and exercises the engine's
+/// defect-survival slot under concurrent load. This is the
 /// repeated-`SimConfig` workload the shared warm cache is built for — the
 /// request population of the `serve_stress` binary and the CI serving gate.
 ///

@@ -18,7 +18,7 @@ use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 /// one Laplace-disturbance variant (it shares the Gaussian point's report
 /// entry: no report stage reads the disturbance kind) and one
 /// sampled-defect variant, which keys its own entry and exercises the
-/// engine's sharded defect sampling under concurrent load.
+/// engine's defect-survival slot under concurrent load.
 pub fn paper_mix() -> Vec<ReportRequest> {
     let mut mix = Vec::new();
     for (kind, lengths) in [

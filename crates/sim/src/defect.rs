@@ -10,7 +10,7 @@
 //! evaluation (seeded independently of the Monte-Carlo streams through the
 //! defect layer's domain tag) and composes its survival with the decoder
 //! yield into the report's composite quantities. A report counts the
-//! instance's usable crosspoints as the bands stream
+//! instance's usable crosspoints row by row on the calling thread
 //! ([`DefectModel::count_usable`]) and never builds its [`DefectMap`]; the
 //! survival is bit-identical to the sampled map's
 //! [`usable_fraction`](crossbar_array::DefectMap::usable_fraction).

@@ -1,5 +1,5 @@
-//! Work-sharded parallel execution engine for the Monte-Carlo validator,
-//! the defect maps and the batches of design points behind Figs. 5–8.
+//! Work-sharded parallel execution engine for the Monte-Carlo validator
+//! and the batches of design points behind Figs. 5–8.
 //!
 //! # Determinism contract
 //!
@@ -52,9 +52,7 @@ use std::thread;
 
 use serde::{Deserialize, Serialize};
 
-use crossbar_array::{
-    check_defect_dimensions, defect_band_count, AddressabilityProfile, DefectMap, DefectModel,
-};
+use crossbar_array::{AddressabilityProfile, DefectMap, DefectModel};
 use device_physics::{VariabilityModel, Volts};
 use mspt_fabrication::VariabilityMatrix;
 
@@ -268,15 +266,14 @@ impl ExecutionEngine {
     /// evaluation. This is the serve layer's per-request entry point.
     ///
     /// On a miss the lookup's leader looks up the configured defect survival
-    /// in the `DefectMap` slot, counting the usable crosspoints with the
-    /// engine's sharded [`ExecutionEngine::count_usable`] (no map is built),
+    /// in the `DefectMap` slot, counting the usable crosspoints on the
+    /// calling thread with [`DefectModel::count_usable`] (no map is built),
     /// and the variability matrix and fabrication cost in the `Variability`
     /// slot, then computes the remaining stages inline, so a configuration
     /// that differs from a cached one outside those two read sets (a sweep
     /// point) reuses both. The result is bit-identical to the serial
     /// [`SimulationPlatform::evaluate`] at any thread count, because both
-    /// count the same independently seeded chunks and add the counts as
-    /// integers.
+    /// take the survival from the same count and run the same stages.
     ///
     /// # Errors
     ///
@@ -286,11 +283,9 @@ impl ExecutionEngine {
     pub fn report_for(&self, config: &SimConfig) -> Result<PlatformReport> {
         self.stages.reports().get_or_compute(config, || {
             let platform = SimulationPlatform::new(config.clone());
-            let survival = self.stages.defect_survival(config, || {
-                platform.defect_survival_with(|model, rows, columns, seed| {
-                    self.count_usable(model, rows, columns, seed)
-                })
-            })?;
+            let survival = self
+                .stages
+                .defect_survival(config, || platform.defect_survival())?;
             platform.staged_report(
                 || {
                     self.stages
@@ -527,14 +522,9 @@ impl ExecutionEngine {
         )
     }
 
-    /// Samples a crossbar defect map with its bands sharded across the
-    /// engine's threads — bit-identical to the serial
-    /// [`DefectModel::sample_map`] at any thread count, because both assemble
-    /// the same independently seeded chunks (see the layout documented on
-    /// `crossbar_array::defects`): the breakage vectors are cheap and drawn
-    /// inline, the `O(rows · columns)` crosspoint bands fan out through the
-    /// engine and are concatenated in band order. For callers that want the
-    /// instance; reports use [`ExecutionEngine::count_usable`].
+    /// Samples a crossbar defect map on the calling thread: the serial
+    /// [`DefectModel::sample_map`], kept as an engine method because
+    /// perfbench's traced replay times it. Reports never build the map.
     ///
     /// # Errors
     ///
@@ -548,42 +538,7 @@ impl ExecutionEngine {
         columns: usize,
         seed: u64,
     ) -> Result<DefectMap> {
-        check_defect_dimensions(rows, columns)?;
-        let bands = self.run_indexed(defect_band_count(rows), |band| {
-            Ok(model.sample_defective_band(band, rows, columns, seed))
-        })?;
-        let defective: Vec<bool> = bands.into_iter().flatten().collect();
-        Ok(DefectMap::from_parts(
-            rows,
-            columns,
-            model.sample_row_breakage(rows, seed),
-            model.sample_column_breakage(columns, seed),
-            defective,
-        )?)
-    }
-
-    /// Counts the usable crosspoints of the instance
-    /// [`ExecutionEngine::sample_defect_map`] would draw, without building
-    /// it: the bands of a [`UsableCounter`](crossbar_array::UsableCounter)
-    /// fan out through the engine and their counts are added as integers, so
-    /// the result equals the serial [`DefectModel::count_usable`] at any
-    /// thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the crossbar layer's `InvalidSpec`, before anything is drawn,
-    /// when the dimensions fail
-    /// [`check_defect_dimensions`](crossbar_array::check_defect_dimensions).
-    pub fn count_usable(
-        &self,
-        model: &DefectModel,
-        rows: usize,
-        columns: usize,
-        seed: u64,
-    ) -> Result<usize> {
-        let counter = model.usable_counter(rows, columns, seed)?;
-        let counts = self.run_indexed(counter.bands(), |band| Ok(counter.count_band(band)))?;
-        Ok(counts.into_iter().sum())
+        Ok(model.sample_map(rows, columns, seed)?)
     }
 
     /// Evaluates every configuration through the report cache
@@ -765,8 +720,8 @@ mod tests {
         for (rows, columns) in [(4_097, 4_096), (1_000_000, 1_000_000), (usize::MAX, 2)] {
             let map = engine.sample_defect_map(&model, rows, columns, 1);
             assert!(is_spec_error(map.unwrap_err()));
-            let count = engine.count_usable(&model, rows, columns, 1);
-            assert!(is_spec_error(count.unwrap_err()));
+            let count = model.count_usable(rows, columns, 1);
+            assert!(is_spec_error(count.unwrap_err().into()));
         }
         // A defect-configured report on a 10¹²-bit crossbar (a 10⁶ edge) and
         // on one whose crosspoint count overflows fails the same way.

@@ -15,18 +15,16 @@
 //! Both the Monte-Carlo validator and the batches of design points run on a
 //! work-sharded parallel [`ExecutionEngine`] whose results are
 //! bit-identical for any thread count, [`ExecutionEngine::serial`]
-//! included; the engine also
-//! shards crossbar defect sampling under the same per-chunk seeding
-//! contract: each row of an instance's switch-defect matrix is a chunk of
-//! its own, decided 64 crosspoints per draw, so an instance depends on
-//! neither the thread count nor the 64-row bands the engine hands out. When
-//! a configuration selects defects ([`SimConfig::with_defects`] /
-//! [`DefectKind`]), every report composes the sampled instance's survival
-//! with the decoder yield — the defect axis of the Fig. 7 extension.
-//! Reports count the usable crosspoints band by band
-//! ([`ExecutionEngine::count_usable`]) without building the map;
-//! [`ExecutionEngine::sample_defect_map`] draws the identical instance as a
-//! map for callers that want it.
+//! included. When a configuration selects defects
+//! ([`SimConfig::with_defects`] / [`DefectKind`]), every report composes
+//! the survival of one sampled crossbar instance with the decoder yield —
+//! the defect axis of the Fig. 7 extension. The instance is drawn on the
+//! calling thread, each row of its switch-defect matrix from a seeded chunk
+//! of its own, 64 crosspoints per draw. Reports count its usable
+//! crosspoints
+//! ([`DefectModel::count_usable`](crossbar_array::DefectModel::count_usable))
+//! without building the map; [`SimulationPlatform::sample_defect_map`]
+//! draws the identical instance as a map for callers that want it.
 //! [`Evaluation::builder`] runs one configuration on an engine.
 //!
 //! Repeated evaluations are served from the engine's sharded, bounded,

@@ -79,8 +79,8 @@ use crossbar_array::AddressabilityProfile;
 use device_physics::{VariabilityModel, Volts};
 use mspt_fabrication::VariabilityMatrix;
 
-// The stream-splitting primitive is shared with the defect-map sharding in
-// `crossbar-array`; both determinism contracts rest on the same function.
+// The stream-splitting primitive is shared with the defect-map chunk layout
+// in `crossbar-array`; both determinism contracts rest on the same function.
 pub(crate) use crossbar_array::chunk_seed;
 
 use crate::config::check_window;

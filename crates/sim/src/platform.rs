@@ -173,13 +173,10 @@ impl SimulationPlatform {
         )?)
     }
 
-    /// Samples the defect map of the configured [`DefectKind`] serially —
-    /// `None` for a defect-free configuration — for callers that want the
-    /// instance; reports read only its usable-crosspoint count, which they
-    /// stream without building the map. Bit-identical to the engine-sharded
-    /// [`ExecutionEngine::sample_defect_map`](crate::ExecutionEngine::sample_defect_map)
-    /// of the same model and seed, because both assemble the same
-    /// independently seeded chunks.
+    /// Samples the defect map of the configured [`DefectKind`] — `None` for
+    /// a defect-free configuration — for callers that want the instance;
+    /// reports read only its usable-crosspoint count, which they stream
+    /// without building the map.
     ///
     /// # Errors
     ///
@@ -187,59 +184,44 @@ impl SimulationPlatform {
     /// the defect layer's size bound
     /// ([`MAX_DEFECT_CROSSPOINTS`](crossbar_array::MAX_DEFECT_CROSSPOINTS)).
     pub fn sample_defect_map(&self) -> Result<Option<DefectMap>> {
-        self.sample_defect_map_with(|model, rows, columns, seed| {
-            Ok(model.sample_map(rows, columns, seed)?)
-        })
+        let Some((model, edge, seed)) = self.defect_instance()? else {
+            return Ok(None);
+        };
+        Ok(Some(model.sample_map(edge, edge, seed)?))
     }
 
-    /// Draws the configured defect instance with an explicit sampler — the
-    /// single place that decides *whether* defects are drawn and *which*
-    /// dimensions and seed they get, for the map
-    /// ([`SimulationPlatform::sample_defect_map`],
-    /// [`ExecutionEngine::sample_defect_map`](crate::ExecutionEngine::sample_defect_map))
-    /// and for the usable-crosspoint count the report path draws
-    /// ([`DefectModel::count_usable`],
-    /// [`ExecutionEngine::count_usable`](crate::ExecutionEngine::count_usable)),
-    /// so no two of them can diverge in dispatch. `None` for a defect-free
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates crossbar-specification and sampler errors.
-    pub fn sample_defect_map_with<T, F>(&self, sampler: F) -> Result<Option<T>>
-    where
-        F: FnOnce(&DefectModel, usize, usize, u64) -> Result<T>,
-    {
+    /// The defect survival of the configured instance — `None` for a
+    /// defect-free configuration: its usable crosspoints, counted without
+    /// building the map ([`DefectModel::count_usable`]), as a
+    /// [`survival_fraction`], the expression [`DefectMap::usable_fraction`]
+    /// uses, so it is bit-identical to the survival of the sampled map.
+    /// [`SimulationPlatform::evaluate`] and the engine's `DefectMap` slot both
+    /// take it from here.
+    pub(crate) fn defect_survival(&self) -> Result<Option<f64>> {
+        let Some((model, edge, seed)) = self.defect_instance()? else {
+            return Ok(None);
+        };
+        let usable = model.count_usable(edge, edge, seed)?;
+        Ok(Some(survival_fraction(usable, edge, edge)))
+    }
+
+    /// The one place that decides whether the configured defects are drawn,
+    /// and at which edge and seed, for the map and the count alike: the
+    /// defect model, the square crossbar's edge and the defect seed, or
+    /// `None` for a defect-free configuration.
+    fn defect_instance(&self) -> Result<Option<(DefectModel, usize, u64)>> {
         match self.config.defects() {
             DefectKind::None => Ok(None),
             DefectKind::Sampled(defects) => {
                 let edge = self.config.crossbar_spec()?.nanowires_per_layer();
-                Ok(Some(sampler(&defects.model(), edge, edge, defects.seed())?))
+                Ok(Some((defects.model(), edge, defects.seed())))
             }
         }
     }
 
-    /// The defect survival of the configured instance from a usable-crosspoint
-    /// counter — `None` for a defect-free configuration. The survival is
-    /// [`survival_fraction`], the expression
-    /// [`DefectMap::usable_fraction`] uses, so it is bit-identical to the
-    /// survival of the sampled map.
-    pub(crate) fn defect_survival_with<F>(&self, count: F) -> Result<Option<f64>>
-    where
-        F: FnOnce(&DefectModel, usize, usize, u64) -> Result<usize>,
-    {
-        self.sample_defect_map_with(|model, rows, columns, seed| {
-            Ok(survival_fraction(
-                count(model, rows, columns, seed)?,
-                rows,
-                columns,
-            ))
-        })
-    }
-
     /// Runs the full evaluation and collects every reported quantity. A
-    /// defect-configured evaluation counts the usable crosspoints serially,
-    /// band by band, without building the map.
+    /// defect-configured evaluation counts the usable crosspoints without
+    /// building the map.
     ///
     /// Callers holding an [`ExecutionEngine`](crate::ExecutionEngine) should
     /// prefer [`ExecutionEngine::report_for`](crate::ExecutionEngine::report_for),
@@ -250,10 +232,7 @@ impl SimulationPlatform {
     /// Propagates errors from every stage of the pipeline, including a
     /// crossbar over the defect layer's size bound.
     pub fn evaluate(&self) -> Result<PlatformReport> {
-        let survival = self.defect_survival_with(|model, rows, columns, seed| {
-            Ok(model.count_usable(rows, columns, seed)?)
-        })?;
-        self.staged_report(|| self.variability_stage(), survival)
+        self.staged_report(|| self.variability_stage(), self.defect_survival()?)
     }
 
     /// The variability stage: the variability matrix and the fabrication

@@ -122,9 +122,9 @@ pub enum Stage {
     /// The crossbar area model (raw and effective bit area inputs).
     CrossbarArea,
     /// The sampled fabrication-defect instance, memoized as its survival:
-    /// the usable-crosspoint count, streamed band by band without building
-    /// the map, over the crosspoint count (`None` for a defect-free
-    /// configuration).
+    /// the usable-crosspoint count, streamed row by row on the calling
+    /// thread without building the map, over the crosspoint count (`None`
+    /// for a defect-free configuration).
     DefectMap,
     /// The fully composed [`PlatformReport`](crate::PlatformReport) —
     /// everything the report carries except Monte-Carlo results. Its slot

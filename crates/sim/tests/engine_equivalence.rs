@@ -365,48 +365,16 @@ fn config_carried_disturbance_reaches_the_sampler() {
 #[test]
 fn defect_maps_are_bit_identical_across_thread_counts() {
     let model = DefectModel::new(0.05, 0.02).unwrap();
-    // 300 rows spans five 64-row bands, the last one partial.
+    // 300 rows of 70 columns: two 64-column words a row, the last partial.
     let (rows, columns, seed) = (300usize, 70usize, 42u64);
     let serial = model.sample_map(rows, columns, seed).unwrap();
     for threads in [1usize, 2, 4] {
-        let sharded = engine(threads)
+        let map = engine(threads)
             .sample_defect_map(&model, rows, columns, seed)
             .unwrap();
-        assert_eq!(serial, sharded, "map diverged at {threads} engine threads");
+        assert_eq!(serial, map, "map diverged at {threads} engine threads");
     }
     assert!(engine(2).sample_defect_map(&model, 0, 4, seed).is_err());
-}
-
-/// The streamed usable-crosspoint count behind every defect-composed report:
-/// the engine adds per-band counts as integers, so any thread count gives
-/// the serial count, and both equal the count of the sampled map.
-#[test]
-fn defect_counts_are_identical_across_thread_counts() {
-    for (breakage, stuck) in [(0.05, 0.02), (0.1, 0.05)] {
-        let model = DefectModel::new(breakage, stuck).unwrap();
-        // Five bands with a partial last one, and the paper's 363² crossbar.
-        for (rows, columns) in [(300usize, 70usize), (363, 363)] {
-            let seed = 2_009;
-            let serial = model.count_usable(rows, columns, seed).unwrap();
-            let map = model.sample_map(rows, columns, seed).unwrap();
-            assert_eq!(
-                crossbar_array::survival_fraction(serial, rows, columns).to_bits(),
-                map.usable_fraction().to_bits()
-            );
-            for threads in [1usize, 2, 4] {
-                assert_eq!(
-                    engine(threads)
-                        .count_usable(&model, rows, columns, seed)
-                        .unwrap(),
-                    serial,
-                    "count diverged at {threads} engine threads ({rows}x{columns})"
-                );
-            }
-        }
-    }
-    assert!(engine(2)
-        .count_usable(&DefectModel::ideal(), 0, 4, 1)
-        .is_err());
 }
 
 /// The report path streams the defect count; the map path
@@ -451,8 +419,8 @@ fn streamed_reports_match_the_map_path_bit_for_bit() {
 }
 
 /// The whole-report determinism gate for the defect pipeline: a
-/// defect-composed `PlatformReport` — an engine-sharded defect count composed
-/// with the decoder yield through the report cache — must be bit-identical
+/// defect-composed `PlatformReport` — a defect count composed with the
+/// decoder yield through the engine's report cache — must be bit-identical
 /// to the serial platform evaluation at every thread count, and across the
 /// defect axis the decoder quantities must stay pinned to the defect-free
 /// run.
