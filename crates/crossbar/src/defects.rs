@@ -46,20 +46,18 @@
 //! crosspoints at one rate are among those at any higher rate (common random
 //! numbers), as its broken nanowires are.
 //!
-//! # Streamed counts
+//! # Expected survival
 //!
-//! A report reads one number from a sampled instance: the fraction of usable
-//! crosspoints. [`DefectModel::count_usable`] computes it without building
-//! the map. It draws the two breakage chunks, then walks the rows with the
-//! row sampler the map uses. It skips a broken row without drawing, and
-//! decides only the intact columns of an intact row, adding those with a
-//! working switch. The count therefore equals the map's count for every
-//! `(rates, rows, columns, seed)`, and [`survival_fraction`] turns either
-//! into the same bits.
+//! A report composes the expected survival, not a sampled instance's: a
+//! crosspoint is usable when both of its nanowires are intact and its switch
+//! works, so [`DefectModel::crosspoint_survival`] is the closed form
+//! `(1 − b)²(1 − s)`. A sampled map is that expectation's check: the mean
+//! [`usable_fraction`](DefectMap::usable_fraction) over seeds converges to
+//! it.
 //!
 //! # Size bound
 //!
-//! Every sampler, map or count, checks its dimensions with
+//! [`DefectModel::sample_map`] checks its dimensions with
 //! [`check_defect_dimensions`] before it draws or allocates anything: both
 //! positive, and `rows × columns` (a checked multiplication) at most
 //! [`MAX_DEFECT_CROSSPOINTS`].
@@ -95,15 +93,14 @@ pub fn chunk_seed(seed: u64, chunk_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The largest crosspoint count (`rows × columns`) a defect map or a
-/// usable-crosspoint count is drawn for: 2²⁴, a 4096 × 4096 crossbar, 128×
-/// the paper's 363² array. Larger requests fail before any draw or
-/// allocation, so one oversized crossbar cannot exhaust memory or hold a
-/// thread for minutes.
+/// The largest crosspoint count (`rows × columns`) a defect map is drawn
+/// for: 2²⁴, a 4096 × 4096 crossbar, 128× the paper's 363² array. Larger
+/// requests fail before any draw or allocation, so one oversized crossbar
+/// cannot exhaust memory or hold a thread for minutes.
 pub const MAX_DEFECT_CROSSPOINTS: usize = 1 << 24;
 
-/// Checks the dimensions of a defect map or count before anything is drawn
-/// or allocated, and returns its crosspoint count.
+/// Checks the dimensions of a defect map before anything is drawn or
+/// allocated, and returns its crosspoint count.
 ///
 /// # Errors
 ///
@@ -123,14 +120,6 @@ pub fn check_defect_dimensions(rows: usize, columns: usize) -> Result<usize> {
             ),
         }),
     }
-}
-
-/// The fraction of usable crosspoints of a `rows × columns` instance with
-/// `usable` of them usable — the one survival expression, shared by
-/// [`DefectMap::usable_fraction`] and the streamed count.
-#[must_use]
-pub fn survival_fraction(usable: usize, rows: usize, columns: usize) -> f64 {
-    usable as f64 / (rows * columns) as f64
 }
 
 /// The threshold `t` of a switch-defect draw: a crosspoint whose 53-bit
@@ -213,7 +202,9 @@ impl DefectModel {
 
     /// The probability that a given crosspoint survives both of its nanowires
     /// being intact and its own switching layer being functional —
-    /// independent of the decoder.
+    /// independent of the decoder: the closed form `(1 − b)²(1 − s)`, the
+    /// expectation of a sampled map's
+    /// [`usable_fraction`](DefectMap::usable_fraction).
     #[must_use]
     pub fn crosspoint_survival(&self) -> f64 {
         let wire_ok = 1.0 - self.nanowire_breakage;
@@ -241,69 +232,28 @@ impl DefectModel {
     /// [`check_defect_dimensions`].
     pub fn sample_map(&self, rows: usize, columns: usize, seed: u64) -> Result<DefectMap> {
         let mut defective = Vec::with_capacity(check_defect_dimensions(rows, columns)?);
-        let every_column = lane_words(std::iter::repeat_n(true, columns));
-        let mut sampler = RowSampler::new(uniform_threshold(self.crosspoint_defect), seed);
+        let mut sampler = RowSampler::new(uniform_threshold(self.crosspoint_defect), seed, columns);
         for row in 0..rows {
-            let flags = sampler.decide(row, &every_column);
+            let flags = sampler.decide(row);
             defective.extend((0..columns).map(|c| flags[c / 64] >> (c % 64) & 1 == 1));
         }
         Ok(DefectMap {
             rows,
             columns,
-            broken_rows: self.sample_row_breakage(rows, seed),
-            broken_columns: self.sample_column_breakage(columns, seed),
+            // Chunks 0 and 1 of the layout: one uniform per row, then one per
+            // column.
+            broken_rows: self.sample_breakage(rows, defect_chunk_seed(seed, 0)),
+            broken_columns: self.sample_breakage(columns, defect_chunk_seed(seed, 1)),
             defective,
         })
     }
 
-    /// Counts the usable crosspoints of the instance [`DefectModel::sample_map`]
-    /// would draw for the same arguments, without building it (see the
-    /// module-level "Streamed counts").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidSpec`] when the dimensions fail
-    /// [`check_defect_dimensions`].
-    pub fn count_usable(&self, rows: usize, columns: usize, seed: u64) -> Result<usize> {
-        check_defect_dimensions(rows, columns)?;
-        let intact_columns = lane_words(
-            self.sample_column_breakage(columns, seed)
-                .into_iter()
-                .map(|broken| !broken),
-        );
-        let mut sampler = RowSampler::new(uniform_threshold(self.crosspoint_defect), seed);
-        let mut usable = 0;
-        for (row, broken) in self.sample_row_breakage(rows, seed).into_iter().enumerate() {
-            if broken {
-                continue;
-            }
-            let defective = sampler.decide(row, &intact_columns);
-            usable += intact_columns
-                .iter()
-                .zip(defective)
-                .map(|(intact, defective)| (intact & !defective).count_ones() as usize)
-                .sum::<usize>();
-        }
-        Ok(usable)
-    }
-
-    /// Samples chunk `0` of the map layout: the row-breakage vector (`rows`
-    /// uniforms from the chunk-0 generator of the domain-tagged layout).
-    fn sample_row_breakage(&self, rows: usize, seed: u64) -> Vec<bool> {
-        self.sample_bools(rows, self.nanowire_breakage, defect_chunk_seed(seed, 0))
-    }
-
-    /// Samples chunk `1` of the map layout: the column-breakage vector
-    /// (`columns` uniforms from the chunk-1 generator of the domain-tagged
-    /// layout).
-    fn sample_column_breakage(&self, columns: usize, seed: u64) -> Vec<bool> {
-        self.sample_bools(columns, self.nanowire_breakage, defect_chunk_seed(seed, 1))
-    }
-
-    fn sample_bools(&self, count: usize, rate: f64, seed: u64) -> Vec<bool> {
+    fn sample_breakage(&self, count: usize, seed: u64) -> Vec<bool> {
         // mspt-analyze: allow(raw-seed) every caller derives `seed` via defect_chunk_seed (DEFECT_SEED_DOMAIN) just above
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..count).map(|_| rng.gen::<f64>() < rate).collect()
+        (0..count)
+            .map(|_| rng.gen::<f64>() < self.nanowire_breakage)
+            .collect()
     }
 }
 
@@ -313,48 +263,47 @@ impl Default for DefectModel {
     }
 }
 
-/// Packs per-column flags 64 to a word: bit `c % 64` of word `c / 64` is
-/// column `c`'s flag.
-fn lane_words(flags: impl ExactSizeIterator<Item = bool>) -> Vec<u64> {
-    let mut words = vec![0; flags.len().div_ceil(64)];
-    for (column, flag) in flags.enumerate() {
-        words[column / 64] |= u64::from(flag) << (column % 64);
-    }
-    words
-}
-
-/// The one switch-defect sampler of maps and counts: it decides a row's
-/// crosspoints 64 per draw, as the module-level layout describes, and keeps
-/// its word buffers from row to row.
+/// The switch-defect sampler of a map: it decides a row's crosspoints 64 per
+/// draw, as the module-level layout describes, and keeps its word buffers
+/// from row to row.
 struct RowSampler {
     threshold: u64,
     seed: u64,
+    /// Every column of a row, 64 to a word: bit `c % 64` of word `c / 64` is
+    /// set for each column `c`.
+    columns: Vec<u64>,
     undecided: Vec<u64>,
     defective: Vec<u64>,
 }
 
 impl RowSampler {
-    fn new(threshold: u64, seed: u64) -> Self {
+    fn new(threshold: u64, seed: u64, columns: usize) -> Self {
+        let mut words = vec![u64::MAX; columns / 64];
+        let partial = columns % 64;
+        if partial > 0 {
+            words.push((1 << partial) - 1);
+        }
         RowSampler {
             threshold,
             seed,
+            columns: words,
             undecided: Vec::new(),
             defective: Vec::new(),
         }
     }
 
-    /// The defective crosspoints of row `row` among the columns set in
-    /// `columns`, 64 to a word like `columns`; the other bits are clear.
-    fn decide(&mut self, row: usize, columns: &[u64]) -> &[u64] {
+    /// The defective crosspoints of row `row`, 64 to a word like
+    /// `self.columns`; the bits past the last column are clear.
+    fn decide(&mut self, row: usize) -> &[u64] {
         self.defective.clear();
         if self.threshold >> 53 != 0 {
             // t = 2⁵³: every 53-bit k lies below it.
-            self.defective.extend_from_slice(columns);
+            self.defective.extend_from_slice(&self.columns);
             return &self.defective;
         }
-        self.defective.resize(columns.len(), 0);
+        self.defective.resize(self.columns.len(), 0);
         self.undecided.clear();
-        self.undecided.extend_from_slice(columns);
+        self.undecided.extend_from_slice(&self.columns);
         let mut rng = StdRng::seed_from_u64(defect_chunk_seed(self.seed, 2 + row as u64));
         // From bit 52 down to t's lowest set bit (none when t = 0): below it,
         // t has only zeros, so a column still level with t cannot fall under it.
@@ -392,8 +341,8 @@ pub struct CompositeYield {
 impl CompositeYield {
     /// Composes the decoder yield with a defect survival: the composite
     /// crossbar yield is their product. The one place a composite is formed,
-    /// for the expected survival ([`DefectModel::compose_with`]), a sampled
-    /// map's ([`DefectMap::compose_with`]) and a streamed count's.
+    /// for the expected survival ([`DefectModel::compose_with`], what a
+    /// report composes) and a sampled map's ([`DefectMap::compose_with`]).
     #[must_use]
     pub fn new(decoder_yield: &CaveYield, defect_survival: f64) -> Self {
         CompositeYield {
@@ -471,7 +420,7 @@ impl DefectMap {
             .flat_map(|r| (0..self.columns).map(move |c| (r, c)))
             .filter(|&(r, c)| self.crosspoint_usable(r, c))
             .count();
-        survival_fraction(usable, self.rows, self.columns)
+        usable as f64 / (self.rows * self.columns) as f64
     }
 
     /// Composes this sampled instance with the decoder yield: the sampled
@@ -624,6 +573,38 @@ mod tests {
     }
 
     #[test]
+    fn sampled_survival_averages_to_the_closed_form() {
+        // At the Fig. 7 rates (b, b / 2), the mean usable fraction of 32
+        // seeds' 363² maps stays within |z| ≤ 5 of (1 − b)²(1 − s). One map's
+        // usable count U is not binomial, because a broken nanowire takes its
+        // whole row or column. With a = 1 − b and d = 1 − s, two crosspoints
+        // sharing a row or a column are usable together with probability
+        // a³d², and two sharing neither with a⁴d², so
+        // Var U = RC·a²d + RC(R + C − 2)·a³d² + RC(R − 1)(C − 1)·a⁴d² − (RC·a²d)².
+        let (rows, columns, seeds) = (363usize, 363usize, 1..=32u64);
+        let (r, c) = (rows as f64, columns as f64);
+        let n = r * c;
+        for breakage in [0.01, 0.02, 0.05, 0.1] {
+            let model = DefectModel::new(breakage, breakage / 2.0).unwrap();
+            let (a, d) = (1.0 - breakage, 1.0 - breakage / 2.0);
+            let variance = n * a * a * d
+                + n * (r + c - 2.0) * a.powi(3) * d * d
+                + n * (r - 1.0) * (c - 1.0) * a.powi(4) * d * d
+                - (n * a * a * d).powi(2);
+            let maps = seeds.clone().count() as f64;
+            let mean = seeds
+                .clone()
+                .map(|seed| model.sample_map(rows, columns, seed).unwrap())
+                .map(|map| map.usable_fraction())
+                .sum::<f64>()
+                / maps;
+            let standard_error = (variance / maps).sqrt() / n;
+            let z = (mean - model.crosspoint_survival()) / standard_error;
+            assert!(z.abs() <= 5.0, "breakage {breakage}: z = {z}");
+        }
+    }
+
+    #[test]
     fn sampled_maps_compose_with_the_decoder_yield() {
         let decoder = decoder_yield();
         let model = DefectModel::new(0.1, 0.05).unwrap();
@@ -666,47 +647,6 @@ mod tests {
         assert_ne!(chunk_seed(42, 0), chunk_seed(43, 0));
     }
 
-    /// The usable crosspoints of a map, counted cell by cell.
-    fn map_count(map: &DefectMap) -> usize {
-        (0..map.rows())
-            .flat_map(|r| (0..map.columns()).map(move |c| (r, c)))
-            .filter(|&(r, c)| map.crosspoint_usable(r, c))
-            .count()
-    }
-
-    #[test]
-    fn streamed_counts_equal_the_map_count() {
-        let tiny = 2f64.powi(-53);
-        // 0.3 · 2⁵³ is not an integer, so its threshold is a true ceiling.
-        assert_ne!((0.3 * 2f64.powi(53)).fract(), 0.0);
-        let mut rates = vec![(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (tiny, tiny)];
-        for stuck in [tiny, 0.5, 0.3] {
-            rates.extend([(0.0, stuck), (0.1, stuck)]);
-        }
-        // The Fig. 7 defect axis: breakage r, stuck crosspoints r / 2.
-        rates.extend([0.01, 0.02, 0.05, 0.1].map(|rate| (rate, rate / 2.0)));
-        rates.push((0.05, 0.02));
-        // Maps narrower than one 64-column word, one word wide, with a
-        // partial last word, and the paper's 363² array.
-        let dimensions = [(1, 1), (63, 7), (64, 64), (65, 3), (300, 70), (363, 363)];
-        for (breakage, stuck) in rates {
-            let model = DefectModel::new(breakage, stuck).unwrap();
-            for (rows, columns) in dimensions {
-                for seed in [1u64, 42, 2_009] {
-                    let map = model.sample_map(rows, columns, seed).unwrap();
-                    let count = model.count_usable(rows, columns, seed).unwrap();
-                    let case = format!("({breakage}, {stuck}) {rows}x{columns} seed {seed}");
-                    assert_eq!(count, map_count(&map), "{case}");
-                    assert_eq!(
-                        survival_fraction(count, rows, columns).to_bits(),
-                        map.usable_fraction().to_bits(),
-                        "{case}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn oversized_and_overflowing_dimensions_fail_fast() {
         let edge = 1usize << 12;
@@ -732,9 +672,6 @@ mod tests {
                 check_defect_dimensions(rows, columns).map(drop)
             ));
             assert!(is_spec_error(model.sample_map(rows, columns, 7).map(drop)));
-            assert!(is_spec_error(
-                model.count_usable(rows, columns, 7).map(drop)
-            ));
         }
     }
 }

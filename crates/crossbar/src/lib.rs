@@ -75,7 +75,7 @@ pub use array::{CrossbarSpec, PAPER_RAW_BITS};
 pub use cave::{Cave, HalfCave};
 pub use contact::{ContactGroupLayout, PositionKind};
 pub use defects::{
-    check_defect_dimensions, chunk_seed, survival_fraction, CompositeYield, DefectMap, DefectModel,
+    check_defect_dimensions, chunk_seed, CompositeYield, DefectMap, DefectModel,
     MAX_DEFECT_CROSSPOINTS,
 };
 pub use error::{CrossbarError, Result};

@@ -38,10 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     print!("{}", mspt_experiments::fig7_report(&engine)?);
     println!();
-    print!(
-        "{}",
-        mspt_experiments::fig7_defects_report(&engine, mspt_experiments::FIG7_DEFECT_SEED)?
-    );
+    print!("{}", mspt_experiments::fig7_defects_report(&engine)?);
     println!();
     print!("{}", mspt_experiments::fig8_report(&engine)?);
     println!();

@@ -165,8 +165,9 @@ pub fn fig7_report(engine: &ExecutionEngine) -> Result<Fig7Report> {
 /// layers fail less often than high-aspect-ratio spacers break).
 pub const DEFECT_RATE_AXIS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.1];
 
-/// Default defect-map seed of the `fig7_defects` experiment (override with
-/// the `MSPT_DEFECT_SEED` environment variable in the binary).
+/// The defect seed the selections of the [`defect_axis`] carry. No row
+/// depends on it, since a report composes the expected defect survival;
+/// [`SimulationPlatform::sample_defect_map`] draws an instance from it.
 pub const FIG7_DEFECT_SEED: u64 = 2_009;
 
 /// The (family, length) pairs the defect axis is swept for: the paper's
@@ -179,38 +180,37 @@ pub const FIG7_DEFECT_CODES: [(CodeKind, usize); 3] = [
 ];
 
 /// The defect selections of one `fig7_defects` sweep: [`DefectKind::None`]
-/// as the paper baseline, then one sampled selection per
-/// [`DEFECT_RATE_AXIS`] rate (breakage = rate, stuck crosspoints = rate/2),
-/// all drawing their maps from `seed`.
+/// as the paper baseline, then one selection per [`DEFECT_RATE_AXIS`] rate
+/// (breakage = rate, stuck crosspoints = rate/2), each carrying
+/// [`FIG7_DEFECT_SEED`].
 ///
 /// # Errors
 ///
 /// Never fails for the built-in axis; propagates rate-validation errors.
-pub fn defect_axis(seed: u64) -> Result<Vec<DefectKind>> {
+pub fn defect_axis() -> Result<Vec<DefectKind>> {
     let mut axis = Vec::with_capacity(DEFECT_RATE_AXIS.len());
     for &rate in &DEFECT_RATE_AXIS {
         axis.push(if rate == 0.0 {
             DefectKind::None
         } else {
-            DefectKind::sampled(rate, rate / 2.0, seed)?
+            DefectKind::sampled(rate, rate / 2.0, FIG7_DEFECT_SEED)?
         });
     }
     Ok(axis)
 }
 
 /// Beyond the paper — Fig. 7's defect axis: composite crossbar yield against
-/// the fabrication-defect rate for the best code of each family, with
-/// deterministic defect maps sampled from `seed` (the experiment's default
-/// is [`FIG7_DEFECT_SEED`]) composed onto the decoder yield. The rows are
-/// the [`defect_axis`] of each code of [`FIG7_DEFECT_CODES`], evaluated as
-/// one batch.
+/// the fabrication-defect rate for the best code of each family, the
+/// expected defect survival of each rate composed onto the decoder yield.
+/// The rows are the [`defect_axis`] of each code of [`FIG7_DEFECT_CODES`],
+/// evaluated as one batch.
 ///
 /// # Errors
 ///
 /// Propagates code and evaluation errors.
-pub fn fig7_defects_report(engine: &ExecutionEngine, seed: u64) -> Result<Fig7Report> {
+pub fn fig7_defects_report(engine: &ExecutionEngine) -> Result<Fig7Report> {
     let base = paper_base_config()?;
-    let axis = defect_axis(seed)?;
+    let axis = defect_axis()?;
     let mut configs = Vec::with_capacity(FIG7_DEFECT_CODES.len() * axis.len());
     for (kind, code_length) in FIG7_DEFECT_CODES {
         let code = CodeSpec::new(kind, LogicLevel::BINARY, code_length)?;
@@ -399,10 +399,10 @@ pub fn sensitivity_report(engine: &ExecutionEngine) -> Result<Vec<SensitivitySwe
 
 /// The serving-layer stress mix: every Fig. 7/8 sweep configuration (the
 /// four code families at their valid lengths) plus one Laplace-disturbance
-/// variant and one sampled-defect variant. The Laplace variant hits the
+/// variant and one defect-configured variant. The Laplace variant hits the
 /// Gaussian BGC entry (no report stage reads the disturbance kind); the
-/// defect variant keys its own entry and exercises the engine's
-/// defect-survival slot under concurrent load. This is the
+/// defect variant keys its own entry and exercises the defect composition
+/// under concurrent load. This is the
 /// repeated-`SimConfig` workload the shared warm cache is built for — the
 /// request population of the `serve_stress` binary and the CI serving gate.
 ///
@@ -684,7 +684,7 @@ mod tests {
 
     #[test]
     fn fig7_defects_covers_the_rate_axis_and_degrades_monotonically() {
-        let report = fig7_defects_report(&paper_engine(), FIG7_DEFECT_SEED).unwrap();
+        let report = fig7_defects_report(&paper_engine()).unwrap();
         assert!(report.points.is_empty());
         assert_eq!(
             report.defect_points.len(),
@@ -696,9 +696,7 @@ mod tests {
             assert_eq!(points[0].defects, DefectKind::None);
             assert_eq!(points[0].defect_survival, 1.0);
             assert_eq!(points[0].composite_yield, points[0].crossbar_yield);
-            // ...and the composite yield falls as the defect rate grows
-            // (sampled maps, but the axis steps are far above the sampling
-            // noise of a 363×363 map).
+            // ...and the composite yield falls as the defect rate grows.
             for pair in points.windows(2) {
                 assert!(
                     pair[1].composite_yield < pair[0].composite_yield,

@@ -17,8 +17,8 @@ use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 /// The Fig. 7/8 sweep points: four families at their valid lengths, plus
 /// one Laplace-disturbance variant (it shares the Gaussian point's report
 /// entry: no report stage reads the disturbance kind) and one
-/// sampled-defect variant, which keys its own entry and exercises the
-/// engine's defect-survival slot under concurrent load.
+/// defect-configured variant, which keys its own entry and exercises the
+/// defect composition under concurrent load.
 pub fn paper_mix() -> Vec<ReportRequest> {
     let mut mix = Vec::new();
     for (kind, lengths) in [

@@ -40,8 +40,10 @@
 //! or as a reply without its legacy reason, are rejected. The ok-reply line
 //! moved when defect instances began to be drawn one stream per row, 64
 //! crosspoints per draw, because the golden configuration samples defects,
-//! and the snapshot text when the snapshot version went to 4 with it. A
-//! failure names the first text or corpus that moved.
+//! and the snapshot text when the snapshot version went to 4 with it. Both
+//! moved again when reports began to compose the expected defect survival
+//! (snapshot version 5). A failure names the first text or corpus that
+//! moved.
 
 #[path = "../../sim/tests/catalogue/mod.rs"]
 mod catalogue;

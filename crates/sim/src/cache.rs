@@ -75,6 +75,9 @@
 //! each row of a sampled defect instance got a stream of its own, decided
 //! 64 crosspoints per draw: a version-3 row with sampled defects holds the
 //! survival of the old stream, which a load would serve under the same key.
+//! Version 5 began when reports began to compose the expected defect
+//! survival: a version-4 row with sampled defects holds the survival of one
+//! sampled instance.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -95,7 +98,7 @@ pub const CACHE_PATH_ENV: &str = "MSPT_CACHE_PATH";
 /// Schema version of the persisted snapshot format. Bump on any change to
 /// the on-disk layout, or to what a row's config means; loaders reject
 /// every other version.
-pub const CACHE_SCHEMA_VERSION: u64 = 4;
+pub const CACHE_SCHEMA_VERSION: u64 = 5;
 
 /// Default bound on the number of cached reports (far above the paper's
 /// sweep-point count, so default runs never evict).

@@ -6,16 +6,14 @@
 //! crossbar layer's [`DefectModel`] models the two first-order defect
 //! mechanisms beyond that assumption. This module is the `SimConfig`-side
 //! selector: [`DefectKind::None`] reproduces the paper exactly, while
-//! [`DefectKind::Sampled`] draws one deterministic defect instance per
-//! evaluation (seeded independently of the Monte-Carlo streams through the
-//! defect layer's domain tag) and composes its survival with the decoder
-//! yield into the report's composite quantities. A report counts the
-//! instance's usable crosspoints row by row on the calling thread
-//! ([`DefectModel::count_usable`]) and never builds its [`DefectMap`]; the
-//! survival is bit-identical to the sampled map's
-//! [`usable_fraction`](crossbar_array::DefectMap::usable_fraction).
-//!
-//! [`DefectMap`]: crossbar_array::DefectMap
+//! [`DefectKind::Sampled`] composes the expected defect survival of its
+//! rates, the closed form `(1 − b)²(1 − s)`
+//! ([`DefectModel::crosspoint_survival`]), with the decoder yield into the
+//! report's composite quantities. A report draws no instance, so the
+//! selection's seed decides no report value: it seeds the instances
+//! [`SimulationPlatform::sample_defect_map`](crate::SimulationPlatform::sample_defect_map)
+//! draws (independently of the Monte-Carlo streams, through the defect
+//! layer's domain tag), whose mean survival over seeds is the closed form.
 
 use std::fmt;
 
@@ -84,9 +82,10 @@ impl DefectConfig {
         self.crosspoint_defect
     }
 
-    /// The defect-map run seed. The defect layer mixes its own domain tag
-    /// into this seed before chunk derivation, so a seed shared with a
-    /// Monte-Carlo estimation never replays its uniform stream.
+    /// The defect-map run seed of sampled instances; no report value
+    /// depends on it. The defect layer mixes its own domain tag into this
+    /// seed before chunk derivation, so a seed shared with a Monte-Carlo
+    /// estimation never replays its uniform stream.
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
@@ -111,8 +110,10 @@ pub enum DefectKind {
     /// before this field existed.
     #[default]
     None,
-    /// Sample one deterministic defect instance per evaluation and compose
-    /// its survival with the decoder yield.
+    /// Broken nanowires and stuck crosspoints at the configured rates: a
+    /// report composes their expected survival with the decoder yield, and
+    /// [`SimulationPlatform::sample_defect_map`](crate::SimulationPlatform::sample_defect_map)
+    /// draws an instance from the seed.
     Sampled(DefectConfig),
 }
 

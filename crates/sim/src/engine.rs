@@ -31,11 +31,11 @@
 //! # Memoization
 //!
 //! The engine carries a sharded, bounded, single-flight LRU slot for each
-//! pipeline stage whose hits pay — variability, defect map and the
-//! composite report, whose slot is the engine's one report memo
-//! ([`ReportCache`](crate::ReportCache)); the other report stages are
-//! computed inline on every report miss, and a Monte-Carlo estimate on
-//! every call. A configuration
+//! pipeline stage whose hits pay — variability and the composite report,
+//! whose slot is the engine's one report memo
+//! ([`ReportCache`](crate::ReportCache)); the other report stages, the
+//! expected defect survival among them, are computed inline on every report
+//! miss, and a Monte-Carlo estimate on every call. A configuration
 //! repeated across `reports_for` batches on the same engine is evaluated
 //! once and served from that slot afterwards, and concurrent identical
 //! requests (the serve layer's workload) block on one in-flight evaluation
@@ -265,15 +265,13 @@ impl ExecutionEngine {
     /// hit, concurrent identical requests single-flight onto one
     /// evaluation. This is the serve layer's per-request entry point.
     ///
-    /// On a miss the lookup's leader looks up the configured defect survival
-    /// in the `DefectMap` slot, counting the usable crosspoints on the
-    /// calling thread with [`DefectModel::count_usable`] (no map is built),
-    /// and the variability matrix and fabrication cost in the `Variability`
-    /// slot, then computes the remaining stages inline, so a configuration
-    /// that differs from a cached one outside those two read sets (a sweep
-    /// point) reuses both. The result is bit-identical to the serial
-    /// [`SimulationPlatform::evaluate`] at any thread count, because both
-    /// take the survival from the same count and run the same stages.
+    /// On a miss the lookup's leader looks up the variability matrix and
+    /// fabrication cost in the `Variability` slot, then computes the
+    /// remaining stages inline, the expected defect survival among them (no
+    /// defect instance is drawn), so a configuration that differs from a
+    /// cached one outside that slot's read set (a sweep point) reuses it. The
+    /// result is bit-identical to the serial [`SimulationPlatform::evaluate`]
+    /// at any thread count, because both run the same stages.
     ///
     /// # Errors
     ///
@@ -283,16 +281,10 @@ impl ExecutionEngine {
     pub fn report_for(&self, config: &SimConfig) -> Result<PlatformReport> {
         self.stages.reports().get_or_compute(config, || {
             let platform = SimulationPlatform::new(config.clone());
-            let survival = self
-                .stages
-                .defect_survival(config, || platform.defect_survival())?;
-            platform.staged_report(
-                || {
-                    self.stages
-                        .variability(config, || platform.variability_stage())
-                },
-                survival,
-            )
+            platform.staged_report(|| {
+                self.stages
+                    .variability(config, || platform.variability_stage())
+            })
         })
     }
 
@@ -524,7 +516,7 @@ impl ExecutionEngine {
 
     /// Samples a crossbar defect map on the calling thread: the serial
     /// [`DefectModel::sample_map`], kept as an engine method because
-    /// perfbench's traced replay times it. Reports never build the map.
+    /// perfbench's traced replay times it. No report draws an instance.
     ///
     /// # Errors
     ///
@@ -720,8 +712,6 @@ mod tests {
         for (rows, columns) in [(4_097, 4_096), (1_000_000, 1_000_000), (usize::MAX, 2)] {
             let map = engine.sample_defect_map(&model, rows, columns, 1);
             assert!(is_spec_error(map.unwrap_err()));
-            let count = model.count_usable(rows, columns, 1);
-            assert!(is_spec_error(count.unwrap_err().into()));
         }
         // A defect-configured report on a 10¹²-bit crossbar (a 10⁶ edge) and
         // on one whose crosspoint count overflows fails the same way.

@@ -17,15 +17,14 @@
 //! bit-identical for any thread count, [`ExecutionEngine::serial`]
 //! included. When a configuration selects defects
 //! ([`SimConfig::with_defects`] / [`DefectKind`]), every report composes
-//! the survival of one sampled crossbar instance with the decoder yield —
-//! the defect axis of the Fig. 7 extension. The instance is drawn on the
-//! calling thread, each row of its switch-defect matrix from a seeded chunk
-//! of its own, 64 crosspoints per draw. Reports count its usable
-//! crosspoints
-//! ([`DefectModel::count_usable`](crossbar_array::DefectModel::count_usable))
-//! without building the map; [`SimulationPlatform::sample_defect_map`]
-//! draws the identical instance as a map for callers that want it.
-//! [`Evaluation::builder`] runs one configuration on an engine.
+//! the expected defect survival with the decoder yield — the defect axis of
+//! the Fig. 7 extension. Like the decoder yield, the survival is an
+//! expectation in closed form, `(1 − b)²(1 − s)`
+//! ([`DefectModel::crosspoint_survival`](crossbar_array::DefectModel::crosspoint_survival)),
+//! and a report draws nothing. [`SimulationPlatform::sample_defect_map`]
+//! draws one seeded instance as a map, the closed form's check: each row of
+//! its switch-defect matrix from a seeded chunk of its own, 64 crosspoints
+//! per draw. [`Evaluation::builder`] runs one configuration on an engine.
 //!
 //! Repeated evaluations are served from the engine's sharded, bounded,
 //! single-flight [`ReportCache`], which persists to a versioned snapshot:

@@ -5,8 +5,8 @@
 use serde::{Deserialize, Serialize};
 
 use crossbar_array::{
-    survival_fraction, AddressabilityProfile, CaveYield, CompositeYield, ContactGroupLayout,
-    CrossbarArea, DefectMap, DefectModel, HalfCave,
+    check_defect_dimensions, AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea,
+    DefectMap, HalfCave,
 };
 use mspt_fabrication::{DoseCountMatrix, FabricationCost, StepDopingMatrix, VariabilityMatrix};
 use nanowire_codes::{CodeSequence, CodeSpec};
@@ -43,8 +43,11 @@ pub struct PlatformReport {
     pub contact_groups: usize,
     /// The fabrication-defect selection the report was evaluated under.
     pub defects: DefectKind,
-    /// Fraction of crosspoints surviving the sampled defect map — `1` for a
-    /// defect-free ([`DefectKind::None`]) evaluation.
+    /// Expected fraction of crosspoints surviving the configured defects,
+    /// the closed form `(1 − b)²(1 − s)` of the breakage rate `b` and the
+    /// stuck-crosspoint rate `s`
+    /// ([`DefectModel::crosspoint_survival`](crossbar_array::DefectModel::crosspoint_survival))
+    /// — `1` for a defect-free ([`DefectKind::None`]) evaluation.
     pub defect_survival: f64,
     /// Composite crossbar yield: decoder yield `Y²` × defect survival.
     /// Equals [`crossbar_yield`](PlatformReport::crossbar_yield) exactly for
@@ -173,10 +176,11 @@ impl SimulationPlatform {
         )?)
     }
 
-    /// Samples the defect map of the configured [`DefectKind`] — `None` for
-    /// a defect-free configuration — for callers that want the instance;
-    /// reports read only its usable-crosspoint count, which they stream
-    /// without building the map.
+    /// Samples a defect instance of the configured [`DefectKind`] — `None`
+    /// for a defect-free configuration — drawn from the selection's seed
+    /// over the square crossbar. No report draws one: a report composes the
+    /// expected survival, which the mean usable fraction of such maps
+    /// converges to.
     ///
     /// # Errors
     ///
@@ -184,44 +188,17 @@ impl SimulationPlatform {
     /// the defect layer's size bound
     /// ([`MAX_DEFECT_CROSSPOINTS`](crossbar_array::MAX_DEFECT_CROSSPOINTS)).
     pub fn sample_defect_map(&self) -> Result<Option<DefectMap>> {
-        let Some((model, edge, seed)) = self.defect_instance()? else {
+        let DefectKind::Sampled(defects) = self.config.defects() else {
             return Ok(None);
         };
-        Ok(Some(model.sample_map(edge, edge, seed)?))
-    }
-
-    /// The defect survival of the configured instance — `None` for a
-    /// defect-free configuration: its usable crosspoints, counted without
-    /// building the map ([`DefectModel::count_usable`]), as a
-    /// [`survival_fraction`], the expression [`DefectMap::usable_fraction`]
-    /// uses, so it is bit-identical to the survival of the sampled map.
-    /// [`SimulationPlatform::evaluate`] and the engine's `DefectMap` slot both
-    /// take it from here.
-    pub(crate) fn defect_survival(&self) -> Result<Option<f64>> {
-        let Some((model, edge, seed)) = self.defect_instance()? else {
-            return Ok(None);
-        };
-        let usable = model.count_usable(edge, edge, seed)?;
-        Ok(Some(survival_fraction(usable, edge, edge)))
-    }
-
-    /// The one place that decides whether the configured defects are drawn,
-    /// and at which edge and seed, for the map and the count alike: the
-    /// defect model, the square crossbar's edge and the defect seed, or
-    /// `None` for a defect-free configuration.
-    fn defect_instance(&self) -> Result<Option<(DefectModel, usize, u64)>> {
-        match self.config.defects() {
-            DefectKind::None => Ok(None),
-            DefectKind::Sampled(defects) => {
-                let edge = self.config.crossbar_spec()?.nanowires_per_layer();
-                Ok(Some((defects.model(), edge, defects.seed())))
-            }
-        }
+        let edge = self.config.crossbar_spec()?.nanowires_per_layer();
+        let map = defects.model().sample_map(edge, edge, defects.seed())?;
+        Ok(Some(map))
     }
 
     /// Runs the full evaluation and collects every reported quantity. A
-    /// defect-configured evaluation counts the usable crosspoints without
-    /// building the map.
+    /// defect-configured evaluation composes the expected defect survival
+    /// and draws no instance.
     ///
     /// Callers holding an [`ExecutionEngine`](crate::ExecutionEngine) should
     /// prefer [`ExecutionEngine::report_for`](crate::ExecutionEngine::report_for),
@@ -232,7 +209,7 @@ impl SimulationPlatform {
     /// Propagates errors from every stage of the pipeline, including a
     /// crossbar over the defect layer's size bound.
     pub fn evaluate(&self) -> Result<PlatformReport> {
-        self.staged_report(|| self.variability_stage(), self.defect_survival()?)
+        self.staged_report(|| self.variability_stage())
     }
 
     /// The variability stage: the variability matrix and the fabrication
@@ -257,19 +234,25 @@ impl SimulationPlatform {
     /// The report pipeline below the `Composite` slot: the variability
     /// stage from `variability` (the engine's memo slot, or a plain
     /// computation), the contact layout, addressability, cave yield and
-    /// crossbar area computed inline, then composed with the defect
-    /// `survival` (`None` for a defect-free configuration). Runs as the
-    /// report lookup's leader, so it never consults the `Composite` slot
-    /// itself.
-    pub(crate) fn staged_report<F>(
-        &self,
-        variability: F,
-        survival: Option<f64>,
-    ) -> Result<PlatformReport>
+    /// crossbar area computed inline, then composed with the expected
+    /// defect survival of the configured rates. Runs as the report lookup's
+    /// leader, so it never consults the `Composite` slot itself.
+    pub(crate) fn staged_report<F>(&self, variability: F) -> Result<PlatformReport>
     where
         F: FnOnce() -> Result<VariabilityStage>,
     {
         let spec = self.config.crossbar_spec()?;
+        // A defect-configured crossbar must be one a map can be drawn for, so
+        // that a report and `sample_defect_map` accept the same
+        // configurations; the check fails before any stage runs.
+        let defects = match self.config.defects() {
+            DefectKind::None => None,
+            DefectKind::Sampled(defects) => {
+                let edge = spec.nanowires_per_layer();
+                check_defect_dimensions(edge, edge)?;
+                Some(defects.model())
+            }
+        };
         let code = self.config.code();
         let staged = variability()?;
         let layout = self.contact_layout()?;
@@ -283,12 +266,12 @@ impl SimulationPlatform {
         let effective_bit_area = area.effective_bit_area(&spec, &yield_)?;
         let effective_bits = yield_.effective_bits(spec.raw_crosspoints());
 
-        let (defect_survival, composite_yield, composite_effective_bits) = match survival {
+        let (defect_survival, composite_yield, composite_effective_bits) = match defects {
             // A defect-free evaluation reports the decoder quantities
             // bit-for-bit (no multiplication by `1.0` that could perturb them).
             None => (1.0, yield_.crossbar_yield(), effective_bits),
-            Some(survival) => {
-                let composite = CompositeYield::new(&yield_, survival);
+            Some(model) => {
+                let composite = model.compose_with(&yield_);
                 (
                     composite.defect_survival,
                     composite.crossbar_yield,
@@ -423,15 +406,8 @@ mod tests {
         );
         assert!(report.composite_yield < report.crossbar_yield);
         assert!(report.composite_effective_bits < report.effective_bits);
-        // The survival lands near the analytic expectation for these rates
-        // (a single sampled instance; broken wires kill whole rows, so the
-        // variance is dominated by the 363-wire breakage draw).
-        let expected = 0.95 * 0.95 * 0.98;
-        assert!(
-            (report.defect_survival - expected).abs() < 0.05,
-            "survival {} vs expected {expected}",
-            report.defect_survival
-        );
+        // The survival is the expectation for these rates.
+        assert!((report.defect_survival - 0.95 * 0.95 * 0.98).abs() < 1e-15);
     }
 
     #[test]

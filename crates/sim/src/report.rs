@@ -80,7 +80,8 @@ impl fmt::Display for Fig6Report {
 }
 
 /// Fig. 7 — crossbar yield per code type and length, plus the beyond-paper
-/// defect axis: composite yield under sampled fabrication defects.
+/// defect axis: composite yield under the expected survival of
+/// fabrication defects.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig7Report {
     /// One report per (code, length) point of the paper's figure, in row
@@ -118,7 +119,7 @@ impl fmt::Display for Fig7Report {
         if !self.defect_points.is_empty() {
             writeln!(
                 f,
-                "defect axis — composite yield under sampled fabrication defects"
+                "defect axis — composite yield under fabrication defects (expected survival)"
             )?;
             writeln!(
                 f,

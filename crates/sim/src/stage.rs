@@ -15,19 +15,19 @@
 //! Variability ──────► MonteCarlo   (+ Disturbance; per call: MonteCarloConfig)
 //! ```
 //!
-//! Three stages are memoized, each in its own slot with hit/miss/eviction
+//! Two stages are memoized, each in its own slot with hit/miss/eviction
 //! counters: `Variability` (the pattern, doping ladder and Σ/Φ build that
-//! every report and Monte-Carlo estimate starts from), `DefectMap` (the
-//! instance's survival, one `f64`, counted without building the map) and
-//! `Composite` (the report). Changing only the defect seed therefore re-runs
-//! only the `DefectMap` and `Composite` stages; changing only the
-//! disturbance kind re-runs no memoized stage. The other four report stages
-//! — addressability, contact layout, cave yield and crossbar area — hit
-//! rarely (a configuration that would hit them mostly hits the report) or
-//! save less than a lookup's key build costs, so every report miss computes
-//! them inline. A Monte-Carlo estimate is computed on every call: callers
-//! draw a fresh seed per estimate, so a memo of estimates would not hit.
-//! The counter rows of these five stages read zero.
+//! every report and Monte-Carlo estimate starts from) and `Composite` (the
+//! report). Changing only the defect selection therefore re-runs only the
+//! `Composite` stage; changing only the disturbance kind re-runs no
+//! memoized stage. The other five report stages — addressability, contact
+//! layout, cave yield, crossbar area and the defect survival — hit rarely (a
+//! configuration that would hit them mostly hits the report) or save less
+//! than a lookup's key build costs, so every report miss computes them
+//! inline: the defect survival is the closed form of its rates, a few
+//! floating-point operations. A Monte-Carlo estimate is computed on every
+//! call: callers draw a fresh seed per estimate, so a memo of estimates
+//! would not hit. The counter rows of these six stages read zero.
 //!
 //! # Keys by construction
 //!
@@ -121,10 +121,11 @@ pub enum Stage {
     CaveYield,
     /// The crossbar area model (raw and effective bit area inputs).
     CrossbarArea,
-    /// The sampled fabrication-defect instance, memoized as its survival:
-    /// the usable-crosspoint count, streamed row by row on the calling
-    /// thread without building the map, over the crosspoint count (`None`
-    /// for a defect-free configuration).
+    /// The fabrication-defect survival: the expected fraction of usable
+    /// crosspoints, the closed form `(1 − b)²(1 − s)` of the configured
+    /// rates, checked against the defect layer's size bound (`1` for a
+    /// defect-free configuration). Computed inline on every report miss; no
+    /// instance is drawn.
     DefectMap,
     /// The fully composed [`PlatformReport`](crate::PlatformReport) —
     /// everything the report carries except Monte-Carlo results. Its slot
@@ -312,29 +313,15 @@ pub struct StageStats {
 }
 
 /// The memo table of the evaluation pipeline: one `MemoCache` slot for each
-/// stage whose hits pay (`Variability`, `DefectMap`, `Composite`), each
-/// with fingerprint sharding, bounded LRU,
-/// single-flight semantics and hit/miss/eviction counters. The `Composite`
-/// slot is a [`ReportCache`]: the one report memo, which also persists
-/// snapshots. The `DefectMap` slot holds the defect survival
-/// (`Option<f64>`), never a `rows × columns` map. The
+/// stage whose hits pay (`Variability`, `Composite`), each with fingerprint
+/// sharding, bounded LRU, single-flight semantics and hit/miss/eviction
+/// counters. The `Composite` slot is a [`ReportCache`]: the one report memo,
+/// which also persists snapshots. The
 /// [`ExecutionEngine`](crate::ExecutionEngine) owns one.
 #[derive(Debug)]
 pub(crate) struct StageCache {
     variability: MemoCache<VariabilityStage>,
-    defect_map: MemoCache<Option<f64>>,
     composite: ReportCache,
-}
-
-/// One stage-slot lookup: the stage's key for `config`, its fingerprint,
-/// and the slot's single-flight get-or-compute.
-fn keyed<V, F>(slot: &MemoCache<V>, stage: Stage, config: &SimConfig, compute: F) -> Result<V>
-where
-    V: Clone,
-    F: FnOnce() -> Result<V>,
-{
-    let key = stage.key(config);
-    slot.get_or_compute(stage.fingerprint(&key), &key, compute)
 }
 
 impl StageCache {
@@ -343,7 +330,6 @@ impl StageCache {
     pub(crate) fn new(config: CacheConfig) -> Self {
         StageCache {
             variability: MemoCache::new(config),
-            defect_map: MemoCache::new(config),
             composite: ReportCache::new(config),
         }
     }
@@ -357,12 +343,12 @@ impl StageCache {
                 stage,
                 stats: match stage {
                     Stage::Variability => self.variability.stats(),
-                    Stage::DefectMap => self.defect_map.stats(),
                     Stage::Composite => self.composite.stats(),
                     Stage::Addressability
                     | Stage::ContactLayout
                     | Stage::CaveYield
                     | Stage::CrossbarArea
+                    | Stage::DefectMap
                     | Stage::MonteCarlo => CacheStats::default(),
                 },
             })
@@ -375,20 +361,15 @@ impl StageCache {
         &self.composite
     }
 
+    /// The `Variability` slot: the stage's key for `config`, its
+    /// fingerprint, and the slot's single-flight get-or-compute.
     pub(crate) fn variability<F>(&self, config: &SimConfig, compute: F) -> Result<VariabilityStage>
     where
         F: FnOnce() -> Result<VariabilityStage>,
     {
-        keyed(&self.variability, Stage::Variability, config, compute)
-    }
-
-    /// The `DefectMap` slot: the defect survival of the configured instance
-    /// (`None` for a defect-free configuration), one `f64` per entry.
-    pub(crate) fn defect_survival<F>(&self, config: &SimConfig, compute: F) -> Result<Option<f64>>
-    where
-        F: FnOnce() -> Result<Option<f64>>,
-    {
-        keyed(&self.defect_map, Stage::DefectMap, config, compute)
+        let key = Stage::Variability.key(config);
+        self.variability
+            .get_or_compute(Stage::Variability.fingerprint(&key), &key, compute)
     }
 }
 
@@ -529,23 +510,24 @@ mod tests {
     fn disabled_cache_always_recomputes() {
         let cache = StageCache::new(CacheConfig::unsharded(0));
         let config = base();
+        let platform = crate::platform::SimulationPlatform::new(config.clone());
         let mut computed = 0;
         for _ in 0..2 {
             cache
-                .defect_survival(&config, || {
+                .variability(&config, || {
                     computed += 1;
-                    Ok(None)
+                    platform.variability_stage()
                 })
                 .unwrap();
         }
         assert_eq!(computed, 2);
         let rows = cache.stats();
         assert!(rows.iter().all(|row| row.stats.entries == 0));
-        let defect_map = rows
+        let variability = rows
             .iter()
-            .find(|row| row.stage == Stage::DefectMap)
+            .find(|row| row.stage == Stage::Variability)
             .unwrap();
-        assert_eq!((defect_map.stats.hits, defect_map.stats.misses), (0, 2));
+        assert_eq!((variability.stats.hits, variability.stats.misses), (0, 2));
     }
 
     #[test]
@@ -565,10 +547,10 @@ mod tests {
             .unwrap();
         assert_eq!((variability.stats.hits, variability.stats.misses), (2, 1));
         // Other stages are untouched.
-        let defect_map = rows
+        let composite = rows
             .iter()
-            .find(|row| row.stage == Stage::DefectMap)
+            .find(|row| row.stage == Stage::Composite)
             .unwrap();
-        assert_eq!(defect_map.stats, CacheStats::default());
+        assert_eq!(composite.stats, CacheStats::default());
     }
 }

@@ -9,7 +9,7 @@ use decoder_sim::bincodec::report_to_bin;
 use decoder_sim::{
     design_points, DefectKind, DisturbanceKind, DisturbanceModel, EngineConfig, ExecutionEngine,
     GaussianDisturbance, LaplaceDisturbance, MonteCarloConfig, MonteCarloOutcome, NormalSource,
-    SimConfig, DEFAULT_CHUNK_SIZE,
+    PlatformReport, SimConfig, DEFAULT_CHUNK_SIZE,
 };
 use device_physics::{DopingLadder, ThresholdModel, VariabilityModel, Volts};
 use mspt_fabrication::{PatternMatrix, VariabilityMatrix};
@@ -377,53 +377,63 @@ fn defect_maps_are_bit_identical_across_thread_counts() {
     assert!(engine(2).sample_defect_map(&model, 0, 4, seed).is_err());
 }
 
-/// The report path streams the defect count; the map path
-/// ([`SimulationPlatform::sample_defect_map`](decoder_sim::SimulationPlatform::sample_defect_map)
-/// composed with the cave yield) still builds the map. Both must give the
-/// same survival and composites, bit for bit.
+/// A report composes the expected defect survival of its rates, bit for bit
+/// what [`DefectModel::compose_with`] forms from the cave yield, so the
+/// defect seed decides no report value.
 #[test]
-fn streamed_reports_match_the_map_path_bit_for_bit() {
+fn reports_compose_the_expected_defect_survival() {
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
     let base = SimConfig::paper_defaults(code).unwrap();
     let raw_crosspoints = base.crossbar_spec().unwrap().raw_crosspoints();
+    let evaluate = |defects| {
+        let platform = decoder_sim::SimulationPlatform::new(base.clone().with_defects(defects));
+        (platform.evaluate().unwrap(), platform.cave_yield().unwrap())
+    };
     for defects in [
         DefectKind::None,
         DefectKind::sampled(0.05, 0.02, 2_009).unwrap(),
         DefectKind::sampled(0.1, 0.05, 7).unwrap(),
     ] {
-        let platform = decoder_sim::SimulationPlatform::new(base.clone().with_defects(defects));
-        let streamed = platform.evaluate().unwrap();
-        let cave_yield = platform.cave_yield().unwrap();
-        // A defect-free configuration samples no map and composes nothing.
-        let (survival, composite) = match platform.sample_defect_map().unwrap() {
-            Some(map) => (map.usable_fraction(), map.compose_with(&cave_yield)),
-            None => (1.0, CompositeYield::new(&cave_yield, 1.0)),
+        let (report, cave_yield) = evaluate(defects);
+        // A defect-free configuration composes nothing.
+        let composite = match defects.config() {
+            Some(config) => config.model().compose_with(&cave_yield),
+            None => CompositeYield::new(&cave_yield, 1.0),
         };
         let bits = [
-            streamed.defect_survival,
-            streamed.composite_yield,
-            streamed.composite_effective_bits,
+            report.defect_survival,
+            report.composite_yield,
+            report.composite_effective_bits,
         ]
         .map(f64::to_bits);
-        let mapped = [
-            survival,
+        let expected = [
+            composite.defect_survival,
             composite.crossbar_yield,
             composite.effective_bits(raw_crosspoints),
         ]
         .map(f64::to_bits);
         assert_eq!(
-            bits, mapped,
-            "streamed report diverged from the map path ({defects:?})"
+            bits, expected,
+            "report diverged from the expected survival ({defects:?})"
         );
     }
+    let (seeded, _) = evaluate(DefectKind::sampled(0.05, 0.02, 2_009).unwrap());
+    let (reseeded, _) = evaluate(DefectKind::sampled(0.05, 0.02, 7).unwrap());
+    assert_eq!(
+        PlatformReport {
+            defects: seeded.defects,
+            ..reseeded
+        },
+        seeded
+    );
 }
 
 /// The whole-report determinism gate for the defect pipeline: a
-/// defect-composed `PlatformReport` — a defect count composed with the
-/// decoder yield through the engine's report cache — must be bit-identical
-/// to the serial platform evaluation at every thread count, and across the
-/// defect axis the decoder quantities must stay pinned to the defect-free
-/// run.
+/// defect-composed `PlatformReport` — the expected defect survival composed
+/// with the decoder yield through the engine's report cache — must be
+/// bit-identical to the serial platform evaluation at every thread count,
+/// and across the defect axis the decoder quantities must stay pinned to
+/// the defect-free run.
 #[test]
 fn defect_composed_reports_are_bit_identical_across_thread_counts() {
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();

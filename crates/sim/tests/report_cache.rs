@@ -324,9 +324,11 @@ fn snapshots_whose_configs_carry_retired_sampling_knobs_load_and_hit() {
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (configs.len() as u64, 0));
 
-        // Version 2 rows may hold fallback codes' reports, and version 3
-        // rows the survival of the old defect stream.
-        for stale in [2, 3] {
+        // Version 2 rows may hold fallback codes' reports, version 3 rows
+        // the survival of the old defect stream, and version 4 rows the
+        // survival of one sampled instance where a report now composes the
+        // expected survival.
+        for stale in [2, 3, 4] {
             let cache = ReportCache::new(CacheConfig::default());
             let error = cache.load_snapshot_bin(&snapshot(stale)).unwrap_err();
             assert!(error.to_string().contains("schema version"), "{error}");

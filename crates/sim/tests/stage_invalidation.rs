@@ -117,21 +117,13 @@ fn expected_delta(stage: Stage, field: ConfigField) -> (u64, u64) {
         // samples on every run; the second lookup always hits because the
         // report pass already inserted the varied entry.
         Stage::Variability => (u64::from(composite_missed) + 1 - miss, miss),
-        // The defect-map slot is consulted only while the composite closure
-        // runs.
-        Stage::DefectMap => {
-            if composite_missed {
-                (1 - miss, miss)
-            } else {
-                (0, 0)
-            }
-        }
         // Computed inline on every report miss, or on every Monte-Carlo
         // call: no slot, no counts.
         Stage::Addressability
         | Stage::ContactLayout
         | Stage::CaveYield
         | Stage::CrossbarArea
+        | Stage::DefectMap
         | Stage::MonteCarlo => (0, 0),
     }
 }
@@ -242,17 +234,17 @@ fn stage_stats_has_one_row_per_stage_in_pipeline_order() {
     assert_eq!(stages, Stage::ALL);
     for row in rows {
         // The report misses once and then hits; its miss consults the
-        // variability slot and the defect map. The estimate, computed on
-        // both runs, reads the variability slot each time and hits what the
-        // report's miss inserted.
+        // variability slot. The estimate, computed on both runs, reads the
+        // variability slot each time and hits what the report's miss
+        // inserted.
         let expected = match row.stage {
             Stage::Composite => (1, 1, 1),
             Stage::Variability => (2, 1, 1),
-            Stage::DefectMap => (0, 1, 1),
             Stage::Addressability
             | Stage::ContactLayout
             | Stage::CaveYield
             | Stage::CrossbarArea
+            | Stage::DefectMap
             | Stage::MonteCarlo => (0, 0, 0),
         };
         let stats = row.stats;
